@@ -18,6 +18,7 @@ the whole build retries with a smaller offset scale.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -165,6 +166,62 @@ def _poly_crossings(P: Sequence[Point], Q: Sequence[Point]):
     if len(set(points)) != len(points):
         raise NonGenericGeometry("duplicate crossing point")
     return sorted(out)
+
+
+class AxisLines:
+    """Parallel segments: coordinate ``axis`` is fixed at each of ``coords``
+    while the other coordinate runs from ``start`` to ``end``."""
+
+    def __init__(self, axis: int, coords: Sequence[Fraction], start, end):
+        self.axis, self.start, self.end = axis, start, end
+        self.order = sorted(range(len(coords)), key=coords.__getitem__)
+        self.coords = [coords[k] for k in self.order]
+        self.floats = [float(c) for c in self.coords]
+        self.lo, self.hi = min(start, end), max(start, end)
+        # the sign of (P's tangent) x (line tangent) per unit motion of P
+        self.turn = (1 if end > start else -1) * (1 - 2 * axis)
+
+    def crossings(self, P: Sequence[Point]):
+        """``_poly_crossings(P, line k)`` for every line k at once, as
+        (i, t, k, pos, side): (i, t) is the param on P, pos the crossing's
+        coordinate along the line and side the sign of (P's tangent) x (line
+        tangent).  Lines are found by bisecting each segment's float bounds
+        (the margin absorbs rounding); the same inputs raise
+        NonGenericGeometry."""
+        a, b, eps = self.axis, 1 - self.axis, 1e-6
+        blo, bhi = float(self.lo) - eps, float(self.hi) + eps
+        pf = [(float(p[a]), float(p[b])) for p in P]
+        out, seen = [], set()
+        for i in range(len(P) - 1):
+            (fa0, fb0), (fa1, fb1) = pf[i], pf[i + 1]
+            if max(fb0, fb1) < blo or min(fb0, fb1) > bhi:
+                continue
+            k0 = bisect_left(self.floats, min(fa0, fa1) - eps)
+            k1 = bisect_right(self.floats, max(fa0, fa1) + eps)
+            a0, a1, b0, b1 = P[i][a], P[i + 1][a], P[i][b], P[i + 1][b]
+            for k in range(k0, k1):
+                c = self.coords[k]
+                if a0 == a1:  # parallel: only a positive-length overlap counts
+                    if c == a0 and max(min(b0, b1), self.lo) < min(max(b0, b1), self.hi):
+                        raise NonGenericGeometry("collinear overlap")
+                    continue
+                if not (a0 <= c <= a1 or a1 <= c <= a0):
+                    continue
+                t = (c - a0) / (a1 - a0)
+                pos = b0 + t * (b1 - b0)
+                if not self.lo <= pos <= self.hi:
+                    continue
+                if c != a0 and c != a1 and self.lo < pos < self.hi:
+                    if (k, pos) in seen:
+                        raise NonGenericGeometry("duplicate crossing point")
+                    seen.add((k, pos))
+                    side = self.turn if a1 > a0 else -self.turn
+                    out.append((i, t, self.order[k], pos, side))
+                    continue
+                pt = (c, pos) if a == 0 else (pos, c)
+                if pt != P[0] and pt != P[-1] and pos != self.start and pos != self.end:
+                    raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
+        return out
 
 
 class ForestBuilder:
@@ -471,11 +528,3 @@ def build_forest_strands(bent: BentWeave, max_rounds: int = 100,
             scale /= 16
     raise RuntimeError("geometry stayed non-generic after retries: %s" % last_err)
 
-
-def seed_flowlines(bent: BentWeave, vertex_id: int, orientation=None) -> List[FlowlineSeed]:
-    return ForestBuilder(bent, orientation=orientation).seed_flowlines(vertex_id)
-
-
-def propagate(bent: BentWeave, seed: FlowlineSeed, orientation=None) -> Strand:
-    builder = ForestBuilder(bent, orientation=orientation)
-    return builder.propagate_seed(seed, rnd=1)

@@ -8,6 +8,7 @@ byte-stable.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
@@ -268,29 +269,60 @@ def solve_rational(matrix, rhs):
     solution as a list of Fractions, or None if inconsistent.  Free variables
     are set to zero.
     """
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
+    factored = FactoredMatrix(matrix)
+    solution = factored.solve(rhs)
+    return None if solution is None else [Fraction(v) / factored.scale for v in solution]
+
+
+def _rref(rows):
+    """Gauss-Jordan elimination: (pivot columns, reduced rows)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        solution[c] = rows[i][ncols]
-    return solution
+    return pivots, rows
+
+
+class FactoredMatrix:
+    """A fixed matrix factored once for repeated exact solves.
+
+    ``pivots`` are the columns independent of the columns before them and
+    ``rows`` rows on which the pivot columns form an invertible block;
+    ``inverse`` is that block's inverse times the integer ``scale``.  With
+    integer entries every solve is integer arithmetic.
+    """
+
+    def __init__(self, matrix):
+        self.ncols = len(matrix[0]) if matrix else 0
+        self.pivots, _ = _rref(matrix)
+        self.block = [[row[c] for c in self.pivots] for row in matrix]
+        self.rows, _ = _rref(list(zip(*self.block)))
+        r = len(self.pivots)
+        _, reduced = _rref([self.block[i] + [int(j == k) for k in range(r)]
+                            for j, i in enumerate(self.rows)])
+        self.scale = math.lcm(*(v.denominator for row in reduced for v in row[r:]))
+        self.inverse = [[int(v * self.scale) for v in row[r:]] for row in reduced]
+
+    def solve(self, rhs):
+        """The solution with free variables zero, times ``scale``, or None
+        if ``rhs`` is outside the column span (checked exactly)."""
+        picked = [rhs[i] for i in self.rows]
+        x = [sum(a * b for a, b in zip(row, picked)) for row in self.inverse]
+        for row, value in zip(self.block, rhs):
+            if sum(a * b for a, b in zip(row, x)) != value * self.scale:
+                return None
+        solution = [0] * self.ncols
+        for c, v in zip(self.pivots, x):
+            solution[c] = v
+        return solution

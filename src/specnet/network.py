@@ -226,11 +226,7 @@ def energy_truncate(net: SpectralNetwork, bound) -> SpectralNetwork:
     for vertex in net.vertices.values():
         incident = set(vertex.incoming) | set(vertex.outgoing)
         if incident & keep:
-            if set(vertex.outgoing) - keep and vertex.kind == "interaction_creation":
-                kind = vertex.kind  # joint kept; dropped outputs recorded below
-            else:
-                kind = vertex.kind
-            copy = out.add_vertex(kind, vertex.position)
+            copy = out.add_vertex(vertex.kind, vertex.position)
             vertex_map[vertex.id] = copy.id
     for wall in sorted(net.walls.values(), key=lambda w: w.id):
         if wall.id not in keep:

@@ -119,6 +119,7 @@ class Transport:
                      poly[pa[0] + 1][1] - poly[pa[0]][1]))
                 events.append((pa, seg.letter, side))
         events.sort()
+        path = LiftedPiece(list(poly), 1, [(p, letter) for p, letter, _ in events], 1)
         zero = LaurentPoly.zero(self.gens)
         out = [[zero for _ in range(self.n)] for _ in range(self.n)]
         for start in range(1, self.n + 1):
@@ -130,10 +131,7 @@ class Transport:
                     sheet = letter + 1
                 elif sheet == letter + 1:
                     sheet = letter
-            piece = LiftedPiece(list(poly), start,
-                                [(p, letter) for p, letter, _ in events], 1,
-                                ("path",))
-            chain = [piece,
+            chain = [path.relift(start, 1),
                      self.engine._cap(tuple(poly[0]), start, -1),
                      self.engine._cap(tuple(poly[-1]), sheet, 1)]
             out[sheet - 1][start - 1] = self._chain_monomial(chain, sign)

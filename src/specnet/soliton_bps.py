@@ -9,18 +9,22 @@ class is computed exactly by intersection pairing against a pool of lifted
 test curves running from boundary to boundary, expressed in the basis of
 the right-edge (b-branch) tree classes s_1, ..., s_l.
 
-All geometry is exact rational; degeneracies raise and retry with perturbed
-test curves.
+All geometry is exact rational.  A degeneracy raises NonGenericGeometry,
+which propagates to the caller; nothing here retries (transport around a
+loop re-jitters the loop, in ``Transport._loop_transport``).
 """
 
 from __future__ import annotations
 
+import copy
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .forest import ForestBuilder, NonGenericGeometry, _conjugate, _poly_crossings
-from .laurent import solve_rational
+from .forest import AxisLines, ForestBuilder, NonGenericGeometry, _poly_crossings
+from .laurent import FactoredMatrix
 
 Point = Tuple[Fraction, Fraction]
 Param = Tuple[int, Fraction]
@@ -51,43 +55,36 @@ class LiftedPiece:
     ``events`` is a sorted list of (param, letter) conjugation points; the
     local sheet before the first event is ``start_sheet``.  ``orientation``
     multiplies this piece's contribution to intersection pairings and its
-    boundary.
+    boundary.  ``pairings`` memoizes the path's test-curve pairings for
+    every start sheet; copies made by ``relift`` share it.
     """
 
-    def __init__(self, polyline, start_sheet: int, events, orientation: int,
-                 tag=None):
+    def __init__(self, polyline, start_sheet: int, events, orientation: int):
         self.polyline = list(polyline)
         self.start_sheet = start_sheet
         self.events = sorted(events)
         self.orientation = orientation
-        self.tag = tag  # ("strand", sid) | ("cap", ...) | ("arc", ...) | ("test",)
+        self.pairings: Dict["PairingLines", list] = {}
 
     @classmethod
-    def over_obstacles(cls, polyline, start_sheet, obstacles, orientation=1, tag=None):
+    def over_obstacles(cls, polyline, start_sheet, obstacles):
         events = []
         for seg in obstacles:
             for param, _, _pt in _poly_crossings(list(polyline), seg.points):
                 events.append((param, seg.letter))
-        return cls(polyline, start_sheet, events, orientation, tag)
+        return cls(polyline, start_sheet, events, 1)
 
-    def sheet_at(self, param: Param) -> int:
-        sheet = self.start_sheet
-        for p, letter in self.events:
-            if p < param:
-                sheet = _tau(sheet, letter)
-            else:
-                break
-        return sheet
+    def relift(self, start_sheet: int, orientation: int) -> "LiftedPiece":
+        """The same path and events, lifted from another start sheet."""
+        twin = copy.copy(self)
+        twin.start_sheet, twin.orientation = start_sheet, orientation
+        return twin
 
     def end_sheet(self) -> int:
         sheet = self.start_sheet
         for _, letter in self.events:
             sheet = _tau(sheet, letter)
         return sheet
-
-    def tangent(self, index: int) -> Point:
-        p0, p1 = self.polyline[index], self.polyline[index + 1]
-        return (p1[0] - p0[0], p1[1] - p0[1])
 
 
 def _cross_sign(u: Point, v: Point) -> int:
@@ -97,13 +94,59 @@ def _cross_sign(u: Point, v: Point) -> int:
     return 1 if c > 0 else -1
 
 
-def _pair(piece: LiftedPiece, test: LiftedPiece) -> int:
-    total = 0
-    for pa, pb, _pt in _poly_crossings(piece.polyline, test.polyline):
-        if piece.sheet_at(pa) == test.sheet_at(pb):
-            total += piece.orientation * _cross_sign(piece.tangent(pa[0]),
-                                                     test.tangent(pb[0]))
-    return total
+class PairingLines:
+    """Test curves: families of axis-parallel lines, each line lifted to
+    every sheet.  Row ``line * n + sheet - 1`` of the pairing matrix is the
+    lift starting on ``sheet``, with lines numbered family by family.  A
+    piece's crossings with a family are found in one pass and read off for
+    all n lifts at once.
+    """
+
+    def __init__(self, families: Sequence[AxisLines], obstacles, n: int):
+        self.n, self.families, first = n, [], 0
+        for lines in families:
+            # crossings with the weave lines, ordered along each line
+            rising = lines.end > lines.start
+            events: List[list] = [[] for _ in lines.coords]
+            for seg in obstacles:
+                for _, _, k, pos, _ in lines.crossings(seg.points):
+                    events[k].append((pos if rising else -pos, seg.letter))
+            records = []
+            for k, line_events in enumerate(map(sorted, events)):
+                # inverse sheet permutations after each prefix of events:
+                # which lift of the line is on a given sheet there
+                perm = tuple(range(n + 1))
+                inverses = [perm]
+                for _, letter in line_events:
+                    perm = tuple(_tau(s, letter) for s in perm)
+                    inverses.append(tuple(sorted(range(n + 1), key=perm.__getitem__)))
+                records.append(((first + k) * n - 1, [key for key, _ in line_events],
+                                inverses))
+            self.families.append((lines, rising, records))
+            first += len(records)
+        self.rows = first * n
+
+    def pairing(self, piece: LiftedPiece) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The rows of the test lifts the piece meets and its pairings with
+        them, before its orientation is applied; computed once for all
+        start sheets."""
+        if self not in piece.pairings:
+            params = [p for p, _ in piece.events]
+            perms = [tuple(range(self.n + 1))]  # start sheet -> sheet after each event
+            for _, letter in piece.events:
+                perms.append(tuple(_tau(s, letter) for s in perms[-1]))
+            totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
+            for lines, rising, records in self.families:
+                for i, t, k, pos, side in lines.crossings(piece.polyline):
+                    base, keys, inverses = records[k]
+                    inverse = inverses[bisect_left(keys, pos if rising else -pos)]
+                    perm = perms[bisect_left(params, (i, t))]
+                    for total, sheet in zip(totals, perm[1:]):
+                        row = base + inverse[sheet]
+                        total[row] = total.get(row, 0) + side
+            piece.pairings[self] = [(tuple(total), tuple(total.values()))
+                                    for total in totals]
+        return piece.pairings[self][piece.start_sheet - 1]
 
 
 @dataclass(frozen=True)
@@ -172,7 +215,7 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> D4Tree:
 class HomologyEngine:
     """Exact H_1(L, T) classes for flowtrees and boundary arcs."""
 
-    def __init__(self, builder: ForestBuilder, jitter: Fraction = Fraction(0)):
+    def __init__(self, builder: ForestBuilder):
         self.builder = builder
         self.bent = builder.bent
         self.weave = builder.weave
@@ -180,7 +223,6 @@ class HomologyEngine:
         n = self.weave.strand_count
         self.marked = (self.bent.marked_x, Fraction(0))
         self._eps = Fraction(1, 2 ** 24)
-        self._cap_count = 0
         # bounding depths
         lows = [min(p[1] for p in seg.points) for seg in self.obstacles]
         self.y_deep = min(lows) - 1
@@ -197,69 +239,61 @@ class HomologyEngine:
             if s.origin[0] == "branch" and s.origin[2] == "b":
                 b_strand[s.origin[1]] = s.id
         self.basis_strands = [b_strand[g.trivalent_vertex] for g in by_suffix]
-        self._tests = self._make_tests(n, jitter)
+        self._tests = self._make_tests(n)
+        # lifts of the strand pieces the forest fixes, by (strand, end param)
+        self._strand_pieces: Dict[tuple, List[LiftedPiece]] = {}
+        self._recent_caps: Dict[Point, LiftedPiece] = {}
         # basis: cycle classes s_1..s_l, then boundary-arc classes through
         # the marked points t_1..t_n (these may satisfy relations; Gaussian
         # elimination prefers the s-columns, so arc usage is minimized)
         self._basis_chains = ([self.tree_chain(sid) for sid in self.basis_strands]
                               + [self.arc_chain(i) for i in range(1, n + 1)])
         self.n_cycles = len(self.basis_strands)
-        self._matrix = [[_pair_chain(chain, test) for chain in self._basis_chains]
-                        for test in self._tests]
-        self._check_rank()
+        columns = [self._pairing_vector(chain) for chain in self._basis_chains]
+        self._matrix = [list(row) for row in zip(*columns)]
+        self._factored = FactoredMatrix(self._matrix)
+        # the cycle columns must be independent (arc columns may overlap)
+        rank = sum(c < self.n_cycles for c in self._factored.pivots)
+        if rank != self.n_cycles:
+            raise NonGenericGeometry(
+                "test curves span rank %d < %d generators" % (rank, self.n_cycles))
 
     # ----- test curve pool -----
-    def _make_tests(self, n: int, jitter=Fraction(0)) -> List[LiftedPiece]:
-        tests = []
-        x = Fraction(1, 3) + jitter
-        while x < self.x_max + 1:
-            # run past the boundary arcs' deep leg so those crossings count
-            poly = [(x, Fraction(0)), (x, self.y_deep - 2)]
-            for sheet in range(1, n + 1):
-                tests.append(LiftedPiece.over_obstacles(
-                    poly, sheet, self.obstacles, tag=("test", x, sheet)))
-            x += 1
-        # horizontal curves distinguish branch points stacked in one column
-        y = Fraction(-1, 3) + jitter
-        while y > self.y_deep:
-            poly = [(Fraction(-3), y), (self.x_max + 3, y)]
-            for sheet in range(1, n + 1):
-                tests.append(LiftedPiece.over_obstacles(
-                    poly, sheet, self.obstacles, tag=("test", y, sheet)))
-            y -= 1
-        return tests
-
-    def _check_rank(self):
-        """The cycle columns must be independent (arc columns may overlap)."""
-        rows = [r[: self.n_cycles] for r in self._matrix]
-        ncols = self.n_cycles
-        rank = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            pv = rows[rank][c]
-            for i in range(len(rows)):
-                if i != rank and rows[i][c] != 0:
-                    f = Fraction(rows[i][c], pv)
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-        if rank != ncols:
-            raise NonGenericGeometry(
-                "test curves span rank %d < %d generators" % (rank, ncols))
+    def _make_tests(self, n: int) -> PairingLines:
+        # vertical lines run past the boundary arcs' deep leg so those
+        # crossings count; horizontal lines distinguish branch points
+        # stacked in one column
+        xs = [Fraction(1, 3) + k for k in range(math.ceil(self.x_max + Fraction(2, 3)))]
+        ys = [Fraction(-1, 3) - k for k in range(math.ceil(-self.y_deep - Fraction(1, 3)))]
+        return PairingLines([AxisLines(0, xs, Fraction(0), self.y_deep - 2),
+                             AxisLines(1, ys, Fraction(-3), self.x_max + 3)],
+                            self.obstacles, n)
 
     # ----- chains -----
-    def _next_eps(self) -> Fraction:
-        self._cap_count += 1
-        return self._eps / (self._cap_count + 1)
-
     def _cap(self, start: Point, start_sheet: int, orientation: int) -> LiftedPiece:
-        # independent offsets so no two caps have collinear segments
-        mid = (start[0] + self._next_eps(), -self._next_eps())
-        poly = [start, mid, self.marked]
-        return LiftedPiece.over_obstacles(poly, start_sheet, self.obstacles,
-                                          orientation, tag=("cap", start_sheet))
+        """A path from ``start`` to the marked point.  It depends on
+        ``start`` alone, so caps at the few most recent starts share their
+        weave-line events and test-curve pairings (a path transport caps
+        each wall crossing point 2n + 2 times in a row)."""
+        cap = self._recent_caps.pop(start, None)
+        if cap is None:
+            poly = [start, (start[0] + self._eps, -self._eps / 2), self.marked]
+            cap = LiftedPiece.over_obstacles(poly, 1, self.obstacles)
+        self._recent_caps[start] = cap
+        if len(self._recent_caps) > 4:
+            del self._recent_caps[next(iter(self._recent_caps))]
+        return cap.relift(start_sheet, orientation)
+
+    def _strand_lifts(self, sid: int, end_param: Optional[Param]) -> List[LiftedPiece]:
+        """Both lifts of a strand, cut at ``end_param`` (default: its end)."""
+        strand = self.builder.strands[sid]
+        i0, t0 = end_param or (len(strand.polyline) - 2, Fraction(1))
+        # params on the cut segment rescale to the shortened segment
+        events = [((i0, p[1] / t0) if p[0] == i0 else p, letter)
+                  for p, letter, _ in strand.crossings if p < (i0, t0)]
+        lab = strand.start_label
+        piece = LiftedPiece(_truncated(strand.polyline, (i0, t0)), lab[0], events, 1)
+        return [piece, piece.relift(lab[1], -1)]
 
     def tree_chain(self, strand_id: int,
                    root_param: Optional[Param] = None) -> List[LiftedPiece]:
@@ -273,26 +307,13 @@ class HomologyEngine:
         tree = tree_of_strand(self.builder, strand_id)
         pieces: List[LiftedPiece] = []
         for sid, end_param in tree.pieces:
-            if sid == strand_id and end_param is None:
-                end_param = root_param
-            strand = self.builder.strands[sid]
-            if end_param is None:
-                poly = list(strand.polyline)
-                events = [(p, letter) for p, letter, _ in strand.crossings]
-            else:
-                poly = _truncated(strand.polyline, end_param)
-                # params on the cut segment rescale to the shortened segment
-                i0, t0 = end_param
-                events = []
-                for p, letter, _ in strand.crossings:
-                    if p >= end_param:
-                        continue
-                    if p[0] == i0:
-                        p = (i0, p[1] / t0)
-                    events.append((p, letter))
-            lab = strand.start_label
-            pieces.append(LiftedPiece(poly, lab[0], events, 1, ("strand", sid, 0)))
-            pieces.append(LiftedPiece(poly, lab[1], events, -1, ("strand", sid, 1)))
+            if sid == strand_id and root_param is not None:
+                pieces += self._strand_lifts(sid, root_param)
+                continue
+            key = (sid, end_param)
+            if key not in self._strand_pieces:
+                self._strand_pieces[key] = self._strand_lifts(sid, end_param)
+            pieces += self._strand_pieces[key]
         # caps at the root's endpoint (chord end, or the truncation point)
         root = self.builder.strands[strand_id]
         if root_param is None:
@@ -308,7 +329,7 @@ class HomologyEngine:
 
     def arc_chain(self, marked_index: int) -> List[LiftedPiece]:
         """Boundary arc from marked lift t_i rightward around the surface."""
-        eps = self._next_eps()
+        eps = self._eps
         mx, _ = self.marked
         poly = [
             self.marked,
@@ -319,9 +340,7 @@ class HomologyEngine:
             (mx - eps, -eps),
             self.marked,
         ]
-        piece = LiftedPiece.over_obstacles(poly, marked_index, self.obstacles,
-                                           1, ("arc", marked_index))
-        return [piece]
+        return [LiftedPiece.over_obstacles(poly, marked_index, self.obstacles)]
 
     def _check_boundary(self, pieces: Sequence[LiftedPiece]):
         residue: Dict[tuple, int] = {}
@@ -351,63 +370,25 @@ class HomologyEngine:
                                  % sorted(leftovers)[:4])
 
     # ----- classes -----
+    def _pairing_vector(self, pieces: Sequence[LiftedPiece]) -> List[int]:
+        target = [0] * self._tests.rows
+        for piece in pieces:
+            rows, values = self._tests.pairing(piece)
+            for row, value in zip(rows, values):
+                target[row] += piece.orientation * value
+        return target
+
     def class_of_chain(self, pieces: Sequence[LiftedPiece]):
         """(cycle exponents s_1..s_l, boundary-arc exponents t_1..t_n)."""
-        target = [_pair_chain(pieces, test) for test in self._tests]
-        solution = solve_rational(self._matrix, target)
+        solution = self._factored.solve(self._pairing_vector(pieces))
         if solution is None:
             raise NonGenericGeometry("pairing vector outside basis span")
-        exps = []
-        for value in solution:
-            if value.denominator != 1:
-                raise NonGenericGeometry("non-integral class coefficient %s" % value)
-            exps.append(int(value))
+        scale = self._factored.scale
+        if any(value % scale for value in solution):
+            raise NonGenericGeometry("non-integral class coefficients %s"
+                                     % [Fraction(v, scale) for v in solution])
+        exps = [value // scale for value in solution]
         return tuple(exps[: self.n_cycles]), tuple(exps[self.n_cycles:])
-
-    def class_of_tree(self, strand_id: int):
-        return self.class_of_chain(self.tree_chain(strand_id))
-
-    def arc_class(self, marked_index: int):
-        return self.class_of_chain(self.arc_chain(marked_index))
-
-    def self_intersections(self, pieces: Sequence[LiftedPiece]) -> int:
-        """Transversal same-sheet crossings between distinct-support pieces."""
-        count = 0
-        for a in range(len(pieces)):
-            for b in range(a + 1, len(pieces)):
-                pa, pb = pieces[a], pieces[b]
-                if _same_strand(pa, pb) or pa.polyline == pb.polyline:
-                    continue
-                for qa, qb, _pt in _poly_crossings(pa.polyline, pb.polyline):
-                    if pa.sheet_at(qa) == pb.sheet_at(qb):
-                        count += 1
-        return count
-
-
-def _same_strand(a: LiftedPiece, b: LiftedPiece) -> bool:
-    return (a.tag and b.tag and a.tag[0] == "strand" and b.tag[0] == "strand"
-            and a.tag[1] == b.tag[1])
-
-
-def _pair_chain(pieces: Sequence[LiftedPiece], test: LiftedPiece) -> int:
-    return sum(_pair(piece, test) for piece in pieces)
-
-
-def extract_d4_trees(builder: ForestBuilder, strand_id: int,
-                     root_param: Optional[Param] = None) -> List[D4Tree]:
-    """All flowtrees rooted at a point of a wall, by backward extension.
-
-    The case analysis: an initial wall stops at its branch point; a creation
-    child extends into its two parents.  Forest networks are creative, so the
-    extension is unique and the list has exactly one tree; the signature
-    returns a list to keep the contract uniform.
-    """
-    tree = tree_of_strand(builder, strand_id)
-    if root_param is not None:
-        tree = D4Tree(tree.root_strand, tree.chord,
-                      [(sid, root_param if (sid == strand_id and ep is None) else ep)
-                       for sid, ep in tree.pieces], tree.joints)
-    return [tree]
 
 
 class SolitonCatalog:
@@ -442,7 +423,8 @@ class SolitonCatalog:
     # ----- per-strand data -----
     def full_class(self, sid: int):
         if sid not in self._full_class:
-            self._full_class[sid] = self.engine.class_of_tree(sid)
+            self._full_class[sid] = self.engine.class_of_chain(
+                self.engine.tree_chain(sid))
         return self._full_class[sid]
 
     def joint_twist(self, joint: dict) -> int:
@@ -508,7 +490,7 @@ class SolitonCatalog:
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
         """Signed class of the boundary arc through marked point i."""
-        cyc, _arc = self.engine.arc_class(marked_index)
+        cyc, _arc = self.engine.class_of_chain(self.engine.arc_chain(marked_index))
         ell = len(self.engine.gen_names)
         q = quadratic_refinement(cyc) + ell + 1
         return SolitonClass(cyc, -1 if q % 2 else 1, 0)
@@ -556,24 +538,19 @@ class SolitonCatalog:
     def bps_table_bruteforce(self) -> Dict[int, Dict[SolitonClass, int]]:
         """Oracle: enumerate every flowtree per wall and sum signed classes.
 
-        Classes come from the full geometric chain of each tree (exact
-        homology solve), signs from walking the tree bottom-up; no Hori-Vafa
-        recursion is used, so agreement with ``bps_table`` checks both the
-        homological additivity at joints and the twist bookkeeping.
+        Backward extension from a wall point stops at branch points and
+        splits at creation joints into the two parents; forest networks are
+        creative, so each wall has exactly one flowtree.  Classes come from
+        the full geometric chain of each tree (exact homology solve), signs
+        from walking the tree bottom-up; no Hori-Vafa recursion is used, so
+        agreement with ``bps_table`` checks both the homological additivity
+        at joints and the twist bookkeeping.
         """
-        table: Dict[int, Dict[SolitonClass, int]] = {}
-        for strand in self.builder.strands:
-            sid = strand.id
-            entries: Dict[SolitonClass, int] = {}
-            for tree in extract_d4_trees(self.builder, sid,
-                                         root_param=self._birth_param(sid)):
-                rho = self._tree_soliton(tree)
-                entries[rho] = entries.get(rho, 0) + 1
-            table[sid] = {r: m for r, m in entries.items() if m}
-        return table
+        return {strand.id: {self._tree_soliton(tree_of_strand(self.builder, strand.id),
+                                                self._birth_param(strand.id)): 1}
+                for strand in self.builder.strands}
 
-    def _tree_soliton(self, tree: D4Tree) -> SolitonClass:
-        root_param = next(ep for sid, ep in tree.pieces if sid == tree.root_strand)
+    def _tree_soliton(self, tree: D4Tree, root_param: Param) -> SolitonClass:
         cyc, _ = self.engine.class_of_chain(
             self.engine.tree_chain(tree.root_strand, root_param=root_param))
         sign = 1

@@ -104,7 +104,6 @@ class Weave:
             self.slices.append(_apply_move(self.slices[-1], move))
         self.vertices: List[WeaveVertex] = []
         self.segments: List[Segment] = []
-        self._seg_below: Dict[Tuple[int, int], Segment] = {}
         self._seg_above: Dict[Tuple[int, int], Segment] = {}
         self._vertex_upper: Dict[Tuple[int, int], List[Segment]] = {}
         self._vertex_lower: Dict[Tuple[int, int], List[Segment]] = {}
@@ -133,14 +132,12 @@ class Weave:
                                   [(col(q), Fraction(-row)), vertex.point],
                                   ("slot", row, q), ("vertex", vertex.id, q - p - 1))
                     self.segments.append(seg)
-                    self._seg_below[(row, q)] = seg
                 else:
                     q_next = q if q <= p else q - (width - out_width)
                     seg = Segment(len(self.segments), upper[q - 1],
                                   [(col(q), Fraction(-row)), (col(q_next), Fraction(-row - 1))],
                                   ("slot", row, q), ("slot", row + 1, q_next))
                     self.segments.append(seg)
-                    self._seg_below[(row, q)] = seg
                     self._seg_above[(row + 1, q_next)] = seg
             for j in range(out_width):
                 q_out = move.position + j
@@ -171,12 +168,6 @@ class Weave:
 
     def trivalent_vertices(self) -> List[WeaveVertex]:
         return [v for v in self.vertices if v.kind == "trivalent"]
-
-    def segment_below_slot(self, slice_index: int, position: int) -> Optional[Segment]:
-        return self._seg_below.get((slice_index, position))
-
-    def segment_above_slot(self, slice_index: int, position: int) -> Optional[Segment]:
-        return self._seg_above.get((slice_index, position))
 
     def vertex_upper_segments(self, vertex_id: int) -> List[Segment]:
         return self._vertex_upper.get(vertex_id, [])
@@ -353,9 +344,6 @@ class BentWeave:
     @property
     def strand_count(self):
         return self.weave.strand_count
-
-    def bent_segment_below_slot(self, position: int) -> Segment:
-        return self.bent_segments[position - 1]
 
 
 def bend_weave(weave: Weave) -> BentWeave:

@@ -95,15 +95,6 @@ class SpectralCurve:
         return np.array([complex(c) for c in self._disc.all_coeffs()])
 
 
-@dataclass(frozen=True)
-class Phase:
-    theta: float
-
-    @property
-    def direction(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-
 @dataclass
 class BranchPoint:
     z: complex

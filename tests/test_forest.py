@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from specnet.forest import (
+    AxisLines,
     NonGenericGeometry,
     _conjugate,
     _poly_crossings,
@@ -127,3 +129,58 @@ def test_delta_offsets_distinct(builders):
     for builder in builders.values():
         deltas = [s.delta for s in builder.strands]
         assert len(set(deltas)) == len(deltas)
+
+
+# Coordinates on a coarse grid make corner hits, endpoint anchors and
+# collinear overlaps common; the finer fractions keep generic cases in play.
+coords = (st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+          | st.fractions(-3, 3, max_denominator=7))
+polylines = st.lists(st.tuples(coords, coords), min_size=2, max_size=6)
+
+
+def _poly(*points):
+    return [(Fraction(x), Fraction(y)) for x, y in points]
+
+
+ONE, THREE, MINUS_ONE = Fraction(1), Fraction(3), Fraction(-1)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(polylines, st.sampled_from((0, 1)),
+       st.lists(coords, min_size=1, max_size=4, unique=True), coords, coords)
+@example(_poly((0, 0), (2, 2)), 0, [ONE], THREE, MINUS_ONE)  # transversal
+@example(_poly((0, 0), (1, 1), (2, 0)), 0, [ONE], THREE, MINUS_ONE)  # corner hit
+@example(_poly((1, 0), (1, 2)), 0, [ONE], THREE, MINUS_ONE)  # collinear overlap
+@example(_poly((0, 0), (1, 1)), 0, [ONE], THREE, MINUS_ONE)  # own end anchor
+@example(_poly((0, 0), (2, 2)), 0, [ONE], ONE, MINUS_ONE)  # line end anchor
+@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), 0, [ONE], THREE,
+         MINUS_ONE)  # the polyline crosses itself on the line
+@example(_poly((Fraction(1, 2), -2), (Fraction(1, 2), 2)), 1,
+         [Fraction(0), ONE], MINUS_ONE, ONE)  # crossing horizontal lines
+def test_axis_crossings_match_poly_crossings(P, axis, line_coords, start, end):
+    """The one-pass kernel finds exactly the crossings ``_poly_crossings``
+    finds line by line, with the side P crosses from, and raises on exactly
+    the same inputs."""
+    if start == end:
+        return
+    lines = AxisLines(axis, line_coords, start, end)
+    segments = [[(c, start), (c, end)] if axis == 0 else [(start, c), (end, c)]
+                for c in line_coords]
+    expected = []
+    try:
+        for k, Q in enumerate(segments):
+            expected += [(k, pa, pb, pt) for pa, pb, pt in _poly_crossings(P, Q)]
+    except NonGenericGeometry:
+        with pytest.raises(NonGenericGeometry):
+            lines.crossings(P)
+        return
+    got = []
+    for i, t, k, pos, side in lines.crossings(P):
+        (qx0, qy0), (qx1, qy1) = segments[k]
+        pt = (qx0, pos) if axis == 0 else (pos, qy0)
+        got.append((k, (i, t), (0, (pos - start) / (end - start)), pt))
+        cross = ((P[i + 1][0] - P[i][0]) * (qy1 - qy0)
+                 - (P[i + 1][1] - P[i][1]) * (qx1 - qx0))
+        assert side == (1 if cross > 0 else -1)
+    assert sorted(got) == sorted(expected)

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, strategies as st
 
-from specnet.laurent import LaurentPoly, parse_laurent, solve_rational
+from specnet.laurent import FactoredMatrix, LaurentPoly, parse_laurent, solve_rational
 
 GENS = ("s_1", "s_2", "s_3")
 
@@ -67,3 +67,54 @@ def test_solve_rational():
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
     sol = solve_rational([[1, 1]], [3])  # underdetermined: free var -> 0
     assert sol == [Fraction(3), Fraction(0)]
+
+
+def _gauss_jordan_solve(matrix, rhs):
+    """Reference: eliminate the augmented matrix, free variables zero."""
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        solution[c] = rows[i][ncols]
+    return solution
+
+
+@st.composite
+def systems(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    matrix = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):  # consistent by construction
+        x = [draw(entries) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    else:
+        rhs = [draw(entries) for _ in range(nrows)]
+    return matrix, rhs
+
+
+@seed(20261018)
+@given(systems())
+def test_factored_solve_matches_gauss_jordan(system):
+    matrix, rhs = system
+    assert solve_rational(matrix, rhs) == _gauss_jordan_solve(matrix, rhs)
+
+
+def test_factored_matrix_pivots_and_inconsistency():
+    factored = FactoredMatrix([[1, 2, 1], [2, 4, 0], [3, 6, 1]])
+    assert factored.pivots == [0, 2]  # the middle column is twice the first
+    assert factored.solve([1, 2, 3]) is not None
+    assert factored.solve([1, 2, 4]) is None

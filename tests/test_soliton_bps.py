@@ -3,11 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.laurent import LaurentPoly
+from specnet.forest import AxisLines, NonGenericGeometry, _poly_crossings
+from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
+    HomologyEngine,
+    LiftedPiece,
+    PairingLines,
     SolitonCatalog,
     SolitonClass,
+    _cross_sign,
+    _tau,
     quadratic_refinement,
 )
 from specnet.weave import bend_weave, parse_weave
@@ -127,3 +133,92 @@ def test_augmentation_values_are_laurent_in_s_only():
     table = augmentation(bent)
     for value in table.values():
         assert all(g.startswith("s_") for g in value.gens)
+
+
+# ----- reference: every test lift paired separately, then a fresh solve -----
+
+def _reference_tests(engine):
+    """The engine's test curves as separate lifts, in pairing-matrix row order."""
+    n = engine.weave.strand_count
+    lines = []
+    x = Fraction(1, 3)
+    while x < engine.x_max + 1:
+        lines.append([(x, Fraction(0)), (x, engine.y_deep - 2)])
+        x += 1
+    y = Fraction(-1, 3)
+    while y > engine.y_deep:
+        lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
+        y -= 1
+    return [LiftedPiece.over_obstacles(poly, sheet, engine.obstacles)
+            for poly in lines for sheet in range(1, n + 1)]
+
+
+def _sheet_at(piece, param):
+    sheet = piece.start_sheet
+    for p, letter in piece.events:
+        if p >= param:
+            break
+        sheet = _tau(sheet, letter)
+    return sheet
+
+
+def _tangent(poly, i):
+    return (poly[i + 1][0] - poly[i][0], poly[i + 1][1] - poly[i][1])
+
+
+def _reference_vector(chain, tests):
+    vector = []
+    for test in tests:
+        total = 0
+        for piece in chain:
+            for pa, pb, _pt in _poly_crossings(piece.polyline, test.polyline):
+                if _sheet_at(piece, pa) == _sheet_at(test, pb):
+                    total += piece.orientation * _cross_sign(
+                        _tangent(piece.polyline, pa[0]),
+                        _tangent(test.polyline, pb[0]))
+        vector.append(total)
+    return vector
+
+
+def test_engine_matches_per_test_reference(catalogs):
+    """Matrix and classes equal the separate pairing of every test lift
+    followed by a fresh exact solve: full trees, detours at every joint
+    param, and boundary arcs."""
+    for name, catalog in catalogs.items():
+        engine = catalog.engine
+        builder = catalog.builder
+        tests = _reference_tests(engine)
+        columns = [_reference_vector(chain, tests) for chain in engine._basis_chains]
+        matrix = [list(row) for row in zip(*columns)]
+        assert matrix == engine._matrix, name
+        chains = [engine.tree_chain(s.id) for s in builder.strands]
+        chains += [engine.tree_chain(pid, root_param=joint["params"][pid])
+                   for joint in builder.joints for pid in joint["parents"]]
+        chains += [engine.arc_chain(i)
+                   for i in range(1, engine.weave.strand_count + 1)]
+        for chain in chains:
+            solution = solve_rational(matrix, _reference_vector(chain, tests))
+            assert all(v.denominator == 1 for v in solution)
+            exps = tuple(int(v) for v in solution)
+            assert engine.class_of_chain(chain) == (exps[: engine.n_cycles],
+                                                    exps[engine.n_cycles:]), name
+
+
+def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
+    """Test curves that miss every cycle leave the cycle columns dependent."""
+    def far_lines(engine, n):
+        far = AxisLines(0, [engine.x_max + 10], Fraction(0), engine.y_deep - 2)
+        return PairingLines([far], engine.obstacles, n)
+
+    monkeypatch.setattr(HomologyEngine, "_make_tests", far_lines)
+    with pytest.raises(NonGenericGeometry, match="rank 0"):
+        HomologyEngine(builders["mutation_a"])
+
+
+def test_pairing_outside_basis_span_is_rejected(catalogs):
+    """A pairing vector no chain of basis classes has: no solution."""
+    engine = catalogs["mutation_a"].engine
+    rhs = [0] * len(engine._matrix)
+    rhs[0] = 1
+    assert solve_rational(engine._matrix, rhs) is None
+    assert engine._factored.solve(rhs) is None
