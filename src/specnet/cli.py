@@ -35,15 +35,12 @@ class RunConfig:
     mass: float = 12.0
     radius: float = 8.0
     max_rounds: int = 12
-    tolerance: float = 1e-9
     format: str = "table"
     seed: int = 0
     systems: int = 20
     out: Optional[str] = None
 
     def validate(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.command == "wkb-trace":
             if not (self.mass > 0 and self.radius > 0):
                 raise ValueError("mass cutoff and radius must be positive "

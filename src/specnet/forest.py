@@ -18,20 +18,13 @@ the whole build retries with a smaller offset scale.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .geometry import NonGenericGeometry, Param, Point, PolylineSet, poly_crossings, transpose
 from .network import SpectralNetwork
 from .weave import BentWeave, Segment
-
-Point = Tuple[Fraction, Fraction]
-Param = Tuple[int, Fraction]  # (polyline sub-segment index, parameter in [0,1])
-
-
-class NonGenericGeometry(Exception):
-    """Offsets produced a coincidence (tangency, corner hit); retry smaller."""
 
 
 class PropagationError(Exception):
@@ -41,12 +34,6 @@ class PropagationError(Exception):
 # Ordered label carried by each branch of a trivalent vertex with letter k:
 # "asc" means (k, k+1), "desc" means (k+1, k).
 DEFAULT_SEED_ORIENTATION = {"a": "asc", "b": "asc", "c": "asc"}
-
-
-def _conjugate(label: Tuple[int, int], k: int) -> Tuple[int, int]:
-    def s(x):
-        return k + 1 if x == k else k if x == k + 1 else x
-    return (s(label[0]), s(label[1]))
 
 
 def _compose(la, lb) -> Optional[Tuple[int, int]]:
@@ -75,153 +62,23 @@ class Strand:
     round: int
     delta: Fraction
     polyline: List[Point] = field(default_factory=list)
-    crossings: List[tuple] = field(default_factory=list)  # (param, letter, point)
+    # weave-line crossings as (param, letter, point, side), side the sign of
+    # (weave-line tangent) x (strand tangent)
+    crossings: List[tuple] = field(default_factory=list)
     turn_index: Optional[int] = None  # polyline index where the upward hug begins
     chord: Optional[str] = None
 
-    def label_at(self, param: Param) -> Tuple[int, int]:
+    def label_at(self, param: Optional[Param] = None) -> Tuple[int, int]:
+        """The ordered sheet pair just before ``param`` (default: the end)."""
         label = self.start_label
-        for p, letter, _ in self.crossings:
-            if p < param:
-                label = _conjugate(label, letter)
-            else:
+        for p, letter, _, _ in self.crossings:
+            if param is not None and p >= param:
                 break
+            label = tuple(transpose(s, letter) for s in label)
         return label
 
     def final_label(self) -> Tuple[int, int]:
-        label = self.start_label
-        for _, letter, _ in self.crossings:
-            label = _conjugate(label, letter)
-        return label
-
-
-# ----- exact polyline geometry -----
-
-def _sub_cross(a0, a1, b0, b1):
-    """Intersection params (t, u) of segments a and b, or None if parallel
-    and disjoint.  Raises on collinear overlap."""
-    dax, day = a1[0] - a0[0], a1[1] - a0[1]
-    dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
-    ex, ey = b0[0] - a0[0], b0[1] - a0[1]
-    det = dax * dby - day * dbx
-    if det == 0:
-        if ex * day - ey * dax != 0:
-            return None  # parallel, distinct lines
-        # collinear: positive-length overlap is non-generic
-        if dax or day:
-            t0 = (ex * dax + ey * day) / (dax * dax + day * day)
-            t1 = t0 + (dbx * dax + dby * day) / (dax * dax + day * day)
-            lo, hi = min(t0, t1), max(t0, t1)
-            if hi > 0 and lo < 1:
-                raise NonGenericGeometry("collinear overlap")
-        return None
-    t = (ex * dby - ey * dbx) / det
-    u = (ex * day - ey * dax) / det
-    return (t, u)
-
-
-def _poly_crossings(P: Sequence[Point], Q: Sequence[Point]):
-    """Proper transversal crossings of two polylines as (paramP, paramQ, pt).
-
-    Touches at either polyline's global start or end are ignored (walls are
-    born on other walls and end on the boundary); any other boundary touch is
-    a non-generic corner hit.
-    """
-    out = []
-    anchors = (P[0], P[-1], Q[0], Q[-1])
-    # float bounding boxes cheaply reject most segment pairs before the
-    # exact test; the margin absorbs any rounding of the Fraction coords
-    eps = 1e-6
-    pf = [(float(p[0]), float(p[1])) for p in P]
-    qf = [(float(q[0]), float(q[1])) for q in Q]
-    for i in range(len(P) - 1):
-        ax0, ay0 = pf[i]
-        ax1, ay1 = pf[i + 1]
-        alo_x, ahi_x = (ax0, ax1) if ax0 <= ax1 else (ax1, ax0)
-        alo_y, ahi_y = (ay0, ay1) if ay0 <= ay1 else (ay1, ay0)
-        for j in range(len(Q) - 1):
-            bx0, by0 = qf[j]
-            bx1, by1 = qf[j + 1]
-            if (alo_x > max(bx0, bx1) + eps or ahi_x < min(bx0, bx1) - eps or
-                    alo_y > max(by0, by1) + eps or ahi_y < min(by0, by1) - eps):
-                continue
-            r = _sub_cross(P[i], P[i + 1], Q[j], Q[j + 1])
-            if r is None:
-                continue
-            t, u = r
-            if not (0 <= t <= 1 and 0 <= u <= 1):
-                continue
-            pt = (P[i][0] + t * (P[i + 1][0] - P[i][0]),
-                  P[i][1] + t * (P[i + 1][1] - P[i][1]))
-            if 0 < t < 1 and 0 < u < 1:
-                out.append(((i, t), (j, u), pt))
-            elif pt in anchors:
-                continue
-            elif t in (0, 1) and u in (0, 1):
-                continue  # shared interior corner of both: counted by neighbors
-            else:
-                raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
-    # a transversal pass through a shared corner would appear twice; reject
-    points = [pt for _, _, pt in out]
-    if len(set(points)) != len(points):
-        raise NonGenericGeometry("duplicate crossing point")
-    return sorted(out)
-
-
-class AxisLines:
-    """Parallel segments: coordinate ``axis`` is fixed at each of ``coords``
-    while the other coordinate runs from ``start`` to ``end``."""
-
-    def __init__(self, axis: int, coords: Sequence[Fraction], start, end):
-        self.axis, self.start, self.end = axis, start, end
-        self.order = sorted(range(len(coords)), key=coords.__getitem__)
-        self.coords = [coords[k] for k in self.order]
-        self.floats = [float(c) for c in self.coords]
-        self.lo, self.hi = min(start, end), max(start, end)
-        # the sign of (P's tangent) x (line tangent) per unit motion of P
-        self.turn = (1 if end > start else -1) * (1 - 2 * axis)
-
-    def crossings(self, P: Sequence[Point]):
-        """``_poly_crossings(P, line k)`` for every line k at once, as
-        (i, t, k, pos, side): (i, t) is the param on P, pos the crossing's
-        coordinate along the line and side the sign of (P's tangent) x (line
-        tangent).  Lines are found by bisecting each segment's float bounds
-        (the margin absorbs rounding); the same inputs raise
-        NonGenericGeometry."""
-        a, b, eps = self.axis, 1 - self.axis, 1e-6
-        blo, bhi = float(self.lo) - eps, float(self.hi) + eps
-        pf = [(float(p[a]), float(p[b])) for p in P]
-        out, seen = [], set()
-        for i in range(len(P) - 1):
-            (fa0, fb0), (fa1, fb1) = pf[i], pf[i + 1]
-            if max(fb0, fb1) < blo or min(fb0, fb1) > bhi:
-                continue
-            k0 = bisect_left(self.floats, min(fa0, fa1) - eps)
-            k1 = bisect_right(self.floats, max(fa0, fa1) + eps)
-            a0, a1, b0, b1 = P[i][a], P[i + 1][a], P[i][b], P[i + 1][b]
-            for k in range(k0, k1):
-                c = self.coords[k]
-                if a0 == a1:  # parallel: only a positive-length overlap counts
-                    if c == a0 and max(min(b0, b1), self.lo) < min(max(b0, b1), self.hi):
-                        raise NonGenericGeometry("collinear overlap")
-                    continue
-                if not (a0 <= c <= a1 or a1 <= c <= a0):
-                    continue
-                t = (c - a0) / (a1 - a0)
-                pos = b0 + t * (b1 - b0)
-                if not self.lo <= pos <= self.hi:
-                    continue
-                if c != a0 and c != a1 and self.lo < pos < self.hi:
-                    if (k, pos) in seen:
-                        raise NonGenericGeometry("duplicate crossing point")
-                    seen.add((k, pos))
-                    side = self.turn if a1 > a0 else -self.turn
-                    out.append((i, t, self.order[k], pos, side))
-                    continue
-                pt = (c, pos) if a == 0 else (pos, c)
-                if pt != P[0] and pt != P[-1] and pos != self.start and pos != self.end:
-                    raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
-        return out
+        return self.label_at()
 
 
 class ForestBuilder:
@@ -235,6 +92,7 @@ class ForestBuilder:
         self.scale = scale
         self.max_rounds = max_rounds
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
+        self.weave_lines = PolylineSet((seg.points, seg.letter) for seg in self.obstacles)
         self._bent_ids = {seg.id for seg in bent.bent_segments}
         self._top_name_by_x = {x: name for name, x in bent.top_positions.items()}
         beta_names = bent.chord_names[: len(self.weave.top)]
@@ -290,13 +148,8 @@ class ForestBuilder:
         strand.polyline = [point, lift]
         # the lift itself may hop over weave lines squeezed near the joint;
         # fold those conjugations into the label the march starts with
-        label = label if isinstance(label, tuple) else tuple(label)
-        lift_hits = []
-        for seg in self.obstacles:
-            for param, _, _pt in _poly_crossings([point, lift], seg.points):
-                lift_hits.append((param, seg.letter))
-        for _, letter in sorted(lift_hits):
-            label = _conjugate(label, letter)
+        for _, letter, _, _, _ in self.weave_lines.crossings([point, lift]):
+            label = tuple(transpose(s, letter) for s in label)
         self._march_right(strand, lift[0], lift[1], label=label)
         self._finalize(strand)
         return strand
@@ -339,7 +192,7 @@ class ForestBuilder:
                 strand.turn_index = len(strand.polyline) - 1
                 self._hug(strand, seg, (x, y0))
                 return
-            label = _conjugate(label, k)
+            label = tuple(transpose(s, k) for s in label)
             prev_x = x
         raise PropagationError(
             "rightward flowline from %r with label %r found no matching edge"
@@ -381,11 +234,8 @@ class ForestBuilder:
 
     def _finalize(self, strand: Strand):
         """Record all weave-line crossings and verify label bookkeeping."""
-        crossings = []
-        for seg in self.obstacles:
-            for param, _, pt in _poly_crossings(strand.polyline, seg.points):
-                crossings.append((param, seg.letter, pt))
-        strand.crossings = sorted(crossings)
+        strand.crossings = [(param, letter, pt, side) for param, letter, _, pt, side
+                            in self.weave_lines.crossings(strand.polyline)]
         if strand.chord is None:
             raise PropagationError("strand %d has no terminal chord" % strand.id)
         final = strand.final_label()
@@ -405,33 +255,26 @@ class ForestBuilder:
         return self
 
     def _extend_round(self, new: List[Strand], rnd: int):
+        """Run creations to a fixed point, always at the least crossing point.
+        Each new strand is intersected once, at the first step after it is
+        added, with the old strands and with the new ones added before it."""
         old = [s for s in self.strands if s.round < rnd]
-        processed = {(j["parents"][0], j["parents"][1], j["point"]) for j in self.joints}
-        for iteration in range(self.max_rounds):
-            events = []
-            for sn in new:
-                for other in old + new:
-                    if other.id == sn.id:
-                        continue
-                    for pn, po, pt in _poly_crossings(sn.polyline, other.polyline):
-                        key = (min(sn.id, other.id), max(sn.id, other.id), pt)
-                        if key in processed:
-                            continue
-                        ln = sn.label_at(pn)
-                        lo = other.label_at(po)
-                        child_label = _compose(ln, lo)
-                        if child_label is None:
-                            continue
-                        both_new = other.round == rnd
-                        if other.id > sn.id and both_new:
-                            continue  # counted once from the other side
-                        events.append((pt[0], pt[1], sn.id, other.id, pn, po,
-                                       child_label, both_new, key))
+        events: List[tuple] = []
+        done = 0  # new[:done] have been intersected
+        for _ in range(self.max_rounds):
+            for sn in new[done:]:
+                for other in old + new[:done]:
+                    for pn, po, pt in poly_crossings(sn.polyline, other.polyline):
+                        child_label = _compose(sn.label_at(pn), other.label_at(po))
+                        if child_label is not None:
+                            events.append((pt[0], pt[1], sn.id, other.id, pn, po,
+                                           child_label, other.round == rnd))
+                done += 1
             if not events:
                 return
-            events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-            x, y, a_id, b_id, pa, pb, child_label, both_new, key = events[0]
-            processed.add(key)
+            event = min(events, key=lambda e: e[:4])
+            events.remove(event)
+            x, y, a_id, b_id, pa, pb, child_label, both_new = event
             if both_new:
                 self.warnings.append(
                     "round %d: creation from two same-round walls %d x %d at (%s, %s)"

@@ -25,18 +25,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .forest import ForestBuilder, NonGenericGeometry, _conjugate, _poly_crossings
+from .forest import ForestBuilder
+from .geometry import NonGenericGeometry, Param, Point, PolylineSet, transpose
 from .laurent import LaurentPoly
-from .soliton_bps import (
-    LiftedPiece,
-    Param,
-    SolitonCatalog,
-    _cross_sign,
-)
-
-Point = Tuple[Fraction, Fraction]
+from .soliton_bps import LiftedPiece, SolitonCatalog
 
 
 def _perm_sign(letter: int, sheet_pre: int, side: int) -> int:
@@ -68,7 +62,7 @@ class Transport:
         self.n = n
         self.gens = tuple(self.engine.gen_names) + tuple(
             "t_%d" % i for i in range(1, n + 1))
-        self._detour_cache: Dict[tuple, tuple] = {}
+        self.walls = PolylineSet((s.polyline, s.id) for s in builder.strands)
         self._wall_sign_cache: Dict[int, int] = {}
         self._twist_cache: Dict[int, List[tuple]] = {}
 
@@ -109,41 +103,21 @@ class Transport:
         obtained by conjugating through the crossed weave lines, with entry
         the capped-lift holonomy times the twisting signs.
         """
-        events = []  # (param, letter, side)
-        for seg in self.builder.obstacles:
-            for pa, pb, _pt in _poly_crossings(list(poly), seg.points):
-                side = _cross_sign(
-                    (seg.points[pb[0] + 1][0] - seg.points[pb[0]][0],
-                     seg.points[pb[0] + 1][1] - seg.points[pb[0]][1]),
-                    (poly[pa[0] + 1][0] - poly[pa[0]][0],
-                     poly[pa[0] + 1][1] - poly[pa[0]][1]))
-                events.append((pa, seg.letter, side))
-        events.sort()
-        path = LiftedPiece(list(poly), 1, [(p, letter) for p, letter, _ in events], 1)
+        events = self.builder.weave_lines.crossings(poly)
+        path = LiftedPiece(poly, 1, [(p, letter) for p, letter, _, _, _ in events], 1)
         zero = LaurentPoly.zero(self.gens)
         out = [[zero for _ in range(self.n)] for _ in range(self.n)]
         for start in range(1, self.n + 1):
             sheet = start
             sign = 1
-            for _param, letter, side in events:
+            for _, letter, _, _, side in events:
                 sign *= _perm_sign(letter, sheet, side)
-                if sheet == letter:
-                    sheet = letter + 1
-                elif sheet == letter + 1:
-                    sheet = letter
+                sheet = transpose(sheet, letter)
             chain = [path.relift(start, 1),
                      self.engine._cap(tuple(poly[0]), start, -1),
                      self.engine._cap(tuple(poly[-1]), sheet, 1)]
             out[sheet - 1][start - 1] = self._chain_monomial(chain, sign)
         return out
-
-    def _detour(self, sid: int, param: Param):
-        key = (sid, param)
-        if key not in self._detour_cache:
-            chain = self.engine.tree_chain(sid, root_param=param)
-            cyc, arc = self.engine.class_of_chain(chain)
-            self._detour_cache[key] = (cyc, arc)
-        return self._detour_cache[key]
 
     def wall_sign(self, sid: int) -> int:
         """Sign of the wall's Stokes coefficient.
@@ -185,35 +159,17 @@ class Transport:
             label = strand.start_label
             sign = 1
             prefix = []
-            for param, letter, pt in strand.crossings:
-                i = param[0]
-                dw = (strand.polyline[i + 1][0] - strand.polyline[i][0],
-                      strand.polyline[i + 1][1] - strand.polyline[i][1])
-                side = None
-                for seg in self.builder.obstacles:
-                    if seg.letter != letter:
-                        continue
-                    for _pa, pb, p in _poly_crossings(strand.polyline,
-                                                      seg.points):
-                        if p == pt:
-                            dl = (seg.points[pb[0] + 1][0] - seg.points[pb[0]][0],
-                                  seg.points[pb[0] + 1][1] - seg.points[pb[0]][1])
-                            side = _cross_sign(dl, dw)
-                            break
-                    if side is not None:
-                        break
-                if side is None:
-                    raise NonGenericGeometry("lost a wall crossing at %r" % (pt,))
+            for param, letter, _, side in strand.crossings:
                 sign *= _perm_sign(letter, label[0], side)
                 sign *= _perm_sign(letter, label[1], side)
-                label = _conjugate(label, letter)
+                label = tuple(transpose(s, letter) for s in label)
                 prefix.append((param, sign))
             self._twist_cache[sid] = prefix
         return self._twist_cache[sid]
 
     def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` based at ``param``."""
-        cyc, arc = self._detour(sid, param)
+        cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
         sign = self.wall_sign(sid) * self._twist_at(sid, param)
         return _monomial(self.gens, cyc, arc, sign)
 
@@ -233,21 +189,10 @@ class Transport:
     def transport_path(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
         """Transport along a polyline path avoiding all network vertices."""
         poly = [tuple(p) for p in poly]
-        hits = []  # (path param, crossing point, sid, wall param, side)
-        for strand in self.builder.strands:
-            for pa, pb, pt in _poly_crossings(list(poly), strand.polyline):
-                side = _cross_sign(
-                    (strand.polyline[pb[0] + 1][0] - strand.polyline[pb[0]][0],
-                     strand.polyline[pb[0] + 1][1] - strand.polyline[pb[0]][1]),
-                    (poly[pa[0] + 1][0] - poly[pa[0]][0],
-                     poly[pa[0] + 1][1] - poly[pa[0]][1]))
-                hits.append((pa, pt, strand.id, pb, side))
-        hits.sort(key=lambda h: h[0])
         total = self.identity()
-        cursor = 0
         prev_pt = poly[0]
         prev_idx = 0
-        for pa, pt, sid, pb, side in hits:
+        for pa, sid, pb, pt, side in self.walls.crossings(poly):
             sub = [prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt]
             sub = _dedupe(sub)
             if len(sub) > 1:

@@ -23,30 +23,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .forest import AxisLines, ForestBuilder, NonGenericGeometry, _poly_crossings
+from .forest import ForestBuilder
+from .geometry import (
+    AxisLines,
+    NonGenericGeometry,
+    Param,
+    Point,
+    PolylineSet,
+    cross_sign,
+    direction,
+    interp,
+    transpose,
+    truncated,
+)
 from .laurent import FactoredMatrix
-
-Point = Tuple[Fraction, Fraction]
-Param = Tuple[int, Fraction]
-
-
-def _tau(sheet: int, letter: int) -> int:
-    if sheet == letter:
-        return letter + 1
-    if sheet == letter + 1:
-        return letter
-    return sheet
-
-
-def _interp(polyline, param: Param) -> Point:
-    i, t = param
-    p0, p1 = polyline[i], polyline[i + 1]
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-
-
-def _truncated(polyline, param: Param):
-    i, _ = param
-    return list(polyline[: i + 1]) + [_interp(polyline, param)]
 
 
 class LiftedPiece:
@@ -67,11 +57,9 @@ class LiftedPiece:
         self.pairings: Dict["PairingLines", list] = {}
 
     @classmethod
-    def over_obstacles(cls, polyline, start_sheet, obstacles):
-        events = []
-        for seg in obstacles:
-            for param, _, _pt in _poly_crossings(list(polyline), seg.points):
-                events.append((param, seg.letter))
+    def over_obstacles(cls, polyline, start_sheet, weave_lines: PolylineSet):
+        events = [(param, letter) for param, letter, _, _, _
+                  in weave_lines.crossings(polyline)]
         return cls(polyline, start_sheet, events, 1)
 
     def relift(self, start_sheet: int, orientation: int) -> "LiftedPiece":
@@ -83,15 +71,8 @@ class LiftedPiece:
     def end_sheet(self) -> int:
         sheet = self.start_sheet
         for _, letter in self.events:
-            sheet = _tau(sheet, letter)
+            sheet = transpose(sheet, letter)
         return sheet
-
-
-def _cross_sign(u: Point, v: Point) -> int:
-    c = u[0] * v[1] - u[1] * v[0]
-    if c == 0:
-        raise NonGenericGeometry("tangent curves at pairing point")
-    return 1 if c > 0 else -1
 
 
 class PairingLines:
@@ -118,7 +99,7 @@ class PairingLines:
                 perm = tuple(range(n + 1))
                 inverses = [perm]
                 for _, letter in line_events:
-                    perm = tuple(_tau(s, letter) for s in perm)
+                    perm = tuple(transpose(s, letter) for s in perm)
                     inverses.append(tuple(sorted(range(n + 1), key=perm.__getitem__)))
                 records.append(((first + k) * n - 1, [key for key, _ in line_events],
                                 inverses))
@@ -134,7 +115,7 @@ class PairingLines:
             params = [p for p, _ in piece.events]
             perms = [tuple(range(self.n + 1))]  # start sheet -> sheet after each event
             for _, letter in piece.events:
-                perms.append(tuple(_tau(s, letter) for s in perms[-1]))
+                perms.append(tuple(transpose(s, letter) for s in perms[-1]))
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
             for lines, rising, records in self.families:
                 for i, t, k, pos, side in lines.crossings(piece.polyline):
@@ -278,7 +259,7 @@ class HomologyEngine:
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             poly = [start, (start[0] + self._eps, -self._eps / 2), self.marked]
-            cap = LiftedPiece.over_obstacles(poly, 1, self.obstacles)
+            cap = LiftedPiece.over_obstacles(poly, 1, self.builder.weave_lines)
         self._recent_caps[start] = cap
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
@@ -290,9 +271,9 @@ class HomologyEngine:
         i0, t0 = end_param or (len(strand.polyline) - 2, Fraction(1))
         # params on the cut segment rescale to the shortened segment
         events = [((i0, p[1] / t0) if p[0] == i0 else p, letter)
-                  for p, letter, _ in strand.crossings if p < (i0, t0)]
+                  for p, letter, _, _ in strand.crossings if p < (i0, t0)]
         lab = strand.start_label
-        piece = LiftedPiece(_truncated(strand.polyline, (i0, t0)), lab[0], events, 1)
+        piece = LiftedPiece(truncated(strand.polyline, (i0, t0)), lab[0], events, 1)
         return [piece, piece.relift(lab[1], -1)]
 
     def tree_chain(self, strand_id: int,
@@ -320,7 +301,7 @@ class HomologyEngine:
             end = root.polyline[-1]
             final = root.final_label()
         else:
-            end = _interp(root.polyline, root_param)
+            end = interp(root.polyline, root_param)
             final = root.label_at(root_param)
         pieces.append(self._cap(end, final[0], 1))
         pieces.append(self._cap(end, final[1], -1))
@@ -340,7 +321,7 @@ class HomologyEngine:
             (mx - eps, -eps),
             self.marked,
         ]
-        return [LiftedPiece.over_obstacles(poly, marked_index, self.obstacles)]
+        return [LiftedPiece.over_obstacles(poly, marked_index, self.builder.weave_lines)]
 
     def _check_boundary(self, pieces: Sequence[LiftedPiece]):
         residue: Dict[tuple, int] = {}
@@ -430,12 +411,10 @@ class SolitonCatalog:
     def joint_twist(self, joint: dict) -> int:
         """The creation twist bit g of a joint (1 iff d_ij x d_jk > 0)."""
         pij, pjk = self.ordered_parents(joint)
-        dij = self._tangent(pij, joint["params"][pij])
-        djk = self._tangent(pjk, joint["params"][pjk])
-        cross = dij[0] * djk[1] - dij[1] * djk[0]
-        if cross == 0:
-            raise NonGenericGeometry("parent walls tangent at joint %r" % (joint["point"],))
-        return 1 if cross > 0 else 0
+        strands, params = self.builder.strands, joint["params"]
+        dij = direction(strands[pij].polyline, params[pij][0])
+        djk = direction(strands[pjk].polyline, params[pjk][0])
+        return 1 if cross_sign(dij, djk) > 0 else 0
 
     def ordered_parents(self, joint: dict) -> Tuple[int, int]:
         """Parents as (ij, jk): the ij-parent shares the child's lower sheet."""
@@ -449,11 +428,6 @@ class SolitonCatalog:
             return p2, p1
         raise AssertionError("parent labels %r, %r do not compose to %r"
                              % (lab1, lab2, child.start_label))
-
-    def _tangent(self, sid: int, param: Param) -> Point:
-        poly = self.builder.strands[sid].polyline
-        i, _ = param
-        return (poly[i + 1][0] - poly[i][0], poly[i + 1][1] - poly[i][1])
 
     def sign(self, sid: int) -> int:
         """Seed-sign product of the strand's tree (twists tracked separately)."""

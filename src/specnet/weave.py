@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .braid import BraidWord, demazure_product, label_chords, parse_braid
-
-Point = Tuple[Fraction, Fraction]
+from .geometry import Point
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,13 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         main(["augmentation", "mutation_a", "--config", str(config)])
 
 
+def test_removed_tolerance_key_fails(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("tolerance = 1e-9\n")
+    with pytest.raises(ValueError, match="unknown config key 'tolerance'"):
+        main(["augmentation", "mutation_a", "--config", str(config)])
+
+
 def test_invalid_curve_exits_nonzero(capsys):
     assert main(["wkb-trace", "--curve", "w - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 2

@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from specnet.forest import (
+from specnet.forest import build_forest, build_forest_strands
+from specnet.geometry import (
     AxisLines,
     NonGenericGeometry,
-    _conjugate,
-    _poly_crossings,
-    build_forest,
-    build_forest_strands,
+    PolylineSet,
+    cross_sign,
+    direction,
+    poly_crossings,
+    transpose,
 )
 from specnet.network import OPEN_END_PREFIX
 from specnet.weave import bend_weave, parse_weave
@@ -82,8 +84,8 @@ def test_crossings_sorted_and_conjugation_consistent(builders):
             params = [c[0] for c in strand.crossings]
             assert params == sorted(params)
             label = strand.start_label
-            for _, letter, _ in strand.crossings:
-                label = _conjugate(label, letter)
+            for _, letter, _, _ in strand.crossings:
+                label = tuple(transpose(s, letter) for s in label)
             assert label == strand.final_label()
 
 
@@ -97,15 +99,19 @@ def test_build_forest_is_deterministic():
 
 
 def test_conjugate():
-    assert _conjugate((1, 3), 1) == (2, 3)
-    assert _conjugate((2, 3), 1) == (1, 3)
-    assert _conjugate((1, 2), 3) == (1, 2)
+    """A sheet-pair label conjugates sheet by sheet."""
+    def conjugate(label, k):
+        return (transpose(label[0], k), transpose(label[1], k))
+
+    assert conjugate((1, 3), 1) == (2, 3)
+    assert conjugate((2, 3), 1) == (1, 3)
+    assert conjugate((1, 2), 3) == (1, 2)
 
 
 def test_poly_crossings_basic():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
     Q = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
-    out = _poly_crossings(P, Q)
+    out = poly_crossings(P, Q)
     assert len(out) == 1
     (_, t), (_, u), pt = out[0]
     assert t == u == Fraction(1, 2)
@@ -116,13 +122,13 @@ def test_poly_crossings_rejects_collinear_overlap():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
     Q = [(Fraction(1), Fraction(0)), (Fraction(3), Fraction(0))]
     with pytest.raises(NonGenericGeometry):
-        _poly_crossings(P, Q)
+        poly_crossings(P, Q)
 
 
 def test_poly_crossings_parallel_disjoint():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
     Q = [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))]
-    assert _poly_crossings(P, Q) == []
+    assert poly_crossings(P, Q) == []
 
 
 def test_delta_offsets_distinct(builders):
@@ -159,7 +165,7 @@ ONE, THREE, MINUS_ONE = Fraction(1), Fraction(3), Fraction(-1)
 @example(_poly((Fraction(1, 2), -2), (Fraction(1, 2), 2)), 1,
          [Fraction(0), ONE], MINUS_ONE, ONE)  # crossing horizontal lines
 def test_axis_crossings_match_poly_crossings(P, axis, line_coords, start, end):
-    """The one-pass kernel finds exactly the crossings ``_poly_crossings``
+    """The one-pass kernel finds exactly the crossings ``poly_crossings``
     finds line by line, with the side P crosses from, and raises on exactly
     the same inputs."""
     if start == end:
@@ -170,7 +176,7 @@ def test_axis_crossings_match_poly_crossings(P, axis, line_coords, start, end):
     expected = []
     try:
         for k, Q in enumerate(segments):
-            expected += [(k, pa, pb, pt) for pa, pb, pt in _poly_crossings(P, Q)]
+            expected += [(k, pa, pb, pt) for pa, pb, pt in poly_crossings(P, Q)]
     except NonGenericGeometry:
         with pytest.raises(NonGenericGeometry):
             lines.crossings(P)
@@ -184,3 +190,33 @@ def test_axis_crossings_match_poly_crossings(P, axis, line_coords, start, end):
                  - (P[i + 1][1] - P[i][1]) * (qx1 - qx0))
         assert side == (1 if cross > 0 else -1)
     assert sorted(got) == sorted(expected)
+
+
+LINE = _poly((1, 3), (1, -1))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(polylines, st.lists(polylines, min_size=1, max_size=4))
+@example(_poly((0, 0), (2, 2)), [LINE])  # transversal
+@example(_poly((0, 0), (1, 1), (2, 0)), [LINE])  # corner hit
+@example(_poly((1, 0), (1, 2)), [LINE])  # collinear overlap
+@example(_poly((0, 0), (1, 1)), [LINE])  # own end anchor
+@example(_poly((0, 0), (2, 2)), [_poly((1, 1), (1, -1))])  # line end anchor
+@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), [LINE])  # self-crossing on the line
+@example(_poly((0, 0), (2, 2)), [_poly((3, 0), (3, 2)), LINE])  # a disjoint box
+@example(_poly((0, 0), (2, 2)), [LINE, _poly((1, 0), (1, 2))])  # second line raises
+def test_polyline_set_matches_poly_crossings(P, lines):
+    """The set's crossings are ``poly_crossings`` against each member, tagged,
+    with the sign of (member tangent) x (P's tangent) as the side, and the
+    set raises on exactly the inputs where some member's call raises."""
+    expected = []
+    try:
+        for k, Q in enumerate(lines):
+            expected += [(pa, k, pb, pt, cross_sign(direction(Q, pb[0]), direction(P, pa[0])))
+                         for pa, pb, pt in poly_crossings(P, Q)]
+    except NonGenericGeometry:
+        with pytest.raises(NonGenericGeometry):
+            PolylineSet((Q, k) for k, Q in enumerate(lines)).crossings(P)
+        return
+    assert PolylineSet((Q, k) for k, Q in enumerate(lines)).crossings(P) == sorted(expected)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.forest import AxisLines, NonGenericGeometry, _poly_crossings
+from specnet.geometry import AxisLines, NonGenericGeometry, cross_sign, poly_crossings, transpose
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
@@ -12,8 +12,6 @@ from specnet.soliton_bps import (
     PairingLines,
     SolitonCatalog,
     SolitonClass,
-    _cross_sign,
-    _tau,
     quadratic_refinement,
 )
 from specnet.weave import bend_weave, parse_weave
@@ -149,8 +147,11 @@ def _reference_tests(engine):
     while y > engine.y_deep:
         lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
         y -= 1
-    return [LiftedPiece.over_obstacles(poly, sheet, engine.obstacles)
-            for poly in lines for sheet in range(1, n + 1)]
+    # weave-line events line by line, independent of the engine's set
+    events = [[(pa, seg.letter) for seg in engine.obstacles
+               for pa, _, _ in poly_crossings(poly, seg.points)] for poly in lines]
+    return [LiftedPiece(poly, sheet, line_events, 1)
+            for poly, line_events in zip(lines, events) for sheet in range(1, n + 1)]
 
 
 def _sheet_at(piece, param):
@@ -158,7 +159,7 @@ def _sheet_at(piece, param):
     for p, letter in piece.events:
         if p >= param:
             break
-        sheet = _tau(sheet, letter)
+        sheet = transpose(sheet, letter)
     return sheet
 
 
@@ -171,9 +172,9 @@ def _reference_vector(chain, tests):
     for test in tests:
         total = 0
         for piece in chain:
-            for pa, pb, _pt in _poly_crossings(piece.polyline, test.polyline):
+            for pa, pb, _pt in poly_crossings(piece.polyline, test.polyline):
                 if _sheet_at(piece, pa) == _sheet_at(test, pb):
-                    total += piece.orientation * _cross_sign(
+                    total += piece.orientation * cross_sign(
                         _tangent(piece.polyline, pa[0]),
                         _tangent(test.polyline, pb[0]))
         vector.append(total)
