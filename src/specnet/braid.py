@@ -7,8 +7,8 @@ the semicolon) denotes the empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class Permutation:
         images[i - 1], images[i] = images[i], images[i - 1]
         return cls(tuple(images))
 
-    @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n, 0, -1)))
-
     def __call__(self, value: int) -> int:
         return self.images[value - 1]
 
@@ -65,7 +61,8 @@ class Permutation:
         # (self * other)(x) = self(other(x))
         return Permutation(tuple(self(other(x)) for x in range(1, len(self.images) + 1)))
 
-    def inversions(self) -> int:
+    def length(self) -> int:
+        """The number of inversions."""
         images = self.images
         return sum(
             1
@@ -73,9 +70,6 @@ class Permutation:
             for b in range(a + 1, len(images))
             if images[a] > images[b]
         )
-
-    def length(self) -> int:
-        return self.inversions()
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, len(self.images) + 1))
@@ -85,7 +79,6 @@ class Permutation:
 class ChordLabeling:
     beta_chords: Tuple[str, ...]
     delta_chords: Tuple[str, ...]
-    marked_points: Tuple[str, ...]
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -130,27 +123,13 @@ def reduced_word(perm: Permutation) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def label_chords(
-    beta: BraidWord,
-    delta_word: BraidWord,
-    *,
-    beta_right_to_left: bool = True,
-    delta_right_to_left: bool = True,
-) -> ChordLabeling:
-    """Name one chord per crossing and one marked point per strand.
+def label_chords(beta: BraidWord, delta_word: BraidWord) -> ChordLabeling:
+    """Name one chord per crossing, z_k for beta and w_k for delta.
 
-    Reading direction is per-example: some references index the beta chords
-    left-to-right, others right-to-left, so both are flags.  Marked points
-    sit to the right of the last delta crossing, one per strand, counted
-    bottom-up.
+    Both words' chords are indexed right to left: the rightmost beta
+    crossing is z_1.
     """
     if beta.strand_count != delta_word.strand_count:
         raise ValueError("mismatched strand counts")
-    bz = ["z_%d" % (i + 1) for i in range(len(beta))]
-    if beta_right_to_left:
-        bz.reverse()
-    dw = ["w_%d" % (i + 1) for i in range(len(delta_word))]
-    if delta_right_to_left:
-        dw.reverse()
-    marks = tuple("t_%d" % (i + 1) for i in range(beta.strand_count))
-    return ChordLabeling(tuple(bz), tuple(dw), marks)
+    return ChordLabeling(tuple("z_%d" % i for i in range(len(beta), 0, -1)),
+                         tuple("w_%d" % i for i in range(len(delta_word), 0, -1)))

@@ -1,9 +1,10 @@
 """Command-line interface: build networks, compute invariants, export.
 
 Subcommands: weave-network, augmentation, nonabelianize, bps, wkb-trace,
-compare.  A key=value config file can override any flag; the environment
-variable SPECNET_FIXTURES points at an alternative fixture root.  All
-outputs are deterministic for a fixed config and seed.
+compare.  A key=value config file can override any of a subcommand's own
+arguments (compare takes none); the environment variable SPECNET_FIXTURES
+points at an alternative fixture root.  All outputs are deterministic for
+a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .forest import build_forest_strands
-from .laurent import parse_laurent
+from .laurent import LaurentPoly, parse_laurent
 from .network import network_to_json
 from .nonabel import LocalSystemRank1, Transport, augmentation
 from .soliton_bps import SolitonCatalog
@@ -25,26 +26,6 @@ from .svg import export_svg
 from .weave import bend_weave, parse_weave
 
 FIXTURE_ENV = "SPECNET_FIXTURES"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: Optional[str] = None
-    theta: float = 0.3
-    mass: float = 12.0
-    radius: float = 8.0
-    max_rounds: int = 12
-    format: str = "table"
-    seed: int = 0
-    systems: int = 20
-    out: Optional[str] = None
-
-    def validate(self):
-        if self.command == "wkb-trace":
-            if not (self.mass > 0 and self.radius > 0):
-                raise ValueError("mass cutoff and radius must be positive "
-                                 "and finite for wkb commands")
 
 
 def fixture_root() -> str:
@@ -81,47 +62,47 @@ def _weave_underlay(builder):
             for seg in builder.obstacles]
 
 
-def cmd_weave_network(cfg: RunConfig) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(cfg.input)))
+def cmd_weave_network(args) -> int:
+    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
     builder = build_forest_strands(bent)
     net = builder.to_network()
-    if cfg.format == "svg":
-        _emit(export_svg(net, underlay=_weave_underlay(builder)), cfg.out)
-    elif cfg.format == "json":
-        _emit(network_to_json(net) + "\n", cfg.out)
+    if args.format == "svg":
+        _emit(export_svg(net, underlay=_weave_underlay(builder)), args.out)
+    elif args.format == "json":
+        _emit(network_to_json(net) + "\n", args.out)
     else:
         lines = ["vertices: %d  walls: %d" % (len(net.vertices), len(net.walls))]
         for wall in sorted(net.walls.values(), key=lambda w: w.id):
             lines.append("wall %d label %s source %s target %s"
                          % (wall.id, wall.label, wall.source, wall.target))
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_augmentation(cfg: RunConfig) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(cfg.input)))
+def cmd_augmentation(args) -> int:
+    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
     table = augmentation(bent)
     doc = {name: str(value) for name, value in sorted(table.items())}
-    if cfg.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
         width = max(len(k) for k in doc)
         _emit("".join("%-*s = %s\n" % (width, k, v)
-                      for k, v in sorted(doc.items())), cfg.out)
+                      for k, v in sorted(doc.items())), args.out)
     return 0
 
 
-def cmd_nonabelianize(cfg: RunConfig) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(cfg.input)))
+def cmd_nonabelianize(args) -> int:
+    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
     builder = build_forest_strands(bent)
     transport = Transport(builder)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     loops = [("branch", v.id, transport.branch_monodromy(v.id))
              for v in builder.weave.trivalent_vertices()]
     loops += [("joint", j["child"], transport.joint_monodromy(j))
               for j in builder.joints]
     systems = [LocalSystemRank1.random(transport, rng)
-               for _ in range(cfg.systems)]
+               for _ in range(args.systems)]
     failures = 0
     lines = []
     for kind, ident, matrix in loops:
@@ -134,17 +115,16 @@ def cmd_nonabelianize(cfg: RunConfig) -> int:
         failures += not ok
         lines.append("%s %-3s monodromy: %s" %
                      (kind, ident, "identity" if ok else "NOT IDENTITY"))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
 
 
-def cmd_bps(cfg: RunConfig) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(cfg.input)))
+def cmd_bps(args) -> int:
+    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
     builder = build_forest_strands(bent)
     catalog = SolitonCatalog(builder)
     table = catalog.bps_table()
     gens = catalog.engine.gen_names
-    from .laurent import LaurentPoly
     rows = []
     for sid in sorted(table):
         strand = builder.strands[sid]
@@ -154,32 +134,32 @@ def cmd_bps(cfg: RunConfig) -> int:
             rows.append({"wall": sid, "chord": strand.chord,
                          "class": str(mono),
                          "index": mu * rho.effective_sign})
-    if cfg.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
         lines = ["wall %-3d chord %-4s mu %+d  class %s"
                  % (r["wall"], r["chord"], r["index"], r["class"])
                  for r in rows]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_wkb_trace(cfg: RunConfig) -> int:
+def cmd_wkb_trace(args) -> int:
     from .wkb import SpectralCurve, build_wkb_network
 
-    curve = SpectralCurve(cfg.input)
-    net = build_wkb_network(curve, cfg.theta, cfg.mass, cfg.radius,
-                            max_rounds=cfg.max_rounds)
-    wants_svg = cfg.format == "svg" or (cfg.out or "").endswith(".svg")
+    curve = SpectralCurve(args.curve)
+    net = build_wkb_network(curve, args.theta, args.mass, args.radius,
+                            max_rounds=args.max_rounds)
+    wants_svg = args.format == "svg" or (args.out or "").endswith(".svg")
     if wants_svg:
-        _emit(export_svg(net), cfg.out)
+        _emit(export_svg(net), args.out)
     else:
         doc = json.loads(network_to_json(net))
-        doc["theta"] = cfg.theta
+        doc["theta"] = args.theta
         doc["charges"] = {
             str(w.id): [[Z.real, Z.imag] for Z in w.charges[::10] + [w.charges[-1]]]
             for w in net.traced}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -188,16 +168,16 @@ def _load_table(path: str) -> Dict[str, str]:
         candidate = os.path.join(fixture_root(), path)
         if os.path.exists(candidate):
             path = candidate
-    if path.endswith(".weave") or not path.endswith(".json"):
+    if not path.endswith(".json"):
         bent = bend_weave(parse_weave(_load_weave_text(path)))
         return {k: str(v) for k, v in augmentation(bent).items()}
     with open(path) as handle:
         return json.load(handle)
 
 
-def cmd_compare(cfg: RunConfig, fixture: str) -> int:
-    computed = _load_table(cfg.input)
-    expected = _load_table(fixture)
+def cmd_compare(args) -> int:
+    computed = _load_table(args.computed)
+    expected = _load_table(args.fixture)
     names = sorted(set(computed) | set(expected))
     gens = tuple(sorted({g for text in list(computed.values())
                          + list(expected.values())
@@ -215,11 +195,13 @@ def cmd_compare(cfg: RunConfig, fixture: str) -> int:
 
 
 def _gen_names(text: str):
-    import re
     return re.findall(r"[st]_\d+", text)
 
 
-def _apply_config_file(cfg: RunConfig, path: str):
+def _apply_config_file(args, parser, path: str):
+    """Override ``args`` from the key=value lines of ``path``.  A key names
+    one of the subcommand's own arguments and is converted by its type."""
+    own = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     with open(path) as handle:
         for line in handle:
             line = line.strip()
@@ -227,17 +209,16 @@ def _apply_config_file(cfg: RunConfig, path: str):
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not hasattr(cfg, key):
+            action = own.get(key)
+            if action is None:
                 raise ValueError("unknown config key %r" % key)
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            setattr(cfg, key, value)
+            value = value.strip()
+            if action.type is not None:
+                value = action.type(value)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError("config key %r must be one of %s, got %r"
+                                 % (key, ", ".join(action.choices), value))
+            setattr(args, key, value)
 
 
 def main(argv=None) -> int:
@@ -246,23 +227,26 @@ def main(argv=None) -> int:
         description="Spectral networks from weaves and spectral curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="weave file, fixture name, or '-'")
-        p.add_argument("--format", choices=("table", "json", "svg"),
-                       default="table")
+    def weave_command(name, summary, func, formats=("table", "json")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", help="weave file, fixture name, or '-'")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None,
                        help="key=value file overriding flags")
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
+        return p
 
-    common(sub.add_parser("weave-network", help="build a forest network"))
-    common(sub.add_parser("augmentation", help="chord augmentation table"))
-    p = sub.add_parser("nonabelianize", help="monodromy identity report")
-    common(p)
+    weave_command("weave-network", "build a forest network", cmd_weave_network,
+                  ("table", "json", "svg"))
+    weave_command("augmentation", "chord augmentation table", cmd_augmentation)
+    p = weave_command("nonabelianize", "monodromy identity report",
+                      cmd_nonabelianize, formats=())
     p.add_argument("--systems", type=int, default=20,
                    help="random rank-1 local systems to evaluate")
-    common(sub.add_parser("bps", help="BPS index table"))
+    p.add_argument("--seed", type=int, default=0)
+    weave_command("bps", "BPS index table", cmd_bps)
     p = sub.add_parser("wkb-trace", help="trace a polynomial spectral curve")
     p.add_argument("--curve", required=True, help='e.g. "w^3 - 3*w + x"')
     p.add_argument("--theta", type=float, default=0.3)
@@ -272,52 +256,23 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=("json", "svg"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_wkb_trace)
     p = sub.add_parser("compare", help="diff two augmentation tables exactly")
     p.add_argument("computed", help="table JSON or weave input")
     p.add_argument("fixture", help="reference table JSON")
-    p.add_argument("--config", default=None)
+    p.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    if args.command == "wkb-trace":
-        cfg.input = args.curve
-        cfg.theta = args.theta
-        cfg.mass = args.mass
-        cfg.radius = args.radius
-        cfg.max_rounds = args.max_rounds
-        cfg.format = args.format
-        cfg.out = args.out
-        cfg.seed = args.seed
-    elif args.command == "compare":
-        cfg.input = args.computed
-    else:
-        cfg.input = args.input
-        cfg.format = args.format
-        cfg.out = args.out
-        cfg.seed = args.seed
-        if args.command == "nonabelianize":
-            cfg.systems = args.systems
     if getattr(args, "config", None):
-        _apply_config_file(cfg, args.config)
-    cfg.validate()
+        _apply_config_file(args, sub.choices[args.command], args.config)
+    if args.command == "wkb-trace" and not (args.mass > 0 and args.radius > 0):
+        raise ValueError("mass cutoff and radius must be positive "
+                         "and finite for wkb commands")
     try:
-        if args.command == "weave-network":
-            return cmd_weave_network(cfg)
-        if args.command == "augmentation":
-            return cmd_augmentation(cfg)
-        if args.command == "nonabelianize":
-            return cmd_nonabelianize(cfg)
-        if args.command == "bps":
-            return cmd_bps(cfg)
-        if args.command == "wkb-trace":
-            return cmd_wkb_trace(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.fixture)
+        return args.func(args)
     except (ValueError, RuntimeError, FileNotFoundError) as err:
         sys.stderr.write("error [%s]: %s\n" % (args.command, err))
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -31,11 +31,6 @@ class PropagationError(Exception):
     """A rightward flowline ran off the weave without finding its edge."""
 
 
-# Ordered label carried by each branch of a trivalent vertex with letter k:
-# "asc" means (k, k+1), "desc" means (k+1, k).
-DEFAULT_SEED_ORIENTATION = {"a": "asc", "b": "asc", "c": "asc"}
-
-
 def _compose(la, lb) -> Optional[Tuple[int, int]]:
     if la[1] == lb[0] and la[0] != lb[1]:
         return (la[0], lb[1])
@@ -65,7 +60,6 @@ class Strand:
     # weave-line crossings as (param, letter, point, side), side the sign of
     # (weave-line tangent) x (strand tangent)
     crossings: List[tuple] = field(default_factory=list)
-    turn_index: Optional[int] = None  # polyline index where the upward hug begins
     chord: Optional[str] = None
 
     def label_at(self, param: Optional[Param] = None) -> Tuple[int, int]:
@@ -84,13 +78,10 @@ class Strand:
 class ForestBuilder:
     """Grows all strands of the augmentation forest for one bent weave."""
 
-    def __init__(self, bent: BentWeave, orientation=None, scale=Fraction(1, 64),
-                 max_rounds: int = 100):
+    def __init__(self, bent: BentWeave, scale: Fraction):
         self.bent = bent
         self.weave = bent.weave
-        self.orientation = dict(DEFAULT_SEED_ORIENTATION, **(orientation or {}))
         self.scale = scale
-        self.max_rounds = max_rounds
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
         self.weave_lines = PolylineSet((seg.points, seg.letter) for seg in self.obstacles)
         self._bent_ids = {seg.id for seg in bent.bent_segments}
@@ -114,11 +105,9 @@ class ForestBuilder:
             raise ValueError("vertex %d is not trivalent" % vertex_id)
         k = vertex.letter
         ups = self.weave.vertex_upper_segments(vertex_id)
-        seeds = []
-        for branch, edge in (("a", ups[0].id), ("b", ups[1].id), ("c", None)):
-            label = (k, k + 1) if self.orientation[branch] == "asc" else (k + 1, k)
-            seeds.append(FlowlineSeed(vertex_id, branch, edge, label))
-        return seeds
+        # every branch of a letter-k vertex carries the ordered label (k, k+1)
+        return [FlowlineSeed(vertex_id, branch, edge, (k, k + 1))
+                for branch, edge in (("a", ups[0].id), ("b", ups[1].id), ("c", None))]
 
     # ----- propagation -----
     def _new_strand(self, origin, label, rnd) -> Strand:
@@ -189,7 +178,6 @@ class ForestBuilder:
                 if turn_x <= prev_x:
                     raise NonGenericGeometry("offset too large for gap before turn")
                 strand.polyline.append((turn_x, y0))
-                strand.turn_index = len(strand.polyline) - 1
                 self._hug(strand, seg, (x, y0))
                 return
             label = tuple(transpose(s, k) for s in label)
@@ -261,7 +249,7 @@ class ForestBuilder:
         old = [s for s in self.strands if s.round < rnd]
         events: List[tuple] = []
         done = 0  # new[:done] have been intersected
-        for _ in range(self.max_rounds):
+        for _ in range(100):  # creation steps a round may take
             for sn in new[done:]:
                 for other in old + new[:done]:
                     for pn, po, pt in poly_crossings(sn.polyline, other.polyline):
@@ -285,18 +273,14 @@ class ForestBuilder:
                 "parents": (min(a_id, b_id), max(a_id, b_id)),
                 "params": {a_id: pa, b_id: pb},
                 "point": (x, y),
-                "label": child_label,
                 "child": child.id,
-                "round": rnd,
             })
             new.append(child)
-        raise RuntimeError("round %d exceeded %d creation steps (gapped guard)"
-                           % (rnd, self.max_rounds))
+        raise RuntimeError("round %d exceeded 100 creation steps (gapped guard)" % rnd)
 
     # ----- assembly into a SpectralNetwork -----
     def to_network(self) -> SpectralNetwork:
         net = SpectralNetwork()
-        net.warnings = list(self.warnings)
         branch_vertex: Dict[int, int] = {}
         for vertex in self.scan_vertices():
             branch_vertex[vertex.id] = net.add_vertex("initial", vertex.point).id
@@ -316,15 +300,10 @@ class ForestBuilder:
             else:
                 source = joint_vertex[strand.id]
             pieces = self._split(strand, sorted(cuts[strand.id]))
-            for (route, start_param, end_param, target_vid) in pieces:
+            for (route, start_param, target_vid) in pieces:
                 target = target_vid if target_vid is not None else "end:" + strand.chord
                 label = strand.label_at(start_param) if start_param else strand.start_label
-                end_label = strand.label_at(end_param) if end_param else strand.final_label()
-                net.add_wall(label, source, target, route, strand.round, strand.round,
-                             strand=strand.id,
-                             origin=strand.origin,
-                             chord=strand.chord,
-                             label_at_target=end_label)
+                net.add_wall(label, source, target, route, strand.round, strand.round)
                 if isinstance(target, int):
                     source = target
         return net
@@ -332,8 +311,8 @@ class ForestBuilder:
     def _split(self, strand: Strand, cut_list):
         """Cut a strand polyline at its parent-joints.
 
-        Yields (route, start_param, end_param, target_vertex) per piece;
-        params are None at the strand's own ends.
+        Yields (route, start_param, target_vertex) per piece; the first
+        piece's start_param and the last piece's target are None.
         """
         poly = strand.polyline
         pieces = []
@@ -343,27 +322,18 @@ class ForestBuilder:
         for param, vid, pt in cut_list:
             i, _ = param
             route = [start_pt] + poly[start_idx + 1: i + 1] + [pt]
-            pieces.append((route, start_param, param, vid))
+            pieces.append((route, start_param, vid))
             start_param, start_pt, start_idx = param, pt, i
         route = [start_pt] + poly[start_idx + 1:]
-        pieces.append((route, start_param, None, None))
+        pieces.append((route, start_param, None))
         return pieces
 
 
-def build_forest(bent: BentWeave, max_rounds: int = 100, orientation=None) -> SpectralNetwork:
-    builder = build_forest_strands(bent, max_rounds=max_rounds, orientation=orientation)
-    net = builder.to_network()
-    net.forest = builder  # in-memory handle for downstream computations
-    return net
-
-
-def build_forest_strands(bent: BentWeave, max_rounds: int = 100,
-                         orientation=None) -> ForestBuilder:
+def build_forest_strands(bent: BentWeave) -> ForestBuilder:
     scale = Fraction(1, 64)
     last_err = None
     for _ in range(4):
-        builder = ForestBuilder(bent, orientation=orientation, scale=scale,
-                                max_rounds=max_rounds)
+        builder = ForestBuilder(bent, scale=scale)
         try:
             return builder.build()
         except NonGenericGeometry as err:

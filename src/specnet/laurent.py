@@ -126,12 +126,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_unit_monomial(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        ((_, coeff),) = self.terms.items()
-        return coeff in (1, -1)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: _degrevlex_key(mc[0]))
 

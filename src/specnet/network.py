@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 SCHEMA = "spectral-network/1"
 
 OPEN_END_PREFIX = "end:"  # target marker for walls running off to a chord/ray
-TRUNCATED = "end:truncated"
 
 
 @dataclass
@@ -29,7 +28,6 @@ class Wall:
     route: List[Tuple]  # polyline points (Fraction or float pairs)
     mass: float | int
     stage: int
-    meta: dict = field(default_factory=dict)  # pipeline extras, not serialized
 
     def __post_init__(self):
         i, j = self.label
@@ -111,7 +109,6 @@ class SpectralNetwork:
         self.vertices: Dict[int, NetworkVertex] = {}
         self.walls: Dict[int, Wall] = {}
         self.cutoff = cutoff
-        self.warnings: List[str] = []
 
     # ----- construction -----
     def add_vertex(self, kind: str, position) -> NetworkVertex:
@@ -119,9 +116,9 @@ class SpectralNetwork:
         self.vertices[vertex.id] = vertex
         return vertex
 
-    def add_wall(self, label, source: int, target, route, mass, stage, **meta) -> Wall:
+    def add_wall(self, label, source: int, target, route, mass, stage) -> Wall:
         wall = Wall(len(self.walls), tuple(label), source, target, list(route),
-                    mass, stage, dict(meta))
+                    mass, stage)
         self.walls[wall.id] = wall
         self.vertices[source].outgoing.append(wall.id)
         if isinstance(target, int):
@@ -143,24 +140,6 @@ class SpectralNetwork:
             if kind != vertex.kind:
                 raise ValueError("vertex %d stored as %s but classifies as %s"
                                  % (vertex.id, vertex.kind, kind))
-
-
-def consistent_extension(net: SpectralNetwork, wall_seeder) -> SpectralNetwork:
-    """One extension round: resolve every currently inconsistent vertex.
-
-    ``wall_seeder(net, vertex_id)`` must add the missing (ik) wall (and any
-    further vertices it produces) to ``net`` and return the new wall; it is
-    the pipeline-specific continuation.  Vertices are processed in id order
-    (creation order, which the combinatorial pipeline arranges to be
-    weave-column order).
-    """
-    for vertex_id in sorted(net.inconsistent_vertices()):
-        try:
-            wall_seeder(net, vertex_id)
-        except Exception as err:
-            raise RuntimeError("wall seeder failed at vertex %d: %s" % (vertex_id, err)) from err
-        net.vertices[vertex_id].kind = "interaction_creation"
-    return net
 
 
 def is_flow_acyclic(net: SpectralNetwork) -> bool:
@@ -202,47 +181,6 @@ def is_flow_acyclic(net: SpectralNetwork) -> bool:
         return False
 
     return not any(dfs(w) for w in net.walls if color[w] == WHITE)
-
-
-def energy_truncate(net: SpectralNetwork, bound) -> SpectralNetwork:
-    """Subnetwork of walls with mass <= bound, closed under ancestry.
-
-    Mass is monotone along creation ancestry in both pipelines, so the mass
-    filter is automatically ancestry-closed; this is asserted.  Walls whose
-    target joint is dropped become open-ended with a truncation marker.
-    """
-    for wall in net.walls.values():
-        if wall.mass is None:
-            raise ValueError("wall %d has no mass record" % wall.id)
-    keep = {w.id for w in net.walls.values() if w.mass <= bound}
-    for wid in keep:  # ancestry closure check
-        wall = net.walls[wid]
-        source = net.vertices[wall.source]
-        for parent in source.incoming:
-            if parent not in keep:
-                raise AssertionError("mass filter not ancestry-closed at wall %d" % wid)
-    out = SpectralNetwork(cutoff=bound)
-    vertex_map = {}
-    for vertex in net.vertices.values():
-        incident = set(vertex.incoming) | set(vertex.outgoing)
-        if incident & keep:
-            copy = out.add_vertex(vertex.kind, vertex.position)
-            vertex_map[vertex.id] = copy.id
-    for wall in sorted(net.walls.values(), key=lambda w: w.id):
-        if wall.id not in keep:
-            continue
-        target = wall.target
-        if isinstance(target, int):
-            target = vertex_map.get(target, TRUNCATED)
-        out.add_wall(wall.label, vertex_map[wall.source], target, wall.route,
-                     wall.mass, wall.stage, **wall.meta)
-    # re-grade joints that lost walls
-    for vertex in out.vertices.values():
-        try:
-            vertex.kind = classify_vertex(out.stubs(vertex.id))
-        except ValueError:
-            vertex.kind = "inconsistent" if vertex.incoming else vertex.kind
-    return out
 
 
 # ----- serialization -----

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .forest import ForestBuilder
+from .forest import ForestBuilder, build_forest_strands
 from .geometry import NonGenericGeometry, Param, Point, PolylineSet, transpose
 from .laurent import LaurentPoly
 from .soliton_bps import LiftedPiece, SolitonCatalog
@@ -53,10 +53,9 @@ def _monomial(gens, cyc, arc, coeff=1) -> LaurentPoly:
 class Transport:
     """Exact parallel transport over a forest network."""
 
-    def __init__(self, builder: ForestBuilder,
-                 catalog: Optional[SolitonCatalog] = None):
+    def __init__(self, builder: ForestBuilder):
         self.builder = builder
-        self.catalog = catalog if catalog is not None else SolitonCatalog(builder)
+        self.catalog = SolitonCatalog(builder)
         self.engine = self.catalog.engine
         n = builder.weave.strand_count
         self.n = n
@@ -206,7 +205,7 @@ class Transport:
 
     # ----- monodromy loops -----
     def loop_around(self, center: Point, radius: Fraction,
-                    jitter: Fraction = Fraction(1, 313)) -> List[Point]:
+                    jitter: Fraction) -> List[Point]:
         """A small closed quadrilateral around a point, corners jittered so
         they avoid walls and weave lines."""
         cx, cy = center
@@ -215,7 +214,7 @@ class Transport:
         return [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
                 (cx - 2 * e, cy - r), (cx + r, cy + e)]
 
-    def clearance(self, center: Point, exclude_through: bool = True) -> Fraction:
+    def clearance(self, center: Point) -> Fraction:
         """Min distance from ``center`` to all segments not through it."""
         best = None
         polys = [seg.points for seg in self.builder.obstacles]
@@ -326,15 +325,16 @@ def network_punctures(builder: ForestBuilder) -> List[Point]:
     return out
 
 
-def homotopic_pair(transport: Transport, rng: random.Random,
-                   interior: int = 3, moves: int = 6):
+def homotopic_pair(transport: Transport, rng: random.Random):
     """Two random polyline paths with the same endpoints that are homotopic
     in the complement of the network's punctures.
 
-    The second path is produced from the first by vertex insertions and by
-    vertex moves whose swept quadrilateral has winding number zero around
-    every puncture, so equality of the two transport matrices is forced.
+    The first path has 3 interior vertices.  The second is produced from it
+    by 6 vertex insertions or vertex moves, each move's swept quadrilateral
+    having winding number zero around every puncture, so equality of the
+    two transport matrices is forced.
     """
+    interior, moves = 3, 6
     builder = transport.builder
     punctures = network_punctures(builder)
     # keep the paths inside the band where the homology engine's test curves
@@ -431,20 +431,15 @@ class LocalSystemRank1:
 
 # ----- augmentations -----
 
-def augmentation(bent, builder: Optional[ForestBuilder] = None,
-                 catalog: Optional[SolitonCatalog] = None) -> Dict[str, LaurentPoly]:
+def augmentation(bent) -> Dict[str, LaurentPoly]:
     """Exact Laurent augmentation values of every chord and marked point.
 
     Each chord value is the signed sum over the flowtrees ending at it of
     their soliton monomials; marked-point values are the signed boundary-arc
     holonomies.
     """
-    from .forest import build_forest_strands
-
-    if builder is None:
-        builder = build_forest_strands(bent)
-    if catalog is None:
-        catalog = SolitonCatalog(builder)
+    builder = build_forest_strands(bent)
+    catalog = SolitonCatalog(builder)
     gens = catalog.engine.gen_names
     out: Dict[str, LaurentPoly] = {name: LaurentPoly.zero(gens)
                                    for name in bent.chord_names}

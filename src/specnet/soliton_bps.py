@@ -38,6 +38,9 @@ from .geometry import (
 )
 from .laurent import FactoredMatrix
 
+# where a wall's BPS entries are based: a parameter just past its birth point
+BIRTH_PARAM: Param = (0, Fraction(1, 997))
+
 
 class LiftedPiece:
     """An oriented path on the surface: base polyline + evolving sheet.
@@ -148,10 +151,6 @@ class SolitonClass:
     def effective_sign(self) -> int:
         return -self.sign if self.h_parity else self.sign
 
-    def twisted(self) -> "SolitonClass":
-        """The fiber-class twist H: flips the index sign."""
-        return SolitonClass(self.monomial, self.sign, 1 - self.h_parity)
-
     def concat(self, other: "SolitonClass", twist: int) -> "SolitonClass":
         """Concatenation at a creation joint with the joint's twist bit."""
         mono = tuple(a + b for a, b in zip(self.monomial, other.monomial))
@@ -169,7 +168,6 @@ class D4Tree:
     """Rooted flowtree of a wall: the wall plus recursive parent segments."""
 
     root_strand: int
-    chord: str
     pieces: List[tuple]  # (strand_id, end_param or None) in discovery order
     joints: List[dict]
 
@@ -189,8 +187,7 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> D4Tree:
                 collect(pid, joint["params"][pid])
 
     collect(strand_id, None)
-    root = builder.strands[strand_id]
-    return D4Tree(strand_id, root.chord, pieces, used_joints)
+    return D4Tree(strand_id, pieces, used_joints)
 
 
 class HomologyEngine:
@@ -393,9 +390,9 @@ class SolitonCatalog:
     add at every joint.
     """
 
-    def __init__(self, builder: ForestBuilder, engine: Optional[HomologyEngine] = None):
+    def __init__(self, builder: ForestBuilder):
         self.builder = builder
-        self.engine = engine if engine is not None else HomologyEngine(builder)
+        self.engine = HomologyEngine(builder)
         self._joints_by_child = {j["child"]: j for j in builder.joints}
         self._sign: Dict[int, int] = {}
         self._h: Dict[int, int] = {}
@@ -453,13 +450,9 @@ class SolitonCatalog:
             self._h[sid] = (self.h_parity(p1) + self.h_parity(p2)
                             + self.joint_twist(joint)) % 2
 
-    def soliton(self, sid: int, param: Optional[Param] = None) -> SolitonClass:
-        """The wall's soliton class, based at ``param`` (default: chord end)."""
-        if param is None:
-            cyc, _arc = self.full_class(sid)
-        else:
-            cyc, _arc = self.engine.class_of_chain(
-                self.engine.tree_chain(sid, root_param=param))
+    def soliton(self, sid: int) -> SolitonClass:
+        """The wall's soliton class, based at its chord end."""
+        cyc, _arc = self.full_class(sid)
         return SolitonClass(cyc, self.sign(sid), self.h_parity(sid))
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
@@ -484,7 +477,7 @@ class SolitonCatalog:
             sid = strand.id
             if strand.origin[0] == "branch":
                 cyc, _ = self.engine.class_of_chain(
-                    self.engine.tree_chain(sid, root_param=self._birth_param(sid)))
+                    self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
                 seed_sign = self.sign(sid)
                 table[sid] = {SolitonClass(cyc, seed_sign, 0): 1}
             else:
@@ -498,10 +491,6 @@ class SolitonCatalog:
                         entries[rho] = entries.get(rho, 0) + mu1 * mu2
                 table[sid] = {r: m for r, m in entries.items() if m}
         return table
-
-    def _birth_param(self, sid: int) -> Param:
-        """A parameter just past the wall's birth point."""
-        return (0, Fraction(1, 997))
 
     def _based_at(self, sid: int, param: Param) -> Dict[SolitonClass, int]:
         """The wall's index entries rebased at ``param``."""
@@ -520,13 +509,12 @@ class SolitonCatalog:
         agreement with ``bps_table`` checks both the homological additivity
         at joints and the twist bookkeeping.
         """
-        return {strand.id: {self._tree_soliton(tree_of_strand(self.builder, strand.id),
-                                                self._birth_param(strand.id)): 1}
+        return {strand.id: {self._tree_soliton(tree_of_strand(self.builder, strand.id)): 1}
                 for strand in self.builder.strands}
 
-    def _tree_soliton(self, tree: D4Tree, root_param: Param) -> SolitonClass:
+    def _tree_soliton(self, tree: D4Tree) -> SolitonClass:
         cyc, _ = self.engine.class_of_chain(
-            self.engine.tree_chain(tree.root_strand, root_param=root_param))
+            self.engine.tree_chain(tree.root_strand, root_param=BIRTH_PARAM))
         sign = 1
         h = 0
         for sid, _ep in tree.pieces:

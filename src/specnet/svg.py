@@ -8,7 +8,7 @@ network: iteration is sorted and floats use a fixed format.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .network import SpectralNetwork
 
@@ -27,13 +27,14 @@ def _fmt(x) -> str:
     return "%.4f" % float(x)
 
 
-def export_svg(net: SpectralNetwork, width: int = 640, height: int = 480,
-               underlay: Optional[List[List[Tuple]]] = None) -> str:
-    """Render the network; an empty network yields axes only.
+def export_svg(net: SpectralNetwork, underlay: Optional[List[List[Tuple]]] = None) -> str:
+    """Render the network on a 640 x 480 canvas; an empty network yields
+    axes only.
 
     ``underlay`` is an optional list of polylines (e.g. weave lines) drawn
     in light gray beneath the walls.
     """
+    width, height = 640, 480
     points: List[Tuple[float, float]] = []
     for wall in net.walls.values():
         points.extend((float(p[0]), float(p[1])) for p in wall.route)

@@ -22,11 +22,11 @@ bottom-right of the diagram up to the top, to the right of the top slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .braid import BraidWord, demazure_product, label_chords, parse_braid
+from .braid import BraidWord, label_chords
 from .geometry import Point
 
 
@@ -105,7 +105,6 @@ class Weave:
         self.segments: List[Segment] = []
         self._seg_above: Dict[Tuple[int, int], Segment] = {}
         self._vertex_upper: Dict[Tuple[int, int], List[Segment]] = {}
-        self._vertex_lower: Dict[Tuple[int, int], List[Segment]] = {}
         self._build()
 
     # ----- structure -----
@@ -145,16 +144,12 @@ class Weave:
                               ("vertex", vertex.id, j), ("slot", row + 1, q_out))
                 self.segments.append(seg)
                 self._seg_above[(row + 1, q_out)] = seg
-        # collect vertex attachments
+        # collect the upper attachments of each vertex, left to right
         for seg in self.segments:
             if seg.lower[0] == "vertex":
                 self._vertex_upper.setdefault(seg.lower[1], []).append(seg)
-            if seg.upper[0] == "vertex":
-                self._vertex_lower.setdefault(seg.upper[1], []).append(seg)
         for attachments in self._vertex_upper.values():
             attachments.sort(key=lambda s: s.lower[2])
-        for attachments in self._vertex_lower.values():
-            attachments.sort(key=lambda s: s.upper[2])
 
     # ----- queries -----
     @property
@@ -170,9 +165,6 @@ class Weave:
 
     def vertex_upper_segments(self, vertex_id: int) -> List[Segment]:
         return self._vertex_upper.get(vertex_id, [])
-
-    def vertex_lower_segments(self, vertex_id: int) -> List[Segment]:
-        return self._vertex_lower.get(vertex_id, [])
 
     def continue_up(self, segment: Segment) -> Optional[Segment]:
         """The segment above ``segment`` for a line walking toward the top.
@@ -243,32 +235,6 @@ def parse_weave(text: str) -> Weave:
     return Weave(n, top, moves)
 
 
-def validate_moves(strand_count: int, top: Tuple[int, ...], moves: List[Move]) -> List[str]:
-    """Check every move against its local model; violations as strings.
-
-    Stops at the first structurally invalid move, since later slices are
-    undefined past it.
-    """
-    violations = []
-    for letter in top:
-        if not 1 <= letter <= strand_count - 1:
-            violations.append("top slice: letter %d out of range" % letter)
-    if violations:
-        return violations
-    word = tuple(top)
-    for index, move in enumerate(moves):
-        try:
-            word = _apply_move(word, move)
-        except ValueError as err:
-            violations.append("move %d (%s%d): %s" % (index + 1, move.kind, move.position, err))
-            break
-    return violations
-
-
-def validate_weave(weave: Weave) -> List[str]:
-    return validate_moves(weave.strand_count, weave.top, weave.moves)
-
-
 def cycle_generators(weave: Weave) -> List[CycleGenerator]:
     """One generator per trivalent vertex, scanned bottom-to-top.
 
@@ -317,7 +283,6 @@ class BentWeave:
         # Bending traverses the bottom edge in reverse boundary order, so the
         # bottom letter p surfaces at the (p+1)-th rightmost top position and
         # is named w_{p+1}: left-to-right the bent chords read w_m ... w_1.
-        self.marked_points = labeling.marked_points
         wall_margin = Fraction(max(top_len, max((len(s) for s in weave.slices), default=1)) + 2)
         self.bent_segments: List[Segment] = []
         self.top_positions: Dict[str, Fraction] = {}
@@ -337,8 +302,6 @@ class BentWeave:
             self.top_positions[name] = x_up
             next_id += 1
         self.marked_x = wall_margin + m  # marked points sit right of every chord
-        self.right_edge = self.marked_x + 1
-        self.bottom_edge = -(Fraction(depth + m + 2))
 
     @property
     def strand_count(self):

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import sympy as sp
@@ -55,19 +55,17 @@ class GappedGuardError(RuntimeError):
 class SpectralCurve:
     """A bivariate polynomial P(z, w), monic of degree >= 2 in w."""
 
-    def __init__(self, text: str, fiber_var: str = "w"):
-        self.text = text
-        w = sp.Symbol(fiber_var)
+    def __init__(self, text: str):
+        w = sp.Symbol("w")
         try:
             expr = sp.sympify(text, rational=True)
         except sp.SympifyError as err:
             raise CurveError("cannot parse curve %r: %s" % (text, err))
         base_syms = sorted(expr.free_symbols - {w}, key=lambda s: s.name)
         if len(base_syms) > 1:
-            raise CurveError("curve must involve %s and one base variable, "
-                             "got %s" % (fiber_var, base_syms))
+            raise CurveError("curve must involve w and one base variable, "
+                             "got %s" % base_syms)
         z = base_syms[0] if base_syms else sp.Symbol("z")
-        self.w, self.z = w, z
         poly = sp.Poly(expr, w)
         lead = poly.LC()
         if lead.free_symbols:
@@ -75,7 +73,7 @@ class SpectralCurve:
         poly = sp.Poly(sp.expand(expr / lead), w)
         self.n = poly.degree()
         if self.n < 2:
-            raise CurveError("degree in %s must be >= 2" % fiber_var)
+            raise CurveError("degree in w must be >= 2")
         self._coeff_polys = []  # z-polynomial (numpy coeffs) per w-power, descending
         for k in range(self.n, -1, -1):
             ck = sp.Poly(poly.nth(k), z)
@@ -101,7 +99,7 @@ class BranchPoint:
     tag: str  # "simple" | "unsupported"
 
 
-def branch_points(curve: SpectralCurve, tol: float = 1e-9) -> List[BranchPoint]:
+def branch_points(curve: SpectralCurve) -> List[BranchPoint]:
     """Roots of the w-discriminant, Newton-polished, tagged by simplicity.
 
     A root is simple when it is a single root of the discriminant and
@@ -124,10 +122,10 @@ def branch_points(curve: SpectralCurve, tol: float = 1e-9) -> List[BranchPoint]:
             if abs(step) < 1e-15 * scale:
                 break
         out.append(complex(r))
-    # cluster multiple roots
+    # cluster multiple roots (closer than 1e-9 relative)
     clusters: List[List[complex]] = []
     for r in sorted(out, key=lambda c: (c.real, c.imag)):
-        if clusters and abs(r - clusters[-1][-1]) < tol * scale:
+        if clusters and abs(r - clusters[-1][-1]) < 1e-9 * scale:
             clusters[-1].append(r)
         else:
             clusters.append([r])
@@ -149,16 +147,13 @@ def branch_points(curve: SpectralCurve, tol: float = 1e-9) -> List[BranchPoint]:
 
 # ----- sheet tracking -----
 
-def sheets_at(curve: SpectralCurve, z: complex,
-              seed: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sheet values over z; with a seed, returned in the seed's order.
+def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
+    """Sheet values over z, in the order of the seed's values.
 
     Pairing is nearest-root matching with collision detection: the largest
     seed-to-root move must stay below half the smallest root separation.
     """
     roots = curve.roots_at(z)
-    if seed is None:
-        return roots
     n = len(roots)
     pairs = sorted((abs(seed[i] - roots[j]), i, j)
                    for i in range(n) for j in range(n))
@@ -196,8 +191,8 @@ class TracedWall:
     seed: WallSeed
     points: List[complex]
     charges: List[complex]
-    vals_end: np.ndarray
-    asymptote: str  # "radius" | "cutoff" | "joint:<id>" (set later)
+    vals: np.ndarray  # row k: the sheet values at sample k, in the seed's order
+    asymptote: str  # "radius" | "cutoff"
     origin: tuple
 
     @property
@@ -208,25 +203,18 @@ class TracedWall:
                        curve: SpectralCurve) -> Tuple[complex, complex, np.ndarray]:
         """Sheet-pair values at a point interpolated inside segment ``index``."""
         z = self.points[index] * (1 - frac) + self.points[index + 1] * frac
-        base = self._vals_at_index(index, curve)
-        vals = sheets_at(curve, z, base)
+        vals = sheets_at(curve, z, self.vals[index])
         i, j = self.seed.pair
         return vals[i], vals[j], vals
-
-    def _vals_at_index(self, index: int, curve: SpectralCurve) -> np.ndarray:
-        vals = self.seed.vals
-        # continue from the seed through the stored samples up to index
-        for k in range(1, index + 1):
-            vals = sheets_at(curve, self.points[k], vals)
-        return vals
 
     def charge_at(self, index: int, frac: float) -> complex:
         return self.charges[index] * (1 - frac) + self.charges[index + 1] * frac
 
 
-def _local_coefficient(curve: SpectralCurve, b: complex,
-                       probe: float = 1e-5) -> complex:
-    """Leading Puiseux coefficient c with lambda_+/- ~ lambda_0 +/- c sqrt(z-b)."""
+def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
+    """Leading Puiseux coefficient c with lambda_+/- ~ lambda_0 +/- c sqrt(z-b),
+    read off at the probe point b + 1e-5."""
+    probe = 1e-5
     sheets = curve.roots_at(b)
     n = len(sheets)
     pairs = sorted((abs(sheets[i] - sheets[j]), i, j)
@@ -238,14 +226,15 @@ def _local_coefficient(curve: SpectralCurve, b: complex,
     return (roots[0] - roots[1]) / (2 * math.sqrt(probe))
 
 
-def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float,
-                 offset: float = 1e-7) -> List[WallSeed]:
+def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float) -> List[WallSeed]:
     """Three outward wall seeds at a simple branch point.
 
     Near b the two colliding sheets differ by 2c (z-b)^{1/2}, so
     Z = (4c/3)(z-b)^{3/2}; walls leave along the three directions where
     e^{-i theta} Z is real, phi_k = (2/3)(theta - arg(4c/3)) + 2 pi k / 3.
+    Each seed sits 1e-7 from b along its direction.
     """
+    offset = 1e-7
     if bp.tag != "simple":
         raise CurveError("branch point %s is not simple" % bp.z)
     c = _local_coefficient(curve, bp.z)
@@ -272,15 +261,14 @@ def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float,
 
 
 def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
-               mass_cutoff: float, radius: float,
-               step: Optional[float] = None, wall_id: int = -1) -> TracedWall:
+               mass_cutoff: float, radius: float, wall_id: int) -> TracedWall:
     """Integrate one wall until it reaches the domain radius or mass cutoff.
 
     Steps advance Z by ds along e^{i theta}; z follows via a midpoint
     corrector on 1/(lambda_i - lambda_j), with the step halved whenever root
     tracking reports a collision risk and a cap on |dz|.
     """
-    ds_max = step if step is not None else 1e-3 * mass_cutoff
+    ds_max = 1e-3 * mass_cutoff
     ds_min = ds_max * 1e-10
     dz_max = radius / 50.0
     phase = cmath.exp(1j * theta)
@@ -290,6 +278,7 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
     Z = seed.Z0
     points = [z]
     charges = [Z]
+    samples = [vals]
     ds = min(ds_max, max(abs(Z) * 0.5, ds_max * 1e-6))
     asymptote = "cutoff"
     while True:
@@ -329,8 +318,9 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
         Z = Z + phase * ds
         points.append(z)
         charges.append(Z)
+        samples.append(vals)
         ds = min(ds * 1.5, ds_max)
-    return TracedWall(wall_id, seed, points, charges, vals, asymptote,
+    return TracedWall(wall_id, seed, points, charges, np.array(samples), asymptote,
                       seed.origin)
 
 
@@ -377,24 +367,17 @@ class Joint:
     charge: complex  # Z_ij + Z_jk at the joint
 
 
-@dataclass
-class NonInteraction:
-    z: complex
-    walls: Tuple[int, int]
-
-
-def _match_value(a: complex, b: complex, scale: float, rtol: float = 1e-8) -> bool:
-    return abs(a - b) <= rtol * (1 + scale)
+def _match_value(a: complex, b: complex, scale: float) -> bool:
+    return abs(a - b) <= 1e-8 * (1 + scale)
 
 
 def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
-                      radius: float, max_rounds: int = 12,
-                      step: Optional[float] = None) -> SpectralNetwork:
+                      radius: float, max_rounds: int = 12) -> SpectralNetwork:
     """Trace the full network: initial rays, joints, iterated extension.
 
     Crossings whose sheet pairs share a value (matched within 1e-8 relative)
     become creation joints and seed an (ik) wall with Z_ik = Z_ij + Z_jk;
-    disjoint-pair crossings are recorded as non-interactions.  Rounds repeat
+    other crossings are non-interactions and leave no trace.  Rounds repeat
     until no newborn wall fits under the mass cutoff; newborn masses must
     grow between rounds (gapped guard).
     """
@@ -404,13 +387,11 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
             raise CurveError("non-simple branch point at z=%s" % bp.z)
     walls: List[TracedWall] = []
     joints: List[Joint] = []
-    non_interactions: List[NonInteraction] = []
-    seen_pairs = set()
     frontier: List[TracedWall] = []
     for bp in bps:
         for seed in initial_rays(curve, bp, theta):
             wall = trace_wall(curve, seed, theta, mass_cutoff, radius,
-                              step=step, wall_id=len(walls))
+                              wall_id=len(walls))
             walls.append(wall)
             frontier.append(wall)
     last_min_birth = 0.0
@@ -421,20 +402,12 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
             raise GappedGuardError("extension exceeded %d rounds" % max_rounds)
         new_frontier: List[TracedWall] = []
         births: List[float] = []
-        candidates = []
-        for wall in frontier:
-            for other in walls:
-                if other.id >= wall.id and other in frontier:
-                    if other.id <= wall.id:
-                        continue
-                candidates.append((wall, other))
+        # each frontier wall against the older walls and the frontier walls
+        # after it (the frontier is the tail of ``walls``)
+        first = frontier[0].id
+        candidates = [(wall, other) for k, wall in enumerate(frontier)
+                      for other in walls[:first] + frontier[k + 1:]]
         for wall, other in candidates:
-            if wall.id == other.id:
-                continue
-            key = tuple(sorted((wall.id, other.id)))
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
             a = np.array(wall.points)
             b = np.array(other.points)
             for ia, ta, ib, tb, z in _segment_intersections(a, b):
@@ -442,7 +415,6 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
                     continue
                 child = _classify_crossing(curve, wall, other, ia, ta, ib, tb, z)
                 if child is None:
-                    non_interactions.append(NonInteraction(z, (wall.id, other.id)))
                     continue
                 seed, ordered = child
                 if abs(seed.Z0) >= mass_cutoff:
@@ -451,7 +423,7 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
                               {wall.id: (ia, ta), other.id: (ib, tb)},
                               None, seed.Z0)
                 new_wall = trace_wall(curve, seed, theta, mass_cutoff, radius,
-                                      step=step, wall_id=len(walls))
+                                      wall_id=len(walls))
                 joint.child = new_wall.id
                 joints.append(joint)
                 walls.append(new_wall)
@@ -465,10 +437,9 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
                     % (min_birth, last_min_birth))
             last_min_birth = min_birth
         frontier = new_frontier
-    net = _export(curve, walls, joints, theta, mass_cutoff)
+    net = _export(walls, joints, mass_cutoff)
     net.traced = walls
     net.joints_info = joints
-    net.non_interactions = non_interactions
     return net
 
 
@@ -516,8 +487,8 @@ def _sorted_label(vals: np.ndarray, pair: Tuple[int, int]) -> Tuple[int, int]:
     return rank[pair[0]], rank[pair[1]]
 
 
-def _export(curve, walls: List[TracedWall], joints: List[Joint],
-            theta: float, mass_cutoff: float) -> SpectralNetwork:
+def _export(walls: List[TracedWall], joints: List[Joint],
+            mass_cutoff: float) -> SpectralNetwork:
     net = SpectralNetwork(cutoff=mass_cutoff)
     bp_vertex: Dict[complex, int] = {}
     for wall in walls:
@@ -539,7 +510,6 @@ def _export(curve, walls: List[TracedWall], joints: List[Joint],
             source = joint_vertex[wall.id]
         start_idx = 0
         start_pt = wall.points[0]
-        vals = wall.seed.vals
         segments = sorted(cuts[wall.id])
         pieces = []
         for (cut, vid, zj) in segments:
@@ -549,20 +519,14 @@ def _export(curve, walls: List[TracedWall], joints: List[Joint],
             start_idx, start_pt = seg_index, zj
         pieces.append(([start_pt] + wall.points[start_idx + 1:], start_idx, None))
         for route, base_idx, target_vid in pieces:
-            label_vals = wall._vals_at_index(base_idx, curve)
-            label = _sorted_label(label_vals, wall.seed.pair)
+            label = _sorted_label(wall.vals[base_idx], wall.seed.pair)
             target = target_vid if target_vid is not None \
                 else "end:" + wall.asymptote
             mass = abs(wall.charges[min(base_idx + len(route) - 1,
                                         len(wall.charges) - 1)])
-            net.add_wall(label, source,
-                         target,
+            net.add_wall(label, source, target,
                          [(p.real, p.imag) for p in route],
-                         mass, 0 if wall.origin[0] == "bp" else 1,
-                         wall=wall.id,
-                         pair=(wall.seed.pair),
-                         origin=wall.origin)
+                         mass, 0 if wall.origin[0] == "bp" else 1)
             if isinstance(target, int):
                 source = target
-    net.theta = theta
     return net

@@ -47,7 +47,7 @@ def test_demazure_examples():
     assert demazure_product(parse_braid("n=2; 1 1")) == Permutation((2, 1))
     assert demazure_product(parse_braid("n=3; (empty)")).is_identity()
     w0 = demazure_product(parse_braid("n=3; 2 1 2 1 2 1 2"))
-    assert w0 == Permutation.longest(3)
+    assert w0 == Permutation((3, 2, 1))
 
 
 words = st.integers(3, 5).flatmap(
@@ -111,19 +111,16 @@ def test_label_chords_examples():
     labeling = label_chords(beta, parse_braid("n=2; 1"))
     assert labeling.beta_chords == ("z_6", "z_5", "z_4", "z_3", "z_2", "z_1")
     assert labeling.delta_chords == ("w_1",)
-    assert labeling.marked_points == ("t_1", "t_2")
 
     beta = parse_braid("n=3; 2 1 2 1 2 1 2")
     labeling = label_chords(beta, parse_braid("n=3; 1 2 1"))
     assert labeling.beta_chords[0] == "z_7"
     assert labeling.beta_chords[-1] == "z_1"
     assert labeling.delta_chords == ("w_3", "w_2", "w_1")
-    assert labeling.marked_points == ("t_1", "t_2", "t_3")
 
     empty = parse_braid("n=2; (empty)")
     labeling = label_chords(empty, empty)
     assert labeling.beta_chords == () and labeling.delta_chords == ()
-    assert labeling.marked_points == ("t_1", "t_2")
 
     with pytest.raises(ValueError):
         label_chords(parse_braid("n=2; 1"), parse_braid("n=3; 1"))

@@ -118,6 +118,49 @@ def test_removed_tolerance_key_fails(tmp_path):
         main(["augmentation", "mutation_a", "--config", str(config)])
 
 
+@pytest.mark.parametrize("argv", [
+    ["augmentation", "mutation_a", "--format", "svg"],
+    ["bps", "mutation_a", "--format", "svg"],
+    ["bps", "mutation_a", "--seed", "1"],
+    ["weave-network", "mutation_a", "--seed", "1"],
+    ["wkb-trace", "--curve", "w^2 - z", "--seed", "1"],
+    ["nonabelianize", "mutation_a", "--format", "json"],
+    ["compare", "a.json", "b.json", "--config", "run.cfg"],
+], ids=["augmentation-svg", "bps-svg", "bps-seed", "weave-network-seed",
+        "wkb-trace-seed", "nonabelianize-format", "compare-config"])
+def test_flags_a_subcommand_never_reads_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+def test_other_subcommands_config_keys_fail(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("theta = 0.25\n")
+    with pytest.raises(ValueError, match="unknown config key 'theta'"):
+        main(["augmentation", "mutation_a", "--config", str(config)])
+    config.write_text("input = w^2 - z\n")
+    with pytest.raises(ValueError, match="unknown config key 'input'"):
+        main(["wkb-trace", "--curve", "w^2 - z", "--config", str(config)])
+
+
+def test_config_values_are_checked_like_flags(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("format = svg\n")
+    with pytest.raises(ValueError, match="config key 'format' must be one of"):
+        main(["augmentation", "mutation_a", "--config", str(config)])
+    config.write_text("systems = many\n")
+    with pytest.raises(ValueError):
+        main(["nonabelianize", "mutation_a", "--config", str(config)])
+
+
+def test_config_file_sets_the_curve(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("curve = w^2 - z\nmass = 10\nradius = 5\n")
+    assert main(["wkb-trace", "--curve", "w^3 - 3*w + x", "--theta", "0",
+                 "--config", str(config)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["walls"]) == 3
+
+
 def test_invalid_curve_exits_nonzero(capsys):
     assert main(["wkb-trace", "--curve", "w - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from specnet.forest import build_forest, build_forest_strands
+from specnet.forest import build_forest_strands
 from specnet.geometry import (
     AxisLines,
     NonGenericGeometry,
@@ -91,8 +91,8 @@ def test_crossings_sorted_and_conjugation_consistent(builders):
 
 def test_build_forest_is_deterministic():
     text = EXAMPLES["five_crossing"]
-    a = build_forest(bend_weave(parse_weave(text)))
-    b = build_forest(bend_weave(parse_weave(text)))
+    a = build_forest_strands(bend_weave(parse_weave(text))).to_network()
+    b = build_forest_strands(bend_weave(parse_weave(text))).to_network()
     from specnet.network import network_to_json
 
     assert network_to_json(a) == network_to_json(b)

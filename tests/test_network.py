@@ -1,15 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from specnet.network import (
     OPEN_END_PREFIX,
-    TRUNCATED,
     SpectralNetwork,
     classify_vertex,
-    consistent_extension,
-    energy_truncate,
     is_flow_acyclic,
     network_from_json,
     network_to_json,
@@ -77,26 +73,6 @@ def test_validate_decorations_tripod():
     assert net.inconsistent_vertices() == []
 
 
-def test_consistent_extension_resolves_crossing():
-    net = SpectralNetwork()
-    a = net.add_vertex("initial", (0, 0))
-    b = net.add_vertex("initial", (0, -2))
-    x = net.add_vertex("inconsistent", (1, -1))
-    net.add_wall((1, 2), a.id, x.id, [(0, 0), (1, -1)], 1.0, 0)
-    net.add_wall((2, 3), b.id, x.id, [(0, -2), (1, -1)], 1.0, 0)
-    net.add_wall((1, 2), x.id, "end:p", [(1, -1), (2, 0)], 2.0, 0)
-    net.add_wall((2, 3), x.id, "end:q", [(1, -1), (2, -2)], 2.0, 0)
-
-    def seeder(net, vertex_id):
-        return net.add_wall((1, 3), vertex_id, "end:new",
-                            [(1, -1), (3, -1)], 3.0, 1)
-
-    out = consistent_extension(net, seeder)
-    assert out.inconsistent_vertices() == []
-    assert out.vertices[x.id].kind == "interaction_creation"
-    assert classify_vertex(out.stubs(x.id)) == "interaction_creation"
-
-
 def test_flow_acyclic_true_and_false():
     assert is_flow_acyclic(_tripod())
     # two joints feeding each other with the same label form a flow cycle
@@ -106,24 +82,6 @@ def test_flow_acyclic_true_and_false():
     net.add_wall((1, 2), u.id, v.id, [(0, 0), (1, 0)], 1.0, 0)
     net.add_wall((1, 2), v.id, u.id, [(1, 0), (0, 0)], 1.0, 0)
     assert not is_flow_acyclic(net)
-
-
-def test_energy_truncate_marks_open_ends():
-    net = SpectralNetwork()
-    a = net.add_vertex("initial", (0, 0))
-    j = net.add_vertex("interaction_creation", (1, -1))
-    net.add_wall((1, 2), a.id, j.id, [(0, 0), (1, -1)], 1.0, 0)
-    net.add_wall((2, 3), a.id, j.id, [(0, 0), (1, -1)], 1.0, 0)
-    net.add_wall((1, 2), a.id, "end:c", [(0, 0), (0, -2)], 1.0, 0)
-    net.add_wall((1, 2), j.id, "end:a", [(1, -1), (2, 0)], 2.0, 0)
-    net.add_wall((2, 3), j.id, "end:b", [(1, -1), (2, -2)], 2.0, 0)
-    net.add_wall((1, 3), j.id, "end:k", [(1, -1), (3, -1)], 5.0, 1)
-    out = energy_truncate(net, 2.0)
-    assert all(w.mass <= 2.0 for w in out.walls.values())
-    # the joint lost its (1,3) output, so it re-grades as inconsistent
-    kinds = sorted(v.kind for v in out.vertices.values())
-    assert "inconsistent" in kinds
-    assert TRUNCATED not in [w.target for w in out.walls.values()] or True
 
 
 def test_json_round_trip_identity():
@@ -138,22 +96,3 @@ def test_json_round_trip_identity():
 def test_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         network_from_json(json.dumps({"schema": "bogus"}))
-
-
-@given(st.lists(st.floats(min_value=0.1, max_value=9.9), min_size=1,
-                max_size=6))
-def test_truncation_keeps_exactly_low_mass_walls(masses):
-    net = SpectralNetwork()
-    v = net.add_vertex("initial", (0, 0))
-    lab = (1, 2)
-    for k, m in enumerate(sorted(masses)[:3]):
-        net.add_wall(lab if k < 2 else (2, 1), v.id, "end:%d" % k,
-                     [(0, 0), (k + 1, -1)], m, 0)
-    while len(net.walls) < 3:
-        k = len(net.walls)
-        net.add_wall(lab if k < 2 else (2, 1), v.id, "end:%d" % k,
-                     [(0, 0), (k + 1, -1)], max(masses), 0)
-    bound = sum(masses) / len(masses)
-    out = energy_truncate(net, bound)
-    assert {w.mass for w in out.walls.values()} == \
-        {w.mass for w in net.walls.values() if w.mass <= bound}

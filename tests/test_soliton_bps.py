@@ -7,6 +7,7 @@ from specnet.geometry import AxisLines, NonGenericGeometry, cross_sign, poly_cro
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
+    BIRTH_PARAM,
     HomologyEngine,
     LiftedPiece,
     PairingLines,
@@ -35,10 +36,9 @@ def test_quadratic_refinement_values():
 
 
 def test_effective_sign_and_twist():
-    rho = SolitonClass((1, 0), 1, 0)
-    assert rho.effective_sign == 1
-    assert rho.twisted().effective_sign == -1
-    assert rho.twisted().twisted() == rho
+    assert SolitonClass((1, 0), 1, 0).effective_sign == 1
+    assert SolitonClass((1, 0), 1, 1).effective_sign == -1
+    assert SolitonClass((1, 0), -1, 1).effective_sign == 1
 
 
 exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -75,8 +75,7 @@ def test_class_additivity_at_joints(catalogs):
         for joint in builder.joints:
             child = joint["child"]
             cyc_c, arc_c = engine.class_of_chain(
-                engine.tree_chain(child,
-                                  root_param=catalog._birth_param(child)))
+                engine.tree_chain(child, root_param=BIRTH_PARAM))
             total_cyc = [0] * len(cyc_c)
             total_arc = [0] * len(arc_c)
             for pid in joint["parents"]:

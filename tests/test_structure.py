@@ -16,3 +16,20 @@ def test_no_private_imports_across_modules():
                 if alias.name.startswith("_"):
                     offenders.append("%s:%d imports %s" % (path.name, node.lineno, alias.name))
     assert not offenders, offenders
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read somewhere in that module."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        offenders.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not offenders, offenders

@@ -8,8 +8,6 @@ from specnet.weave import (
     bend_weave,
     cycle_generators,
     parse_weave,
-    validate_moves,
-    validate_weave,
 )
 
 SIGMA1_6 = """
@@ -39,13 +37,11 @@ def test_parse_and_slices():
     assert weave.strand_count == 2
     assert [len(s) for s in weave.slices] == [6, 5, 4, 3, 2, 1]
     assert weave.bottom == (1,)
-    assert validate_weave(weave) == []
 
     weave = parse_weave(THREE_STRAND)
     assert weave.top == (2, 1, 2, 1, 2, 1, 2)
     assert weave.bottom == (1, 2, 1)
     assert [len(s) for s in weave.slices] == [7, 7, 6, 6, 5, 4, 4, 3]
-    assert validate_weave(weave) == []
 
 
 def test_parse_errors():
@@ -59,19 +55,19 @@ def test_parse_errors():
         parse_weave("n=2\ntop: 1 1\nmoves: t2")  # move out of range
 
 
-def test_validate_moves_reports_local_model_violations():
+def test_parse_weave_rejects_local_model_violations():
     # trivalent on unequal letters
-    errs = validate_moves(3, (1, 2), [Move("t", 1)])
-    assert errs and "equal letters" in errs[0]
+    with pytest.raises(ValueError, match="trivalent requires equal letters at position 1"):
+        parse_weave("n=3\ntop: 1 2\nmoves: t1")
     # hexavalent needs (a, b, a) with adjacent a, b
-    errs = validate_moves(3, (1, 2, 2), [Move("h", 1)])
-    assert errs and "hexavalent" in errs[0]
+    with pytest.raises(ValueError, match=r"hexavalent requires \(a,b,a\) with \|a-b\|=1"):
+        parse_weave("n=3\ntop: 1 2 2\nmoves: h1")
     # tetravalent needs distant letters
-    errs = validate_moves(3, (1, 2), [Move("x", 1)])
-    assert errs and "tetravalent" in errs[0]
+    with pytest.raises(ValueError, match=r"tetravalent requires \|a-b\|>1 at position 1"):
+        parse_weave("n=3\ntop: 1 2\nmoves: x1")
     # out-of-range top letter
-    errs = validate_moves(2, (2,), [])
-    assert errs and "out of range" in errs[0]
+    with pytest.raises(ValueError, match="letter 2 out of range"):
+        parse_weave("n=2\ntop: 2")
 
 
 def test_vertex_structure():
@@ -83,7 +79,7 @@ def test_vertex_structure():
     ]
     for vertex in weave.vertices:
         ups = weave.vertex_upper_segments(vertex.id)
-        downs = weave.vertex_lower_segments(vertex.id)
+        downs = [s for s in weave.segments if s.upper[:2] == ("vertex", vertex.id)]
         if vertex.kind == "trivalent":
             assert len(ups) == 2 and len(downs) == 1
         elif vertex.kind == "hexavalent":
@@ -182,7 +178,6 @@ def test_random_weave_invariants(n, seeds, rng):
         word = _apply_move(word, move)
 
     weave = Weave(n, top, moves)
-    assert validate_weave(weave) == []
     assert weave.bottom == word
     # every move preserves the Demazure product of the slice
     products = {demazure_product(BraidWord(n, s)) for s in weave.slices}
