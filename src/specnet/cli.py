@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import re
@@ -150,7 +151,8 @@ def cmd_wkb_trace(args) -> int:
     curve = SpectralCurve(args.curve)
     net = build_wkb_network(curve, args.theta, args.mass, args.radius,
                             max_rounds=args.max_rounds)
-    wants_svg = args.format == "svg" or (args.out or "").endswith(".svg")
+    wants_svg = args.format == "svg" or (
+        args.format is None and (args.out or "").endswith(".svg"))
     if wants_svg:
         _emit(export_svg(net), args.out)
     else:
@@ -253,7 +255,8 @@ def main(argv=None) -> int:
     p.add_argument("--mass", type=float, default=12.0)
     p.add_argument("--radius", type=float, default=8.0)
     p.add_argument("--max-rounds", type=int, default=12)
-    p.add_argument("--format", choices=("json", "svg"), default="json")
+    p.add_argument("--format", choices=("json", "svg"), default=None,
+                   help="default: svg if --out ends in .svg, else json")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_wkb_trace)
@@ -265,7 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         _apply_config_file(args, sub.choices[args.command], args.config)
-    if args.command == "wkb-trace" and not (args.mass > 0 and args.radius > 0):
+    if args.command == "wkb-trace" and not all(
+            math.isfinite(v) and v > 0 for v in (args.mass, args.radius)):
         raise ValueError("mass cutoff and radius must be positive "
                          "and finite for wkb commands")
     try:

@@ -7,7 +7,9 @@ Z = int (lambda_i - lambda_j) dz.  Integration happens in the flat charge
 coordinate: each step advances Z by a real increment along the e^{i theta}
 ray (so the defining equation holds to machine precision by construction)
 and solves for z with a midpoint corrector on dz/dZ = 1/(lambda_i-lambda_j).
-Sheets are tracked as root values continued by nearest matching; no global
+Sheets are tracked as root values continued by Newton steps from the
+previous sample, recovered by np.roots and nearest matching where Newton
+does not converge or passes too close to another sheet; no global
 branch-cut system is constructed.
 
 Simple branch points emit three walls along directions spaced 2 pi / 3;
@@ -79,6 +81,8 @@ class SpectralCurve:
             ck = sp.Poly(poly.nth(k), z)
             self._coeff_polys.append(
                 np.array([float(c) for c in ck.all_coeffs()], dtype=complex))
+        # Python-complex copies: Horner on scalars, without numpy's per-call cost
+        self._coeff_lists = [c.tolist() for c in self._coeff_polys]
         disc = sp.discriminant(poly.as_expr(), w)
         self._disc = sp.Poly(disc, z)
         if all(c == 0 for c in self._disc.all_coeffs()):
@@ -88,6 +92,16 @@ class SpectralCurve:
         """All n sheet values over z, in numpy's root order."""
         coeffs = np.array([np.polyval(c, z) for c in self._coeff_polys])
         return np.roots(coeffs)
+
+    def coeffs_at(self, z: complex) -> List[complex]:
+        """The w-coefficients of P(z, .) over z, descending, by Horner."""
+        out = []
+        for poly in self._coeff_lists:
+            acc = 0j
+            for c in poly:
+                acc = acc * z + c
+            out.append(acc)
+        return out
 
     def disc_coeffs(self) -> np.ndarray:
         return np.array([complex(c) for c in self._disc.all_coeffs()])
@@ -147,12 +161,60 @@ def branch_points(curve: SpectralCurve) -> List[BranchPoint]:
 
 # ----- sheet tracking -----
 
+NEWTON_STEPS = 8  # per sheet; a sheet not converged by then goes to np.roots
+# Converged when the last step is below NEWTON_TOL (1 + |w|): the error left
+# after a step d is about d^2 |P''/2P'|, below rounding while sheets are apart.
+NEWTON_TOL = 1e-11
+
+
 def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
     """Sheet values over z, in the order of the seed's values.
 
-    Pairing is nearest-root matching with collision detection: the largest
-    seed-to-root move must stay below half the smallest root separation.
+    Each seed value is continued by Newton steps on P(z, .).  The result
+    stands when every sheet converged within NEWTON_STEPS and passes the
+    collision test: the largest seed-to-root move is below half the
+    smallest root separation.  The n roots are then distinct and each is
+    strictly nearest its own seed, so nearest matching would pick the same
+    order.  Otherwise the sheets are recovered by ``_nearest_roots``
+    (np.roots and greedy nearest matching), which raises RootCollision
+    when the same test fails there.
     """
+    z = complex(z)
+    lead, *rest = curve.coeffs_at(z)
+    roots = []
+    worst = 0.0
+    for s in seed.tolist():
+        w = s
+        for _ in range(NEWTON_STEPS):
+            p, dp = lead, 0j
+            for c in rest:
+                dp = dp * w + p
+                p = p * w + c
+            if dp == 0:
+                return _nearest_roots(curve, z, seed)
+            step = p / dp
+            w -= step
+            if abs(step) <= NEWTON_TOL * (1 + abs(w)):
+                break
+        else:
+            return _nearest_roots(curve, z, seed)
+        roots.append(w)
+        worst = max(worst, abs(w - s))
+    if worst < 0.5 * _separation(roots):
+        return np.array(roots)
+    return _nearest_roots(curve, z, seed)
+
+
+def _separation(roots) -> float:
+    """The smallest distance between two of the roots."""
+    n = len(roots)
+    return min((abs(roots[i] - roots[j])
+                for i in range(n) for j in range(i + 1, n)), default=math.inf)
+
+
+def _nearest_roots(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
+    """Sheet values over z from np.roots, in the seed's order by greedy
+    nearest matching, with the collision test of ``sheets_at``."""
     roots = curve.roots_at(z)
     n = len(roots)
     pairs = sorted((abs(seed[i] - roots[j]), i, j)
@@ -166,8 +228,7 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
         assign[i] = j
         used.add(j)
         worst = max(worst, d)
-    sep = min((abs(roots[i] - roots[j])
-               for i in range(n) for j in range(i + 1, n)), default=math.inf)
+    sep = _separation(roots)
     if worst > 0.5 * sep:
         raise RootCollision("root move %.3g vs separation %.3g at z=%s"
                             % (worst, sep, z))

@@ -86,6 +86,36 @@ def test_wkb_trace_svg(tmp_path):
     assert text.count("<polygon") == 1  # one branch point glyph
 
 
+def test_wkb_trace_explicit_format_beats_out_suffix(tmp_path):
+    out = tmp_path / "airy.svg"
+    argv = ["wkb-trace", "--curve", "w^2 - z", "--theta", "0",
+            "--mass", "10", "--radius", "5", "--out", str(out)]
+    assert main(argv + ["--format", "json"]) == 0
+    assert len(json.loads(out.read_text())["walls"]) == 3
+    config = tmp_path / "run.cfg"
+    config.write_text("format = json\n")
+    out.unlink()
+    assert main(argv + ["--config", str(config)]) == 0
+    assert len(json.loads(out.read_text())["walls"]) == 3
+
+
+@pytest.mark.parametrize("key", ["mass", "radius"])
+def test_wkb_trace_rejects_infinite_mass_and_radius(key, tmp_path, monkeypatch):
+    import specnet.wkb
+
+    def never(*args, **kwargs):
+        raise AssertionError("traced a network from a non-finite bound")
+
+    monkeypatch.setattr(specnet.wkb, "build_wkb_network", never)
+    argv = ["wkb-trace", "--curve", "w^2 - z", "--theta", "0"]
+    with pytest.raises(ValueError, match="positive and finite"):
+        main(argv + ["--" + key, "inf"])
+    config = tmp_path / "run.cfg"
+    config.write_text("%s = inf\n" % key)
+    with pytest.raises(ValueError, match="positive and finite"):
+        main(argv + ["--config", str(config)])
+
+
 def test_wkb_trace_json(capsys):
     assert main(["wkb-trace", "--curve", "w^2 - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 0

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from specnet.wkb import (
     CurveError,
+    NonGenericPhase,
+    RootCollision,
     SpectralCurve,
     branch_points,
     build_wkb_network,
@@ -141,3 +144,99 @@ def cubic_net():
     net = build_wkb_network(curve, 0.3, 12.0, 8.0)
     net.curve = curve
     return net
+
+
+# ----- sheets_at against the np.roots reference -----
+
+def _reference_sheets(curve, z, seed):
+    """The np.roots plus greedy nearest matching that ``sheets_at`` ran
+    before Newton continuation, kept as the reference: the matched values,
+    or RootCollision."""
+    values, worst, sep = _reference_match(curve, z, seed)
+    if worst > 0.5 * sep:
+        raise RootCollision("root move %.3g vs separation %.3g at z=%s"
+                            % (worst, sep, z))
+    return values
+
+
+def _reference_match(curve, z, seed):
+    """np.roots at z matched greedily to the seed: (values in the seed's
+    order, worst seed-to-root move, smallest root separation)."""
+    roots = curve.roots_at(z)
+    n = len(roots)
+    pairs = sorted((abs(seed[i] - roots[j]), i, j)
+                   for i in range(n) for j in range(n))
+    assign = {}
+    used = set()
+    worst = 0.0
+    for d, i, j in pairs:
+        if i in assign or j in used:
+            continue
+        assign[i] = j
+        used.add(j)
+        worst = max(worst, d)
+    sep = min((abs(roots[i] - roots[j])
+               for i in range(n) for j in range(i + 1, n)), default=math.inf)
+    return np.array([roots[assign[i]] for i in range(n)]), worst, sep
+
+
+SHEET_CURVES = {text: SpectralCurve(text) for text in
+                ("w^2 - z", "w^3 - 3*w + x", "2*w^4 - 5*w^2 + z*w + 1")}
+
+
+@seed(20261018)
+@settings(max_examples=600, deadline=None)
+@given(text=st.sampled_from(sorted(SHEET_CURVES)),
+       x=st.floats(-3, 3), y=st.floats(-3, 3),
+       log_step=st.floats(-6, 0.5), angle=st.floats(0, 2 * math.pi),
+       order=st.permutations(range(4)))
+def test_sheets_at_matches_nearest_roots_reference(text, x, y, log_step,
+                                                   angle, order):
+    curve = SHEET_CURVES[text]
+    z = complex(x, y)
+    near = z + 10 ** log_step * cmath.exp(1j * angle)
+    seed_vals = curve.roots_at(near)[[k for k in order if k < curve.n]]
+    try:
+        want = _reference_sheets(curve, z, seed_vals)
+    except RootCollision:
+        _, worst, sep = _reference_match(curve, z, seed_vals)
+        if worst > 0.6 * sep:
+            with pytest.raises(RootCollision):
+                sheets_at(curve, z, seed_vals)
+        return
+    got = sheets_at(curve, z, seed_vals)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+def _network_record(net):
+    kinds = sorted((v.id, v.kind) for v in net.vertices.values())
+    walls = sorted((w.id, w.label, w.source, w.target) for w in net.walls.values())
+    samples = [len(w.points) for w in net.traced]
+    masses = [w.mass for w in net.traced]
+    return kinds, walls, samples, masses
+
+
+@pytest.mark.parametrize("text, theta, mass, radius", [
+    ("w^2 - z", 0.0, 10.0, 5.0),
+    ("w^3 - 3*w + x", 0.3, 12.0, 8.0),
+], ids=["airy", "cubic"])
+def test_network_matches_nearest_roots_reference(text, theta, mass, radius,
+                                                 monkeypatch):
+    """Same graph, same step-halving decisions, masses within 1e-9."""
+    import specnet.wkb as wkb
+
+    curve = SpectralCurve(text)
+    kinds, walls, samples, masses = _network_record(
+        build_wkb_network(curve, theta, mass, radius))
+    monkeypatch.setattr(wkb, "sheets_at", _reference_sheets)
+    ref_kinds, ref_walls, ref_samples, ref_masses = _network_record(
+        build_wkb_network(curve, theta, mass, radius))
+    assert kinds == ref_kinds
+    assert walls == ref_walls
+    assert samples == ref_samples
+    assert np.allclose(masses, ref_masses, rtol=1e-9, atol=0)
+
+
+def test_cubic_at_phase_zero_stays_non_generic():
+    with pytest.raises(NonGenericPhase):
+        build_wkb_network(SpectralCurve("w^3 - 3*w + x"), 0.0, 12.0, 8.0)
