@@ -22,21 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .braid import BraidWord, demazure_product
 from .geometry import NonGenericGeometry, Param, Point, PolylineSet, poly_crossings, transpose
-from .network import SpectralNetwork
+from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment
 
 
 class PropagationError(Exception):
     """A rightward flowline ran off the weave without finding its edge."""
-
-
-def _compose(la, lb) -> Optional[Tuple[int, int]]:
-    if la[1] == lb[0] and la[0] != lb[1]:
-        return (la[0], lb[1])
-    if lb[1] == la[0] and lb[0] != la[1]:
-        return (lb[0], la[1])
-    return None
 
 
 @dataclass(frozen=True)
@@ -83,16 +76,16 @@ class ForestBuilder:
         self.weave = bent.weave
         self.scale = scale
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
-        self.weave_lines = PolylineSet((seg.points, seg.letter) for seg in self.obstacles)
-        self._bent_ids = {seg.id for seg in bent.bent_segments}
+        # tagged (letter, segment id), so a crossing names the line and its letter
+        self.weave_lines = PolylineSet((seg.points, (seg.letter, seg.id))
+                                       for seg in self.obstacles)
         self._top_name_by_x = {x: name for name, x in bent.top_positions.items()}
-        beta_names = bent.chord_names[: len(self.weave.top)]
-        self.name_to_letter = dict(zip(beta_names, self.weave.top))
-        # delta chord letters: look up via the bent segment each name tops
-        for seg in bent.bent_segments:
-            self.name_to_letter[self._top_name_by_x[seg.points[0][0]]] = seg.letter
+        # chord name -> letter of the weave line that reaches the top boundary there
+        self.name_to_letter = {self._top_name_by_x[seg.points[0][0]]: seg.letter
+                               for seg in self.obstacles if seg.points[0][1] == 0}
         self.strands: List[Strand] = []
         self.joints: List[dict] = []  # creation events in processing order
+        self.born_at: Dict[int, dict] = {}  # child strand id -> its creation joint
         self.warnings: List[str] = []
 
     # ----- seeds -----
@@ -119,13 +112,12 @@ class ForestBuilder:
     def propagate_seed(self, seed: FlowlineSeed, rnd: int) -> Strand:
         vertex = self.weave.vertices[seed.vertex_id]
         strand = self._new_strand(("branch", seed.vertex_id, seed.branch), seed.label, rnd)
+        strand.polyline = [vertex.point]
         if seed.branch == "c":
-            strand.polyline = [vertex.point]
-            self._march_right(strand, vertex.point[0], vertex.point[1])
+            self._march_right(strand, vertex.point, seed.label)
         else:
             edge = self.weave.segments[seed.edge]
-            strand.polyline = [vertex.point]
-            self._hug(strand, edge, vertex.point)
+            self._hug(strand, edge, len(edge.points) - 2)
         self._finalize(strand)
         return strand
 
@@ -137,48 +129,30 @@ class ForestBuilder:
         strand.polyline = [point, lift]
         # the lift itself may hop over weave lines squeezed near the joint;
         # fold those conjugations into the label the march starts with
-        for _, letter, _, _, _ in self.weave_lines.crossings([point, lift]):
+        for _, (letter, _), _, _, _ in self.weave_lines.crossings([point, lift]):
             label = tuple(transpose(s, letter) for s in label)
-        self._march_right(strand, lift[0], lift[1], label=label)
+        self._march_right(strand, lift, label)
         self._finalize(strand)
         return strand
 
-    def _ray_events(self, x0: Fraction, y0: Fraction):
-        """Crossings of the rightward ray from (x0, y0) with weave lines."""
-        events = []
-        for seg in self.obstacles:
-            for p0, p1 in zip(seg.points, seg.points[1:]):
-                if p0[1] == p1[1]:
-                    if p0[1] == y0 and max(p0[0], p1[0]) > x0:
-                        raise NonGenericGeometry("ray collinear with weave line")
-                    continue
-                lo, hi = sorted((p0[1], p1[1]))
-                if lo < y0 < hi:
-                    t = (y0 - p0[1]) / (p1[1] - p0[1])
-                    x = p0[0] + t * (p1[0] - p0[0])
-                    if x > x0:
-                        events.append((x, seg))
-                elif y0 in (p0[1], p1[1]):
-                    endpoint = p0 if p0[1] == y0 else p1
-                    if endpoint[0] > x0:
-                        raise NonGenericGeometry("weave-line corner on ray at %r" % (endpoint,))
-        events.sort(key=lambda e: e[0])
-        for (xa, _), (xb, _) in zip(events, events[1:]):
-            if xa == xb:
-                raise NonGenericGeometry("two weave lines cross the ray at one point")
-        return events
-
-    def _march_right(self, strand: Strand, x0, y0, label=None):
-        label = strand.start_label if label is None else label
+    def _march_right(self, strand: Strand, start: Point, label):
+        """Run right from ``start`` to the first weave line carrying the
+        label's sheet pair, conjugating the label by each line crossed on
+        the way, then climb that line."""
+        x0, y0 = start
+        corner = next(((x, y) for seg in self.obstacles for x, y in seg.points
+                       if y == y0 and x > x0), None)
+        if corner is not None:
+            raise NonGenericGeometry("weave-line corner on ray at %r" % (corner,))
         prev_x = x0
-        for x, seg in self._ray_events(x0, y0):
-            k = seg.letter
+        ray = [start, (self.bent.marked_x, y0)]  # every weave line lies left of marked_x
+        for _, (k, seg_id), (index, _), (x, _), _ in self.weave_lines.crossings(ray):
             if {label[0], label[1]} == {k, k + 1}:
                 turn_x = x - strand.delta
                 if turn_x <= prev_x:
                     raise NonGenericGeometry("offset too large for gap before turn")
                 strand.polyline.append((turn_x, y0))
-                self._hug(strand, seg, (x, y0))
+                self._hug(strand, self.obstacles[seg_id], index)
                 return
             label = tuple(transpose(s, k) for s in label)
             prev_x = x
@@ -186,54 +160,27 @@ class ForestBuilder:
             "rightward flowline from %r with label %r found no matching edge"
             % (strand.origin, strand.start_label))
 
-    def _hug(self, strand: Strand, seg: Segment, entry: Point):
-        """Climb ``seg`` and its upward continuation, offset left by delta."""
-        delta = strand.delta
-        current, first = seg, True
+    def _hug(self, strand: Strand, seg: Segment, index: int):
+        """Climb ``seg`` from the top of its sub-segment ``index``, then the
+        segments above it up to a chord, offset left by delta."""
         while True:
-            points = current.points  # upper end first
-            if first:
-                idx = self._sub_segment_of(points, entry)
-                climb = points[idx::-1][::-1]  # points[0..idx], top-down
-                first = False
-            else:
-                climb = points[:-1]  # all but the shared lower end
-            for pt in reversed(climb):
-                strand.polyline.append((pt[0] - delta, pt[1]))
-            if current.id in self._bent_ids:
-                strand.chord = self._top_name_by_x[points[0][0]]
+            strand.polyline += [(x - strand.delta, y) for x, y in seg.points[index::-1]]
+            above = self.weave.continue_up(seg)
+            if above is None:
+                strand.chord = self._top_name_by_x[seg.points[0][0]]
                 return
-            nxt = self.weave.continue_up(current)
-            if nxt is None:
-                _, _, q = current.upper
-                strand.chord = self.bent.chord_names[q - 1]
-                return
-            current = nxt
-
-    @staticmethod
-    def _sub_segment_of(points, entry: Point) -> int:
-        for i in range(len(points) - 1):
-            (x0, y0), (x1, y1) = points[i], points[i + 1]
-            cross = (x1 - x0) * (entry[1] - y0) - (y1 - y0) * (entry[0] - x0)
-            if cross == 0 and min(x0, x1) <= entry[0] <= max(x0, x1) \
-                    and min(y0, y1) <= entry[1] <= max(y0, y1):
-                return i
-        raise NonGenericGeometry("entry point %r not on segment" % (entry,))
+            seg, index = above, len(above.points) - 2
 
     def _finalize(self, strand: Strand):
         """Record all weave-line crossings and verify label bookkeeping."""
-        strand.crossings = [(param, letter, pt, side) for param, letter, _, pt, side
+        strand.crossings = [(param, letter, pt, side) for param, (letter, _), _, pt, side
                             in self.weave_lines.crossings(strand.polyline)]
-        if strand.chord is None:
-            raise PropagationError("strand %d has no terminal chord" % strand.id)
         final = strand.final_label()
         m = self.name_to_letter[strand.chord]
         if {final[0], final[1]} != {m, m + 1}:
             raise NonGenericGeometry(
                 "strand %d label %r inconsistent with chord %s (letter %d)"
                 % (strand.id, final, strand.chord, m))
-        if strand.polyline[-1][1] != 0:
-            raise AssertionError("strand %d does not reach the top boundary" % strand.id)
 
     # ----- rounds -----
     def build(self):
@@ -253,7 +200,7 @@ class ForestBuilder:
             for sn in new[done:]:
                 for other in old + new[:done]:
                     for pn, po, pt in poly_crossings(sn.polyline, other.polyline):
-                        child_label = _compose(sn.label_at(pn), other.label_at(po))
+                        child_label = compose_labels([sn.label_at(pn), other.label_at(po)])
                         if child_label is not None:
                             events.append((pt[0], pt[1], sn.id, other.id, pn, po,
                                            child_label, other.round == rnd))
@@ -269,67 +216,41 @@ class ForestBuilder:
                     % (rnd, a_id, b_id, x, y))
             parent_a, parent_b = self.strands[a_id], self.strands[b_id]
             child = self.propagate_joint(parent_a, parent_b, child_label, (x, y), rnd)
-            self.joints.append({
+            joint = {
                 "parents": (min(a_id, b_id), max(a_id, b_id)),
                 "params": {a_id: pa, b_id: pb},
                 "point": (x, y),
                 "child": child.id,
-            })
+            }
+            self.joints.append(joint)
+            self.born_at[child.id] = joint
             new.append(child)
         raise RuntimeError("round %d exceeded 100 creation steps (gapped guard)" % rnd)
 
     # ----- assembly into a SpectralNetwork -----
     def to_network(self) -> SpectralNetwork:
         net = SpectralNetwork()
-        branch_vertex: Dict[int, int] = {}
-        for vertex in self.scan_vertices():
-            branch_vertex[vertex.id] = net.add_vertex("initial", vertex.point).id
-        joint_vertex: Dict[int, int] = {}  # child strand id -> vertex id
-        for joint in self.joints:
-            joint_vertex[joint["child"]] = net.add_vertex(
-                "interaction_creation", joint["point"]).id
-        # split points per strand: joints where the strand is a parent
-        cuts: Dict[int, List[tuple]] = {s.id: [] for s in self.strands}
-        for joint in self.joints:
-            vid = joint_vertex[joint["child"]]
-            for pid in joint["parents"]:
-                cuts[pid].append((joint["params"][pid], vid, joint["point"]))
-        for strand in self.strands:
-            if strand.origin[0] == "branch":
-                source = branch_vertex[strand.origin[1]]
-            else:
-                source = joint_vertex[strand.id]
-            pieces = self._split(strand, sorted(cuts[strand.id]))
-            for (route, start_param, target_vid) in pieces:
-                target = target_vid if target_vid is not None else "end:" + strand.chord
-                label = strand.label_at(start_param) if start_param else strand.start_label
-                net.add_wall(label, source, target, route, strand.round, strand.round)
-                if isinstance(target, int):
-                    source = target
+        initial = {v.id: net.add_vertex("initial", v.point).id for v in self.scan_vertices()}
+
+        def describe(sid, start, _stop):
+            strand = self.strands[sid]
+            label = strand.label_at(start) if start else strand.start_label
+            return label, strand.round, strand.round
+
+        net.add_cut_walls(
+            [(s.id, initial[s.origin[1]] if s.origin[0] == "branch" else None,
+              s.polyline, s.chord) for s in self.strands],
+            [(j["point"], j["child"], j["params"]) for j in self.joints],
+            describe)
         return net
-
-    def _split(self, strand: Strand, cut_list):
-        """Cut a strand polyline at its parent-joints.
-
-        Yields (route, start_param, target_vertex) per piece; the first
-        piece's start_param and the last piece's target are None.
-        """
-        poly = strand.polyline
-        pieces = []
-        start_param: Optional[Param] = None
-        start_pt = poly[0]
-        start_idx = 0
-        for param, vid, pt in cut_list:
-            i, _ = param
-            route = [start_pt] + poly[start_idx + 1: i + 1] + [pt]
-            pieces.append((route, start_param, vid))
-            start_param, start_pt, start_idx = param, pt, i
-        route = [start_pt] + poly[start_idx + 1:]
-        pieces.append((route, start_param, None))
-        return pieces
 
 
 def build_forest_strands(bent: BentWeave) -> ForestBuilder:
+    """Grow the forest, retrying with smaller offsets on a non-generic
+    coincidence.  The weave's bottom must be a reduced word."""
+    bottom = BraidWord(bent.strand_count, bent.weave.bottom)
+    if demazure_product(bottom).length() != len(bottom):
+        raise ValueError("weave bottom %s is not a reduced word" % bottom)
     scale = Fraction(1, 64)
     last_err = None
     for _ in range(4):

@@ -72,7 +72,7 @@ def classify_vertex(stubs: Sequence[Tuple[Tuple[int, int], str]]) -> str:
     outs = sorted(label for label, role in stubs if role == "out")
     if not ins and len(outs) == 3 and len({frozenset(l) for l in outs}) == 1:
         return "initial"
-    composed = _compose_labels(ins)
+    composed = compose_labels(ins)
     if len(ins) == 2:
         if composed is not None and outs == sorted(ins + [composed]):
             return "interaction_creation"
@@ -85,7 +85,7 @@ def classify_vertex(stubs: Sequence[Tuple[Tuple[int, int], str]]) -> str:
     raise ValueError("no local model matches stubs %r" % (stubs,))
 
 
-def _compose_labels(labels) -> Optional[Tuple[int, int]]:
+def compose_labels(labels) -> Optional[Tuple[int, int]]:
     """The (i,k) produced by a pair (i,j),(j,k) among ``labels``, if any."""
     if len(labels) < 2:
         return None
@@ -124,6 +124,33 @@ class SpectralNetwork:
         if isinstance(target, int):
             self.vertices[target].incoming.append(wall.id)
         return wall
+
+    def add_cut_walls(self, paths, joints, describe):
+        """Add wall paths cut at their creation joints.
+
+        ``paths`` lists (path id, initial vertex id or None for a path born
+        at a joint, points, open end name); ``joints`` lists (point, child
+        path id, {parent path id: (segment index, t)}).  Each joint becomes
+        a creation vertex, and each path is cut at the joints it parents
+        into walls chained through them.  ``describe(path id, start, stop)``
+        gives the (label, mass, stage) of the piece between two cuts (None
+        at the path's own ends)."""
+        born: Dict[int, int] = {}
+        cuts: Dict[int, List[tuple]] = {path[0]: [] for path in paths}
+        for point, child, params in joints:
+            born[child] = self.add_vertex("interaction_creation", point).id
+            for pid, param in params.items():
+                cuts[pid].append((param, born[child], point))
+        for pid, source, points, end in paths:
+            source = born[pid] if source is None else source
+            start, first = None, points[0]
+            ends = sorted(cuts[pid]) + [(None, OPEN_END_PREFIX + end, None)]
+            for stop, target, point in ends:
+                lo = start[0] + 1 if start else 1
+                route = [first] + (points[lo: stop[0] + 1] + [point] if stop else points[lo:])
+                label, mass, stage = describe(pid, start, stop)
+                self.add_wall(label, source, target, route, mass, stage)
+                source, start, first = target, stop, point
 
     def inconsistent_vertices(self) -> List[int]:
         return [v.id for v in self.vertices.values() if v.kind == "inconsistent"]

@@ -63,7 +63,6 @@ class Transport:
             "t_%d" % i for i in range(1, n + 1))
         self.walls = PolylineSet((s.polyline, s.id) for s in builder.strands)
         self._wall_sign_cache: Dict[int, int] = {}
-        self._twist_cache: Dict[int, List[tuple]] = {}
 
     # ----- ring helpers -----
     def identity(self) -> List[List[LaurentPoly]]:
@@ -103,18 +102,18 @@ class Transport:
         the capped-lift holonomy times the twisting signs.
         """
         events = self.builder.weave_lines.crossings(poly)
-        path = LiftedPiece(poly, 1, [(p, letter) for p, letter, _, _, _ in events], 1)
+        path = LiftedPiece(poly, 1, [(p, letter) for p, (letter, _), _, _, _ in events], 1)
         zero = LaurentPoly.zero(self.gens)
         out = [[zero for _ in range(self.n)] for _ in range(self.n)]
         for start in range(1, self.n + 1):
             sheet = start
             sign = 1
-            for _, letter, _, _, side in events:
+            for _, (letter, _), _, _, side in events:
                 sign *= _perm_sign(letter, sheet, side)
                 sheet = transpose(sheet, letter)
             chain = [path.relift(start, 1),
-                     self.engine._cap(tuple(poly[0]), start, -1),
-                     self.engine._cap(tuple(poly[-1]), sheet, 1)]
+                     self.engine.cap(tuple(poly[0]), start, -1),
+                     self.engine.cap(tuple(poly[-1]), sheet, 1)]
             out[sheet - 1][start - 1] = self._chain_monomial(chain, sign)
         return out
 
@@ -132,7 +131,7 @@ class Transport:
             if strand.origin[0] == "branch":
                 value = 1
             else:
-                joint = self.catalog._joints_by_child[sid]
+                joint = self.builder.born_at[sid]
                 hand = 1 if self.catalog.joint_twist(joint) else -1
                 value = hand
                 for pid in joint["parents"]:
@@ -142,29 +141,17 @@ class Transport:
         return self._wall_sign_cache[sid]
 
     def _twist_at(self, sid: int, param: Param) -> int:
-        twist = 1
-        for p, s in self._twist_prefix(sid):
+        """Twisting sign the wall acquires at its own weave-line crossings
+        before ``param``: each crossing twists both label sheets by the same
+        rule a path crossing does."""
+        strand = self.builder.strands[sid]
+        label, twist = strand.start_label, 1
+        for p, letter, _, side in strand.crossings:
             if p >= param:
                 break
-            twist = s
+            twist *= _perm_sign(letter, label[0], side) * _perm_sign(letter, label[1], side)
+            label = tuple(transpose(s, letter) for s in label)
         return twist
-
-    def _twist_prefix(self, sid: int) -> List[tuple]:
-        """Cumulative twisting sign the wall acquires at its own weave-line
-        crossings: each crossing twists both label sheets by the same rule a
-        path crossing does.  Returns [(param, sign after the crossing)]."""
-        if sid not in self._twist_cache:
-            strand = self.builder.strands[sid]
-            label = strand.start_label
-            sign = 1
-            prefix = []
-            for param, letter, _, side in strand.crossings:
-                sign *= _perm_sign(letter, label[0], side)
-                sign *= _perm_sign(letter, label[1], side)
-                label = tuple(transpose(s, letter) for s in label)
-                prefix.append((param, sign))
-            self._twist_cache[sid] = prefix
-        return self._twist_cache[sid]
 
     def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` based at ``param``."""
@@ -400,7 +387,7 @@ class LocalSystemRank1:
         """Random consistent system: pick a unit per pairing test curve and
         evaluate each generator through its class vector, so relations among
         the classes hold for the values automatically."""
-        matrix = transport.engine._matrix
+        matrix = transport.engine.matrix
         units = []
         for _row in matrix:
             num = rng.randint(1, 5) * rng.choice([1, -1])

@@ -61,7 +61,7 @@ class LiftedPiece:
 
     @classmethod
     def over_obstacles(cls, polyline, start_sheet, weave_lines: PolylineSet):
-        events = [(param, letter) for param, letter, _, _, _
+        events = [(param, letter) for param, (letter, _), _, _, _
                   in weave_lines.crossings(polyline)]
         return cls(polyline, start_sheet, events, 1)
 
@@ -173,7 +173,6 @@ class D4Tree:
 
 
 def tree_of_strand(builder: ForestBuilder, strand_id: int) -> D4Tree:
-    joints_by_child = {j["child"]: j for j in builder.joints}
     pieces: List[tuple] = []
     used_joints: List[dict] = []
 
@@ -181,7 +180,7 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> D4Tree:
         pieces.append((sid, end_param))
         strand = builder.strands[sid]
         if strand.origin[0] == "joint":
-            joint = joints_by_child[sid]
+            joint = builder.born_at[sid]
             used_joints.append(joint)
             for pid in joint["parents"]:
                 collect(pid, joint["params"][pid])
@@ -228,8 +227,8 @@ class HomologyEngine:
                               + [self.arc_chain(i) for i in range(1, n + 1)])
         self.n_cycles = len(self.basis_strands)
         columns = [self._pairing_vector(chain) for chain in self._basis_chains]
-        self._matrix = [list(row) for row in zip(*columns)]
-        self._factored = FactoredMatrix(self._matrix)
+        self.matrix = [list(row) for row in zip(*columns)]
+        self._factored = FactoredMatrix(self.matrix)
         # the cycle columns must be independent (arc columns may overlap)
         rank = sum(c < self.n_cycles for c in self._factored.pivots)
         if rank != self.n_cycles:
@@ -248,7 +247,7 @@ class HomologyEngine:
                             self.obstacles, n)
 
     # ----- chains -----
-    def _cap(self, start: Point, start_sheet: int, orientation: int) -> LiftedPiece:
+    def cap(self, start: Point, start_sheet: int, orientation: int) -> LiftedPiece:
         """A path from ``start`` to the marked point.  It depends on
         ``start`` alone, so caps at the few most recent starts share their
         weave-line events and test-curve pairings (a path transport caps
@@ -300,8 +299,8 @@ class HomologyEngine:
         else:
             end = interp(root.polyline, root_param)
             final = root.label_at(root_param)
-        pieces.append(self._cap(end, final[0], 1))
-        pieces.append(self._cap(end, final[1], -1))
+        pieces.append(self.cap(end, final[0], 1))
+        pieces.append(self.cap(end, final[1], -1))
         self._check_boundary(pieces)
         return pieces
 
@@ -393,9 +392,7 @@ class SolitonCatalog:
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
         self.engine = HomologyEngine(builder)
-        self._joints_by_child = {j["child"]: j for j in builder.joints}
-        self._sign: Dict[int, int] = {}
-        self._h: Dict[int, int] = {}
+        self._sign_parity: Dict[int, Tuple[int, int]] = {}
         self._full_class: Dict[int, tuple] = {}
 
     # ----- per-strand data -----
@@ -426,34 +423,24 @@ class SolitonCatalog:
         raise AssertionError("parent labels %r, %r do not compose to %r"
                              % (lab1, lab2, child.start_label))
 
-    def sign(self, sid: int) -> int:
-        """Seed-sign product of the strand's tree (twists tracked separately)."""
-        if sid not in self._sign:
-            self._compute(sid)
-        return self._sign[sid]
-
-    def h_parity(self, sid: int) -> int:
-        if sid not in self._h:
-            self._compute(sid)
-        return self._h[sid]
-
-    def _compute(self, sid: int):
-        strand = self.builder.strands[sid]
-        if strand.origin[0] == "branch":
-            cyc, _arc = self.full_class(sid)
-            self._sign[sid] = -1 if quadratic_refinement(cyc) % 2 else 1
-            self._h[sid] = 0
-        else:
-            joint = self._joints_by_child[sid]
-            p1, p2 = joint["parents"]
-            self._sign[sid] = self.sign(p1) * self.sign(p2)
-            self._h[sid] = (self.h_parity(p1) + self.h_parity(p2)
-                            + self.joint_twist(joint)) % 2
+    def sign_parity(self, sid: int) -> Tuple[int, int]:
+        """The seed-sign product of the strand's tree and the parity of the
+        twists at its joints."""
+        if sid not in self._sign_parity:
+            joint = self.builder.born_at.get(sid)
+            if joint is None:
+                cyc, _arc = self.full_class(sid)
+                value = (-1 if quadratic_refinement(cyc) % 2 else 1, 0)
+            else:
+                (s1, h1), (s2, h2) = map(self.sign_parity, joint["parents"])
+                value = (s1 * s2, (h1 + h2 + self.joint_twist(joint)) % 2)
+            self._sign_parity[sid] = value
+        return self._sign_parity[sid]
 
     def soliton(self, sid: int) -> SolitonClass:
         """The wall's soliton class, based at its chord end."""
         cyc, _arc = self.full_class(sid)
-        return SolitonClass(cyc, self.sign(sid), self.h_parity(sid))
+        return SolitonClass(cyc, *self.sign_parity(sid))
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
         """Signed class of the boundary arc through marked point i."""
@@ -478,10 +465,9 @@ class SolitonCatalog:
             if strand.origin[0] == "branch":
                 cyc, _ = self.engine.class_of_chain(
                     self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
-                seed_sign = self.sign(sid)
-                table[sid] = {SolitonClass(cyc, seed_sign, 0): 1}
+                table[sid] = {SolitonClass(cyc, self.sign_parity(sid)[0], 0): 1}
             else:
-                joint = self._joints_by_child[sid]
+                joint = self.builder.born_at[sid]
                 g = self.joint_twist(joint)
                 pij, pjk = self.ordered_parents(joint)
                 entries: Dict[SolitonClass, int] = {}
@@ -496,7 +482,7 @@ class SolitonCatalog:
         """The wall's index entries rebased at ``param``."""
         cyc, _ = self.engine.class_of_chain(
             self.engine.tree_chain(sid, root_param=param))
-        return {SolitonClass(cyc, self.sign(sid), self.h_parity(sid)): 1}
+        return {SolitonClass(cyc, *self.sign_parity(sid)): 1}
 
     def bps_table_bruteforce(self) -> Dict[int, Dict[SolitonClass, int]]:
         """Oracle: enumerate every flowtree per wall and sum signed classes.

@@ -20,6 +20,7 @@ the cutoff.
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
 from dataclasses import dataclass
@@ -54,15 +55,34 @@ class GappedGuardError(RuntimeError):
 
 # ----- curve -----
 
+# the curve grammar: + - * / ^ **, unary signs, int and float constants, names
+_CURVE_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
+                ast.Div, ast.Pow, ast.UAdd, ast.USub, ast.Constant, ast.Name, ast.Load)
+
+
+def _parse_curve(text: str):
+    """The curve text as a sympy expression; the text is checked against the
+    curve grammar first, since sympify evaluates it as Python."""
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as err:
+        raise CurveError("cannot parse curve %r: %s" % (text, err))
+    for node in ast.walk(tree):
+        if not isinstance(node, _CURVE_NODES) or (
+                isinstance(node, ast.Constant) and type(node.value) not in (int, float)):
+            raise CurveError("curve %r may use only + - * / ^ **, numbers and names"
+                             % text)
+    names = {node.id: sp.Symbol(node.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    return sp.sympify(text, locals=names, rational=True)
+
+
 class SpectralCurve:
     """A bivariate polynomial P(z, w), monic of degree >= 2 in w."""
 
     def __init__(self, text: str):
         w = sp.Symbol("w")
-        try:
-            expr = sp.sympify(text, rational=True)
-        except sp.SympifyError as err:
-            raise CurveError("cannot parse curve %r: %s" % (text, err))
+        expr = _parse_curve(text)
         base_syms = sorted(expr.free_symbols - {w}, key=lambda s: s.name)
         if len(base_syms) > 1:
             raise CurveError("curve must involve w and one base variable, "
@@ -506,10 +526,17 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
 
 def _shared_origin_artifact(wall: TracedWall, other: TracedWall,
                             ia: int, ib: int, z: complex) -> bool:
-    """Crossings within a few steps of a common origin are seeding artifacts."""
+    """Crossings within a few steps of a common origin, or of a joint-born
+    wall's birth on one of its own parents, are seeding artifacts."""
     near_a = ia < 3 and abs(z - wall.points[0]) < 1e-3
     near_b = ib < 3 and abs(z - other.points[0]) < 1e-3
-    return (near_a or near_b) and wall.origin == other.origin
+    if wall.origin == other.origin:
+        return near_a or near_b
+    return (near_a and _is_parent(other, wall)) or (near_b and _is_parent(wall, other))
+
+
+def _is_parent(parent: TracedWall, child: TracedWall) -> bool:
+    return child.origin[0] == "joint" and parent.id in child.origin[1]
 
 
 def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
@@ -553,41 +580,19 @@ def _export(walls: List[TracedWall], joints: List[Joint],
     net = SpectralNetwork(cutoff=mass_cutoff)
     bp_vertex: Dict[complex, int] = {}
     for wall in walls:
-        if wall.origin[0] == "bp" and wall.origin[1] not in bp_vertex:
-            b = wall.origin[1]
+        b = wall.origin[1]
+        if wall.origin[0] == "bp" and b not in bp_vertex:
             bp_vertex[b] = net.add_vertex("initial", (b.real, b.imag)).id
-    joint_vertex: Dict[int, int] = {}  # child wall id -> vertex id
-    for joint in joints:
-        joint_vertex[joint.child] = net.add_vertex(
-            "interaction_creation", (joint.z.real, joint.z.imag)).id
-    cuts: Dict[int, List[tuple]] = {w.id: [] for w in walls}
-    for joint in joints:
-        for wid, cut in joint.parent_cuts.items():
-            cuts[wid].append((cut, joint_vertex[joint.child], joint.z))
-    for wall in walls:
-        if wall.origin[0] == "bp":
-            source = bp_vertex[wall.origin[1]]
-        else:
-            source = joint_vertex[wall.id]
-        start_idx = 0
-        start_pt = wall.points[0]
-        segments = sorted(cuts[wall.id])
-        pieces = []
-        for (cut, vid, zj) in segments:
-            seg_index, _frac = cut
-            route = [start_pt] + wall.points[start_idx + 1: seg_index + 1] + [zj]
-            pieces.append((route, start_idx, vid))
-            start_idx, start_pt = seg_index, zj
-        pieces.append(([start_pt] + wall.points[start_idx + 1:], start_idx, None))
-        for route, base_idx, target_vid in pieces:
-            label = _sorted_label(wall.vals[base_idx], wall.seed.pair)
-            target = target_vid if target_vid is not None \
-                else "end:" + wall.asymptote
-            mass = abs(wall.charges[min(base_idx + len(route) - 1,
-                                        len(wall.charges) - 1)])
-            net.add_wall(label, source, target,
-                         [(p.real, p.imag) for p in route],
-                         mass, 0 if wall.origin[0] == "bp" else 1)
-            if isinstance(target, int):
-                source = target
+
+    def describe(wid, start, stop):
+        wall = walls[wid]
+        label = _sorted_label(wall.vals[start[0] if start else 0], wall.seed.pair)
+        mass = abs(wall.charges[stop[0] + 1 if stop else -1])
+        return label, mass, 0 if wall.origin[0] == "bp" else 1
+
+    net.add_cut_walls(
+        [(w.id, bp_vertex[w.origin[1]] if w.origin[0] == "bp" else None,
+          [(p.real, p.imag) for p in w.points], w.asymptote) for w in walls],
+        [((j.z.real, j.z.imag), j.child, j.parent_cuts) for j in joints],
+        describe)
     return net

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -195,6 +196,26 @@ def test_invalid_curve_exits_nonzero(capsys):
     assert main(["wkb-trace", "--curve", "w - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_wkb_trace_curve_text_is_not_executed(tmp_path, capsys):
+    """Neither --curve nor the config key runs the text as Python."""
+    target = tmp_path / "x"
+    payload = "w^2 - z + 0*len(open(%r,'w').write('x') and 'a')" % str(target)
+    config = tmp_path / "run.cfg"
+    config.write_text("curve = %s\n" % payload)
+    for argv in (["--curve", payload], ["--curve", "w^2 - z", "--config", str(config)]):
+        assert main(["wkb-trace", "--theta", "0", "--mass", "10", "--radius", "5"]
+                    + argv) == 2
+        assert "error" in capsys.readouterr().err
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("sub", ["augmentation", "bps"])
+def test_non_reduced_bottom_exits_nonzero(sub, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=2\ntop: 1 1 1\nmoves: t1\n"))
+    assert main([sub, "-"]) == 2
+    assert "n=2; 1 1 is not a reduced word" in capsys.readouterr().err
 
 
 def test_missing_input_exits_nonzero(capsys):

@@ -98,6 +98,13 @@ def test_build_forest_is_deterministic():
     assert network_to_json(a) == network_to_json(b)
 
 
+def test_non_reduced_bottom_is_rejected():
+    """The forest is grown only when the weave's bottom is a reduced word."""
+    bent = bend_weave(parse_weave("n=2\ntop: 1 1 1\nmoves: t1\n"))
+    with pytest.raises(ValueError, match="n=2; 1 1 is not a reduced word"):
+        build_forest_strands(bent)
+
+
 def test_conjugate():
     """A sheet-pair label conjugates sheet by sheet."""
     def conjugate(label, k):

@@ -64,7 +64,7 @@ def test_engine_matrix_full_rank(catalogs):
     for catalog in catalogs.values():
         engine = catalog.engine
         cols = len(engine.gen_names) + engine.weave.strand_count
-        assert all(len(row) == cols for row in engine._matrix)
+        assert all(len(row) == cols for row in engine.matrix)
 
 
 def test_class_additivity_at_joints(catalogs):
@@ -190,7 +190,7 @@ def test_engine_matches_per_test_reference(catalogs):
         tests = _reference_tests(engine)
         columns = [_reference_vector(chain, tests) for chain in engine._basis_chains]
         matrix = [list(row) for row in zip(*columns)]
-        assert matrix == engine._matrix, name
+        assert matrix == engine.matrix, name
         chains = [engine.tree_chain(s.id) for s in builder.strands]
         chains += [engine.tree_chain(pid, root_param=joint["params"][pid])
                    for joint in builder.joints for pid in joint["parents"]]
@@ -218,7 +218,7 @@ def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
 def test_pairing_outside_basis_span_is_rejected(catalogs):
     """A pairing vector no chain of basis classes has: no solution."""
     engine = catalogs["mutation_a"].engine
-    rhs = [0] * len(engine._matrix)
+    rhs = [0] * len(engine.matrix)
     rhs[0] = 1
-    assert solve_rational(engine._matrix, rhs) is None
+    assert solve_rational(engine.matrix, rhs) is None
     assert engine._factored.solve(rhs) is None

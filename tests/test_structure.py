@@ -33,3 +33,32 @@ def test_every_import_is_used():
                     if name not in used:
                         offenders.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not offenders, offenders
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_attributes_only_through_self():
+    """An underscore attribute that specnet defines is read only through
+    bare ``self`` or ``cls``, never through another object or module."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    offenders = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and _private(node.attr) and node.attr in defined
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                offenders.append("%s:%d reads %s" % (name, node.lineno, ast.unparse(node)))
+    assert not offenders, offenders

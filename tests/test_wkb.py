@@ -36,6 +36,19 @@ def test_curve_rejects_bad_input():
         SpectralCurve("q^3 - z")  # missing fiber variable
 
 
+def test_curve_text_is_not_executed(tmp_path):
+    """The curve text is checked against the curve grammar before sympy
+    evaluates it: a payload, a call or an attribute raises CurveError."""
+    target = tmp_path / "x"
+    payload = "w^2 - z + 0*len(open(%r,'w').write('x') and 'a')" % str(target)
+    for text in (payload, "w^2 - sin(z)", "w^2 - z.conjugate()", "w^2 - z.real",
+                 "w^2 - 'z'", "w^2 - 1j*z"):
+        with pytest.raises(CurveError):
+            SpectralCurve(text)
+    assert not target.exists()
+    assert SpectralCurve("-(-w**2) + 0.5*z/3 - +1").n == 2
+
+
 def test_roots_at():
     curve = SpectralCurve("w^2 - z")
     roots = sorted(curve.roots_at(4.0), key=lambda r: r.real)
@@ -136,6 +149,30 @@ def test_wkb_charge_additivity(cubic_net):
             vi, vj, _ = wall.pair_values_at(seg, frac, cubic_net.curve)
             d_parents += vi - vj
         assert abs(d_child - d_parents) <= 1e-6 * (1 + abs(d_child))
+
+
+def test_child_birth_on_its_parents_is_not_classified(monkeypatch):
+    """A joint-born wall starts on both its parents.  That crossing, at the
+    child's first segment, is a seeding artifact: it never reaches the
+    joint classifier, whether or not rounding finds it."""
+    import specnet.wkb as wkb
+
+    seen = []
+    classify = wkb._classify_crossing
+
+    def record(curve, wall, other, ia, ta, ib, tb, z):
+        seen.append((wall, other, ia, ib))
+        return classify(curve, wall, other, ia, ta, ib, tb, z)
+
+    def parent_of(parent, child):
+        return child.origin[0] == "joint" and parent.id in child.origin[1]
+
+    monkeypatch.setattr(wkb, "_classify_crossing", record)
+    net = build_wkb_network(SpectralCurve("w^3 - 3*w + x"), 0.3, 12.0, 8.0)
+    assert seen and net.joints_info
+    births = [(a.id, b.id) for a, b, ia, ib in seen
+              if (parent_of(b, a) and ia == 0) or (parent_of(a, b) and ib == 0)]
+    assert births == []
 
 
 @pytest.fixture(scope="module")
