@@ -86,7 +86,6 @@ class ForestBuilder:
         self.strands: List[Strand] = []
         self.joints: List[dict] = []  # creation events in processing order
         self.born_at: Dict[int, dict] = {}  # child strand id -> its creation joint
-        self.warnings: List[str] = []
 
     # ----- seeds -----
     def scan_vertices(self):
@@ -202,18 +201,13 @@ class ForestBuilder:
                     for pn, po, pt in poly_crossings(sn.polyline, other.polyline):
                         child_label = compose_labels([sn.label_at(pn), other.label_at(po)])
                         if child_label is not None:
-                            events.append((pt[0], pt[1], sn.id, other.id, pn, po,
-                                           child_label, other.round == rnd))
+                            events.append((pt[0], pt[1], sn.id, other.id, pn, po, child_label))
                 done += 1
             if not events:
                 return
             event = min(events, key=lambda e: e[:4])
             events.remove(event)
-            x, y, a_id, b_id, pa, pb, child_label, both_new = event
-            if both_new:
-                self.warnings.append(
-                    "round %d: creation from two same-round walls %d x %d at (%s, %s)"
-                    % (rnd, a_id, b_id, x, y))
+            x, y, a_id, b_id, pa, pb, child_label = event
             parent_a, parent_b = self.strands[a_id], self.strands[b_id]
             child = self.propagate_joint(parent_a, parent_b, child_label, (x, y), rnd)
             joint = {

@@ -1,4 +1,4 @@
-"""Sparse multivariate Laurent polynomials with exact integer coefficients.
+"""Exact sparse multivariate Laurent polynomials, their text reader and elimination.
 
 Monomials are exponent vectors over a fixed ordered list of generator names
 (e.g. ``s_1, ..., s_l``).  The canonical term order used for printing and
@@ -8,8 +8,9 @@ byte-stable.
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
@@ -23,7 +24,8 @@ def _degrevlex_key(mon: Monomial):
 
 
 class LaurentPoly:
-    """A Laurent polynomial in ``gens`` with ``int`` coefficients."""
+    """A Laurent polynomial in ``gens`` with ``int`` coefficients, or
+    ``Fraction`` ones for a polynomial read over the rationals."""
 
     __slots__ = ("gens", "terms")
 
@@ -35,7 +37,7 @@ class LaurentPoly:
                 if len(mon) != len(self.gens):
                     raise ValueError("monomial arity does not match generators")
                 if coeff:
-                    clean[tuple(int(e) for e in mon)] = clean.get(tuple(mon), 0) + int(coeff)
+                    clean[tuple(int(e) for e in mon)] = clean.get(tuple(mon), 0) + coeff
         self.terms = {m: c for m, c in clean.items() if c}
 
     # ----- constructors -----
@@ -46,7 +48,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, gens: Iterable[str], c: int) -> "LaurentPoly":
         gens = tuple(gens)
-        return cls(gens, {tuple([0] * len(gens)): int(c)})
+        return cls(gens, {tuple([0] * len(gens)): c})
 
     @classmethod
     def monomial(cls, gens: Iterable[str], exponents: Iterable[int], coeff: int = 1) -> "LaurentPoly":
@@ -118,9 +120,11 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("only unit monomials are invertible")
         ((mon, coeff),) = self.terms.items()
-        if coeff not in (1, -1):
+        if coeff in (1, -1):
+            return LaurentPoly(self.gens, {tuple(-e for e in mon): coeff})
+        if isinstance(coeff, int):
             raise ValueError("coefficient %d is not a unit over the integers" % coeff)
-        return LaurentPoly(self.gens, {tuple(-e for e in mon): coeff})
+        return LaurentPoly(self.gens, {tuple(-e for e in mon): 1 / coeff})
 
     # ----- predicates / views -----
     def is_zero(self) -> bool:
@@ -171,89 +175,84 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-_TOKEN = re.compile(r"\s*([+-]|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|/|\(|\))")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: lambda a, b: a * b.inverse()}
+_UNARY = {ast.UAdd: lambda a: a, ast.USub: operator.neg}
 
 
-def parse_laurent(text: str, gens: Iterable[str]) -> LaurentPoly:
-    """Parse expressions like ``s_2 - 1/s_1 - 1/s_3 + 1/(s_3^2*s_4)``.
+def parse_laurent(text: str, gens: Iterable[str] | None = None, ring=int) -> LaurentPoly:
+    """Read expressions like ``s_2 - 1/s_1 - 1/s_3 + 1/(s_3^2*s_4)``.
 
-    Grammar: sum of terms; a term is a product/quotient of factors; a factor
-    is an integer, a generator, optionally with ``^exponent``, or a
-    parenthesized product.  Only unit denominators are allowed.
+    The text may use ``+ - * / ^ **``, unary signs, parentheses, number
+    constants and the names in ``gens`` (default: every name in the text,
+    sorted).  Exponents must be integer constants and each divisor a single
+    term.  Coefficients are in ``ring``: ``int``, where decimals are
+    rejected and only -1 and 1 divide, or ``Fraction``, where numbers are
+    read exactly as written.  The text is walked as a syntax tree and
+    never evaluated.
     """
+    source = text.replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as err:
+        raise ValueError("cannot parse %r: %s" % (text, err.msg))
+    if gens is None:
+        gens = sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
     gens = tuple(gens)
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError("bad token at %r" % text[pos:])
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
 
-    idx = 0
+    def value(node) -> LaurentPoly:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            power = value(node.right)
+            c = power.terms.get((0,) * len(gens), 0)
+            if power != LaurentPoly.constant(gens, c) or c != int(c):
+                raise ValueError("exponent %s is not an integer constant"
+                                 % ast.unparse(node.right))
+            return value(node.left) ** int(c)
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](value(node.operand))
+        if isinstance(node, ast.Name) and node.id in gens:
+            return LaurentPoly.generator(gens, node.id)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            # a decimal is read from its text, not from its rounded float
+            number = node.value if type(node.value) is int else ast.get_source_segment(source, node)
+            return LaurentPoly.constant(gens, ring(number))
+        raise ValueError("%r is not a Laurent polynomial in %s: %s"
+                         % (text, ", ".join(gens), ast.unparse(node)))
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
+    return value(tree.body)
 
-    def take():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
 
-    def parse_atom() -> LaurentPoly:
-        tok = take()
-        if tok == "(":
-            value = parse_sum()
-            if take() != ")":
-                raise ValueError("unbalanced parenthesis")
-        elif tok.isdigit():
-            value = LaurentPoly.constant(gens, int(tok))
-        elif tok in gens:
-            value = LaurentPoly.generator(gens, tok)
-        else:
-            raise ValueError("unknown symbol %r" % tok)
-        if peek() == "^":
-            take()
-            sign = 1
-            if peek() == "-":
-                take()
-                sign = -1
-            exp_tok = take()
-            if not exp_tok.isdigit():
-                raise ValueError("bad exponent %r" % exp_tok)
-            value = value ** (sign * int(exp_tok))
-        return value
+def discriminant(rows):
+    """The w-discriminant of a monic P(z, w) with exact coefficients.
 
-    def parse_product() -> LaurentPoly:
-        value = parse_atom()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_atom()
-            value = value * rhs.inverse() if op == "/" else value * rhs
-        return value
-
-    def parse_sum() -> LaurentPoly:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        value = parse_product() * sign
-        while peek() in ("+", "-"):
-            sign = 1
-            while peek() in ("+", "-"):
-                if take() == "-":
-                    sign = -sign
-            value = value + parse_product() * sign
-        return value
-
-    result = parse_sum()
-    if idx != len(tokens):
-        raise ValueError("trailing tokens: %r" % tokens[idx:])
-    return result
+    ``rows`` are the z-coefficient lists, highest first, of w^n .. w^0, with
+    rows[0] == [1].  The result is (-1)^(n(n-1)/2) Res_w(P, dP/dw) as
+    z-coefficients, highest first: Sylvester determinants at z = 0..D,
+    interpolated in Newton form.  The discriminant is a form of degree
+    2n - 2 in the coefficients of P, so D = (2n - 2) deg_z P bounds its degree.
+    """
+    n = len(rows) - 1
+    degree = (2 * n - 2) * max(len(row) - 1 for row in rows)
+    sign = (-1) ** (n * (n - 1) // 2)
+    values = []
+    for z in range(degree + 1):
+        p = [sum(c * z ** k for k, c in enumerate(reversed(row))) for row in rows]
+        dp = [(n - i) * c for i, c in enumerate(p[:-1])]
+        sylvester = ([[0] * i + p + [0] * (n - 2 - i) for i in range(n - 1)]
+                     + [[0] * i + dp + [0] * (n - 1 - i) for i in range(n)])
+        values.append(sign * _rref(sylvester)[2])
+    for j in range(1, degree + 1):  # divided differences at nodes 0..degree
+        for k in range(degree, j - 1, -1):
+            values[k] = (values[k] - values[k - 1]) / j
+    poly = [values[degree]]
+    for k in range(degree - 1, -1, -1):  # poly * (z - k) + values[k]
+        poly = [a - k * b for a, b in zip(poly + [0], [0] + poly)]
+        poly[-1] += values[k]
+    while len(poly) > 1 and poly[0] == 0:
+        poly.pop(0)
+    return poly
 
 
 def solve_rational(matrix, rhs):
@@ -269,23 +268,28 @@ def solve_rational(matrix, rhs):
 
 
 def _rref(rows):
-    """Gauss-Jordan elimination: (pivot columns, reduced rows)."""
+    """Gauss-Jordan elimination: (pivot columns, reduced rows, determinant),
+    the determinant being that of a square ``rows``."""
     rows = [[Fraction(v) for v in row] for row in rows]
     pivots = []
+    det = Fraction(1)
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        det *= rows[r][c]
         rows[r] = [v / rows[r][c] for v in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[c] != 0:
-                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+                rows[i] = [a - row[c] * b if b else a for a, b in zip(row, rows[r])]
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return pivots, rows
+    return pivots, rows, det if len(pivots) == len(rows) else Fraction(0)
 
 
 class FactoredMatrix:
@@ -299,12 +303,12 @@ class FactoredMatrix:
 
     def __init__(self, matrix):
         self.ncols = len(matrix[0]) if matrix else 0
-        self.pivots, _ = _rref(matrix)
+        self.pivots, _, _ = _rref(matrix)
         self.block = [[row[c] for c in self.pivots] for row in matrix]
-        self.rows, _ = _rref(list(zip(*self.block)))
+        self.rows, _, _ = _rref(list(zip(*self.block)))
         r = len(self.pivots)
-        _, reduced = _rref([self.block[i] + [int(j == k) for k in range(r)]
-                            for j, i in enumerate(self.rows)])
+        _, reduced, _ = _rref([self.block[i] + [int(j == k) for k in range(r)]
+                               for j, i in enumerate(self.rows)])
         self.scale = math.lcm(*(v.denominator for row in reduced for v in row[r:]))
         self.inverse = [[int(v * self.scale) for v in row[r:]] for row in reduced]
 

@@ -20,15 +20,15 @@ the cutoff.
 
 from __future__ import annotations
 
-import ast
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import sympy as sp
 
+from .laurent import discriminant, parse_laurent
 from .network import SpectralNetwork
 
 TWO_PI = 2 * math.pi
@@ -55,57 +55,42 @@ class GappedGuardError(RuntimeError):
 
 # ----- curve -----
 
-# the curve grammar: + - * / ^ **, unary signs, int and float constants, names
-_CURVE_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
-                ast.Div, ast.Pow, ast.UAdd, ast.USub, ast.Constant, ast.Name, ast.Load)
-
-
-def _parse_curve(text: str):
-    """The curve text as a sympy expression; the text is checked against the
-    curve grammar first, since sympify evaluates it as Python."""
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as err:
-        raise CurveError("cannot parse curve %r: %s" % (text, err))
-    for node in ast.walk(tree):
-        if not isinstance(node, _CURVE_NODES) or (
-                isinstance(node, ast.Constant) and type(node.value) not in (int, float)):
-            raise CurveError("curve %r may use only + - * / ^ **, numbers and names"
-                             % text)
-    names = {node.id: sp.Symbol(node.id) for node in ast.walk(tree)
-             if isinstance(node, ast.Name)}
-    return sp.sympify(text, locals=names, rational=True)
-
-
 class SpectralCurve:
     """A bivariate polynomial P(z, w), monic of degree >= 2 in w."""
 
     def __init__(self, text: str):
-        w = sp.Symbol("w")
-        expr = _parse_curve(text)
-        base_syms = sorted(expr.free_symbols - {w}, key=lambda s: s.name)
-        if len(base_syms) > 1:
+        try:
+            poly = parse_laurent(text, ring=Fraction)
+        except ValueError as err:
+            raise CurveError("cannot read curve %r: %s" % (text, err))
+        base = [name for k, name in enumerate(poly.gens)
+                if name != "w" and any(mon[k] for mon in poly.terms)]
+        if len(base) > 1:
             raise CurveError("curve must involve w and one base variable, "
-                             "got %s" % base_syms)
-        z = base_syms[0] if base_syms else sp.Symbol("z")
-        poly = sp.Poly(expr, w)
-        lead = poly.LC()
-        if lead.free_symbols:
+                             "got %s" % ", ".join(base))
+        terms = {}  # (w power, z power) -> coefficient
+        for mon, c in poly.terms.items():
+            powers = dict(zip(poly.gens, mon))
+            terms[powers.pop("w", 0), sum(powers.values())] = Fraction(c)
+        if any(min(key) < 0 for key in terms):
+            raise CurveError("curve %r is not a polynomial" % text)
+        self.n = max((i for i, _ in terms), default=-1)
+        if any(i == self.n and j for i, j in terms):
             raise CurveError("leading w-coefficient must be constant")
-        poly = sp.Poly(sp.expand(expr / lead), w)
-        self.n = poly.degree()
         if self.n < 2:
             raise CurveError("degree in w must be >= 2")
-        self._coeff_polys = []  # z-polynomial (numpy coeffs) per w-power, descending
-        for k in range(self.n, -1, -1):
-            ck = sp.Poly(poly.nth(k), z)
-            self._coeff_polys.append(
-                np.array([float(c) for c in ck.all_coeffs()], dtype=complex))
+        lead = terms[self.n, 0]
+        # z-polynomial coefficients per w-power, both descending
+        rows = [[0] * (1 + max((j for i, j in terms if i == k), default=0))
+                for k in range(self.n, -1, -1)]
+        for (i, j), c in terms.items():
+            rows[self.n - i][-1 - j] = c / lead
+        self._coeff_polys = [np.array([float(c) for c in row], dtype=complex)
+                             for row in rows]
         # Python-complex copies: Horner on scalars, without numpy's per-call cost
         self._coeff_lists = [c.tolist() for c in self._coeff_polys]
-        disc = sp.discriminant(poly.as_expr(), w)
-        self._disc = sp.Poly(disc, z)
-        if all(c == 0 for c in self._disc.all_coeffs()):
+        self._disc = discriminant(rows)
+        if not any(self._disc):
             raise CurveError("discriminant vanishes identically")
 
     def roots_at(self, z: complex) -> np.ndarray:
@@ -124,7 +109,7 @@ class SpectralCurve:
         return out
 
     def disc_coeffs(self) -> np.ndarray:
-        return np.array([complex(c) for c in self._disc.all_coeffs()])
+        return np.array([complex(c) for c in self._disc])
 
 
 @dataclass

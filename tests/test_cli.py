@@ -78,6 +78,14 @@ def test_compare_reports_first_differing_chord(tmp_path, capsys):
     assert "mismatch at z_2" in capsys.readouterr().out
 
 
+def test_compare_rejects_non_integer_table(tmp_path, capsys):
+    """Augmentation tables are integer Laurent polynomials: 1/2 is no unit."""
+    (tmp_path / "half.json").write_text(json.dumps({"z_1": "1/2*s_1"}))
+    (tmp_path / "zero.json").write_text(json.dumps({"z_1": "0"}))
+    assert main(["compare", str(tmp_path / "half.json"), str(tmp_path / "zero.json")]) == 2
+    assert "coefficient 2 is not a unit over the integers" in capsys.readouterr().err
+
+
 def test_wkb_trace_svg(tmp_path):
     out = tmp_path / "airy.svg"
     assert main(["wkb-trace", "--curve", "w^2 - z", "--theta", "0",
@@ -196,6 +204,14 @@ def test_invalid_curve_exits_nonzero(capsys):
     assert main(["wkb-trace", "--curve", "w - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve", ["w^2 - 1/z", "w^2 - z^-1", "w^(1/2) - z",
+                                   "w^2.5 - z", "w^z - 1", "w^2 - 1/0"])
+def test_non_polynomial_curve_exits_2(curve, capsys):
+    assert main(["wkb-trace", "--curve", curve, "--theta", "0.1",
+                 "--mass", "3", "--radius", "3"]) == 2
+    assert "error [wkb-trace]" in capsys.readouterr().err
 
 
 def test_wkb_trace_curve_text_is_not_executed(tmp_path, capsys):

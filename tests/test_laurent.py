@@ -34,6 +34,27 @@ def test_parse_round_trip():
     assert parse_laurent(str(p), GENS) == p
 
 
+@pytest.mark.parametrize("text", [
+    "s_1 + q_1",  # unknown name
+    "1/(s_1 + s_2)",  # divisor of two terms
+    "s_1^(1/2)", "s_1^1.5", "s_1^s_2",  # exponent not an integer constant
+    "1/2*s_1", "s_1/2", "0.5*s_1", "1/0",  # not integer
+    "s_1 + 0*len(open('x','w').write('x') and 'a')", "sin(s_1)", "s_1.conjugate()",
+    "s_1.real", "'s_1'", "1j*s_1", "s_1 s_2",  # payload, call, attribute, string
+])
+def test_parse_rejects_non_laurent_text(text, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError):
+        parse_laurent(text, GENS)
+    assert not (tmp_path / "x").exists()
+
+
+def test_parse_reads_exact_rationals():
+    p = parse_laurent("0.1*z^2 - z/3 + 1e-3 + 2^-2", ring=Fraction)
+    assert p.gens == ("z",)
+    assert p.terms == {(2,): Fraction(1, 10), (1,): Fraction(-1, 3), (0,): Fraction(251, 1000)}
+
+
 def test_canonical_string_is_sorted():
     p = parse_laurent("1/s_1 + s_1 + s_2^2", GENS)
     assert str(p) == "s_2^2 + s_1 + s_1^-1"

@@ -1,5 +1,9 @@
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "specnet"
 
@@ -62,3 +66,20 @@ def test_private_attributes_only_through_self():
                              and node.value.id in ("self", "cls"))):
                 offenders.append("%s:%d reads %s" % (name, node.lineno, ast.unparse(node)))
     assert not offenders, offenders
+
+
+def test_declared_dependencies_match_imports():
+    """The third-party modules imported under src/specnet are exactly the
+    dependencies that pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"specnet"}
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
+    assert third_party == declared

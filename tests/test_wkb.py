@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,11 +36,15 @@ def test_curve_rejects_bad_input():
         SpectralCurve("w^2 - x*y")  # two base variables
     with pytest.raises(CurveError):
         SpectralCurve("q^3 - z")  # missing fiber variable
+    for text in ("w^2 - 1/z", "w^2 - z^-1", "w^(1/2) - z", "w^2.5 - z", "w^z - 1",
+                 "w^2 - 1/0"):  # not a polynomial
+        with pytest.raises(CurveError):
+            SpectralCurve(text)
 
 
 def test_curve_text_is_not_executed(tmp_path):
-    """The curve text is checked against the curve grammar before sympy
-    evaluates it: a payload, a call or an attribute raises CurveError."""
+    """The curve text is walked as a syntax tree, never evaluated: a
+    payload, a call or an attribute raises CurveError."""
     target = tmp_path / "x"
     payload = "w^2 - z + 0*len(open(%r,'w').write('x') and 'a')" % str(target)
     for text in (payload, "w^2 - sin(z)", "w^2 - z.conjugate()", "w^2 - z.real",
@@ -47,6 +53,78 @@ def test_curve_text_is_not_executed(tmp_path):
             SpectralCurve(text)
     assert not target.exists()
     assert SpectralCurve("-(-w**2) + 0.5*z/3 - +1").n == 2
+
+
+ROADMAP_CURVES = ["w^2 - z", "w^3 - 3*w + x", "2*w^4 - 5*w^2 + z*w + 1",
+                  "w^3 + z^2*w - z^5 + 1/3", "w^4 - z*w^2 + (z^2-1)*w - z^3"]
+
+
+def _random_curve(rng):
+    """Curve text with n in 2..5, z-degree up to 3, and integer, rational
+    and decimal coefficients; about one in ten is not a usable curve."""
+    n, dz = rng.randint(2, 5), rng.randint(0, 3)
+    numbers = ["1", "-2", "3", "1/3", "-5/7", "0.5", "-1.25", "2.75", "1e-3"]
+    terms = ["%s*w^%d" % (rng.choice(["1", "2", "-1/3", "0.25"]), n),
+             "(%s)*z^%d" % (rng.choice(numbers), dz)]
+    for k in range(n - 1, -1, -1):
+        for j in range(dz + 1):
+            if rng.random() < 0.45:
+                terms.append("(%s)*w^%d*z^%d" % (rng.choice(numbers), k, j))
+    flaw = rng.choice([None] * 54 + ["z*w^%d" % n, "1/z", "w^(1/2)", "x*w", "sq", "low"])
+    if flaw == "sq":
+        return "(w - z)^2 * (w^%d + 1)" % (n - 2)
+    if flaw == "low":
+        return "w + " + rng.choice(numbers) + "*z^%d" % dz
+    return " + ".join(terms + ([flaw] if flaw else []))
+
+
+def _sympy_reference(text):
+    """The curve read through sympy, as the program once did: (coefficient
+    floats per w-power, discriminant rationals), or None if rejected."""
+    sp = pytest.importorskip("sympy")
+    w = sp.Symbol("w")
+    try:
+        expr = sp.sympify(text.replace("^", "**"), rational=True)
+        base = sorted(expr.free_symbols - {w}, key=lambda s: s.name)
+        if len(base) > 1:
+            return None
+        z = base[0] if base else sp.Symbol("z")
+        lead = sp.Poly(expr, w).LC()
+        if lead.free_symbols:
+            return None
+        poly = sp.Poly(sp.expand(expr / lead), w)
+        if poly.degree() < 2:
+            return None
+        coeffs = [[float(c) for c in sp.Poly(poly.nth(k), z).all_coeffs()]
+                  for k in range(poly.degree(), -1, -1)]
+        disc = sp.Poly(sp.discriminant(poly.as_expr(), w), z).all_coeffs()
+    except (sp.PolynomialError, TypeError):
+        return None
+    if all(c == 0 for c in disc):
+        return None
+    return coeffs, [Fraction(int(c.p), int(c.q)) for c in disc]
+
+
+def test_curve_matches_sympy_reference():
+    """Coefficients, exact discriminant and rejections agree with sympy on
+    the ROADMAP curves and 320 seeded random ones."""
+    rng = random.Random(20261018)
+    corpus = ROADMAP_CURVES + [_random_curve(rng) for _ in range(320)]
+    rejected = 0
+    for text in corpus:
+        reference = _sympy_reference(text)
+        if reference is None:
+            rejected += 1
+            with pytest.raises(CurveError):
+                SpectralCurve(text)
+            continue
+        curve = SpectralCurve(text)
+        coeffs, disc = reference
+        assert [c.tolist() for c in curve._coeff_polys] == [
+            [complex(c) for c in row] for row in coeffs], text
+        assert curve._disc == disc, text
+        assert curve.disc_coeffs().tolist() == [complex(float(c)) for c in disc], text
+    assert 20 <= rejected <= 60
 
 
 def test_roots_at():
