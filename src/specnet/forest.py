@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .braid import BraidWord, demazure_product
-from .geometry import NonGenericGeometry, Param, Point, PolylineSet, poly_crossings, transpose
+from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, poly_crossings,
+                       transpose, walk_sheets)
 from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment
 
@@ -50,22 +51,14 @@ class Strand:
     round: int
     delta: Fraction
     polyline: List[Point] = field(default_factory=list)
-    # weave-line crossings as (param, letter, point, side), side the sign of
+    # weave-line crossings as (param, letter, side), side the sign of
     # (weave-line tangent) x (strand tangent)
     crossings: List[tuple] = field(default_factory=list)
     chord: Optional[str] = None
 
     def label_at(self, param: Optional[Param] = None) -> Tuple[int, int]:
         """The ordered sheet pair just before ``param`` (default: the end)."""
-        label = self.start_label
-        for p, letter, _, _ in self.crossings:
-            if param is not None and p >= param:
-                break
-            label = tuple(transpose(s, letter) for s in label)
-        return label
-
-    def final_label(self) -> Tuple[int, int]:
-        return self.label_at()
+        return walk_sheets(self.start_label, self.crossings, param)[0]
 
 
 class ForestBuilder:
@@ -76,9 +69,11 @@ class ForestBuilder:
         self.weave = bent.weave
         self.scale = scale
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
-        # tagged (letter, segment id), so a crossing names the line and its letter
-        self.weave_lines = PolylineSet((seg.points, (seg.letter, seg.id))
-                                       for seg in self.obstacles)
+        # tagged (letter, segment id), so a crossing names the line and its
+        # letter; every slot below the top is a join of two segments
+        self.weave_lines = PolylineSet(
+            ((seg.points, (seg.letter, seg.id)) for seg in self.obstacles),
+            joins={seg.points[-1] for seg in self.obstacles if seg.lower[0] == "slot"})
         self._top_name_by_x = {x: name for name, x in bent.top_positions.items()}
         # chord name -> letter of the weave line that reaches the top boundary there
         self.name_to_letter = {self._top_name_by_x[seg.points[0][0]]: seg.letter
@@ -128,8 +123,7 @@ class ForestBuilder:
         strand.polyline = [point, lift]
         # the lift itself may hop over weave lines squeezed near the joint;
         # fold those conjugations into the label the march starts with
-        for _, (letter, _), _, _, _ in self.weave_lines.crossings([point, lift]):
-            label = tuple(transpose(s, letter) for s in label)
+        label, _ = walk_sheets(label, self.events_along([point, lift]))
         self._march_right(strand, lift, label)
         self._finalize(strand)
         return strand
@@ -170,11 +164,15 @@ class ForestBuilder:
                 return
             seg, index = above, len(above.points) - 2
 
+    def events_along(self, poly) -> List[tuple]:
+        """The weave-line crossings of ``poly`` as sorted (param, letter, side)."""
+        return [(param, letter, side) for param, (letter, _), _, _, side
+                in self.weave_lines.crossings(poly)]
+
     def _finalize(self, strand: Strand):
         """Record all weave-line crossings and verify label bookkeeping."""
-        strand.crossings = [(param, letter, pt, side) for param, (letter, _), _, pt, side
-                            in self.weave_lines.crossings(strand.polyline)]
-        final = strand.final_label()
+        strand.crossings = self.events_along(strand.polyline)
+        final = strand.label_at()
         m = self.name_to_letter[strand.chord]
         if {final[0], final[1]} != {m, m + 1}:
             raise NonGenericGeometry(

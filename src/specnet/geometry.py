@@ -37,6 +37,33 @@ def transpose(sheet: int, letter: int) -> int:
     return sheet
 
 
+def twist_sign(letter: int, sheet: int, side: int) -> int:
+    """Twisting sign for crossing a letter-k weave line from ``sheet``.
+
+    Crossing on the positive side from the lower of the two swapped sheets
+    contributes -1 (and symmetrically from the upper sheet on the negative
+    side); sheets away from the swap are untwisted.
+    """
+    if sheet not in (letter, letter + 1):
+        return 1
+    return -1 if (sheet == letter) == (side > 0) else 1
+
+
+def walk_sheets(sheets: Tuple[int, ...], events, stop=None) -> Tuple[Tuple[int, ...], int]:
+    """Carry ``sheets`` through sorted weave-line events (param, letter,
+    side), up to the first event at or past ``stop`` (default: all).
+    Returns the sheets reached and the product of the twisting signs every
+    sheet picks up on the way."""
+    sign = 1
+    for param, letter, side in events:
+        if stop is not None and param >= stop:
+            break
+        for sheet in sheets:
+            sign *= twist_sign(letter, sheet, side)
+        sheets = tuple(transpose(s, letter) for s in sheets)
+    return sheets, sign
+
+
 def direction(polyline, i: int) -> Point:
     """Direction vector of the polyline's ``i``-th sub-segment."""
     return (polyline[i + 1][0] - polyline[i][0], polyline[i + 1][1] - polyline[i][1])
@@ -93,16 +120,17 @@ def _box(floats) -> Tuple[float, float, float, float]:
     return (min(xs), max(xs), min(ys), max(ys))
 
 
-def _crossings(P, pf, Q, qf):
+def _crossings(P, pf, Q, qf, q_anchors):
     """The crossing rules: proper transversal crossings of P and Q (with
     float copies pf, qf) as sorted (paramP, paramQ, pt).
 
-    Touches at either polyline's global start or end are ignored (walls are
-    born on other walls and end on the boundary); any other boundary touch is
-    a non-generic corner hit, and so is a crossing point found twice.
+    Touches at P's global start or end, and at the ends of Q listed in
+    ``q_anchors``, are ignored (walls are born on other walls and end on the
+    boundary); any other boundary touch is a non-generic corner hit, and so
+    is a crossing point found twice.
     """
     out = []
-    anchors = (P[0], P[-1], Q[0], Q[-1])
+    anchors = (P[0], P[-1]) + q_anchors
     for i in range(len(P) - 1):
         ax0, ay0 = pf[i]
         ax1, ay1 = pf[i + 1]
@@ -126,7 +154,7 @@ def _crossings(P, pf, Q, qf):
                 out.append(((i, t), (j, u), pt))
             elif pt in anchors:
                 continue
-            elif t in (0, 1) and u in (0, 1):
+            elif t in (0, 1) and u in (0, 1) and 0 < j + u < len(Q) - 1:
                 continue  # shared interior corner of both: counted by neighbors
             else:
                 raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
@@ -139,18 +167,21 @@ def _crossings(P, pf, Q, qf):
 
 def poly_crossings(P: Sequence[Point], Q: Sequence[Point]):
     """Proper transversal crossings of two polylines as (paramP, paramQ, pt)."""
-    return _crossings(P, _floats(P), Q, _floats(Q))
+    return _crossings(P, _floats(P), Q, _floats(Q), (Q[0], Q[-1]))
 
 
 class PolylineSet:
     """A fixed family of tagged polylines (weave lines tagged by letter, or
-    walls tagged by id), with each float copy and bounding box made once."""
+    walls tagged by id), with each float copy and bounding box made once.
+    A member's end at one of ``joins`` (a slot, where one weave line goes on
+    as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
-    def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]]):
+    def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]], joins=frozenset()):
         self.lines = []
         for Q, tag in tagged:
             qf = _floats(Q)
-            self.lines.append((tag, Q, qf, _box(qf)))
+            ends = tuple(q for q in (Q[0], Q[-1]) if q not in joins)
+            self.lines.append((tag, Q, qf, _box(qf), ends))
 
     def crossings(self, P: Sequence[Point]):
         """``poly_crossings(P, Q)`` against every polyline Q of the set, as
@@ -160,11 +191,11 @@ class PolylineSet:
         pf = _floats(P)
         lo_x, hi_x, lo_y, hi_y = _box(pf)
         out = []
-        for tag, Q, qf, (qlo_x, qhi_x, qlo_y, qhi_y) in self.lines:
+        for tag, Q, qf, (qlo_x, qhi_x, qlo_y, qhi_y), ends in self.lines:
             if (lo_x > qhi_x + _EPS or hi_x < qlo_x - _EPS or
                     lo_y > qhi_y + _EPS or hi_y < qlo_y - _EPS):
                 continue
-            for pa, pb, pt in _crossings(P, pf, Q, qf):
+            for pa, pb, pt in _crossings(P, pf, Q, qf, ends):
                 out.append((pa, tag, pb, pt,
                             cross_sign(direction(Q, pb[0]), direction(P, pa[0]))))
         out.sort()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 SCHEMA = "spectral-network/1"
@@ -185,29 +186,11 @@ def is_flow_acyclic(net: SpectralNetwork) -> bool:
             w = net.walls[wid]
             if w.label == u.label or w.label[0] == u.label[0] or w.label[1] == u.label[1]:
                 feeds[u.id].append(wid)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {w: WHITE for w in net.walls}
-
-    def dfs(start) -> bool:  # returns True when a cycle is found
-        stack = [(start, iter(feeds[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(feeds[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+    try:
+        TopologicalSorter(feeds).prepare()
+    except CycleError:
         return False
-
-    return not any(dfs(w) for w in net.walls if color[w] == WHITE)
+    return True
 
 
 # ----- serialization -----

@@ -28,22 +28,9 @@ from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import NonGenericGeometry, Param, Point, PolylineSet, transpose
+from .geometry import NonGenericGeometry, Param, Point, PolylineSet, walk_sheets
 from .laurent import LaurentPoly
 from .soliton_bps import LiftedPiece, SolitonCatalog
-
-
-def _perm_sign(letter: int, sheet_pre: int, side: int) -> int:
-    """Twisting sign for crossing a letter-k weave line from a sheet.
-
-    Crossing on the positive side from the lower of the two swapped sheets
-    contributes -1 (and symmetrically from the upper sheet on the negative
-    side); sheets away from the swap are untwisted.
-    """
-    if sheet_pre not in (letter, letter + 1):
-        return 1
-    lower = sheet_pre == letter
-    return -1 if (lower == (side > 0)) else 1
 
 
 def _monomial(gens, cyc, arc, coeff=1) -> LaurentPoly:
@@ -101,16 +88,11 @@ class Transport:
         obtained by conjugating through the crossed weave lines, with entry
         the capped-lift holonomy times the twisting signs.
         """
-        events = self.builder.weave_lines.crossings(poly)
-        path = LiftedPiece(poly, 1, [(p, letter) for p, (letter, _), _, _, _ in events], 1)
+        path = LiftedPiece(poly, 1, self.builder.events_along(poly), 1)
         zero = LaurentPoly.zero(self.gens)
         out = [[zero for _ in range(self.n)] for _ in range(self.n)]
         for start in range(1, self.n + 1):
-            sheet = start
-            sign = 1
-            for _, (letter, _), _, _, side in events:
-                sign *= _perm_sign(letter, sheet, side)
-                sheet = transpose(sheet, letter)
+            (sheet,), sign = walk_sheets((start,), path.events)
             chain = [path.relift(start, 1),
                      self.engine.cap(tuple(poly[0]), start, -1),
                      self.engine.cap(tuple(poly[-1]), sheet, 1)]
@@ -145,13 +127,7 @@ class Transport:
         before ``param``: each crossing twists both label sheets by the same
         rule a path crossing does."""
         strand = self.builder.strands[sid]
-        label, twist = strand.start_label, 1
-        for p, letter, _, side in strand.crossings:
-            if p >= param:
-                break
-            twist *= _perm_sign(letter, label[0], side) * _perm_sign(letter, label[1], side)
-            label = tuple(transpose(s, letter) for s in label)
-        return twist
+        return walk_sheets(strand.start_label, strand.crossings, param)[1]
 
     def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` based at ``param``."""

@@ -29,12 +29,12 @@ from .geometry import (
     NonGenericGeometry,
     Param,
     Point,
-    PolylineSet,
     cross_sign,
     direction,
     interp,
     transpose,
     truncated,
+    walk_sheets,
 )
 from .laurent import FactoredMatrix
 
@@ -45,11 +45,11 @@ BIRTH_PARAM: Param = (0, Fraction(1, 997))
 class LiftedPiece:
     """An oriented path on the surface: base polyline + evolving sheet.
 
-    ``events`` is a sorted list of (param, letter) conjugation points; the
-    local sheet before the first event is ``start_sheet``.  ``orientation``
-    multiplies this piece's contribution to intersection pairings and its
-    boundary.  ``pairings`` memoizes the path's test-curve pairings for
-    every start sheet; copies made by ``relift`` share it.
+    ``events`` is a sorted list of weave-line crossings (param, letter,
+    side); the local sheet before the first event is ``start_sheet``.
+    ``orientation`` multiplies this piece's contribution to intersection
+    pairings and its boundary.  ``pairings`` memoizes the path's test-curve
+    pairings for every start sheet; copies made by ``relift`` share it.
     """
 
     def __init__(self, polyline, start_sheet: int, events, orientation: int):
@@ -59,12 +59,6 @@ class LiftedPiece:
         self.orientation = orientation
         self.pairings: Dict["PairingLines", list] = {}
 
-    @classmethod
-    def over_obstacles(cls, polyline, start_sheet, weave_lines: PolylineSet):
-        events = [(param, letter) for param, (letter, _), _, _, _
-                  in weave_lines.crossings(polyline)]
-        return cls(polyline, start_sheet, events, 1)
-
     def relift(self, start_sheet: int, orientation: int) -> "LiftedPiece":
         """The same path and events, lifted from another start sheet."""
         twin = copy.copy(self)
@@ -72,10 +66,7 @@ class LiftedPiece:
         return twin
 
     def end_sheet(self) -> int:
-        sheet = self.start_sheet
-        for _, letter in self.events:
-            sheet = transpose(sheet, letter)
-        return sheet
+        return walk_sheets((self.start_sheet,), self.events)[0][0]
 
 
 class PairingLines:
@@ -115,9 +106,9 @@ class PairingLines:
         them, before its orientation is applied; computed once for all
         start sheets."""
         if self not in piece.pairings:
-            params = [p for p, _ in piece.events]
+            params = [p for p, _, _ in piece.events]
             perms = [tuple(range(self.n + 1))]  # start sheet -> sheet after each event
-            for _, letter in piece.events:
+            for _, letter, _ in piece.events:
                 perms.append(tuple(transpose(s, letter) for s in perms[-1]))
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
             for lines, rising, records in self.families:
@@ -205,17 +196,12 @@ class HomologyEngine:
         self.y_deep = min(lows) - 1
         highs_x = [max(p[0] for p in seg.points) for seg in self.obstacles]
         self.x_max = max(highs_x + [self.bent.marked_x])
-        # generator order: s_1 .. s_l by numeric suffix
-        from .weave import cycle_generators
-
-        gens = cycle_generators(self.weave)
-        by_suffix = sorted(gens, key=lambda g: int(g.name[2:]))
-        self.gen_names = tuple(g.name for g in by_suffix)
-        b_strand = {}
-        for s in builder.strands:
-            if s.origin[0] == "branch" and s.origin[2] == "b":
-                b_strand[s.origin[1]] = s.id
-        self.basis_strands = [b_strand[g.trivalent_vertex] for g in by_suffix]
+        # generator s_k: the class of the b-strand that leaves a branch point
+        # along its top-right edge and ends at chord z_k; ordered by k
+        b_strands = sorted((int(s.chord[2:]), s.id) for s in builder.strands
+                           if s.origin[0] == "branch" and s.origin[2] == "b")
+        self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
+        self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
         # lifts of the strand pieces the forest fixes, by (strand, end param)
         self._strand_pieces: Dict[tuple, List[LiftedPiece]] = {}
@@ -255,7 +241,7 @@ class HomologyEngine:
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             poly = [start, (start[0] + self._eps, -self._eps / 2), self.marked]
-            cap = LiftedPiece.over_obstacles(poly, 1, self.builder.weave_lines)
+            cap = LiftedPiece(poly, 1, self.builder.events_along(poly), 1)
         self._recent_caps[start] = cap
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
@@ -266,8 +252,8 @@ class HomologyEngine:
         strand = self.builder.strands[sid]
         i0, t0 = end_param or (len(strand.polyline) - 2, Fraction(1))
         # params on the cut segment rescale to the shortened segment
-        events = [((i0, p[1] / t0) if p[0] == i0 else p, letter)
-                  for p, letter, _, _ in strand.crossings if p < (i0, t0)]
+        events = [((i0, p[1] / t0) if p[0] == i0 else p, letter, side)
+                  for p, letter, side in strand.crossings if p < (i0, t0)]
         lab = strand.start_label
         piece = LiftedPiece(truncated(strand.polyline, (i0, t0)), lab[0], events, 1)
         return [piece, piece.relift(lab[1], -1)]
@@ -295,10 +281,9 @@ class HomologyEngine:
         root = self.builder.strands[strand_id]
         if root_param is None:
             end = root.polyline[-1]
-            final = root.final_label()
         else:
             end = interp(root.polyline, root_param)
-            final = root.label_at(root_param)
+        final = root.label_at(root_param)
         pieces.append(self.cap(end, final[0], 1))
         pieces.append(self.cap(end, final[1], -1))
         self._check_boundary(pieces)
@@ -317,7 +302,7 @@ class HomologyEngine:
             (mx - eps, -eps),
             self.marked,
         ]
-        return [LiftedPiece.over_obstacles(poly, marked_index, self.builder.weave_lines)]
+        return [LiftedPiece(poly, marked_index, self.builder.events_along(poly), 1)]
 
     def _check_boundary(self, pieces: Sequence[LiftedPiece]):
         residue: Dict[tuple, int] = {}

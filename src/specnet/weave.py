@@ -189,25 +189,6 @@ class Weave:
             return ups[2 - role]
         return ups[1 - role]
 
-    def top_chord_position(self, segment: Segment) -> int:
-        """Walk a line up to the top slice; 1-based top position reached."""
-        current = segment
-        while True:
-            nxt = self.continue_up(current)
-            if nxt is None:
-                if current.upper[0] == "slot" and current.upper[1] == 0:
-                    return current.upper[2]
-                raise ValueError("line does not reach the top slice")
-            current = nxt
-
-
-@dataclass
-class CycleGenerator:
-    index: int  # 1-based, in bottom-to-top scan order
-    trivalent_vertex: int  # vertex id
-    name: str  # symbol, named after the associated top chord
-    chord_position: int  # 1-based top-slice position of the top-right edge
-
 
 def parse_weave(text: str) -> Weave:
     n = None
@@ -233,32 +214,6 @@ def parse_weave(text: str) -> Weave:
         raise ValueError("weave text must declare n= and top:")
     BraidWord(n, top)  # range-checks the letters
     return Weave(n, top, moves)
-
-
-def cycle_generators(weave: Weave) -> List[CycleGenerator]:
-    """One generator per trivalent vertex, scanned bottom-to-top.
-
-    The generator symbol is named after the top chord reached by the vertex's
-    top-right edge (continuing up-left past higher trivalent vertices).
-    """
-    chord_names = _top_chord_names(weave)
-    generators = []
-    scan = sorted(weave.trivalent_vertices(), key=lambda v: (-v.row, v.position))
-    for index, vertex in enumerate(scan, start=1):
-        right_in = weave.vertex_upper_segments(vertex.id)[-1]
-        position = weave.top_chord_position(right_in)
-        chord = chord_names[position - 1]
-        if not chord.startswith("z_"):
-            raise ValueError("trivalent vertex %d maps to non-beta chord %s" % (vertex.id, chord))
-        generators.append(CycleGenerator(index, vertex.id, "s_" + chord[2:], position))
-    return generators
-
-
-def _top_chord_names(weave: Weave) -> List[str]:
-    beta = BraidWord(weave.strand_count, weave.top)
-    delta = BraidWord(weave.strand_count, weave.bottom)
-    labeling = label_chords(beta, delta)
-    return list(labeling.beta_chords)
 
 
 class BentWeave:

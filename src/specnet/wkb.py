@@ -32,6 +32,10 @@ from .laurent import discriminant, parse_laurent
 from .network import SpectralNetwork
 
 TWO_PI = 2 * math.pi
+# curve size limits: sheets, and the degree (2n - 2) * deg_z that bounds the
+# discriminant (and its count of Sylvester determinants)
+MAX_SHEETS = 16
+MAX_DISC_DEGREE = 256
 
 
 class CurveError(ValueError):
@@ -79,6 +83,10 @@ class SpectralCurve:
             raise CurveError("leading w-coefficient must be constant")
         if self.n < 2:
             raise CurveError("degree in w must be >= 2")
+        deg_z = max(j for _, j in terms)
+        if self.n > MAX_SHEETS or (2 * self.n - 2) * deg_z > MAX_DISC_DEGREE:
+            raise CurveError("curve too large: %d sheets and z-degree %d (limits: %d sheets, "
+                             "(2n-2)*deg_z <= %d)" % (self.n, deg_z, MAX_SHEETS, MAX_DISC_DEGREE))
         lead = terms[self.n, 0]
         # z-polynomial coefficients per w-power, both descending
         rows = [[0] * (1 + max((j for i, j in terms if i == k), default=0))

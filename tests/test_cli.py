@@ -214,6 +214,16 @@ def test_non_polynomial_curve_exits_2(curve, capsys):
     assert "error [wkb-trace]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", ["w^2 - z^(10**6)", "w^(10**6) - z", "w^17 - z",
+                                   "w^3 - z^65"])
+def test_oversized_curve_exits_2(curve, capsys):
+    """A curve past the sheet or discriminant-degree limit is rejected before
+    any work is done on it."""
+    assert main(["wkb-trace", "--curve", curve, "--theta", "0.1",
+                 "--mass", "3", "--radius", "3"]) == 2
+    assert "curve too large" in capsys.readouterr().err
+
+
 def test_wkb_trace_curve_text_is_not_executed(tmp_path, capsys):
     """Neither --curve nor the config key runs the text as Python."""
     target = tmp_path / "x"

@@ -12,6 +12,8 @@ from specnet.geometry import (
     direction,
     poly_crossings,
     transpose,
+    twist_sign,
+    walk_sheets,
 )
 from specnet.network import OPEN_END_PREFIX
 from specnet.weave import bend_weave, parse_weave
@@ -84,9 +86,68 @@ def test_crossings_sorted_and_conjugation_consistent(builders):
             params = [c[0] for c in strand.crossings]
             assert params == sorted(params)
             label = strand.start_label
-            for _, letter, _, _ in strand.crossings:
+            for _, letter, _ in strand.crossings:
                 label = tuple(transpose(s, letter) for s in label)
-            assert label == strand.final_label()
+            assert label == strand.label_at()
+
+
+def test_path_through_a_weave_line_join_is_a_corner_hit(builders):
+    """At a slot one weave line continues into the next.  A path through
+    that point raises instead of missing both segments, and a path bent just
+    past it crosses the line once."""
+    builder = builders["three_strand"]
+    a = (4 - Fraction(1, 97), -1 - Fraction(1, 1009))
+    b = (4 + Fraction(1, 97), -1 + Fraction(1, 1009))
+    for path in ([a, b], [a, (Fraction(4), Fraction(-1)), b]):
+        with pytest.raises(NonGenericGeometry, match="polyline corner hit"):
+            builder.events_along(path)
+    bent = [a, (4 + Fraction(1, 7919), -1 + Fraction(1, 7919)), b]
+    assert [letter for _, letter, _ in builder.events_along(bent)] == [1]
+
+
+def _perm_sign(letter, sheet_pre, side):
+    """The twisting sign as nonabel computed it before ``twist_sign``."""
+    if sheet_pre not in (letter, letter + 1):
+        return 1
+    lower = sheet_pre == letter
+    return -1 if (lower == (side > 0)) else 1
+
+
+@st.composite
+def sheet_walks(draw):
+    n = draw(st.integers(2, 5))
+    params = st.tuples(st.integers(0, 3), st.fractions(0, 1, max_denominator=4))
+    events = sorted(draw(st.lists(st.tuples(params, st.integers(1, n - 1),
+                                            st.sampled_from((-1, 1))), max_size=8)))
+    sheets = tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=3)))
+    return events, sheets, draw(st.none() | params)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(sheet_walks())
+def test_walk_sheets_matches_the_loops_it_replaced(walk):
+    """The sheets reached equal the strand label loop, and the sign equals
+    the product over sheets of the transport sign loop, both cut at the
+    stop param."""
+    events, sheets, stop = walk
+    kept = [e for e in events if stop is None or e[0] < stop]
+    for _, letter, side in kept:
+        for sheet in sheets:
+            assert twist_sign(letter, sheet, side) == _perm_sign(letter, sheet, side)
+    label = sheets
+    for p, letter, _ in events:  # Strand.label_at
+        if stop is not None and p >= stop:
+            break
+        label = tuple(transpose(s, letter) for s in label)
+    total = 1
+    for start in sheets:  # Transport.transport_free, one start sheet
+        sheet, sign = start, 1
+        for _, letter, side in kept:
+            sign *= _perm_sign(letter, sheet, side)
+            sheet = transpose(sheet, letter)
+        total *= sign
+    assert walk_sheets(sheets, events, stop) == (label, total)
 
 
 def test_build_forest_is_deterministic():

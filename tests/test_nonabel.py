@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from specnet.geometry import twist_sign as _perm_sign
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
     Transport,
-    _perm_sign,
     _winding,
     augmentation,
     chord_map,

@@ -147,15 +147,16 @@ def _reference_tests(engine):
         lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
         y -= 1
     # weave-line events line by line, independent of the engine's set
-    events = [[(pa, seg.letter) for seg in engine.obstacles
-               for pa, _, _ in poly_crossings(poly, seg.points)] for poly in lines]
+    events = [[(pa, seg.letter, cross_sign(_tangent(seg.points, pb[0]), _tangent(poly, pa[0])))
+               for seg in engine.obstacles
+               for pa, pb, _ in poly_crossings(poly, seg.points)] for poly in lines]
     return [LiftedPiece(poly, sheet, line_events, 1)
             for poly, line_events in zip(lines, events) for sheet in range(1, n + 1)]
 
 
 def _sheet_at(piece, param):
     sheet = piece.start_sheet
-    for p, letter in piece.events:
+    for p, letter, _ in piece.events:
         if p >= param:
             break
         sheet = transpose(sheet, letter)

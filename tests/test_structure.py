@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -66,6 +67,22 @@ def test_private_attributes_only_through_self():
                              and node.value.id in ("self", "cls"))):
                 offenders.append("%s:%d reads %s" % (name, node.lineno, ast.unparse(node)))
     assert not offenders, offenders
+
+
+def test_benchmark_span_targets_exist():
+    """Every (module, attribute path) the benchmark's span recorder wraps
+    still resolves in specnet."""
+    spans = SRC.parents[1] / "perfbench" / "spans.py"
+    targets = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    assert targets
+    for module, path, _span in targets:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            assert hasattr(obj, attr), "%s.%s" % (module, path)
+            obj = getattr(obj, attr)
+        assert callable(obj), "%s.%s" % (module, path)
 
 
 def test_declared_dependencies_match_imports():

@@ -1,12 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from specnet.braid import BraidWord, demazure_product, parse_braid
+from specnet.forest import PropagationError, build_forest_strands
+from specnet.soliton_bps import HomologyEngine
 from specnet.weave import (
     Move,
     Weave,
     bend_weave,
-    cycle_generators,
     parse_weave,
 )
 
@@ -21,15 +22,6 @@ n=3
 top: 2 1 2 1 2 1 2
 moves: h1 t3 h2 t1 t3 h2 t1
 """
-
-FIVE_CROSSING = """
-n=3
-top: 2 1 2 1 2
-moves: h1 t3 h2 t1
-"""
-
-MUTATION_A = "n=2\ntop: 1 1 1\nmoves: t2 t1"
-MUTATION_B = "n=2\ntop: 1 1 1\nmoves: t1 t1"
 
 
 def test_parse_and_slices():
@@ -88,37 +80,46 @@ def test_vertex_structure():
             assert len(ups) == 2 and len(downs) == 2
 
 
-def test_cycle_generators_one_strand_pair():
+def _generators(builder):
+    """(vertex, generator name, top position of the chord its b-strand
+    reaches) for each trivalent vertex, in the forest's bottom-to-top scan
+    order.  The engine names generator s_k after that chord, z_k."""
+    engine = HomologyEngine(builder)
+    out = {}
+    for sid, name in zip(engine.basis_strands, engine.gen_names):
+        strand = builder.strands[sid]
+        assert strand.origin[2] == "b" and strand.chord == "z_" + name[2:]
+        out[strand.origin[1]] = (name, builder.bent.top_positions[strand.chord])
+    return [(v,) + out[v.id] for v in builder.scan_vertices()]
+
+
+def test_cycle_generators_one_strand_pair(builders):
     # Six-crossing two-strand weave: generator k is named after chord z_k.
-    weave = parse_weave(SIGMA1_6)
-    gens = cycle_generators(weave)
-    by_row = {weave.vertices[g.trivalent_vertex].row: g for g in gens}
-    assert [by_row[r].name for r in range(5)] == ["s_1", "s_3", "s_4", "s_5", "s_2"]
-    assert [by_row[r].chord_position for r in range(5)] == [6, 4, 3, 2, 5]
+    gens = _generators(builders["sigma1_6"])
+    by_row = {v.row: (name, position) for v, name, position in gens}
+    assert [by_row[r][0] for r in range(5)] == ["s_1", "s_3", "s_4", "s_5", "s_2"]
+    assert [by_row[r][1] for r in range(5)] == [6, 4, 3, 2, 5]
     # scan order is bottom-to-top
-    assert [g.name for g in gens] == ["s_2", "s_5", "s_4", "s_3", "s_1"]
-    assert [g.index for g in gens] == [1, 2, 3, 4, 5]
+    assert [name for _, name, _ in gens] == ["s_2", "s_5", "s_4", "s_3", "s_1"]
 
 
-def test_cycle_generators_three_crossing_pair():
-    gens_a = cycle_generators(parse_weave(MUTATION_A))
-    assert [g.name for g in gens_a] == ["s_2", "s_1"]
-    assert [g.chord_position for g in gens_a] == [2, 3]
-    gens_b = cycle_generators(parse_weave(MUTATION_B))
-    assert [g.name for g in gens_b] == ["s_1", "s_2"]
-    assert [g.chord_position for g in gens_b] == [3, 2]
+def test_cycle_generators_three_crossing_pair(builders):
+    gens_a = _generators(builders["mutation_a"])
+    assert [name for _, name, _ in gens_a] == ["s_2", "s_1"]
+    assert [position for _, _, position in gens_a] == [2, 3]
+    gens_b = _generators(builders["mutation_b"])
+    assert [name for _, name, _ in gens_b] == ["s_1", "s_2"]
+    assert [position for _, _, position in gens_b] == [3, 2]
 
 
-def test_cycle_generators_rank_three():
-    weave = parse_weave(THREE_STRAND)
-    gens = cycle_generators(weave)
-    assert [g.name for g in gens] == ["s_1", "s_2", "s_3", "s_4"]
-    assert [g.chord_position for g in gens] == [7, 6, 5, 4]
+def test_cycle_generators_rank_three(builders):
+    gens = _generators(builders["three_strand"])
+    assert [name for _, name, _ in gens] == ["s_1", "s_2", "s_3", "s_4"]
+    assert [position for _, _, position in gens] == [7, 6, 5, 4]
 
-    weave = parse_weave(FIVE_CROSSING)
-    gens = cycle_generators(weave)
-    assert [g.name for g in gens] == ["s_1", "s_2"]
-    assert [g.chord_position for g in gens] == [5, 4]
+    gens = _generators(builders["five_crossing"])
+    assert [name for _, name, _ in gens] == ["s_1", "s_2"]
+    assert [position for _, _, position in gens] == [5, 4]
 
 
 def test_bend_weave_boundary():
@@ -153,6 +154,7 @@ def test_bent_lines_are_nested():
 
 # ----- property tests: random legal weaves (random-walk construction) -----
 
+@settings(deadline=None)  # the forest grows within each example
 @given(st.integers(2, 4), st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=12),
        st.randoms())
 def test_random_weave_invariants(n, seeds, rng):
@@ -185,10 +187,16 @@ def test_random_weave_invariants(n, seeds, rng):
     # slice lengths drop by one exactly at trivalent moves
     for move, before, after in zip(weave.moves, weave.slices, weave.slices[1:]):
         assert len(before) - len(after) == (1 if move.kind == "t" else 0)
-    # every trivalent vertex yields a generator named after a beta chord
-    gens = cycle_generators(weave)
-    assert len(gens) == len(weave.trivalent_vertices())
-    assert len({g.name for g in gens}) == len(gens)
     # bending preserves letters and reaches the top
     bent = bend_weave(weave)
     assert bent.boundary_word.letters == weave.top + weave.bottom
+    # where the forest grows, every trivalent vertex's b-strand reaches its
+    # own beta chord, so each generator s_k has a distinct name
+    try:
+        builder = build_forest_strands(bent)
+    except (ValueError, RuntimeError, PropagationError):
+        return  # a non-reduced bottom, or geometry the forest rejects
+    chords = [s.chord for s in builder.strands if s.origin[::2] == ("branch", "b")]
+    assert len(chords) == len(weave.trivalent_vertices())
+    assert len(set(chords)) == len(chords)
+    assert all(chord.startswith("z_") for chord in chords)

@@ -40,6 +40,9 @@ def test_curve_rejects_bad_input():
                  "w^2 - 1/0"):  # not a polynomial
         with pytest.raises(CurveError):
             SpectralCurve(text)
+    for text in ("w^2 - z^(10**6)", "w^(10**6) - z"):  # past the size limits
+        with pytest.raises(CurveError, match="curve too large"):
+            SpectralCurve(text)
 
 
 def test_curve_text_is_not_executed(tmp_path):
