@@ -3,18 +3,16 @@ transport layers.
 
 Every question of the form "where does this path cross these lines, and on
 which side?" is answered here: ``poly_crossings`` for one pair of polylines,
-``PolylineSet`` for a fixed family of tagged polylines (the weave lines, or
-the walls), ``AxisLines`` for a family of parallel test lines.  The first
-two run one function of crossing rules; ``AxisLines`` applies the same rules
-to all its lines in one pass, and raises NonGenericGeometry on the same
-coincidences.
+``PolylineSet`` for a fixed family of tagged polylines (the weave lines, the
+walls, or the homology engine's test lines).  Both run one function of
+crossing rules, which decides every segment pair in integers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Param = Tuple[int, Fraction]  # (polyline sub-segment index, parameter in [0,1])
@@ -88,31 +86,13 @@ def truncated(polyline, param: Param):
     return list(polyline[: i + 1]) + [interp(polyline, param)]
 
 
-def _sub_cross(a0, a1, b0, b1):
-    """Intersection params (t, u) of segments a and b, or None if parallel
-    and disjoint.  Raises on collinear overlap."""
-    dax, day = a1[0] - a0[0], a1[1] - a0[1]
-    dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
-    ex, ey = b0[0] - a0[0], b0[1] - a0[1]
-    det = dax * dby - day * dbx
-    if det == 0:
-        if ex * day - ey * dax != 0:
-            return None  # parallel, distinct lines
-        # collinear: positive-length overlap is non-generic
-        if dax or day:
-            t0 = (ex * dax + ey * day) / (dax * dax + day * day)
-            t1 = t0 + (dbx * dax + dby * day) / (dax * dax + day * day)
-            lo, hi = min(t0, t1), max(t0, t1)
-            if hi > 0 and lo < 1:
-                raise NonGenericGeometry("collinear overlap")
-        return None
-    t = (ex * dby - ey * dbx) / det
-    u = (ex * day - ey * dax) / det
-    return (t, u)
-
-
-def _floats(polyline) -> List[Tuple[float, float]]:
-    return [(float(p[0]), float(p[1])) for p in polyline]
+def _prepared(polyline):
+    """The polyline's integer form (each point times the lcm s of its
+    coordinates' denominators), s, and a float copy."""
+    s = math.lcm(*(c.denominator for p in polyline for c in p))
+    ints = [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator))
+            for x, y in polyline]
+    return ints, s, [(float(x), float(y)) for x, y in polyline]
 
 
 def _box(floats) -> Tuple[float, float, float, float]:
@@ -120,46 +100,61 @@ def _box(floats) -> Tuple[float, float, float, float]:
     return (min(xs), max(xs), min(ys), max(ys))
 
 
-def _crossings(P, pf, Q, qf, q_anchors):
-    """The crossing rules: proper transversal crossings of P and Q (with
-    float copies pf, qf) as sorted (paramP, paramQ, pt).
+def _crossings(p, q, anchors):
+    """The crossing rules: proper transversal crossings of polylines P and Q
+    (given by ``_prepared``) as sorted (paramP, paramQ, pt, side), with side
+    the sign of (Q's tangent) x (P's tangent).
 
-    Touches at P's global start or end, and at the ends of Q listed in
-    ``q_anchors``, are ignored (walls are born on other walls and end on the
-    boundary); any other boundary touch is a non-generic corner hit, and so
-    is a crossing point found twice.
+    Touches at the points in ``anchors`` (P's global ends, and those of Q's
+    ends that are no join: walls are born on other walls and end on the
+    boundary) are ignored; any other touch is a non-generic corner hit, a
+    positive-length collinear overlap is non-generic, and so is a crossing
+    point found twice.  Each segment pair is decided in integers; params
+    and points are built only where the segments meet.
     """
+    (pi, sp, pf), (qi, sq, qf) = p, q
     out = []
-    anchors = (P[0], P[-1]) + q_anchors
-    for i in range(len(P) - 1):
+    for i in range(len(pi) - 1):
         ax0, ay0 = pf[i]
         ax1, ay1 = pf[i + 1]
         alo_x, ahi_x = (ax0, ax1) if ax0 <= ax1 else (ax1, ax0)
         alo_y, ahi_y = (ay0, ay1) if ay0 <= ay1 else (ay1, ay0)
-        for j in range(len(Q) - 1):
+        (a0x, a0y), (a1x, a1y) = pi[i], pi[i + 1]
+        dax, day = a1x - a0x, a1y - a0y
+        for j in range(len(qi) - 1):
             bx0, by0 = qf[j]
             bx1, by1 = qf[j + 1]
             if (alo_x > max(bx0, bx1) + _EPS or ahi_x < min(bx0, bx1) - _EPS or
                     alo_y > max(by0, by1) + _EPS or ahi_y < min(by0, by1) - _EPS):
                 continue
-            r = _sub_cross(P[i], P[i + 1], Q[j], Q[j + 1])
-            if r is None:
+            (b0x, b0y), (b1x, b1y) = qi[j], qi[j + 1]
+            dbx, dby = b1x - b0x, b1y - b0y
+            # b0 - a0, scaled by sp * sq
+            ex, ey = b0x * sp - a0x * sq, b0y * sp - a0y * sq
+            det = dax * dby - day * dbx
+            if det == 0:
+                if ex * day - ey * dax == 0 and (dax or day):
+                    # collinear: Q's ends sit at t = n0, n1 over sq * |da|^2
+                    n0 = ex * dax + ey * day
+                    n1 = n0 + sp * (dbx * dax + dby * day)
+                    if max(n0, n1) > 0 and min(n0, n1) < sq * (dax * dax + day * day):
+                        raise NonGenericGeometry("collinear overlap")
                 continue
-            t, u = r
-            if not (0 <= t <= 1 and 0 <= u <= 1):
+            # t = tn / td on P's segment and u = un / ud on Q's
+            tn, un = ex * dby - ey * dbx, ex * day - ey * dax
+            side = -1 if det > 0 else 1
+            if det < 0:
+                tn, un, det = -tn, -un, -det
+            td, ud = sq * det, sp * det
+            if not (0 <= tn <= td and 0 <= un <= ud):
                 continue
-            pt = (P[i][0] + t * (P[i + 1][0] - P[i][0]),
-                  P[i][1] + t * (P[i + 1][1] - P[i][1]))
-            if 0 < t < 1 and 0 < u < 1:
-                out.append(((i, t), (j, u), pt))
-            elif pt in anchors:
-                continue
-            elif t in (0, 1) and u in (0, 1) and 0 < j + u < len(Q) - 1:
-                continue  # shared interior corner of both: counted by neighbors
-            else:
+            pt = (Fraction(a0x * td + tn * dax, sp * td), Fraction(a0y * td + tn * day, sp * td))
+            if 0 < tn < td and 0 < un < ud:
+                out.append(((i, Fraction(tn, td)), (j, Fraction(un, ud)), pt, side))
+            elif pt not in anchors:
                 raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
-    # a transversal pass through a shared corner would appear twice; reject
-    points = [pt for _, _, pt in out]
+    # where P or Q crosses itself on the other, one point is found twice; reject
+    points = [pt for _, _, pt, _ in out]
     if len(set(points)) != len(points):
         raise NonGenericGeometry("duplicate crossing point")
     return sorted(out)
@@ -167,92 +162,37 @@ def _crossings(P, pf, Q, qf, q_anchors):
 
 def poly_crossings(P: Sequence[Point], Q: Sequence[Point]):
     """Proper transversal crossings of two polylines as (paramP, paramQ, pt)."""
-    return _crossings(P, _floats(P), Q, _floats(Q), (Q[0], Q[-1]))
+    return [(pa, pb, pt) for pa, pb, pt, _ in
+            _crossings(_prepared(P), _prepared(Q), (P[0], P[-1], Q[0], Q[-1]))]
 
 
 class PolylineSet:
-    """A fixed family of tagged polylines (weave lines tagged by letter, or
-    walls tagged by id), with each float copy and bounding box made once.
+    """A fixed family of tagged polylines (weave lines tagged by letter,
+    walls tagged by id, or test lines tagged by index), each prepared once.
     A member's end at one of ``joins`` (a slot, where one weave line goes on
     as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
     def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]], joins=frozenset()):
         self.lines = []
         for Q, tag in tagged:
-            qf = _floats(Q)
-            ends = tuple(q for q in (Q[0], Q[-1]) if q not in joins)
-            self.lines.append((tag, Q, qf, _box(qf), ends))
+            q = _prepared(Q)
+            ends = tuple(e for e in (Q[0], Q[-1]) if e not in joins)
+            self.lines.append((tag, q, _box(q[2]), ends))
 
     def crossings(self, P: Sequence[Point]):
         """``poly_crossings(P, Q)`` against every polyline Q of the set, as
         sorted (param on P, tag, param on Q, point, side) with side the sign
         of (Q's tangent) x (P's tangent).  Polylines whose box is disjoint
         from P's are skipped: every segment pair would be rejected anyway."""
-        pf = _floats(P)
-        lo_x, hi_x, lo_y, hi_y = _box(pf)
+        p = _prepared(P)
+        lo_x, hi_x, lo_y, hi_y = _box(p[2])
+        ends = (P[0], P[-1])
         out = []
-        for tag, Q, qf, (qlo_x, qhi_x, qlo_y, qhi_y), ends in self.lines:
+        for tag, q, (qlo_x, qhi_x, qlo_y, qhi_y), q_ends in self.lines:
             if (lo_x > qhi_x + _EPS or hi_x < qlo_x - _EPS or
                     lo_y > qhi_y + _EPS or hi_y < qlo_y - _EPS):
                 continue
-            for pa, pb, pt in _crossings(P, pf, Q, qf, ends):
-                out.append((pa, tag, pb, pt,
-                            cross_sign(direction(Q, pb[0]), direction(P, pa[0]))))
+            for pa, pb, pt, side in _crossings(p, q, ends + q_ends):
+                out.append((pa, tag, pb, pt, side))
         out.sort()
-        return out
-
-
-class AxisLines:
-    """Parallel segments: coordinate ``axis`` is fixed at each of ``coords``
-    while the other coordinate runs from ``start`` to ``end``."""
-
-    def __init__(self, axis: int, coords: Sequence[Fraction], start, end):
-        self.axis, self.start, self.end = axis, start, end
-        self.order = sorted(range(len(coords)), key=coords.__getitem__)
-        self.coords = [coords[k] for k in self.order]
-        self.floats = [float(c) for c in self.coords]
-        self.lo, self.hi = min(start, end), max(start, end)
-        # the sign of (P's tangent) x (line tangent) per unit motion of P
-        self.turn = (1 if end > start else -1) * (1 - 2 * axis)
-
-    def crossings(self, P: Sequence[Point]):
-        """``poly_crossings(P, line k)`` for every line k at once, as
-        (i, t, k, pos, side): (i, t) is the param on P, pos the crossing's
-        coordinate along the line and side the sign of (P's tangent) x (line
-        tangent).  Lines are found by bisecting each segment's float bounds
-        (the margin absorbs rounding); the same inputs raise
-        NonGenericGeometry."""
-        a, b, eps = self.axis, 1 - self.axis, _EPS
-        blo, bhi = float(self.lo) - eps, float(self.hi) + eps
-        pf = [(float(p[a]), float(p[b])) for p in P]
-        out, seen = [], set()
-        for i in range(len(P) - 1):
-            (fa0, fb0), (fa1, fb1) = pf[i], pf[i + 1]
-            if max(fb0, fb1) < blo or min(fb0, fb1) > bhi:
-                continue
-            k0 = bisect_left(self.floats, min(fa0, fa1) - eps)
-            k1 = bisect_right(self.floats, max(fa0, fa1) + eps)
-            a0, a1, b0, b1 = P[i][a], P[i + 1][a], P[i][b], P[i + 1][b]
-            for k in range(k0, k1):
-                c = self.coords[k]
-                if a0 == a1:  # parallel: only a positive-length overlap counts
-                    if c == a0 and max(min(b0, b1), self.lo) < min(max(b0, b1), self.hi):
-                        raise NonGenericGeometry("collinear overlap")
-                    continue
-                if not (a0 <= c <= a1 or a1 <= c <= a0):
-                    continue
-                t = (c - a0) / (a1 - a0)
-                pos = b0 + t * (b1 - b0)
-                if not self.lo <= pos <= self.hi:
-                    continue
-                if c != a0 and c != a1 and self.lo < pos < self.hi:
-                    if (k, pos) in seen:
-                        raise NonGenericGeometry("duplicate crossing point")
-                    seen.add((k, pos))
-                    side = self.turn if a1 > a0 else -self.turn
-                    out.append((i, t, self.order[k], pos, side))
-                    continue
-                pt = (c, pos) if a == 0 else (pos, c)
-                if pt != P[0] and pt != P[-1] and pos != self.start and pos != self.end:
-                    raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
         return out

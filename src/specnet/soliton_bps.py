@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder
 from .geometry import (
-    AxisLines,
     NonGenericGeometry,
     Param,
     Point,
+    PolylineSet,
     cross_sign,
     direction,
     interp,
@@ -70,36 +70,26 @@ class LiftedPiece:
 
 
 class PairingLines:
-    """Test curves: families of axis-parallel lines, each line lifted to
-    every sheet.  Row ``line * n + sheet - 1`` of the pairing matrix is the
-    lift starting on ``sheet``, with lines numbered family by family.  A
-    piece's crossings with a family are found in one pass and read off for
-    all n lifts at once.
+    """Test curves: segments, each lifted to every sheet.  Row
+    ``line * n + sheet - 1`` of the pairing matrix is the lift of the
+    ``line``-th segment starting on ``sheet``.  A piece's crossings with all
+    the lines are found in one query and read off for all n lifts at once.
     """
 
-    def __init__(self, families: Sequence[AxisLines], obstacles, n: int):
-        self.n, self.families, first = n, [], 0
-        for lines in families:
-            # crossings with the weave lines, ordered along each line
-            rising = lines.end > lines.start
-            events: List[list] = [[] for _ in lines.coords]
-            for seg in obstacles:
-                for _, _, k, pos, _ in lines.crossings(seg.points):
-                    events[k].append((pos if rising else -pos, seg.letter))
-            records = []
-            for k, line_events in enumerate(map(sorted, events)):
-                # inverse sheet permutations after each prefix of events:
-                # which lift of the line is on a given sheet there
-                perm = tuple(range(n + 1))
-                inverses = [perm]
-                for _, letter in line_events:
-                    perm = tuple(transpose(s, letter) for s in perm)
-                    inverses.append(tuple(sorted(range(n + 1), key=perm.__getitem__)))
-                records.append(((first + k) * n - 1, [key for key, _ in line_events],
-                                inverses))
-            self.families.append((lines, rising, records))
-            first += len(records)
-        self.rows = first * n
+    def __init__(self, lines: Sequence[Sequence[Point]], builder: ForestBuilder, n: int):
+        self.n, self.records = n, []
+        self.lines = PolylineSet((line, k) for k, line in enumerate(lines))
+        for k, line in enumerate(lines):
+            events = builder.events_along(line)
+            # inverse sheet permutations after each prefix of events:
+            # which lift of the line is on a given sheet there
+            perm = tuple(range(n + 1))
+            inverses = [perm]
+            for _, letter, _ in events:
+                perm = tuple(transpose(s, letter) for s in perm)
+                inverses.append(tuple(sorted(range(n + 1), key=perm.__getitem__)))
+            self.records.append((k * n - 1, [param for param, _, _ in events], inverses))
+        self.rows = len(lines) * n
 
     def pairing(self, piece: LiftedPiece) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """The rows of the test lifts the piece meets and its pairings with
@@ -111,14 +101,15 @@ class PairingLines:
             for _, letter, _ in piece.events:
                 perms.append(tuple(transpose(s, letter) for s in perms[-1]))
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
-            for lines, rising, records in self.families:
-                for i, t, k, pos, side in lines.crossings(piece.polyline):
-                    base, keys, inverses = records[k]
-                    inverse = inverses[bisect_left(keys, pos if rising else -pos)]
-                    perm = perms[bisect_left(params, (i, t))]
-                    for total, sheet in zip(totals, perm[1:]):
-                        row = base + inverse[sheet]
-                        total[row] = total.get(row, 0) + side
+            for pa, k, pb, _, side in self.lines.crossings(piece.polyline):
+                base, keys, inverses = self.records[k]
+                inverse = inverses[bisect_left(keys, pb)]
+                perm = perms[bisect_left(params, pa)]
+                for total, sheet in zip(totals, perm[1:]):
+                    row = base + inverse[sheet]
+                    # side is (line tangent) x (piece tangent); the pairing
+                    # counts (piece tangent) x (line tangent)
+                    total[row] = total.get(row, 0) - side
             piece.pairings[self] = [(tuple(total), tuple(total.values()))
                                     for total in totals]
         return piece.pairings[self][piece.start_sheet - 1]
@@ -228,9 +219,9 @@ class HomologyEngine:
         # stacked in one column
         xs = [Fraction(1, 3) + k for k in range(math.ceil(self.x_max + Fraction(2, 3)))]
         ys = [Fraction(-1, 3) - k for k in range(math.ceil(-self.y_deep - Fraction(1, 3)))]
-        return PairingLines([AxisLines(0, xs, Fraction(0), self.y_deep - 2),
-                             AxisLines(1, ys, Fraction(-3), self.x_max + 3)],
-                            self.obstacles, n)
+        return PairingLines([[(x, Fraction(0)), (x, self.y_deep - 2)] for x in xs]
+                            + [[(Fraction(-3), y), (self.x_max + 3, y)] for y in ys],
+                            self.builder, n)
 
     # ----- chains -----
     def cap(self, start: Point, start_sheet: int, orientation: int) -> LiftedPiece:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.geometry import AxisLines, NonGenericGeometry, cross_sign, poly_crossings, transpose
+from specnet.geometry import NonGenericGeometry, cross_sign, poly_crossings, transpose
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
@@ -208,8 +208,8 @@ def test_engine_matches_per_test_reference(catalogs):
 def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
     """Test curves that miss every cycle leave the cycle columns dependent."""
     def far_lines(engine, n):
-        far = AxisLines(0, [engine.x_max + 10], Fraction(0), engine.y_deep - 2)
-        return PairingLines([far], engine.obstacles, n)
+        far = [(engine.x_max + 10, Fraction(0)), (engine.x_max + 10, engine.y_deep - 2)]
+        return PairingLines([far], engine.builder, n)
 
     monkeypatch.setattr(HomologyEngine, "_make_tests", far_lines)
     with pytest.raises(NonGenericGeometry, match="rank 0"):

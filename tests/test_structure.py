@@ -69,13 +69,17 @@ def test_private_attributes_only_through_self():
     assert not offenders, offenders
 
 
+def _span_targets():
+    spans = SRC.parents[1] / "perfbench" / "spans.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+
+
 def test_benchmark_span_targets_exist():
     """Every (module, attribute path) the benchmark's span recorder wraps
     still resolves in specnet."""
-    spans = SRC.parents[1] / "perfbench" / "spans.py"
-    targets = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    targets = _span_targets()
     assert targets
     for module, path, _span in targets:
         obj = importlib.import_module(module)
@@ -100,3 +104,39 @@ def test_declared_dependencies_match_imports():
     project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
     assert third_party == declared
+
+
+def _referenced(tree):
+    """Names a tree reads: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def test_every_definition_has_a_caller():
+    """Every function, class and method defined in src/specnet (dunders
+    aside) is referenced outside its own definition: in src/, in tests/ or
+    as a benchmark span target."""
+    tests = SRC.parents[1] / "tests"
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))]
+    counts = {}
+    for tree in trees:
+        for name in _referenced(tree):
+            counts[name] = counts.get(name, 0) + 1
+    for _module, path, _span in _span_targets():
+        for name in path.split("."):
+            counts[name] = counts.get(name, 0) + 1
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                inside = sum(name == node.name for name in _referenced(node))
+                if counts.get(node.name, 0) <= inside:
+                    offenders.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert not offenders, offenders
