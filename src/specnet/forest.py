@@ -23,13 +23,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .braid import BraidWord, demazure_product
-from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, poly_crossings,
-                       transpose, walk_sheets)
+from .geometry import NonGenericGeometry, Param, Point, PolylineSet, transpose, walk_sheets
 from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment
 
 
-class PropagationError(Exception):
+class PropagationError(RuntimeError):
     """A rightward flowline ran off the weave without finding its edge."""
 
 
@@ -79,6 +78,7 @@ class ForestBuilder:
         self.name_to_letter = {self._top_name_by_x[seg.points[0][0]]: seg.letter
                                for seg in self.obstacles if seg.points[0][1] == 0}
         self.strands: List[Strand] = []
+        self.walls = PolylineSet()  # the strands met so far, tagged by id
         self.joints: List[dict] = []  # creation events in processing order
         self.born_at: Dict[int, dict] = {}  # child strand id -> its creation joint
 
@@ -188,28 +188,34 @@ class ForestBuilder:
 
     def _extend_round(self, new: List[Strand], rnd: int):
         """Run creations to a fixed point, always at the least crossing point.
-        Each new strand is intersected once, at the first step after it is
-        added, with the old strands and with the new ones added before it."""
-        old = [s for s in self.strands if s.round < rnd]
+        Each new strand is met once with ``walls`` (the older rounds' strands
+        and the new ones before it) and then joins them.  A creation joint
+        records its parents in (ij, jk) order and its twist bit: 1 exactly
+        when the parent tangents there satisfy d_ij x d_jk > 0."""
         events: List[tuple] = []
-        done = 0  # new[:done] have been intersected
+        done = 0  # new[:done] are in walls
         for _ in range(100):  # creation steps a round may take
             for sn in new[done:]:
-                for other in old + new[:done]:
-                    for pn, po, pt in poly_crossings(sn.polyline, other.polyline):
-                        child_label = compose_labels([sn.label_at(pn), other.label_at(po)])
-                        if child_label is not None:
-                            events.append((pt[0], pt[1], sn.id, other.id, pn, po, child_label))
+                for pn, oid, po, pt, side in self.walls.crossings(sn.polyline):
+                    label = sn.label_at(pn)
+                    child_label = compose_labels([label, self.strands[oid].label_at(po)])
+                    if child_label is not None:
+                        first = label[0] == child_label[0]  # sn is the ij-parent
+                        events.append((pt[0], pt[1], sn.id, oid, pn, po, child_label,
+                                       (sn.id, oid) if first else (oid, sn.id),
+                                       int((side > 0) != first)))
+                self.walls.add(sn.polyline, sn.id)
                 done += 1
             if not events:
                 return
             event = min(events, key=lambda e: e[:4])
             events.remove(event)
-            x, y, a_id, b_id, pa, pb, child_label = event
+            x, y, a_id, b_id, pa, pb, child_label, parents, twist = event
             parent_a, parent_b = self.strands[a_id], self.strands[b_id]
             child = self.propagate_joint(parent_a, parent_b, child_label, (x, y), rnd)
             joint = {
-                "parents": (min(a_id, b_id), max(a_id, b_id)),
+                "parents": parents,
+                "twist": twist,
                 "params": {a_id: pa, b_id: pb},
                 "point": (x, y),
                 "child": child.id,
@@ -252,5 +258,5 @@ def build_forest_strands(bent: BentWeave) -> ForestBuilder:
         except NonGenericGeometry as err:
             last_err = err
             scale /= 16
-    raise RuntimeError("geometry stayed non-generic after retries: %s" % last_err)
+    raise NonGenericGeometry("geometry stayed non-generic after retries: %s" % last_err)
 

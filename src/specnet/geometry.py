@@ -2,10 +2,9 @@
 transport layers.
 
 Every question of the form "where does this path cross these lines, and on
-which side?" is answered here: ``poly_crossings`` for one pair of polylines,
-``PolylineSet`` for a fixed family of tagged polylines (the weave lines, the
-walls, or the homology engine's test lines).  Both run one function of
-crossing rules, which decides every segment pair in integers.
+which side?" is answered here, by a ``PolylineSet`` of tagged polylines (the
+weave lines, the walls, or the homology engine's test lines).  One function
+of crossing rules decides every segment pair in integers.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ Param = Tuple[int, Fraction]  # (polyline sub-segment index, parameter in [0,1])
 _EPS = 1e-6
 
 
-class NonGenericGeometry(Exception):
+class NonGenericGeometry(RuntimeError):
     """Offsets produced a coincidence (tangency, corner hit); retry smaller."""
 
 
@@ -60,19 +59,6 @@ def walk_sheets(sheets: Tuple[int, ...], events, stop=None) -> Tuple[Tuple[int, 
             sign *= twist_sign(letter, sheet, side)
         sheets = tuple(transpose(s, letter) for s in sheets)
     return sheets, sign
-
-
-def direction(polyline, i: int) -> Point:
-    """Direction vector of the polyline's ``i``-th sub-segment."""
-    return (polyline[i + 1][0] - polyline[i][0], polyline[i + 1][1] - polyline[i][1])
-
-
-def cross_sign(u: Point, v: Point) -> int:
-    """Sign of u x v; tangent directions are non-generic."""
-    c = u[0] * v[1] - u[1] * v[0]
-    if c == 0:
-        raise NonGenericGeometry("tangent segments at a crossing")
-    return 1 if c > 0 else -1
 
 
 def interp(polyline, param: Param) -> Point:
@@ -160,27 +146,26 @@ def _crossings(p, q, anchors):
     return sorted(out)
 
 
-def poly_crossings(P: Sequence[Point], Q: Sequence[Point]):
-    """Proper transversal crossings of two polylines as (paramP, paramQ, pt)."""
-    return [(pa, pb, pt) for pa, pb, pt, _ in
-            _crossings(_prepared(P), _prepared(Q), (P[0], P[-1], Q[0], Q[-1]))]
-
-
 class PolylineSet:
-    """A fixed family of tagged polylines (weave lines tagged by letter,
-    walls tagged by id, or test lines tagged by index), each prepared once.
+    """A family of tagged polylines (weave lines tagged by letter, walls
+    tagged by id, or test lines tagged by index), each prepared once when it
+    joins the family; the forest grows its walls one ``add`` at a time.
     A member's end at one of ``joins`` (a slot, where one weave line goes on
     as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
-    def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]], joins=frozenset()):
+    def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]] = (), joins=frozenset()):
+        self.joins = joins
         self.lines = []
         for Q, tag in tagged:
-            q = _prepared(Q)
-            ends = tuple(e for e in (Q[0], Q[-1]) if e not in joins)
-            self.lines.append((tag, q, _box(q[2]), ends))
+            self.add(Q, tag)
+
+    def add(self, Q: Sequence[Point], tag):
+        q = _prepared(Q)
+        ends = tuple(e for e in (Q[0], Q[-1]) if e not in self.joins)
+        self.lines.append((tag, q, _box(q[2]), ends))
 
     def crossings(self, P: Sequence[Point]):
-        """``poly_crossings(P, Q)`` against every polyline Q of the set, as
+        """The proper transversal crossings of P with every member Q, as
         sorted (param on P, tag, param on Q, point, side) with side the sign
         of (Q's tangent) x (P's tangent).  Polylines whose box is disjoint
         from P's are skipped: every segment pair would be rejected anyway."""

@@ -112,8 +112,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> "LaurentPoly":
@@ -175,6 +176,24 @@ class LaurentPoly:
     __repr__ = __str__
 
 
+# the reader expands no product or power that may have more terms than this;
+# a curve wkb.SpectralCurve accepts has at most 387, (2 + 1) * (128 + 1)
+MAX_TERMS = 512
+
+
+def _check_size(node, count, spans):
+    """Refuse to expand ``node``, whose result has at most ``count`` terms
+    and exponents in ranges of the widths ``spans()``, when both bounds
+    allow more than MAX_TERMS terms."""
+    if count > MAX_TERMS and math.prod(span + 1 for span in spans()) > MAX_TERMS:
+        raise ValueError("expanding %s may give more than %d terms"
+                         % (ast.unparse(node), MAX_TERMS))
+
+
+def _spans(poly: LaurentPoly):
+    return [max(column) - min(column) for column in zip(*poly.terms)]
+
+
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: lambda a, b: a * b.inverse()}
 _UNARY = {ast.UAdd: lambda a: a, ast.USub: operator.neg}
@@ -202,14 +221,22 @@ def parse_laurent(text: str, gens: Iterable[str] | None = None, ring=int) -> Lau
 
     def value(node) -> LaurentPoly:
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return _BINARY[type(node.op)](value(node.left), value(node.right))
+            left, right = value(node.left), value(node.right)
+            if isinstance(node.op, ast.Mult):
+                _check_size(node, len(left.terms) * len(right.terms),
+                            lambda: map(operator.add, _spans(left), _spans(right)))
+            return _BINARY[type(node.op)](left, right)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             power = value(node.right)
             c = power.terms.get((0,) * len(gens), 0)
             if power != LaurentPoly.constant(gens, c) or c != int(c):
                 raise ValueError("exponent %s is not an integer constant"
                                  % ast.unparse(node.right))
-            return value(node.left) ** int(c)
+            base, k = value(node.left), int(c)
+            if k > 0:  # a negative power is of one term, or rejected
+                _check_size(node, math.comb(k + len(base.terms) - 1, k),
+                            lambda: [k * span for span in _spans(base)])
+            return base ** k
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
             return _UNARY[type(node.op)](value(node.operand))
         if isinstance(node, ast.Name) and node.id in gens:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import NonGenericGeometry, Param, Point, PolylineSet, walk_sheets
+from .geometry import NonGenericGeometry, Param, Point, walk_sheets
 from .laurent import LaurentPoly
 from .soliton_bps import LiftedPiece, SolitonCatalog
 
@@ -48,7 +48,6 @@ class Transport:
         self.n = n
         self.gens = tuple(self.engine.gen_names) + tuple(
             "t_%d" % i for i in range(1, n + 1))
-        self.walls = PolylineSet((s.polyline, s.id) for s in builder.strands)
         self._wall_sign_cache: Dict[int, int] = {}
 
     # ----- ring helpers -----
@@ -114,8 +113,7 @@ class Transport:
                 value = 1
             else:
                 joint = self.builder.born_at[sid]
-                hand = 1 if self.catalog.joint_twist(joint) else -1
-                value = hand
+                value = 1 if joint["twist"] else -1
                 for pid in joint["parents"]:
                     value *= self.wall_sign(pid)
                     value *= self._twist_at(pid, joint["params"][pid])
@@ -154,7 +152,7 @@ class Transport:
         total = self.identity()
         prev_pt = poly[0]
         prev_idx = 0
-        for pa, sid, pb, pt, side in self.walls.crossings(poly):
+        for pa, sid, pb, pt, side in self.builder.walls.crossings(poly):
             sub = [prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt]
             sub = _dedupe(sub)
             if len(sub) > 1:

@@ -29,8 +29,6 @@ from .geometry import (
     Param,
     Point,
     PolylineSet,
-    cross_sign,
-    direction,
     interp,
     transpose,
     truncated,
@@ -352,9 +350,10 @@ class SolitonCatalog:
     * a branch-point wall (seed) carries sign (-1)^Q of its full capped
       class, with Q the quadratic refinement sum x_i(x_i-1)/2;
     * a creation child carries the product of its parents' signs times the
-      joint twist (-1)^g, where g = 1 exactly when the parent tangents at
-      the joint satisfy d_ij x d_jk > 0 (the ij-parent being the one whose
-      label at the joint shares the child's starting lower sheet);
+      joint twist (-1)^g, g the twist bit the forest records at the joint:
+      1 exactly when the parent tangents there satisfy d_ij x d_jk > 0
+      (the ij-parent being the one whose label at the joint shares the
+      child's starting lower sheet);
     * a boundary arc through the marked point on sheet i carries sign
       (-1)^(Q + l + 1) with l the number of branch points.
 
@@ -378,27 +377,6 @@ class SolitonCatalog:
                 self.engine.tree_chain(sid))
         return self._full_class[sid]
 
-    def joint_twist(self, joint: dict) -> int:
-        """The creation twist bit g of a joint (1 iff d_ij x d_jk > 0)."""
-        pij, pjk = self.ordered_parents(joint)
-        strands, params = self.builder.strands, joint["params"]
-        dij = direction(strands[pij].polyline, params[pij][0])
-        djk = direction(strands[pjk].polyline, params[pjk][0])
-        return 1 if cross_sign(dij, djk) > 0 else 0
-
-    def ordered_parents(self, joint: dict) -> Tuple[int, int]:
-        """Parents as (ij, jk): the ij-parent shares the child's lower sheet."""
-        child = self.builder.strands[joint["child"]]
-        p1, p2 = joint["parents"]
-        lab1 = self.builder.strands[p1].label_at(joint["params"][p1])
-        lab2 = self.builder.strands[p2].label_at(joint["params"][p2])
-        if lab1[0] == child.start_label[0] and lab2[1] == child.start_label[1]:
-            return p1, p2
-        if lab2[0] == child.start_label[0] and lab1[1] == child.start_label[1]:
-            return p2, p1
-        raise AssertionError("parent labels %r, %r do not compose to %r"
-                             % (lab1, lab2, child.start_label))
-
     def sign_parity(self, sid: int) -> Tuple[int, int]:
         """The seed-sign product of the strand's tree and the parity of the
         twists at its joints."""
@@ -409,7 +387,7 @@ class SolitonCatalog:
                 value = (-1 if quadratic_refinement(cyc) % 2 else 1, 0)
             else:
                 (s1, h1), (s2, h2) = map(self.sign_parity, joint["parents"])
-                value = (s1 * s2, (h1 + h2 + self.joint_twist(joint)) % 2)
+                value = (s1 * s2, (h1 + h2 + joint["twist"]) % 2)
             self._sign_parity[sid] = value
         return self._sign_parity[sid]
 
@@ -444,8 +422,8 @@ class SolitonCatalog:
                 table[sid] = {SolitonClass(cyc, self.sign_parity(sid)[0], 0): 1}
             else:
                 joint = self.builder.born_at[sid]
-                g = self.joint_twist(joint)
-                pij, pjk = self.ordered_parents(joint)
+                g = joint["twist"]
+                pij, pjk = joint["parents"]
                 entries: Dict[SolitonClass, int] = {}
                 for rho1, mu1 in self._based_at(pij, joint["params"][pij]).items():
                     for rho2, mu2 in self._based_at(pjk, joint["params"][pjk]).items():
@@ -485,5 +463,5 @@ class SolitonCatalog:
                 seed_cyc, _ = self.full_class(sid)
                 sign *= -1 if quadratic_refinement(seed_cyc) % 2 else 1
         for joint in tree.joints:
-            h = (h + self.joint_twist(joint)) % 2
+            h = (h + joint["twist"]) % 2
         return SolitonClass(cyc, sign, h)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -224,6 +225,17 @@ def test_oversized_curve_exits_2(curve, capsys):
     assert "curve too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", ["(w+z+1)^32", "(w+z+1)^80"])
+def test_curve_expansion_bound_exits_2(curve, capsys):
+    """A power the curve reader would expand past its term bound exits 2
+    before the expansion is done."""
+    start = time.process_time()
+    assert main(["wkb-trace", "--curve", curve, "--theta", "0.1",
+                 "--mass", "3", "--radius", "3"]) == 2
+    assert time.process_time() - start < 0.5
+    assert "more than 512 terms" in capsys.readouterr().err
+
+
 def test_wkb_trace_curve_text_is_not_executed(tmp_path, capsys):
     """Neither --curve nor the config key runs the text as Python."""
     target = tmp_path / "x"
@@ -242,6 +254,14 @@ def test_non_reduced_bottom_exits_nonzero(sub, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("n=2\ntop: 1 1 1\nmoves: t1\n"))
     assert main([sub, "-"]) == 2
     assert "n=2; 1 1 is not a reduced word" in capsys.readouterr().err
+
+
+def test_propagation_error_exits_2(monkeypatch, capsys):
+    """A forest the weave cannot grow is a named error with exit 2, not a
+    traceback with exit 1 (the code nonabelianize uses for NOT IDENTITY)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=3\ntop: 1 1 1 2 2\nmoves: t2 t1 t2\n"))
+    assert main(["augmentation", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error [augmentation]: rightward flowline ")
 
 
 def test_missing_input_exits_nonzero(capsys):

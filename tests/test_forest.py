@@ -7,9 +7,6 @@ from specnet.forest import build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry,
     PolylineSet,
-    cross_sign,
-    direction,
-    poly_crossings,
     transpose,
     twist_sign,
     walk_sheets,
@@ -178,24 +175,25 @@ def test_conjugate():
 def test_poly_crossings_basic():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
     Q = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
-    out = poly_crossings(P, Q)
+    out = PolylineSet([(Q, "q")]).crossings(P)
     assert len(out) == 1
-    (_, t), (_, u), pt = out[0]
-    assert t == u == Fraction(1, 2)
+    (_, t), tag, (_, u), pt, side = out[0]
+    assert t == u == Fraction(1, 2) and tag == "q"
     assert pt == (Fraction(1), Fraction(1))
+    assert side == 1  # (Q's tangent) x (P's tangent) = (2, -2) x (2, 2) = 8
 
 
 def test_poly_crossings_rejects_collinear_overlap():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
     Q = [(Fraction(1), Fraction(0)), (Fraction(3), Fraction(0))]
     with pytest.raises(NonGenericGeometry):
-        poly_crossings(P, Q)
+        PolylineSet([(Q, 0)]).crossings(P)
 
 
 def test_poly_crossings_parallel_disjoint():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
     Q = [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))]
-    assert poly_crossings(P, Q) == []
+    assert PolylineSet([(Q, 0)]).crossings(P) == []
 
 
 def test_delta_offsets_distinct(builders):
@@ -226,6 +224,18 @@ def _axis(axis, line_coords, start, end):
 
 
 # ----- reference: the Fraction crossing rules, segment pair by segment pair -----
+
+def _direction(polyline, i):
+    return (polyline[i + 1][0] - polyline[i][0], polyline[i + 1][1] - polyline[i][1])
+
+
+def _cross_sign(u, v):
+    """Sign of u x v; tangent directions are non-generic."""
+    c = u[0] * v[1] - u[1] * v[0]
+    if c == 0:
+        raise NonGenericGeometry("tangent segments at a crossing")
+    return 1 if c > 0 else -1
+
 
 def _sub_cross(a0, a1, b0, b1):
     """Intersection params (t, u) of segments a and b, or None if parallel
@@ -269,7 +279,7 @@ def _reference_crossings(P, Q, q_anchors):
                   P[i][1] + t * (P[i + 1][1] - P[i][1]))
             if 0 < t < 1 and 0 < u < 1:
                 out.append(((i, t), (j, u), pt,
-                            cross_sign(direction(Q, j), direction(P, i))))
+                            _cross_sign(_direction(Q, j), _direction(P, i))))
             elif pt in anchors:
                 continue
             else:
@@ -282,60 +292,77 @@ def _reference_crossings(P, Q, q_anchors):
 
 def test_pass_through_a_shared_corner_is_a_corner_hit():
     """A path through a corner that both polylines share raises, like any
-    other touch off an anchor; moved off the corner it crosses once."""
-    Q = _poly((-1, 0), (0, 0), (1, 1))
+    other touch off an anchor, whichever of the two is the member; moved off
+    the corner it crosses once."""
+    P, Q = _poly((0, -1), (0, 0), (-1, 1)), _poly((-1, 0), (0, 0), (1, 1))
     with pytest.raises(NonGenericGeometry, match="polyline corner hit"):
-        poly_crossings(_poly((0, -1), (0, 0), (-1, 1)), Q)
+        PolylineSet([(Q, 0)]).crossings(P)
     with pytest.raises(NonGenericGeometry, match="polyline corner hit"):
-        PolylineSet([(Q, 0)]).crossings(_poly((0, -1), (0, 0), (-1, 1)))
+        PolylineSet([(P, 0)]).crossings(Q)
     corner = (Fraction(-1, 1000), Fraction(1, 1000))
     P = [(Fraction(0), Fraction(-1)), corner, (Fraction(-1), Fraction(1))]
-    assert len(poly_crossings(P, Q)) == 1
+    assert len(PolylineSet([(Q, 0)]).crossings(P)) == 1
 
 
 LINE = _poly((1, 3), (1, -1))
+NO_JOINS = ([], None)
 
 
 @seed(20261018)
 @settings(max_examples=200, deadline=None)
-@given(polylines, st.lists(polylines, min_size=1, max_size=4))
-@example(_poly((0, 0), (2, 2)), [LINE])  # transversal
-@example(_poly((0, 0), (1, 1), (2, 0)), [LINE])  # corner hit
-@example(_poly((1, 0), (1, 2)), [LINE])  # collinear overlap
-@example(_poly((0, 0), (1, 1)), [LINE])  # own end anchor
-@example(_poly((0, 0), (2, 2)), [_poly((1, 1), (1, -1))])  # line end anchor
-@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), [LINE])  # self-crossing on the line
-@example(_poly((0, 0), (2, 2)), [_poly((3, 0), (3, 2)), LINE])  # a disjoint box
-@example(_poly((0, 0), (2, 2)), [LINE, _poly((1, 0), (1, 2))])  # second line raises
+@given(polylines, st.lists(polylines, min_size=1, max_size=4),
+       st.tuples(st.lists(st.integers(0, 7), max_size=3), st.none() | st.integers(0, 7)))
+@example(_poly((0, 0), (2, 2)), [LINE], NO_JOINS)  # transversal
+@example(_poly((0, 0), (1, 1), (2, 0)), [LINE], NO_JOINS)  # corner hit
+@example(_poly((1, 0), (1, 2)), [LINE], NO_JOINS)  # collinear overlap
+@example(_poly((0, 0), (1, 1)), [LINE], NO_JOINS)  # own end anchor
+@example(_poly((0, 0), (2, 2)), [_poly((1, 1), (1, -1))], NO_JOINS)  # line end anchor
+@example(_poly((0, 0), (2, 2)), [_poly((1, 1), (1, -1))], ([0], None))  # line end join
+@example(_poly((0, 0), (2, 2)), [_poly((1, -1), (1, 1))], ([1], None))  # last end join
+@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), [LINE], NO_JOINS)  # self-crossing on the line
+@example(_poly((0, 0), (2, 2)), [_poly((3, 0), (3, 2)), LINE], NO_JOINS)  # a disjoint box
+@example(_poly((0, 0), (2, 2)), [LINE, _poly((1, 0), (1, 2))], NO_JOINS)  # second line raises
 @example(_poly((0, 0), (2, 0)),
-         [_poly((-1, 0), (0, 0)), _poly((2, 0), (3, 0))])  # collinear touches at anchors
-@example(_poly((0, 0), (2, 2)), _axis(0, [ONE], THREE, MINUS_ONE))  # transversal
-@example(_poly((0, 0), (1, 1), (2, 0)), _axis(0, [ONE], THREE, MINUS_ONE))  # corner hit
-@example(_poly((1, 0), (1, 2)), _axis(0, [ONE], THREE, MINUS_ONE))  # collinear overlap
-@example(_poly((0, 0), (1, 1)), _axis(0, [ONE], THREE, MINUS_ONE))  # own end anchor
-@example(_poly((0, 0), (2, 2)), _axis(0, [ONE], ONE, MINUS_ONE))  # line end anchor
-@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), _axis(0, [ONE], THREE,
-                                                      MINUS_ONE))  # self-crossing on the line
+         [_poly((-1, 0), (0, 0)), _poly((2, 0), (3, 0))], NO_JOINS)  # collinear touches at anchors
+@example(_poly((0, 0), (2, 2)), _axis(0, [ONE], THREE, MINUS_ONE), NO_JOINS)  # transversal
+@example(_poly((0, 0), (1, 1), (2, 0)), _axis(0, [ONE], THREE, MINUS_ONE), NO_JOINS)  # corner hit
+@example(_poly((1, 0), (1, 2)), _axis(0, [ONE], THREE, MINUS_ONE), NO_JOINS)  # collinear overlap
+@example(_poly((0, 0), (1, 1)), _axis(0, [ONE], THREE, MINUS_ONE), NO_JOINS)  # own end anchor
+@example(_poly((0, 0), (2, 2)), _axis(0, [ONE], ONE, MINUS_ONE), NO_JOINS)  # line end anchor
+@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), _axis(0, [ONE], THREE, MINUS_ONE),
+         NO_JOINS)  # self-crossing on the line
 @example(_poly((Fraction(1, 2), -2), (Fraction(1, 2), 2)),
-         _axis(1, [Fraction(0), ONE], MINUS_ONE, ONE))  # crossing horizontal lines
-def test_polyline_set_matches_poly_crossings(P, lines):
-    """``poly_crossings`` against each member and the set's crossings equal
-    the reference rules: the same crossings, tagged, with the same sides,
-    and raising on exactly the inputs where some member's reference
-    raises."""
+         _axis(1, [Fraction(0), ONE], MINUS_ONE, ONE), NO_JOINS)  # crossing horizontal lines
+def test_polyline_set_matches_poly_crossings(P, lines, joined):
+    """One-member sets and the whole set equal the reference rules: the
+    same crossings, tagged, with the same sides, and raising on exactly the
+    inputs where some member's reference raises.  ``joined`` picks member
+    ends (first and last end of each member in turn) as joins, which the
+    reference then does not count as anchors, and optionally one end that
+    P is routed through."""
+    picks, through = joined
+    ends = [end for Q in lines for end in (Q[0], Q[-1])]
+    joins = frozenset(ends[k % len(ends)] for k in picks)
+    if through is not None:
+        P = [P[0], ends[through % len(ends)]] + P[1:]
     expected, raised = [], False
     for k, Q in enumerate(lines):
+        anchors = tuple(end for end in (Q[0], Q[-1]) if end not in joins)
+        one = PolylineSet([(Q, k)], joins)
         try:
-            found = _reference_crossings(P, Q, (Q[0], Q[-1]))
+            found = _reference_crossings(P, Q, anchors)
         except NonGenericGeometry:
             with pytest.raises(NonGenericGeometry):
-                poly_crossings(P, Q)
+                one.crossings(P)
             raised = True
             continue
-        assert poly_crossings(P, Q) == [(pa, pb, pt) for pa, pb, pt, _ in found]
+        assert one.crossings(P) == [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
         expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
+    whole = PolylineSet(joins=joins)
+    for k, Q in enumerate(lines):
+        whole.add(Q, k)
     if raised:
         with pytest.raises(NonGenericGeometry):
-            PolylineSet((Q, k) for k, Q in enumerate(lines)).crossings(P)
+            whole.crossings(P)
         return
-    assert PolylineSet((Q, k) for k, Q in enumerate(lines)).crossings(P) == sorted(expected)
+    assert whole.crossings(P) == sorted(expected)

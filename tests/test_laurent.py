@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from specnet.laurent import FactoredMatrix, LaurentPoly, parse_laurent, solve_rational
+from specnet.laurent import MAX_TERMS, FactoredMatrix, LaurentPoly, parse_laurent, solve_rational
 
 GENS = ("s_1", "s_2", "s_3")
 
@@ -47,6 +47,20 @@ def test_parse_rejects_non_laurent_text(text, tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         parse_laurent(text, GENS)
     assert not (tmp_path / "x").exists()
+
+
+def test_parse_bounds_expansion():
+    """A product or power that may exceed MAX_TERMS terms is refused before
+    it is expanded; the largest curve wkb.SpectralCurve accepts still reads."""
+    assert len(parse_laurent("(1+z)^%d" % (MAX_TERMS - 1)).terms) == MAX_TERMS
+    assert len(parse_laurent("(w+1)^2*(z+1)^128", ring=Fraction).terms) == 3 * 129
+    # exponent box 4^6 > MAX_TERMS, but at most C(8, 3) = 56 terms
+    assert len(parse_laurent("(a+b+c+d+e+f)^3").terms) == 56
+    for text in ("(1+z)^%d" % MAX_TERMS, "(w+z+1)^32", "(w+z+1)^80", "(w+1)^(10**9)",
+                 "(1+z)^300*(1+z)^300"):
+        with pytest.raises(ValueError, match="more than %d terms" % MAX_TERMS):
+            parse_laurent(text, ring=Fraction)
+    assert parse_laurent("w^(10**9) - z").terms == {(10 ** 9, 0): 1, (0, 1): -1}
 
 
 def test_parse_reads_exact_rationals():

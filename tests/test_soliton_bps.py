@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.geometry import NonGenericGeometry, cross_sign, poly_crossings, transpose
+from specnet.braid import BraidWord, demazure_product
+from specnet.forest import build_forest_strands
+from specnet.geometry import NonGenericGeometry, PolylineSet, transpose
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
@@ -15,7 +18,7 @@ from specnet.soliton_bps import (
     SolitonClass,
     quadratic_refinement,
 )
-from specnet.weave import bend_weave, parse_weave
+from specnet.weave import Move, _apply_move, bend_weave, parse_weave
 
 from conftest import EXAMPLES
 
@@ -87,13 +90,52 @@ def test_class_additivity_at_joints(catalogs):
             assert tuple(total_arc) == arc_c
 
 
+def _check_joint_records(builder):
+    """Each joint lists its parents as (ij, jk), and its twist bit is 1
+    exactly when d_ij x d_jk > 0 for the parents' tangents there."""
+    for joint in builder.joints:
+        pij, pjk = joint["parents"]
+        lij = builder.strands[pij].label_at(joint["params"][pij])
+        ljk = builder.strands[pjk].label_at(joint["params"][pjk])
+        assert lij[1] == ljk[0]
+        assert (lij[0], ljk[1]) == builder.strands[joint["child"]].start_label
+        dij = _tangent(builder.strands[pij].polyline, joint["params"][pij][0])
+        djk = _tangent(builder.strands[pjk].polyline, joint["params"][pjk][0])
+        assert joint["twist"] == (1 if dij[0] * djk[1] - dij[1] * djk[0] > 0 else 0)
+
+
 def test_joint_parent_order_shares_lower_sheet(catalogs):
     for catalog in catalogs.values():
-        for joint in catalog.builder.joints:
-            pij, pjk = catalog.ordered_parents(joint)
-            lij = catalog.builder.strands[pij].label_at(joint["params"][pij])
-            ljk = catalog.builder.strands[pjk].label_at(joint["params"][pjk])
-            assert lij[1] == ljk[0]
+        _check_joint_records(catalog.builder)
+
+
+def test_joint_records_on_random_weaves():
+    """The joint record against the tangents on seeded random weaves with
+    a reduced bottom (t and h moves on n = 3 strands)."""
+    rng = random.Random(20261018)
+    joints = 0
+    for _ in range(100):
+        top = tuple(rng.choice((1, 2)) for _ in range(rng.randint(5, 9)))
+        word, moves = top, []
+        for _ in range(rng.randint(4, 10)):
+            spots = ([("t", p + 1) for p in range(len(word) - 1) if word[p] == word[p + 1]]
+                     + [("h", p + 1) for p in range(len(word) - 2)
+                        if word[p] == word[p + 2] != word[p + 1]])
+            if not spots:
+                break
+            move = Move(*rng.choice(spots))
+            moves.append("%s%d" % (move.kind, move.position))
+            word = _apply_move(word, move)
+        if demazure_product(BraidWord(3, word)).length() != len(word):
+            continue
+        text = "n=3\ntop: %s\nmoves: %s" % (" ".join(map(str, top)), " ".join(moves))
+        try:
+            builder = build_forest_strands(bend_weave(parse_weave(text)))
+        except RuntimeError:
+            continue  # geometry the forest rejects
+        _check_joint_records(builder)
+        joints += len(builder.joints)
+    assert joints >= 50  # 55 joints on 8 of the 34 weaves that build
 
 
 def test_bps_recursion_matches_bruteforce_small(catalogs):
@@ -146,10 +188,10 @@ def _reference_tests(engine):
     while y > engine.y_deep:
         lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
         y -= 1
-    # weave-line events line by line, independent of the engine's set
-    events = [[(pa, seg.letter, cross_sign(_tangent(seg.points, pb[0]), _tangent(poly, pa[0])))
-               for seg in engine.obstacles
-               for pa, pb, _ in poly_crossings(poly, seg.points)] for poly in lines]
+    # weave-line events line by line, each segment a set of its own
+    segments = [PolylineSet([(seg.points, seg.letter)]) for seg in engine.obstacles]
+    events = [[(pa, letter, side) for one in segments
+               for pa, letter, _, _, side in one.crossings(poly)] for poly in lines]
     return [LiftedPiece(poly, sheet, line_events, 1)
             for poly, line_events in zip(lines, events) for sheet in range(1, n + 1)]
 
@@ -170,13 +212,13 @@ def _tangent(poly, i):
 def _reference_vector(chain, tests):
     vector = []
     for test in tests:
+        one = PolylineSet([(test.polyline, 0)])
         total = 0
         for piece in chain:
-            for pa, pb, _pt in poly_crossings(piece.polyline, test.polyline):
+            # side is the sign of (test tangent) x (piece tangent)
+            for pa, _, pb, _pt, side in one.crossings(piece.polyline):
                 if _sheet_at(piece, pa) == _sheet_at(test, pb):
-                    total += piece.orientation * cross_sign(
-                        _tangent(piece.polyline, pa[0]),
-                        _tangent(test.polyline, pb[0]))
+                    total -= piece.orientation * side
         vector.append(total)
     return vector
 

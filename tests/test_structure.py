@@ -69,6 +69,20 @@ def test_private_attributes_only_through_self():
     assert not offenders, offenders
 
 
+def test_every_error_is_a_value_or_runtime_error():
+    """Every exception class specnet defines derives from ValueError or
+    RuntimeError, the two the CLI reports with exit 2."""
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("specnet." + path.stem)
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert classes
+    offenders = [c.__qualname__ for c in classes if not issubclass(c, (ValueError, RuntimeError))]
+    assert not offenders, offenders
+
+
 def _span_targets():
     spans = SRC.parents[1] / "perfbench" / "spans.py"
     return next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
