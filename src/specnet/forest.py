@@ -28,8 +28,13 @@ from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment
 
 
+# creation steps one round may take before the build gives up
+MAX_CREATION_STEPS = 100
+
+
 class PropagationError(RuntimeError):
-    """A rightward flowline ran off the weave without finding its edge."""
+    """A rightward flowline ran off the weave without finding its edge, or
+    a round ran past MAX_CREATION_STEPS creations."""
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ class ForestBuilder:
         when the parent tangents there satisfy d_ij x d_jk > 0."""
         events: List[tuple] = []
         done = 0  # new[:done] are in walls
-        for _ in range(100):  # creation steps a round may take
+        for _ in range(MAX_CREATION_STEPS):
             for sn in new[done:]:
                 for pn, oid, po, pt, side in self.walls.crossings(sn.polyline):
                     label = sn.label_at(pn)
@@ -223,7 +228,8 @@ class ForestBuilder:
             self.joints.append(joint)
             self.born_at[child.id] = joint
             new.append(child)
-        raise RuntimeError("round %d exceeded 100 creation steps (gapped guard)" % rnd)
+        raise PropagationError("round %d exceeded %d creation steps (gapped guard)"
+                               % (rnd, MAX_CREATION_STEPS))
 
     # ----- assembly into a SpectralNetwork -----
     def to_network(self) -> SpectralNetwork:

@@ -19,18 +19,39 @@ branch point and every creation joint to be the identity: the Stokes
 coefficient of a seed wall is the plain monomial of its detour class based
 at the crossing point, and a child wall inherits the product of its
 parents' signs times the handedness of the parent tangents at the joint.
+
+Transport is locally constant, so both exact answers are kept per class:
+
+* A Stokes coefficient is kept per (wall, interval between the wall's cut
+  params).  The cuts are its weave-line events and the params where its x
+  is bx or bx - CAP_EPS for a branch point b.  Inside an interval the cap's
+  first leg never meets a branch point's vertical line, so moving the base
+  point sweeps no branch point, and the label and twist stay fixed.  A
+  param at a cut, or with some bx in [x, x + CAP_EPS], is computed afresh.
+* A free transport is kept per (sheet permutation of the start cap's
+  events, the path's (letter, side) event word, the freely reduced word of
+  the capped loop's crossings with the branch cuts).  Each cut is a slit
+  from a branch point b up to (bx - by/1000, 0); the slits are parallel
+  and disjoint, so the lower half-plane cut along them is simply
+  connected.  The reduced word is then the loop's class in pi_1 of the
+  half-plane less the branch points, based at the marked point; with the
+  start sheet it fixes the lift's class in H_1(L, T), and the event word
+  fixes the permutation and the signs.  A path that leaves y < 0 is
+  computed afresh.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import NonGenericGeometry, Param, Point, walk_sheets
+from .geometry import NonGenericGeometry, Param, Point, PolylineSet, interp, walk_sheets
 from .laurent import LaurentPoly
-from .soliton_bps import LiftedPiece, SolitonCatalog
+from .soliton_bps import CAP_EPS, LiftedPiece, SolitonCatalog
 
 
 def _monomial(gens, cyc, arc, coeff=1) -> LaurentPoly:
@@ -49,6 +70,16 @@ class Transport:
         self.gens = tuple(self.engine.gen_names) + tuple(
             "t_%d" % i for i in range(1, n + 1))
         self._wall_sign_cache: Dict[int, int] = {}
+        branch = [v.point for v in builder.weave.trivalent_vertices()]
+        self.branch_xs = sorted({x for x, _ in branch})
+        # one slit per branch point, all parallel, up to the top boundary
+        self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in branch]
+        if len({1000 * x - y for x, y in branch}) != len(branch):
+            raise NonGenericGeometry("two branch cuts are collinear")
+        self._cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
+        self._wall_cuts: Dict[int, List[Param]] = {}
+        self._coefficients: Dict[tuple, LaurentPoly] = {}  # (wall, interval) -> value
+        self._free: Dict[tuple, list] = {}  # homotopy key -> free transport
 
     # ----- ring helpers -----
     def identity(self) -> List[List[LaurentPoly]]:
@@ -87,16 +118,43 @@ class Transport:
         obtained by conjugating through the crossed weave lines, with entry
         the capped-lift holonomy times the twisting signs.
         """
-        path = LiftedPiece(poly, 1, self.builder.events_along(poly), 1)
-        zero = LaurentPoly.zero(self.gens)
-        out = [[zero for _ in range(self.n)] for _ in range(self.n)]
-        for start in range(1, self.n + 1):
-            (sheet,), sign = walk_sheets((start,), path.events)
-            chain = [path.relift(start, 1),
-                     self.engine.cap(tuple(poly[0]), start, -1),
-                     self.engine.cap(tuple(poly[-1]), sheet, 1)]
-            out[sheet - 1][start - 1] = self._chain_monomial(chain, sign)
-        return out
+        events = self.builder.events_along(poly)
+        key = self._free_key(poly, events)
+        out = self._free.get(key)
+        if out is None:
+            path = LiftedPiece(poly, 1, events, 1)
+            zero = LaurentPoly.zero(self.gens)
+            out = [[zero for _ in range(self.n)] for _ in range(self.n)]
+            for start in range(1, self.n + 1):
+                (sheet,), sign = walk_sheets((start,), path.events)
+                chain = [path.relift(start, 1),
+                         self.engine.cap(tuple(poly[0]), start, -1),
+                         self.engine.cap(tuple(poly[-1]), sheet, 1)]
+                out[sheet - 1][start - 1] = self._chain_monomial(chain, sign)
+            if key is not None:
+                self._free[key] = out
+        return [list(row) for row in out]
+
+    def _free_key(self, poly: Sequence[Point], events) -> Optional[tuple]:
+        """The free transport's homotopy key (see the module docstring), or
+        None where it is not known to be complete."""
+        if any(y >= 0 for _, y in poly):
+            return None
+        start = self.engine.cap(tuple(poly[0]), 1, 1)
+        sheets, _ = walk_sheets(tuple(range(1, self.n + 1)), start.events)
+        loop = (start.polyline[::-1] + [tuple(p) for p in poly[1:]]
+                + self.engine.cap_polyline(tuple(poly[-1]))[1:])
+        try:
+            crossings = self._cut_set.crossings(loop)
+        except NonGenericGeometry:
+            return None
+        word: List[tuple] = []
+        for _, cut, _, _, side in crossings:
+            if word and word[-1] == (cut, -side):
+                word.pop()
+            else:
+                word.append((cut, side))
+        return sheets, tuple((letter, side) for _, letter, side in events), tuple(word)
 
     def wall_sign(self, sid: int) -> int:
         """Sign of the wall's Stokes coefficient.
@@ -128,10 +186,38 @@ class Transport:
         return walk_sheets(strand.start_label, strand.crossings, param)[1]
 
     def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
-        """Signed soliton value of wall ``sid`` based at ``param``."""
-        cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
-        sign = self.wall_sign(sid) * self._twist_at(sid, param)
-        return _monomial(self.gens, cyc, arc, sign)
+        """Signed soliton value of wall ``sid`` based at ``param``, kept per
+        interval between the wall's cut params."""
+        key = self._interval_key(sid, param)
+        value = self._coefficients.get(key)
+        if value is None:
+            cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
+            sign = self.wall_sign(sid) * self._twist_at(sid, param)
+            value = _monomial(self.gens, cyc, arc, sign)
+            if key is not None:
+                self._coefficients[key] = value
+        return value
+
+    def _interval_key(self, sid: int, param: Param) -> Optional[tuple]:
+        """(wall, index of ``param`` among the wall's sorted cut params), or
+        None at a cut param or where the cap's first leg spans a bx."""
+        strand = self.builder.strands[sid]
+        x = interp(strand.polyline, param)[0]
+        if any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
+            return None
+        if sid not in self._wall_cuts:
+            edges = self.branch_xs + [bx - CAP_EPS for bx in self.branch_xs]
+            cuts = [p for p, _, _ in strand.crossings]
+            for i, (a, b) in enumerate(zip(strand.polyline, strand.polyline[1:])):
+                if a[0] != b[0]:
+                    ts = ((edge - a[0]) / (b[0] - a[0]) for edge in edges)
+                    cuts += [(i, t) for t in ts if 0 <= t <= 1]
+            self._wall_cuts[sid] = sorted(cuts)
+        cuts = self._wall_cuts[sid]
+        k = bisect_left(cuts, param)
+        if k < len(cuts) and cuts[k] == param:
+            return None
+        return sid, k
 
     def transport_short(self, sid: int, param: Param, side: int):
         """Unipotent Stokes matrix for crossing wall ``sid`` at ``param``.
@@ -176,17 +262,27 @@ class Transport:
                 (cx - 2 * e, cy - r), (cx + r, cy + e)]
 
     def clearance(self, center: Point) -> Fraction:
-        """Min distance from ``center`` to all segments not through it."""
-        best = None
+        """Min distance from ``center`` to all segments not through it.
+        Segments are met in order of their float distance, and exact ones
+        are computed only while a float distance may still beat the least
+        exact nonzero one (rounding moves a float distance far less than
+        the 1e-9 slack)."""
         polys = [seg.points for seg in self.builder.obstacles]
         polys += [s.polyline for s in self.builder.strands]
+        c = (float(center[0]), float(center[1]))
+        approx = []
         for pts in polys:
-            for a, b in zip(pts, pts[1:]):
-                d = _seg_distance2(center, a, b)
-                if d == 0:
-                    continue
-                if best is None or d < best:
-                    best = d
+            floats = [(float(x), float(y)) for x, y in pts]
+            approx += [(math.sqrt(_seg_distance2(c, fa, fb)), a, b)
+                       for a, b, fa, fb in zip(pts, pts[1:], floats, floats[1:])]
+        approx.sort(key=lambda entry: entry[0])
+        best = None
+        for distance, a, b in approx:
+            if best is not None and distance > bound:
+                break
+            d = _seg_distance2(center, a, b)
+            if d and (best is None or d < best):
+                best, bound = d, math.sqrt(d) * (1 + 1e-9) + 1e-9
         if best is None:
             raise NonGenericGeometry("no features near %r" % (center,))
         return _rational_sqrt_floor(best)
@@ -221,7 +317,8 @@ def _dedupe(points):
 
 
 def _seg_distance2(p: Point, a: Point, b: Point) -> Fraction:
-    """Squared distance from point to segment, exact."""
+    """Squared distance from point to segment, exact for Fraction points
+    (and rounded for float ones)."""
     ax, ay = a
     bx, by = b
     px, py = p
@@ -230,15 +327,13 @@ def _seg_distance2(p: Point, a: Point, b: Point) -> Fraction:
     if L2 == 0:
         return (px - ax) ** 2 + (py - ay) ** 2
     t = ((px - ax) * dx + (py - ay) * dy) / L2
-    t = max(Fraction(0), min(Fraction(1), t))
+    t = max(0, min(1, t))
     qx, qy = ax + t * dx, ay + t * dy
     return (px - qx) ** 2 + (py - qy) ** 2
 
 
 def _rational_sqrt_floor(d2: Fraction) -> Fraction:
     """A positive rational lower bound for sqrt(d2)."""
-    import math
-
     lo = Fraction(math.isqrt(d2.numerator * d2.denominator), d2.denominator)
     if lo == 0:
         lo = d2  # d2 < 1, and sqrt(x) > x on (0, 1)
@@ -279,11 +374,7 @@ def network_punctures(builder: ForestBuilder) -> List[Point]:
     for strand in builder.strands:
         pts += [tuple(strand.polyline[0]), tuple(strand.polyline[-1])]
     pts.append((builder.bent.marked_x, Fraction(0)))
-    out = []
-    for p in pts:
-        if p not in out:
-            out.append(p)
-    return out
+    return list(dict.fromkeys(pts))
 
 
 def homotopic_pair(transport: Transport, rng: random.Random):
@@ -329,8 +420,11 @@ def homotopic_pair(transport: Transport, rng: random.Random):
         k = rng.randrange(1, len(other) - 1)
         q = rand_point()
         quad = [other[k - 1], other[k], other[k + 1], q, other[k - 1]]
+        (lo_x, lo_y), (hi_x, hi_y) = map(min, zip(*quad)), map(max, zip(*quad))
+        # the winding number is 0 outside the quad's closed bounding box
+        near = [p for p in punctures if lo_x <= p[0] <= hi_x and lo_y <= p[1] <= hi_y]
         try:
-            if any(_winding(quad, p) for p in punctures):
+            if any(_winding(quad, p) for p in near):
                 continue
         except NonGenericGeometry:
             continue

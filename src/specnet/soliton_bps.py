@@ -38,6 +38,9 @@ from .laurent import FactoredMatrix
 
 # where a wall's BPS entries are based: a parameter just past its birth point
 BIRTH_PARAM: Param = (0, Fraction(1, 997))
+# how close caps and boundary arcs run to the top boundary: a cap's first
+# leg runs CAP_EPS right of its start, up to height -CAP_EPS/2
+CAP_EPS = Fraction(1, 2 ** 24)
 
 
 class LiftedPiece:
@@ -179,7 +182,6 @@ class HomologyEngine:
         self.obstacles = builder.obstacles
         n = self.weave.strand_count
         self.marked = (self.bent.marked_x, Fraction(0))
-        self._eps = Fraction(1, 2 ** 24)
         # bounding depths
         lows = [min(p[1] for p in seg.points) for seg in self.obstacles]
         self.y_deep = min(lows) - 1
@@ -229,12 +231,16 @@ class HomologyEngine:
         each wall crossing point 2n + 2 times in a row)."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
-            poly = [start, (start[0] + self._eps, -self._eps / 2), self.marked]
+            poly = self.cap_polyline(start)
             cap = LiftedPiece(poly, 1, self.builder.events_along(poly), 1)
         self._recent_caps[start] = cap
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
         return cap.relift(start_sheet, orientation)
+
+    def cap_polyline(self, start: Point) -> List[Point]:
+        """The base path of every cap at ``start``."""
+        return [start, (start[0] + CAP_EPS, -CAP_EPS / 2), self.marked]
 
     def _strand_lifts(self, sid: int, end_param: Optional[Param]) -> List[LiftedPiece]:
         """Both lifts of a strand, cut at ``end_param`` (default: its end)."""
@@ -280,15 +286,14 @@ class HomologyEngine:
 
     def arc_chain(self, marked_index: int) -> List[LiftedPiece]:
         """Boundary arc from marked lift t_i rightward around the surface."""
-        eps = self._eps
         mx, _ = self.marked
         poly = [
             self.marked,
-            (self.x_max + 2, -eps),
+            (self.x_max + 2, -CAP_EPS),
             (self.x_max + 2, self.y_deep - 1),
             (Fraction(-2), self.y_deep - 1),
-            (Fraction(-2), -eps),
-            (mx - eps, -eps),
+            (Fraction(-2), -CAP_EPS),
+            (mx - CAP_EPS, -CAP_EPS),
             self.marked,
         ]
         return [LiftedPiece(poly, marked_index, self.builder.events_along(poly), 1)]

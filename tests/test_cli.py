@@ -264,6 +264,15 @@ def test_propagation_error_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error [augmentation]: rightward flowline ")
 
 
+def test_creation_step_guard_exits_2(monkeypatch, capsys):
+    """A round that runs past the forest's creation-step guard is a named
+    error with exit 2."""
+    monkeypatch.setattr("specnet.forest.MAX_CREATION_STEPS", 0)
+    assert main(["augmentation", "three_strand"]) == 2
+    assert capsys.readouterr().err == \
+        "error [augmentation]: round 1 exceeded 0 creation steps (gapped guard)\n"
+
+
 def test_missing_input_exits_nonzero(capsys):
     assert main(["augmentation", "no_such_weave_anywhere"]) == 2
 

@@ -1,10 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.braid import BraidWord, demazure_product
 from specnet.forest import build_forest_strands
 from specnet.geometry import NonGenericGeometry, PolylineSet, transpose
 from specnet.laurent import LaurentPoly, solve_rational
@@ -18,9 +16,9 @@ from specnet.soliton_bps import (
     SolitonClass,
     quadratic_refinement,
 )
-from specnet.weave import Move, _apply_move, bend_weave, parse_weave
+from specnet.weave import bend_weave, parse_weave
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, random_weave_builders
 
 
 @pytest.fixture(scope="module")
@@ -112,27 +110,8 @@ def test_joint_parent_order_shares_lower_sheet(catalogs):
 def test_joint_records_on_random_weaves():
     """The joint record against the tangents on seeded random weaves with
     a reduced bottom (t and h moves on n = 3 strands)."""
-    rng = random.Random(20261018)
     joints = 0
-    for _ in range(100):
-        top = tuple(rng.choice((1, 2)) for _ in range(rng.randint(5, 9)))
-        word, moves = top, []
-        for _ in range(rng.randint(4, 10)):
-            spots = ([("t", p + 1) for p in range(len(word) - 1) if word[p] == word[p + 1]]
-                     + [("h", p + 1) for p in range(len(word) - 2)
-                        if word[p] == word[p + 2] != word[p + 1]])
-            if not spots:
-                break
-            move = Move(*rng.choice(spots))
-            moves.append("%s%d" % (move.kind, move.position))
-            word = _apply_move(word, move)
-        if demazure_product(BraidWord(3, word)).length() != len(word):
-            continue
-        text = "n=3\ntop: %s\nmoves: %s" % (" ".join(map(str, top)), " ".join(moves))
-        try:
-            builder = build_forest_strands(bend_weave(parse_weave(text)))
-        except RuntimeError:
-            continue  # geometry the forest rejects
+    for builder in random_weave_builders():
         _check_joint_records(builder)
         joints += len(builder.joints)
     assert joints >= 50  # 55 joints on 8 of the 34 weaves that build
