@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from .forest import build_forest_strands
 from .laurent import LaurentPoly, parse_laurent
-from .network import network_to_json
+from .network import network_doc, network_to_json
 from .nonabel import LocalSystemRank1, Transport, augmentation
 from .soliton_bps import SolitonCatalog
 from .svg import export_svg
@@ -156,7 +156,7 @@ def cmd_wkb_trace(args) -> int:
     if wants_svg:
         _emit(export_svg(net), args.out)
     else:
-        doc = json.loads(network_to_json(net))
+        doc = network_doc(net)
         doc["theta"] = args.theta
         doc["charges"] = {
             str(w.id): [[Z.real, Z.imag] for Z in w.charges[::10] + [w.charges[-1]]]

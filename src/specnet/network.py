@@ -203,8 +203,9 @@ def _point_from_json(raw):
     return tuple(Fraction(c) if isinstance(c, str) else float(c) for c in raw)
 
 
-def network_to_json(net: SpectralNetwork) -> str:
-    doc = {
+def network_doc(net: SpectralNetwork) -> dict:
+    """The JSON document of a network, as ``network_to_json`` encodes it."""
+    return {
         "schema": SCHEMA,
         "cutoff": net.cutoff,
         "vertices": [
@@ -219,7 +220,10 @@ def network_to_json(net: SpectralNetwork) -> str:
             for w in sorted(net.walls.values(), key=lambda w: w.id)
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def network_to_json(net: SpectralNetwork) -> str:
+    return json.dumps(network_doc(net), indent=2, sort_keys=True)
 
 
 def network_from_json(text: str) -> SpectralNetwork:

@@ -212,7 +212,9 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
         else:
             return _nearest_roots(curve, z, seed)
         roots.append(w)
-        worst = max(worst, abs(w - s))
+        d = abs(w - s)
+        if d > worst:
+            worst = d
     if worst < 0.5 * _separation(roots):
         return np.array(roots)
     return _nearest_roots(curve, z, seed)
@@ -221,8 +223,14 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
 def _separation(roots) -> float:
     """The smallest distance between two of the roots."""
     n = len(roots)
-    return min((abs(roots[i] - roots[j])
-                for i in range(n) for j in range(i + 1, n)), default=math.inf)
+    best = math.inf
+    for i in range(n):
+        w = roots[i]
+        for j in range(i + 1, n):
+            d = abs(w - roots[j])
+            if d < best:
+                best = d
+    return best
 
 
 def _nearest_roots(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
@@ -400,35 +408,56 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
 
 # ----- joint detection -----
 
-def _segment_intersections(a: np.ndarray, b: np.ndarray):
-    """Transversal intersections of two complex polylines.
+BLOCK = 64  # consecutive segments per block of the joint search's box test
 
-    Yields (ia, ta, ib, tb, z) with segment indices and local parameters.
-    Bounding-box prefilter, then exact 2x2 solves.
+
+def _wall_boxes(points) -> tuple:
+    """A polyline as ``_segment_intersections`` reads it: (complex point
+    array, segment boxes, block boxes).  A box array has rows lo x, hi x,
+    lo y, hi y; block k bounds segments k*BLOCK to (k+1)*BLOCK - 1."""
+    z = np.array(points, dtype=complex)
+    x, y = z.real, z.imag
+    segs = np.array([np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]),
+                     np.minimum(y[:-1], y[1:]), np.maximum(y[:-1], y[1:])])
+    starts = np.arange(0, segs.shape[1], BLOCK)
+    # fmin/fmax: a NaN box hides only its own segment, not its whole block
+    blocks = np.array([reduce.reduceat(row, starts) for reduce, row in
+                       zip((np.fmin, np.fmax, np.fmin, np.fmax), segs)])
+    return z, segs, blocks
+
+
+def _box_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of which closed boxes (columns of ``a``) meet which (of ``b``)."""
+    return ((a[0][:, None] <= b[1]) & (b[0] <= a[1][:, None])
+            & (a[2][:, None] <= b[3]) & (b[2] <= a[3][:, None]))
+
+
+def _segment_intersections(a: tuple, b: tuple):
+    """Transversal intersections of two polylines given by ``_wall_boxes``.
+
+    Yields (ia, ta, ib, tb, z) with segment indices and local parameters,
+    in row-major (ia, ib) order.  Block boxes first, then segment boxes
+    inside each pair of blocks that meet, then exact 2x2 solves.
     """
-    ax, ay = a.real, a.imag
-    bx, by = b.real, b.imag
-    a_lo_x = np.minimum(ax[:-1], ax[1:])[:, None]
-    a_hi_x = np.maximum(ax[:-1], ax[1:])[:, None]
-    a_lo_y = np.minimum(ay[:-1], ay[1:])[:, None]
-    a_hi_y = np.maximum(ay[:-1], ay[1:])[:, None]
-    b_lo_x = np.minimum(bx[:-1], bx[1:])[None, :]
-    b_hi_x = np.maximum(bx[:-1], bx[1:])[None, :]
-    b_lo_y = np.minimum(by[:-1], by[1:])[None, :]
-    b_hi_y = np.maximum(by[:-1], by[1:])[None, :]
-    overlap = ((a_lo_x <= b_hi_x) & (b_lo_x <= a_hi_x)
-               & (a_lo_y <= b_hi_y) & (b_lo_y <= a_hi_y))
-    for ia, ib in zip(*np.nonzero(overlap)):
-        p, r = a[ia], a[ia + 1] - a[ia]
-        q, s = b[ib], b[ib + 1] - b[ib]
-        denom = (r * s.conjugate()).imag
-        if denom == 0:
-            continue
-        d = q - p
-        t = (d * s.conjugate()).imag / denom
-        u = (d * r.conjugate()).imag / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            yield int(ia), float(t), int(ib), float(u), p + t * r
+    pa, seg_a, block_a = a
+    pb, seg_b, block_b = b
+    blocks = _box_overlaps(block_a, block_b)
+    for ka in np.flatnonzero(blocks.any(axis=1)):
+        lo = ka * BLOCK
+        cols = np.flatnonzero(np.repeat(blocks[ka], BLOCK)[:seg_b.shape[1]])
+        tile = _box_overlaps(seg_a[:, lo:lo + BLOCK], seg_b[:, cols])
+        for row, col in zip(*np.nonzero(tile)):
+            ia, ib = lo + row, cols[col]
+            p, r = pa[ia], pa[ia + 1] - pa[ia]
+            q, s = pb[ib], pb[ib + 1] - pb[ib]
+            denom = (r * s.conjugate()).imag
+            if denom == 0:
+                continue
+            d = q - p
+            t = (d * s.conjugate()).imag / denom
+            u = (d * r.conjugate()).imag / denom
+            if 0 <= t <= 1 and 0 <= u <= 1:
+                yield int(ia), float(t), int(ib), float(u), p + t * r
 
 
 @dataclass
@@ -460,6 +489,7 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
         if bp.tag != "simple":
             raise CurveError("non-simple branch point at z=%s" % bp.z)
     walls: List[TracedWall] = []
+    boxes: List[tuple] = []  # _wall_boxes of each wall, by wall id
     joints: List[Joint] = []
     frontier: List[TracedWall] = []
     for bp in bps:
@@ -481,10 +511,10 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
         first = frontier[0].id
         candidates = [(wall, other) for k, wall in enumerate(frontier)
                       for other in walls[:first] + frontier[k + 1:]]
+        boxes += [_wall_boxes(w.points) for w in walls[len(boxes):]]
         for wall, other in candidates:
-            a = np.array(wall.points)
-            b = np.array(other.points)
-            for ia, ta, ib, tb, z in _segment_intersections(a, b):
+            for ia, ta, ib, tb, z in _segment_intersections(boxes[wall.id],
+                                                            boxes[other.id]):
                 if _shared_origin_artifact(wall, other, ia, ib, z):
                     continue
                 child = _classify_crossing(curve, wall, other, ia, ta, ib, tb, z)

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from specnet.cli import main
-from specnet.network import network_from_json
+from specnet.network import network_from_json, network_to_json
+from specnet.wkb import SpectralCurve, build_wkb_network
 
 from conftest import EXAMPLES
 
@@ -132,6 +133,25 @@ def test_wkb_trace_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["walls"]) == 3
     assert doc["theta"] == 0.0
+
+
+@pytest.mark.parametrize("curve, theta, mass, radius", [
+    ("w^2 - z", 0.0, 10.0, 5.0),
+    ("w^3 - 3*w + x", 0.3, 12.0, 8.0),
+    ("w^3 - 3*w + x", 1.7, 12.0, 8.0),  # two 51-point walls
+], ids=["airy-0", "cubic-0.3", "cubic-1.7"])
+def test_wkb_trace_json_equals_two_pass_encoding(curve, theta, mass, radius, capsys):
+    """The JSON export, encoded once, has the bytes of the encoding it
+    replaced: network_to_json decoded, theta and charges added, encoded."""
+    assert main(["wkb-trace", "--curve", curve, "--theta", repr(theta),
+                 "--mass", repr(mass), "--radius", repr(radius)]) == 0
+    net = build_wkb_network(SpectralCurve(curve), theta, mass, radius)
+    doc = json.loads(network_to_json(net))
+    doc["theta"] = theta
+    doc["charges"] = {
+        str(w.id): [[Z.real, Z.imag] for Z in w.charges[::10] + [w.charges[-1]]]
+        for w in net.traced}
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):

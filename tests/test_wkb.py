@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from specnet.wkb import (
+    BLOCK,
     CurveError,
     NonGenericPhase,
     RootCollision,
@@ -15,6 +16,8 @@ from specnet.wkb import (
     branch_points,
     build_wkb_network,
     initial_rays,
+    _segment_intersections,
+    _wall_boxes,
     sheets_at,
     trace_wall,
 )
@@ -358,3 +361,73 @@ def test_network_matches_nearest_roots_reference(text, theta, mass, radius,
 def test_cubic_at_phase_zero_stays_non_generic():
     with pytest.raises(NonGenericPhase):
         build_wkb_network(SpectralCurve("w^3 - 3*w + x"), 0.0, 12.0, 8.0)
+
+
+# ----- the joint search against its all-pairs reference -----
+
+def _reference_intersections(a, b):
+    """The all-pairs box matrix that ``_segment_intersections`` ran before
+    its block boxes, kept as the reference."""
+    ax, ay = a.real, a.imag
+    bx, by = b.real, b.imag
+    a_lo_x = np.minimum(ax[:-1], ax[1:])[:, None]
+    a_hi_x = np.maximum(ax[:-1], ax[1:])[:, None]
+    a_lo_y = np.minimum(ay[:-1], ay[1:])[:, None]
+    a_hi_y = np.maximum(ay[:-1], ay[1:])[:, None]
+    b_lo_x = np.minimum(bx[:-1], bx[1:])[None, :]
+    b_hi_x = np.maximum(bx[:-1], bx[1:])[None, :]
+    b_lo_y = np.minimum(by[:-1], by[1:])[None, :]
+    b_hi_y = np.maximum(by[:-1], by[1:])[None, :]
+    overlap = ((a_lo_x <= b_hi_x) & (b_lo_x <= a_hi_x)
+               & (a_lo_y <= b_hi_y) & (b_lo_y <= a_hi_y))
+    for ia, ib in zip(*np.nonzero(overlap)):
+        p, r = a[ia], a[ia + 1] - a[ia]
+        q, s = b[ib], b[ib + 1] - b[ib]
+        denom = (r * s.conjugate()).imag
+        if denom == 0:
+            continue
+        d = q - p
+        t = (d * s.conjugate()).imag / denom
+        u = (d * r.conjugate()).imag / denom
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            yield int(ia), float(t), int(ib), float(u), p + t * r
+
+
+POLYLINE_SIZES = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 4 * BLOCK + 5)
+
+
+def _grid_walk(rng, n):
+    """A walk of n points on the quarter grid, half its steps axis-parallel,
+    so collinear runs, overlaps and revisited vertices are common."""
+    steps = rng.integers(-2, 3, size=(n, 2)) / 4
+    axis = rng.random(n) < 0.5
+    steps[axis, rng.integers(0, 2, size=int(axis.sum()))] = 0
+    xy = np.cumsum(steps, axis=0)
+    return xy[:, 0] + 1j * xy[:, 1]
+
+
+def _smooth_walk(rng, n):
+    """A turning walk of n points with float coordinates, like a traced wall."""
+    heading = rng.uniform(0, 2 * math.pi) + np.cumsum(rng.normal(0, 0.3, n))
+    return rng.normal(0, 0.5) + np.cumsum(0.1 * np.exp(1j * heading))
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(n_a=st.sampled_from(POLYLINE_SIZES), n_b=st.sampled_from(POLYLINE_SIZES),
+       kind=st.sampled_from(["grid", "smooth", "shared", "reversed", "copy"]),
+       walk_seed=st.integers(0, 2 ** 32 - 1))
+def test_segment_intersections_match_all_pairs_reference(n_a, n_b, kind, walk_seed):
+    """The block-box search yields exactly the reference's tuples, in order."""
+    rng = np.random.default_rng(walk_seed)
+    walk = _smooth_walk if kind == "smooth" else _grid_walk
+    a, b = walk(rng, n_a), walk(rng, n_b)
+    if kind == "shared":  # b passes through some of a's vertices
+        k = max(1, min(n_a, n_b) // 3)
+        b[rng.choice(n_b, k, replace=False)] = a[rng.choice(n_a, k, replace=False)]
+    elif kind == "reversed":
+        b = a[::-1][:n_b].copy()
+    elif kind == "copy":
+        b = a[:n_b].copy()
+    got = list(_segment_intersections(_wall_boxes(a), _wall_boxes(b)))
+    assert got == list(_reference_intersections(a, b))
