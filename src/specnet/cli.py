@@ -158,8 +158,10 @@ def cmd_wkb_trace(args) -> int:
     else:
         doc = network_doc(net)
         doc["theta"] = args.theta
+        # every tenth charge and the last, which is not repeated when it
+        # is itself a tenth
         doc["charges"] = {
-            str(w.id): [[Z.real, Z.imag] for Z in w.charges[::10] + [w.charges[-1]]]
+            str(w.id): [[Z.real, Z.imag] for Z in w.charges[:-1:10] + [w.charges[-1]]]
             for w in net.traced}
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -86,20 +86,33 @@ def _box(floats) -> Tuple[float, float, float, float]:
     return (min(xs), max(xs), min(ys), max(ys))
 
 
-def _crossings(p, q, anchors):
+def _segment_boxes(floats):
+    """Each segment's float box (lo_x, hi_x, lo_y, hi_y), widened by _EPS."""
+    return [(min(x0, x1) - _EPS, max(x0, x1) + _EPS, min(y0, y1) - _EPS, max(y0, y1) + _EPS)
+            for (x0, y0), (x1, y1) in zip(floats, floats[1:])]
+
+
+def _crossings(p, box, q, anchors):
     """The crossing rules: proper transversal crossings of polylines P and Q
-    (given by ``_prepared``) as sorted (paramP, paramQ, pt, side), with side
-    the sign of (Q's tangent) x (P's tangent).
+    as (paramP, paramQ, pt, side), with side the sign of (Q's tangent) x
+    (P's tangent).  P is given by ``_prepared`` and its float ``box``, Q by
+    its integer form, scale and widened segment boxes.
 
     Touches at the points in ``anchors`` (P's global ends, and those of Q's
     ends that are no join: walls are born on other walls and end on the
     boundary) are ignored; any other touch is a non-generic corner hit, a
     positive-length collinear overlap is non-generic, and so is a crossing
-    point found twice.  Each segment pair is decided in integers; params
-    and points are built only where the segments meet.
+    point found twice.  Q's segments are filtered against P's box once;
+    each remaining segment pair is decided in integers, row by row, and
+    params and points are built only where the segments meet.
     """
-    (pi, sp, pf), (qi, sq, qf) = p, q
+    (pi, sp, pf), (qi, sq, qboxes) = p, q
+    lo_x, hi_x, lo_y, hi_y = box
+    near = [(j, b) for j, b in enumerate(qboxes)
+            if not (lo_x > b[1] or hi_x < b[0] or lo_y > b[3] or hi_y < b[2])]
     out = []
+    if not near:
+        return out
     for i in range(len(pi) - 1):
         ax0, ay0 = pf[i]
         ax1, ay1 = pf[i + 1]
@@ -107,11 +120,8 @@ def _crossings(p, q, anchors):
         alo_y, ahi_y = (ay0, ay1) if ay0 <= ay1 else (ay1, ay0)
         (a0x, a0y), (a1x, a1y) = pi[i], pi[i + 1]
         dax, day = a1x - a0x, a1y - a0y
-        for j in range(len(qi) - 1):
-            bx0, by0 = qf[j]
-            bx1, by1 = qf[j + 1]
-            if (alo_x > max(bx0, bx1) + _EPS or ahi_x < min(bx0, bx1) - _EPS or
-                    alo_y > max(by0, by1) + _EPS or ahi_y < min(by0, by1) - _EPS):
+        for j, (blo_x, bhi_x, blo_y, bhi_y) in near:
+            if alo_x > bhi_x or ahi_x < blo_x or alo_y > bhi_y or ahi_y < blo_y:
                 continue
             (b0x, b0y), (b1x, b1y) = qi[j], qi[j + 1]
             dbx, dby = b1x - b0x, b1y - b0y
@@ -140,16 +150,18 @@ def _crossings(p, q, anchors):
             elif pt not in anchors:
                 raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
     # where P or Q crosses itself on the other, one point is found twice; reject
-    points = [pt for _, _, pt, _ in out]
-    if len(set(points)) != len(points):
-        raise NonGenericGeometry("duplicate crossing point")
-    return sorted(out)
+    if len(out) > 1:
+        keys = {(x.numerator, x.denominator, y.numerator, y.denominator) for _, _, (x, y), _ in out}
+        if len(keys) != len(out):
+            raise NonGenericGeometry("duplicate crossing point")
+    return out
 
 
 class PolylineSet:
     """A family of tagged polylines (weave lines tagged by letter, walls
-    tagged by id, or test lines tagged by index), each prepared once when it
-    joins the family; the forest grows its walls one ``add`` at a time.
+    tagged by id, or test lines tagged by index), each prepared once, with
+    its segments' widened float boxes, when it joins the family; the forest
+    grows its walls one ``add`` at a time.
     A member's end at one of ``joins`` (a slot, where one weave line goes on
     as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
@@ -160,9 +172,9 @@ class PolylineSet:
             self.add(Q, tag)
 
     def add(self, Q: Sequence[Point], tag):
-        q = _prepared(Q)
+        ints, s, floats = _prepared(Q)
         ends = tuple(e for e in (Q[0], Q[-1]) if e not in self.joins)
-        self.lines.append((tag, q, _box(q[2]), ends))
+        self.lines.append((tag, (ints, s, _segment_boxes(floats)), _box(floats), ends))
 
     def crossings(self, P: Sequence[Point]):
         """The proper transversal crossings of P with every member Q, as
@@ -170,14 +182,14 @@ class PolylineSet:
         of (Q's tangent) x (P's tangent).  Polylines whose box is disjoint
         from P's are skipped: every segment pair would be rejected anyway."""
         p = _prepared(P)
-        lo_x, hi_x, lo_y, hi_y = _box(p[2])
+        box = lo_x, hi_x, lo_y, hi_y = _box(p[2])
         ends = (P[0], P[-1])
         out = []
         for tag, q, (qlo_x, qhi_x, qlo_y, qhi_y), q_ends in self.lines:
             if (lo_x > qhi_x + _EPS or hi_x < qlo_x - _EPS or
                     lo_y > qhi_y + _EPS or hi_y < qlo_y - _EPS):
                 continue
-            for pa, pb, pt, side in _crossings(p, q, ends + q_ends):
+            for pa, pb, pt, side in _crossings(p, box, q, ends + q_ends):
                 out.append((pa, tag, pb, pt, side))
         out.sort()
         return out

@@ -14,6 +14,11 @@ to the marked boundary point, so each matrix entry is the class of a chain
 rel the marked lifts, computed exactly by the homology engine.  Caps at
 interior composition points cancel in class, making composition exact.
 
+A path's product is never multiplied out: it is built by row operations on
+the running total.  A free transport (permutation-diagonal) moves row s to
+the row of its end sheet, scaled by the entry; a Stokes factor adds c times
+row j to row i.
+
 The local sign conventions are pinned by requiring transport around every
 branch point and every creation joint to be the identity: the Stokes
 coefficient of a seed wall is the plain monomial of its detour class based
@@ -38,6 +43,17 @@ Transport is locally constant, so both exact answers are kept per class:
   start sheet it fixes the lift's class in H_1(L, T), and the event word
   fixes the permutation and the signs.  A path that leaves y < 0 is
   computed afresh.
+* Next to each free transport the memo keeps the sheet permutation of the
+  cap at the path's end, and the key fixes it.  Going round the loop (start
+  cap reversed, path, end cap) permutes the sheets at the marked point by
+  end o path o start^-1.  Sheet labels change only across weave lines, and
+  round any vertex other than a branch point they come back, so the loop's
+  permutation is a function of its class, the reduced slit word.  The
+  event word fixes the path's permutation and the start cap's is in the
+  key, so end = loop o start o path^-1.  Each sub-path of a path starts
+  where the one before it ended, so the end sheets are carried on as the
+  next start sheets, and a path builds one start cap.  Where the key is
+  None the end cap is walked afresh.
 """
 
 from __future__ import annotations
@@ -46,7 +62,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
 from .geometry import NonGenericGeometry, Param, Point, PolylineSet, interp, walk_sheets
@@ -79,7 +95,10 @@ class Transport:
         self._cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
         self._wall_cuts: Dict[int, List[Param]] = {}
         self._coefficients: Dict[tuple, LaurentPoly] = {}  # (wall, interval) -> value
-        self._free: Dict[tuple, list] = {}  # homotopy key -> free transport
+        self._free: Dict[tuple, tuple] = {}  # homotopy key -> free factor, end sheets
+        # each generator's nonzero (row, exponent) entries of the class matrix
+        self.generator_rows = [[(row, e) for row, e in enumerate(column) if e]
+                               for column in zip(*self.engine.matrix)]
 
     # ----- ring helpers -----
     def identity(self) -> List[List[LaurentPoly]]:
@@ -112,37 +131,52 @@ class Transport:
 
     # ----- elementary matrices -----
     def transport_free(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
-        """Transport along a sub-path crossing no walls.
+        """Transport along a sub-path crossing no walls, as a matrix.
 
         The matrix is permutation-diagonal: sheet s flows to the sheet
         obtained by conjugating through the crossed weave lines, with entry
         the capped-lift holonomy times the twisting signs.
         """
+        factor, _ = self.free_factor(poly, self.cap_sheets(poly[0]))
+        zero = LaurentPoly.zero(self.gens)
+        out = [[zero] * self.n for _ in range(self.n)]
+        for start, (sheet, entry) in enumerate(factor):
+            out[sheet - 1][start] = entry
+        return out
+
+    def cap_sheets(self, point: Point) -> Tuple[int, ...]:
+        """The sheet permutation of the cap at ``point``: sheet s there
+        reaches sheet ``[s - 1]`` at the marked point."""
+        cap = self.engine.cap(tuple(point), 1, 1)
+        return walk_sheets(tuple(range(1, self.n + 1)), cap.events)[0]
+
+    def free_factor(self, poly: Sequence[Point], sheets: Tuple[int, ...]):
+        """The free transport along ``poly`` as its (end sheet, entry) per
+        start sheet, and the sheet permutation of the cap at its end;
+        ``sheets`` is the permutation of the cap at its start."""
         events = self.builder.events_along(poly)
-        key = self._free_key(poly, events)
-        out = self._free.get(key)
-        if out is None:
+        key = self._free_key(poly, events, sheets)
+        found = self._free.get(key)
+        if found is None:
             path = LiftedPiece(poly, 1, events, 1)
-            zero = LaurentPoly.zero(self.gens)
-            out = [[zero for _ in range(self.n)] for _ in range(self.n)]
+            factor = []
             for start in range(1, self.n + 1):
                 (sheet,), sign = walk_sheets((start,), path.events)
                 chain = [path.relift(start, 1),
                          self.engine.cap(tuple(poly[0]), start, -1),
                          self.engine.cap(tuple(poly[-1]), sheet, 1)]
-                out[sheet - 1][start - 1] = self._chain_monomial(chain, sign)
+                factor.append((sheet, self._chain_monomial(chain, sign)))
+            found = tuple(factor), self.cap_sheets(poly[-1])
             if key is not None:
-                self._free[key] = out
-        return [list(row) for row in out]
+                self._free[key] = found
+        return found
 
-    def _free_key(self, poly: Sequence[Point], events) -> Optional[tuple]:
+    def _free_key(self, poly: Sequence[Point], events, sheets) -> Optional[tuple]:
         """The free transport's homotopy key (see the module docstring), or
         None where it is not known to be complete."""
         if any(y >= 0 for _, y in poly):
             return None
-        start = self.engine.cap(tuple(poly[0]), 1, 1)
-        sheets, _ = walk_sheets(tuple(range(1, self.n + 1)), start.events)
-        loop = (start.polyline[::-1] + [tuple(p) for p in poly[1:]]
+        loop = (self.engine.cap_polyline(tuple(poly[0]))[::-1] + [tuple(p) for p in poly[1:]]
                 + self.engine.cap_polyline(tuple(poly[-1]))[1:])
         try:
             crossings = self._cut_set.crossings(loop)
@@ -233,22 +267,40 @@ class Transport:
 
     # ----- paths -----
     def transport_path(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
-        """Transport along a polyline path avoiding all network vertices."""
+        """Transport along a polyline path avoiding all network vertices,
+        by row operations, with the cap sheets carried from one sub-path to
+        the next (see the module docstring)."""
         poly = [tuple(p) for p in poly]
-        total = self.identity()
+        rows = self.identity()
+        sheets = self.cap_sheets(poly[0])
         prev_pt = poly[0]
         prev_idx = 0
         for pa, sid, pb, pt, side in self.builder.walls.crossings(poly):
-            sub = [prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt]
-            sub = _dedupe(sub)
+            strand = self.builder.strands[sid]
+            if any(param == pb for param, _, _ in strand.crossings):
+                raise NonGenericGeometry("path crosses wall %d where it crosses a weave "
+                                         "line, at %r" % (sid, pt))
+            sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
             if len(sub) > 1:
-                total = self.matmul(self.transport_free(sub), total)
-            total = self.matmul(self.transport_short(sid, pb, side), total)
+                rows, sheets = self._apply_free(sub, sheets, rows)
+            i, j = strand.label_at(pb)
+            c = self.soliton_coefficient(sid, pb) * side
+            rows[i - 1] = [a if b.is_zero() else a + c * b
+                           for a, b in zip(rows[i - 1], rows[j - 1])]
             prev_pt, prev_idx = pt, pa[0]
         sub = _dedupe([prev_pt] + poly[prev_idx + 1:])
         if len(sub) > 1:
-            total = self.matmul(self.transport_free(sub), total)
-        return total
+            rows, _ = self._apply_free(sub, sheets, rows)
+        return rows
+
+    def _apply_free(self, sub, sheets, rows):
+        """Rows of the free transport along ``sub`` times ``rows``, and the
+        cap sheets at the end of ``sub``."""
+        factor, sheets = self.free_factor(sub, sheets)
+        out = [None] * self.n
+        for row, (sheet, entry) in zip(rows, factor):
+            out[sheet - 1] = [e if e.is_zero() else entry * e for e in row]
+        return out, sheets
 
     # ----- monodromy loops -----
     def loop_around(self, center: Point, radius: Fraction,
@@ -455,19 +507,18 @@ class LocalSystemRank1:
         """Random consistent system: pick a unit per pairing test curve and
         evaluate each generator through its class vector, so relations among
         the classes hold for the values automatically."""
-        matrix = transport.engine.matrix
         units = []
-        for _row in matrix:
+        for _row in transport.engine.matrix:
             num = rng.randint(1, 5) * rng.choice([1, -1])
-            den = rng.randint(1, 5)
-            units.append(Fraction(num, den))
+            units.append((num, rng.randint(1, 5)))
         values = {}
-        for col, name in enumerate(transport.gens):
-            value = Fraction(1)
-            for row, unit in zip(matrix, units):
-                if row[col]:
-                    value *= unit ** int(row[col])
-            values[name] = value
+        for name, entries in zip(transport.gens, transport.generator_rows):
+            num = den = 1
+            for row, exponent in entries:
+                top, bottom = units[row] if exponent > 0 else units[row][::-1]
+                num *= top ** abs(exponent)
+                den *= bottom ** abs(exponent)
+            values[name] = Fraction(num, den)
         return cls(values)
 
     def evaluate(self, poly: LaurentPoly) -> Fraction:

@@ -142,15 +142,19 @@ def test_wkb_trace_json(capsys):
 ], ids=["airy-0", "cubic-0.3", "cubic-1.7"])
 def test_wkb_trace_json_equals_two_pass_encoding(curve, theta, mass, radius, capsys):
     """The JSON export, encoded once, has the bytes of the encoding it
-    replaced: network_to_json decoded, theta and charges added, encoded."""
+    replaced: network_to_json decoded, theta and charges added, encoded.
+    The charges are every tenth and the last, once: the two 51-point walls
+    of the cubic at 1.7 no longer repeat their last charge."""
     assert main(["wkb-trace", "--curve", curve, "--theta", repr(theta),
                  "--mass", repr(mass), "--radius", repr(radius)]) == 0
     net = build_wkb_network(SpectralCurve(curve), theta, mass, radius)
     doc = json.loads(network_to_json(net))
     doc["theta"] = theta
     doc["charges"] = {
-        str(w.id): [[Z.real, Z.imag] for Z in w.charges[::10] + [w.charges[-1]]]
+        str(w.id): [[Z.real, Z.imag] for Z in w.charges[:-1:10] + [w.charges[-1]]]
         for w in net.traced}
+    assert all(len(doc["charges"][str(w.id)]) == 1 + (len(w.charges) + 8) // 10
+               for w in net.traced)
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

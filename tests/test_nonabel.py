@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
     Transport,
+    _dedupe,
     _winding,
     augmentation,
     chord_map,
@@ -84,6 +86,27 @@ def test_homotopy_invariance_smoke(transports):
     for _ in range(5):
         p, q = homotopic_pair(transport, rng)
         assert transport.transport_path(p) == transport.transport_path(q)
+
+
+# sha256 of the exact text of every branch and joint monodromy matrix and of
+# both matrices of 20 seeded homotopic pairs per fixture
+TRANSPORT_DIGEST = "664835ce099563517b29208c90e3321ec809f6d239c0dd37baa2bf7db1a7e2f3"
+
+
+def test_transport_matrices_equal_recorded_digest(builders):
+    """Transport stays exactly what it was when the digest was recorded."""
+    digest = hashlib.sha256()
+    for name, builder in builders.items():
+        transport = Transport(builder)
+        matrices = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
+        matrices += [transport.joint_monodromy(j) for j in builder.joints]
+        rng = random.Random(23)
+        for _ in range(20):
+            p, q = homotopic_pair(transport, rng)
+            matrices += [transport.transport_path(p), transport.transport_path(q)]
+        for matrix in matrices:
+            digest.update(("%s %r\n" % (name, [[str(e) for e in row] for row in matrix])).encode())
+    assert digest.hexdigest() == TRANSPORT_DIGEST
 
 
 def test_punctures_include_marked_point(builders):
@@ -243,8 +266,18 @@ def _check_memos(transport, rng, walls, per_segment, paths):
         assert memo == direct, poly
         memo[0][0] = None  # a caller may change what it gets back
         assert transport.transport_free(poly) == direct
+        # the end cap's sheets free_factor hands back, from the memo where
+        # the path has a key, with the start cap's sheets carried in
+        _, sheets = transport.free_factor(poly, _fresh_cap_sheets(transport, poly[0]))
+        assert sheets == _fresh_cap_sheets(transport, poly[-1]), poly
         queries += 1
     return queries
+
+
+def _fresh_cap_sheets(transport, point):
+    """The sheet permutation of a cap at ``point``, walked afresh."""
+    events = transport.builder.events_along(transport.engine.cap_polyline(tuple(point)))
+    return walk_sheets(tuple(range(1, transport.n + 1)), events)[0]
 
 
 def test_transport_memos_equal_direct_values(builders):
@@ -295,3 +328,60 @@ def _segments_meet(a, b, c, d):
         return True
     return any(value == 0 and within(*seg, r) for value, seg, r in
                zip(o, ((a, b), (a, b), (c, d), (c, d)), (c, d, a, b)))
+
+
+# ----- transport_path's row operations against the matrix product -----
+
+def _matrix_product_transport(transport, poly):
+    """Transport along ``poly`` as the matmul product of the transport_free
+    and transport_short matrices, each sub-path capped afresh."""
+    poly = [tuple(p) for p in poly]
+    total = transport.identity()
+    prev_pt, prev_idx = poly[0], 0
+    for pa, sid, pb, pt, side in transport.builder.walls.crossings(poly):
+        sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
+        if len(sub) > 1:
+            total = transport.matmul(transport.transport_free(sub), total)
+        total = transport.matmul(transport.transport_short(sid, pb, side), total)
+        prev_pt, prev_idx = pt, pa[0]
+    sub = _dedupe([prev_pt] + poly[prev_idx + 1:])
+    if len(sub) > 1:
+        total = transport.matmul(transport.transport_free(sub), total)
+    return total
+
+
+def test_transport_path_equals_matrix_product(builders):
+    """The row operations of transport_path give the matmul product of the
+    elementary matrices: along seeded homotopic pairs and the memo tests'
+    paths, on the fixtures and on 10 seeded random weaves."""
+    rng = random.Random(20261020)
+    forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 10))
+    compared = 0
+    for builder in forests:
+        transport = Transport(builder)
+        paths = [path for _ in range(3) for path in homotopic_pair(transport, rng)]
+        paths += _free_paths(transport, rng, 6)
+        for poly in paths:
+            try:
+                expected = _matrix_product_transport(transport, poly)
+            except NonGenericGeometry:
+                continue
+            assert transport.transport_path(poly) == expected, poly
+            compared += 1
+    assert compared >= 10 * len(forests)
+
+
+def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):
+    """A path that crosses a wall exactly where the wall crosses a weave line
+    raises an error naming the wall (the neighbouring sub-paths both end at
+    that point, where the weave-line event is no crossing of either)."""
+    transport = Transport(builders["three_strand"])
+    path = [(Fraction(1277, 768), Fraction(-5867, 10752)),
+            (Fraction(1789, 768), Fraction(-4843, 10752))]
+    point = (Fraction(511, 256), Fraction(-255, 512))
+    wall = transport.builder.strands[0]
+    hits = [(pb, pt) for _, sid, pb, pt, _ in transport.builder.walls.crossings(path) if sid == 0]
+    assert hits == [((8, Fraction(1, 256)), point)]
+    assert (8, Fraction(1, 256)) in [param for param, letter, _ in wall.crossings if letter == 2]
+    with pytest.raises(NonGenericGeometry, match="path crosses wall 0 where it crosses a weave line"):
+        transport.transport_path(path)
