@@ -11,9 +11,14 @@ same rightward rule.  Vertices are scanned bottom-to-top; each vertex's
 round runs creations to a fixed point before the next vertex is seeded.
 
 All geometry is exact: flowlines are rational polylines hugging the weave
-lines at small per-flowline offsets (later flowlines hug closer), so crossing
-detection and ordering are deterministic.  Non-generic coincidences raise and
-the whole build retries with a smaller offset scale.
+lines at small per-flowline offsets delta = OFFSET_SCALE / (id + 2), so later
+flowlines hug closer, and crossing detection and ordering are deterministic.
+Two degeneracies are fixed where they occur.  A joint child lifts up and to
+the left, off a parent leg that is vertical at the joint; and a rightward leg
+whose gap before its turn is at most delta halves that gap for its offset, so
+that strand may hug closer than later ones.  The forest is built once; any
+other coincidence raises NonGenericGeometry, and a rightward flowline with no
+edge to climb raises PropagationError.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .weave import BentWeave, Segment
 
 # creation steps one round may take before the build gives up
 MAX_CREATION_STEPS = 100
+# strand k hugs the weave lines at OFFSET_SCALE / (k + 2), unless a gap is narrower
+OFFSET_SCALE = Fraction(1, 64)
 
 
 class PropagationError(RuntimeError):
@@ -68,10 +75,9 @@ class Strand:
 class ForestBuilder:
     """Grows all strands of the augmentation forest for one bent weave."""
 
-    def __init__(self, bent: BentWeave, scale: Fraction):
+    def __init__(self, bent: BentWeave):
         self.bent = bent
         self.weave = bent.weave
-        self.scale = scale
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
         # tagged (letter, segment id), so a crossing names the line and its
         # letter; every slot below the top is a join of two segments
@@ -104,7 +110,7 @@ class ForestBuilder:
     # ----- propagation -----
     def _new_strand(self, origin, label, rnd) -> Strand:
         strand = Strand(len(self.strands), origin, label, rnd,
-                        self.scale / (len(self.strands) + 2))
+                        OFFSET_SCALE / (len(self.strands) + 2))
         self.strands.append(strand)
         return strand
 
@@ -120,11 +126,16 @@ class ForestBuilder:
         self._finalize(strand)
         return strand
 
-    def propagate_joint(self, parent_a: Strand, parent_b: Strand, label, point, rnd) -> Strand:
+    def propagate_joint(self, parent_a: Strand, parent_b: Strand, pa: Param, pb: Param,
+                        label, point, rnd) -> Strand:
         strand = self._new_strand(("joint", parent_a.id, parent_b.id), label, rnd)
         # emanate just above the joint so the rightward leg is parallel to,
-        # not collinear with, a horizontal parent leg
-        lift = (point[0], point[1] + strand.delta)
+        # not collinear with, a horizontal parent leg; and up-left off a
+        # parent leg that is vertical there, so the lift does not run along it
+        delta = strand.delta
+        vertical = any(parent.polyline[index][0] == parent.polyline[index + 1][0]
+                       for parent, (index, _) in ((parent_a, pa), (parent_b, pb)))
+        lift = (point[0] - delta / 2 if vertical else point[0], point[1] + delta)
         strand.polyline = [point, lift]
         # the lift itself may hop over weave lines squeezed near the joint;
         # fold those conjugations into the label the march starts with
@@ -136,7 +147,9 @@ class ForestBuilder:
     def _march_right(self, strand: Strand, start: Point, label):
         """Run right from ``start`` to the first weave line carrying the
         label's sheet pair, conjugating the label by each line crossed on
-        the way, then climb that line."""
+        the way, then climb that line.  Where the gap between the last line
+        crossed (or ``start``) and that line is at most delta, the strand's
+        delta shrinks to half the gap."""
         x0, y0 = start
         corner = next(((x, y) for seg in self.obstacles for x, y in seg.points
                        if y == y0 and x > x0), None)
@@ -146,10 +159,9 @@ class ForestBuilder:
         ray = [start, (self.bent.marked_x, y0)]  # every weave line lies left of marked_x
         for _, (k, seg_id), (index, _), (x, _), _ in self.weave_lines.crossings(ray):
             if {label[0], label[1]} == {k, k + 1}:
-                turn_x = x - strand.delta
-                if turn_x <= prev_x:
-                    raise NonGenericGeometry("offset too large for gap before turn")
-                strand.polyline.append((turn_x, y0))
+                if x - strand.delta <= prev_x:
+                    strand.delta = (x - prev_x) / 2
+                strand.polyline.append((x - strand.delta, y0))
                 self._hug(strand, self.obstacles[seg_id], index)
                 return
             label = tuple(transpose(s, k) for s in label)
@@ -217,7 +229,7 @@ class ForestBuilder:
             events.remove(event)
             x, y, a_id, b_id, pa, pb, child_label, parents, twist = event
             parent_a, parent_b = self.strands[a_id], self.strands[b_id]
-            child = self.propagate_joint(parent_a, parent_b, child_label, (x, y), rnd)
+            child = self.propagate_joint(parent_a, parent_b, pa, pb, child_label, (x, y), rnd)
             joint = {
                 "parents": parents,
                 "twist": twist,
@@ -250,19 +262,9 @@ class ForestBuilder:
 
 
 def build_forest_strands(bent: BentWeave) -> ForestBuilder:
-    """Grow the forest, retrying with smaller offsets on a non-generic
-    coincidence.  The weave's bottom must be a reduced word."""
+    """Grow the forest once.  The weave's bottom must be a reduced word; a
+    non-generic coincidence raises NonGenericGeometry."""
     bottom = BraidWord(bent.strand_count, bent.weave.bottom)
     if demazure_product(bottom).length() != len(bottom):
         raise ValueError("weave bottom %s is not a reduced word" % bottom)
-    scale = Fraction(1, 64)
-    last_err = None
-    for _ in range(4):
-        builder = ForestBuilder(bent, scale=scale)
-        try:
-            return builder.build()
-        except NonGenericGeometry as err:
-            last_err = err
-            scale /= 16
-    raise NonGenericGeometry("geometry stayed non-generic after retries: %s" % last_err)
-
+    return ForestBuilder(bent).build()

@@ -22,7 +22,8 @@ _EPS = 1e-6
 
 
 class NonGenericGeometry(RuntimeError):
-    """Offsets produced a coincidence (tangency, corner hit); retry smaller."""
+    """Exact geometry met a coincidence (collinear overlap, corner hit) that
+    a generic position would avoid."""
 
 
 def transpose(sheet: int, letter: int) -> int:

@@ -303,16 +303,6 @@ class Transport:
         return out, sheets
 
     # ----- monodromy loops -----
-    def loop_around(self, center: Point, radius: Fraction,
-                    jitter: Fraction) -> List[Point]:
-        """A small closed quadrilateral around a point, corners jittered so
-        they avoid walls and weave lines."""
-        cx, cy = center
-        r = radius
-        e = radius * jitter
-        return [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
-                (cx - 2 * e, cy - r), (cx + r, cy + e)]
-
     def clearance(self, center: Point) -> Fraction:
         """Min distance from ``center`` to all segments not through it.
         Segments are met in order of their float distance, and exact ones
@@ -347,17 +337,14 @@ class Transport:
         return self._loop_transport(tuple(joint["point"]))
 
     def _loop_transport(self, center: Point) -> List[List[LaurentPoly]]:
-        radius = self.clearance(center) / 2
-        last = None
-        for k in range(5):
-            loop = self.loop_around(center, radius,
-                                    Fraction(1, 313 + 52 * k))
-            try:
-                return self.transport_path(loop)
-            except NonGenericGeometry as err:
-                last = err
-        raise NonGenericGeometry("loop around %r stayed degenerate: %s"
-                                 % (center, last))
+        """Transport around a small closed quadrilateral about ``center``,
+        at half its clearance, corners jittered off the axes so they avoid
+        walls and weave lines.  A degenerate loop raises NonGenericGeometry."""
+        cx, cy = center
+        r = self.clearance(center) / 2
+        e = r / 313
+        return self.transport_path([(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
+                                    (cx - 2 * e, cy - r), (cx + r, cy + e)])
 
 
 def _dedupe(points):

@@ -10,8 +10,7 @@ test curves running from boundary to boundary, expressed in the basis of
 the right-edge (b-branch) tree classes s_1, ..., s_l.
 
 All geometry is exact rational.  A degeneracy raises NonGenericGeometry,
-which propagates to the caller; nothing here retries (transport around a
-loop re-jitters the loop, in ``Transport._loop_transport``).
+which propagates to the caller; nothing here or in transport retries.
 """
 
 from __future__ import annotations

@@ -22,12 +22,12 @@ def builders():
             for name, text in EXAMPLES.items()}
 
 
-def random_weave_builders():
-    """Forests of 100 seeded random n = 3 weave draws with a reduced bottom:
-    tops of 5-9 letters and 4-10 random t and h moves.  Weaves whose
-    geometry the forest rejects are skipped."""
-    rng = random.Random(20261018)
-    for _ in range(100):
+def random_weave_texts(seed, draws):
+    """Weave texts of ``draws`` seeded random n = 3 draws, skipping those
+    whose bottom is not reduced: tops of 5-9 letters and 4-10 random t and
+    h moves, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for _ in range(draws):
         top = tuple(rng.choice((1, 2)) for _ in range(rng.randint(5, 9)))
         word, moves = top, []
         for _ in range(rng.randint(4, 10)):
@@ -39,9 +39,14 @@ def random_weave_builders():
             move = Move(*rng.choice(spots))
             moves.append("%s%d" % (move.kind, move.position))
             word = _apply_move(word, move)
-        if demazure_product(BraidWord(3, word)).length() != len(word):
-            continue
-        text = "n=3\ntop: %s\nmoves: %s" % (" ".join(map(str, top)), " ".join(moves))
+        if demazure_product(BraidWord(3, word)).length() == len(word):
+            yield "n=3\ntop: %s\nmoves: %s" % (" ".join(map(str, top)), " ".join(moves))
+
+
+def random_weave_builders():
+    """Forests of the random weave texts of 100 draws at seed 20261018.
+    Weaves whose geometry the forest rejects are skipped."""
+    for text in random_weave_texts(20261018, 100):
         try:
             yield build_forest_strands(bend_weave(parse_weave(text)))
         except RuntimeError:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from specnet.cli import main
+from specnet.forest import ForestBuilder
 from specnet.network import network_from_json, network_to_json
 from specnet.wkb import SpectralCurve, build_wkb_network
 
@@ -286,6 +287,32 @@ def test_propagation_error_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("n=3\ntop: 1 1 1 2 2\nmoves: t2 t1 t2\n"))
     assert main(["augmentation", "-"]) == 2
     assert capsys.readouterr().err.startswith("error [augmentation]: rightward flowline ")
+
+
+@pytest.mark.parametrize("text", [
+    "n=3\ntop: 1 1 2 1 1\nmoves: t1 t3 h1 h1",  # a joint on a vertical parent leg
+    "n=3\ntop: 1 2 2 2 1 2\nmoves: h4 t2 h2 t1 t3",  # a gap before a turn, and the lift
+    "n=3\ntop: 1 2 1 2 1\nmoves: h2 t1 h1 h2 t1 h1 h1 h1 h1",  # a gap before a turn only
+], ids=["lift", "gap-and-lift", "gap"])
+def test_local_offset_rules_build(text, monkeypatch, capsys):
+    """Weaves that meet the forest's lift or gap rule build, and every
+    monodromy loop is the identity."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+    assert main(["nonabelianize", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith("monodromy: identity") for line in lines)
+
+
+def test_corner_hit_exits_2_after_one_build(monkeypatch, capsys):
+    """A coincidence the local rules do not fix is named after one build."""
+    builds = []
+    build = ForestBuilder.build
+    monkeypatch.setattr(ForestBuilder, "build", lambda self: builds.append(1) or build(self))
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "n=3\ntop: 1 2 1 1 1 2 1\nmoves: t4 t3 h1 h1 h2 t1 t3 h1\n"))
+    assert main(["nonabelianize", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error [nonabelianize]: polyline corner hit at (")
+    assert builds == [1]
 
 
 def test_creation_step_guard_exits_2(monkeypatch, capsys):

@@ -1,0 +1,75 @@
+"""The forest on a seeded random weave corpus: which weaves it rejects, by
+name, and the invariants every built weave must meet."""
+
+from specnet.forest import build_forest_strands
+from specnet.nonabel import Transport
+from specnet.weave import bend_weave, parse_weave
+
+from conftest import random_weave_texts
+
+# invariants are checked on built weaves with at most this many strands
+STRAND_CAP = 16
+
+# (index among the corpus texts, error class, message prefix) of every draw
+# the forest rejects; a draw newly built or newly rejected fails the test
+REJECTED = [
+    (0, "NonGenericGeometry", "polyline corner hit"),
+    (1, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (1, 2)"),
+    (8, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (2, 3)"),
+    (11, "NonGenericGeometry", "polyline corner hit"),
+    (23, "PropagationError", "rightward flowline from ('branch', 3, 'c') with label (1, 2)"),
+    (27, "PropagationError", "rightward flowline from ('joint', 8, 0) with label (1, 3)"),
+    (32, "PropagationError", "rightward flowline from ('joint', 8, 0) with label (1, 3)"),
+    (34, "NonGenericGeometry", "polyline corner hit"),
+    (44, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (1, 2)"),
+    (50, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (1, 2)"),
+    (52, "NonGenericGeometry", "polyline corner hit"),
+    (62, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (1, 2)"),
+    (69, "PropagationError", "rightward flowline from ('branch', 1, 'c') with label (2, 3)"),
+    (77, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (2, 3)"),
+    (79, "PropagationError", "rightward flowline from ('branch', 1, 'c') with label (1, 2)"),
+    (98, "PropagationError", "rightward flowline from ('joint', 8, 0) with label (1, 3)"),
+    (105, "PropagationError", "rightward flowline from ('joint', 8, 0) with label (1, 3)"),
+    (123, "NonGenericGeometry", "polyline corner hit"),
+    (129, "PropagationError", "rightward flowline from ('joint', 8, 0) with label (1, 3)"),
+    (133, "NonGenericGeometry", "polyline corner hit"),
+    (134, "PropagationError", "rightward flowline from ('joint', 11, 3) with label (1, 3)"),
+    (136, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (2, 3)"),
+    (141, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (2, 3)"),
+    (153, "NonGenericGeometry", "polyline corner hit"),
+    (156, "NonGenericGeometry", "polyline corner hit"),
+    (159, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (1, 2)"),
+    (169, "PropagationError", "rightward flowline from ('branch', 1, 'c') with label (2, 3)"),
+    (174, "NonGenericGeometry", "polyline corner hit"),
+    (175, "PropagationError", "rightward flowline from ('joint', 8, 0) with label (1, 3)"),
+    (182, "NonGenericGeometry", "polyline corner hit"),
+    (186, "PropagationError", "rightward flowline from ('joint', 14, 0) with label (1, 3)"),
+]
+
+
+def test_random_corpus_rejections_and_invariants():
+    """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
+    of them and rejects exactly the 31 in REJECTED.  On each built weave of
+    at most STRAND_CAP strands (128 weaves), every branch and joint
+    monodromy is the identity and the BPS recursion equals brute force."""
+    texts = list(random_weave_texts(7, 400))
+    assert len(texts) == 193
+    rejected, checked = [], 0
+    for index, text in enumerate(texts):
+        try:
+            builder = build_forest_strands(bend_weave(parse_weave(text)))
+        except RuntimeError as err:
+            rejected.append((index, type(err).__name__, str(err)))
+            continue
+        if len(builder.strands) > STRAND_CAP:
+            continue
+        transport = Transport(builder)
+        loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
+        loops += [transport.joint_monodromy(joint) for joint in builder.joints]
+        assert all(transport.is_identity(m) for m in loops), text
+        assert transport.catalog.bps_table() == transport.catalog.bps_table_bruteforce(), text
+        checked += 1
+    assert [entry[:2] for entry in rejected] == [entry[:2] for entry in REJECTED]
+    assert all(message.startswith(prefix)
+               for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED)), rejected
+    assert checked == 128

@@ -114,7 +114,7 @@ def test_joint_records_on_random_weaves():
     for builder in random_weave_builders():
         _check_joint_records(builder)
         joints += len(builder.joints)
-    assert joints >= 50  # 55 joints on 8 of the 34 weaves that build
+    assert joints >= 50  # 99 joints on 19 of the 45 weaves that build
 
 
 def test_bps_recursion_matches_bruteforce_small(catalogs):
