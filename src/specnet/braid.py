@@ -1,9 +1,4 @@
-"""Positive braid words, permutations, Demazure products and chord labels.
-
-Braid text format: ``n=<strands>; i1 i2 i3 ...`` with whitespace- or
-comma-separated generator indices in [1, n-1].  ``(empty)`` (or nothing after
-the semicolon) denotes the empty word.
-"""
+"""Positive braid words, permutations, Demazure products and chord labels."""
 
 from __future__ import annotations
 
@@ -79,21 +74,6 @@ class Permutation:
 class ChordLabeling:
     beta_chords: Tuple[str, ...]
     delta_chords: Tuple[str, ...]
-
-
-def parse_braid(text: str) -> BraidWord:
-    head, _, body = text.partition(";")
-    head = head.strip()
-    if not head.startswith("n=") or not head[2:].isdigit():
-        raise ValueError("expected 'n=<strands>; ...', got %r" % text)
-    n = int(head[2:])
-    body = body.replace(",", " ").replace("(empty)", " ").split()
-    letters = []
-    for token in body:
-        if not token.isdigit():
-            raise ValueError("malformed letter token %r" % token)
-        letters.append(int(token))
-    return BraidWord(n, tuple(letters))
 
 
 def demazure_product(word: BraidWord) -> Permutation:

@@ -149,8 +149,7 @@ def cmd_wkb_trace(args) -> int:
     from .wkb import SpectralCurve, build_wkb_network
 
     curve = SpectralCurve(args.curve)
-    net = build_wkb_network(curve, args.theta, args.mass, args.radius,
-                            max_rounds=args.max_rounds)
+    net = build_wkb_network(curve, args.theta, args.mass, args.radius)
     wants_svg = args.format == "svg" or (
         args.format is None and (args.out or "").endswith(".svg"))
     if wants_svg:
@@ -256,7 +255,6 @@ def main(argv=None) -> int:
     p.add_argument("--theta", type=float, default=0.3)
     p.add_argument("--mass", type=float, default=12.0)
     p.add_argument("--radius", type=float, default=8.0)
-    p.add_argument("--max-rounds", type=int, default=12)
     p.add_argument("--format", choices=("json", "svg"), default=None,
                    help="default: svg if --out ends in .svg, else json")
     p.add_argument("--out", default=None)

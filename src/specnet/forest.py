@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .braid import BraidWord, demazure_product
 from .geometry import NonGenericGeometry, Param, Point, PolylineSet, transpose, walk_sheets
 from .network import SpectralNetwork, compose_labels
-from .weave import BentWeave, Segment
+from .weave import BentWeave, Segment, WeaveVertex
 
 
 # creation steps one round may take before the build gives up
@@ -42,14 +42,6 @@ OFFSET_SCALE = Fraction(1, 64)
 class PropagationError(RuntimeError):
     """A rightward flowline ran off the weave without finding its edge, or
     a round ran past MAX_CREATION_STEPS creations."""
-
-
-@dataclass(frozen=True)
-class FlowlineSeed:
-    vertex_id: int
-    branch: str  # 'a' | 'b' | 'c'
-    edge: Optional[int]  # starting segment id for a/b, None for c
-    label: Tuple[int, int]
 
 
 @dataclass
@@ -93,19 +85,8 @@ class ForestBuilder:
         self.joints: List[dict] = []  # creation events in processing order
         self.born_at: Dict[int, dict] = {}  # child strand id -> its creation joint
 
-    # ----- seeds -----
     def scan_vertices(self):
         return sorted(self.weave.trivalent_vertices(), key=lambda v: (-v.row, v.position))
-
-    def seed_flowlines(self, vertex_id: int) -> List[FlowlineSeed]:
-        vertex = self.weave.vertices[vertex_id]
-        if vertex.kind != "trivalent":
-            raise ValueError("vertex %d is not trivalent" % vertex_id)
-        k = vertex.letter
-        ups = self.weave.vertex_upper_segments(vertex_id)
-        # every branch of a letter-k vertex carries the ordered label (k, k+1)
-        return [FlowlineSeed(vertex_id, branch, edge, (k, k + 1))
-                for branch, edge in (("a", ups[0].id), ("b", ups[1].id), ("c", None))]
 
     # ----- propagation -----
     def _new_strand(self, origin, label, rnd) -> Strand:
@@ -114,14 +95,16 @@ class ForestBuilder:
         self.strands.append(strand)
         return strand
 
-    def propagate_seed(self, seed: FlowlineSeed, rnd: int) -> Strand:
-        vertex = self.weave.vertices[seed.vertex_id]
-        strand = self._new_strand(("branch", seed.vertex_id, seed.branch), seed.label, rnd)
+    def propagate_seed(self, vertex: WeaveVertex, branch: str, edge: Optional[Segment],
+                       rnd: int) -> Strand:
+        """Grow a branch of ``vertex``: up ``edge``, or rightward if it is None."""
+        # every branch of a letter-k vertex carries the ordered label (k, k+1)
+        label = (vertex.letter, vertex.letter + 1)
+        strand = self._new_strand(("branch", vertex.id, branch), label, rnd)
         strand.polyline = [vertex.point]
-        if seed.branch == "c":
-            self._march_right(strand, vertex.point, seed.label)
+        if edge is None:
+            self._march_right(strand, vertex.point, label)
         else:
-            edge = self.weave.segments[seed.edge]
             self._hug(strand, edge, len(edge.points) - 2)
         self._finalize(strand)
         return strand
@@ -199,7 +182,9 @@ class ForestBuilder:
     # ----- rounds -----
     def build(self):
         for rnd, vertex in enumerate(self.scan_vertices(), start=1):
-            new = [self.propagate_seed(seed, rnd) for seed in self.seed_flowlines(vertex.id)]
+            ups = self.weave.vertex_upper_segments(vertex.id)
+            new = [self.propagate_seed(vertex, branch, edge, rnd)
+                   for branch, edge in (("a", ups[0]), ("b", ups[1]), ("c", None))]
             self._extend_round(new, rnd)
         return self
 

@@ -199,10 +199,6 @@ def _point_to_json(point):
     return [str(c) if isinstance(c, Fraction) else float(c) for c in point]
 
 
-def _point_from_json(raw):
-    return tuple(Fraction(c) if isinstance(c, str) else float(c) for c in raw)
-
-
 def network_doc(net: SpectralNetwork) -> dict:
     """The JSON document of a network, as ``network_to_json`` encodes it."""
     return {
@@ -225,20 +221,3 @@ def network_doc(net: SpectralNetwork) -> dict:
 def network_to_json(net: SpectralNetwork) -> str:
     return json.dumps(network_doc(net), indent=2, sort_keys=True)
 
-
-def network_from_json(text: str) -> SpectralNetwork:
-    doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError("unsupported schema %r" % doc.get("schema"))
-    net = SpectralNetwork(cutoff=doc.get("cutoff"))
-    for raw in doc["vertices"]:
-        vertex = NetworkVertex(raw["id"], raw["kind"], _point_from_json(raw["position"]))
-        net.vertices[vertex.id] = vertex
-    for raw in doc["walls"]:
-        wall = Wall(raw["id"], tuple(raw["label"]), raw["source"], raw["target"],
-                    [_point_from_json(p) for p in raw["route"]], raw["mass"], raw["stage"])
-        net.walls[wall.id] = wall
-        net.vertices[wall.source].outgoing.append(wall.id)
-        if isinstance(wall.target, int):
-            net.vertices[wall.target].incoming.append(wall.id)
-    return net

@@ -29,10 +29,12 @@ Transport is locally constant, so both exact answers are kept per class:
 
 * A Stokes coefficient is kept per (wall, interval between the wall's cut
   params).  The cuts are its weave-line events and the params where its x
-  is bx or bx - CAP_EPS for a branch point b.  Inside an interval the cap's
-  first leg never meets a branch point's vertical line, so moving the base
-  point sweeps no branch point, and the label and twist stay fixed.  A
-  param at a cut, or with some bx in [x, x + CAP_EPS], is computed afresh.
+  is bx or bx - CAP_EPS for a branch point b.  x is constant on vertical
+  segments, so each interval lies wholly inside or outside b's band, the
+  params with bx in [x, x + CAP_EPS] where the cap's first leg meets b's
+  vertical line.  Outside every band, moving the base point sweeps no
+  branch point, and the label and twist stay fixed.  A computed value is
+  kept only for a param off the cuts and outside every band.
 * A free transport is kept per (sheet permutation of the start cap's
   events, the path's (letter, side) event word, the freely reduced word of
   the capped loop's crossings with the branch cuts).  Each cut is a slit
@@ -221,24 +223,23 @@ class Transport:
 
     def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` based at ``param``, kept per
-        interval between the wall's cut params."""
+        interval between the wall's cut params that lies outside every band
+        (see the module docstring)."""
         key = self._interval_key(sid, param)
         value = self._coefficients.get(key)
         if value is None:
             cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
             sign = self.wall_sign(sid) * self._twist_at(sid, param)
             value = _monomial(self.gens, cyc, arc, sign)
-            if key is not None:
+            x = interp(self.builder.strands[sid].polyline, param)[0]
+            if key is not None and not any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
                 self._coefficients[key] = value
         return value
 
     def _interval_key(self, sid: int, param: Param) -> Optional[tuple]:
         """(wall, index of ``param`` among the wall's sorted cut params), or
-        None at a cut param or where the cap's first leg spans a bx."""
+        None at a cut param."""
         strand = self.builder.strands[sid]
-        x = interp(strand.polyline, param)[0]
-        if any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
-            return None
         if sid not in self._wall_cuts:
             edges = self.branch_xs + [bx - CAP_EPS for bx in self.branch_xs]
             cuts = [p for p, _, _ in strand.crossings]

@@ -226,8 +226,12 @@ class HomologyEngine:
     def cap(self, start: Point, start_sheet: int, orientation: int) -> LiftedPiece:
         """A path from ``start`` to the marked point.  It depends on
         ``start`` alone, so caps at the few most recent starts share their
-        weave-line events and test-curve pairings (a path transport caps
-        each wall crossing point 2n + 2 times in a row)."""
+        weave-line events and test-curve pairings.  A path transport caps
+        an interior wall crossing point at most 2n + 3 times, with at most
+        one other point between two of them: a free-transport miss caps its
+        sub-path's two ends alternately, n times each, ``cap_sheets`` caps
+        the end once more, and a Stokes miss caps the point twice.  A memo
+        hit caps nothing."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             poly = self.cap_polyline(start)

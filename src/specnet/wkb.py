@@ -36,6 +36,8 @@ TWO_PI = 2 * math.pi
 # discriminant (and its count of Sylvester determinants)
 MAX_SHEETS = 16
 MAX_DISC_DEGREE = 256
+# extension rounds a trace may run before the gapped guard gives up
+MAX_ROUNDS = 12
 
 
 class CurveError(ValueError):
@@ -475,7 +477,7 @@ def _match_value(a: complex, b: complex, scale: float) -> bool:
 
 
 def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
-                      radius: float, max_rounds: int = 12) -> SpectralNetwork:
+                      radius: float) -> SpectralNetwork:
     """Trace the full network: initial rays, joints, iterated extension.
 
     Crossings whose sheet pairs share a value (matched within 1e-8 relative)
@@ -502,8 +504,8 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > max_rounds:
-            raise GappedGuardError("extension exceeded %d rounds" % max_rounds)
+        if rounds > MAX_ROUNDS:
+            raise GappedGuardError("extension exceeded %d rounds" % MAX_ROUNDS)
         new_frontier: List[TracedWall] = []
         births: List[float] = []
         # each frontier wall against the older walls and the frontier walls

@@ -9,7 +9,6 @@ from specnet.braid import (
     Permutation,
     demazure_product,
     label_chords,
-    parse_braid,
     reduced_word,
 )
 
@@ -33,20 +32,20 @@ def hecke_oracle(word: BraidWord) -> Permutation:
     return Permutation(perm)
 
 
-def test_parse_examples():
-    assert parse_braid("n=2; 1 1 1 1 1 1") == BraidWord(2, (1,) * 6)
-    assert parse_braid("n=3; (empty)") == BraidWord(3, ())
-    assert parse_braid("n=3; 2 1 2 1 2") == BraidWord(3, (2, 1, 2, 1, 2))
+def test_letters_must_be_in_range():
+    assert len(BraidWord(3, ())) == 0
     with pytest.raises(ValueError):
-        parse_braid("n=2; 2")
+        BraidWord(2, (2,))
     with pytest.raises(ValueError):
-        parse_braid("n=2; x")
+        BraidWord(3, (0,))
+    with pytest.raises(ValueError):
+        BraidWord(1, ())
 
 
 def test_demazure_examples():
-    assert demazure_product(parse_braid("n=2; 1 1")) == Permutation((2, 1))
-    assert demazure_product(parse_braid("n=3; (empty)")).is_identity()
-    w0 = demazure_product(parse_braid("n=3; 2 1 2 1 2 1 2"))
+    assert demazure_product(BraidWord(2, (1, 1))) == Permutation((2, 1))
+    assert demazure_product(BraidWord(3, ())).is_identity()
+    w0 = demazure_product(BraidWord(3, (2, 1, 2, 1, 2, 1, 2)))
     assert w0 == Permutation((3, 2, 1))
 
 
@@ -107,20 +106,20 @@ def test_reduced_word_round_trip():
 
 
 def test_label_chords_examples():
-    beta = parse_braid("n=2; 1 1 1 1 1 1")
-    labeling = label_chords(beta, parse_braid("n=2; 1"))
+    beta = BraidWord(2, (1,) * 6)
+    labeling = label_chords(beta, BraidWord(2, (1,)))
     assert labeling.beta_chords == ("z_6", "z_5", "z_4", "z_3", "z_2", "z_1")
     assert labeling.delta_chords == ("w_1",)
 
-    beta = parse_braid("n=3; 2 1 2 1 2 1 2")
-    labeling = label_chords(beta, parse_braid("n=3; 1 2 1"))
+    beta = BraidWord(3, (2, 1, 2, 1, 2, 1, 2))
+    labeling = label_chords(beta, BraidWord(3, (1, 2, 1)))
     assert labeling.beta_chords[0] == "z_7"
     assert labeling.beta_chords[-1] == "z_1"
     assert labeling.delta_chords == ("w_3", "w_2", "w_1")
 
-    empty = parse_braid("n=2; (empty)")
+    empty = BraidWord(2, ())
     labeling = label_chords(empty, empty)
     assert labeling.beta_chords == () and labeling.delta_chords == ()
 
     with pytest.raises(ValueError):
-        label_chords(parse_braid("n=2; 1"), parse_braid("n=3; 1"))
+        label_chords(BraidWord(2, (1,)), BraidWord(3, (1,)))

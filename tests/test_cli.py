@@ -1,13 +1,15 @@
 import io
 import json
 import os
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from specnet.cli import main
 from specnet.forest import ForestBuilder
-from specnet.network import network_from_json, network_to_json
+from specnet.network import network_to_json
 from specnet.wkb import SpectralCurve, build_wkb_network
 
 from conftest import EXAMPLES
@@ -46,8 +48,8 @@ def test_fixture_root_env_var(tmp_path, monkeypatch, capsys):
 
 def test_weave_network_json_round_trips(weave_file, capsys):
     assert main(["weave-network", weave_file, "--format", "json"]) == 0
-    net = network_from_json(capsys.readouterr().out)
-    assert len(net.walls) == 6
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["walls"]) == 6
 
 
 def test_svg_deterministic(weave_file, tmp_path):
@@ -181,6 +183,38 @@ def test_removed_tolerance_key_fails(tmp_path):
     config.write_text("tolerance = 1e-9\n")
     with pytest.raises(ValueError, match="unknown config key 'tolerance'"):
         main(["augmentation", "mutation_a", "--config", str(config)])
+
+
+def test_removed_max_rounds_flag_and_key_fail(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["wkb-trace", "--curve", "w^2 - z", "--max-rounds", "5"])
+    assert exit_info.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("max_rounds = 20\n")
+    with pytest.raises(ValueError, match="unknown config key 'max_rounds'"):
+        main(["wkb-trace", "--curve", "w^2 - z", "--config", str(config)])
+
+
+def _readme_flag_table():
+    """{subcommand: set of --flags} from README's flag table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text.split("Each subcommand takes only the flags it reads:\n\n", 1)[1]
+    rows = {}
+    for line in after.split("\n\n", 1)[0].splitlines()[2:]:
+        _, name, flags, _ = re.split(r"(?<!\\)\|", line)
+        rows[name.strip(" `")] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    return rows
+
+
+def test_readme_flag_table_matches_parser(capsys):
+    rows = _readme_flag_table()
+    assert set(rows) == {"weave-network", "augmentation", "nonabelianize", "bps",
+                         "wkb-trace", "compare"}
+    for name, flags in rows.items():
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        parsed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == parsed - {"--help"}, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -39,9 +39,10 @@ def test_every_strand_reaches_a_chord(builders):
 
 def test_seed_labels_are_adjacent_transpositions(builders):
     for builder in builders.values():
-        for vertex in builder.weave.trivalent_vertices():
-            for seed in builder.seed_flowlines(vertex.id):
-                assert set(seed.label) == {vertex.letter, vertex.letter + 1}
+        for strand in builder.strands:
+            if strand.origin[0] == "branch":
+                vertex = builder.weave.vertices[strand.origin[1]]
+                assert strand.start_label == (vertex.letter, vertex.letter + 1)
 
 
 def test_three_seeds_per_branch_point(builders):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specnet.braid import BraidWord, demazure_product, parse_braid
+from specnet.braid import BraidWord, demazure_product
 from specnet.forest import PropagationError, build_forest_strands
 from specnet.soliton_bps import HomologyEngine
 from specnet.weave import (
@@ -124,14 +124,14 @@ def test_cycle_generators_rank_three(builders):
 
 def test_bend_weave_boundary():
     bent = bend_weave(parse_weave(SIGMA1_6))
-    assert bent.boundary_word == parse_braid("n=2; 1 1 1 1 1 1 1")
+    assert bent.boundary_word == BraidWord(2, (1,) * 7)
     assert bent.chord_names == ["z_6", "z_5", "z_4", "z_3", "z_2", "z_1", "w_1"]
     xs = [bent.top_positions[name] for name in bent.chord_names]
     assert xs == sorted(xs)
     assert bent.marked_x > xs[-1]
 
     bent = bend_weave(parse_weave(THREE_STRAND))
-    assert bent.boundary_word == parse_braid("n=3; 2 1 2 1 2 1 2 1 2 1")
+    assert bent.boundary_word == BraidWord(3, (2, 1, 2, 1, 2, 1, 2, 1, 2, 1))
     assert bent.chord_names == (
         ["z_%d" % k for k in range(7, 0, -1)] + ["w_3", "w_2", "w_1"])
     assert len(bent.bent_segments) == 3

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from specnet import wkb
 from specnet.wkb import (
     BLOCK,
     CurveError,
+    GappedGuardError,
     NonGenericPhase,
     RootCollision,
     SpectralCurve,
@@ -198,6 +200,12 @@ def test_airy_network_three_rays():
     expected = sorted((-2 * math.pi / 3, 0.0, 2 * math.pi / 3))
     for got, want in zip(dirs, expected):
         assert abs(got - want) < 1e-3
+
+
+def test_round_guard_stops_extension(monkeypatch):
+    monkeypatch.setattr(wkb, "MAX_ROUNDS", 0)
+    with pytest.raises(GappedGuardError, match="extension exceeded 0 rounds"):
+        build_wkb_network(SpectralCurve("w^2 - z"), 0.0, 10.0, 5.0)
 
 
 def test_constant_curve_gives_empty_network():
