@@ -1,17 +1,17 @@
 """Command-line interface: build networks, compute invariants, export.
 
 Subcommands: weave-network, augmentation, nonabelianize, bps, wkb-trace,
-compare.  A key=value config file can override any of a subcommand's own
-arguments (compare takes none); the environment variable SPECNET_FIXTURES
-points at an alternative fixture root.  All outputs are deterministic for
-a fixed config and seed.
+compare.  Each line ``key = value`` of a config file is read as the flag
+``--key=value`` after the command line, so it overrides a flag and is
+checked by the same parser (compare takes no config file); the environment
+variable SPECNET_FIXTURES points at an alternative fixture root.  All
+outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import re
@@ -36,18 +36,21 @@ def fixture_root() -> str:
     return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def _load_weave_text(spec: str) -> str:
-    """Weave input: a path, '-' for stdin, or a packaged fixture name."""
+def _read_input(spec: str, suffix: str) -> str:
+    """Input text: '-' for stdin, a path, or a packaged fixture name (the
+    suffix ``.weave`` or ``.json`` may be left off)."""
     if spec == "-":
         return sys.stdin.read()
-    if os.path.exists(spec):
-        with open(spec) as handle:
-            return handle.read()
-    packaged = os.path.join(fixture_root(), spec + ".weave")
-    if os.path.exists(packaged):
-        with open(packaged) as handle:
-            return handle.read()
-    raise FileNotFoundError("no weave file or fixture named %r" % spec)
+    name = spec if spec.endswith(suffix) else spec + suffix
+    for path in (spec, os.path.join(fixture_root(), name)):
+        if os.path.exists(path):
+            with open(path) as handle:
+                return handle.read()
+    raise FileNotFoundError("no %s file or fixture named %r" % (suffix[1:], spec))
+
+
+def _load_weave(spec: str):
+    return bend_weave(parse_weave(_read_input(spec, ".weave")))
 
 
 def _emit(text: str, out: Optional[str]):
@@ -64,7 +67,7 @@ def _weave_underlay(builder):
 
 
 def cmd_weave_network(args) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
+    bent = _load_weave(args.input)
     builder = build_forest_strands(bent)
     net = builder.to_network()
     if args.format == "svg":
@@ -81,7 +84,7 @@ def cmd_weave_network(args) -> int:
 
 
 def cmd_augmentation(args) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
+    bent = _load_weave(args.input)
     table = augmentation(bent)
     doc = {name: str(value) for name, value in sorted(table.items())}
     if args.format == "json":
@@ -94,7 +97,7 @@ def cmd_augmentation(args) -> int:
 
 
 def cmd_nonabelianize(args) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
+    bent = _load_weave(args.input)
     builder = build_forest_strands(bent)
     transport = Transport(builder)
     rng = random.Random(args.seed)
@@ -121,7 +124,7 @@ def cmd_nonabelianize(args) -> int:
 
 
 def cmd_bps(args) -> int:
-    bent = bend_weave(parse_weave(_load_weave_text(args.input)))
+    bent = _load_weave(args.input)
     builder = build_forest_strands(bent)
     catalog = SolitonCatalog(builder)
     table = catalog.bps_table()
@@ -166,16 +169,11 @@ def cmd_wkb_trace(args) -> int:
     return 0
 
 
-def _load_table(path: str) -> Dict[str, str]:
-    if not os.path.exists(path):
-        candidate = os.path.join(fixture_root(), path)
-        if os.path.exists(candidate):
-            path = candidate
-    if not path.endswith(".json"):
-        bent = bend_weave(parse_weave(_load_weave_text(path)))
-        return {k: str(v) for k, v in augmentation(bent).items()}
-    with open(path) as handle:
-        return json.load(handle)
+def _load_table(spec: str) -> Dict[str, str]:
+    """A table JSON, or the augmentation table of a weave input."""
+    if spec.endswith(".json"):
+        return json.loads(_read_input(spec, ".json"))
+    return {k: str(v) for k, v in augmentation(_load_weave(spec)).items()}
 
 
 def cmd_compare(args) -> int:
@@ -201,27 +199,17 @@ def _gen_names(text: str):
     return re.findall(r"[st]_\d+", text)
 
 
-def _apply_config_file(args, parser, path: str):
-    """Override ``args`` from the key=value lines of ``path``.  A key names
-    one of the subcommand's own arguments and is converted by its type."""
-    own = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+def _config_flags(path: str):
+    """The ``key = value`` lines of a config file as ``--key=value`` flags;
+    blank lines and ``#`` comments are skipped."""
+    flags = []
     with open(path) as handle:
         for line in handle:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            action = own.get(key)
-            if action is None:
-                raise ValueError("unknown config key %r" % key)
-            value = value.strip()
-            if action.type is not None:
-                value = action.type(value)
-            if action.choices is not None and value not in action.choices:
-                raise ValueError("config key %r must be one of %s, got %r"
-                                 % (key, ", ".join(action.choices), value))
-            setattr(args, key, value)
+            if line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                flags.append("--%s=%s" % (key.strip().replace("_", "-"), value.strip()))
+    return flags
 
 
 def main(argv=None) -> int:
@@ -265,14 +253,14 @@ def main(argv=None) -> int:
     p.add_argument("fixture", help="reference table JSON")
     p.set_defaults(func=cmd_compare)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config_file(args, sub.choices[args.command], args.config)
-    if args.command == "wkb-trace" and not all(
-            math.isfinite(v) and v > 0 for v in (args.mass, args.radius)):
-        raise ValueError("mass cutoff and radius must be positive "
-                         "and finite for wkb commands")
     try:
+        path = getattr(args, "config", None)
+        if path:
+            args = parser.parse_args(argv + _config_flags(path))
+            if args.config != path:
+                raise ValueError("config file %s names another config file" % path)
         return args.func(args)
     except (ValueError, RuntimeError, FileNotFoundError) as err:
         sys.stderr.write("error [%s]: %s\n" % (args.command, err))

@@ -415,36 +415,31 @@ class SolitonCatalog:
     def bps_table(self) -> Dict[int, Dict[SolitonClass, int]]:
         """Recursive vanilla BPS indices per wall via the Hori-Vafa rule.
 
-        Initial walls carry mu = 1 on their soliton class; at each creation
-        joint the child's entries are the convolutions mu1 * mu2 over
-        concatenations of parent classes based at the joint, including the
-        joint's twist bit.  Classes are based at each wall's birth point so
-        the composition is literal concatenation.
+        The forest is creative, so each wall has one flowtree and one entry
+        of index 1.  An initial wall carries its soliton class; at each
+        creation joint the child carries the concatenation of its parents'
+        classes based at the joint, with the joint's twist bit.  Classes are
+        based at each wall's birth point so the composition is literal
+        concatenation.
         """
         table: Dict[int, Dict[SolitonClass, int]] = {}
         for strand in self.builder.strands:
             sid = strand.id
             if strand.origin[0] == "branch":
-                cyc, _ = self.engine.class_of_chain(
-                    self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
-                table[sid] = {SolitonClass(cyc, self.sign_parity(sid)[0], 0): 1}
+                rho = self._based_at(sid, BIRTH_PARAM)
             else:
                 joint = self.builder.born_at[sid]
-                g = joint["twist"]
                 pij, pjk = joint["parents"]
-                entries: Dict[SolitonClass, int] = {}
-                for rho1, mu1 in self._based_at(pij, joint["params"][pij]).items():
-                    for rho2, mu2 in self._based_at(pjk, joint["params"][pjk]).items():
-                        rho = rho1.concat(rho2, g)
-                        entries[rho] = entries.get(rho, 0) + mu1 * mu2
-                table[sid] = {r: m for r, m in entries.items() if m}
+                rho = self._based_at(pij, joint["params"][pij]).concat(
+                    self._based_at(pjk, joint["params"][pjk]), joint["twist"])
+            table[sid] = {rho: 1}
         return table
 
-    def _based_at(self, sid: int, param: Param) -> Dict[SolitonClass, int]:
-        """The wall's index entries rebased at ``param``."""
+    def _based_at(self, sid: int, param: Param) -> SolitonClass:
+        """The wall's soliton class rebased at ``param``."""
         cyc, _ = self.engine.class_of_chain(
             self.engine.tree_chain(sid, root_param=param))
-        return {SolitonClass(cyc, *self.sign_parity(sid)): 1}
+        return SolitonClass(cyc, *self.sign_parity(sid))
 
     def bps_table_bruteforce(self) -> Dict[int, Dict[SolitonClass, int]]:
         """Oracle: enumerate every flowtree per wall and sum signed classes.

@@ -484,8 +484,11 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
     become creation joints and seed an (ik) wall with Z_ik = Z_ij + Z_jk;
     other crossings are non-interactions and leave no trace.  Rounds repeat
     until no newborn wall fits under the mass cutoff; newborn masses must
-    grow between rounds (gapped guard).
+    grow between rounds (gapped guard).  The mass cutoff and the radius must
+    be positive and finite.
     """
+    if not all(math.isfinite(v) and v > 0 for v in (mass_cutoff, radius)):
+        raise ValueError("mass cutoff and radius must be positive and finite")
     bps = branch_points(curve)
     for bp in bps:
         if bp.tag != "simple":

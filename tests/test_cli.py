@@ -36,7 +36,15 @@ def test_augmentation_json(weave_file, capsys):
 
 
 def test_packaged_fixture_names_resolve(capsys):
+    """A fixture name resolves with or without its suffix, for a weave
+    input and for either side of compare."""
     assert main(["augmentation", "mutation_a"]) == 0
+    assert main(["augmentation", "mutation_a.weave"]) == 0
+    assert main(["compare", "mutation_a.weave", "mutation_a.json"]) == 0
+    assert capsys.readouterr().out.endswith("tables agree on 6 chords\n")
+    assert main(["compare", "mutation_a", "no_such_table.json"]) == 2
+    assert capsys.readouterr().err == \
+        "error [compare]: no json file or fixture named 'no_such_table.json'\n"
 
 
 def test_fixture_root_env_var(tmp_path, monkeypatch, capsys):
@@ -114,20 +122,24 @@ def test_wkb_trace_explicit_format_beats_out_suffix(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["mass", "radius"])
-def test_wkb_trace_rejects_infinite_mass_and_radius(key, tmp_path, monkeypatch):
+def test_wkb_trace_rejects_infinite_mass_and_radius(key, tmp_path, monkeypatch, capsys):
+    """build_wkb_network checks its bounds before it traces anything, from a
+    flag or a config key alike."""
     import specnet.wkb
 
     def never(*args, **kwargs):
         raise AssertionError("traced a network from a non-finite bound")
 
-    monkeypatch.setattr(specnet.wkb, "build_wkb_network", never)
+    monkeypatch.setattr(specnet.wkb, "branch_points", never)
     argv = ["wkb-trace", "--curve", "w^2 - z", "--theta", "0"]
-    with pytest.raises(ValueError, match="positive and finite"):
-        main(argv + ["--" + key, "inf"])
     config = tmp_path / "run.cfg"
     config.write_text("%s = inf\n" % key)
+    for extra in (["--" + key, "inf"], ["--" + key, "-1"], ["--config", str(config)]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err == ("error [wkb-trace]: mass cutoff and "
+                                           "radius must be positive and finite\n")
     with pytest.raises(ValueError, match="positive and finite"):
-        main(argv + ["--config", str(config)])
+        build_wkb_network(SpectralCurve("w^2 - z"), 0.3, float("inf"), 8.0)
 
 
 def test_wkb_trace_json(capsys):
@@ -171,28 +183,64 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     assert doc["theta"] == 0.25
 
 
+def _usage_error(argv, capsys):
+    """stderr of a call that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
+def _config_error(argv, text, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    return _usage_error(argv + ["--config", str(config)], capsys)
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("bogus = 1\n")
-    with pytest.raises(ValueError):
-        main(["augmentation", "mutation_a", "--config", str(config)])
+    err = _config_error(["augmentation", "mutation_a"], "bogus = 1\n", tmp_path, capsys)
+    assert "error: unrecognized arguments: --bogus=1\n" in err
 
 
-def test_removed_tolerance_key_fails(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("tolerance = 1e-9\n")
-    with pytest.raises(ValueError, match="unknown config key 'tolerance'"):
-        main(["augmentation", "mutation_a", "--config", str(config)])
+def test_removed_tolerance_key_fails(tmp_path, capsys):
+    err = _config_error(["augmentation", "mutation_a"], "tolerance = 1e-9\n",
+                        tmp_path, capsys)
+    assert "error: unrecognized arguments: --tolerance=1e-9\n" in err
 
 
 def test_removed_max_rounds_flag_and_key_fail(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["wkb-trace", "--curve", "w^2 - z", "--max-rounds", "5"])
-    assert exit_info.value.code == 2
+    argv = ["wkb-trace", "--curve", "w^2 - z"]
+    assert "unrecognized arguments: --max-rounds 5" in _usage_error(
+        argv + ["--max-rounds", "5"], capsys)
+    err = _config_error(argv, "max_rounds = 20\n", tmp_path, capsys)
+    assert "error: unrecognized arguments: --max-rounds=20\n" in err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["augmentation", "mutation_a", "--config", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error [augmentation]: [Errno 2] No such file or "
+                            "directory: %r\n" % missing)
+
+
+def test_config_keys_take_unique_prefixes_like_flags(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("max_rounds = 20\n")
-    with pytest.raises(ValueError, match="unknown config key 'max_rounds'"):
-        main(["wkb-trace", "--curve", "w^2 - z", "--config", str(config)])
+    config.write_text("the = 0.25\nrad = 4\n")
+    assert main(["wkb-trace", "--curve", "w^2 - z", "--mass", "10",
+                 "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["theta"] == 0.25
+    err = _config_error(["nonabelianize", "mutation_a"], "s = 1\n", tmp_path, capsys)
+    assert "error: ambiguous option: --s=1 could match --systems, --seed\n" in err
+
+
+def test_config_file_naming_another_fails(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("config = other.cfg\n")
+    assert main(["augmentation", "mutation_a", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == ("error [augmentation]: config file %s "
+                                       "names another config file\n" % config)
 
 
 def _readme_flag_table():
@@ -232,24 +280,24 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv, capsys):
         main(argv)
 
 
-def test_other_subcommands_config_keys_fail(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("theta = 0.25\n")
-    with pytest.raises(ValueError, match="unknown config key 'theta'"):
-        main(["augmentation", "mutation_a", "--config", str(config)])
-    config.write_text("input = w^2 - z\n")
-    with pytest.raises(ValueError, match="unknown config key 'input'"):
-        main(["wkb-trace", "--curve", "w^2 - z", "--config", str(config)])
+def test_other_subcommands_config_keys_fail(tmp_path, capsys):
+    """A key is a flag of the subcommand; the positional input is not one."""
+    err = _config_error(["augmentation", "mutation_a"], "theta = 0.25\n", tmp_path, capsys)
+    assert "error: unrecognized arguments: --theta=0.25\n" in err
+    err = _config_error(["wkb-trace", "--curve", "w^2 - z"], "input = w^2 - z\n",
+                        tmp_path, capsys)
+    assert "error: unrecognized arguments: --input=w^2 - z\n" in err
+    err = _config_error(["augmentation", "mutation_a"], "input = mutation_b\n",
+                        tmp_path, capsys)
+    assert "error: unrecognized arguments: --input=mutation_b\n" in err
 
 
-def test_config_values_are_checked_like_flags(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("format = svg\n")
-    with pytest.raises(ValueError, match="config key 'format' must be one of"):
-        main(["augmentation", "mutation_a", "--config", str(config)])
-    config.write_text("systems = many\n")
-    with pytest.raises(ValueError):
-        main(["nonabelianize", "mutation_a", "--config", str(config)])
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    err = _config_error(["augmentation", "mutation_a"], "format = svg\n", tmp_path, capsys)
+    assert "error: argument --format: invalid choice: 'svg'" in err
+    err = _config_error(["nonabelianize", "mutation_a"], "systems = many\n",
+                        tmp_path, capsys)
+    assert "error: argument --systems: invalid int value: 'many'\n" in err
 
 
 def test_config_file_sets_the_curve(tmp_path, capsys):
@@ -378,3 +426,53 @@ def test_bps_json(weave_file, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 6
     assert all(set(r) == {"wall", "chord", "class", "index"} for r in rows)
+
+
+FIVE_CROSSING_NETWORK_TABLE = """\
+vertices: 4  walls: 12
+wall 0 label (1, 2) source 0 target 2
+wall 1 label (1, 2) source 2 target end:z_3
+wall 2 label (1, 2) source 0 target 3
+wall 3 label (2, 3) source 3 target end:z_1
+wall 4 label (1, 2) source 0 target end:w_1
+wall 5 label (1, 2) source 1 target 2
+wall 6 label (2, 3) source 2 target end:z_5
+wall 7 label (1, 2) source 1 target end:z_2
+wall 8 label (1, 2) source 1 target 3
+wall 9 label (1, 2) source 3 target end:w_2
+wall 10 label (1, 3) source 2 target end:z_4
+wall 11 label (1, 3) source 3 target end:w_3
+"""
+
+FIVE_CROSSING_BPS_TABLE = """\
+wall 0   chord z_3  mu -1  class s_1^-1*s_2
+wall 1   chord z_1  mu +1  class s_1*s_2^-1
+wall 2   chord w_1  mu -1  class s_1^-1*s_2
+wall 3   chord z_5  mu -1  class s_2^-1
+wall 4   chord z_2  mu +1  class s_2
+wall 5   chord w_2  mu -1  class s_2^-1
+wall 6   chord z_4  mu -1  class s_1^-1
+wall 7   chord w_3  mu +1  class s_1*s_2^-1
+"""
+
+
+@pytest.mark.parametrize("sub, table", [
+    ("weave-network", FIVE_CROSSING_NETWORK_TABLE),
+    ("bps", FIVE_CROSSING_BPS_TABLE),
+], ids=["weave-network", "bps"])
+def test_default_table_output_five_crossing(sub, table, capsys):
+    assert main([sub, "five_crossing"]) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_compare_weave_against_table(capsys):
+    """The computed side may be a weave: its augmentation table is built."""
+    table = Path(__file__).resolve().parents[1] / "perfbench" / "tables" / "five_crossing.json"
+    assert main(["compare", "five_crossing", str(table)]) == 0
+    assert capsys.readouterr().out == "tables agree on 11 chords\n"
+
+
+def test_svg_draws_one_filled_dot_per_joint(builders, capsys):
+    assert main(["weave-network", "five_crossing", "--format", "svg"]) == 0
+    dots = re.findall(r'<circle [^>]*fill="black"/>', capsys.readouterr().out)
+    assert len(dots) == len(builders["five_crossing"].joints) == 2
