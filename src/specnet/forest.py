@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .braid import BraidWord, demazure_product
-from .geometry import NonGenericGeometry, Param, Point, PolylineSet, transpose, walk_sheets
+from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_point, transpose,
+                       walk_sheets)
 from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment, WeaveVertex
 
@@ -140,7 +141,8 @@ class ForestBuilder:
             raise NonGenericGeometry("weave-line corner on ray at %r" % (corner,))
         prev_x = x0
         ray = [start, (self.bent.marked_x, y0)]  # every weave line lies left of marked_x
-        for _, (k, seg_id), (index, _), (x, _), _ in self.weave_lines.crossings(ray):
+        for _, (k, seg_id), (index, _), pt, _ in self.weave_lines.crossings(ray):
+            x = exact_point(pt)[0]
             if {label[0], label[1]} == {k, k + 1}:
                 if x - strand.delta <= prev_x:
                     strand.delta = (x - prev_x) / 2
@@ -203,7 +205,7 @@ class ForestBuilder:
                     child_label = compose_labels([label, self.strands[oid].label_at(po)])
                     if child_label is not None:
                         first = label[0] == child_label[0]  # sn is the ij-parent
-                        events.append((pt[0], pt[1], sn.id, oid, pn, po, child_label,
+                        events.append((*exact_point(pt), sn.id, oid, pn, po, child_label,
                                        (sn.id, oid) if first else (oid, sn.id),
                                        int((side > 0) != first)))
                 self.walls.add(sn.polyline, sn.id)

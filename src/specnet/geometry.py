@@ -4,7 +4,10 @@ transport layers.
 Every question of the form "where does this path cross these lines, and on
 which side?" is answered here, by a ``PolylineSet`` of tagged polylines (the
 weave lines, the walls, or the homology engine's test lines).  One function
-of crossing rules decides every segment pair in integers.
+of crossing rules decides every segment pair in integers and keeps each
+crossing point as integers on the query's scale; ``exact_point`` turns one
+into a ``Fraction`` pair where a caller reads it.  Params leave as
+``Fraction``s, so sorted events and memo keys compare exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Iterable, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Param = Tuple[int, Fraction]  # (polyline sub-segment index, parameter in [0,1])
+ScaledPoint = Tuple[int, int, int]  # (x, y, d): the point (x / d, y / d), d > 0
 
 # float bounding boxes cheaply reject most segment pairs before the exact
 # test; the margin absorbs any rounding of the Fraction coords
@@ -68,6 +72,12 @@ def interp(polyline, param: Param) -> Point:
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
 
+def exact_point(scaled: ScaledPoint) -> Point:
+    """The ``Fraction`` point of a crossing's scaled point."""
+    x, y, d = scaled
+    return Fraction(x, d), Fraction(y, d)
+
+
 def truncated(polyline, param: Param):
     i, _ = param
     return list(polyline[: i + 1]) + [interp(polyline, param)]
@@ -75,11 +85,12 @@ def truncated(polyline, param: Param):
 
 def _prepared(polyline):
     """The polyline's integer form (each point times the lcm s of its
-    coordinates' denominators), s, and a float copy."""
+    coordinates' denominators), s, and a float copy (x / s rounds correctly,
+    so it equals float of the Fraction)."""
     s = math.lcm(*(c.denominator for p in polyline for c in p))
     ints = [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator))
             for x, y in polyline]
-    return ints, s, [(float(x), float(y)) for x, y in polyline]
+    return ints, s, [(x / s, y / s) for x, y in ints]
 
 
 def _box(floats) -> Tuple[float, float, float, float]:
@@ -95,17 +106,18 @@ def _segment_boxes(floats):
 
 def _crossings(p, box, q, anchors):
     """The crossing rules: proper transversal crossings of polylines P and Q
-    as (paramP, paramQ, pt, side), with side the sign of (Q's tangent) x
-    (P's tangent).  P is given by ``_prepared`` and its float ``box``, Q by
-    its integer form, scale and widened segment boxes.
+    as (paramP, paramQ, scaled point, side), with side the sign of (Q's
+    tangent) x (P's tangent).  P is given by ``_prepared`` and its float
+    ``box``, Q by its integer form, scale and widened segment boxes.
 
     Touches at the points in ``anchors`` (P's global ends, and those of Q's
     ends that are no join: walls are born on other walls and end on the
     boundary) are ignored; any other touch is a non-generic corner hit, a
     positive-length collinear overlap is non-generic, and so is a crossing
     point found twice.  Q's segments are filtered against P's box once;
-    each remaining segment pair is decided in integers, row by row, and
-    params and points are built only where the segments meet.
+    each remaining segment pair is decided in integers, row by row.  Params
+    are built only where the segments meet, and the point stays on P's
+    scale times t's denominator.
     """
     (pi, sp, pf), (qi, sq, qboxes) = p, q
     lo_x, hi_x, lo_y, hi_y = box
@@ -145,16 +157,16 @@ def _crossings(p, box, q, anchors):
             td, ud = sq * det, sp * det
             if not (0 <= tn <= td and 0 <= un <= ud):
                 continue
-            pt = (Fraction(a0x * td + tn * dax, sp * td), Fraction(a0y * td + tn * day, sp * td))
+            pt = (a0x * td + tn * dax, a0y * td + tn * day, sp * td)
             if 0 < tn < td and 0 < un < ud:
                 out.append(((i, Fraction(tn, td)), (j, Fraction(un, ud)), pt, side))
-            elif pt not in anchors:
-                raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
+            elif exact_point(pt) not in anchors:
+                raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(pt),))
     # where P or Q crosses itself on the other, one point is found twice; reject
-    if len(out) > 1:
-        keys = {(x.numerator, x.denominator, y.numerator, y.denominator) for _, _, (x, y), _ in out}
-        if len(keys) != len(out):
-            raise NonGenericGeometry("duplicate crossing point")
+    for k, (_, _, (x, y, d), _) in enumerate(out):
+        for _, _, (x2, y2, d2), _ in out[:k]:
+            if x * d2 == x2 * d and y * d2 == y2 * d:
+                raise NonGenericGeometry("duplicate crossing point")
     return out
 
 
@@ -179,9 +191,10 @@ class PolylineSet:
 
     def crossings(self, P: Sequence[Point]):
         """The proper transversal crossings of P with every member Q, as
-        sorted (param on P, tag, param on Q, point, side) with side the sign
-        of (Q's tangent) x (P's tangent).  Polylines whose box is disjoint
-        from P's are skipped: every segment pair would be rejected anyway."""
+        sorted (param on P, tag, param on Q, scaled point, side) with side
+        the sign of (Q's tangent) x (P's tangent); ``exact_point`` reads the
+        point.  Polylines whose box is disjoint from P's are skipped: every
+        segment pair would be rejected anyway."""
         p = _prepared(P)
         box = lo_x, hi_x, lo_y, hi_y = _box(p[2])
         ends = (P[0], P[-1])

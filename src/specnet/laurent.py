@@ -323,30 +323,39 @@ class FactoredMatrix:
     """A fixed matrix factored once for repeated exact solves.
 
     ``pivots`` are the columns independent of the columns before them and
-    ``rows`` rows on which the pivot columns form an invertible block;
-    ``inverse`` is that block's inverse times the integer ``scale``.  With
-    integer entries every solve is integer arithmetic.
+    ``rows`` rows on which the pivot columns form an invertible block; that
+    block's inverse times the integer ``scale`` is kept by columns, one per
+    row in ``rows``, and so are the pivot columns.  With integer entries
+    every solve is integer arithmetic.
     """
 
     def __init__(self, matrix):
         self.ncols = len(matrix[0]) if matrix else 0
         self.pivots, _, _ = _rref(matrix)
-        self.block = [[row[c] for c in self.pivots] for row in matrix]
-        self.rows, _, _ = _rref(list(zip(*self.block)))
+        block = [[row[c] for c in self.pivots] for row in matrix]
+        self._block_columns = list(zip(*block))
+        self.rows, _, _ = _rref(self._block_columns)
         r = len(self.pivots)
-        _, reduced, _ = _rref([self.block[i] + [int(j == k) for k in range(r)]
+        _, reduced, _ = _rref([block[i] + [int(j == k) for k in range(r)]
                                for j, i in enumerate(self.rows)])
         self.scale = math.lcm(*(v.denominator for row in reduced for v in row[r:]))
-        self.inverse = [[int(v * self.scale) for v in row[r:]] for row in reduced]
+        inverse = [[int(v * self.scale) for v in row[r:]] for row in reduced]
+        self._inverse_columns = list(zip(self.rows, zip(*inverse)))
 
     def solve(self, rhs):
         """The solution with free variables zero, times ``scale``, or None
-        if ``rhs`` is outside the column span (checked exactly)."""
-        picked = [rhs[i] for i in self.rows]
-        x = [sum(a * b for a, b in zip(row, picked)) for row in self.inverse]
-        for row, value in zip(self.block, rhs):
-            if sum(a * b for a, b in zip(row, x)) != value * self.scale:
-                return None
+        if ``rhs`` is outside the column span (checked exactly).  Pairing
+        vectors are sparse, so both products run over nonzeros only."""
+        x = [0] * len(self.pivots)
+        for i, column in self._inverse_columns:
+            if rhs[i]:
+                x = [a + rhs[i] * b for a, b in zip(x, column)]
+        residual = [value * self.scale for value in rhs]
+        for v, column in zip(x, self._block_columns):
+            if v:
+                residual = [a - v * b for a, b in zip(residual, column)]
+        if any(residual):
+            return None
         solution = [0] * self.ncols
         for c, v in zip(self.pivots, x):
             solution[c] = v

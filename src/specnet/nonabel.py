@@ -37,7 +37,8 @@ Transport is locally constant, so both exact answers are kept per class:
   kept only for a param off the cuts and outside every band.
 * A free transport is kept per (sheet permutation of the start cap's
   events, the path's (letter, side) event word, the freely reduced word of
-  the capped loop's crossings with the branch cuts).  Each cut is a slit
+  the capped loop's crossings with the branch cuts), at most
+  MAX_FREE_KEYS of them, the oldest dropped first.  Each cut is a slit
   from a branch point b up to (bx - by/1000, 0); the slits are parallel
   and disjoint, so the lower half-plane cut along them is simply
   connected.  The reduced word is then the loop's class in pi_1 of the
@@ -67,9 +68,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import NonGenericGeometry, Param, Point, PolylineSet, interp, walk_sheets
+from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_point, interp,
+                       walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import CAP_EPS, LiftedPiece, SolitonCatalog
+
+# free transports a Transport keeps; past it the oldest goes.  About four
+# times the 65 a fixture keeps in a 30 s transport_paths benchmark run.
+MAX_FREE_KEYS = 256
 
 
 def _monomial(gens, cyc, arc, coeff=1) -> LaurentPoly:
@@ -170,6 +176,8 @@ class Transport:
                 factor.append((sheet, self._chain_monomial(chain, sign)))
             found = tuple(factor), self.cap_sheets(poly[-1])
             if key is not None:
+                if len(self._free) >= MAX_FREE_KEYS:
+                    del self._free[next(iter(self._free))]
                 self._free[key] = found
         return found
 
@@ -277,6 +285,7 @@ class Transport:
         prev_pt = poly[0]
         prev_idx = 0
         for pa, sid, pb, pt, side in self.builder.walls.crossings(poly):
+            pt = exact_point(pt)
             strand = self.builder.strands[sid]
             if any(param == pb for param, _, _ in strand.crossings):
                 raise NonGenericGeometry("path crosses wall %d where it crosses a weave "

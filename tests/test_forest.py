@@ -7,6 +7,7 @@ from specnet.forest import build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry,
     PolylineSet,
+    exact_point,
     transpose,
     twist_sign,
     walk_sheets,
@@ -205,7 +206,7 @@ def test_poly_crossings_basic():
     assert len(out) == 1
     (_, t), tag, (_, u), pt, side = out[0]
     assert t == u == Fraction(1, 2) and tag == "q"
-    assert pt == (Fraction(1), Fraction(1))
+    assert exact_point(pt) == (Fraction(1), Fraction(1))
     assert side == 1  # (Q's tangent) x (P's tangent) = (2, -2) x (2, 2) = 8
 
 
@@ -316,6 +317,11 @@ def _reference_crossings(P, Q, q_anchors):
     return sorted(out)
 
 
+def _read(crossings):
+    """``PolylineSet.crossings`` with each scaled point read as its point."""
+    return [(pa, tag, pb, exact_point(pt), side) for pa, tag, pb, pt, side in crossings]
+
+
 def test_pass_through_a_shared_corner_is_a_corner_hit():
     """A path through a corner that both polylines share raises, like any
     other touch off an anchor, whichever of the two is the member; moved off
@@ -346,6 +352,9 @@ NO_JOINS = ([], None)
 @example(_poly((0, 0), (2, 2)), [_poly((1, 1), (1, -1))], ([0], None))  # line end join
 @example(_poly((0, 0), (2, 2)), [_poly((1, -1), (1, 1))], ([1], None))  # last end join
 @example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), [LINE], NO_JOINS)  # self-crossing on the line
+@example(_poly((0, 0), (2, 2), (3, -1), (-1, 3)), [LINE], NO_JOINS)  # ... at two scales
+@example(_poly((0, 0), (2, 2)), [_poly((0, 2), (2, 0), (2, 1), (0, 1))],
+         NO_JOINS)  # member self-crossing on the path, at two scales
 @example(_poly((0, 0), (2, 2)), [_poly((3, 0), (3, 2)), LINE], NO_JOINS)  # a disjoint box
 @example(_poly((0, 0), (2, 2)), [LINE, _poly((1, 0), (1, 2))], NO_JOINS)  # second line raises
 @example(_poly((0, 0), (2, 0)),
@@ -361,8 +370,9 @@ NO_JOINS = ([], None)
          _axis(1, [Fraction(0), ONE], MINUS_ONE, ONE), NO_JOINS)  # crossing horizontal lines
 def test_polyline_set_matches_poly_crossings(P, lines, joined):
     """One-member sets and the whole set equal the reference rules: the
-    same crossings, tagged, with the same sides, and raising on exactly the
-    inputs where some member's reference raises.  ``joined`` picks member
+    same crossings, tagged, with the same sides and, read by
+    ``exact_point``, the same points, and raising on exactly the inputs
+    where some member's reference raises.  ``joined`` picks member
     ends (first and last end of each member in turn) as joins, which the
     reference then does not count as anchors, and optionally one end that
     P is routed through."""
@@ -382,7 +392,7 @@ def test_polyline_set_matches_poly_crossings(P, lines, joined):
                 one.crossings(P)
             raised = True
             continue
-        assert one.crossings(P) == [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
+        assert _read(one.crossings(P)) == [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
         expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
     whole = PolylineSet(joins=joins)
     for k, Q in enumerate(lines):
@@ -391,4 +401,4 @@ def test_polyline_set_matches_poly_crossings(P, lines, joined):
         with pytest.raises(NonGenericGeometry):
             whole.crossings(P)
         return
-    assert whole.crossings(P) == sorted(expected)
+    assert _read(whole.crossings(P)) == sorted(expected)

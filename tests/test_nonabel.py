@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from specnet.geometry import NonGenericGeometry, twist_sign as _perm_sign, walk_sheets
+from specnet import nonabel
+from specnet.geometry import (
+    NonGenericGeometry, exact_point, twist_sign as _perm_sign, walk_sheets)
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
@@ -302,6 +304,37 @@ def test_transport_memos_equal_direct_values(builders):
     assert solves < queries  # the memos were hit
 
 
+class _InsertLog(dict):
+    """A dict that logs each key stored and its size after the store."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.log.append((key, len(self)))
+
+
+def test_free_memo_bound_evicts_oldest_and_keeps_matrices(builders, monkeypatch):
+    """With MAX_FREE_KEYS at 2, transport matrices equal those of a
+    transport whose memo never evicts, the memo never holds more than 2
+    entries, and the 2 it keeps are the newest."""
+    rng = random.Random(20261019)
+    for name in ("five_crossing", "three_strand"):
+        unbounded = Transport(builders[name])
+        paths = [path for _ in range(4) for path in homotopic_pair(unbounded, rng)]
+        expected = [unbounded.transport_path(path) for path in paths]
+        assert 2 < len(unbounded._free) < nonabel.MAX_FREE_KEYS
+        monkeypatch.setattr(nonabel, "MAX_FREE_KEYS", 2)
+        bounded = Transport(builders[name])
+        bounded._free = memo = _InsertLog()
+        assert [bounded.transport_path(path) for path in paths] == expected
+        assert max(size for _, size in memo.log) == 2 < len(memo.log)
+        assert list(memo) == [key for key, _ in memo.log[-2:]]
+        monkeypatch.undo()
+
+
 def test_branch_cuts_disjoint_and_left_of_marked_point(builders):
     for builder in builders.values():
         transport = Transport(builder)
@@ -339,6 +372,7 @@ def _matrix_product_transport(transport, poly):
     total = transport.identity()
     prev_pt, prev_idx = poly[0], 0
     for pa, sid, pb, pt, side in transport.builder.walls.crossings(poly):
+        pt = exact_point(pt)
         sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
         if len(sub) > 1:
             total = transport.matmul(transport.transport_free(sub), total)
@@ -380,7 +414,8 @@ def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):
             (Fraction(1789, 768), Fraction(-4843, 10752))]
     point = (Fraction(511, 256), Fraction(-255, 512))
     wall = transport.builder.strands[0]
-    hits = [(pb, pt) for _, sid, pb, pt, _ in transport.builder.walls.crossings(path) if sid == 0]
+    hits = [(pb, exact_point(pt)) for _, sid, pb, pt, _ in transport.builder.walls.crossings(path)
+            if sid == 0]
     assert hits == [((8, Fraction(1, 256)), point)]
     assert (8, Fraction(1, 256)) in [param for param, letter, _ in wall.crossings if letter == 2]
     with pytest.raises(NonGenericGeometry, match="path crosses wall 0 where it crosses a weave line"):

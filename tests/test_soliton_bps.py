@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from specnet.soliton_bps import (
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import EXAMPLES, random_weave_builders
+from test_laurent import _gauss_jordan_solve
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +246,31 @@ def test_pairing_outside_basis_span_is_rejected(catalogs):
     rhs[0] = 1
     assert solve_rational(engine.matrix, rhs) is None
     assert engine._factored.solve(rhs) is None
+
+
+def test_sparse_solve_equals_dense_solve(catalogs):
+    """``FactoredMatrix.solve``, which runs over nonzeros only, equals the
+    dense Gauss-Jordan solve on each fixture engine's matrix, for seeded
+    sparse vectors inside the column span (the matrix times a sparse
+    integer vector) and off it (a few random nonzero rows)."""
+    rng = random.Random(20261019)
+    verdicts = set()
+    for engine in (catalog.engine for catalog in catalogs.values()):
+        factored, nrows, ncols = engine._factored, len(engine.matrix), len(engine.matrix[0])
+        for draw in range(40):
+            if draw % 2:
+                x = [0] * ncols
+                for c in rng.sample(range(ncols), min(2, ncols)):
+                    x[c] = rng.choice((-2, -1, 1, 2))
+                rhs = [sum(a * b for a, b in zip(row, x)) for row in engine.matrix]
+            else:
+                rhs = [0] * nrows
+                for row in rng.sample(range(nrows), min(3, nrows)):
+                    rhs[row] = rng.choice((-2, -1, 1, 2))
+            solution, expected = factored.solve(rhs), _gauss_jordan_solve(engine.matrix, rhs)
+            verdicts.add(expected is None)
+            if expected is None:
+                assert solution is None
+            else:
+                assert [Fraction(v, factored.scale) for v in solution] == expected
+    assert verdicts == {True, False}
