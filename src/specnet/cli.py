@@ -262,7 +262,7 @@ def main(argv=None) -> int:
             if args.config != path:
                 raise ValueError("config file %s names another config file" % path)
         return args.func(args)
-    except (ValueError, RuntimeError, FileNotFoundError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         sys.stderr.write("error [%s]: %s\n" % (args.command, err))
         return 2
 

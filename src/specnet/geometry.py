@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 Param = Tuple[int, Fraction]  # (polyline sub-segment index, parameter in [0,1])
@@ -64,6 +64,16 @@ def walk_sheets(sheets: Tuple[int, ...], events, stop=None) -> Tuple[Tuple[int, 
             sign *= twist_sign(letter, sheet, side)
         sheets = tuple(transpose(s, letter) for s in sheets)
     return sheets, sign
+
+
+def sheet_prefixes(events, n: int) -> List[Tuple[int, ...]]:
+    """The sheet permutation after each prefix of the weave-line events
+    (param, letter, side): entry k sends each start sheet 1..n (index 0 is
+    unused) to its sheet after the first k events."""
+    perms = [tuple(range(n + 1))]
+    for _, letter, _ in events:
+        perms.append(tuple(transpose(s, letter) for s in perms[-1]))
+    return perms
 
 
 def interp(polyline, param: Param) -> Point:

@@ -71,7 +71,7 @@ from .forest import ForestBuilder, build_forest_strands
 from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_point, interp,
                        walk_sheets)
 from .laurent import LaurentPoly
-from .soliton_bps import CAP_EPS, LiftedPiece, SolitonCatalog
+from .soliton_bps import CAP_EPS, LiftedPiece, SolitonCatalog, tree_of_strand
 
 # free transports a Transport keeps; past it the oldest goes.  About four
 # times the 65 a fixture keeps in a 30 s transport_paths benchmark run.
@@ -93,7 +93,6 @@ class Transport:
         self.n = n
         self.gens = tuple(self.engine.gen_names) + tuple(
             "t_%d" % i for i in range(1, n + 1))
-        self._wall_sign_cache: Dict[int, int] = {}
         branch = [v.point for v in builder.weave.trivalent_vertices()]
         self.branch_xs = sorted({x for x, _ in branch})
         # one slit per branch point, all parallel, up to the top boundary
@@ -200,34 +199,20 @@ class Transport:
                 word.append((cut, side))
         return sheets, tuple((letter, side) for _, letter, side in events), tuple(word)
 
-    def wall_sign(self, sid: int) -> int:
-        """Sign of the wall's Stokes coefficient.
-
-        A seed wall carries +1; a wall created at a joint carries the
-        product of its parents' signs times the handedness of the parent
-        tangents there (+1 when the ij-parent crosses the jk-parent
-        positively).  These are the unique values making transport around
-        every branch point and every joint the identity.
-        """
-        if sid not in self._wall_sign_cache:
-            strand = self.builder.strands[sid]
-            if strand.origin[0] == "branch":
-                value = 1
-            else:
-                joint = self.builder.born_at[sid]
-                value = 1 if joint["twist"] else -1
-                for pid in joint["parents"]:
-                    value *= self.wall_sign(pid)
-                    value *= self._twist_at(pid, joint["params"][pid])
-            self._wall_sign_cache[sid] = value
-        return self._wall_sign_cache[sid]
-
-    def _twist_at(self, sid: int, param: Param) -> int:
-        """Twisting sign the wall acquires at its own weave-line crossings
-        before ``param``: each crossing twists both label sheets by the same
-        rule a path crossing does."""
-        strand = self.builder.strands[sid]
-        return walk_sheets(strand.start_label, strand.crossings, param)[1]
+    def stokes_sign(self, sid: int, param: Param) -> int:
+        """Sign of the wall's Stokes coefficient at ``param``, folded over
+        its flowtree: the handedness of the parent tangents at each joint
+        (+1 when the ij-parent crosses the jk-parent positively) times the
+        twisting sign each piece acquires at its own weave-line crossings,
+        by the rule a path crossing does, up to the piece's end (the root's
+        end is ``param``).  These are the unique values making transport
+        around every branch point and every joint the identity."""
+        tree = tree_of_strand(self.builder, sid)
+        sign = math.prod(1 if joint["twist"] else -1 for joint in tree.joints)
+        for pid, end in tree.pieces:
+            strand = self.builder.strands[pid]
+            sign *= walk_sheets(strand.start_label, strand.crossings, end or param)[1]
+        return sign
 
     def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` based at ``param``, kept per
@@ -237,8 +222,7 @@ class Transport:
         value = self._coefficients.get(key)
         if value is None:
             cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
-            sign = self.wall_sign(sid) * self._twist_at(sid, param)
-            value = _monomial(self.gens, cyc, arc, sign)
+            value = _monomial(self.gens, cyc, arc, self.stokes_sign(sid, param))
             x = interp(self.builder.strands[sid].polyline, param)[0]
             if key is not None and not any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
                 self._coefficients[key] = value

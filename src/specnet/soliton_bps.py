@@ -29,7 +29,7 @@ from .geometry import (
     Point,
     PolylineSet,
     interp,
-    transpose,
+    sheet_prefixes,
     truncated,
     walk_sheets,
 )
@@ -83,11 +83,8 @@ class PairingLines:
             events = builder.events_along(line)
             # inverse sheet permutations after each prefix of events:
             # which lift of the line is on a given sheet there
-            perm = tuple(range(n + 1))
-            inverses = [perm]
-            for _, letter, _ in events:
-                perm = tuple(transpose(s, letter) for s in perm)
-                inverses.append(tuple(sorted(range(n + 1), key=perm.__getitem__)))
+            inverses = [tuple(sorted(range(n + 1), key=perm.__getitem__))
+                        for perm in sheet_prefixes(events, n)]
             self.records.append((k * n - 1, [param for param, _, _ in events], inverses))
         self.rows = len(lines) * n
 
@@ -97,9 +94,7 @@ class PairingLines:
         start sheets."""
         if self not in piece.pairings:
             params = [p for p, _, _ in piece.events]
-            perms = [tuple(range(self.n + 1))]  # start sheet -> sheet after each event
-            for _, letter, _ in piece.events:
-                perms.append(tuple(transpose(s, letter) for s in perms[-1]))
+            perms = sheet_prefixes(piece.events, self.n)
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
             for pa, k, pb, _, side in self.lines.crossings(piece.polyline):
                 base, keys, inverses = self.records[k]
@@ -399,9 +394,13 @@ class SolitonCatalog:
             self._sign_parity[sid] = value
         return self._sign_parity[sid]
 
-    def soliton(self, sid: int) -> SolitonClass:
-        """The wall's soliton class, based at its chord end."""
-        cyc, _arc = self.full_class(sid)
+    def soliton(self, sid: int, param: Optional[Param] = None) -> SolitonClass:
+        """The wall's soliton class, based at ``param`` (default: its chord
+        end)."""
+        if param is None:
+            cyc, _arc = self.full_class(sid)
+        else:
+            cyc, _arc = self.engine.class_of_chain(self.engine.tree_chain(sid, param))
         return SolitonClass(cyc, *self.sign_parity(sid))
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
@@ -426,20 +425,14 @@ class SolitonCatalog:
         for strand in self.builder.strands:
             sid = strand.id
             if strand.origin[0] == "branch":
-                rho = self._based_at(sid, BIRTH_PARAM)
+                rho = self.soliton(sid, BIRTH_PARAM)
             else:
                 joint = self.builder.born_at[sid]
                 pij, pjk = joint["parents"]
-                rho = self._based_at(pij, joint["params"][pij]).concat(
-                    self._based_at(pjk, joint["params"][pjk]), joint["twist"])
+                rho = self.soliton(pij, joint["params"][pij]).concat(
+                    self.soliton(pjk, joint["params"][pjk]), joint["twist"])
             table[sid] = {rho: 1}
         return table
-
-    def _based_at(self, sid: int, param: Param) -> SolitonClass:
-        """The wall's soliton class rebased at ``param``."""
-        cyc, _ = self.engine.class_of_chain(
-            self.engine.tree_chain(sid, root_param=param))
-        return SolitonClass(cyc, *self.sign_parity(sid))
 
     def bps_table_bruteforce(self) -> Dict[int, Dict[SolitonClass, int]]:
         """Oracle: enumerate every flowtree per wall and sum signed classes.

@@ -295,15 +295,20 @@ class TracedWall:
         return self.charges[index] * (1 - frac) + self.charges[index + 1] * frac
 
 
+def _closest_pair(vals) -> Tuple[int, int]:
+    """Indices i < j of the two nearest values; a tie goes to the least
+    (i, j)."""
+    n = len(vals)
+    _, i, j = min((abs(vals[i] - vals[j]), i, j) for i in range(n) for j in range(i + 1, n))
+    return i, j
+
+
 def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
     """Leading Puiseux coefficient c with lambda_+/- ~ lambda_0 +/- c sqrt(z-b),
     read off at the probe point b + 1e-5."""
     probe = 1e-5
     sheets = curve.roots_at(b)
-    n = len(sheets)
-    pairs = sorted((abs(sheets[i] - sheets[j]), i, j)
-                   for i in range(n) for j in range(i + 1, n))
-    _, i0, j0 = pairs[0]
+    i0, j0 = _closest_pair(sheets)
     center = (sheets[i0] + sheets[j0]) / 2
     z = b + probe
     roots = sorted(curve.roots_at(z), key=lambda r: abs(r - center))
@@ -330,10 +335,7 @@ def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float) -> List[Wa
         z0 = bp.z + offset * cmath.exp(1j * phi)
         vals = curve.roots_at(z0)
         # colliding pair: the two roots nearest each other
-        n = len(vals)
-        pairs = sorted((abs(vals[i] - vals[j]), i, j)
-                       for i in range(n) for j in range(i + 1, n))
-        _, i0, j0 = pairs[0]
+        i0, j0 = _closest_pair(vals)
         # order the pair so the step direction points outward
         direction = cmath.exp(1j * theta) / (vals[i0] - vals[j0])
         if (direction.real * math.cos(phi) + direction.imag * math.sin(phi)) < 0:
@@ -522,13 +524,10 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
                                                             boxes[other.id]):
                 if _shared_origin_artifact(wall, other, ia, ib, z):
                     continue
-                child = _classify_crossing(curve, wall, other, ia, ta, ib, tb, z)
-                if child is None:
+                seed = _classify_crossing(curve, wall, other, ia, ta, ib, tb, z)
+                if seed is None or abs(seed.Z0) >= mass_cutoff:
                     continue
-                seed, ordered = child
-                if abs(seed.Z0) >= mass_cutoff:
-                    continue
-                joint = Joint(len(joints), z, ordered,
+                joint = Joint(len(joints), z, seed.origin[1],
                               {wall.id: (ia, ta), other.id: (ib, tb)},
                               None, seed.Z0)
                 new_wall = trace_wall(curve, seed, theta, mass_cutoff, radius,
@@ -568,7 +567,8 @@ def _is_parent(parent: TracedWall, child: TracedWall) -> bool:
 
 
 def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
-    """Return (child seed, ordered parent ids) for a composable crossing."""
+    """The child seed of a composable crossing (its origin holds the
+    parent ids in (ij, jk) order), or None."""
     a1, a2, vals_a = wall.pair_values_at(ia, ta, curve)
     b1, b2, vals_b = other.pair_values_at(ib, tb, curve)
     scale = float(np.abs(vals_a).max())
@@ -588,9 +588,7 @@ def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
     if idx_i == idx_k:
         raise NonGenericPhase("degenerate (ik) pair at joint z=%s; "
                               "try theta + 1e-3" % z)
-    seed = WallSeed(z, vals, (idx_i, idx_k), Zij + Zjk,
-                    ("joint", (w_ij.id, w_jk.id)))
-    return seed, (w_ij.id, w_jk.id)
+    return WallSeed(z, vals, (idx_i, idx_k), Zij + Zjk, ("joint", (w_ij.id, w_jk.id)))
 
 
 # ----- export -----

@@ -225,6 +225,21 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
                             "directory: %r\n" % missing)
 
 
+@pytest.mark.parametrize("flag", ["input", "--out", "--config"])
+def test_directory_path_exits_2(flag, tmp_path, capsys):
+    """An OS error on an input or output path is an input error, not a
+    traceback."""
+    argv = ["augmentation", "mutation_a"]
+    if flag == "input":
+        argv[1] = str(tmp_path)
+    else:
+        argv += [flag, str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [augmentation]: [Errno 21] Is a directory")
+
+
 def test_config_keys_take_unique_prefixes_like_flags(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("the = 0.25\nrad = 4\n")

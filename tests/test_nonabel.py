@@ -170,11 +170,34 @@ def test_single_hexavalent_chord_map_is_r3_substitution():
 _solve = HomologyEngine.class_of_chain
 
 
+def _twist_at(builder, sid, param):
+    """The twisting sign wall ``sid`` picks up at its own weave-line
+    crossings before ``param``."""
+    strand = builder.strands[sid]
+    return walk_sheets(strand.start_label, strand.crossings, param)[1]
+
+
+def _wall_sign(builder, sid):
+    """The Stokes sign of a wall at its start, by the recursion over joint
+    parents that ``Transport.stokes_sign`` unrolls over the flowtree: +1 for
+    a seed wall; at a joint, the handedness of the parent tangents times
+    each parent's sign and twist up to the joint."""
+    joint = builder.born_at.get(sid)
+    if joint is None:
+        return 1
+    value = 1 if joint["twist"] else -1
+    for pid in joint["parents"]:
+        value *= _wall_sign(builder, pid) * _twist_at(builder, pid, joint["params"][pid])
+    return value
+
+
 def _direct_coefficient(transport, sid, param):
-    """The wall's Stokes coefficient at ``param``, computed afresh."""
-    engine, strand = transport.engine, transport.builder.strands[sid]
+    """The wall's Stokes coefficient at ``param``, computed afresh with the
+    recursive sign, which the flowtree fold must equal."""
+    builder, engine = transport.builder, transport.engine
     cyc, arc = _solve(engine, engine.tree_chain(sid, root_param=param))
-    sign = transport.wall_sign(sid) * walk_sheets(strand.start_label, strand.crossings, param)[1]
+    sign = _wall_sign(builder, sid) * _twist_at(builder, sid, param)
+    assert transport.stokes_sign(sid, param) == sign, (sid, param)
     return LaurentPoly.monomial(transport.gens, cyc + arc, sign)
 
 
@@ -284,9 +307,10 @@ def _fresh_cap_sheets(transport, point):
 
 def test_transport_memos_equal_direct_values(builders):
     """Every Stokes coefficient and free transport the memos hand back
-    equals a fresh computation: on the fixtures and on 30 seeded random
-    weaves, at seeded params, params at cut params and in the bands, and
-    along paths whose caps run past a branch point's vertical line."""
+    equals a fresh computation, and the Stokes sign fold equals the
+    recursion at every param compared: on the fixtures and on 30 seeded
+    random weaves, at seeded params, params at cut params and in the bands,
+    and along paths whose caps run past a branch point's vertical line."""
     rng = random.Random(20261019)
     forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 30))
     assert len(forests) == 35
