@@ -172,7 +172,10 @@ def cmd_wkb_trace(args) -> int:
 def _load_table(spec: str) -> Dict[str, str]:
     """A table JSON, or the augmentation table of a weave input."""
     if spec.endswith(".json"):
-        return json.loads(_read_input(spec, ".json"))
+        table = json.loads(_read_input(spec, ".json"))
+        if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+            raise ValueError("%r is not a JSON object of strings" % spec)
+        return table
     return {k: str(v) for k, v in augmentation(_load_weave(spec)).items()}
 
 

@@ -104,7 +104,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
-            raise TypeError("integer powers only")
+            raise ValueError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
         result = LaurentPoly.constant(self.gens, 1)
@@ -332,15 +332,15 @@ class FactoredMatrix:
     def __init__(self, matrix):
         self.ncols = len(matrix[0]) if matrix else 0
         self.pivots, _, _ = _rref(matrix)
-        block = [[row[c] for c in self.pivots] for row in matrix]
-        self._block_columns = list(zip(*block))
-        self.rows, _, _ = _rref(self._block_columns)
-        r = len(self.pivots)
-        _, reduced, _ = _rref([block[i] + [int(j == k) for k in range(r)]
-                               for j, i in enumerate(self.rows)])
-        self.scale = math.lcm(*(v.denominator for row in reduced for v in row[r:]))
-        inverse = [[int(v * self.scale) for v in row[r:]] for row in reduced]
-        self._inverse_columns = list(zip(self.rows, zip(*inverse)))
+        self._block_columns = [[row[c] for row in matrix] for c in self.pivots]
+        # Gauss-Jordan on [B^T | I], B the pivot columns: its pivots are the
+        # rows, and its right half the inverse of their block, transposed
+        m, r = len(matrix), len(self.pivots)
+        self.rows, reduced, _ = _rref([column + [int(j == k) for k in range(r)]
+                                       for j, column in enumerate(self._block_columns)])
+        self.scale = math.lcm(*(v.denominator for row in reduced for v in row[m:]))
+        inverse_columns = ([int(v * self.scale) for v in row[m:]] for row in reduced)
+        self._inverse_columns = list(zip(self.rows, inverse_columns))
 
     def solve(self, rhs):
         """The solution with free variables zero, times ``scale``, or None

@@ -366,11 +366,9 @@ def _seg_distance2(p: Point, a: Point, b: Point) -> Fraction:
 
 
 def _rational_sqrt_floor(d2: Fraction) -> Fraction:
-    """A positive rational lower bound for sqrt(d2)."""
-    lo = Fraction(math.isqrt(d2.numerator * d2.denominator), d2.denominator)
-    if lo == 0:
-        lo = d2  # d2 < 1, and sqrt(x) > x on (0, 1)
-    return lo
+    """A positive rational lower bound for sqrt(d2), for d2 > 0: then
+    numerator * denominator >= 1, so its isqrt is at least 1."""
+    return Fraction(math.isqrt(d2.numerator * d2.denominator), d2.denominator)
 
 
 # ----- homotopic path pairs -----

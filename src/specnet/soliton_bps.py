@@ -188,8 +188,6 @@ class HomologyEngine:
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
-        # lifts of the strand pieces the forest fixes, by (strand, end param)
-        self._strand_pieces: Dict[tuple, List[LiftedPiece]] = {}
         self._recent_caps: Dict[Point, LiftedPiece] = {}
         # basis: cycle classes s_1..s_l, then boundary-arc classes through
         # the marked points t_1..t_n (these may satisfy relations; Gaussian
@@ -262,14 +260,8 @@ class HomologyEngine:
         """
         tree = tree_of_strand(self.builder, strand_id)
         pieces: List[LiftedPiece] = []
-        for sid, end_param in tree.pieces:
-            if sid == strand_id and root_param is not None:
-                pieces += self._strand_lifts(sid, root_param)
-                continue
-            key = (sid, end_param)
-            if key not in self._strand_pieces:
-                self._strand_pieces[key] = self._strand_lifts(sid, end_param)
-            pieces += self._strand_pieces[key]
+        for sid, end_param in tree.pieces:  # only the root has no end param
+            pieces += self._strand_lifts(sid, end_param or root_param)
         # caps at the root's endpoint (chord end, or the truncation point)
         root = self.builder.strands[strand_id]
         if root_param is None:
@@ -320,8 +312,8 @@ class HomologyEngine:
                     residue[lo] = s
         leftovers = {key for key in residue if key[0] != self.marked}
         if leftovers:
-            raise AssertionError("chain boundary off the marked points: %r"
-                                 % sorted(leftovers)[:4])
+            raise NonGenericGeometry("chain boundary off the marked points: %r"
+                                     % sorted(leftovers)[:4])
 
     # ----- classes -----
     def _pairing_vector(self, pieces: Sequence[LiftedPiece]) -> List[int]:

@@ -122,24 +122,18 @@ class SpectralCurve:
         return np.array([complex(c) for c in self._disc])
 
 
-@dataclass
-class BranchPoint:
-    z: complex
-    tag: str  # "simple" | "unsupported"
+def branch_points(curve: SpectralCurve) -> List[complex]:
+    """Roots of the w-discriminant, Newton-polished, in (real, imag) order.
 
-
-def branch_points(curve: SpectralCurve) -> List[BranchPoint]:
-    """Roots of the w-discriminant, Newton-polished, tagged by simplicity.
-
-    A root is simple when it is a single root of the discriminant and
-    exactly one pair of sheets collides there.
+    Each must be simple: a single root of the discriminant where exactly
+    one pair of sheets collides.  The first that is not raises CurveError.
     """
     coeffs = curve.disc_coeffs()
     if len(coeffs) <= 1:
         return []
     roots = np.roots(coeffs)
     deriv = np.polyder(coeffs)
-    out: List[BranchPoint] = []
+    out: List[complex] = []
     scale = 1 + max(abs(r) for r in roots)
     for r in roots:
         for _ in range(50):  # Newton polish
@@ -161,16 +155,12 @@ def branch_points(curve: SpectralCurve) -> List[BranchPoint]:
     result = []
     for cluster in clusters:
         z = sum(cluster) / len(cluster)
-        tag = "simple"
-        if len(cluster) > 1:
-            tag = "unsupported"
-        else:
-            sheets = curve.roots_at(z)
-            close = sum(1 for i in range(len(sheets)) for j in range(i + 1, len(sheets))
-                        if abs(sheets[i] - sheets[j]) < 1e-6 * (1 + abs(sheets).max()))
-            if close != 1:
-                tag = "unsupported"
-        result.append(BranchPoint(z, tag))
+        sheets = curve.roots_at(z)
+        close = sum(1 for i in range(len(sheets)) for j in range(i + 1, len(sheets))
+                    if abs(sheets[i] - sheets[j]) < 1e-6 * (1 + abs(sheets).max()))
+        if len(cluster) > 1 or close != 1:
+            raise CurveError("non-simple branch point at z=%s" % z)
+        result.append(z)
     return result
 
 
@@ -266,7 +256,7 @@ class WallSeed:
     vals: np.ndarray  # all sheet values at z0
     pair: Tuple[int, int]  # indices (i, j) into vals; wall charge uses i - j
     Z0: complex
-    origin: tuple  # ("bp", branch index) | ("joint", joint index)
+    origin: tuple  # ("bp", branch point z) | ("joint", (ij wall id, jk wall id))
 
 
 @dataclass
@@ -315,7 +305,7 @@ def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
     return (roots[0] - roots[1]) / (2 * math.sqrt(probe))
 
 
-def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float) -> List[WallSeed]:
+def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[WallSeed]:
     """Three outward wall seeds at a simple branch point.
 
     Near b the two colliding sheets differ by 2c (z-b)^{1/2}, so
@@ -324,15 +314,13 @@ def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float) -> List[Wa
     Each seed sits 1e-7 from b along its direction.
     """
     offset = 1e-7
-    if bp.tag != "simple":
-        raise CurveError("branch point %s is not simple" % bp.z)
-    c = _local_coefficient(curve, bp.z)
+    c = _local_coefficient(curve, b)
     big_c = 4 * c / 3
     phi0 = (2.0 / 3.0) * (theta - cmath.phase(big_c))
     seeds = []
     for k in range(3):
         phi = phi0 + TWO_PI * k / 3
-        z0 = bp.z + offset * cmath.exp(1j * phi)
+        z0 = b + offset * cmath.exp(1j * phi)
         vals = curve.roots_at(z0)
         # colliding pair: the two roots nearest each other
         i0, j0 = _closest_pair(vals)
@@ -342,7 +330,7 @@ def initial_rays(curve: SpectralCurve, bp: BranchPoint, theta: float) -> List[Wa
             i0, j0 = j0, i0
         mass0 = abs(big_c) * offset ** 1.5
         seeds.append(WallSeed(z0, vals, (i0, j0),
-                              mass0 * cmath.exp(1j * theta), ("bp", bp.z)))
+                              mass0 * cmath.exp(1j * theta), ("bp", b)))
     return seeds
 
 
@@ -491,16 +479,12 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
     """
     if not all(math.isfinite(v) and v > 0 for v in (mass_cutoff, radius)):
         raise ValueError("mass cutoff and radius must be positive and finite")
-    bps = branch_points(curve)
-    for bp in bps:
-        if bp.tag != "simple":
-            raise CurveError("non-simple branch point at z=%s" % bp.z)
     walls: List[TracedWall] = []
     boxes: List[tuple] = []  # _wall_boxes of each wall, by wall id
     joints: List[Joint] = []
     frontier: List[TracedWall] = []
-    for bp in bps:
-        for seed in initial_rays(curve, bp, theta):
+    for b in branch_points(curve):
+        for seed in initial_rays(curve, b, theta):
             wall = trace_wall(curve, seed, theta, mass_cutoff, radius,
                               wall_id=len(walls))
             walls.append(wall)

@@ -225,9 +225,9 @@ def _isomorphic(net_a, net_b):
 def test_criterion_09_cubic_tracer(builders):
     start = time.perf_counter()
     curve = SpectralCurve("w^3 - 3*w + x")
-    bps = sorted(branch_points(curve), key=lambda b: b.z.real)
+    bps = sorted(branch_points(curve), key=lambda b: b.real)
     assert len(bps) == 2
-    assert abs(bps[0].z + 2) < 1e-9 and abs(bps[1].z - 2) < 1e-9
+    assert abs(bps[0] + 2) < 1e-9 and abs(bps[1] - 2) < 1e-9
     net = build_wkb_network(curve, 0.3, 12.0, 8.0)
     primary = [w for w in net.traced if w.origin[0] == "bp"]
     secondary = [w for w in net.traced if w.origin[0] == "joint"]

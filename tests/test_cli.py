@@ -99,6 +99,13 @@ def test_compare_rejects_non_integer_table(tmp_path, capsys):
     assert "coefficient 2 is not a unit over the integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"z_1": 3}])
+def test_compare_rejects_table_not_an_object_of_strings(doc, tmp_path, capsys):
+    (tmp_path / "odd.json").write_text(json.dumps(doc))
+    assert main(["compare", str(tmp_path / "odd.json"), "mutation_a.json"]) == 2
+    assert capsys.readouterr().err.startswith("error [compare]:")
+
+
 def test_wkb_trace_svg(tmp_path):
     out = tmp_path / "airy.svg"
     assert main(["wkb-trace", "--curve", "w^2 - z", "--theta", "0",
@@ -327,6 +334,14 @@ def test_invalid_curve_exits_nonzero(capsys):
     assert main(["wkb-trace", "--curve", "w - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_non_simple_branch_point_exits_2(capsys):
+    """Three sheets meeting at z = 0 is no simple branch point."""
+    assert main(["wkb-trace", "--curve", "w^3 - z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [wkb-trace]: non-simple branch point at z=0j\n"
 
 
 @pytest.mark.parametrize("curve", ["w^2 - 1/z", "w^2 - z^-1", "w^(1/2) - z",

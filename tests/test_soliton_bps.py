@@ -239,6 +239,15 @@ def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
         HomologyEngine(builders["mutation_a"])
 
 
+def test_open_chain_is_rejected(catalogs):
+    """A flowtree chain without its two caps ends off the marked points."""
+    engine = catalogs["mutation_a"].engine
+    chain = engine.tree_chain(engine.basis_strands[0])
+    engine._check_boundary(chain)
+    with pytest.raises(NonGenericGeometry, match="chain boundary off the marked points"):
+        engine._check_boundary(chain[:-2])
+
+
 def test_pairing_outside_basis_span_is_rejected(catalogs):
     """A pairing vector no chain of basis classes has: no solution."""
     engine = catalogs["mutation_a"].engine

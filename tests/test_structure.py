@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import pathlib
 import re
@@ -80,6 +81,23 @@ def test_every_error_is_a_value_or_runtime_error():
                     and obj.__module__ == module.__name__]
     assert classes
     offenders = [c.__qualname__ for c in classes if not issubclass(c, (ValueError, RuntimeError))]
+    assert not offenders, offenders
+
+
+def test_every_raise_names_a_value_runtime_or_os_error():
+    """Every ``raise`` in specnet names ValueError, RuntimeError, OSError or
+    a subclass of one, the errors the CLI reports with exit 2."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("specnet." + path.stem)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = ((getattr(module, exc.id, None) or getattr(builtins, exc.id, None))
+                   if isinstance(exc, ast.Name) else None)
+            if not (isinstance(cls, type) and issubclass(cls, (ValueError, RuntimeError, OSError))):
+                offenders.append("%s:%d raises %s" % (path.name, node.lineno, ast.unparse(exc)))
     assert not offenders, offenders
 
 

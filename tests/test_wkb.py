@@ -142,15 +142,17 @@ def test_roots_at():
 
 
 def test_branch_points_examples():
-    assert [b.z for b in branch_points(SpectralCurve("w^2 - z"))] == [0]
-    bps = sorted(b.z.real for b in branch_points(SpectralCurve("w^3 - 3*w + x")))
+    assert branch_points(SpectralCurve("w^2 - z")) == [0]
+    bps = sorted(b.real for b in branch_points(SpectralCurve("w^3 - 3*w + x")))
     assert abs(bps[0] + 2) < 1e-9 and abs(bps[1] - 2) < 1e-9
     assert branch_points(SpectralCurve("w^2 - 1")) == []
 
 
-def test_branch_points_are_simple():
-    for bp in branch_points(SpectralCurve("w^3 - 3*w + x")):
-        assert bp.tag == "simple"
+@pytest.mark.parametrize("text", ["w^3 - z", "w^2 - z^2", "w^2 - z^3", "w^2 - (z-1)^2*(z+1)"])
+def test_branch_points_reject_non_simple(text):
+    """Three sheets meeting, or a multiple root of the discriminant."""
+    with pytest.raises(CurveError, match="non-simple branch point at z="):
+        branch_points(SpectralCurve(text))
 
 
 def test_sheet_tracking_swaps_around_branch_point():
@@ -176,7 +178,7 @@ def test_initial_rays_point_outward():
         i, j = seed.pair
         v = cmath.exp(0j) / (seed.vals[i] - seed.vals[j])
         # the flow direction leads away from the branch point
-        assert (v * (seed.z0 - bp.z).conjugate()).real > 0
+        assert (v * (seed.z0 - bp).conjugate()).real > 0
 
 
 def test_traced_wall_mass_monotone_and_phase_constant():
