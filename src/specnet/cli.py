@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from .forest import build_forest_strands
 from .laurent import LaurentPoly, parse_laurent
-from .network import network_doc, network_to_json
+from .network import network_doc, network_to_json, to_json
 from .nonabel import LocalSystemRank1, Transport, augmentation
 from .soliton_bps import SolitonCatalog
 from .svg import export_svg
@@ -88,7 +88,7 @@ def cmd_augmentation(args) -> int:
     table = augmentation(bent)
     doc = {name: str(value) for name, value in sorted(table.items())}
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(to_json(doc) + "\n", args.out)
     else:
         width = max(len(k) for k in doc)
         _emit("".join("%-*s = %s\n" % (width, k, v)
@@ -165,7 +165,7 @@ def cmd_wkb_trace(args) -> int:
         doc["charges"] = {
             str(w.id): [[Z.real, Z.imag] for Z in w.charges[:-1:10] + [w.charges[-1]]]
             for w in net.traced}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(to_json(doc) + "\n", args.out)
     return 0
 
 

@@ -9,10 +9,10 @@ coordinates respectively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 SCHEMA = "spectral-network/1"
@@ -196,7 +196,7 @@ def is_flow_acyclic(net: SpectralNetwork) -> bool:
 # ----- serialization -----
 
 def _point_to_json(point):
-    return [str(c) if isinstance(c, Fraction) else float(c) for c in point]
+    return [str(c) if type(c) is Fraction else float(c) for c in point]
 
 
 def network_doc(net: SpectralNetwork) -> dict:
@@ -219,5 +219,80 @@ def network_doc(net: SpectralNetwork) -> dict:
 
 
 def network_to_json(net: SpectralNetwork) -> str:
-    return json.dumps(network_doc(net), indent=2, sort_keys=True)
+    return to_json(network_doc(net))
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's float text
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    json's C encoder runs only without indent; its pure-Python one visits
+    every value through generators.  This writer builds each container's
+    text with one join, and a list of finite floats or of strings with one
+    ``str.join`` over ``float.__repr__`` (json's own float text) or json's
+    C string escaper.  Dict keys must be strings; a value of a type json
+    cannot encode raises ValueError.
+    """
+    return _json_value(obj, "\n")
+
+
+def _json_value(obj, newline: str) -> str:
+    """One value's text; ``newline`` is a newline and the value's indent."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + _json_items(obj, inner) + newline + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise ValueError("JSON object keys must be strings")
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_value(value, inner)
+            for key, value in sorted(obj.items())]) + newline + "}")
+    raise ValueError("cannot encode %s as JSON" % type(obj).__name__)
+
+
+def _json_items(items, inner: str) -> str:
+    """The items of a non-empty list or tuple, each on its own line.
+
+    A list of floats or of strings, or a list of non-empty lists of them
+    (route points), is written by ``str.join`` alone.  A mixed list raises
+    TypeError there, and a nan or an infinity shows as an "n" in the float
+    text; both take the general path, value by value.
+    """
+    sep = "," + inner
+    first = items[0]
+    rows = type(first) is list and all(type(row) is list and row for row in items)
+    leaf = first[0] if rows else first
+    write = (float.__repr__ if isinstance(leaf, float)
+             else encode_basestring_ascii if isinstance(leaf, str) else None)
+    if write is not None:
+        try:
+            if rows:
+                deeper = inner + "  "
+                text = ("[" + deeper + (inner + "]" + sep + "[" + deeper).join(
+                    [("," + deeper).join(map(write, row)) for row in items]) + inner + "]")
+            else:
+                text = sep.join(map(write, items))
+        except TypeError:  # not all of the leaf's type
+            pass
+        else:
+            if write is encode_basestring_ascii or "n" not in text:
+                return text
+    return sep.join([_json_value(item, inner) for item in items])
 

@@ -172,8 +172,9 @@ NEWTON_STEPS = 8  # per sheet; a sheet not converged by then goes to np.roots
 NEWTON_TOL = 1e-11
 
 
-def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
-    """Sheet values over z, in the order of the seed's values.
+def sheets_at(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[complex]:
+    """Sheet values over z, in the order of the seed's values, as a list of
+    Python complex (the seed is one too).
 
     Each seed value is continued by Newton steps on P(z, .).  The result
     stands when every sheet converged within NEWTON_STEPS and passes the
@@ -188,7 +189,7 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
     lead, *rest = curve.coeffs_at(z)
     roots = []
     worst = 0.0
-    for s in seed.tolist():
+    for s in seed:
         w = s
         for _ in range(NEWTON_STEPS):
             p, dp = lead, 0j
@@ -208,7 +209,7 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
         if d > worst:
             worst = d
     if worst < 0.5 * _separation(roots):
-        return np.array(roots)
+        return roots
     return _nearest_roots(curve, z, seed)
 
 
@@ -225,7 +226,7 @@ def _separation(roots) -> float:
     return best
 
 
-def _nearest_roots(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.ndarray:
+def _nearest_roots(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[complex]:
     """Sheet values over z from np.roots, in the seed's order by greedy
     nearest matching, with the collision test of ``sheets_at``."""
     roots = curve.roots_at(z)
@@ -245,7 +246,7 @@ def _nearest_roots(curve: SpectralCurve, z: complex, seed: np.ndarray) -> np.nda
     if worst > 0.5 * sep:
         raise RootCollision("root move %.3g vs separation %.3g at z=%s"
                             % (worst, sep, z))
-    return np.array([roots[assign[i]] for i in range(n)])
+    return roots[[assign[i] for i in range(n)]].tolist()
 
 
 # ----- seeds and walls -----
@@ -277,7 +278,7 @@ class TracedWall:
                        curve: SpectralCurve) -> Tuple[complex, complex, np.ndarray]:
         """Sheet-pair values at a point interpolated inside segment ``index``."""
         z = self.points[index] * (1 - frac) + self.points[index + 1] * frac
-        vals = sheets_at(curve, z, self.vals[index])
+        vals = np.array(sheets_at(curve, z, self.vals[index].tolist()))
         i, j = self.seed.pair
         return vals[i], vals[j], vals
 
@@ -340,14 +341,16 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
 
     Steps advance Z by ds along e^{i theta}; z follows via a midpoint
     corrector on 1/(lambda_i - lambda_j), with the step halved whenever root
-    tracking reports a collision risk and a cap on |dz|.
+    tracking reports a collision risk and a cap on |dz|.  Sheet values
+    travel as lists of Python complex; ``TracedWall.vals`` is built from
+    them once, at the end.
     """
     ds_max = 1e-3 * mass_cutoff
     ds_min = ds_max * 1e-10
     dz_max = radius / 50.0
     phase = cmath.exp(1j * theta)
     z = seed.z0
-    vals = seed.vals.copy()
+    vals = seed.vals.tolist()
     i, j = seed.pair
     Z = seed.Z0
     points = [z]
@@ -366,8 +369,11 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
         if d0 == 0:
             raise NonGenericPhase("wall %d hit a branch point at z=%s; "
                                   "try theta + 1e-3" % (wall_id, z))
+        # the step divisions are numpy's: its complex division rounds
+        # otherwise than Python's, and the exported bytes were fixed with it
+        dZ = np.complex128(phase * ds)
         try:
-            dz0 = phase * ds / d0
+            dz0 = dZ / d0
             if abs(dz0) > dz_max:
                 raise RootCollision("step cap")
             z_mid = z + dz0 / 2
@@ -376,7 +382,7 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
             if dm == 0:
                 raise NonGenericPhase("wall %d hit a branch point near z=%s; "
                                       "try theta + 1e-3" % (wall_id, z_mid))
-            dz = phase * ds / dm
+            dz = dZ / dm
             if abs(dz) > dz_max:
                 raise RootCollision("step cap")
             z_new = z + dz
@@ -474,9 +480,11 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
     become creation joints and seed an (ik) wall with Z_ik = Z_ij + Z_jk;
     other crossings are non-interactions and leave no trace.  Rounds repeat
     until no newborn wall fits under the mass cutoff; newborn masses must
-    grow between rounds (gapped guard).  The mass cutoff and the radius must
-    be positive and finite.
+    grow between rounds (gapped guard).  The phase must be finite, and the
+    mass cutoff and the radius positive and finite.
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     if not all(math.isfinite(v) and v > 0 for v in (mass_cutoff, radius)):
         raise ValueError("mass cutoff and radius must be positive and finite")
     walls: List[TracedWall] = []
@@ -566,7 +574,7 @@ def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
     else:
         return None
     (w_ij, (vi, vj), Zij), (w_jk, (_vj, vk), Zjk) = first, second
-    vals = sheets_at(curve, z, vals_a if w_ij is wall else vals_b)
+    vals = np.array(sheets_at(curve, z, (vals_a if w_ij is wall else vals_b).tolist()))
     idx_i = int(np.argmin(np.abs(vals - vi)))
     idx_k = int(np.argmin(np.abs(vals - vk)))
     if idx_i == idx_k:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -178,6 +179,54 @@ def test_wkb_trace_json_equals_two_pass_encoding(curve, theta, mass, radius, cap
     assert all(len(doc["charges"][str(w.id)]) == 1 + (len(w.charges) + 8) // 10
                for w in net.traced)
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# sha256 of the wkb-trace stdout, JSON and SVG, per (curve, theta, mass, radius)
+WKB_TRACE_DIGESTS = {
+    ("w^2 - z", 0.0, 10.0, 5.0): (
+        "3e72e801a98eb5cca573970c8909d3d0de6f27d423294d0fe28c58fbc707cf02",
+        "d23dc796036fc15955a81d81c486458392bfb81b9ca00c8db649dc82cf96e341"),
+    ("w^3 - 3*w + x", 0.3, 12.0, 8.0): (
+        "37aef6a9886982fc41e23b4989ae54fb2b0e9eaa893b23845676b9ac9c571bf9",
+        "b1643131a4c399d73ee1f54945e27b80aec4f7641b5b107521a3f9f5888c7832"),
+    ("w^3 - 3*w + x", 1.7, 12.0, 8.0): (
+        "1f35ba1c344b5c2c313df459552a250bf46566194732ac36bc7fb623dd05214e",
+        "cb68ecc7de7857f571725d30f03ef0fbe7c5524032aea2572bffc88145ee9dfc"),
+    ("w^3 - 3*w + x", -2.1, 12.0, 8.0): (
+        "81191b3fd79ae27067bacfe1d0f2eff2419fa4e6d957707763c5353b662723db",
+        "327b4249989f9642ec571a025f2ebadfb42520335ded096c0a0f0faa122a812e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WKB_TRACE_DIGESTS), ids=lambda c: "%s@%r" % (c[0], c[1]))
+def test_wkb_trace_output_equals_recorded_digest(case, capsys):
+    """The wkb-trace exports stay byte for byte what they were when the
+    digests were recorded."""
+    curve, theta, mass, radius = case
+    digests = []
+    for fmt in ("json", "svg"):
+        assert main(["wkb-trace", "--curve", curve, "--theta", repr(theta), "--mass", repr(mass),
+                     "--radius", repr(radius), "--format", fmt]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == WKB_TRACE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_wkb_trace_rejects_non_finite_theta(value, tmp_path, monkeypatch, capsys):
+    """A non-finite phase is refused before anything is traced, from a flag
+    or a config key alike, in one line."""
+    import specnet.wkb
+
+    def never(*args, **kwargs):
+        raise AssertionError("traced a network at a non-finite phase")
+
+    monkeypatch.setattr(specnet.wkb, "branch_points", never)
+    config = tmp_path / "run.cfg"
+    config.write_text("theta = %s\n" % value)
+    argv = ["wkb-trace", "--curve", "w^2 - z"]
+    for extra in (["--theta=" + value], ["--config", str(config)]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error [wkb-trace]: theta must be finite\n")
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):

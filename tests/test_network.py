@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from specnet.network import (
     OPEN_END_PREFIX,
     SpectralNetwork,
     classify_vertex,
     is_flow_acyclic,
+    network_doc,
     network_to_json,
+    to_json,
 )
 
 
@@ -89,3 +93,44 @@ def test_json_carries_schema_and_ids():
     assert doc["schema"] == "spectral-network/1"
     assert [v["id"] for v in doc["vertices"]] == sorted(net.vertices)
     assert [w["id"] for w in doc["walls"]] == sorted(net.walls)
+
+
+# ----- to_json against json.dumps -----
+
+_FLOATS = st.floats(width=64) | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+_TEXT = st.text(max_size=6) | st.sampled_from(['"quoted"\\ \n\t\x00\x1f', "é ∂ 😀 \ud800", ""])
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 63, max_value=2 ** 200),
+    _FLOATS, _FLOATS.map(np.float64), _TEXT)
+# the writer's one-join paths: lists of floats or strings, and lists of
+# non-empty lists of them (route points)
+_ROWS = st.one_of(
+    st.lists(_FLOATS, max_size=4), st.lists(_TEXT, max_size=4),
+    *(st.lists(st.lists(leaf, min_size=1, max_size=3), max_size=3)
+      for leaf in (_FLOATS, _FLOATS.map(np.float64), _TEXT, _LEAVES)))
+_DOCS = st.recursive(
+    _LEAVES | _ROWS,
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(_TEXT, children)),
+    max_leaves=12)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(doc=_DOCS)
+def test_to_json_equals_json_dumps(doc):
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_to_json_equals_json_dumps_on_network_docs(builders):
+    for builder in builders.values():
+        doc = network_doc(builder.to_network())
+        assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [1, {2, 3}], object(),
+                                 np.int64(3), [1.5, np.float32(2)], b"bytes"],
+                         ids=["int-key", "none-key", "set", "object", "int64", "float32", "bytes"])
+def test_to_json_rejects_what_json_cannot_encode(doc):
+    with pytest.raises(ValueError):
+        to_json(doc)

@@ -159,14 +159,37 @@ def test_sheet_tracking_swaps_around_branch_point():
     """Continuing the sheets around z = 0 of w^2 = z swaps them."""
     curve = SpectralCurve("w^2 - z")
     z = 1.0 + 0j
-    vals = curve.roots_at(z)
-    start = vals.copy()
+    vals = curve.roots_at(z).tolist()
+    start = list(vals)
     steps = 200
     for k in range(1, steps + 1):
         zk = cmath.exp(2j * math.pi * k / steps)
         vals = sheets_at(curve, zk, vals)
     assert abs(vals[0] - start[1]) < 1e-6
     assert abs(vals[1] - start[0]) < 1e-6
+
+
+def test_sheets_at_returns_python_complex(monkeypatch):
+    """Python complex values in and out, from Newton and from the np.roots
+    fallback alike."""
+    curve = SpectralCurve("w^2 - 1")
+    fallbacks = []
+    roots_at = curve.roots_at
+
+    def counted(z):
+        fallbacks.append(z)
+        return roots_at(z)
+
+    monkeypatch.setattr(curve, "roots_at", counted)
+    newton = sheets_at(curve, 1, [1.1 + 0.1j, -0.9 - 0.1j])
+    assert not fallbacks
+    # from 1e-3, Newton needs more than NEWTON_STEPS steps: the sheets come from np.roots
+    fallback = sheets_at(curve, 1, [1e-3 + 0j, -1 + 0j])
+    assert len(fallbacks) == 1
+    for vals in (newton, fallback):
+        assert type(vals) is list
+        assert [type(v) for v in vals] == [complex, complex]
+        assert np.allclose(vals, [1, -1], rtol=0, atol=1e-12)
 
 
 def test_initial_rays_point_outward():
@@ -326,7 +349,7 @@ def test_sheets_at_matches_nearest_roots_reference(text, x, y, log_step,
     curve = SHEET_CURVES[text]
     z = complex(x, y)
     near = z + 10 ** log_step * cmath.exp(1j * angle)
-    seed_vals = curve.roots_at(near)[[k for k in order if k < curve.n]]
+    seed_vals = curve.roots_at(near)[[k for k in order if k < curve.n]].tolist()
     try:
         want = _reference_sheets(curve, z, seed_vals)
     except RootCollision:
