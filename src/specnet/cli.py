@@ -215,6 +215,26 @@ def _config_flags(path: str):
     return flags
 
 
+# flags whose value can start with '-' (a negative phase, a wrong negative
+# mass): argparse reads "-1e-3" or "-inf" after a space as an option
+NUMBER_FLAGS = ("--theta", "--mass", "--radius")
+
+
+def _join_number_values(argv):
+    """argv with each token that starts with '-' and follows a number flag
+    (or a prefix of one) joined to it by '=', so argparse reads it as the
+    flag's value."""
+    out = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if token.startswith("-") and len(last) > 2 and any(
+                flag.startswith(last) for flag in NUMBER_FLAGS):
+            out[-1] = last + "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="specnet",
@@ -256,7 +276,7 @@ def main(argv=None) -> int:
     p.add_argument("fixture", help="reference table JSON")
     p.set_defaults(func=cmd_compare)
 
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_number_values(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
         path = getattr(args, "config", None)

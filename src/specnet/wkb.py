@@ -8,9 +8,10 @@ coordinate: each step advances Z by a real increment along the e^{i theta}
 ray (so the defining equation holds to machine precision by construction)
 and solves for z with a midpoint corrector on dz/dZ = 1/(lambda_i-lambda_j).
 Sheets are tracked as root values continued by Newton steps from the
-previous sample, recovered by np.roots and nearest matching where Newton
-does not converge or passes too close to another sheet; no global
-branch-cut system is constructed.
+previous sample, recovered by the module's root finder (Aberth-Ehrlich
+iteration) and nearest matching where Newton does not converge or passes
+too close to another sheet; no global branch-cut system is constructed.
+Everything runs on Python floats and complex numbers.
 
 Simple branch points emit three walls along directions spaced 2 pi / 3;
 crossings of composable walls become creation joints seeding an (ik) wall
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .laurent import discriminant, parse_laurent
 from .network import SpectralNetwork
@@ -95,31 +94,132 @@ class SpectralCurve:
                 for k in range(self.n, -1, -1)]
         for (i, j), c in terms.items():
             rows[self.n - i][-1 - j] = c / lead
-        self._coeff_polys = [np.array([float(c) for c in row], dtype=complex)
-                             for row in rows]
-        # Python-complex copies: Horner on scalars, without numpy's per-call cost
-        self._coeff_lists = [c.tolist() for c in self._coeff_polys]
-        self._disc = discriminant(rows)
-        if not any(self._disc):
+        self._rows = [[complex(c) for c in row] for row in rows]
+        # the w-discriminant's z-coefficients, descending, exact
+        self.disc = discriminant(rows)
+        if not any(self.disc):
             raise CurveError("discriminant vanishes identically")
 
-    def roots_at(self, z: complex) -> np.ndarray:
-        """All n sheet values over z, in numpy's root order."""
-        coeffs = np.array([np.polyval(c, z) for c in self._coeff_polys])
-        return np.roots(coeffs)
+    def roots_at(self, z: complex) -> List[complex]:
+        """All n sheet values over z, in the root finder's order."""
+        return poly_roots(self.coeffs_at(z))
 
     def coeffs_at(self, z: complex) -> List[complex]:
         """The w-coefficients of P(z, .) over z, descending, by Horner."""
         out = []
-        for poly in self._coeff_lists:
+        for poly in self._rows:
             acc = 0j
             for c in poly:
                 acc = acc * z + c
             out.append(acc)
         return out
 
-    def disc_coeffs(self) -> np.ndarray:
-        return np.array([complex(c) for c in self._disc])
+
+# ----- polynomial roots -----
+
+EPS = 2.0 ** -52
+ABERTH_SWEEPS = 100  # a bound only: random polynomials of degree <= 16 need 5 to 8
+POLISH_STEPS = 3
+
+
+def poly_roots(coeffs: List[complex]) -> List[complex]:
+    """All roots, with multiplicity, of the polynomial whose coefficients,
+    descending, are ``coeffs``; the first must be nonzero.
+
+    Trailing zero coefficients give exact roots at 0.  The others come from
+    Aberth-Ehrlich iteration (Aberth 1973) started on circles whose radii
+    the coefficients' Newton polygon gives (Bini 1996), so roots of very
+    different sizes each get starting points near them; a root stops
+    moving once |p| there is within 4 m EPS of its rounding bound.  Newton
+    steps then polish each root while |p| falls.
+    """
+    n = len(coeffs) - 1
+    zeros = 0
+    while zeros < n and coeffs[n - zeros] == 0:
+        zeros += 1
+    a = list(coeffs[:n + 1 - zeros])
+    m = n - zeros
+    if m == 0:
+        return [0j] * zeros
+    tol = 4 * m * EPS
+    roots = _start_points(a)
+    live = range(m)
+    for _ in range(ABERTH_SWEEPS):
+        moving = []
+        for k in live:
+            w = roots[k]
+            num, den, residual = _newton_terms(a, w)
+            if residual <= tol:
+                continue
+            repel = 0j
+            for j in range(m):
+                if j != k and w != roots[j]:
+                    repel += 1 / (w - roots[j])
+            den -= num * repel
+            if den != 0:
+                roots[k] = w - num / den
+            moving.append(k)
+        if not moving:
+            break
+        live = moving
+    for k in range(m):
+        w = roots[k]
+        num, den, residual = _newton_terms(a, w)
+        for _ in range(POLISH_STEPS):
+            if residual == 0 or den == 0:
+                break
+            v = w - num / den
+            num, den, lower = _newton_terms(a, v)
+            if lower >= residual:
+                break
+            w, residual = v, lower
+        roots[k] = w
+    return roots + [0j] * zeros
+
+
+def _start_points(a: List[complex]) -> List[complex]:
+    """Aberth's starting points for the coefficients a, descending: each
+    edge of the upper convex hull of the points (k, log |coefficient of
+    w^k|) spans as many points as its length, on the circle of radius
+    e^(-slope)."""
+    m = len(a) - 1
+    hull: List[Tuple[int, float]] = []
+    for k in range(m + 1):
+        if a[m - k] == 0:
+            continue
+        point = (k, math.log(abs(a[m - k])))
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (point[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (point[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(point)
+    starts = []
+    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+        radius = math.exp((log_i - log_j) / (j - i))
+        # the 0.3 turn keeps the starts off the real axis's mirror symmetry; through
+        # rounding it also picks the numbering that initial_rays leaves open
+        starts += [radius * cmath.exp(1j * (TWO_PI * (s / (j - i) + i / m) + 0.3))
+                   for s in range(j - i)]
+    return starts
+
+
+def _newton_terms(a: List[complex], w: complex) -> Tuple[complex, complex, float]:
+    """The Newton step p(w)/p'(w) as (numerator, denominator), and |p(w)|
+    over its rounding bound sum |a_k| |w|^(m-k).  For |w| > 1 the reversed
+    polynomial is evaluated at 1/w, so no power of w can overflow."""
+    if abs(w) <= 1:
+        x, coeffs = w, a
+    else:
+        x, coeffs = 1 / w, a[::-1]
+    p, dp, bound = 0j, 0j, 0.0
+    r = abs(x)
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+        bound = bound * r + abs(c)
+    if x is w:
+        return p, dp, abs(p) / bound
+    # p(w) = w^m q(1/w) with q the reversed polynomial
+    return w * p, (len(a) - 1) * p - x * dp, abs(p) / bound
 
 
 def branch_points(curve: SpectralCurve) -> List[complex]:
@@ -128,27 +228,14 @@ def branch_points(curve: SpectralCurve) -> List[complex]:
     Each must be simple: a single root of the discriminant where exactly
     one pair of sheets collides.  The first that is not raises CurveError.
     """
-    coeffs = curve.disc_coeffs()
-    if len(coeffs) <= 1:
-        return []
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
-    out: List[complex] = []
-    scale = 1 + max(abs(r) for r in roots)
-    for r in roots:
-        for _ in range(50):  # Newton polish
-            d = np.polyval(deriv, r)
-            if d == 0:
-                break
-            step = np.polyval(coeffs, r) / d
-            r = r - step
-            if abs(step) < 1e-15 * scale:
-                break
-        out.append(complex(r))
-    # cluster multiple roots (closer than 1e-9 relative)
+    # cluster multiple roots: a root of multiplicity k is only accurate to
+    # about EPS^(1/k) of its size, so the 1e-6 relative of the sheet test
+    # below; relative to each root, as the discriminant's roots can differ
+    # in size by orders of magnitude
     clusters: List[List[complex]] = []
-    for r in sorted(out, key=lambda c: (c.real, c.imag)):
-        if clusters and abs(r - clusters[-1][-1]) < 1e-9 * scale:
+    for r in sorted(poly_roots([complex(c) for c in curve.disc]),
+                    key=lambda c: (c.real, c.imag)):
+        if clusters and abs(r - clusters[-1][-1]) < 1e-6 * (1 + abs(r)):
             clusters[-1].append(r)
         else:
             clusters.append([r])
@@ -156,8 +243,9 @@ def branch_points(curve: SpectralCurve) -> List[complex]:
     for cluster in clusters:
         z = sum(cluster) / len(cluster)
         sheets = curve.roots_at(z)
+        top = max(abs(w) for w in sheets)
         close = sum(1 for i in range(len(sheets)) for j in range(i + 1, len(sheets))
-                    if abs(sheets[i] - sheets[j]) < 1e-6 * (1 + abs(sheets).max()))
+                    if abs(sheets[i] - sheets[j]) < 1e-6 * (1 + top))
         if len(cluster) > 1 or close != 1:
             raise CurveError("non-simple branch point at z=%s" % z)
         result.append(z)
@@ -166,7 +254,7 @@ def branch_points(curve: SpectralCurve) -> List[complex]:
 
 # ----- sheet tracking -----
 
-NEWTON_STEPS = 8  # per sheet; a sheet not converged by then goes to np.roots
+NEWTON_STEPS = 8  # per sheet; a sheet not converged by then goes to poly_roots
 # Converged when the last step is below NEWTON_TOL (1 + |w|): the error left
 # after a step d is about d^2 |P''/2P'|, below rounding while sheets are apart.
 NEWTON_TOL = 1e-11
@@ -182,8 +270,8 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[com
     smallest root separation.  The n roots are then distinct and each is
     strictly nearest its own seed, so nearest matching would pick the same
     order.  Otherwise the sheets are recovered by ``_nearest_roots``
-    (np.roots and greedy nearest matching), which raises RootCollision
-    when the same test fails there.
+    (``poly_roots`` and greedy nearest matching), which raises
+    RootCollision when the same test fails there.
     """
     z = complex(z)
     lead, *rest = curve.coeffs_at(z)
@@ -227,8 +315,8 @@ def _separation(roots) -> float:
 
 
 def _nearest_roots(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[complex]:
-    """Sheet values over z from np.roots, in the seed's order by greedy
-    nearest matching, with the collision test of ``sheets_at``."""
+    """Sheet values over z from ``poly_roots``, in the seed's order by
+    greedy nearest matching, with the collision test of ``sheets_at``."""
     roots = curve.roots_at(z)
     n = len(roots)
     pairs = sorted((abs(seed[i] - roots[j]), i, j)
@@ -246,7 +334,7 @@ def _nearest_roots(curve: SpectralCurve, z: complex, seed: List[complex]) -> Lis
     if worst > 0.5 * sep:
         raise RootCollision("root move %.3g vs separation %.3g at z=%s"
                             % (worst, sep, z))
-    return roots[[assign[i] for i in range(n)]].tolist()
+    return [roots[assign[i]] for i in range(n)]
 
 
 # ----- seeds and walls -----
@@ -254,7 +342,7 @@ def _nearest_roots(curve: SpectralCurve, z: complex, seed: List[complex]) -> Lis
 @dataclass
 class WallSeed:
     z0: complex
-    vals: np.ndarray  # all sheet values at z0
+    vals: List[complex]  # all sheet values at z0
     pair: Tuple[int, int]  # indices (i, j) into vals; wall charge uses i - j
     Z0: complex
     origin: tuple  # ("bp", branch point z) | ("joint", (ij wall id, jk wall id))
@@ -266,7 +354,7 @@ class TracedWall:
     seed: WallSeed
     points: List[complex]
     charges: List[complex]
-    vals: np.ndarray  # row k: the sheet values at sample k, in the seed's order
+    vals: List[List[complex]]  # row k: the sheet values at sample k, in the seed's order
     asymptote: str  # "radius" | "cutoff"
     origin: tuple
 
@@ -275,10 +363,10 @@ class TracedWall:
         return abs(self.charges[-1])
 
     def pair_values_at(self, index: int, frac: float,
-                       curve: SpectralCurve) -> Tuple[complex, complex, np.ndarray]:
+                       curve: SpectralCurve) -> Tuple[complex, complex, List[complex]]:
         """Sheet-pair values at a point interpolated inside segment ``index``."""
         z = self.points[index] * (1 - frac) + self.points[index + 1] * frac
-        vals = np.array(sheets_at(curve, z, self.vals[index].tolist()))
+        vals = sheets_at(curve, z, self.vals[index])
         i, j = self.seed.pair
         return vals[i], vals[j], vals
 
@@ -296,7 +384,7 @@ def _closest_pair(vals) -> Tuple[int, int]:
 
 def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
     """Leading Puiseux coefficient c with lambda_+/- ~ lambda_0 +/- c sqrt(z-b),
-    read off at the probe point b + 1e-5."""
+    read off at the probe point b + 1e-5, up to its sign."""
     probe = 1e-5
     sheets = curve.roots_at(b)
     i0, j0 = _closest_pair(sheets)
@@ -306,16 +394,28 @@ def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
     return (roots[0] - roots[1]) / (2 * math.sqrt(probe))
 
 
+C_TURN = 0.1  # the angle of the edge of initial_rays' half-plane for c
+
+
 def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[WallSeed]:
     """Three outward wall seeds at a simple branch point.
 
     Near b the two colliding sheets differ by 2c (z-b)^{1/2}, so
     Z = (4c/3)(z-b)^{3/2}; walls leave along the three directions where
     e^{-i theta} Z is real, phi_k = (2/3)(theta - arg(4c/3)) + 2 pi k / 3.
-    Each seed sits 1e-7 from b along its direction.
+    Each seed sits 1e-7 from b along its direction.  c and -c describe
+    the same two sheets but number the rays differently, so the sign is
+    fixed by a rule: Re(c e^{-i C_TURN}) < 0.  Real curves put c on an
+    axis, so the rule's edge is turned off both.  Where c lies on the
+    negative real axis (a real curve whose colliding sheets are real past
+    b, as at the Airy curve's z = 0 and the cubic's z = -2), the sign of
+    c's rounding error still picks the branch of arg c, and with it the
+    numbering; the recorded exports fix the numbering ``poly_roots`` gives.
     """
     offset = 1e-7
     c = _local_coefficient(curve, b)
+    if (c * cmath.exp(-1j * C_TURN)).real >= 0:
+        c = -c
     big_c = 4 * c / 3
     phi0 = (2.0 / 3.0) * (theta - cmath.phase(big_c))
     seeds = []
@@ -342,15 +442,14 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
     Steps advance Z by ds along e^{i theta}; z follows via a midpoint
     corrector on 1/(lambda_i - lambda_j), with the step halved whenever root
     tracking reports a collision risk and a cap on |dz|.  Sheet values
-    travel as lists of Python complex; ``TracedWall.vals`` is built from
-    them once, at the end.
+    travel as lists of Python complex.
     """
     ds_max = 1e-3 * mass_cutoff
     ds_min = ds_max * 1e-10
     dz_max = radius / 50.0
     phase = cmath.exp(1j * theta)
     z = seed.z0
-    vals = seed.vals.tolist()
+    vals = seed.vals
     i, j = seed.pair
     Z = seed.Z0
     points = [z]
@@ -369,11 +468,9 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
         if d0 == 0:
             raise NonGenericPhase("wall %d hit a branch point at z=%s; "
                                   "try theta + 1e-3" % (wall_id, z))
-        # the step divisions are numpy's: its complex division rounds
-        # otherwise than Python's, and the exported bytes were fixed with it
-        dZ = np.complex128(phase * ds)
+        dZ = phase * ds
         try:
-            dz0 = dZ / d0
+            dz0 = _divide(dZ, d0)
             if abs(dz0) > dz_max:
                 raise RootCollision("step cap")
             z_mid = z + dz0 / 2
@@ -382,7 +479,7 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
             if dm == 0:
                 raise NonGenericPhase("wall %d hit a branch point near z=%s; "
                                       "try theta + 1e-3" % (wall_id, z_mid))
-            dz = dZ / dm
+            dz = _divide(dZ, dm)
             if abs(dz) > dz_max:
                 raise RootCollision("step cap")
             z_new = z + dz
@@ -400,8 +497,22 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
         charges.append(Z)
         samples.append(vals)
         ds = min(ds * 1.5, ds_max)
-    return TracedWall(wall_id, seed, points, charges, np.array(samples), asymptote,
+    return TracedWall(wall_id, seed, points, charges, samples, asymptote,
                       seed.origin)
+
+
+def _divide(a: complex, b: complex) -> complex:
+    """a / b for b != 0 by Smith's algorithm (Smith 1962), scaled by the
+    reciprocal of the divisor's reduced norm.  Python's ``/`` divides by
+    that norm instead and rounds otherwise; the recorded wall exports were
+    fixed with this rounding."""
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        scale = 1.0 / (b.real + b.imag * ratio)
+        return complex((a.real + a.imag * ratio) * scale, (a.imag - a.real * ratio) * scale)
+    ratio = b.real / b.imag
+    scale = 1.0 / (b.imag + b.real * ratio)
+    return complex((a.real * ratio + a.imag) * scale, (a.imag * ratio - a.real) * scale)
 
 
 # ----- joint detection -----
@@ -409,53 +520,65 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
 BLOCK = 64  # consecutive segments per block of the joint search's box test
 
 
+# the box of a segment with a NaN end: it meets no finite box and leaves its
+# block's box to the other segments
+EMPTY_BOX = (math.inf, -math.inf, math.inf, -math.inf)
+
+
 def _wall_boxes(points) -> tuple:
-    """A polyline as ``_segment_intersections`` reads it: (complex point
-    array, segment boxes, block boxes).  A box array has rows lo x, hi x,
-    lo y, hi y; block k bounds segments k*BLOCK to (k+1)*BLOCK - 1."""
-    z = np.array(points, dtype=complex)
-    x, y = z.real, z.imag
-    segs = np.array([np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]),
-                     np.minimum(y[:-1], y[1:]), np.maximum(y[:-1], y[1:])])
-    starts = np.arange(0, segs.shape[1], BLOCK)
-    # fmin/fmax: a NaN box hides only its own segment, not its whole block
-    blocks = np.array([reduce.reduceat(row, starts) for reduce, row in
-                       zip((np.fmin, np.fmax, np.fmin, np.fmax), segs)])
-    return z, segs, blocks
+    """A polyline as ``_segment_intersections`` reads it: (points, segment
+    boxes, block boxes).  A box is (lo x, hi x, lo y, hi y); block k bounds
+    segments k*BLOCK to (k+1)*BLOCK - 1."""
+    points = list(points)
+    segs = []
+    for p, q in zip(points, points[1:]):
+        lo_x, hi_x = (p.real, q.real) if p.real <= q.real else (q.real, p.real)
+        lo_y, hi_y = (p.imag, q.imag) if p.imag <= q.imag else (q.imag, p.imag)
+        # once ordered, lo <= hi fails only where an end is NaN
+        segs.append((lo_x, hi_x, lo_y, hi_y) if lo_x <= hi_x and lo_y <= hi_y
+                    else EMPTY_BOX)
+    blocks = []
+    for k in range(0, len(segs), BLOCK):
+        lo_x, hi_x, lo_y, hi_y = zip(*segs[k:k + BLOCK])
+        blocks.append((min(lo_x), max(hi_x), min(lo_y), max(hi_y)))
+    return points, segs, blocks
 
 
-def _box_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of which closed boxes (columns of ``a``) meet which (of ``b``)."""
-    return ((a[0][:, None] <= b[1]) & (b[0] <= a[1][:, None])
-            & (a[2][:, None] <= b[3]) & (b[2] <= a[3][:, None]))
+def _meets(a: tuple, b: tuple) -> bool:
+    """Whether two closed boxes meet."""
+    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 def _segment_intersections(a: tuple, b: tuple):
     """Transversal intersections of two polylines given by ``_wall_boxes``.
 
     Yields (ia, ta, ib, tb, z) with segment indices and local parameters,
-    in row-major (ia, ib) order.  Block boxes first, then segment boxes
-    inside each pair of blocks that meet, then exact 2x2 solves.
+    in row-major (ia, ib) order.  Block boxes first, then for each segment
+    of a block the boxes of the blocks that meet it and of their segments,
+    then exact 2x2 solves.
     """
     pa, seg_a, block_a = a
     pb, seg_b, block_b = b
-    blocks = _box_overlaps(block_a, block_b)
-    for ka in np.flatnonzero(blocks.any(axis=1)):
-        lo = ka * BLOCK
-        cols = np.flatnonzero(np.repeat(blocks[ka], BLOCK)[:seg_b.shape[1]])
-        tile = _box_overlaps(seg_a[:, lo:lo + BLOCK], seg_b[:, cols])
-        for row, col in zip(*np.nonzero(tile)):
-            ia, ib = lo + row, cols[col]
-            p, r = pa[ia], pa[ia + 1] - pa[ia]
-            q, s = pb[ib], pb[ib + 1] - pb[ib]
-            denom = (r * s.conjugate()).imag
-            if denom == 0:
-                continue
-            d = q - p
-            t = (d * s.conjugate()).imag / denom
-            u = (d * r.conjugate()).imag / denom
-            if 0 <= t <= 1 and 0 <= u <= 1:
-                yield int(ia), float(t), int(ib), float(u), p + t * r
+    for ka, box in enumerate(block_a):
+        near = [(kb, other) for kb, other in enumerate(block_b) if _meets(box, other)]
+        for ia in range(ka * BLOCK, min((ka + 1) * BLOCK, len(seg_a))):
+            box_a = seg_a[ia]
+            for kb, other in near:
+                if not _meets(box_a, other):
+                    continue
+                for ib in range(kb * BLOCK, min((kb + 1) * BLOCK, len(seg_b))):
+                    if not _meets(box_a, seg_b[ib]):
+                        continue
+                    p, r = pa[ia], pa[ia + 1] - pa[ia]
+                    q, s = pb[ib], pb[ib + 1] - pb[ib]
+                    denom = (r * s.conjugate()).imag
+                    if denom == 0:
+                        continue
+                    d = q - p
+                    t = (d * s.conjugate()).imag / denom
+                    u = (d * r.conjugate()).imag / denom
+                    if 0 <= t <= 1 and 0 <= u <= 1:
+                        yield ia, t, ib, u, p + t * r
 
 
 @dataclass
@@ -563,7 +686,7 @@ def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
     parent ids in (ij, jk) order), or None."""
     a1, a2, vals_a = wall.pair_values_at(ia, ta, curve)
     b1, b2, vals_b = other.pair_values_at(ib, tb, curve)
-    scale = float(np.abs(vals_a).max())
+    scale = max(abs(v) for v in vals_a)
     za = wall.charge_at(ia, ta)
     zb = other.charge_at(ib, tb)
     # ordered pairs (i, j): charge along the wall integrates lambda_i - lambda_j
@@ -574,9 +697,9 @@ def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
     else:
         return None
     (w_ij, (vi, vj), Zij), (w_jk, (_vj, vk), Zjk) = first, second
-    vals = np.array(sheets_at(curve, z, (vals_a if w_ij is wall else vals_b).tolist()))
-    idx_i = int(np.argmin(np.abs(vals - vi)))
-    idx_k = int(np.argmin(np.abs(vals - vk)))
+    vals = sheets_at(curve, z, vals_a if w_ij is wall else vals_b)
+    idx_i = min(range(len(vals)), key=lambda k: abs(vals[k] - vi))
+    idx_k = min(range(len(vals)), key=lambda k: abs(vals[k] - vk))
     if idx_i == idx_k:
         raise NonGenericPhase("degenerate (ik) pair at joint z=%s; "
                               "try theta + 1e-3" % z)
@@ -585,7 +708,7 @@ def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
 
 # ----- export -----
 
-def _sorted_label(vals: np.ndarray, pair: Tuple[int, int]) -> Tuple[int, int]:
+def _sorted_label(vals: List[complex], pair: Tuple[int, int]) -> Tuple[int, int]:
     """1-based indices of the pair in the (real, imag)-sorted sheet order."""
     order = sorted(range(len(vals)),
                    key=lambda k: (round(vals[k].real, 6), round(vals[k].imag, 6)))

@@ -181,19 +181,20 @@ def test_wkb_trace_json_equals_two_pass_encoding(curve, theta, mass, radius, cap
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# sha256 of the wkb-trace stdout, JSON and SVG, per (curve, theta, mass, radius)
+# sha256 of the wkb-trace stdout, JSON and SVG, per (curve, theta, mass, radius);
+# the JSON digests hold the root finder's last bits (see CHANGES.md)
 WKB_TRACE_DIGESTS = {
     ("w^2 - z", 0.0, 10.0, 5.0): (
-        "3e72e801a98eb5cca573970c8909d3d0de6f27d423294d0fe28c58fbc707cf02",
+        "bf1e09a8eb01da443cb65657e0500fbcc98f62a4cf638333289c97fb7682ad21",
         "d23dc796036fc15955a81d81c486458392bfb81b9ca00c8db649dc82cf96e341"),
     ("w^3 - 3*w + x", 0.3, 12.0, 8.0): (
-        "37aef6a9886982fc41e23b4989ae54fb2b0e9eaa893b23845676b9ac9c571bf9",
+        "92f64dddb7b003ae9c6977fa6a121d7be16aa7e044ce40563383b39c740fad76",
         "b1643131a4c399d73ee1f54945e27b80aec4f7641b5b107521a3f9f5888c7832"),
     ("w^3 - 3*w + x", 1.7, 12.0, 8.0): (
-        "1f35ba1c344b5c2c313df459552a250bf46566194732ac36bc7fb623dd05214e",
+        "93cf4a190350c821491cc49fdce5378d9304e26eea4a50ffb47a09d12e669ee1",
         "cb68ecc7de7857f571725d30f03ef0fbe7c5524032aea2572bffc88145ee9dfc"),
     ("w^3 - 3*w + x", -2.1, 12.0, 8.0): (
-        "81191b3fd79ae27067bacfe1d0f2eff2419fa4e6d957707763c5353b662723db",
+        "a42d60cb9d71fcd05ac3087aea54d3fb73cfc777c650c43fd1861d1b4d8eb4ca",
         "327b4249989f9642ec571a025f2ebadfb42520335ded096c0a0f0faa122a812e"),
 }
 
@@ -224,9 +225,29 @@ def test_wkb_trace_rejects_non_finite_theta(value, tmp_path, monkeypatch, capsys
     config = tmp_path / "run.cfg"
     config.write_text("theta = %s\n" % value)
     argv = ["wkb-trace", "--curve", "w^2 - z"]
-    for extra in (["--theta=" + value], ["--config", str(config)]):
+    for extra in (["--theta=" + value], ["--theta", value], ["--config", str(config)]):
         assert main(argv + extra) == 2
         assert capsys.readouterr() == ("", "error [wkb-trace]: theta must be finite\n")
+
+
+def test_wkb_trace_reads_negative_values_after_a_space(tmp_path, capsys):
+    """The token after --theta, --mass or --radius (or a unique prefix) is
+    its value even where argparse would take it for an option, as in
+    -1e-3 or -inf: the same as the --flag=value form and a config key."""
+    argv = ["wkb-trace", "--curve", "w^2 - z", "--mass", "4", "--radius", "2"]
+    config = tmp_path / "run.cfg"
+    config.write_text("theta = -1e-3\n")
+    outputs = []
+    for extra in (["--theta", "-1e-3"], ["--the", "-1e-3"], ["--theta=-1e-3"],
+                  ["--config", str(config)]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["theta"] == -1e-3
+    assert outputs == outputs[:1] * 4
+    for extra in (["--mass", "-1e-3"], ["--radius", "-inf"]):
+        assert main(["wkb-trace", "--curve", "w^2 - z"] + extra) == 2
+        assert capsys.readouterr() == ("", "error [wkb-trace]: mass cutoff and radius "
+                                           "must be positive and finite\n")
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import ast
 import builtins
 import importlib
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -121,10 +123,8 @@ def test_benchmark_span_targets_exist():
         assert callable(obj), "%s.%s" % (module, path)
 
 
-def test_declared_dependencies_match_imports():
-    """The third-party modules imported under src/specnet are exactly the
-    dependencies that pyproject.toml declares."""
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+def _imported_modules():
+    """The top-level names of the absolute imports under src/specnet."""
     imported = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -132,10 +132,44 @@ def test_declared_dependencies_match_imports():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"specnet"}
+    return imported
+
+
+def test_declared_dependencies_match_imports():
+    """The third-party modules imported under src/specnet are exactly the
+    dependencies that pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    third_party = _imported_modules() - set(sys.stdlib_module_names) - {"specnet"}
     project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
     assert third_party == declared
+
+
+def test_src_imports_only_the_standard_library():
+    """specnet runs on the standard library alone."""
+    assert _imported_modules() <= set(sys.stdlib_module_names) | {"specnet"}
+
+
+def test_cli_runs_with_numpy_blocked(capsys):
+    """wkb-trace (Airy and the cubic) and bps run in a process where
+    importing numpy fails, with the output they give here."""
+    from specnet.cli import main
+
+    runs = [["wkb-trace", "--curve", "w^2 - z", "--theta", "0", "--mass", "10", "--radius", "5"],
+            ["wkb-trace", "--curve", "w^3 - 3*w + x", "--theta", "0.3"],
+            ["bps", "five_crossing"]]
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from specnet.cli import main\n"
+              "for argv in %r:\n"
+              "    assert main(argv) == 0\n" % (runs,))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for argv in runs:
+        assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def _referenced(tree):

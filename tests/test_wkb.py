@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from specnet import wkb
 from specnet.wkb import (
@@ -20,6 +20,7 @@ from specnet.wkb import (
     initial_rays,
     _segment_intersections,
     _wall_boxes,
+    poly_roots,
     sheets_at,
     trace_wall,
 )
@@ -128,10 +129,8 @@ def test_curve_matches_sympy_reference():
             continue
         curve = SpectralCurve(text)
         coeffs, disc = reference
-        assert [c.tolist() for c in curve._coeff_polys] == [
-            [complex(c) for c in row] for row in coeffs], text
-        assert curve._disc == disc, text
-        assert curve.disc_coeffs().tolist() == [complex(float(c)) for c in disc], text
+        assert curve._rows == [[complex(c) for c in row] for row in coeffs], text
+        assert curve.disc == disc, text
     assert 20 <= rejected <= 60
 
 
@@ -146,6 +145,12 @@ def test_branch_points_examples():
     bps = sorted(b.real for b in branch_points(SpectralCurve("w^3 - 3*w + x")))
     assert abs(bps[0] + 2) < 1e-9 and abs(bps[1] - 2) < 1e-9
     assert branch_points(SpectralCurve("w^2 - 1")) == []
+    assert len(branch_points(SpectralCurve("2*w^4 - 5*w^2 + z*w + 1"))) == 4
+    # discriminant roots from 0.38 to 1.5e7: each is clustered relative to
+    # its own size, so the far ones do not merge the near ones
+    spread = ("-1/3*w^4 + (1/3)*z^2 - 1.25*w^3 - 2*w^2*z + 1e-3*w*z + 1e-3*w*z^2"
+              " - 2 + z - 2*z^2")
+    assert len(branch_points(SpectralCurve(spread))) == 8
 
 
 @pytest.mark.parametrize("text", ["w^3 - z", "w^2 - z^2", "w^2 - z^3", "w^2 - (z-1)^2*(z+1)"])
@@ -159,7 +164,7 @@ def test_sheet_tracking_swaps_around_branch_point():
     """Continuing the sheets around z = 0 of w^2 = z swaps them."""
     curve = SpectralCurve("w^2 - z")
     z = 1.0 + 0j
-    vals = curve.roots_at(z).tolist()
+    vals = curve.roots_at(z)
     start = list(vals)
     steps = 200
     for k in range(1, steps + 1):
@@ -170,7 +175,7 @@ def test_sheet_tracking_swaps_around_branch_point():
 
 
 def test_sheets_at_returns_python_complex(monkeypatch):
-    """Python complex values in and out, from Newton and from the np.roots
+    """Python complex values in and out, from Newton and from the poly_roots
     fallback alike."""
     curve = SpectralCurve("w^2 - 1")
     fallbacks = []
@@ -183,13 +188,25 @@ def test_sheets_at_returns_python_complex(monkeypatch):
     monkeypatch.setattr(curve, "roots_at", counted)
     newton = sheets_at(curve, 1, [1.1 + 0.1j, -0.9 - 0.1j])
     assert not fallbacks
-    # from 1e-3, Newton needs more than NEWTON_STEPS steps: the sheets come from np.roots
+    # from 1e-3, Newton needs more than NEWTON_STEPS steps: the sheets come from poly_roots
     fallback = sheets_at(curve, 1, [1e-3 + 0j, -1 + 0j])
     assert len(fallbacks) == 1
     for vals in (newton, fallback):
         assert type(vals) is list
         assert [type(v) for v in vals] == [complex, complex]
         assert np.allclose(vals, [1, -1], rtol=0, atol=1e-12)
+
+
+def test_initial_rays_do_not_depend_on_the_sign_of_c(monkeypatch):
+    """c and -c give the same seeds, at real and complex branch points."""
+    coefficient = wkb._local_coefficient
+    for text in ("w^2 - z", "w^3 - 3*w + x", "2*w^4 - 5*w^2 + z*w + 1"):
+        curve = SpectralCurve(text)
+        for b in branch_points(curve):
+            want = initial_rays(curve, b, 0.3)
+            monkeypatch.setattr(wkb, "_local_coefficient", lambda *args: -coefficient(*args))
+            assert initial_rays(curve, b, 0.3) == want, (text, b)
+            monkeypatch.undo()
 
 
 def test_initial_rays_point_outward():
@@ -305,7 +322,8 @@ def cubic_net():
 def _reference_sheets(curve, z, seed):
     """The np.roots plus greedy nearest matching that ``sheets_at`` ran
     before Newton continuation, kept as the reference: the matched values,
-    or RootCollision."""
+    or RootCollision.  The roots come from numpy, not from the module's own
+    root finder."""
     values, worst, sep = _reference_match(curve, z, seed)
     if worst > 0.5 * sep:
         raise RootCollision("root move %.3g vs separation %.3g at z=%s"
@@ -316,7 +334,7 @@ def _reference_sheets(curve, z, seed):
 def _reference_match(curve, z, seed):
     """np.roots at z matched greedily to the seed: (values in the seed's
     order, worst seed-to-root move, smallest root separation)."""
-    roots = curve.roots_at(z)
+    roots = np.roots(curve.coeffs_at(z))
     n = len(roots)
     pairs = sorted((abs(seed[i] - roots[j]), i, j)
                    for i in range(n) for j in range(n))
@@ -338,6 +356,53 @@ SHEET_CURVES = {text: SpectralCurve(text) for text in
                 ("w^2 - z", "w^3 - 3*w + x", "2*w^4 - 5*w^2 + z*w + 1")}
 
 
+def _assert_same_roots(got, want):
+    """got and want, paired greedily nearest first, agree within 1e-10 of
+    the largest |want|."""
+    assert len(got) == len(want)
+    scale = max(abs(w) for w in want)
+    pairs = sorted((abs(g - w), i, j) for i, g in enumerate(got) for j, w in enumerate(want))
+    used_got, used_want = set(), set()
+    for d, i, j in pairs:
+        if i in used_got or j in used_want:
+            continue
+        used_got.add(i)
+        used_want.add(j)
+        assert d <= 1e-10 * scale, (got, want)
+
+
+def _coefficients(n):
+    leading = st.complex_numbers(min_magnitude=0.1, max_magnitude=10)
+    rest = st.complex_numbers(max_magnitude=10)
+    return st.tuples(leading, st.lists(rest, min_size=n, max_size=n)).map(
+        lambda t: [t[0]] + t[1])
+
+
+def _error_bound(coeffs, root):
+    """First-order rounding error of a simple root: EPS sum |a_k| |r|^(n-k)
+    over |p'(r)|."""
+    n = len(coeffs) - 1
+    size = sum(abs(c) * abs(root) ** (n - k) for k, c in enumerate(coeffs))
+    slope = abs(sum((n - k) * c * root ** (n - k - 1) for k, c in enumerate(coeffs[:-1])))
+    return wkb.EPS * size / slope if slope else math.inf
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.integers(1, 16).flatmap(_coefficients))
+@example(coeffs=[complex(c) for c in SHEET_CURVES["w^2 - z"].disc])
+@example(coeffs=[complex(c) for c in SHEET_CURVES["w^3 - 3*w + x"].disc])
+@example(coeffs=[complex(c) for c in SHEET_CURVES["2*w^4 - 5*w^2 + z*w + 1"].disc])
+def test_poly_roots_match_numpy(coeffs):
+    """poly_roots agrees with np.roots wherever the roots are well
+    conditioned: degrees 1 to 16 and the discriminants of SHEET_CURVES."""
+    want = np.roots(coeffs)
+    scale = max(abs(w) for w in want)
+    # exact zero roots come from trailing zero coefficients in both
+    assume(all(w == 0 or _error_bound(coeffs, w) <= 1e-13 * scale for w in want))
+    _assert_same_roots(poly_roots(coeffs), want)
+
+
 @seed(20261018)
 @settings(max_examples=600, deadline=None)
 @given(text=st.sampled_from(sorted(SHEET_CURVES)),
@@ -349,7 +414,7 @@ def test_sheets_at_matches_nearest_roots_reference(text, x, y, log_step,
     curve = SHEET_CURVES[text]
     z = complex(x, y)
     near = z + 10 ** log_step * cmath.exp(1j * angle)
-    seed_vals = curve.roots_at(near)[[k for k in order if k < curve.n]].tolist()
+    seed_vals = np.roots(curve.coeffs_at(near))[[k for k in order if k < curve.n]].tolist()
     try:
         want = _reference_sheets(curve, z, seed_vals)
     except RootCollision:
@@ -448,7 +513,7 @@ def _smooth_walk(rng, n):
 @seed(20261018)
 @settings(max_examples=400, deadline=None)
 @given(n_a=st.sampled_from(POLYLINE_SIZES), n_b=st.sampled_from(POLYLINE_SIZES),
-       kind=st.sampled_from(["grid", "smooth", "shared", "reversed", "copy"]),
+       kind=st.sampled_from(["grid", "smooth", "shared", "reversed", "copy", "nan"]),
        walk_seed=st.integers(0, 2 ** 32 - 1))
 def test_segment_intersections_match_all_pairs_reference(n_a, n_b, kind, walk_seed):
     """The block-box search yields exactly the reference's tuples, in order."""
@@ -462,5 +527,8 @@ def test_segment_intersections_match_all_pairs_reference(n_a, n_b, kind, walk_se
         b = a[::-1][:n_b].copy()
     elif kind == "copy":
         b = a[:n_b].copy()
-    got = list(_segment_intersections(_wall_boxes(a), _wall_boxes(b)))
+    elif kind == "nan":  # a NaN coordinate hides its own segments only
+        a[rng.integers(n_a)] = complex(math.nan, 0.5)
+        b[rng.integers(n_b)] = complex(0.5, math.nan)
+    got = list(_segment_intersections(_wall_boxes(a.tolist()), _wall_boxes(b.tolist())))
     assert got == list(_reference_intersections(a, b))
