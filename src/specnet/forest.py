@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .braid import BraidWord, demazure_product
-from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_point, transpose,
-                       walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_param, exact_point,
+                       transpose, walk_sheets)
 from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment, WeaveVertex
 
@@ -76,7 +76,12 @@ class ForestBuilder:
         # letter; every slot below the top is a join of two segments
         self.weave_lines = PolylineSet(
             ((seg.points, (seg.letter, seg.id)) for seg in self.obstacles),
-            joins={seg.points[-1] for seg in self.obstacles if seg.lower[0] == "slot"})
+            joins=[seg.points[-1] for seg in self.obstacles if seg.lower[0] == "slot"])
+        # the weave-line corners at each height, in obstacle order
+        self._corners: Dict[Fraction, List[Point]] = {}
+        for seg in self.obstacles:
+            for corner in seg.points:
+                self._corners.setdefault(corner[1], []).append(corner)
         self._top_name_by_x = {x: name for name, x in bent.top_positions.items()}
         # chord name -> letter of the weave line that reaches the top boundary there
         self.name_to_letter = {self._top_name_by_x[seg.points[0][0]]: seg.letter
@@ -118,7 +123,7 @@ class ForestBuilder:
         # parent leg that is vertical there, so the lift does not run along it
         delta = strand.delta
         vertical = any(parent.polyline[index][0] == parent.polyline[index + 1][0]
-                       for parent, (index, _) in ((parent_a, pa), (parent_b, pb)))
+                       for parent, (index, _, _) in ((parent_a, pa), (parent_b, pb)))
         lift = (point[0] - delta / 2 if vertical else point[0], point[1] + delta)
         strand.polyline = [point, lift]
         # the lift itself may hop over weave lines squeezed near the joint;
@@ -135,13 +140,12 @@ class ForestBuilder:
         crossed (or ``start``) and that line is at most delta, the strand's
         delta shrinks to half the gap."""
         x0, y0 = start
-        corner = next(((x, y) for seg in self.obstacles for x, y in seg.points
-                       if y == y0 and x > x0), None)
+        corner = next((c for c in self._corners.get(y0, ()) if c[0] > x0), None)
         if corner is not None:
             raise NonGenericGeometry("weave-line corner on ray at %r" % (corner,))
         prev_x = x0
         ray = [start, (self.bent.marked_x, y0)]  # every weave line lies left of marked_x
-        for _, (k, seg_id), (index, _), pt, _ in self.weave_lines.crossings(ray):
+        for _, (k, seg_id), (index, _, _), pt, _ in self.weave_lines.crossings(ray):
             x = exact_point(pt)[0]
             if {label[0], label[1]} == {k, k + 1}:
                 if x - strand.delta <= prev_x:
@@ -201,6 +205,7 @@ class ForestBuilder:
         for _ in range(MAX_CREATION_STEPS):
             for sn in new[done:]:
                 for pn, oid, po, pt, side in self.walls.crossings(sn.polyline):
+                    po = exact_param(po)
                     label = sn.label_at(pn)
                     child_label = compose_labels([label, self.strands[oid].label_at(po)])
                     if child_label is not None:

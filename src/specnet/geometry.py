@@ -6,8 +6,12 @@ which side?" is answered here, by a ``PolylineSet`` of tagged polylines (the
 weave lines, the walls, or the homology engine's test lines).  One function
 of crossing rules decides every segment pair in integers and keeps each
 crossing point as integers on the query's scale; ``exact_point`` turns one
-into a ``Fraction`` pair where a caller reads it.  Params leave as
-``Fraction``s, so sorted events and memo keys compare exactly.
+into a ``Fraction`` pair where a caller reads it.  A param on the path
+leaves as the triple (segment, float, ``Fraction``): ``int / int`` rounds
+correctly and correct rounding is monotone, so triples order exactly as
+(segment, ``Fraction``) pairs do and compare their ``Fraction``s only on a
+float tie.  A param on the member line leaves as integers, and
+``exact_param`` builds its triple where a caller reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
-Param = Tuple[int, Fraction]  # (polyline sub-segment index, parameter in [0,1])
+# (polyline sub-segment index, float(t), t) for a parameter t in [0, 1]
+Param = Tuple[int, float, Fraction]
+ScaledParam = Tuple[int, int, int]  # (j, n, d): the param n / d on sub-segment j, d > 0
 ScaledPoint = Tuple[int, int, int]  # (x, y, d): the point (x / d, y / d), d > 0
 
 # float bounding boxes cheaply reject most segment pairs before the exact
@@ -76,8 +82,19 @@ def sheet_prefixes(events, n: int) -> List[Tuple[int, ...]]:
     return perms
 
 
+def param_of(i: int, t: Fraction) -> Param:
+    """The param ``t`` on sub-segment ``i``."""
+    return i, t.numerator / t.denominator, t
+
+
+def exact_param(scaled: ScaledParam) -> Param:
+    """The param of a crossing's scaled param on the member line."""
+    j, n, d = scaled
+    return j, n / d, Fraction(n, d)
+
+
 def interp(polyline, param: Param) -> Point:
-    i, t = param
+    i, _, t = param
     p0, p1 = polyline[i], polyline[i + 1]
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
@@ -89,8 +106,15 @@ def exact_point(scaled: ScaledPoint) -> Point:
 
 
 def truncated(polyline, param: Param):
-    i, _ = param
+    i = param[0]
     return list(polyline[: i + 1]) + [interp(polyline, param)]
+
+
+def point_key(point: Point) -> Tuple[int, int, int, int]:
+    """Integers that name a point exactly, a cheaper dict key than its
+    ``Fraction``s."""
+    x, y = point
+    return x.numerator, x.denominator, y.numerator, y.denominator
 
 
 def _prepared(polyline):
@@ -116,18 +140,19 @@ def _segment_boxes(floats):
 
 def _crossings(p, box, q, anchors):
     """The crossing rules: proper transversal crossings of polylines P and Q
-    as (paramP, paramQ, scaled point, side), with side the sign of (Q's
-    tangent) x (P's tangent).  P is given by ``_prepared`` and its float
-    ``box``, Q by its integer form, scale and widened segment boxes.
+    as (param on P, scaled param on Q, scaled point, side), with side the
+    sign of (Q's tangent) x (P's tangent).  P is given by ``_prepared`` and
+    its float ``box``, Q by its integer form, scale and widened segment
+    boxes.
 
     Touches at the points in ``anchors`` (P's global ends, and those of Q's
     ends that are no join: walls are born on other walls and end on the
     boundary) are ignored; any other touch is a non-generic corner hit, a
     positive-length collinear overlap is non-generic, and so is a crossing
     point found twice.  Q's segments are filtered against P's box once;
-    each remaining segment pair is decided in integers, row by row.  Params
-    are built only where the segments meet, and the point stays on P's
-    scale times t's denominator.
+    each remaining segment pair is decided in integers, row by row.  P's
+    param is built only where the segments meet, Q's stays as integers, and
+    the point stays on P's scale times t's denominator.
     """
     (pi, sp, pf), (qi, sq, qboxes) = p, q
     lo_x, hi_x, lo_y, hi_y = box
@@ -169,7 +194,7 @@ def _crossings(p, box, q, anchors):
                 continue
             pt = (a0x * td + tn * dax, a0y * td + tn * day, sp * td)
             if 0 < tn < td and 0 < un < ud:
-                out.append(((i, Fraction(tn, td)), (j, Fraction(un, ud)), pt, side))
+                out.append(((i, tn / td, Fraction(tn, td)), (j, un, ud), pt, side))
             elif exact_point(pt) not in anchors:
                 raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(pt),))
     # where P or Q crosses itself on the other, one point is found twice; reject
@@ -188,23 +213,24 @@ class PolylineSet:
     A member's end at one of ``joins`` (a slot, where one weave line goes on
     as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
-    def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]] = (), joins=frozenset()):
-        self.joins = joins
+    def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]] = (), joins=()):
+        self.joins = frozenset(map(point_key, joins))
         self.lines = []
         for Q, tag in tagged:
             self.add(Q, tag)
 
     def add(self, Q: Sequence[Point], tag):
         ints, s, floats = _prepared(Q)
-        ends = tuple(e for e in (Q[0], Q[-1]) if e not in self.joins)
+        ends = tuple(e for e in (Q[0], Q[-1]) if point_key(e) not in self.joins)
         self.lines.append((tag, (ints, s, _segment_boxes(floats)), _box(floats), ends))
 
     def crossings(self, P: Sequence[Point]):
         """The proper transversal crossings of P with every member Q, as
-        sorted (param on P, tag, param on Q, scaled point, side) with side
-        the sign of (Q's tangent) x (P's tangent); ``exact_point`` reads the
-        point.  Polylines whose box is disjoint from P's are skipped: every
-        segment pair would be rejected anyway."""
+        sorted (param on P, tag, scaled param on Q, scaled point, side) with
+        side the sign of (Q's tangent) x (P's tangent); ``exact_param`` and
+        ``exact_point`` read Q's param and the point.  Polylines whose box is
+        disjoint from P's are skipped: every segment pair would be rejected
+        anyway."""
         p = _prepared(P)
         box = lo_x, hi_x, lo_y, hi_y = _box(p[2])
         ends = (P[0], P[-1])

@@ -131,11 +131,11 @@ class SpectralNetwork:
 
         ``paths`` lists (path id, initial vertex id or None for a path born
         at a joint, points, open end name); ``joints`` lists (point, child
-        path id, {parent path id: (segment index, t)}).  Each joint becomes
-        a creation vertex, and each path is cut at the joints it parents
-        into walls chained through them.  ``describe(path id, start, stop)``
-        gives the (label, mass, stage) of the piece between two cuts (None
-        at the path's own ends)."""
+        path id, {parent path id: param}), each param a tuple led by its
+        segment index.  Each joint becomes a creation vertex, and each path
+        is cut at the joints it parents into walls chained through them.
+        ``describe(path id, start, stop)`` gives the (label, mass, stage) of
+        the piece between two cuts (None at the path's own ends)."""
         born: Dict[int, int] = {}
         cuts: Dict[int, List[tuple]] = {path[0]: [] for path in paths}
         for point, child, params in joints:

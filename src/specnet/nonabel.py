@@ -68,8 +68,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_point, interp,
-                       walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_param, exact_point,
+                       interp, param_of, walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import CAP_EPS, LiftedPiece, SolitonCatalog, tree_of_strand
 
@@ -238,7 +238,7 @@ class Transport:
             for i, (a, b) in enumerate(zip(strand.polyline, strand.polyline[1:])):
                 if a[0] != b[0]:
                     ts = ((edge - a[0]) / (b[0] - a[0]) for edge in edges)
-                    cuts += [(i, t) for t in ts if 0 <= t <= 1]
+                    cuts += [param_of(i, t) for t in ts if 0 <= t <= 1]
             self._wall_cuts[sid] = sorted(cuts)
         cuts = self._wall_cuts[sid]
         k = bisect_left(cuts, param)
@@ -269,7 +269,7 @@ class Transport:
         prev_pt = poly[0]
         prev_idx = 0
         for pa, sid, pb, pt, side in self.builder.walls.crossings(poly):
-            pt = exact_point(pt)
+            pb, pt = exact_param(pb), exact_point(pt)
             strand = self.builder.strands[sid]
             if any(param == pb for param, _, _ in strand.crossings):
                 raise NonGenericGeometry("path crosses wall %d where it crosses a weave "

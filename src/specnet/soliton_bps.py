@@ -28,7 +28,10 @@ from .geometry import (
     Param,
     Point,
     PolylineSet,
+    exact_param,
     interp,
+    param_of,
+    point_key,
     sheet_prefixes,
     truncated,
     walk_sheets,
@@ -36,7 +39,7 @@ from .geometry import (
 from .laurent import FactoredMatrix
 
 # where a wall's BPS entries are based: a parameter just past its birth point
-BIRTH_PARAM: Param = (0, Fraction(1, 997))
+BIRTH_PARAM: Param = param_of(0, Fraction(1, 997))
 # how close caps and boundary arcs run to the top boundary: a cap's first
 # leg runs CAP_EPS right of its start, up to height -CAP_EPS/2
 CAP_EPS = Fraction(1, 2 ** 24)
@@ -55,7 +58,7 @@ class LiftedPiece:
     def __init__(self, polyline, start_sheet: int, events, orientation: int):
         self.polyline = list(polyline)
         self.start_sheet = start_sheet
-        self.events = sorted(events)
+        self.events = events
         self.orientation = orientation
         self.pairings: Dict["PairingLines", list] = {}
 
@@ -98,7 +101,7 @@ class PairingLines:
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
             for pa, k, pb, _, side in self.lines.crossings(piece.polyline):
                 base, keys, inverses = self.records[k]
-                inverse = inverses[bisect_left(keys, pb)]
+                inverse = inverses[bisect_left(keys, exact_param(pb))]
                 perm = perms[bisect_left(params, pa)]
                 for total, sheet in zip(totals, perm[1:]):
                     row = base + inverse[sheet]
@@ -188,7 +191,7 @@ class HomologyEngine:
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
-        self._recent_caps: Dict[Point, LiftedPiece] = {}
+        self._recent_caps: Dict[tuple, LiftedPiece] = {}  # by point_key
         # basis: cycle classes s_1..s_l, then boundary-arc classes through
         # the marked points t_1..t_n (these may satisfy relations; Gaussian
         # elimination prefers the s-columns, so arc usage is minimized)
@@ -225,11 +228,12 @@ class HomologyEngine:
         sub-path's two ends alternately, n times each, ``cap_sheets`` caps
         the end once more, and a Stokes miss caps the point twice.  A memo
         hit caps nothing."""
-        cap = self._recent_caps.pop(start, None)
+        key = point_key(start)
+        cap = self._recent_caps.pop(key, None)
         if cap is None:
             poly = self.cap_polyline(start)
             cap = LiftedPiece(poly, 1, self.builder.events_along(poly), 1)
-        self._recent_caps[start] = cap
+        self._recent_caps[key] = cap
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
         return cap.relift(start_sheet, orientation)
@@ -241,12 +245,13 @@ class HomologyEngine:
     def _strand_lifts(self, sid: int, end_param: Optional[Param]) -> List[LiftedPiece]:
         """Both lifts of a strand, cut at ``end_param`` (default: its end)."""
         strand = self.builder.strands[sid]
-        i0, t0 = end_param or (len(strand.polyline) - 2, Fraction(1))
+        end = end_param or param_of(len(strand.polyline) - 2, Fraction(1))
+        i0, _, t0 = end
         # params on the cut segment rescale to the shortened segment
-        events = [((i0, p[1] / t0) if p[0] == i0 else p, letter, side)
-                  for p, letter, side in strand.crossings if p < (i0, t0)]
+        events = [(param_of(i0, p[2] / t0) if p[0] == i0 else p, letter, side)
+                  for p, letter, side in strand.crossings if p < end]
         lab = strand.start_label
-        piece = LiftedPiece(truncated(strand.polyline, (i0, t0)), lab[0], events, 1)
+        piece = LiftedPiece(truncated(strand.polyline, end), lab[0], events, 1)
         return [piece, piece.relift(lab[1], -1)]
 
     def tree_chain(self, strand_id: int,
@@ -289,13 +294,13 @@ class HomologyEngine:
         return [LiftedPiece(poly, marked_index, self.builder.events_along(poly), 1)]
 
     def _check_boundary(self, pieces: Sequence[LiftedPiece]):
-        residue: Dict[tuple, int] = {}
+        residue: Dict[tuple, int] = {}  # by (point_key, sheet)
 
         def add(point, sheet, mult):
-            key = (point, sheet)
-            residue[key] = residue.get(key, 0) + mult
-            if not residue[key]:
-                del residue[key]
+            key = point_key(point), sheet
+            value = residue.pop(key, 0) + mult
+            if value:
+                residue[key] = value
 
         for piece in pieces:
             add(piece.polyline[0], piece.start_sheet, -piece.orientation)
@@ -304,16 +309,17 @@ class HomologyEngine:
         # sheets k and k+1 name the same surface point
         for vertex in self.weave.trivalent_vertices():
             k = vertex.letter
-            lo = (vertex.point, k)
-            hi = (vertex.point, k + 1)
+            lo = (point_key(vertex.point), k)
+            hi = (point_key(vertex.point), k + 1)
             if lo in residue and hi in residue:
                 s = residue.pop(lo) + residue.pop(hi)
                 if s:
                     residue[lo] = s
-        leftovers = {key for key in residue if key[0] != self.marked}
+        marked = point_key(self.marked)
+        leftovers = sorted(((Fraction(xn, xd), Fraction(yn, yd)), sheet)
+                           for (xn, xd, yn, yd), sheet in residue if (xn, xd, yn, yd) != marked)
         if leftovers:
-            raise NonGenericGeometry("chain boundary off the marked points: %r"
-                                     % sorted(leftovers)[:4])
+            raise NonGenericGeometry("chain boundary off the marked points: %r" % leftovers[:4])
 
     # ----- classes -----
     def _pairing_vector(self, pieces: Sequence[LiftedPiece]) -> List[int]:

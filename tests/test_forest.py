@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from specnet.forest import build_forest_strands
+from specnet.forest import Strand, build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry,
     PolylineSet,
+    exact_param,
     exact_point,
+    param_of,
     transpose,
     twist_sign,
     walk_sheets,
@@ -204,8 +206,8 @@ def test_poly_crossings_basic():
     Q = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
     out = PolylineSet([(Q, "q")]).crossings(P)
     assert len(out) == 1
-    (_, t), tag, (_, u), pt, side = out[0]
-    assert t == u == Fraction(1, 2) and tag == "q"
+    (_, _, t), tag, pb, pt, side = out[0]
+    assert t == exact_param(pb)[2] == Fraction(1, 2) and tag == "q"
     assert exact_point(pt) == (Fraction(1), Fraction(1))
     assert side == 1  # (Q's tangent) x (P's tangent) = (2, -2) x (2, 2) = 8
 
@@ -221,6 +223,60 @@ def test_poly_crossings_parallel_disjoint():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
     Q = [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))]
     assert PolylineSet([(Q, 0)]).crossings(P) == []
+
+
+# 1/3 + 2^-70 rounds to the float of 1/3: params at the two tie as floats
+THIRD = Fraction(1, 3)
+TIED = THIRD + Fraction(1, 2 ** 70)
+
+
+def test_float_tied_params_keep_the_exact_order():
+    """Two members cross P at params whose floats are equal: the crossings
+    come in the exact order of the params, not in tag order."""
+    P = _poly((0, 0), (1, 0))
+    members = PolylineSet([(_poly((THIRD, -1), (THIRD, 1)), 1),
+                           (_poly((TIED, -1), (TIED, 1)), 0)])
+    out = members.crossings(P)
+    assert [tag for _, tag, _, _, _ in out] == [1, 0]
+    (_, f1, t1), (_, f0, t0) = out[0][0], out[1][0]
+    assert f1 == f0 and (t1, t0) == (THIRD, TIED)
+
+
+# params on one segment, some float-tied: k * 2^-70 from a coarse rational
+tied_params = st.tuples(st.integers(0, 2), st.fractions(0, 1, max_denominator=12),
+                        st.integers(-2, 2)).map(lambda d: (d[0], d[1] + Fraction(d[2], 2 ** 70)))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tied_params, min_size=2, max_size=8), st.integers(1, 5))
+@example([(0, THIRD), (0, TIED)], 1)
+@example([(1, TIED), (1, THIRD), (0, TIED)], 3)
+def test_param_order_is_the_exact_order(pairs, scale):
+    """Params built by ``param_of``, or by ``exact_param`` from integers
+    not in lowest terms, order and compare as their (segment, ``Fraction``)
+    pairs do, float ties included."""
+    built = [param_of(i, t) for i, t in pairs]
+    assert built == [exact_param((i, t.numerator * scale, t.denominator * scale))
+                     for i, t in pairs]
+    for a, pa in zip(pairs, built):
+        for b, pb in zip(pairs, built):
+            assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    assert sorted(range(len(pairs)), key=built.__getitem__) == order
+
+
+def test_march_right_reports_the_first_corner_on_its_ray(builders):
+    """A rightward ray level with weave-line corners raises at the first of
+    them in obstacle order: on ``three_strand`` at height -1 that is (4, -1),
+    though (2, -1) lies nearer the start."""
+    builder = builders["three_strand"]
+    strand = Strand(len(builder.strands), ("branch", 0, "c"), (1, 2), 1, Fraction(1, 64))
+    start = (Fraction(3, 2), Fraction(-1))
+    with pytest.raises(NonGenericGeometry) as raised:
+        builder._march_right(strand, start, (1, 2))
+    assert str(raised.value) == \
+        "weave-line corner on ray at (Fraction(4, 1), Fraction(-1, 1))"
 
 
 def test_delta_offsets_distinct(builders):
@@ -317,9 +373,19 @@ def _reference_crossings(P, Q, q_anchors):
     return sorted(out)
 
 
+def _exact(param):
+    """A param triple as the reference's (segment, ``Fraction``) pair, once
+    its float is checked to be the ``Fraction``'s."""
+    i, f, t = param
+    assert f == float(t)
+    return i, t
+
+
 def _read(crossings):
-    """``PolylineSet.crossings`` with each scaled point read as its point."""
-    return [(pa, tag, pb, exact_point(pt), side) for pa, tag, pb, pt, side in crossings]
+    """``PolylineSet.crossings`` with each param read as a (segment,
+    ``Fraction``) pair and each scaled point as its point."""
+    return [(_exact(pa), tag, _exact(exact_param(pb)), exact_point(pt), side)
+            for pa, tag, pb, pt, side in crossings]
 
 
 def test_pass_through_a_shared_corner_is_a_corner_hit():
@@ -368,6 +434,8 @@ NO_JOINS = ([], None)
          NO_JOINS)  # self-crossing on the line
 @example(_poly((Fraction(1, 2), -2), (Fraction(1, 2), 2)),
          _axis(1, [Fraction(0), ONE], MINUS_ONE, ONE), NO_JOINS)  # crossing horizontal lines
+@example(_poly((0, 0), (1, 0)), _axis(0, [TIED, THIRD], MINUS_ONE, ONE),
+         NO_JOINS)  # float-tied params, exact order against tag order
 def test_polyline_set_matches_poly_crossings(P, lines, joined):
     """One-member sets and the whole set equal the reference rules: the
     same crossings, tagged, with the same sides and, read by

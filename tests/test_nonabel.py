@@ -7,7 +7,7 @@ import pytest
 
 from specnet import nonabel
 from specnet.geometry import (
-    NonGenericGeometry, exact_point, twist_sign as _perm_sign, walk_sheets)
+    NonGenericGeometry, exact_param, exact_point, param_of, twist_sign as _perm_sign, walk_sheets)
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
@@ -70,7 +70,7 @@ def test_wall_crossing_matrices_unipotent(transports):
     zero = LaurentPoly.zero(transport.gens)
     one = LaurentPoly.constant(transport.gens, 1)
     for strand in transport.builder.strands:
-        param = (len(strand.polyline) - 2, Fraction(1, 2))
+        param = param_of(len(strand.polyline) - 2, Fraction(1, 2))
         m = transport.transport_short(strand.id, param, 1)
         n = [[m[i][j] - (one if i == j else zero) for j in range(transport.n)]
              for i in range(transport.n)]
@@ -220,14 +220,14 @@ def _wall_params(transport, strand, rng, per_segment):
     [bx - CAP_EPS, bx] the wall crosses."""
     params = [p for p, _, _ in strand.crossings]
     for i, (a, b) in enumerate(zip(strand.polyline, strand.polyline[1:])):
-        params += [(i, Fraction(rng.randint(1, 996), 997)) for _ in range(per_segment)]
+        params += [param_of(i, Fraction(rng.randint(1, 996), 997)) for _ in range(per_segment)]
         if a[0] == b[0]:
             continue
         for bx in transport.branch_xs:
             for x in [bx + CAP_EPS, bx - 2 * CAP_EPS] + [bx - CAP_EPS * k / 6 for k in range(7)]:
                 t = (x - a[0]) / (b[0] - a[0])
                 if 0 < t < 1:
-                    params.append((i, t))
+                    params.append(param_of(i, t))
     rng.shuffle(params)
     return params
 
@@ -400,7 +400,7 @@ def _matrix_product_transport(transport, poly):
         sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
         if len(sub) > 1:
             total = transport.matmul(transport.transport_free(sub), total)
-        total = transport.matmul(transport.transport_short(sid, pb, side), total)
+        total = transport.matmul(transport.transport_short(sid, exact_param(pb), side), total)
         prev_pt, prev_idx = pt, pa[0]
     sub = _dedupe([prev_pt] + poly[prev_idx + 1:])
     if len(sub) > 1:
@@ -438,9 +438,10 @@ def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):
             (Fraction(1789, 768), Fraction(-4843, 10752))]
     point = (Fraction(511, 256), Fraction(-255, 512))
     wall = transport.builder.strands[0]
-    hits = [(pb, exact_point(pt)) for _, sid, pb, pt, _ in transport.builder.walls.crossings(path)
-            if sid == 0]
-    assert hits == [((8, Fraction(1, 256)), point)]
-    assert (8, Fraction(1, 256)) in [param for param, letter, _ in wall.crossings if letter == 2]
+    hits = [(exact_param(pb), exact_point(pt))
+            for _, sid, pb, pt, _ in transport.builder.walls.crossings(path) if sid == 0]
+    assert hits == [(param_of(8, Fraction(1, 256)), point)]
+    assert param_of(8, Fraction(1, 256)) in [param for param, letter, _ in wall.crossings
+                                             if letter == 2]
     with pytest.raises(NonGenericGeometry, match="path crosses wall 0 where it crosses a weave line"):
         transport.transport_path(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import NonGenericGeometry, PolylineSet, transpose
+from specnet.geometry import NonGenericGeometry, PolylineSet, exact_param, transpose
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
@@ -169,10 +169,11 @@ def _reference_tests(engine):
     while y > engine.y_deep:
         lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
         y -= 1
-    # weave-line events line by line, each segment a set of its own
+    # weave-line events line by line, each segment a set of its own; a
+    # LiftedPiece takes its events sorted, so the merged lists are sorted
     segments = [PolylineSet([(seg.points, seg.letter)]) for seg in engine.obstacles]
-    events = [[(pa, letter, side) for one in segments
-               for pa, letter, _, _, side in one.crossings(poly)] for poly in lines]
+    events = [sorted((pa, letter, side) for one in segments
+                     for pa, letter, _, _, side in one.crossings(poly)) for poly in lines]
     return [LiftedPiece(poly, sheet, line_events, 1)
             for poly, line_events in zip(lines, events) for sheet in range(1, n + 1)]
 
@@ -198,7 +199,7 @@ def _reference_vector(chain, tests):
         for piece in chain:
             # side is the sign of (test tangent) x (piece tangent)
             for pa, _, pb, _pt, side in one.crossings(piece.polyline):
-                if _sheet_at(piece, pa) == _sheet_at(test, pb):
+                if _sheet_at(piece, pa) == _sheet_at(test, exact_param(pb)):
                     total -= piece.orientation * side
         vector.append(total)
     return vector
@@ -240,12 +241,18 @@ def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
 
 
 def test_open_chain_is_rejected(catalogs):
-    """A flowtree chain without its two caps ends off the marked points."""
+    """A flowtree chain without its two caps ends off the marked points.
+    The message names the loose ends as sorted (``Fraction`` point, sheet)
+    pairs, though the residue is keyed by integers."""
     engine = catalogs["mutation_a"].engine
     chain = engine.tree_chain(engine.basis_strands[0])
     engine._check_boundary(chain)
-    with pytest.raises(NonGenericGeometry, match="chain boundary off the marked points"):
-        engine._check_boundary(chain[:-2])
+    end = "(Fraction(1151, 384), Fraction(0, 1))"
+    for pieces, loose in ((chain[:-2], "[(%s, 1), (%s, 2)]" % (end, end)),
+                          (chain[:-3], "[((Fraction(5, 2), Fraction(-1, 2)), 1), (%s, 1)]" % end)):
+        with pytest.raises(NonGenericGeometry) as raised:
+            engine._check_boundary(pieces)
+        assert str(raised.value) == "chain boundary off the marked points: " + loose
 
 
 def test_pairing_outside_basis_span_is_rejected(catalogs):
