@@ -121,9 +121,9 @@ def _prepared(polyline):
     """The polyline's integer form (each point times the lcm s of its
     coordinates' denominators), s, and a float copy (x / s rounds correctly,
     so it equals float of the Fraction)."""
-    s = math.lcm(*(c.denominator for p in polyline for c in p))
-    ints = [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator))
-            for x, y in polyline]
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in polyline]
+    s = math.lcm(*(d for xy in ratios for _, d in xy))
+    ints = [(xn * (s // xd), yn * (s // yd)) for (xn, xd), (yn, yd) in ratios]
     return ints, s, [(x / s, y / s) for x, y in ints]
 
 

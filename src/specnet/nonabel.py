@@ -65,6 +65,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
@@ -297,20 +298,27 @@ class Transport:
         return out, sheets
 
     # ----- monodromy loops -----
+    @cached_property
+    def _segments(self) -> List[tuple]:
+        """Every segment (a, b, float a, float b) of the obstacles and the
+        strands, which are fixed once the forest is built."""
+        polys = [seg.points for seg in self.builder.obstacles]
+        polys += [s.polyline for s in self.builder.strands]
+        out = []
+        for pts in polys:
+            floats = [(float(x), float(y)) for x, y in pts]
+            out += zip(pts, pts[1:], floats, floats[1:])
+        return out
+
     def clearance(self, center: Point) -> Fraction:
         """Min distance from ``center`` to all segments not through it.
         Segments are met in order of their float distance, and exact ones
         are computed only while a float distance may still beat the least
         exact nonzero one (rounding moves a float distance far less than
         the 1e-9 slack)."""
-        polys = [seg.points for seg in self.builder.obstacles]
-        polys += [s.polyline for s in self.builder.strands]
         c = (float(center[0]), float(center[1]))
-        approx = []
-        for pts in polys:
-            floats = [(float(x), float(y)) for x, y in pts]
-            approx += [(math.sqrt(_seg_distance2(c, fa, fb)), a, b)
-                       for a, b, fa, fb in zip(pts, pts[1:], floats, floats[1:])]
+        approx = [(math.sqrt(_seg_distance2(c, fa, fb)), a, b)
+                  for a, b, fa, fb in self._segments]
         approx.sort(key=lambda entry: entry[0])
         best = None
         for distance, a, b in approx:

@@ -272,8 +272,16 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[com
     order.  Otherwise the sheets are recovered by ``_nearest_roots``
     (``poly_roots`` and greedy nearest matching), which raises
     RootCollision when the same test fails there.
+
+    Two and three sheets run ``_sheets_2`` and ``_sheets_3``, the loop of
+    ``_sheets_newton`` with its Horner evaluation written out; they give
+    the same bits.
     """
-    z = complex(z)
+    return _SHEET_KERNELS.get(len(seed), _sheets_newton)(curve, complex(z), seed)
+
+
+def _sheets_newton(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[complex]:
+    """``sheets_at`` for any number of sheets."""
     lead, *rest = curve.coeffs_at(z)
     roots = []
     worst = 0.0
@@ -299,6 +307,82 @@ def sheets_at(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[com
     if worst < 0.5 * _separation(roots):
         return roots
     return _nearest_roots(curve, z, seed)
+
+
+# The kernels start P' at the leading coefficient a where the loop starts it
+# at 0j * w + a.  a is 1 + 0j at a finite z (NaN in both at any other), so
+# the two are the same bits for finite w; a non-finite w makes P NaN in
+# both, and both end in _nearest_roots.
+
+def _sheets_2(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[complex]:
+    """``_sheets_newton`` for two sheets."""
+    a, b, c = curve.coeffs_at(z)
+    roots = []
+    worst = 0.0
+    for s in seed:
+        w = s
+        for _ in range(NEWTON_STEPS):
+            t = a * w
+            p = t + b
+            dp = t + p
+            p = p * w + c
+            if dp == 0:
+                return _nearest_roots(curve, z, seed)
+            step = p / dp
+            w -= step
+            if abs(step) <= NEWTON_TOL * (1 + abs(w)):
+                break
+        else:
+            return _nearest_roots(curve, z, seed)
+        roots.append(w)
+        d = abs(w - s)
+        if d > worst:
+            worst = d
+    if worst < 0.5 * abs(roots[0] - roots[1]):
+        return roots
+    return _nearest_roots(curve, z, seed)
+
+
+def _sheets_3(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[complex]:
+    """``_sheets_newton`` for three sheets."""
+    a, b, c, e = curve.coeffs_at(z)
+    roots = []
+    worst = 0.0
+    for s in seed:
+        w = s
+        for _ in range(NEWTON_STEPS):
+            t = a * w
+            p = t + b
+            dp = t + p
+            p = p * w + c
+            dp = dp * w + p
+            p = p * w + e
+            if dp == 0:
+                return _nearest_roots(curve, z, seed)
+            step = p / dp
+            w -= step
+            if abs(step) <= NEWTON_TOL * (1 + abs(w)):
+                break
+        else:
+            return _nearest_roots(curve, z, seed)
+        roots.append(w)
+        d = abs(w - s)
+        if d > worst:
+            worst = d
+    w0, w1, w2 = roots
+    sep = abs(w0 - w1)
+    d = abs(w0 - w2)
+    if d < sep:
+        sep = d
+    d = abs(w1 - w2)
+    if d < sep:
+        sep = d
+    if worst < 0.5 * sep:
+        return roots
+    return _nearest_roots(curve, z, seed)
+
+
+_SHEET_KERNELS = {2: _sheets_2, 3: _sheets_3}
 
 
 def _separation(roots) -> float:

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from specnet import nonabel
+from specnet.forest import build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry, exact_param, exact_point, param_of, twist_sign as _perm_sign, walk_sheets)
 from specnet.laurent import LaurentPoly
@@ -13,6 +15,7 @@ from specnet.nonabel import (
     LocalSystemRank1,
     Transport,
     _dedupe,
+    _rational_sqrt_floor,
     _winding,
     augmentation,
     chord_map,
@@ -22,7 +25,7 @@ from specnet.nonabel import (
 from specnet.soliton_bps import CAP_EPS, HomologyEngine, LiftedPiece
 from specnet.weave import bend_weave, parse_weave
 
-from conftest import EXAMPLES, random_weave_builders
+from conftest import EXAMPLES, random_weave_builders, random_weave_texts
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,54 @@ def test_joint_monodromy_identity_quick(transports):
     assert transport.builder.joints
     for joint in transport.builder.joints:
         assert transport.is_identity(transport.joint_monodromy(joint))
+
+
+def _exact_clearances(builder, centers):
+    """At each center, the least exact distance to a segment of an obstacle
+    or a strand that does not pass through it, by brute force in integers
+    (every point times the lcm s of all denominators), floored as
+    ``clearance`` floors it."""
+    polys = [seg.points for seg in builder.obstacles] + [s.polyline for s in builder.strands]
+    s = math.lcm(*(c.denominator for pts in polys + [centers] for p in pts for c in p))
+    segments = []
+    for pts in polys:
+        ints = [(int(x * s), int(y * s)) for x, y in pts]
+        segments += zip(ints, ints[1:])
+    out = []
+    for cx, cy in centers:
+        px, py = int(cx * s), int(cy * s)
+        best = None
+        for (ax, ay), (bx, by) in segments:
+            dx, dy, ex, ey = bx - ax, by - ay, px - ax, py - ay
+            dot, length2 = ex * dx + ey * dy, dx * dx + dy * dy
+            if dot <= 0:
+                d2 = Fraction(ex * ex + ey * ey)
+            elif dot >= length2:
+                d2 = Fraction((px - bx) ** 2 + (py - by) ** 2)
+            else:
+                d2 = Fraction((ex * dy - ey * dx) ** 2, length2)
+            if d2 and (best is None or d2 < best):
+                best = d2
+        out.append(_rational_sqrt_floor(best / (s * s)))
+    return out
+
+
+def test_clearance_equals_exact_minimum(builders):
+    """``clearance``'s float-ordered search with its early stop gives the
+    brute-force exact minimum at every branch point and joint of the
+    fixtures and of the seed-7 corpus weaves that build."""
+    built = list(builders.values())
+    for text in random_weave_texts(7, 400):
+        try:
+            built.append(build_forest_strands(bend_weave(parse_weave(text))))
+        except RuntimeError:
+            continue
+    assert len(built) == 5 + 162
+    for builder in built:
+        transport = Transport(builder)
+        centers = [v.point for v in builder.weave.trivalent_vertices()]
+        centers += [tuple(joint["point"]) for joint in builder.joints]
+        assert [transport.clearance(c) for c in centers] == _exact_clearances(builder, centers)
 
 
 def test_wall_crossing_matrices_unipotent(transports):

@@ -197,6 +197,72 @@ def test_sheets_at_returns_python_complex(monkeypatch):
         assert np.allclose(vals, [1, -1], rtol=0, atol=1e-12)
 
 
+# ----- the two- and three-sheet kernels against the loop -----
+
+def _sheets_outcome(fn, curve, z, seed):
+    """The sheets ``fn`` returns, as the hex of each real and imaginary part,
+    or the message of the RootCollision it raises."""
+    try:
+        return [(v.real.hex(), v.imag.hex()) for v in fn(curve, z, seed)]
+    except RootCollision as err:
+        return "RootCollision: %s" % err
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A curve of 2 or 3 sheets with small random integer coefficients, z
+    near one of its branch points or anywhere up to 1e3 (sometimes an int),
+    and a seed: the roots at a nearby z in random order, with one seed value
+    repeated (collision), moved to a critical point of P(z, .) (P' = 0 for
+    two sheets, w = 0 when the w coefficient vanishes for three) or all
+    moved 1e3 away (no convergence)."""
+    n = draw(st.sampled_from([2, 3]))
+    small = st.integers(-3, 3)
+    terms = ["%d*w^%d" % (draw(st.integers(1, 3)), n)]
+    for k in range(n):
+        row = draw(st.lists(small, min_size=1, max_size=3))
+        terms.append("(%s)*w^%d" % (" + ".join("(%d)*z^%d" % (c, j) for j, c in enumerate(row)), k))
+    try:
+        curve = SpectralCurve(" + ".join(terms))
+    except CurveError:
+        assume(False)
+    if draw(st.booleans()):
+        z = complex(draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000)))
+        if z.imag == 0 and draw(st.booleans()):
+            z = int(z.real)
+    else:
+        branch = poly_roots([complex(c) for c in curve.disc]) or [0j]
+        b = draw(st.sampled_from(branch))
+        z = b + 10 ** draw(st.floats(-9, 0)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+    near = complex(z) + 10 ** draw(st.floats(-9, -1)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+    vals = [curve.roots_at(near)[k] for k in draw(st.permutations(range(n)))]
+    kind = draw(st.sampled_from(["near", "duplicate", "critical", "far"]))
+    k = draw(st.integers(0, n - 1))
+    if kind == "duplicate":
+        vals[k] = vals[(k + 1) % n]
+    elif kind == "critical":
+        vals[k] = -curve.coeffs_at(complex(z))[1] / 2 if n == 2 else 0j
+    elif kind == "far":
+        vals = [v + 1e3 * cmath.exp(1j * draw(st.floats(0, 2 * math.pi))) for v in vals]
+    return curve, z, vals
+
+
+@seed(20261019)
+@settings(max_examples=800, deadline=None)
+@given(case=_kernel_cases())
+@example(case=(SpectralCurve("w^2 - z"), 2, [0j, 1.4 + 0j]))  # P' = 2w is 0 at the seed 0
+@example(case=(SpectralCurve("w^3 - z"), 1, [0j, 1 + 0j, -0.5 + 0.8j]))  # P' = 3w^2 at 0
+@example(case=(SpectralCurve("w^3 - 3*w + x"), 0.3, [1.7 + 0j, 1.7 + 0j, -1.9 + 0j]))
+@example(case=(SpectralCurve("w^3 - 3*w + x"), 0.3, [900j, -900j, 900 + 0j]))
+def test_sheet_kernels_match_the_loop(case):
+    """``sheets_at`` on two and three sheets, which runs ``_sheets_2`` and
+    ``_sheets_3``, gives the same bits as the loop ``_sheets_newton``, or
+    the same RootCollision, through every fallback to ``_nearest_roots``."""
+    curve, z, seed_vals = case
+    assert _sheets_outcome(sheets_at, curve, z, seed_vals) == \
+        _sheets_outcome(wkb._sheets_newton, curve, complex(z), seed_vals)
+
+
 def test_initial_rays_do_not_depend_on_the_sign_of_c(monkeypatch):
     """c and -c give the same seeds, at real and complex branch points."""
     coefficient = wkb._local_coefficient
