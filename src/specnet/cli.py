@@ -204,13 +204,17 @@ def _gen_names(text: str):
 
 def _config_flags(path: str):
     """The ``key = value`` lines of a config file as ``--key=value`` flags;
-    blank lines and ``#`` comments are skipped."""
+    blank lines and ``#`` comments are skipped, and any other line without
+    ``=`` is an error."""
     flags = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                key, _, value = line.partition("=")
+                key, equals, value = line.partition("=")
+                if not equals:
+                    raise ValueError("config file %s line %d is not key = value: %r"
+                                     % (path, number, line))
                 flags.append("--%s=%s" % (key.strip().replace("_", "-"), value.strip()))
     return flags
 

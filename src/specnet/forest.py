@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .braid import BraidWord, demazure_product
+from .braid import BraidWord, demazure_product, length
 from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_param, exact_point,
                        transpose, walk_sheets)
 from .network import SpectralNetwork, compose_labels
@@ -257,6 +257,6 @@ def build_forest_strands(bent: BentWeave) -> ForestBuilder:
     """Grow the forest once.  The weave's bottom must be a reduced word; a
     non-generic coincidence raises NonGenericGeometry."""
     bottom = BraidWord(bent.strand_count, bent.weave.bottom)
-    if demazure_product(bottom).length() != len(bottom):
+    if length(demazure_product(bottom)) != len(bottom):
         raise ValueError("weave bottom %s is not a reduced word" % bottom)
     return ForestBuilder(bent).build()

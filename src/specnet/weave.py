@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .braid import BraidWord, label_chords
+from .braid import BraidWord
 from .geometry import Point
 
 
@@ -233,28 +233,28 @@ class BentWeave:
         m = len(bottom)
         depth = len(weave.moves)
         self.boundary_word = BraidWord(n, weave.top + bottom)
-        labeling = label_chords(BraidWord(n, weave.top), BraidWord(n, bottom))
-        self.chord_names: List[str] = list(labeling.beta_chords) + list(labeling.delta_chords)
-        # Bending traverses the bottom edge in reverse boundary order, so the
-        # bottom letter p surfaces at the (p+1)-th rightmost top position and
-        # is named w_{p+1}: left-to-right the bent chords read w_m ... w_1.
+        # One chord per boundary crossing, named right to left within each
+        # word: the top reads z_top_len ... z_1.  Bending traverses the bottom
+        # edge in reverse boundary order, so the bottom letter p surfaces at
+        # the (p+1)-th rightmost top position and is named w_{p+1}:
+        # left-to-right the bent chords read w_m ... w_1.
+        self.chord_names: List[str] = (["z_%d" % k for k in range(top_len, 0, -1)]
+                                       + ["w_%d" % k for k in range(m, 0, -1)])
         wall_margin = Fraction(max(top_len, max((len(s) for s in weave.slices), default=1)) + 2)
         self.bent_segments: List[Segment] = []
-        self.top_positions: Dict[str, Fraction] = {}
-        for q in range(1, top_len + 1):
-            self.top_positions[labeling.beta_chords[q - 1]] = Fraction(q)
+        self.top_positions: Dict[str, Fraction] = {
+            "z_%d" % (top_len + 1 - q): Fraction(q) for q in range(1, top_len + 1)}
         next_id = len(weave.segments)
         for p in range(m):  # p: 0-based bottom-slice position
             drop = Fraction(depth + 1 + (m - 1 - p))
             x_up = wall_margin + (m - 1 - p)
-            name = labeling.delta_chords[m - 1 - p]
             seg = Segment(
                 next_id, bottom[p],
                 [(x_up, Fraction(0)), (x_up, -drop), (Fraction(p + 1), -drop),
                  (Fraction(p + 1), Fraction(-depth))],
                 ("top", x_up), ("slot", depth, p + 1))
             self.bent_segments.append(seg)
-            self.top_positions[name] = x_up
+            self.top_positions["w_%d" % (p + 1)] = x_up
             next_id += 1
         self.marked_x = wall_margin + m  # marked points sit right of every chord
 

@@ -442,10 +442,6 @@ class TracedWall:
     asymptote: str  # "radius" | "cutoff"
     origin: tuple
 
-    @property
-    def mass(self) -> float:
-        return abs(self.charges[-1])
-
     def pair_values_at(self, index: int, frac: float,
                        curve: SpectralCurve) -> Tuple[complex, complex, List[complex]]:
         """Sheet-pair values at a point interpolated inside segment ``index``."""

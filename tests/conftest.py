@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from specnet.braid import BraidWord, demazure_product
+from specnet.braid import BraidWord, demazure_product, length
 from specnet.forest import build_forest_strands
 from specnet.weave import Move, _apply_move, bend_weave, parse_weave
 
@@ -39,7 +39,7 @@ def random_weave_texts(seed, draws):
             move = Move(*rng.choice(spots))
             moves.append("%s%d" % (move.kind, move.position))
             word = _apply_move(word, move)
-        if demazure_product(BraidWord(3, word)).length() == len(word):
+        if length(demazure_product(BraidWord(3, word))) == len(word):
             yield "n=3\ntop: %s\nmoves: %s" % (" ".join(map(str, top)), " ".join(moves))
 
 

@@ -4,18 +4,30 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.braid import (
-    BraidWord,
-    Permutation,
-    demazure_product,
-    label_chords,
-    reduced_word,
-)
+from specnet.braid import BraidWord, demazure_product, length
+from specnet.weave import bend_weave, parse_weave
+
+
+def reduced_word(perm):
+    """One reduced word for the permutation with images ``perm``
+    (leftmost-descent greedy)."""
+    n = len(perm)
+    images = list(perm)
+    letters = []
+    # Sort images back to identity by adjacent swaps recorded right-to-left.
+    while images != list(range(1, n + 1)):
+        for i in range(n - 1):
+            if images[i] > images[i + 1]:
+                images[i], images[i + 1] = images[i + 1], images[i]
+                letters.append(i + 1)
+                break
+    letters.reverse()
+    return BraidWord(n, tuple(letters))
 
 
 # ----- independent oracle: exhaustive 0-Hecke multiplication in S_n -----
 
-def hecke_oracle(word: BraidWord) -> Permutation:
+def hecke_oracle(word: BraidWord):
     n = word.strand_count
     perm = tuple(range(1, n + 1))
 
@@ -29,7 +41,7 @@ def hecke_oracle(word: BraidWord) -> Permutation:
 
     for letter in word.letters:
         perm = apply(perm, letter)
-    return Permutation(perm)
+    return perm
 
 
 def test_letters_must_be_in_range():
@@ -43,10 +55,10 @@ def test_letters_must_be_in_range():
 
 
 def test_demazure_examples():
-    assert demazure_product(BraidWord(2, (1, 1))) == Permutation((2, 1))
-    assert demazure_product(BraidWord(3, ())).is_identity()
+    assert demazure_product(BraidWord(2, (1, 1))) == (2, 1)
+    assert demazure_product(BraidWord(3, ())) == (1, 2, 3)
     w0 = demazure_product(BraidWord(3, (2, 1, 2, 1, 2, 1, 2)))
-    assert w0 == Permutation((3, 2, 1))
+    assert w0 == (3, 2, 1)
 
 
 words = st.integers(3, 5).flatmap(
@@ -99,27 +111,20 @@ def test_demazure_idempotence(data):
 
 def test_reduced_word_round_trip():
     for images in itertools.permutations(range(1, 5)):
-        perm = Permutation(images)
-        word = reduced_word(perm)
-        assert len(word) == perm.length()
-        assert demazure_product(word) == perm
+        word = reduced_word(images)
+        assert len(word) == length(images)
+        assert demazure_product(word) == images
 
 
-def test_label_chords_examples():
-    beta = BraidWord(2, (1,) * 6)
-    labeling = label_chords(beta, BraidWord(2, (1,)))
-    assert labeling.beta_chords == ("z_6", "z_5", "z_4", "z_3", "z_2", "z_1")
-    assert labeling.delta_chords == ("w_1",)
+def test_chord_names_examples():
+    bent = bend_weave(parse_weave("n=2\ntop: 1 1 1 1 1 1\nmoves: t5 t3 t2 t1 t1"))
+    assert bent.chord_names[:-1] == ["z_6", "z_5", "z_4", "z_3", "z_2", "z_1"]
+    assert bent.chord_names[-1:] == ["w_1"]
 
-    beta = BraidWord(3, (2, 1, 2, 1, 2, 1, 2))
-    labeling = label_chords(beta, BraidWord(3, (1, 2, 1)))
-    assert labeling.beta_chords[0] == "z_7"
-    assert labeling.beta_chords[-1] == "z_1"
-    assert labeling.delta_chords == ("w_3", "w_2", "w_1")
+    bent = bend_weave(parse_weave("n=3\ntop: 2 1 2 1 2 1 2\nmoves: h1 t3 h2 t1 t3 h2 t1"))
+    assert bent.weave.bottom == (1, 2, 1)
+    assert bent.chord_names[0] == "z_7"
+    assert bent.chord_names[6] == "z_1"
+    assert bent.chord_names[7:] == ["w_3", "w_2", "w_1"]
 
-    empty = BraidWord(2, ())
-    labeling = label_chords(empty, empty)
-    assert labeling.beta_chords == () and labeling.delta_chords == ()
-
-    with pytest.raises(ValueError):
-        label_chords(BraidWord(2, (1,)), BraidWord(3, (1,)))
+    assert bend_weave(parse_weave("n=2\ntop:\nmoves:")).chord_names == []

@@ -335,6 +335,19 @@ def test_config_file_naming_another_fails(tmp_path, capsys):
                                        "names another config file\n" % config)
 
 
+def test_config_line_without_equals_fails(tmp_path, capsys):
+    """A bare key would be read as an empty value: ``out`` alone would
+    drop --out and print the table instead of writing the file."""
+    config = tmp_path / "run.cfg"
+    config.write_text("# comment\n\nformat = json\nout\n")
+    out = tmp_path / "r.json"
+    assert main(["augmentation", "mutation_a", "--out", str(out),
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", "error [augmentation]: config file %s line 4 "
+                                       "is not key = value: 'out'\n" % config)
+    assert not out.exists()
+
+
 def _readme_flag_table():
     """{subcommand: set of --flags} from README's flag table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

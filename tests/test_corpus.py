@@ -1,8 +1,10 @@
 """The forest on a seeded random weave corpus: which weaves it rejects, by
 name, and the invariants every built weave must meet."""
 
+import random
+
 from specnet.forest import build_forest_strands
-from specnet.nonabel import Transport
+from specnet.nonabel import Transport, homotopic_pair
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import random_weave_texts
@@ -51,7 +53,8 @@ def test_random_corpus_rejections_and_invariants():
     """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
     of them and rejects exactly the 31 in REJECTED.  On each built weave of
     at most STRAND_CAP strands (128 weaves), every branch and joint
-    monodromy is the identity and the BPS recursion equals brute force."""
+    monodromy is the identity, the BPS recursion equals brute force and
+    two seeded homotopic path pairs transport alike."""
     texts = list(random_weave_texts(7, 400))
     assert len(texts) == 193
     rejected, checked = [], 0
@@ -68,6 +71,10 @@ def test_random_corpus_rejections_and_invariants():
         loops += [transport.joint_monodromy(joint) for joint in builder.joints]
         assert all(transport.is_identity(m) for m in loops), text
         assert transport.catalog.bps_table() == transport.catalog.bps_table_bruteforce(), text
+        rng = random.Random("corpus:%d" % index)
+        for _ in range(2):
+            p, q = homotopic_pair(transport, rng)
+            assert transport.transport_path(p) == transport.transport_path(q), text
         checked += 1
     assert [entry[:2] for entry in rejected] == [entry[:2] for entry in REJECTED]
     assert all(message.startswith(prefix)

@@ -497,7 +497,7 @@ def _network_record(net):
     kinds = sorted((v.id, v.kind) for v in net.vertices.values())
     walls = sorted((w.id, w.label, w.source, w.target) for w in net.walls.values())
     samples = [len(w.points) for w in net.traced]
-    masses = [w.mass for w in net.traced]
+    masses = [abs(w.charges[-1]) for w in net.traced]
     return kinds, walls, samples, masses
 
 
