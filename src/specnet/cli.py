@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 from typing import Dict, Optional
@@ -21,7 +20,7 @@ from typing import Dict, Optional
 from .forest import build_forest_strands
 from .laurent import LaurentPoly, parse_laurent
 from .network import network_doc, network_to_json, to_json
-from .nonabel import LocalSystemRank1, Transport, augmentation
+from .nonabel import Transport, augmentation
 from .soliton_bps import SolitonCatalog
 from .svg import export_svg
 from .weave import bend_weave, parse_weave
@@ -100,27 +99,14 @@ def cmd_nonabelianize(args) -> int:
     bent = _load_weave(args.input)
     builder = build_forest_strands(bent)
     transport = Transport(builder)
-    rng = random.Random(args.seed)
-    loops = [("branch", v.id, transport.branch_monodromy(v.id))
+    # decided exactly: an identity matrix is the identity under every local system
+    loops = [("branch", v.id, transport.is_identity(transport.branch_monodromy(v.id)))
              for v in builder.weave.trivalent_vertices()]
-    loops += [("joint", j["child"], transport.joint_monodromy(j))
+    loops += [("joint", j["child"], transport.is_identity(transport.joint_monodromy(j)))
               for j in builder.joints]
-    systems = [LocalSystemRank1.random(transport, rng)
-               for _ in range(args.systems)]
-    failures = 0
-    lines = []
-    for kind, ident, matrix in loops:
-        exact = transport.is_identity(matrix)
-        numeric = all(
-            ls.evaluate(matrix[i][j]) == (1 if i == j else 0)
-            for ls in systems
-            for i in range(transport.n) for j in range(transport.n))
-        ok = exact and numeric
-        failures += not ok
-        lines.append("%s %-3s monodromy: %s" %
-                     (kind, ident, "identity" if ok else "NOT IDENTITY"))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failures else 0
+    _emit("\n".join("%s %-3s monodromy: %s" % (kind, ident, "identity" if ok else "NOT IDENTITY")
+                    for kind, ident, ok in loops) + "\n", args.out)
+    return 0 if all(ok for _, _, ok in loops) else 1
 
 
 def cmd_bps(args) -> int:
@@ -261,9 +247,10 @@ def main(argv=None) -> int:
     weave_command("augmentation", "chord augmentation table", cmd_augmentation)
     p = weave_command("nonabelianize", "monodromy identity report",
                       cmd_nonabelianize, formats=())
-    p.add_argument("--systems", type=int, default=20,
-                   help="random rank-1 local systems to evaluate")
-    p.add_argument("--seed", type=int, default=0)
+    # the report is decided exactly; these two are still accepted for old
+    # command lines, until ROADMAP item 1 deletes them
+    p.add_argument("--systems", type=int, default=20, help="no effect")
+    p.add_argument("--seed", type=int, default=0, help="no effect")
     weave_command("bps", "BPS index table", cmd_bps)
     p = sub.add_parser("wkb-trace", help="trace a polynomial spectral curve")
     p.add_argument("--curve", required=True, help='e.g. "w^3 - 3*w + x"')

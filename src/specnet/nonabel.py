@@ -72,7 +72,7 @@ from .forest import ForestBuilder, build_forest_strands
 from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_param, exact_point,
                        interp, param_of, walk_sheets)
 from .laurent import LaurentPoly
-from .soliton_bps import CAP_EPS, LiftedPiece, SolitonCatalog, tree_of_strand
+from .soliton_bps import CAP_EPS, LiftedPath, SolitonCatalog, tree_of_strand
 
 # free transports a Transport keeps; past it the oldest goes.  About four
 # times the 65 a fixture keeps in a 30 s transport_paths benchmark run.
@@ -104,9 +104,6 @@ class Transport:
         self._wall_cuts: Dict[int, List[Param]] = {}
         self._coefficients: Dict[tuple, LaurentPoly] = {}  # (wall, interval) -> value
         self._free: Dict[tuple, tuple] = {}  # homotopy key -> free factor, end sheets
-        # each generator's nonzero (row, exponent) entries of the class matrix
-        self.generator_rows = [[(row, e) for row, e in enumerate(column) if e]
-                               for column in zip(*self.engine.matrix)]
 
     # ----- ring helpers -----
     def identity(self) -> List[List[LaurentPoly]]:
@@ -129,13 +126,7 @@ class Transport:
         return out
 
     def is_identity(self, m) -> bool:
-        one = LaurentPoly.constant(self.gens, 1)
-        return all(m[i][j] == (one if i == j else LaurentPoly.zero(self.gens))
-                   for i in range(self.n) for j in range(self.n))
-
-    def _chain_monomial(self, pieces, coeff=1) -> LaurentPoly:
-        cyc, arc = self.engine.class_of_chain(pieces)
-        return _monomial(self.gens, cyc, arc, coeff)
+        return [list(row) for row in m] == self.identity()
 
     # ----- elementary matrices -----
     def transport_free(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
@@ -155,7 +146,7 @@ class Transport:
     def cap_sheets(self, point: Point) -> Tuple[int, ...]:
         """The sheet permutation of the cap at ``point``: sheet s there
         reaches sheet ``[s - 1]`` at the marked point."""
-        cap = self.engine.cap(tuple(point), 1, 1)
+        cap = self.engine.cap(tuple(point))
         return walk_sheets(tuple(range(1, self.n + 1)), cap.events)[0]
 
     def free_factor(self, poly: Sequence[Point], sheets: Tuple[int, ...]):
@@ -166,14 +157,14 @@ class Transport:
         key = self._free_key(poly, events, sheets)
         found = self._free.get(key)
         if found is None:
-            path = LiftedPiece(poly, 1, events, 1)
+            path = LiftedPath(poly, events)
             factor = []
             for start in range(1, self.n + 1):
-                (sheet,), sign = walk_sheets((start,), path.events)
-                chain = [path.relift(start, 1),
-                         self.engine.cap(tuple(poly[0]), start, -1),
-                         self.engine.cap(tuple(poly[-1]), sheet, 1)]
-                factor.append((sheet, self._chain_monomial(chain, sign)))
+                (sheet,), sign = walk_sheets((start,), events)
+                chain = [(path, start, 1), (self.engine.cap(tuple(poly[0])), start, -1),
+                         (self.engine.cap(tuple(poly[-1])), sheet, 1)]
+                cyc, arc = self.engine.class_of_chain(chain)
+                factor.append((sheet, _monomial(self.gens, cyc, arc, sign)))
             found = tuple(factor), self.cap_sheets(poly[-1])
             if key is not None:
                 if len(self._free) >= MAX_FREE_KEYS:
@@ -208,9 +199,9 @@ class Transport:
         by the rule a path crossing does, up to the piece's end (the root's
         end is ``param``).  These are the unique values making transport
         around every branch point and every joint the identity."""
-        tree = tree_of_strand(self.builder, sid)
-        sign = math.prod(1 if joint["twist"] else -1 for joint in tree.joints)
-        for pid, end in tree.pieces:
+        pieces, joints = tree_of_strand(self.builder, sid)
+        sign = math.prod(1 if joint["twist"] else -1 for joint in joints)
+        for pid, end in pieces:
             strand = self.builder.strands[pid]
             sign *= walk_sheets(strand.start_label, strand.crossings, end or param)[1]
         return sign
@@ -403,6 +394,14 @@ def _winding(loop: Sequence[Point], pt: Point) -> int:
     return total
 
 
+def _folds(points: Sequence[Point]) -> bool:
+    """Whether the path through ``points`` turns back at a vertex b: b is on
+    the line through its neighbours a and c but not between them."""
+    return any((ax - bx) * (cy - by) == (ay - by) * (cx - bx)
+               and (ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0
+               for (ax, ay), (bx, by), (cx, cy) in zip(points, points[1:], points[2:]))
+
+
 def network_punctures(builder: ForestBuilder) -> List[Point]:
     """Points a path homotopy must not sweep across: all weave vertices and
     joints, every free end of a weave line or wall, and the marked point."""
@@ -423,7 +422,10 @@ def homotopic_pair(transport: Transport, rng: random.Random):
     The first path has 3 interior vertices.  The second is produced from it
     by 6 vertex insertions or vertex moves, each move's swept quadrilateral
     having winding number zero around every puncture, so equality of the
-    two transport matrices is forced.
+    two transport matrices is forced.  A point or move that would fold
+    either path back on itself is drawn again: a fold can meet one
+    weave-line point from two segments.  An insertion lands strictly inside
+    a segment and cannot fold.
     """
     interior, moves = 3, 6
     builder = transport.builder
@@ -440,7 +442,11 @@ def homotopic_pair(transport: Transport, rng: random.Random):
         return (lo[0] + (hi[0] - lo[0]) * Fraction(rng.randint(1, den - 1), den),
                 lo[1] + (hi[1] - lo[1]) * Fraction(rng.randint(1, den - 1), den))
 
-    path = [rand_point() for _ in range(interior + 2)]
+    path: List[Point] = []
+    while len(path) < interior + 2:
+        q = rand_point()
+        if not _folds(path[-2:] + [q]):
+            path.append(q)
     other = list(path)
     done = 0
     attempts = 0
@@ -466,6 +472,8 @@ def homotopic_pair(transport: Transport, rng: random.Random):
             if any(_winding(quad, p) for p in near):
                 continue
         except NonGenericGeometry:
+            continue
+        if _folds(other[max(k - 2, 0): k] + [q] + other[k + 1: k + 3]):
             continue
         other[k] = q
         done += 1
@@ -499,9 +507,9 @@ class LocalSystemRank1:
             num = rng.randint(1, 5) * rng.choice([1, -1])
             units.append((num, rng.randint(1, 5)))
         values = {}
-        for name, entries in zip(transport.gens, transport.generator_rows):
+        for name, column in zip(transport.gens, zip(*transport.engine.matrix)):
             num = den = 1
-            for row, exponent in entries:
+            for row, exponent in enumerate(column):
                 top, bottom = units[row] if exponent > 0 else units[row][::-1]
                 num *= top ** abs(exponent)
                 den *= bottom ** abs(exponent)

@@ -15,7 +15,6 @@ which propagates to the caller; nothing here or in transport retries.
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -45,37 +44,26 @@ BIRTH_PARAM: Param = param_of(0, Fraction(1, 997))
 CAP_EPS = Fraction(1, 2 ** 24)
 
 
-class LiftedPiece:
-    """An oriented path on the surface: base polyline + evolving sheet.
+class LiftedPath:
+    """A base polyline and its sorted weave-line crossings (param, letter,
+    side).  A chain lifts it as the triple (path, start sheet, orientation):
+    the sheet before the first event, and the sign of the triple's
+    contribution to pairings and boundary.  ``pairings`` holds the path's
+    test-curve pairings for every start sheet, filled by
+    ``PairingLines.pairing``."""
 
-    ``events`` is a sorted list of weave-line crossings (param, letter,
-    side); the local sheet before the first event is ``start_sheet``.
-    ``orientation`` multiplies this piece's contribution to intersection
-    pairings and its boundary.  ``pairings`` memoizes the path's test-curve
-    pairings for every start sheet; copies made by ``relift`` share it.
-    """
+    __slots__ = ("polyline", "events", "pairings")
 
-    def __init__(self, polyline, start_sheet: int, events, orientation: int):
+    def __init__(self, polyline, events):
         self.polyline = list(polyline)
-        self.start_sheet = start_sheet
         self.events = events
-        self.orientation = orientation
-        self.pairings: Dict["PairingLines", list] = {}
-
-    def relift(self, start_sheet: int, orientation: int) -> "LiftedPiece":
-        """The same path and events, lifted from another start sheet."""
-        twin = copy.copy(self)
-        twin.start_sheet, twin.orientation = start_sheet, orientation
-        return twin
-
-    def end_sheet(self) -> int:
-        return walk_sheets((self.start_sheet,), self.events)[0][0]
+        self.pairings = None
 
 
 class PairingLines:
     """Test curves: segments, each lifted to every sheet.  Row
     ``line * n + sheet - 1`` of the pairing matrix is the lift of the
-    ``line``-th segment starting on ``sheet``.  A piece's crossings with all
+    ``line``-th segment starting on ``sheet``.  A path's crossings with all
     the lines are found in one query and read off for all n lifts at once.
     """
 
@@ -91,26 +79,25 @@ class PairingLines:
             self.records.append((k * n - 1, [param for param, _, _ in events], inverses))
         self.rows = len(lines) * n
 
-    def pairing(self, piece: LiftedPiece) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """The rows of the test lifts the piece meets and its pairings with
-        them, before its orientation is applied; computed once for all
-        start sheets."""
-        if self not in piece.pairings:
-            params = [p for p, _, _ in piece.events]
-            perms = sheet_prefixes(piece.events, self.n)
+    def pairing(self, path: LiftedPath) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Per start sheet, the rows of the test lifts the path's lift
+        meets and its pairings with them, before the orientation is
+        applied; computed once."""
+        if path.pairings is None:
+            params = [p for p, _, _ in path.events]
+            perms = sheet_prefixes(path.events, self.n)
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
-            for pa, k, pb, _, side in self.lines.crossings(piece.polyline):
+            for pa, k, pb, _, side in self.lines.crossings(path.polyline):
                 base, keys, inverses = self.records[k]
                 inverse = inverses[bisect_left(keys, exact_param(pb))]
                 perm = perms[bisect_left(params, pa)]
                 for total, sheet in zip(totals, perm[1:]):
                     row = base + inverse[sheet]
-                    # side is (line tangent) x (piece tangent); the pairing
-                    # counts (piece tangent) x (line tangent)
+                    # side is (line tangent) x (path tangent); the pairing
+                    # counts (path tangent) x (line tangent)
                     total[row] = total.get(row, 0) - side
-            piece.pairings[self] = [(tuple(total), tuple(total.values()))
-                                    for total in totals]
-        return piece.pairings[self][piece.start_sheet - 1]
+            path.pairings = [(tuple(total), tuple(total.values())) for total in totals]
+        return path.pairings
 
 
 @dataclass(frozen=True)
@@ -143,30 +130,22 @@ def quadratic_refinement(exponents) -> int:
     return sum(x * (x - 1) // 2 for x in exponents)
 
 
-@dataclass
-class D4Tree:
-    """Rooted flowtree of a wall: the wall plus recursive parent segments."""
-
-    root_strand: int
-    pieces: List[tuple]  # (strand_id, end_param or None) in discovery order
-    joints: List[dict]
-
-
-def tree_of_strand(builder: ForestBuilder, strand_id: int) -> D4Tree:
+def tree_of_strand(builder: ForestBuilder, strand_id: int) -> Tuple[List[tuple], List[dict]]:
+    """A wall's flowtree (D4-tree): its pieces (strand id, end param; None
+    for the root) in discovery order, and the joints where they meet."""
     pieces: List[tuple] = []
-    used_joints: List[dict] = []
+    joints: List[dict] = []
 
     def collect(sid: int, end_param):
         pieces.append((sid, end_param))
-        strand = builder.strands[sid]
-        if strand.origin[0] == "joint":
+        if builder.strands[sid].origin[0] == "joint":
             joint = builder.born_at[sid]
-            used_joints.append(joint)
+            joints.append(joint)
             for pid in joint["parents"]:
                 collect(pid, joint["params"][pid])
 
     collect(strand_id, None)
-    return D4Tree(strand_id, pieces, used_joints)
+    return pieces, joints
 
 
 class HomologyEngine:
@@ -191,7 +170,7 @@ class HomologyEngine:
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
-        self._recent_caps: Dict[tuple, LiftedPiece] = {}  # by point_key
+        self._recent_caps: Dict[tuple, LiftedPath] = {}  # by point_key
         # basis: cycle classes s_1..s_l, then boundary-arc classes through
         # the marked points t_1..t_n (these may satisfy relations; Gaussian
         # elimination prefers the s-columns, so arc usage is minimized)
@@ -219,30 +198,29 @@ class HomologyEngine:
                             self.builder, n)
 
     # ----- chains -----
-    def cap(self, start: Point, start_sheet: int, orientation: int) -> LiftedPiece:
-        """A path from ``start`` to the marked point.  It depends on
-        ``start`` alone, so caps at the few most recent starts share their
-        weave-line events and test-curve pairings.  A path transport caps
-        an interior wall crossing point at most 2n + 3 times, with at most
-        one other point between two of them: a free-transport miss caps its
-        sub-path's two ends alternately, n times each, ``cap_sheets`` caps
-        the end once more, and a Stokes miss caps the point twice.  A memo
-        hit caps nothing."""
+    def cap(self, start: Point) -> LiftedPath:
+        """The path from ``start`` to the marked point, kept for the few
+        most recent starts with its weave-line events and test-curve
+        pairings.  A path transport caps an interior wall crossing point at
+        most 2n + 3 times, with at most one other point between two of
+        them: a free-transport miss caps its sub-path's two ends
+        alternately, n times each, ``cap_sheets`` caps the end once more,
+        and a Stokes miss caps the point twice.  A memo hit caps nothing."""
         key = point_key(start)
         cap = self._recent_caps.pop(key, None)
         if cap is None:
             poly = self.cap_polyline(start)
-            cap = LiftedPiece(poly, 1, self.builder.events_along(poly), 1)
+            cap = LiftedPath(poly, self.builder.events_along(poly))
         self._recent_caps[key] = cap
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
-        return cap.relift(start_sheet, orientation)
+        return cap
 
     def cap_polyline(self, start: Point) -> List[Point]:
         """The base path of every cap at ``start``."""
         return [start, (start[0] + CAP_EPS, -CAP_EPS / 2), self.marked]
 
-    def _strand_lifts(self, sid: int, end_param: Optional[Param]) -> List[LiftedPiece]:
+    def _strand_lifts(self, sid: int, end_param: Optional[Param]) -> List[tuple]:
         """Both lifts of a strand, cut at ``end_param`` (default: its end)."""
         strand = self.builder.strands[sid]
         end = end_param or param_of(len(strand.polyline) - 2, Fraction(1))
@@ -251,11 +229,11 @@ class HomologyEngine:
         events = [(param_of(i0, p[2] / t0) if p[0] == i0 else p, letter, side)
                   for p, letter, side in strand.crossings if p < end]
         lab = strand.start_label
-        piece = LiftedPiece(truncated(strand.polyline, end), lab[0], events, 1)
-        return [piece, piece.relift(lab[1], -1)]
+        path = LiftedPath(truncated(strand.polyline, end), events)
+        return [(path, lab[0], 1), (path, lab[1], -1)]
 
     def tree_chain(self, strand_id: int,
-                   root_param: Optional[Param] = None) -> List[LiftedPiece]:
+                   root_param: Optional[Param] = None) -> List[tuple]:
         """Lifted chain of a wall's flowtree, capped at the root's end.
 
         With ``root_param`` the root wall is truncated there and capped at
@@ -263,23 +241,19 @@ class HomologyEngine:
         the wall's soliton class based at that parameter (the detour class
         used by parallel transport).
         """
-        tree = tree_of_strand(self.builder, strand_id)
-        pieces: List[LiftedPiece] = []
-        for sid, end_param in tree.pieces:  # only the root has no end param
-            pieces += self._strand_lifts(sid, end_param or root_param)
+        chain: List[tuple] = []
+        # only the root piece has no end param
+        for sid, end_param in tree_of_strand(self.builder, strand_id)[0]:
+            chain += self._strand_lifts(sid, end_param or root_param)
         # caps at the root's endpoint (chord end, or the truncation point)
         root = self.builder.strands[strand_id]
-        if root_param is None:
-            end = root.polyline[-1]
-        else:
-            end = interp(root.polyline, root_param)
-        final = root.label_at(root_param)
-        pieces.append(self.cap(end, final[0], 1))
-        pieces.append(self.cap(end, final[1], -1))
-        self._check_boundary(pieces)
-        return pieces
+        end = root.polyline[-1] if root_param is None else interp(root.polyline, root_param)
+        final, cap = root.label_at(root_param), self.cap(end)
+        chain += [(cap, final[0], 1), (cap, final[1], -1)]
+        self._check_boundary(chain)
+        return chain
 
-    def arc_chain(self, marked_index: int) -> List[LiftedPiece]:
+    def arc_chain(self, marked_index: int) -> List[tuple]:
         """Boundary arc from marked lift t_i rightward around the surface."""
         mx, _ = self.marked
         poly = [
@@ -291,9 +265,9 @@ class HomologyEngine:
             (mx - CAP_EPS, -CAP_EPS),
             self.marked,
         ]
-        return [LiftedPiece(poly, marked_index, self.builder.events_along(poly), 1)]
+        return [(LiftedPath(poly, self.builder.events_along(poly)), marked_index, 1)]
 
-    def _check_boundary(self, pieces: Sequence[LiftedPiece]):
+    def _check_boundary(self, chain: Sequence[tuple]):
         residue: Dict[tuple, int] = {}  # by (point_key, sheet)
 
         def add(point, sheet, mult):
@@ -302,9 +276,9 @@ class HomologyEngine:
             if value:
                 residue[key] = value
 
-        for piece in pieces:
-            add(piece.polyline[0], piece.start_sheet, -piece.orientation)
-            add(piece.polyline[-1], piece.end_sheet(), piece.orientation)
+        for path, sheet, orientation in chain:
+            add(path.polyline[0], sheet, -orientation)
+            add(path.polyline[-1], walk_sheets((sheet,), path.events)[0][0], orientation)
         # identify branch-point sheets: at a trivalent vertex with letter k,
         # sheets k and k+1 name the same surface point
         for vertex in self.weave.trivalent_vertices():
@@ -322,17 +296,18 @@ class HomologyEngine:
             raise NonGenericGeometry("chain boundary off the marked points: %r" % leftovers[:4])
 
     # ----- classes -----
-    def _pairing_vector(self, pieces: Sequence[LiftedPiece]) -> List[int]:
+    def _pairing_vector(self, chain: Sequence[tuple]) -> List[int]:
         target = [0] * self._tests.rows
-        for piece in pieces:
-            rows, values = self._tests.pairing(piece)
+        for path, sheet, orientation in chain:
+            rows, values = self._tests.pairing(path)[sheet - 1]
             for row, value in zip(rows, values):
-                target[row] += piece.orientation * value
+                target[row] += orientation * value
         return target
 
-    def class_of_chain(self, pieces: Sequence[LiftedPiece]):
-        """(cycle exponents s_1..s_l, boundary-arc exponents t_1..t_n)."""
-        solution = self._factored.solve(self._pairing_vector(pieces))
+    def class_of_chain(self, chain: Sequence[tuple]):
+        """(cycle exponents s_1..s_l, boundary-arc exponents t_1..t_n) of a
+        chain of (LiftedPath, start sheet, orientation) triples."""
+        solution = self._factored.solve(self._pairing_vector(chain))
         if solution is None:
             raise NonGenericGeometry("pairing vector outside basis span")
         scale = self._factored.scale
@@ -443,19 +418,11 @@ class SolitonCatalog:
         agreement with ``bps_table`` checks both the homological additivity
         at joints and the twist bookkeeping.
         """
-        return {strand.id: {self._tree_soliton(tree_of_strand(self.builder, strand.id)): 1}
-                for strand in self.builder.strands}
+        return {strand.id: {self._tree_soliton(strand.id): 1} for strand in self.builder.strands}
 
-    def _tree_soliton(self, tree: D4Tree) -> SolitonClass:
-        cyc, _ = self.engine.class_of_chain(
-            self.engine.tree_chain(tree.root_strand, root_param=BIRTH_PARAM))
-        sign = 1
-        h = 0
-        for sid, _ep in tree.pieces:
-            strand = self.builder.strands[sid]
-            if strand.origin[0] == "branch":
-                seed_cyc, _ = self.full_class(sid)
-                sign *= -1 if quadratic_refinement(seed_cyc) % 2 else 1
-        for joint in tree.joints:
-            h = (h + joint["twist"]) % 2
-        return SolitonClass(cyc, sign, h)
+    def _tree_soliton(self, sid: int) -> SolitonClass:
+        pieces, joints = tree_of_strand(self.builder, sid)
+        cyc, _ = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
+        sign = math.prod(-1 if quadratic_refinement(self.full_class(pid)[0]) % 2 else 1
+                         for pid, _ in pieces if self.builder.strands[pid].origin[0] == "branch")
+        return SolitonClass(cyc, sign, sum(joint["twist"] for joint in joints) % 2)

@@ -14,6 +14,9 @@ Text format::
     top: 2 1 2 1 2 1 2
     moves: h1 t3 h2 t1 t3 h2 t1
 
+``n=`` and ``top:`` appear once each; ``moves:`` lines may repeat, and their
+moves run in order.  A weave has at most MAX_STRANDS strands.
+
 Layout is exact-rational: slice letters sit at integer columns, slices at
 integer depths (top slice at y = 0, y decreasing downward), vertices at
 half-integer depths.  Bending routes the bottom slice's lines around the
@@ -67,6 +70,10 @@ class Segment:
 
 
 _KINDS = {"t": "trivalent", "h": "hexavalent", "x": "tetravalent"}
+# strands a weave may have: the sheets of its spectral network, bounded as
+# wkb.MAX_SHEETS bounds a curve's; the work grows with n even for a
+# one-move weave
+MAX_STRANDS = 16
 
 
 def _apply_move(word: Tuple[int, ...], move: Move) -> Tuple[int, ...]:
@@ -199,8 +206,14 @@ def parse_weave(text: str) -> Weave:
         if not line:
             continue
         if line.startswith("n="):
+            if n is not None:
+                raise ValueError("repeated header line %r" % raw)
             n = int(line[2:])
+            if n > MAX_STRANDS:
+                raise ValueError("weave has %d strands (limit: %d)" % (n, MAX_STRANDS))
         elif line.startswith("top:"):
+            if top is not None:
+                raise ValueError("repeated header line %r" % raw)
             top = tuple(int(tok) for tok in line[4:].replace(",", " ").split())
         elif line.startswith("moves:"):
             for token in line[6:].split():

@@ -11,6 +11,8 @@ import pytest
 from specnet.cli import main
 from specnet.forest import ForestBuilder
 from specnet.network import network_to_json
+from specnet.nonabel import LocalSystemRank1
+from specnet.weave import MAX_STRANDS
 from specnet.wkb import SpectralCurve, build_wkb_network
 
 from conftest import EXAMPLES
@@ -532,6 +534,43 @@ def test_nonabelianize_reports_identity(weave_file, capsys):
     assert main(["nonabelianize", weave_file, "--systems", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("identity") == 2  # two branch points, no joints
+
+
+# the monodromy loops each fixture's report names, (branch vertices, joint
+# children), all reported as the identity
+MONODROMY_LOOPS = {
+    "mutation_a": ((0, 1), ()),
+    "mutation_b": ((0, 1), ()),
+    "sigma1_6": ((0, 1, 2, 3, 4), ()),
+    "five_crossing": ((1, 3), (6, 7)),
+    "three_strand": ((1, 3, 4, 6), (6, 10, 11, 12, 13, 17, 18, 19)),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MONODROMY_LOOPS))
+def test_nonabelianize_draws_no_local_system(fixture, monkeypatch, capsys):
+    """The report is decided by the exact check alone: no local system is
+    drawn, and the ignored --systems and --seed still parse."""
+    def drawn(*args):
+        raise AssertionError("a local system was drawn")
+
+    monkeypatch.setattr(LocalSystemRank1, "random", drawn)
+    branches, joints = MONODROMY_LOOPS[fixture]
+    expected = ["branch %-3s monodromy: identity" % v for v in branches]
+    expected += ["joint %-3s monodromy: identity" % j for j in joints]
+    assert main(["nonabelianize", fixture, "--systems", "20", "--seed", "3"]) == 0
+    assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
+
+
+def test_weave_with_too_many_strands_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "wide.weave"
+    path.write_text("n=100000\ntop: 1 1\nmoves: t1\n")
+    start = time.process_time()
+    for sub in ("augmentation", "nonabelianize"):
+        assert main([sub, str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error [%s]: weave has 100000 strands (limit: %d)\n" % (sub, MAX_STRANDS)
+    assert time.process_time() - start < 0.5
 
 
 def test_bps_json(weave_file, capsys):

@@ -15,6 +15,7 @@ from specnet.nonabel import (
     LocalSystemRank1,
     Transport,
     _dedupe,
+    _folds,
     _rational_sqrt_floor,
     _winding,
     augmentation,
@@ -22,7 +23,7 @@ from specnet.nonabel import (
     homotopic_pair,
     network_punctures,
 )
-from specnet.soliton_bps import CAP_EPS, HomologyEngine, LiftedPiece
+from specnet.soliton_bps import CAP_EPS, HomologyEngine, LiftedPath
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import EXAMPLES, random_weave_builders, random_weave_texts
@@ -141,6 +142,28 @@ def test_homotopy_invariance_smoke(transports):
         assert transport.transport_path(p) == transport.transport_path(q)
 
 
+def test_homotopic_pairs_do_not_fold(transports):
+    """Draw 146 of this stream once returned a path whose first three
+    vertices were collinear with the middle one outermost; its first two
+    segments met one weave-line point, and transport raised
+    NonGenericGeometry("duplicate crossing point").  Folding draws are
+    drawn again, so every pair of the stream transports alike."""
+    transport = transports["three_strand"]
+    rng = random.Random("transport_paths:2501:three_strand")
+    for _ in range(147):
+        p, q = homotopic_pair(transport, rng)
+        assert not _folds(p) and not _folds(q)
+        assert transport.transport_path(p) == transport.transport_path(q)
+
+
+def test_folds_needs_collinear_points_with_the_middle_outside():
+    assert _folds([(0, 0), (2, 0), (1, 0)]) and _folds([(5, 5), (0, 0), (1, 1), (0, 0)])
+    assert not _folds([(0, 0), (1, 0), (2, 0)])  # straight on
+    assert not _folds([(0, 0), (1, 0), (1, 1)])  # a turn
+    assert not _folds([(0, 0), (0, 0), (1, 0)])  # a repeated point is not a fold
+    assert not _folds([(0, 0), (1, 0)])
+
+
 # sha256 of the exact text of every branch and joint monodromy matrix and of
 # both matrices of 20 seeded homotopic pairs per fixture
 TRANSPORT_DIGEST = "664835ce099563517b29208c90e3321ec809f6d239c0dd37baa2bf7db1a7e2f3"
@@ -255,12 +278,12 @@ def _direct_coefficient(transport, sid, param):
 def _direct_free(transport, poly):
     """The free transport along ``poly``, computed afresh."""
     engine, n = transport.engine, transport.n
-    path = LiftedPiece(poly, 1, transport.builder.events_along(poly), 1)
+    path = LiftedPath(poly, transport.builder.events_along(poly))
     out = [[LaurentPoly.zero(transport.gens)] * n for _ in range(n)]
     for start in range(1, n + 1):
         (sheet,), sign = walk_sheets((start,), path.events)
-        cyc, arc = _solve(engine, [path.relift(start, 1), engine.cap(poly[0], start, -1),
-                                   engine.cap(poly[-1], sheet, 1)])
+        cyc, arc = _solve(engine, [(path, start, 1), (engine.cap(poly[0]), start, -1),
+                                   (engine.cap(poly[-1]), sheet, 1)])
         out[sheet - 1][start - 1] = LaurentPoly.monomial(transport.gens, cyc + arc, sign)
     return out
 

@@ -11,7 +11,7 @@ from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
     BIRTH_PARAM,
     HomologyEngine,
-    LiftedPiece,
+    LiftedPath,
     PairingLines,
     SolitonCatalog,
     SolitonClass,
@@ -158,7 +158,8 @@ def test_augmentation_values_are_laurent_in_s_only():
 # ----- reference: every test lift paired separately, then a fresh solve -----
 
 def _reference_tests(engine):
-    """The engine's test curves as separate lifts, in pairing-matrix row order."""
+    """The engine's test curves as separate (path, sheet, orientation)
+    lifts, in pairing-matrix row order."""
     n = engine.weave.strand_count
     lines = []
     x = Fraction(1, 3)
@@ -170,17 +171,17 @@ def _reference_tests(engine):
         lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
         y -= 1
     # weave-line events line by line, each segment a set of its own; a
-    # LiftedPiece takes its events sorted, so the merged lists are sorted
+    # LiftedPath takes its events sorted, so the merged lists are sorted
     segments = [PolylineSet([(seg.points, seg.letter)]) for seg in engine.obstacles]
     events = [sorted((pa, letter, side) for one in segments
                      for pa, letter, _, _, side in one.crossings(poly)) for poly in lines]
-    return [LiftedPiece(poly, sheet, line_events, 1)
+    return [(LiftedPath(poly, line_events), sheet, 1)
             for poly, line_events in zip(lines, events) for sheet in range(1, n + 1)]
 
 
-def _sheet_at(piece, param):
-    sheet = piece.start_sheet
-    for p, letter, _ in piece.events:
+def _sheet_at(lift, param):
+    path, sheet, _ = lift
+    for p, letter, _ in path.events:
         if p >= param:
             break
         sheet = transpose(sheet, letter)
@@ -194,13 +195,14 @@ def _tangent(poly, i):
 def _reference_vector(chain, tests):
     vector = []
     for test in tests:
-        one = PolylineSet([(test.polyline, 0)])
+        one = PolylineSet([(test[0].polyline, 0)])
         total = 0
-        for piece in chain:
-            # side is the sign of (test tangent) x (piece tangent)
-            for pa, _, pb, _pt, side in one.crossings(piece.polyline):
-                if _sheet_at(piece, pa) == _sheet_at(test, exact_param(pb)):
-                    total -= piece.orientation * side
+        for lift in chain:
+            path, _, orientation = lift
+            # side is the sign of (test tangent) x (path tangent)
+            for pa, _, pb, _pt, side in one.crossings(path.polyline):
+                if _sheet_at(lift, pa) == _sheet_at(test, exact_param(pb)):
+                    total -= orientation * side
         vector.append(total)
     return vector
 

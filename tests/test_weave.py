@@ -5,11 +5,14 @@ from specnet.braid import BraidWord, demazure_product
 from specnet.forest import PropagationError, build_forest_strands
 from specnet.soliton_bps import HomologyEngine
 from specnet.weave import (
+    MAX_STRANDS,
     Move,
     Weave,
     bend_weave,
     parse_weave,
 )
+
+from conftest import EXAMPLES
 
 SIGMA1_6 = """
 n=2
@@ -45,6 +48,24 @@ def test_parse_errors():
         parse_weave("n=2\ntop: 1 1\nmoves: q1")  # unknown move kind
     with pytest.raises(ValueError):
         parse_weave("n=2\ntop: 1 1\nmoves: t2")  # move out of range
+
+
+def test_parse_weave_rejects_repeated_headers():
+    with pytest.raises(ValueError, match="repeated header line 'n=4'"):
+        parse_weave("n=3\ntop: 1 2 1\nn=4")
+    with pytest.raises(ValueError, match="repeated header line 'top: 2 1 2'"):
+        parse_weave("n=3\ntop: 1 2 1\ntop: 2 1 2")
+
+
+def test_parse_weave_accumulates_moves_lines():
+    assert parse_weave("n=3\ntop: 2 1 2 1 2\nmoves: h1 t3\nmoves: h2 t1").moves == \
+        parse_weave(EXAMPLES["five_crossing"]).moves
+
+
+def test_parse_weave_bounds_the_strand_count():
+    assert parse_weave("n=%d\ntop: 1 1" % MAX_STRANDS).strand_count == MAX_STRANDS
+    with pytest.raises(ValueError, match=r"weave has 17 strands \(limit: 16\)"):
+        parse_weave("n=%d\ntop: 1 1" % (MAX_STRANDS + 1))
 
 
 def test_parse_weave_rejects_local_model_violations():
