@@ -262,14 +262,17 @@ def discriminant(rows):
     """
     n = len(rows) - 1
     degree = (2 * n - 2) * max(len(row) - 1 for row in rows)
-    sign = (-1) ** (n * (n - 1) // 2)
+    # rows times L, the lcm of the denominators: the determinants gain L^(2n - 1)
+    lcm = math.lcm(*(c.denominator for row in rows for c in row))
+    rows = [[int(c * lcm) for c in row] for row in rows]
+    divisor = (-1) ** (n * (n - 1) // 2) * lcm ** (2 * n - 1)
     values = []
     for z in range(degree + 1):
         p = [sum(c * z ** k for k, c in enumerate(reversed(row))) for row in rows]
         dp = [(n - i) * c for i, c in enumerate(p[:-1])]
         sylvester = ([[0] * i + p + [0] * (n - 2 - i) for i in range(n - 1)]
                      + [[0] * i + dp + [0] * (n - 1 - i) for i in range(n)])
-        values.append(sign * _rref(sylvester)[2])
+        values.append(Fraction(_rref(sylvester)[2], divisor))
     for j in range(1, degree + 1):  # divided differences at nodes 0..degree
         for k in range(degree, j - 1, -1):
             values[k] = (values[k] - values[k - 1]) / j
@@ -285,9 +288,8 @@ def discriminant(rows):
 def solve_rational(matrix, rhs):
     """Solve ``matrix @ x = rhs`` exactly over the rationals.
 
-    ``matrix`` is a list of rows (lists of int/Fraction).  Returns one
-    solution as a list of Fractions, or None if inconsistent.  Free variables
-    are set to zero.
+    ``matrix`` is a list of integer rows.  Returns one solution as a list of
+    Fractions, or None if inconsistent.  Free variables are set to zero.
     """
     factored = FactoredMatrix(matrix)
     solution = factored.solve(rhs)
@@ -295,11 +297,12 @@ def solve_rational(matrix, rhs):
 
 
 def _rref(rows):
-    """Gauss-Jordan elimination: (pivot columns, reduced rows, determinant),
-    the determinant being that of a square ``rows``."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integers, any
+    other entry a TypeError, each division exact: (pivot columns, d times the
+    reduced row echelon form, d the last pivot, determinant of a square ``rows``)."""
+    rows = [list(map(operator.index, row)) for row in rows]
     pivots = []
-    det = Fraction(1)
+    prev, sign = 1, 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -307,16 +310,16 @@ def _rref(rows):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            det = -det
-        det *= rows[r][c]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c] != 0:
-                rows[i] = [a - row[c] * b if b else a for a, b in zip(row, rows[r])]
+            sign = -sign
+        p, top = rows[r][c], rows[r]
+        for i, f in enumerate([row[c] for row in rows]):
+            if i != r:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return pivots, rows, det if len(pivots) == len(rows) else Fraction(0)
+    return pivots, rows, sign * prev if len(pivots) == len(rows) else 0
 
 
 class FactoredMatrix:
@@ -325,8 +328,8 @@ class FactoredMatrix:
     ``pivots`` are the columns independent of the columns before them and
     ``rows`` rows on which the pivot columns form an invertible block; that
     block's inverse times the integer ``scale`` is kept by columns, one per
-    row in ``rows``, and so are the pivot columns.  With integer entries
-    every solve is integer arithmetic.
+    row in ``rows``, and so are the pivot columns.  The entries are
+    integers, and so is every step of the set-up and of each solve.
     """
 
     def __init__(self, matrix):
@@ -338,9 +341,12 @@ class FactoredMatrix:
         m, r = len(matrix), len(self.pivots)
         self.rows, reduced, _ = _rref([column + [int(j == k) for k in range(r)]
                                        for j, column in enumerate(self._block_columns)])
-        self.scale = math.lcm(*(v.denominator for row in reduced for v in row[m:]))
-        inverse_columns = ([int(v * self.scale) for v in row[m:]] for row in reduced)
-        self._inverse_columns = list(zip(self.rows, inverse_columns))
+        # right half = d * inverse, d the last pivot; g = gcd(d, right half), d's sign
+        d = reduced[0][self.rows[0]] if r else 1
+        g = math.gcd(d, *(v for row in reduced for v in row[m:])) * (1 if d > 0 else -1)
+        self.scale = d // g
+        self._inverse_columns = [(i, [v // g for v in row[m:]])
+                                 for i, row in zip(self.rows, reduced)]
 
     def solve(self, rhs):
         """The solution with free variables zero, times ``scale``, or None

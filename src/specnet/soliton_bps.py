@@ -158,6 +158,8 @@ class HomologyEngine:
         self.obstacles = builder.obstacles
         n = self.weave.strand_count
         self.marked = (self.bent.marked_x, Fraction(0))
+        if not self.obstacles:
+            raise ValueError("weave has no weave lines: its top word is empty")
         # bounding depths
         lows = [min(p[1] for p in seg.points) for seg in self.obstacles]
         self.y_deep = min(lows) - 1

@@ -128,26 +128,23 @@ class Weave:
             self.vertices.append(vertex)
             out_width = width - 1 if move.kind == "t" else width
 
-            def col(q):  # 1-based position -> x coordinate
-                return Fraction(q)
-
             for q in range(1, len(upper) + 1):
                 if p + 1 <= q <= p + width:
                     seg = Segment(len(self.segments), upper[q - 1],
-                                  [(col(q), Fraction(-row)), vertex.point],
+                                  [(Fraction(q), Fraction(-row)), vertex.point],
                                   ("slot", row, q), ("vertex", vertex.id, q - p - 1))
                     self.segments.append(seg)
                 else:
                     q_next = q if q <= p else q - (width - out_width)
                     seg = Segment(len(self.segments), upper[q - 1],
-                                  [(col(q), Fraction(-row)), (col(q_next), Fraction(-row - 1))],
+                                  [(Fraction(q), Fraction(-row)), (Fraction(q_next), Fraction(-row - 1))],
                                   ("slot", row, q), ("slot", row + 1, q_next))
                     self.segments.append(seg)
                     self._seg_above[(row + 1, q_next)] = seg
             for j in range(out_width):
                 q_out = move.position + j
                 seg = Segment(len(self.segments), lower[q_out - 1],
-                              [vertex.point, (col(q_out), Fraction(-row - 1))],
+                              [vertex.point, (Fraction(q_out), Fraction(-row - 1))],
                               ("vertex", vertex.id, j), ("slot", row + 1, q_out))
                 self.segments.append(seg)
                 self._seg_above[(row + 1, q_out)] = seg

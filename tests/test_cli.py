@@ -478,6 +478,14 @@ def test_non_reduced_bottom_exits_nonzero(sub, monkeypatch, capsys):
     assert "n=2; 1 1 is not a reduced word" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["augmentation", "bps", "nonabelianize"])
+def test_empty_top_exits_2_with_named_error(sub, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=2\ntop:\n"))
+    assert main([sub, "-"]) == 2
+    assert capsys.readouterr().err == \
+        "error [%s]: weave has no weave lines: its top word is empty\n" % sub
+
+
 def test_propagation_error_exits_2(monkeypatch, capsys):
     """A forest the weave cannot grow is a named error with exit 2, not a
     traceback with exit 1 (the code nonabelianize uses for NOT IDENTITY)."""

@@ -1,9 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from specnet.laurent import MAX_TERMS, FactoredMatrix, LaurentPoly, parse_laurent, solve_rational
+from specnet.laurent import (
+    MAX_TERMS,
+    FactoredMatrix,
+    LaurentPoly,
+    _rref,
+    parse_laurent,
+    solve_rational,
+)
 
 GENS = ("s_1", "s_2", "s_3")
 
@@ -103,6 +111,14 @@ def test_solve_rational():
     assert sol == [Fraction(3), Fraction(0)]
 
 
+def test_solve_rational_rejects_non_integer_entries():
+    """Floor division would make a Fraction entry a silent wrong answer."""
+    with pytest.raises(TypeError):
+        solve_rational([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 5), Fraction(1, 7)]], [1, 1])
+    with pytest.raises(TypeError):
+        solve_rational([[0.5]], [1])
+
+
 def _gauss_jordan_solve(matrix, rhs):
     """Reference: eliminate the augmented matrix, free variables zero."""
     rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
@@ -152,3 +168,72 @@ def test_factored_matrix_pivots_and_inconsistency():
     assert factored.pivots == [0, 2]  # the middle column is twice the first
     assert factored.solve([1, 2, 3]) is not None
     assert factored.solve([1, 2, 4]) is None
+
+
+def _fraction_rref(rows):
+    """Reference: Gauss-Jordan over Fractions, (pivot columns, reduced row
+    echelon form, determinant of a square ``rows``)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        det *= rows[r][c]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b if b else a for a, b in zip(row, rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots, rows, det if len(pivots) == len(rows) else Fraction(0)
+
+
+def fraction_factors(matrix):
+    """Reference: ``FactoredMatrix``'s pivots, rows, scale and inverse
+    columns from the Fraction elimination, the scale being the lcm of the
+    inverse's denominators."""
+    pivots, _, _ = _fraction_rref(matrix)
+    m, r = len(matrix), len(pivots)
+    rows, reduced, _ = _fraction_rref([[row[c] for row in matrix] + [int(j == k) for k in range(r)]
+                                       for j, c in enumerate(pivots)])
+    scale = math.lcm(*(v.denominator for row in reduced for v in row[m:]))
+    inverse_columns = [[int(v * scale) for v in row[m:]] for row in reduced]
+    return pivots, rows, scale, list(zip(rows, inverse_columns))
+
+
+def factors(factored):
+    return factored.pivots, factored.rows, factored.scale, factored._inverse_columns
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Integer matrices with some rows integer combinations of others, in
+    a drawn order; some are square."""
+    ncols, rank = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(rank)]
+    for _ in range(draw(st.integers(0, 4))):
+        mix = [draw(st.integers(-2, 2)) for _ in range(rank)]
+        rows.append([sum(a * row[c] for a, row in zip(mix, rows)) for c in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@seed(20261019)
+@given(dependent_matrices())
+def test_integer_rref_matches_fraction_reference(matrix):
+    """The integer elimination gives the reference's pivots and determinant,
+    its rows are the last pivot times the reference's, and ``FactoredMatrix``
+    keeps the reference's pivots, rows, least scale and inverse columns."""
+    pivots, rows, det = _rref(matrix)
+    ref_pivots, ref_rows, ref_det = _fraction_rref(matrix)
+    assert (pivots, det) == (ref_pivots, ref_det)
+    d = rows[0][pivots[0]] if pivots else 1
+    assert rows == [[d * v for v in row] for row in ref_rows]
+    assert factors(FactoredMatrix(matrix)) == fraction_factors(matrix)

@@ -20,7 +20,7 @@ from specnet.soliton_bps import (
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import EXAMPLES, random_weave_builders
-from test_laurent import _gauss_jordan_solve
+from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +292,12 @@ def test_sparse_solve_equals_dense_solve(catalogs):
             else:
                 assert [Fraction(v, factored.scale) for v in solution] == expected
     assert verdicts == {True, False}
+
+
+def test_engine_factors_match_fraction_reference(catalogs):
+    """Each fixture engine's and each seed-20261018 corpus engine's
+    ``FactoredMatrix`` equals the one the Fraction elimination builds."""
+    engines = [catalog.engine for catalog in catalogs.values()]
+    engines += [HomologyEngine(builder) for builder in random_weave_builders()]
+    for engine in engines:
+        assert factors(engine._factored) == fraction_factors(engine.matrix)

@@ -116,9 +116,10 @@ def _sympy_reference(text):
 
 def test_curve_matches_sympy_reference():
     """Coefficients, exact discriminant and rejections agree with sympy on
-    the ROADMAP curves and 320 seeded random ones."""
+    the ROADMAP curves, two with 16 and 9 sheets and 320 seeded random ones."""
     rng = random.Random(20261018)
-    corpus = ROADMAP_CURVES + [_random_curve(rng) for _ in range(320)]
+    corpus = (ROADMAP_CURVES + ["w^16 + z*w + z^5 + 1", "w^9 - 1/3*z^2*w^4 + 0.5*z*w + z^3 - 2"]
+              + [_random_curve(rng) for _ in range(320)])
     rejected = 0
     for text in corpus:
         reference = _sympy_reference(text)
