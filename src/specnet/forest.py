@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .braid import BraidWord, demazure_product, length
-from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_param, exact_point,
-                       transpose, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, exact_point,
+                       prepare, transpose, walk_sheets)
 from .network import SpectralNetwork, compose_labels
 from .weave import BentWeave, Segment, WeaveVertex
 
@@ -55,6 +55,7 @@ class Strand:
     round: int
     delta: Fraction
     polyline: List[Point] = field(default_factory=list)
+    path: Optional[Polyline] = None  # the polyline's integer form, once it is grown
     # weave-line crossings as (param, letter, side), side the sign of
     # (weave-line tangent) x (strand tangent)
     crossings: List[tuple] = field(default_factory=list)
@@ -74,8 +75,9 @@ class ForestBuilder:
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
         # tagged (letter, segment id), so a crossing names the line and its
         # letter; every slot below the top is a join of two segments
+        self.obstacle_paths = [prepare(seg.points) for seg in self.obstacles]
         self.weave_lines = PolylineSet(
-            ((seg.points, (seg.letter, seg.id)) for seg in self.obstacles),
+            zip(self.obstacle_paths, [(seg.letter, seg.id) for seg in self.obstacles]),
             joins=[seg.points[-1] for seg in self.obstacles if seg.lower[0] == "slot"])
         # the weave-line corners at each height, in obstacle order
         self._corners: Dict[Fraction, List[Point]] = {}
@@ -146,7 +148,7 @@ class ForestBuilder:
         prev_x = x0
         ray = [start, (self.bent.marked_x, y0)]  # every weave line lies left of marked_x
         for _, (k, seg_id), (index, _, _), pt, _ in self.weave_lines.crossings(ray):
-            x = exact_point(pt)[0]
+            x = Fraction(pt[0], pt[2])
             if {label[0], label[1]} == {k, k + 1}:
                 if x - strand.delta <= prev_x:
                     strand.delta = (x - prev_x) / 2
@@ -177,7 +179,8 @@ class ForestBuilder:
 
     def _finalize(self, strand: Strand):
         """Record all weave-line crossings and verify label bookkeeping."""
-        strand.crossings = self.events_along(strand.polyline)
+        strand.path = prepare(strand.polyline)
+        strand.crossings = self.events_along(strand.path)
         final = strand.label_at()
         m = self.name_to_letter[strand.chord]
         if {final[0], final[1]} != {m, m + 1}:
@@ -204,8 +207,7 @@ class ForestBuilder:
         done = 0  # new[:done] are in walls
         for _ in range(MAX_CREATION_STEPS):
             for sn in new[done:]:
-                for pn, oid, po, pt, side in self.walls.crossings(sn.polyline):
-                    po = exact_param(po)
+                for pn, oid, po, pt, side in self.walls.crossings(sn.path):
                     label = sn.label_at(pn)
                     child_label = compose_labels([label, self.strands[oid].label_at(po)])
                     if child_label is not None:
@@ -213,7 +215,7 @@ class ForestBuilder:
                         events.append((*exact_point(pt), sn.id, oid, pn, po, child_label,
                                        (sn.id, oid) if first else (oid, sn.id),
                                        int((side > 0) != first)))
-                self.walls.add(sn.polyline, sn.id)
+                self.walls.add(sn.path, sn.id)
                 done += 1
             if not events:
                 return

@@ -3,27 +3,27 @@ transport layers.
 
 Every question of the form "where does this path cross these lines, and on
 which side?" is answered here, by a ``PolylineSet`` of tagged polylines (the
-weave lines, the walls, or the homology engine's test lines).  One function
-of crossing rules decides every segment pair in integers and keeps each
-crossing point as integers on the query's scale; ``exact_point`` turns one
-into a ``Fraction`` pair where a caller reads it.  A param on the path
-leaves as the triple (segment, float, ``Fraction``): ``int / int`` rounds
-correctly and correct rounding is monotone, so triples order exactly as
-(segment, ``Fraction``) pairs do and compare their ``Fraction``s only on a
-float tie.  A param on the member line leaves as integers, and
-``exact_param`` builds its triple where a caller reads it.
+weave lines, the walls, or the homology engine's test lines).  Each path is
+carried as a ``Polyline``, built once: integer points over one scale, their
+correctly rounded floats and float box.  One function of crossing rules
+decides every segment pair in integers and keeps each crossing point as
+integers.  A param leaves as the triple (segment, float, ``Ratio``):
+``int / int`` rounds correctly and correct rounding is monotone, so triples
+order exactly as (segment, rational) pairs do and read their ``Ratio``s, in
+integers, only on a float tie.  A ``Fraction`` is built only where a point
+is exported, compared with ``Fraction``s or returned (``exact_point``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 # (polyline sub-segment index, float(t), t) for a parameter t in [0, 1]
-Param = Tuple[int, float, Fraction]
-ScaledParam = Tuple[int, int, int]  # (j, n, d): the param n / d on sub-segment j, d > 0
+Param = Tuple[int, float, "Ratio"]
 ScaledPoint = Tuple[int, int, int]  # (x, y, d): the point (x / d, y / d), d > 0
 
 # float bounding boxes cheaply reject most segment pairs before the exact
@@ -82,54 +82,83 @@ def sheet_prefixes(events, n: int) -> List[Tuple[int, ...]]:
     return perms
 
 
-def param_of(i: int, t: Fraction) -> Param:
-    """The param ``t`` on sub-segment ``i``."""
-    return i, t.numerator / t.denominator, t
+@total_ordering
+class Ratio:
+    """n / d in integers, d > 0: the exact part of a param.  It is compared
+    by cross-multiplying, and a param's tuple reads it only on a float tie."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator, self.denominator = n, d
+
+    def __eq__(self, other):
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    def __lt__(self, other):
+        return self.numerator * other.denominator < other.numerator * self.denominator
+
+    def __truediv__(self, other: "Ratio") -> "Ratio":  # for other > 0
+        return Ratio(self.numerator * other.denominator, self.denominator * other.numerator)
 
 
-def exact_param(scaled: ScaledParam) -> Param:
-    """The param of a crossing's scaled param on the member line."""
-    j, n, d = scaled
-    return j, n / d, Fraction(n, d)
-
-
-def interp(polyline, param: Param) -> Point:
-    i, _, t = param
-    p0, p1 = polyline[i], polyline[i + 1]
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+def param_of(i: int, t) -> Param:
+    """The param ``t`` (a ``Ratio``, ``Fraction`` or int) on sub-segment ``i``."""
+    n, d = t.numerator, t.denominator
+    return i, n / d, Ratio(n, d)
 
 
 def exact_point(scaled: ScaledPoint) -> Point:
-    """The ``Fraction`` point of a crossing's scaled point."""
+    """The ``Fraction`` point of a scaled point."""
     x, y, d = scaled
     return Fraction(x, d), Fraction(y, d)
 
 
-def truncated(polyline, param: Param):
-    i = param[0]
-    return list(polyline[: i + 1]) + [interp(polyline, param)]
+def _reduced(x: int, y: int, d: int) -> ScaledPoint:
+    g = math.gcd(x, y, d)
+    return x // g, y // g, d // g
 
 
-def point_key(point: Point) -> Tuple[int, int, int, int]:
-    """Integers that name a point exactly, a cheaper dict key than its
-    ``Fraction``s."""
-    x, y = point
-    return x.numerator, x.denominator, y.numerator, y.denominator
+def point_key(point: Point) -> ScaledPoint:
+    """The point as (x, y, d) in lowest terms, as ``Polyline.ends`` names ends."""
+    (xn, xd), (yn, yd) = point[0].as_integer_ratio(), point[1].as_integer_ratio()
+    return _reduced(xn * yd, yn * xd, xd * yd)
 
 
-def _prepared(polyline):
-    """The polyline's integer form (each point times the lcm s of its
-    coordinates' denominators), s, and a float copy (x / s rounds correctly,
-    so it equals float of the Fraction)."""
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in polyline]
-    s = math.lcm(*(d for xy in ratios for _, d in xy))
-    ints = [(xn * (s // xd), yn * (s // yd)) for (xn, xd), (yn, yd) in ratios]
-    return ints, s, [(x / s, y / s) for x, y in ints]
+class Polyline:
+    """A path's integer form, built from its scaled points (x, y, d): the
+    points times one scale s (the lcm of the d), s, the float copy (x / s
+    rounds correctly, so it equals float of the exact coordinate), its
+    float box and its two ends in lowest terms."""
+
+    __slots__ = ("ints", "scale", "floats", "box", "ends")
+
+    def __init__(self, points: Sequence[ScaledPoint]):
+        self.scale = s = math.lcm(*(d for _, _, d in points))
+        self.ints = [(x * (s // d), y * (s // d)) for x, y, d in points]
+        self.floats = [(x / s, y / s) for x, y in self.ints]
+        xs, ys = [x for x, _ in self.floats], [y for _, y in self.floats]
+        self.box = (min(xs), max(xs), min(ys), max(ys))
+        self.ends = (_reduced(*points[0]), _reduced(*points[-1]))
 
 
-def _box(floats) -> Tuple[float, float, float, float]:
-    xs, ys = [p[0] for p in floats], [p[1] for p in floats]
-    return (min(xs), max(xs), min(ys), max(ys))
+def prepare(points) -> Polyline:
+    """The integer form of a path given by its points, or the ``Polyline``."""
+    return points if isinstance(points, Polyline) else Polyline(list(map(point_key, points)))
+
+
+def interp(path: Polyline, param: Param) -> ScaledPoint:
+    """The scaled point at ``param`` on a path."""
+    i, _, t = param
+    n, d = t.numerator, t.denominator
+    (ax, ay), (bx, by) = path.ints[i], path.ints[i + 1]
+    return ax * d + n * (bx - ax), ay * d + n * (by - ay), path.scale * d
+
+
+def truncated(path: Polyline, param: Param) -> Polyline:
+    """The path up to ``param``, built in integers."""
+    s = path.scale
+    return Polyline([(x, y, s) for x, y in path.ints[: param[0] + 1]] + [interp(path, param)])
 
 
 def _segment_boxes(floats):
@@ -138,24 +167,23 @@ def _segment_boxes(floats):
             for (x0, y0), (x1, y1) in zip(floats, floats[1:])]
 
 
-def _crossings(p, box, q, anchors):
+def _crossings(p: Polyline, q, anchors):
     """The crossing rules: proper transversal crossings of polylines P and Q
-    as (param on P, scaled param on Q, scaled point, side), with side the
-    sign of (Q's tangent) x (P's tangent).  P is given by ``_prepared`` and
-    its float ``box``, Q by its integer form, scale and widened segment
-    boxes.
+    as (param on P, param on Q, scaled point, side), with side the sign of
+    (Q's tangent) x (P's tangent).  Q is given by its integer form, scale
+    and widened segment boxes.
 
-    Touches at the points in ``anchors`` (P's global ends, and those of Q's
-    ends that are no join: walls are born on other walls and end on the
-    boundary) are ignored; any other touch is a non-generic corner hit, a
-    positive-length collinear overlap is non-generic, and so is a crossing
+    Touches at the scaled points in ``anchors`` (P's global ends, and those
+    of Q's ends that are no join: walls are born on other walls and end on
+    the boundary) are ignored; any other touch is a non-generic corner hit,
+    a positive-length collinear overlap is non-generic, and so is a crossing
     point found twice.  Q's segments are filtered against P's box once;
-    each remaining segment pair is decided in integers, row by row.  P's
-    param is built only where the segments meet, Q's stays as integers, and
-    the point stays on P's scale times t's denominator.
+    each remaining segment pair is decided in integers, row by row.  The
+    params are built only where the segments meet, and the point stays on
+    P's scale times t's denominator.
     """
-    (pi, sp, pf), (qi, sq, qboxes) = p, q
-    lo_x, hi_x, lo_y, hi_y = box
+    (pi, sp, pf), (qi, sq, qboxes) = (p.ints, p.scale, p.floats), q
+    lo_x, hi_x, lo_y, hi_y = p.box
     near = [(j, b) for j, b in enumerate(qboxes)
             if not (lo_x > b[1] or hi_x < b[0] or lo_y > b[3] or hi_y < b[2])]
     out = []
@@ -192,10 +220,10 @@ def _crossings(p, box, q, anchors):
             td, ud = sq * det, sp * det
             if not (0 <= tn <= td and 0 <= un <= ud):
                 continue
-            pt = (a0x * td + tn * dax, a0y * td + tn * day, sp * td)
+            x, y, d = pt = (a0x * td + tn * dax, a0y * td + tn * day, sp * td)
             if 0 < tn < td and 0 < un < ud:
-                out.append(((i, tn / td, Fraction(tn, td)), (j, un, ud), pt, side))
-            elif exact_point(pt) not in anchors:
+                out.append(((i, tn / td, Ratio(tn, td)), (j, un / ud, Ratio(un, ud)), pt, side))
+            elif not any(x * ad == ax * d and y * ad == ay * d for ax, ay, ad in anchors):
                 raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(pt),))
     # where P or Q crosses itself on the other, one point is found twice; reject
     for k, (_, _, (x, y, d), _) in enumerate(out):
@@ -207,7 +235,7 @@ def _crossings(p, box, q, anchors):
 
 class PolylineSet:
     """A family of tagged polylines (weave lines tagged by letter, walls
-    tagged by id, or test lines tagged by index), each prepared once, with
+    tagged by id, or test lines tagged by index), each in integer form, with
     its segments' widened float boxes, when it joins the family; the forest
     grows its walls one ``add`` at a time.
     A member's end at one of ``joins`` (a slot, where one weave line goes on
@@ -219,27 +247,25 @@ class PolylineSet:
         for Q, tag in tagged:
             self.add(Q, tag)
 
-    def add(self, Q: Sequence[Point], tag):
-        ints, s, floats = _prepared(Q)
-        ends = tuple(e for e in (Q[0], Q[-1]) if point_key(e) not in self.joins)
-        self.lines.append((tag, (ints, s, _segment_boxes(floats)), _box(floats), ends))
+    def add(self, Q, tag):
+        q = prepare(Q)
+        ends = tuple(e for e in q.ends if e not in self.joins)
+        self.lines.append((tag, (q.ints, q.scale, _segment_boxes(q.floats)), q.box, ends))
 
-    def crossings(self, P: Sequence[Point]):
-        """The proper transversal crossings of P with every member Q, as
-        sorted (param on P, tag, scaled param on Q, scaled point, side) with
-        side the sign of (Q's tangent) x (P's tangent); ``exact_param`` and
-        ``exact_point`` read Q's param and the point.  Polylines whose box is
-        disjoint from P's are skipped: every segment pair would be rejected
-        anyway."""
-        p = _prepared(P)
-        box = lo_x, hi_x, lo_y, hi_y = _box(p[2])
-        ends = (P[0], P[-1])
+    def crossings(self, P):
+        """The proper transversal crossings of P (points or a ``Polyline``)
+        with every member Q, as sorted (param on P, tag, param on Q, scaled
+        point, side) with side the sign of (Q's tangent) x (P's tangent);
+        ``exact_point`` reads the point.  Polylines whose box is disjoint
+        from P's are skipped: every segment pair would be rejected anyway."""
+        p = prepare(P)
+        lo_x, hi_x, lo_y, hi_y = p.box
         out = []
         for tag, q, (qlo_x, qhi_x, qlo_y, qhi_y), q_ends in self.lines:
             if (lo_x > qhi_x + _EPS or hi_x < qlo_x - _EPS or
                     lo_y > qhi_y + _EPS or hi_y < qlo_y - _EPS):
                 continue
-            for pa, pb, pt, side in _crossings(p, box, q, ends + q_ends):
+            for pa, pb, pt, side in _crossings(p, q, p.ends + q_ends):
                 out.append((pa, tag, pb, pt, side))
         out.sort()
         return out

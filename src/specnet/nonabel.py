@@ -69,8 +69,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import (NonGenericGeometry, Param, Point, PolylineSet, exact_param, exact_point,
-                       interp, param_of, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio, exact_point,
+                       interp, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import CAP_EPS, LiftedPath, SolitonCatalog, tree_of_strand
 
@@ -146,23 +146,24 @@ class Transport:
     def cap_sheets(self, point: Point) -> Tuple[int, ...]:
         """The sheet permutation of the cap at ``point``: sheet s there
         reaches sheet ``[s - 1]`` at the marked point."""
-        cap = self.engine.cap(tuple(point))
+        cap = self.engine.cap(point_key(point))
         return walk_sheets(tuple(range(1, self.n + 1)), cap.events)[0]
 
     def free_factor(self, poly: Sequence[Point], sheets: Tuple[int, ...]):
         """The free transport along ``poly`` as its (end sheet, entry) per
         start sheet, and the sheet permutation of the cap at its end;
         ``sheets`` is the permutation of the cap at its start."""
-        events = self.builder.events_along(poly)
-        key = self._free_key(poly, events, sheets)
+        path = prepare(poly)
+        events = self.builder.events_along(path)
+        key = self._free_key(path, events, sheets)
         found = self._free.get(key)
         if found is None:
-            path = LiftedPath(poly, events)
+            lifted = LiftedPath(path, events)
             factor = []
             for start in range(1, self.n + 1):
                 (sheet,), sign = walk_sheets((start,), events)
-                chain = [(path, start, 1), (self.engine.cap(tuple(poly[0])), start, -1),
-                         (self.engine.cap(tuple(poly[-1])), sheet, 1)]
+                chain = [(lifted, start, 1), (self.engine.cap(path.ends[0]), start, -1),
+                         (self.engine.cap(path.ends[1]), sheet, 1)]
                 cyc, arc = self.engine.class_of_chain(chain)
                 factor.append((sheet, _monomial(self.gens, cyc, arc, sign)))
             found = tuple(factor), self.cap_sheets(poly[-1])
@@ -172,13 +173,14 @@ class Transport:
                 self._free[key] = found
         return found
 
-    def _free_key(self, poly: Sequence[Point], events, sheets) -> Optional[tuple]:
+    def _free_key(self, path: Polyline, events, sheets) -> Optional[tuple]:
         """The free transport's homotopy key (see the module docstring), or
         None where it is not known to be complete."""
-        if any(y >= 0 for _, y in poly):
+        if any(y >= 0 for _, y in path.ints):
             return None
-        loop = (self.engine.cap_polyline(tuple(poly[0]))[::-1] + [tuple(p) for p in poly[1:]]
-                + self.engine.cap_polyline(tuple(poly[-1]))[1:])
+        caps, s = self.engine.cap_points, path.scale
+        loop = Polyline(caps(path.ends[0])[::-1] + [(x, y, s) for x, y in path.ints[1:]]
+                        + caps(path.ends[1])[1:])
         try:
             crossings = self._cut_set.crossings(loop)
         except NonGenericGeometry:
@@ -215,7 +217,7 @@ class Transport:
         if value is None:
             cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
             value = _monomial(self.gens, cyc, arc, self.stokes_sign(sid, param))
-            x = interp(self.builder.strands[sid].polyline, param)[0]
+            x = exact_point(interp(self.builder.strands[sid].path, param))[0]
             if key is not None and not any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
                 self._coefficients[key] = value
         return value
@@ -226,11 +228,13 @@ class Transport:
         strand = self.builder.strands[sid]
         if sid not in self._wall_cuts:
             edges = self.branch_xs + [bx - CAP_EPS for bx in self.branch_xs]
+            edges = [edge.as_integer_ratio() for edge in edges]
+            s, xs = strand.path.scale, [x for x, _ in strand.path.ints]
             cuts = [p for p, _, _ in strand.crossings]
-            for i, (a, b) in enumerate(zip(strand.polyline, strand.polyline[1:])):
-                if a[0] != b[0]:
-                    ts = ((edge - a[0]) / (b[0] - a[0]) for edge in edges)
-                    cuts += [param_of(i, t) for t in ts if 0 <= t <= 1]
+            for i, (ax, bx) in enumerate(zip(xs, xs[1:])):
+                # an edge's param (en / ed - ax / s) / ((bx - ax) / s), both terms times bx - ax
+                ts = [((en * s - ax * ed) * (bx - ax), (bx - ax) ** 2 * ed) for en, ed in edges]
+                cuts += [(i, n / d, Ratio(n, d)) for n, d in ts if d and 0 <= n <= d]
             self._wall_cuts[sid] = sorted(cuts)
         cuts = self._wall_cuts[sid]
         k = bisect_left(cuts, param)
@@ -261,7 +265,7 @@ class Transport:
         prev_pt = poly[0]
         prev_idx = 0
         for pa, sid, pb, pt, side in self.builder.walls.crossings(poly):
-            pb, pt = exact_param(pb), exact_point(pt)
+            pt = exact_point(pt)
             strand = self.builder.strands[sid]
             if any(param == pb for param, _, _ in strand.crossings):
                 raise NonGenericGeometry("path crosses wall %d where it crosses a weave "
@@ -291,31 +295,30 @@ class Transport:
     # ----- monodromy loops -----
     @cached_property
     def _segments(self) -> List[tuple]:
-        """Every segment (a, b, float a, float b) of the obstacles and the
-        strands, which are fixed once the forest is built."""
-        polys = [seg.points for seg in self.builder.obstacles]
-        polys += [s.polyline for s in self.builder.strands]
-        out = []
-        for pts in polys:
-            floats = [(float(x), float(y)) for x, y in pts]
-            out += zip(pts, pts[1:], floats, floats[1:])
-        return out
+        """Every segment of the obstacles and the strands, which are fixed
+        once the forest is built, as (a, b, scale, float a, float b) with a
+        and b in integer form."""
+        paths = self.builder.obstacle_paths + [s.path for s in self.builder.strands]
+        return [(a, b, p.scale, fa, fb) for p in paths
+                for a, b, fa, fb in zip(p.ints, p.ints[1:], p.floats, p.floats[1:])]
 
     def clearance(self, center: Point) -> Fraction:
         """Min distance from ``center`` to all segments not through it.
-        Segments are met in order of their float distance, and exact ones
-        are computed only while a float distance may still beat the least
-        exact nonzero one (rounding moves a float distance far less than
-        the 1e-9 slack)."""
+        Segments are met in order of their float distance; exact ones, in
+        integers on the center's scale times the segment's, are taken only
+        while a float distance may still beat the least exact nonzero one
+        (rounding moves a float distance far less than the 1e-9 slack)."""
         c = (float(center[0]), float(center[1]))
-        approx = [(math.sqrt(_seg_distance2(c, fa, fb)), a, b)
-                  for a, b, fa, fb in self._segments]
+        approx = [(math.sqrt(n / m), a, b, s) for a, b, s, fa, fb in self._segments
+                  for n, m in [_seg_distance2(c, fa, fb)]]
         approx.sort(key=lambda entry: entry[0])
+        px, py, pd = point_key(center)
         best = None
-        for distance, a, b in approx:
+        for distance, a, b, s in approx:
             if best is not None and distance > bound:
                 break
-            d = _seg_distance2(center, a, b)
+            n, m = _seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd), (b[0] * pd, b[1] * pd))
+            d = Fraction(n, m * (pd * s) ** 2)
             if d and (best is None or d < best):
                 best, bound = d, math.sqrt(d) * (1 + 1e-9) + 1e-9
         if best is None:
@@ -348,20 +351,19 @@ def _dedupe(points):
     return out
 
 
-def _seg_distance2(p: Point, a: Point, b: Point) -> Fraction:
-    """Squared distance from point to segment, exact for Fraction points
-    (and rounded for float ones)."""
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0:
-        return (px - ax) ** 2 + (py - ay) ** 2
-    t = ((px - ax) * dx + (py - ay) * dy) / L2
-    t = max(0, min(1, t))
-    qx, qy = ax + t * dx, ay + t * dy
-    return (px - qx) ** 2 + (py - qy) ** 2
+def _seg_distance2(p, a, b) -> Tuple:
+    """Squared distance from point to segment as (numerator, denominator),
+    exact for integer points on one scale and rounded for float ones: past
+    an end, to that end, and in between ((p - a) x (b - a))^2 / |b - a|^2."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy, wx, wy = bx - ax, by - ay, px - ax, py - ay
+    dot, L2 = wx * dx + wy * dy, dx * dx + dy * dy
+    if dot <= 0:
+        return wx * wx + wy * wy, 1
+    if dot >= L2:
+        return (px - bx) ** 2 + (py - by) ** 2, 1
+    cross = wx * dy - wy * dx
+    return cross * cross, L2
 
 
 def _rational_sqrt_floor(d2: Fraction) -> Fraction:

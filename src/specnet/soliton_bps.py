@@ -26,11 +26,13 @@ from .geometry import (
     NonGenericGeometry,
     Param,
     Point,
+    Polyline,
     PolylineSet,
-    exact_param,
-    interp,
+    ScaledPoint,
+    exact_point,
     param_of,
     point_key,
+    prepare,
     sheet_prefixes,
     truncated,
     walk_sheets,
@@ -45,17 +47,17 @@ CAP_EPS = Fraction(1, 2 ** 24)
 
 
 class LiftedPath:
-    """A base polyline and its sorted weave-line crossings (param, letter,
-    side).  A chain lifts it as the triple (path, start sheet, orientation):
-    the sheet before the first event, and the sign of the triple's
-    contribution to pairings and boundary.  ``pairings`` holds the path's
-    test-curve pairings for every start sheet, filled by
+    """A base polyline in integer form and its sorted weave-line crossings
+    (param, letter, side).  A chain lifts it as the triple (path, start
+    sheet, orientation): the sheet before the first event, and the sign of
+    the triple's contribution to pairings and boundary.  ``pairings`` holds
+    the path's test-curve pairings for every start sheet, filled by
     ``PairingLines.pairing``."""
 
     __slots__ = ("polyline", "events", "pairings")
 
     def __init__(self, polyline, events):
-        self.polyline = list(polyline)
+        self.polyline = prepare(polyline)
         self.events = events
         self.pairings = None
 
@@ -69,6 +71,7 @@ class PairingLines:
 
     def __init__(self, lines: Sequence[Sequence[Point]], builder: ForestBuilder, n: int):
         self.n, self.records = n, []
+        lines = [prepare(line) for line in lines]
         self.lines = PolylineSet((line, k) for k, line in enumerate(lines))
         for k, line in enumerate(lines):
             events = builder.events_along(line)
@@ -89,7 +92,7 @@ class PairingLines:
             totals: List[Dict[int, int]] = [{} for _ in range(self.n)]
             for pa, k, pb, _, side in self.lines.crossings(path.polyline):
                 base, keys, inverses = self.records[k]
-                inverse = inverses[bisect_left(keys, exact_param(pb))]
+                inverse = inverses[bisect_left(keys, pb)]
                 perm = perms[bisect_left(params, pa)]
                 for total, sheet in zip(totals, perm[1:]):
                     row = base + inverse[sheet]
@@ -158,6 +161,8 @@ class HomologyEngine:
         self.obstacles = builder.obstacles
         n = self.weave.strand_count
         self.marked = (self.bent.marked_x, Fraction(0))
+        self._marked_key = point_key(self.marked)
+        self._branches = [(point_key(v.point), v.letter) for v in self.weave.trivalent_vertices()]
         if not self.obstacles:
             raise ValueError("weave has no weave lines: its top word is empty")
         # bounding depths
@@ -172,7 +177,7 @@ class HomologyEngine:
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
-        self._recent_caps: Dict[tuple, LiftedPath] = {}  # by point_key
+        self._recent_caps: Dict[ScaledPoint, LiftedPath] = {}
         # basis: cycle classes s_1..s_l, then boundary-arc classes through
         # the marked points t_1..t_n (these may satisfy relations; Gaussian
         # elimination prefers the s-columns, so arc usage is minimized)
@@ -200,38 +205,40 @@ class HomologyEngine:
                             self.builder, n)
 
     # ----- chains -----
-    def cap(self, start: Point) -> LiftedPath:
-        """The path from ``start`` to the marked point, kept for the few
-        most recent starts with its weave-line events and test-curve
-        pairings.  A path transport caps an interior wall crossing point at
-        most 2n + 3 times, with at most one other point between two of
-        them: a free-transport miss caps its sub-path's two ends
-        alternately, n times each, ``cap_sheets`` caps the end once more,
-        and a Stokes miss caps the point twice.  A memo hit caps nothing."""
-        key = point_key(start)
-        cap = self._recent_caps.pop(key, None)
+    def cap(self, start: ScaledPoint) -> LiftedPath:
+        """The path from ``start``, a ``point_key``, to the marked point,
+        kept for the few most recent starts with its weave-line events and
+        test-curve pairings.  A path transport caps an interior wall
+        crossing point at most 2n + 3 times, with at most one other point
+        between two of them: a free-transport miss caps its sub-path's two
+        ends alternately, n times each, ``cap_sheets`` caps the end once
+        more, and a Stokes miss caps the point twice.  A memo hit caps
+        nothing."""
+        cap = self._recent_caps.pop(start, None)
         if cap is None:
-            poly = self.cap_polyline(start)
-            cap = LiftedPath(poly, self.builder.events_along(poly))
-        self._recent_caps[key] = cap
+            path = Polyline(self.cap_points(start))
+            cap = LiftedPath(path, self.builder.events_along(path))
+        self._recent_caps[start] = cap
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
         return cap
 
-    def cap_polyline(self, start: Point) -> List[Point]:
-        """The base path of every cap at ``start``."""
-        return [start, (start[0] + CAP_EPS, -CAP_EPS / 2), self.marked]
+    def cap_points(self, start: ScaledPoint) -> List[ScaledPoint]:
+        """A cap's scaled points: ``start``, (x + CAP_EPS, -CAP_EPS / 2), the marked point."""
+        (x, _, d), (en, ed) = start, CAP_EPS.as_integer_ratio()
+        return [start, (2 * (x * ed + en * d), -en * d, 2 * d * ed), self._marked_key]
 
     def _strand_lifts(self, sid: int, end_param: Optional[Param]) -> List[tuple]:
         """Both lifts of a strand, cut at ``end_param`` (default: its end)."""
         strand = self.builder.strands[sid]
-        end = end_param or param_of(len(strand.polyline) - 2, Fraction(1))
-        i0, _, t0 = end
-        # params on the cut segment rescale to the shortened segment
-        events = [(param_of(i0, p[2] / t0) if p[0] == i0 else p, letter, side)
-                  for p, letter, side in strand.crossings if p < end]
-        lab = strand.start_label
-        path = LiftedPath(truncated(strand.polyline, end), events)
+        path, events = strand.path, strand.crossings
+        if end_param is not None:
+            i0, _, t0 = end_param
+            # params on the cut segment rescale to the shortened segment
+            events = [(param_of(i0, p[2] / t0) if p[0] == i0 else p, letter, side)
+                      for p, letter, side in events if p < end_param]
+            path = truncated(path, end_param)
+        path, lab = LiftedPath(path, events), strand.start_label
         return [(path, lab[0], 1), (path, lab[1], -1)]
 
     def tree_chain(self, strand_id: int,
@@ -247,10 +254,9 @@ class HomologyEngine:
         # only the root piece has no end param
         for sid, end_param in tree_of_strand(self.builder, strand_id)[0]:
             chain += self._strand_lifts(sid, end_param or root_param)
-        # caps at the root's endpoint (chord end, or the truncation point)
-        root = self.builder.strands[strand_id]
-        end = root.polyline[-1] if root_param is None else interp(root.polyline, root_param)
-        final, cap = root.label_at(root_param), self.cap(end)
+        # caps at the end of the root's lift, which comes first
+        final = self.builder.strands[strand_id].label_at(root_param)
+        cap = self.cap(chain[0][0].polyline.ends[1])
         chain += [(cap, final[0], 1), (cap, final[1], -1)]
         self._check_boundary(chain)
         return chain
@@ -258,7 +264,7 @@ class HomologyEngine:
     def arc_chain(self, marked_index: int) -> List[tuple]:
         """Boundary arc from marked lift t_i rightward around the surface."""
         mx, _ = self.marked
-        poly = [
+        path = prepare([
             self.marked,
             (self.x_max + 2, -CAP_EPS),
             (self.x_max + 2, self.y_deep - 1),
@@ -266,34 +272,31 @@ class HomologyEngine:
             (Fraction(-2), -CAP_EPS),
             (mx - CAP_EPS, -CAP_EPS),
             self.marked,
-        ]
-        return [(LiftedPath(poly, self.builder.events_along(poly)), marked_index, 1)]
+        ])
+        return [(LiftedPath(path, self.builder.events_along(path)), marked_index, 1)]
 
     def _check_boundary(self, chain: Sequence[tuple]):
-        residue: Dict[tuple, int] = {}  # by (point_key, sheet)
+        residue: Dict[tuple, int] = {}  # by (scaled point in lowest terms, sheet)
 
-        def add(point, sheet, mult):
-            key = point_key(point), sheet
+        def add(key, mult):
             value = residue.pop(key, 0) + mult
             if value:
                 residue[key] = value
 
         for path, sheet, orientation in chain:
-            add(path.polyline[0], sheet, -orientation)
-            add(path.polyline[-1], walk_sheets((sheet,), path.events)[0][0], orientation)
+            start, end = path.polyline.ends
+            add((start, sheet), -orientation)
+            add((end, walk_sheets((sheet,), path.events)[0][0]), orientation)
         # identify branch-point sheets: at a trivalent vertex with letter k,
         # sheets k and k+1 name the same surface point
-        for vertex in self.weave.trivalent_vertices():
-            k = vertex.letter
-            lo = (point_key(vertex.point), k)
-            hi = (point_key(vertex.point), k + 1)
+        for key, k in self._branches:
+            lo, hi = (key, k), (key, k + 1)
             if lo in residue and hi in residue:
                 s = residue.pop(lo) + residue.pop(hi)
                 if s:
                     residue[lo] = s
-        marked = point_key(self.marked)
-        leftovers = sorted(((Fraction(xn, xd), Fraction(yn, yd)), sheet)
-                           for (xn, xd, yn, yd), sheet in residue if (xn, xd, yn, yd) != marked)
+        leftovers = sorted((exact_point(key), sheet)
+                           for key, sheet in residue if key != self._marked_key)
         if leftovers:
             raise NonGenericGeometry("chain boundary off the marked points: %r" % leftovers[:4])
 

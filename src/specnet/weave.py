@@ -194,6 +194,13 @@ class Weave:
         return ups[1 - role]
 
 
+def _integer(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("malformed %s %r" % (what, token.strip())) from None
+
+
 def parse_weave(text: str) -> Weave:
     n = None
     top: Optional[Tuple[int, ...]] = None
@@ -205,17 +212,17 @@ def parse_weave(text: str) -> Weave:
         if line.startswith("n="):
             if n is not None:
                 raise ValueError("repeated header line %r" % raw)
-            n = int(line[2:])
+            n = _integer(line[2:], "strand count")
             if n > MAX_STRANDS:
                 raise ValueError("weave has %d strands (limit: %d)" % (n, MAX_STRANDS))
         elif line.startswith("top:"):
             if top is not None:
                 raise ValueError("repeated header line %r" % raw)
-            top = tuple(int(tok) for tok in line[4:].replace(",", " ").split())
+            top = tuple(_integer(tok, "top letter") for tok in line[4:].replace(",", " ").split())
         elif line.startswith("moves:"):
             for token in line[6:].split():
                 kind, pos = token[0], token[1:]
-                if kind not in _KINDS or not pos.isdigit():
+                if kind not in _KINDS or not pos.isdecimal():
                     raise ValueError("malformed move token %r" % token)
                 moves.append(Move(kind, int(pos)))
         else:

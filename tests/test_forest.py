@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,21 @@ from specnet.forest import Strand, build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry,
     PolylineSet,
-    exact_param,
+    Ratio,
     exact_point,
+    interp,
     param_of,
+    point_key,
     transpose,
+    truncated,
     twist_sign,
     walk_sheets,
 )
 from specnet.network import OPEN_END_PREFIX, classify_vertex
+from specnet.soliton_bps import BIRTH_PARAM
 from specnet.weave import bend_weave, parse_weave
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, random_weave_builders
 
 STRAND_COUNTS = {
     "mutation_a": 6,
@@ -207,7 +212,7 @@ def test_poly_crossings_basic():
     out = PolylineSet([(Q, "q")]).crossings(P)
     assert len(out) == 1
     (_, _, t), tag, pb, pt, side = out[0]
-    assert t == exact_param(pb)[2] == Fraction(1, 2) and tag == "q"
+    assert t == pb[2] == Fraction(1, 2) and tag == "q"
     assert exact_point(pt) == (Fraction(1), Fraction(1))
     assert side == 1  # (Q's tangent) x (P's tangent) = (2, -2) x (2, 2) = 8
 
@@ -242,6 +247,25 @@ def test_float_tied_params_keep_the_exact_order():
     assert f1 == f0 and (t1, t0) == (THIRD, TIED)
 
 
+# 1/3 + 2^-60 rounds to the float of 1/3 as well
+TIED_60 = THIRD + Fraction(1, 2 ** 60)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["third-first", "tied-first"])
+def test_float_tied_members_cross_in_exact_order(order):
+    """Vertical members at x = 1/3 and x = 1/3 + 2^-60, whose floats are
+    equal, cross (0, 0)->(1, 0) in the exact order of their params, the 1/3
+    member first, whichever member joins the set first and against the
+    order of their tags."""
+    assert float(THIRD) == float(TIED_60)
+    members = [(_poly((THIRD, -1), (THIRD, 1)), 1), (_poly((TIED_60, -1), (TIED_60, 1)), 0)]
+    out = PolylineSet([members[k] for k in order]).crossings(_poly((0, 0), (1, 0)))
+    assert [tag for _, tag, _, _, _ in out] == [1, 0]
+    assert [exact_point(pt)[0] for _, _, _, pt, _ in out] == [THIRD, TIED_60]
+    (pa, _, _, _, _), (pb, _, _, _, _) = out
+    assert pa[1] == pb[1] and pa < pb and pa != pb
+
+
 # params on one segment, some float-tied: k * 2^-70 from a coarse rational
 tied_params = st.tuples(st.integers(0, 2), st.fractions(0, 1, max_denominator=12),
                         st.integers(-2, 2)).map(lambda d: (d[0], d[1] + Fraction(d[2], 2 ** 70)))
@@ -253,17 +277,57 @@ tied_params = st.tuples(st.integers(0, 2), st.fractions(0, 1, max_denominator=12
 @example([(0, THIRD), (0, TIED)], 1)
 @example([(1, TIED), (1, THIRD), (0, TIED)], 3)
 def test_param_order_is_the_exact_order(pairs, scale):
-    """Params built by ``param_of``, or by ``exact_param`` from integers
+    """Params built by ``param_of`` from a ``Fraction``, or from a ``Ratio``
     not in lowest terms, order and compare as their (segment, ``Fraction``)
     pairs do, float ties included."""
     built = [param_of(i, t) for i, t in pairs]
-    assert built == [exact_param((i, t.numerator * scale, t.denominator * scale))
+    assert built == [param_of(i, Ratio(t.numerator * scale, t.denominator * scale))
                      for i, t in pairs]
     for a, pa in zip(pairs, built):
         for b, pb in zip(pairs, built):
             assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
     order = sorted(range(len(pairs)), key=pairs.__getitem__)
     assert sorted(range(len(pairs)), key=built.__getitem__) == order
+
+
+# ----- reference: interp and truncated in Fraction arithmetic -----
+
+def _fraction_interp(polyline, i, t):
+    p0, p1 = polyline[i], polyline[i + 1]
+    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+
+def _fraction_truncated(polyline, i, t):
+    return list(polyline[: i + 1]) + [_fraction_interp(polyline, i, t)]
+
+
+def test_interp_and_truncated_match_fraction_reference(builders):
+    """``interp`` and ``truncated`` on a strand's integer form give exactly
+    the points, floats and end keys of the ``Fraction`` reference: on the
+    fixtures and the seed-20261018 random weaves, at every strand's
+    weave-line params, joint params, birth param and end, and at seeded
+    params on each segment."""
+    rng = random.Random(20261019)
+    read = 0
+    for builder in list(builders.values()) + list(random_weave_builders()):
+        for strand in builder.strands:
+            last = len(strand.polyline) - 2
+            params = [p for p, _, _ in strand.crossings] + [BIRTH_PARAM, param_of(last, 1)]
+            params += [joint["params"][strand.id] for joint in builder.joints
+                       if strand.id in joint["params"]]
+            params += [param_of(i, Fraction(rng.randint(0, 996), 996)) for i in range(last + 1)]
+            for param in params:
+                i, t = param[0], Fraction(param[2].numerator, param[2].denominator)
+                assert param[1] == float(t)
+                assert exact_point(interp(strand.path, param)) == \
+                    _fraction_interp(strand.polyline, i, t)
+                cut = truncated(strand.path, param)
+                expected = _fraction_truncated(strand.polyline, i, t)
+                assert [exact_point((x, y, cut.scale)) for x, y in cut.ints] == expected
+                assert cut.floats == [(float(x), float(y)) for x, y in expected]
+                assert cut.ends == (point_key(expected[0]), point_key(expected[-1]))
+                read += 1
+    assert read > 2000
 
 
 def test_march_right_reports_the_first_corner_on_its_ray(builders):
@@ -377,6 +441,7 @@ def _exact(param):
     """A param triple as the reference's (segment, ``Fraction``) pair, once
     its float is checked to be the ``Fraction``'s."""
     i, f, t = param
+    t = Fraction(t.numerator, t.denominator)
     assert f == float(t)
     return i, t
 
@@ -384,7 +449,7 @@ def _exact(param):
 def _read(crossings):
     """``PolylineSet.crossings`` with each param read as a (segment,
     ``Fraction``) pair and each scaled point as its point."""
-    return [(_exact(pa), tag, _exact(exact_param(pb)), exact_point(pt), side)
+    return [(_exact(pa), tag, _exact(pb), exact_point(pt), side)
             for pa, tag, pb, pt, side in crossings]
 
 

@@ -3,13 +3,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from specnet import nonabel
 from specnet.forest import build_forest_strands
 from specnet.geometry import (
-    NonGenericGeometry, exact_param, exact_point, param_of, twist_sign as _perm_sign, walk_sheets)
+    NonGenericGeometry, Polyline, Ratio, exact_point, param_of, point_key, prepare,
+    twist_sign as _perm_sign, walk_sheets)
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
@@ -23,7 +25,7 @@ from specnet.nonabel import (
     homotopic_pair,
     network_punctures,
 )
-from specnet.soliton_bps import CAP_EPS, HomologyEngine, LiftedPath
+from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, HomologyEngine, LiftedPath
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import EXAMPLES, random_weave_builders, random_weave_texts
@@ -114,6 +116,124 @@ def test_clearance_equals_exact_minimum(builders):
         centers = [v.point for v in builder.weave.trivalent_vertices()]
         centers += [tuple(joint["point"]) for joint in builder.joints]
         assert [transport.clearance(c) for c in centers] == _exact_clearances(builder, centers)
+
+
+# ----- reference: clearance and wall cut params in Fraction arithmetic -----
+
+def _fraction_seg_distance2(p, a, b):
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    if L2 == 0:
+        return (px - ax) ** 2 + (py - ay) ** 2
+    t = ((px - ax) * dx + (py - ay) * dy) / L2
+    t = max(0, min(1, t))
+    qx, qy = ax + t * dx, ay + t * dy
+    return (px - qx) ** 2 + (py - qy) ** 2
+
+
+def _fraction_clearance(builder, center):
+    """``clearance`` with ``Fraction`` segments: the float pass orders them,
+    and exact distances are taken while a float one may still win."""
+    segments = []
+    for pts in [seg.points for seg in builder.obstacles] + [s.polyline for s in builder.strands]:
+        floats = [(float(x), float(y)) for x, y in pts]
+        segments += zip(pts, pts[1:], floats, floats[1:])
+    c = (float(center[0]), float(center[1]))
+    approx = sorted(((math.sqrt(_fraction_seg_distance2(c, fa, fb)), a, b)
+                     for a, b, fa, fb in segments), key=lambda entry: entry[0])
+    best = None
+    for distance, a, b in approx:
+        if best is not None and distance > bound:
+            break
+        d = _fraction_seg_distance2(center, a, b)
+        if d and (best is None or d < best):
+            best, bound = d, math.sqrt(d) * (1 + 1e-9) + 1e-9
+    return _rational_sqrt_floor(best)
+
+
+def _fraction_wall_cuts(transport, strand):
+    """A wall's sorted cut params as (segment, ``Fraction``) pairs."""
+    edges = transport.branch_xs + [bx - CAP_EPS for bx in transport.branch_xs]
+    cuts = [(i, Fraction(t.numerator, t.denominator)) for (i, _, t), _, _ in strand.crossings]
+    for i, (a, b) in enumerate(zip(strand.polyline, strand.polyline[1:])):
+        if a[0] != b[0]:
+            ts = ((edge - a[0]) / (b[0] - a[0]) for edge in edges)
+            cuts += [(i, t) for t in ts if 0 <= t <= 1]
+    return sorted(cuts)
+
+
+def test_integer_distances_and_cuts_match_fraction_reference(builders):
+    """The integer ``_seg_distance2``, the clearance it serves and the
+    integer cut params of ``_interval_key`` equal the ``Fraction``
+    reference on the fixtures and the seed-20261018 random weaves: each
+    segment's exact distance and the clearance at every branch point and
+    joint and at seeded points, and every wall's cut params."""
+    rng = random.Random(20261019)
+    for builder in list(builders.values()) + list(random_weave_builders()):
+        transport = Transport(builder)
+        centers = [v.point for v in builder.weave.trivalent_vertices()]
+        centers += [tuple(joint["point"]) for joint in builder.joints]
+        centers += [(Fraction(rng.randint(0, 4000), 997), Fraction(-rng.randint(1, 4000), 997))
+                    for _ in range(3)]
+        for center in centers:
+            px, py, pd = point_key(center)
+            for a, b, s, _, _ in transport._segments:
+                n, m = nonabel._seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd),
+                                              (b[0] * pd, b[1] * pd))
+                assert Fraction(n, m * (pd * s) ** 2) == _fraction_seg_distance2(
+                    center, exact_point((*a, s)), exact_point((*b, s)))
+            assert transport.clearance(center) == _fraction_clearance(builder, center)
+        for strand in builder.strands:
+            transport._interval_key(strand.id, BIRTH_PARAM)
+            cuts = transport._wall_cuts[strand.id]
+            assert all(f == t.numerator / t.denominator for _, f, t in cuts)
+            assert [(i, Fraction(t.numerator, t.denominator)) for i, _, t in cuts] == \
+                _fraction_wall_cuts(transport, strand)
+
+
+THIRD, TIED = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 60)
+
+
+def test_interval_key_reads_float_tied_cuts_exactly():
+    """A param whose float ties with a wall's cut param is placed by its
+    exact value: before the cut, at it (no key), or after it."""
+    strand = SimpleNamespace(crossings=[], path=prepare([(0, 0), (1, 0)]))  # its param is x
+    stub = SimpleNamespace(builder=SimpleNamespace(strands=[strand]), _wall_cuts={},
+                           branch_xs=[TIED])  # cuts at TIED - CAP_EPS and TIED
+    params = [param_of(0, THIRD), param_of(0, Ratio(2 * TIED.numerator, 2 * TIED.denominator)),
+              param_of(0, THIRD + Fraction(1, 2 ** 59))]
+    assert {p[1] for p in params} == {float(TIED)}
+    assert [Transport._interval_key(stub, 0, p) for p in params] == [(0, 1), None, (0, 2)]
+
+
+def test_weave_line_check_reads_a_float_tied_param_exactly():
+    """``transport_path`` rejects a wall crossing at one of the wall's
+    weave-line params only when the two are exactly equal: an event whose
+    float ties with the crossing's param but which lies just past it changes
+    nothing, and one equal to it in other terms raises."""
+    builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["five_crossing"])))
+    path = [(Fraction(3619, 1994), Fraction(-199303, 63808)),
+            (Fraction(17489, 1994), Fraction(-42411, 31904)),
+            (Fraction(7937, 997), Fraction(-447425, 63808)),
+            (Fraction(5975, 1994), Fraction(-420601, 63808)),
+            (Fraction(10649, 1994), Fraction(-26235, 15952))]
+    expected = Transport(builder).transport_path(path)
+    # wall 2 is no joint's parent; the event goes past its later crossing
+    wall = builder.strands[2]
+    assert all(2 not in joint["parents"] for joint in builder.joints)
+    j, f, t = max(pb for _, sid, pb, _, _ in builder.walls.crossings(path) if sid == 2)
+    past = (j, f, Ratio(t.numerator * 2 ** 80 + t.denominator, t.denominator * 2 ** 80))
+    assert past[2].numerator / past[2].denominator == f
+    crossings = wall.crossings
+    wall.crossings = sorted(crossings + [(past, 1, 1)])
+    assert Transport(builder).transport_path(path) == expected
+    wall.crossings = sorted(crossings + [((j, f, Ratio(2 * t.numerator, 2 * t.denominator)), 1, 1)])
+    with pytest.raises(NonGenericGeometry,
+                       match="path crosses wall 2 where it crosses a weave line"):
+        Transport(builder).transport_path(path)
 
 
 def test_wall_crossing_matrices_unipotent(transports):
@@ -282,8 +402,8 @@ def _direct_free(transport, poly):
     out = [[LaurentPoly.zero(transport.gens)] * n for _ in range(n)]
     for start in range(1, n + 1):
         (sheet,), sign = walk_sheets((start,), path.events)
-        cyc, arc = _solve(engine, [(path, start, 1), (engine.cap(poly[0]), start, -1),
-                                   (engine.cap(poly[-1]), sheet, 1)])
+        cyc, arc = _solve(engine, [(path, start, 1), (engine.cap(point_key(poly[0])), start, -1),
+                                   (engine.cap(point_key(poly[-1])), sheet, 1)])
         out[sheet - 1][start - 1] = LaurentPoly.monomial(transport.gens, cyc + arc, sign)
     return out
 
@@ -375,7 +495,7 @@ def _check_memos(transport, rng, walls, per_segment, paths):
 
 def _fresh_cap_sheets(transport, point):
     """The sheet permutation of a cap at ``point``, walked afresh."""
-    events = transport.builder.events_along(transport.engine.cap_polyline(tuple(point)))
+    events = transport.builder.events_along(Polyline(transport.engine.cap_points(point_key(point))))
     return walk_sheets(tuple(range(1, transport.n + 1)), events)[0]
 
 
@@ -474,7 +594,7 @@ def _matrix_product_transport(transport, poly):
         sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
         if len(sub) > 1:
             total = transport.matmul(transport.transport_free(sub), total)
-        total = transport.matmul(transport.transport_short(sid, exact_param(pb), side), total)
+        total = transport.matmul(transport.transport_short(sid, pb, side), total)
         prev_pt, prev_idx = pt, pa[0]
     sub = _dedupe([prev_pt] + poly[prev_idx + 1:])
     if len(sub) > 1:
@@ -512,7 +632,7 @@ def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):
             (Fraction(1789, 768), Fraction(-4843, 10752))]
     point = (Fraction(511, 256), Fraction(-255, 512))
     wall = transport.builder.strands[0]
-    hits = [(exact_param(pb), exact_point(pt))
+    hits = [(pb, exact_point(pt))
             for _, sid, pb, pt, _ in transport.builder.walls.crossings(path) if sid == 0]
     assert hits == [(param_of(8, Fraction(1, 256)), point)]
     assert param_of(8, Fraction(1, 256)) in [param for param, letter, _ in wall.crossings

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import NonGenericGeometry, PolylineSet, exact_param, transpose
+from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, transpose
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
@@ -201,10 +202,27 @@ def _reference_vector(chain, tests):
             path, _, orientation = lift
             # side is the sign of (test tangent) x (path tangent)
             for pa, _, pb, _pt, side in one.crossings(path.polyline):
-                if _sheet_at(lift, pa) == _sheet_at(test, exact_param(pb)):
+                if _sheet_at(lift, pa) == _sheet_at(test, pb):
                     total -= orientation * side
         vector.append(total)
     return vector
+
+
+def test_pairing_reads_a_float_tied_line_event_exactly():
+    """A path that meets a test line at a param whose float ties with a
+    weave-line event on the line, but which lies exactly before or after
+    it, pairs with the lift of the line on its own side of the event."""
+    third = Fraction(1, 3)
+    event = third + Fraction(1, 2 ** 60)
+    ys = [third, third + Fraction(1, 2 ** 70), event + Fraction(1, 2 ** 80),
+          third + Fraction(1, 2 ** 59)]
+    assert {float(y) for y in ys} == {float(event)}
+    # the line's param is y; past the letter-1 event its lift from sheet 1 is on sheet 2
+    builder = SimpleNamespace(events_along=lambda line: [(param_of(0, event), 1, 1)])
+    lines = PairingLines([[(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]], builder, 2)
+    rows = [lines.pairing(LiftedPath([(Fraction(-1), y), (Fraction(1), y)], []))[0][0]
+            for y in ys]
+    assert rows == [(0,), (0,), (1,), (1,)]
 
 
 def test_engine_matches_per_test_reference(catalogs):

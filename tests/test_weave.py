@@ -57,6 +57,28 @@ def test_parse_weave_rejects_repeated_headers():
         parse_weave("n=3\ntop: 1 2 1\ntop: 2 1 2")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=x\ntop: 1 1", "malformed strand count 'x'"),
+    ("n=\ntop: 1 1", "malformed strand count ''"),
+    ("n=2\ntop: 1 x", "malformed top letter 'x'"),
+    ("n=2\ntop: 1, 1.5", "malformed top letter '1.5'"),
+    ("n=2\ntop: 1 1\nmoves: t\u00b2", "malformed move token 't\u00b2'"),
+])
+def test_parse_weave_names_a_malformed_number(text, message):
+    """A header or move number that is no integer is named in the error,
+    not reported as int()'s "invalid literal"."""
+    with pytest.raises(ValueError) as raised:
+        parse_weave(text)
+    assert str(raised.value) == message
+
+
+def test_parse_weave_keeps_signed_numbers_for_the_range_checks():
+    """Numbers int() reads still reach the range checks, which name them."""
+    with pytest.raises(ValueError, match=r"letter -1 out of range \[1, 1\]"):
+        parse_weave("n=2\ntop: 1 -1")
+    assert parse_weave("n= +2\ntop: 1").strand_count == 2
+
+
 def test_parse_weave_accumulates_moves_lines():
     assert parse_weave("n=3\ntop: 2 1 2 1 2\nmoves: h1 t3\nmoves: h2 t1").moves == \
         parse_weave(EXAMPLES["five_crossing"]).moves
