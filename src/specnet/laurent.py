@@ -31,14 +31,7 @@ class LaurentPoly:
 
     def __init__(self, gens: Tuple[str, ...], terms: Dict[Monomial, int] | None = None):
         self.gens = tuple(gens)
-        clean: Dict[Monomial, int] = {}
-        if terms:
-            for mon, coeff in terms.items():
-                if len(mon) != len(self.gens):
-                    raise ValueError("monomial arity does not match generators")
-                if coeff:
-                    clean[tuple(int(e) for e in mon)] = clean.get(tuple(mon), 0) + coeff
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # ----- constructors -----
     @classmethod
@@ -52,8 +45,10 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, gens: Iterable[str], exponents: Iterable[int], coeff: int = 1) -> "LaurentPoly":
-        gens = tuple(gens)
-        return cls(gens, {tuple(int(e) for e in exponents): int(coeff)})
+        gens, exponents = tuple(gens), tuple(map(int, exponents))
+        if len(exponents) != len(gens):
+            raise ValueError("monomial arity does not match generators")
+        return cls(gens, {exponents: int(coeff)})
 
     @classmethod
     def generator(cls, gens: Iterable[str], name: str) -> "LaurentPoly":
@@ -85,9 +80,6 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.constant(self.gens, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -140,9 +132,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.gens == other.gens and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.gens, frozenset(self.terms.items())))
 
     # ----- printing / parsing -----
     def __str__(self):

@@ -17,7 +17,11 @@ interior composition points cancel in class, making composition exact.
 A path's product is never multiplied out: it is built by row operations on
 the running total.  A free transport (permutation-diagonal) moves row s to
 the row of its end sheet, scaled by the entry; a Stokes factor adds c times
-row j to row i.
+row j to row i.  The path is put in integer form once, and each sub-path
+between two wall crossings is cut from it: the previous crossing's scaled
+point (or the start), the corners up to the next crossing and that
+crossing's scaled point.  A repeated corner leaves a zero-length segment,
+which crosses nothing.
 
 The local sign conventions are pinned by requiring transport around every
 branch point and every creation joint to be the identity: the Stokes
@@ -55,8 +59,9 @@ Transport is locally constant, so both exact answers are kept per class:
   event word fixes the path's permutation and the start cap's is in the
   key, so end = loop o start o path^-1.  Each sub-path of a path starts
   where the one before it ended, so the end sheets are carried on as the
-  next start sheets, and a path builds one start cap.  Where the key is
-  None the end cap is walked afresh.
+  next start sheets, and a path walks one start cap.  A miss, keyed or
+  not, builds the sub-path's start and end caps once each, for all n
+  chains, and reads the end sheets off the end cap's events.
 """
 
 from __future__ import annotations
@@ -69,8 +74,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio, exact_point,
-                       interp, point_key, prepare, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio, ScaledPoint,
+                       exact_point, interp, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import CAP_EPS, LiftedPath, SolitonCatalog, tree_of_strand
 
@@ -136,37 +141,38 @@ class Transport:
         obtained by conjugating through the crossed weave lines, with entry
         the capped-lift holonomy times the twisting signs.
         """
-        factor, _ = self.free_factor(poly, self.cap_sheets(poly[0]))
+        path = prepare(poly)
+        factor, _ = self.free_factor(path, self.cap_sheets(path.ends[0]))
         zero = LaurentPoly.zero(self.gens)
         out = [[zero] * self.n for _ in range(self.n)]
         for start, (sheet, entry) in enumerate(factor):
             out[sheet - 1][start] = entry
         return out
 
-    def cap_sheets(self, point: Point) -> Tuple[int, ...]:
-        """The sheet permutation of the cap at ``point``: sheet s there
-        reaches sheet ``[s - 1]`` at the marked point."""
-        cap = self.engine.cap(point_key(point))
-        return walk_sheets(tuple(range(1, self.n + 1)), cap.events)[0]
+    def cap_sheets(self, start: ScaledPoint) -> Tuple[int, ...]:
+        """The sheet permutation of the cap at ``start``, a ``point_key``:
+        sheet s there reaches sheet ``[s - 1]`` at the marked point."""
+        return walk_sheets(tuple(range(1, self.n + 1)), self.engine.cap(start).events)[0]
 
-    def free_factor(self, poly: Sequence[Point], sheets: Tuple[int, ...]):
-        """The free transport along ``poly`` as its (end sheet, entry) per
-        start sheet, and the sheet permutation of the cap at its end;
-        ``sheets`` is the permutation of the cap at its start."""
+    def free_factor(self, poly, sheets: Tuple[int, ...]):
+        """The free transport along ``poly`` (points or a ``Polyline``) as
+        its (end sheet, entry) per start sheet, and the sheet permutation of
+        the cap at its end; ``sheets`` is the permutation of the cap at its
+        start."""
         path = prepare(poly)
         events = self.builder.events_along(path)
         key = self._free_key(path, events, sheets)
         found = self._free.get(key)
         if found is None:
             lifted = LiftedPath(path, events)
+            start_cap, end_cap = map(self.engine.cap, path.ends)
             factor = []
             for start in range(1, self.n + 1):
                 (sheet,), sign = walk_sheets((start,), events)
-                chain = [(lifted, start, 1), (self.engine.cap(path.ends[0]), start, -1),
-                         (self.engine.cap(path.ends[1]), sheet, 1)]
+                chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
                 cyc, arc = self.engine.class_of_chain(chain)
                 factor.append((sheet, _monomial(self.gens, cyc, arc, sign)))
-            found = tuple(factor), self.cap_sheets(poly[-1])
+            found = tuple(factor), walk_sheets(tuple(range(1, self.n + 1)), end_cap.events)[0]
             if key is not None:
                 if len(self._free) >= MAX_FREE_KEYS:
                     del self._free[next(iter(self._free))]
@@ -257,30 +263,27 @@ class Transport:
     # ----- paths -----
     def transport_path(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
         """Transport along a polyline path avoiding all network vertices,
-        by row operations, with the cap sheets carried from one sub-path to
-        the next (see the module docstring)."""
-        poly = [tuple(p) for p in poly]
+        by row operations on sub-paths cut from its integer form, with the
+        cap sheets carried from one sub-path to the next (see the module
+        docstring)."""
+        path = prepare(poly)
+        corners = [(x, y, path.scale) for x, y in path.ints]
         rows = self.identity()
-        sheets = self.cap_sheets(poly[0])
-        prev_pt = poly[0]
-        prev_idx = 0
-        for pa, sid, pb, pt, side in self.builder.walls.crossings(poly):
-            pt = exact_point(pt)
+        sheets = self.cap_sheets(path.ends[0])
+        prev, prev_idx = corners[0], 0
+        for pa, sid, pb, pt, side in self.builder.walls.crossings(path):
             strand = self.builder.strands[sid]
             if any(param == pb for param, _, _ in strand.crossings):
                 raise NonGenericGeometry("path crosses wall %d where it crosses a weave "
-                                         "line, at %r" % (sid, pt))
-            sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
-            if len(sub) > 1:
-                rows, sheets = self._apply_free(sub, sheets, rows)
+                                         "line, at %r" % (sid, exact_point(pt)))
+            sub = Polyline([prev] + corners[prev_idx + 1: pa[0] + 1] + [pt])
+            rows, sheets = self._apply_free(sub, sheets, rows)
             i, j = strand.label_at(pb)
             c = self.soliton_coefficient(sid, pb) * side
             rows[i - 1] = [a if b.is_zero() else a + c * b
                            for a, b in zip(rows[i - 1], rows[j - 1])]
-            prev_pt, prev_idx = pt, pa[0]
-        sub = _dedupe([prev_pt] + poly[prev_idx + 1:])
-        if len(sub) > 1:
-            rows, _ = self._apply_free(sub, sheets, rows)
+            prev, prev_idx = pt, pa[0]
+        rows, _ = self._apply_free(Polyline([prev] + corners[prev_idx + 1:]), sheets, rows)
         return rows
 
     def _apply_free(self, sub, sheets, rows):
@@ -296,34 +299,25 @@ class Transport:
     @cached_property
     def _segments(self) -> List[tuple]:
         """Every segment of the obstacles and the strands, which are fixed
-        once the forest is built, as (a, b, scale, float a, float b) with a
-        and b in integer form."""
+        once the forest is built, as (a, b, scale) with a and b in integer
+        form."""
         paths = self.builder.obstacle_paths + [s.path for s in self.builder.strands]
-        return [(a, b, p.scale, fa, fb) for p in paths
-                for a, b, fa, fb in zip(p.ints, p.ints[1:], p.floats, p.floats[1:])]
+        return [(a, b, p.scale) for p in paths for a, b in zip(p.ints, p.ints[1:])]
 
     def clearance(self, center: Point) -> Fraction:
-        """Min distance from ``center`` to all segments not through it.
-        Segments are met in order of their float distance; exact ones, in
-        integers on the center's scale times the segment's, are taken only
-        while a float distance may still beat the least exact nonzero one
-        (rounding moves a float distance far less than the 1e-9 slack)."""
-        c = (float(center[0]), float(center[1]))
-        approx = [(math.sqrt(n / m), a, b, s) for a, b, s, fa, fb in self._segments
-                  for n, m in [_seg_distance2(c, fa, fb)]]
-        approx.sort(key=lambda entry: entry[0])
+        """Min distance from ``center`` to all segments not through it: the
+        least nonzero exact squared distance, in integers on the center's
+        scale times each segment's, floored to a rational root."""
         px, py, pd = point_key(center)
         best = None
-        for distance, a, b, s in approx:
-            if best is not None and distance > bound:
-                break
+        for a, b, s in self._segments:
             n, m = _seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd), (b[0] * pd, b[1] * pd))
-            d = Fraction(n, m * (pd * s) ** 2)
-            if d and (best is None or d < best):
-                best, bound = d, math.sqrt(d) * (1 + 1e-9) + 1e-9
+            m *= (pd * s) ** 2
+            if n and (best is None or n * best[1] < best[0] * m):
+                best = n, m
         if best is None:
             raise NonGenericGeometry("no features near %r" % (center,))
-        return _rational_sqrt_floor(best)
+        return _rational_sqrt_floor(Fraction(*best))
 
     def branch_monodromy(self, vertex_id: int) -> List[List[LaurentPoly]]:
         vertex = self.builder.weave.vertices[vertex_id]
@@ -343,18 +337,10 @@ class Transport:
                                     (cx - 2 * e, cy - r), (cx + r, cy + e)])
 
 
-def _dedupe(points):
-    out = [points[0]]
-    for p in points[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
-
-
 def _seg_distance2(p, a, b) -> Tuple:
     """Squared distance from point to segment as (numerator, denominator),
-    exact for integer points on one scale and rounded for float ones: past
-    an end, to that end, and in between ((p - a) x (b - a))^2 / |b - a|^2."""
+    exact for integer points on one scale: past an end, to that end, and in
+    between ((p - a) x (b - a))^2 / |b - a|^2."""
     (px, py), (ax, ay), (bx, by) = p, a, b
     dx, dy, wx, wy = bx - ax, by - ay, px - ax, py - ay
     dot, L2 = wx * dx + wy * dy, dx * dx + dy * dy

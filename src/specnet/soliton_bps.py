@@ -178,6 +178,11 @@ class HomologyEngine:
         self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
         self._recent_caps: Dict[ScaledPoint, LiftedPath] = {}
+        # the boundary arc, one path for every marked lift
+        arc = prepare([self.marked, (self.x_max + 2, -CAP_EPS), (self.x_max + 2, self.y_deep - 1),
+                       (Fraction(-2), self.y_deep - 1), (Fraction(-2), -CAP_EPS),
+                       (self.marked[0] - CAP_EPS, -CAP_EPS), self.marked])
+        self._arc = LiftedPath(arc, builder.events_along(arc))
         # basis: cycle classes s_1..s_l, then boundary-arc classes through
         # the marked points t_1..t_n (these may satisfy relations; Gaussian
         # elimination prefers the s-columns, so arc usage is minimized)
@@ -208,12 +213,12 @@ class HomologyEngine:
     def cap(self, start: ScaledPoint) -> LiftedPath:
         """The path from ``start``, a ``point_key``, to the marked point,
         kept for the few most recent starts with its weave-line events and
-        test-curve pairings.  A path transport caps an interior wall
-        crossing point at most 2n + 3 times, with at most one other point
-        between two of them: a free-transport miss caps its sub-path's two
-        ends alternately, n times each, ``cap_sheets`` caps the end once
-        more, and a Stokes miss caps the point twice.  A memo hit caps
-        nothing."""
+        test-curve pairings.  A path transport caps its start once; a
+        free-transport miss caps its sub-path's two ends once each, and a
+        Stokes miss caps its wall crossing point once, between the misses
+        of the two sub-paths that meet there.  A memo hit caps nothing, so
+        the caps kept also serve the next path from the same start or to
+        the same end, as the other path of a homotopic pair."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             path = Polyline(self.cap_points(start))
@@ -263,17 +268,7 @@ class HomologyEngine:
 
     def arc_chain(self, marked_index: int) -> List[tuple]:
         """Boundary arc from marked lift t_i rightward around the surface."""
-        mx, _ = self.marked
-        path = prepare([
-            self.marked,
-            (self.x_max + 2, -CAP_EPS),
-            (self.x_max + 2, self.y_deep - 1),
-            (Fraction(-2), self.y_deep - 1),
-            (Fraction(-2), -CAP_EPS),
-            (mx - CAP_EPS, -CAP_EPS),
-            self.marked,
-        ])
-        return [(LiftedPath(path, self.builder.events_along(path)), marked_index, 1)]
+        return [(self._arc, marked_index, 1)]
 
     def _check_boundary(self, chain: Sequence[tuple]):
         residue: Dict[tuple, int] = {}  # by (scaled point in lowest terms, sheet)

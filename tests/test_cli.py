@@ -492,6 +492,12 @@ def test_malformed_header_exits_2_with_named_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error [bps]: malformed top letter 'x'\n"
 
 
+def test_unrecognized_line_exits_2_with_named_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=2\ntop: 1 1\nbogus line\n"))
+    assert main(["bps", "-"]) == 2
+    assert capsys.readouterr().err == "error [bps]: unrecognized line 'bogus line'\n"
+
+
 def test_propagation_error_exits_2(monkeypatch, capsys):
     """A forest the weave cannot grow is a named error with exit 2, not a
     traceback with exit 1 (the code nonabelianize uses for NOT IDENTITY)."""

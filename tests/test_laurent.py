@@ -34,6 +34,12 @@ def test_inverse_and_units():
         (s1 + 1).inverse()
 
 
+def test_monomial_checks_its_arity():
+    assert LaurentPoly.monomial(GENS, (1, 0, -2), 3) == 3 * gen("s_1") * gen("s_3") ** -2
+    with pytest.raises(ValueError, match="monomial arity does not match generators"):
+        LaurentPoly.monomial(GENS, (1, 0))
+
+
 def test_parse_round_trip():
     text = "s_2 - 1/s_1 - 1/s_3 + 1/(s_3^2*s_2)"
     p = parse_laurent(text, GENS)

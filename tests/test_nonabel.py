@@ -16,7 +16,6 @@ from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
     Transport,
-    _dedupe,
     _folds,
     _rational_sqrt_floor,
     _winding,
@@ -101,9 +100,10 @@ def _exact_clearances(builder, centers):
 
 
 def test_clearance_equals_exact_minimum(builders):
-    """``clearance``'s float-ordered search with its early stop gives the
-    brute-force exact minimum at every branch point and joint of the
-    fixtures and of the seed-7 corpus weaves that build."""
+    """``clearance``, the least nonzero squared distance over the segments
+    each on its own scale, gives the brute-force minimum on one common
+    scale at every branch point and joint of the fixtures and of the
+    seed-7 corpus weaves that build."""
     built = list(builders.values())
     for text in random_weave_texts(7, 400):
         try:
@@ -180,7 +180,7 @@ def test_integer_distances_and_cuts_match_fraction_reference(builders):
                     for _ in range(3)]
         for center in centers:
             px, py, pd = point_key(center)
-            for a, b, s, _, _ in transport._segments:
+            for a, b, s in transport._segments:
                 n, m = nonabel._seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd),
                                               (b[0] * pd, b[1] * pd))
                 assert Fraction(n, m * (pd * s) ** 2) == _fraction_seg_distance2(
@@ -345,6 +345,24 @@ def test_double_hexavalent_chord_map_is_identity():
     mapping = chord_map(weave)
     for name, value in mapping.items():
         assert value == LaurentPoly.generator(value.gens, name), name
+
+
+def test_tetravalent_chord_map_swaps_the_two_chords():
+    mapping = chord_map(parse_weave("n=4\ntop: 1 3\nmoves: x1"))
+    gens = mapping["z_1"].gens
+    z1, z2 = (LaurentPoly.generator(gens, g) for g in gens)
+    assert mapping == {"z_1": z2, "z_2": z1}
+    assert chord_map(parse_weave("n=4\ntop: 1 3\nmoves: x1 x1")) == {"z_1": z1, "z_2": z2}
+
+
+def test_hexavalent_then_tetravalent_chord_map_composes_the_rules():
+    """h1 on 1 2 1 sends z_1 to z_3, z_3 to z_1 and z_2 to z_2 + z_1 z_3
+    (letters 1 < 2: sign +1); x3 on the slice 2 1 2 4 then swaps z_3 and
+    z_4 in each image."""
+    mapping = chord_map(parse_weave("n=5\ntop: 1 2 1 4\nmoves: h1 x3"))
+    gens = mapping["z_1"].gens
+    z1, z2, z3, z4 = (LaurentPoly.generator(gens, g) for g in gens)
+    assert mapping == {"z_1": z4, "z_2": z2 + z1 * z4, "z_3": z1, "z_4": z3}
 
 
 def test_single_hexavalent_chord_map_is_r3_substitution():
@@ -586,17 +604,20 @@ def _segments_meet(a, b, c, d):
 def _matrix_product_transport(transport, poly):
     """Transport along ``poly`` as the matmul product of the transport_free
     and transport_short matrices, each sub-path capped afresh."""
+    def dedupe(points):
+        return [p for k, p in enumerate(points) if k == 0 or p != points[k - 1]]
+
     poly = [tuple(p) for p in poly]
     total = transport.identity()
     prev_pt, prev_idx = poly[0], 0
     for pa, sid, pb, pt, side in transport.builder.walls.crossings(poly):
         pt = exact_point(pt)
-        sub = _dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
+        sub = dedupe([prev_pt] + poly[prev_idx + 1: pa[0] + 1] + [pt])
         if len(sub) > 1:
             total = transport.matmul(transport.transport_free(sub), total)
         total = transport.matmul(transport.transport_short(sid, pb, side), total)
         prev_pt, prev_idx = pt, pa[0]
-    sub = _dedupe([prev_pt] + poly[prev_idx + 1:])
+    sub = dedupe([prev_pt] + poly[prev_idx + 1:])
     if len(sub) > 1:
         total = transport.matmul(transport.transport_free(sub), total)
     return total
@@ -621,6 +642,20 @@ def test_transport_path_equals_matrix_product(builders):
             assert transport.transport_path(poly) == expected, poly
             compared += 1
     assert compared >= 10 * len(forests)
+
+
+def test_repeated_corner_leaves_transport_unchanged(builders):
+    """A path with a corner repeated, at its start, inside or at its end,
+    gives the matrix of the path without the repeat, on fresh transports
+    so that no memo entry of the plain path serves the repeated one."""
+    rng = random.Random(20261021)
+    for name, builder in builders.items():
+        plain, repeated = Transport(builder), Transport(builder)
+        for _ in range(2):
+            for path in homotopic_pair(plain, rng):
+                k = rng.randrange(len(path))
+                for poly in (path[:1] + path, path[:k + 1] + path[k:], path + path[-1:]):
+                    assert repeated.transport_path(poly) == plain.transport_path(path), (name, poly)
 
 
 def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):

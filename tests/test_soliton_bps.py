@@ -249,6 +249,16 @@ def test_engine_matches_per_test_reference(catalogs):
                                                     exps[engine.n_cycles:]), name
 
 
+def test_boundary_arc_is_built_once_per_engine(catalogs):
+    """Every marked lift's arc chain carries the one arc path the engine
+    built, so its events and pairings are computed once."""
+    for catalog in catalogs.values():
+        engine = catalog.engine
+        arcs = [engine.arc_chain(i) for i in range(1, engine.weave.strand_count + 1)]
+        assert all(chain[0][0] is engine.arc_chain(1)[0][0] for chain in arcs)
+        assert [chain[0][1:] for chain in arcs] == [(i, 1) for i in range(1, len(arcs) + 1)]
+
+
 def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
     """Test curves that miss every cycle leave the cycle columns dependent."""
     def far_lines(engine, n):

@@ -50,6 +50,11 @@ def test_parse_errors():
         parse_weave("n=2\ntop: 1 1\nmoves: t2")  # move out of range
 
 
+def test_parse_weave_names_an_unrecognized_line():
+    with pytest.raises(ValueError, match="unrecognized line 'bogus line'"):
+        parse_weave("n=2\ntop: 1 1\nbogus line")
+
+
 def test_parse_weave_rejects_repeated_headers():
     with pytest.raises(ValueError, match="repeated header line 'n=4'"):
         parse_weave("n=3\ntop: 1 2 1\nn=4")
