@@ -5,13 +5,15 @@ Every question of the form "where does this path cross these lines, and on
 which side?" is answered here, by a ``PolylineSet`` of tagged polylines (the
 weave lines, the walls, or the homology engine's test lines).  Each path is
 carried as a ``Polyline``, built once: integer points over one scale, their
-correctly rounded floats and float box.  One function of crossing rules
-decides every segment pair in integers and keeps each crossing point as
-integers.  A param leaves as the triple (segment, float, ``Ratio``):
-``int / int`` rounds correctly and correct rounding is monotone, so triples
-order exactly as (segment, rational) pairs do and read their ``Ratio``s, in
-integers, only on a float tie.  A ``Fraction`` is built only where a point
-is exported, compared with ``Fraction``s or returned (``exact_point``).
+correctly rounded floats and float box.  A set keeps its members' segments
+in one table; a query filters it by the path's box once and decides, in
+integers, each segment pair whose float boxes meet, keeping each crossing
+point as integers.  A param leaves as the triple (segment, float,
+``Ratio``): ``int / int`` rounds correctly and correct rounding is
+monotone, so triples order exactly as (segment, rational) pairs do and read
+their ``Ratio``s, in integers, only on a float tie.  A ``Fraction`` is
+built only where a point is exported, compared with ``Fraction``s or
+returned (``exact_point``).
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ Point = Tuple[Fraction, Fraction]
 # (polyline sub-segment index, float(t), t) for a parameter t in [0, 1]
 Param = Tuple[int, float, "Ratio"]
 ScaledPoint = Tuple[int, int, int]  # (x, y, d): the point (x / d, y / d), d > 0
-
-# float bounding boxes cheaply reject most segment pairs before the exact
-# test; the margin absorbs any rounding of the Fraction coords
-_EPS = 1e-6
 
 
 class NonGenericGeometry(RuntimeError):
@@ -161,111 +159,110 @@ def truncated(path: Polyline, param: Param) -> Polyline:
     return Polyline([(x, y, s) for x, y in path.ints[: param[0] + 1]] + [interp(path, param)])
 
 
-def _segment_boxes(floats):
-    """Each segment's float box (lo_x, hi_x, lo_y, hi_y), widened by _EPS."""
-    return [(min(x0, x1) - _EPS, max(x0, x1) + _EPS, min(y0, y1) - _EPS, max(y0, y1) + _EPS)
-            for (x0, y0), (x1, y1) in zip(floats, floats[1:])]
-
-
-def _crossings(p: Polyline, q, anchors):
-    """The crossing rules: proper transversal crossings of polylines P and Q
-    as (param on P, param on Q, scaled point, side), with side the sign of
-    (Q's tangent) x (P's tangent).  Q is given by its integer form, scale
-    and widened segment boxes.
-
-    Touches at the scaled points in ``anchors`` (P's global ends, and those
-    of Q's ends that are no join: walls are born on other walls and end on
-    the boundary) are ignored; any other touch is a non-generic corner hit,
-    a positive-length collinear overlap is non-generic, and so is a crossing
-    point found twice.  Q's segments are filtered against P's box once;
-    each remaining segment pair is decided in integers, row by row.  The
-    params are built only where the segments meet, and the point stays on
-    P's scale times t's denominator.
-    """
-    (pi, sp, pf), (qi, sq, qboxes) = (p.ints, p.scale, p.floats), q
-    lo_x, hi_x, lo_y, hi_y = p.box
-    near = [(j, b) for j, b in enumerate(qboxes)
-            if not (lo_x > b[1] or hi_x < b[0] or lo_y > b[3] or hi_y < b[2])]
-    out = []
-    if not near:
-        return out
-    for i in range(len(pi) - 1):
-        ax0, ay0 = pf[i]
-        ax1, ay1 = pf[i + 1]
-        alo_x, ahi_x = (ax0, ax1) if ax0 <= ax1 else (ax1, ax0)
-        alo_y, ahi_y = (ay0, ay1) if ay0 <= ay1 else (ay1, ay0)
-        (a0x, a0y), (a1x, a1y) = pi[i], pi[i + 1]
-        dax, day = a1x - a0x, a1y - a0y
-        for j, (blo_x, bhi_x, blo_y, bhi_y) in near:
-            if alo_x > bhi_x or ahi_x < blo_x or alo_y > bhi_y or ahi_y < blo_y:
-                continue
-            (b0x, b0y), (b1x, b1y) = qi[j], qi[j + 1]
-            dbx, dby = b1x - b0x, b1y - b0y
-            # b0 - a0, scaled by sp * sq
-            ex, ey = b0x * sp - a0x * sq, b0y * sp - a0y * sq
-            det = dax * dby - day * dbx
-            if det == 0:
-                if ex * day - ey * dax == 0 and (dax or day):
-                    # collinear: Q's ends sit at t = n0, n1 over sq * |da|^2
-                    n0 = ex * dax + ey * day
-                    n1 = n0 + sp * (dbx * dax + dby * day)
-                    if max(n0, n1) > 0 and min(n0, n1) < sq * (dax * dax + day * day):
-                        raise NonGenericGeometry("collinear overlap")
-                continue
-            # t = tn / td on P's segment and u = un / ud on Q's
-            tn, un = ex * dby - ey * dbx, ex * day - ey * dax
-            side = -1 if det > 0 else 1
-            if det < 0:
-                tn, un, det = -tn, -un, -det
-            td, ud = sq * det, sp * det
-            if not (0 <= tn <= td and 0 <= un <= ud):
-                continue
-            x, y, d = pt = (a0x * td + tn * dax, a0y * td + tn * day, sp * td)
-            if 0 < tn < td and 0 < un < ud:
-                out.append(((i, tn / td, Ratio(tn, td)), (j, un / ud, Ratio(un, ud)), pt, side))
-            elif not any(x * ad == ax * d and y * ad == ay * d for ax, ay, ad in anchors):
-                raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(pt),))
-    # where P or Q crosses itself on the other, one point is found twice; reject
-    for k, (_, _, (x, y, d), _) in enumerate(out):
-        for _, _, (x2, y2, d2), _ in out[:k]:
-            if x * d2 == x2 * d and y * d2 == y2 * d:
-                raise NonGenericGeometry("duplicate crossing point")
-    return out
+def _raise_first_fault(hits, owners, faults):
+    """Raise what a member-by-member pass meets first: at the lowest member
+    with a fault, its first non-generic segment pair (P's segment major;
+    ``faults`` holds (member, P segment, Q segment, message)), else a
+    crossing point it meets twice, where P or Q crosses itself on the
+    other.  ``owners`` holds each hit's member."""
+    if len(set(owners)) < len(owners):  # some member is crossed twice
+        seen = set()
+        for m, (_, _, _, pt, _) in zip(owners, hits):
+            key = (m,) + _reduced(*pt)
+            if key in seen:
+                faults.append((m, math.inf, 0, "duplicate crossing point"))
+            seen.add(key)
+    if faults:
+        raise NonGenericGeometry(min(faults)[3])
 
 
 class PolylineSet:
     """A family of tagged polylines (weave lines tagged by letter, walls
-    tagged by id, or test lines tagged by index), each in integer form, with
-    its segments' widened float boxes, when it joins the family; the forest
-    grows its walls one ``add`` at a time.
+    tagged by id, or test lines tagged by index), kept as one table of
+    segments; the forest grows its walls one ``add`` at a time.
     A member's end at one of ``joins`` (a slot, where one weave line goes on
     as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
     def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]] = (), joins=()):
         self.joins = frozenset(map(point_key, joins))
-        self.lines = []
+        self.tags, self.anchors, self.segments = [], [], []
         for Q, tag in tagged:
             self.add(Q, tag)
 
     def add(self, Q, tag):
-        q = prepare(Q)
-        ends = tuple(e for e in q.ends if e not in self.joins)
-        self.lines.append((tag, (q.ints, q.scale, _segment_boxes(q.floats)), q.box, ends))
+        """Add Q as the next member: its tag, its anchors (its ends that are
+        no join) and, in the table, one record per segment: its float box,
+        the member's index, the segment's index, its start and step in
+        integers and the member's scale.  Every float coordinate is
+        ``int / int``, correctly rounded, and rounding is monotone, so
+        segments whose exact boxes meet have float boxes that meet: the
+        boxes need no margin, which would only admit extra pairs."""
+        q, m = prepare(Q), len(self.tags)
+        self.tags.append(tag)
+        self.anchors.append(tuple(e for e in q.ends if e not in self.joins))
+        for j, ((x0, y0), (x1, y1), (fx0, fy0), (fx1, fy1)) in enumerate(
+                zip(q.ints, q.ints[1:], q.floats, q.floats[1:])):
+            self.segments.append((min(fx0, fx1), max(fx0, fx1), min(fy0, fy1), max(fy0, fy1),
+                                  m, j, x0, y0, x1 - x0, y1 - y0, q.scale))
 
     def crossings(self, P):
         """The proper transversal crossings of P (points or a ``Polyline``)
         with every member Q, as sorted (param on P, tag, param on Q, scaled
         point, side) with side the sign of (Q's tangent) x (P's tangent);
-        ``exact_point`` reads the point.  Polylines whose box is disjoint
-        from P's are skipped: every segment pair would be rejected anyway."""
+        ``exact_point`` reads the point.
+
+        The segment table is filtered by P's box once; then each pair of a
+        P segment and a remaining segment whose boxes meet is decided in
+        integers, row by row.  Touches at P's global ends and at the
+        member's anchors (walls are born on other walls and end on the
+        boundary) are ignored; any other touch is a non-generic corner hit,
+        a positive-length collinear overlap is non-generic, and so is a
+        point where one member is crossed twice (a rule per member).  Such
+        a fault raises as a member-by-member pass would meet it first.  The
+        params are built only where the segments meet, and the point stays
+        on P's scale times t's denominator."""
         p = prepare(P)
-        lo_x, hi_x, lo_y, hi_y = p.box
-        out = []
-        for tag, q, (qlo_x, qhi_x, qlo_y, qhi_y), q_ends in self.lines:
-            if (lo_x > qhi_x + _EPS or hi_x < qlo_x - _EPS or
-                    lo_y > qhi_y + _EPS or hi_y < qlo_y - _EPS):
-                continue
-            for pa, pb, pt, side in _crossings(p, q, p.ends + q_ends):
-                out.append((pa, tag, pb, pt, side))
-        out.sort()
-        return out
+        (pi, sp, pf), (lo_x, hi_x, lo_y, hi_y) = (p.ints, p.scale, p.floats), p.box
+        near = [r for r in self.segments
+                if not (lo_x > r[1] or hi_x < r[0] or lo_y > r[3] or hi_y < r[2])]
+        tags, hits, owners, faults = self.tags, [], [], []
+        for i in range(len(pi) - 1):
+            ax0, ay0 = pf[i]
+            ax1, ay1 = pf[i + 1]
+            alo_x, ahi_x = (ax0, ax1) if ax0 <= ax1 else (ax1, ax0)
+            alo_y, ahi_y = (ay0, ay1) if ay0 <= ay1 else (ay1, ay0)
+            (a0x, a0y), (a1x, a1y) = pi[i], pi[i + 1]
+            dax, day = a1x - a0x, a1y - a0y
+            for blo_x, bhi_x, blo_y, bhi_y, m, j, b0x, b0y, dbx, dby, sq in near:
+                if alo_x > bhi_x or ahi_x < blo_x or alo_y > bhi_y or ahi_y < blo_y:
+                    continue
+                # b0 - a0, scaled by sp * sq
+                ex, ey = b0x * sp - a0x * sq, b0y * sp - a0y * sq
+                det = dax * dby - day * dbx
+                if det == 0:
+                    if ex * day - ey * dax == 0 and (dax or day):
+                        # collinear: Q's ends sit at t = n0, n1 over sq * |da|^2
+                        n0 = ex * dax + ey * day
+                        n1 = n0 + sp * (dbx * dax + dby * day)
+                        if max(n0, n1) > 0 and min(n0, n1) < sq * (dax * dax + day * day):
+                            faults.append((m, i, j, "collinear overlap"))
+                    continue
+                # t = tn / td on P's segment and u = un / ud on Q's
+                tn, un = ex * dby - ey * dbx, ex * day - ey * dax
+                side = -1 if det > 0 else 1
+                if det < 0:
+                    tn, un, det = -tn, -un, -det
+                td, ud = sq * det, sp * det
+                if not (0 <= tn <= td and 0 <= un <= ud):
+                    continue
+                x, y, d = pt = (a0x * td + tn * dax, a0y * td + tn * day, sp * td)
+                if 0 < tn < td and 0 < un < ud:
+                    hits.append(((i, tn / td, Ratio(tn, td)), tags[m],
+                                 (j, un / ud, Ratio(un, ud)), pt, side))
+                    owners.append(m)
+                elif not any(x * ad == ax * d and y * ad == ay * d
+                             for ax, ay, ad in p.ends + self.anchors[m]):
+                    faults.append((m, i, j, "polyline corner hit at %r" % (exact_point(pt),)))
+        _raise_first_fault(hits, owners, faults)
+        hits.sort()
+        return hits

@@ -535,3 +535,33 @@ def test_polyline_set_matches_poly_crossings(P, lines, joined):
             whole.crossings(P)
         return
     assert _read(whole.crossings(P)) == sorted(expected)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(polylines, st.lists(polylines, min_size=1, max_size=5))
+@example(_poly((0, 0), (2, 2)), [_poly((3, 0), (3, 2)), LINE])  # a member off P's box first
+# faults in two members, the second member's pair met first along P:
+# an overlap, then a corner hit; a point met twice, then a corner hit
+@example(_poly((0, 0), (2, 0), (2, 2)), [_poly((2, 1), (2, 3)), _poly((0, 1), (1, 0), (1, 1))])
+@example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), [LINE, _poly((2, 1), (2, 3))])
+def test_polyline_set_grown_by_add_answers_like_its_members(P, lines):
+    """A set grown one ``add`` at a time, as ``ForestBuilder.walls`` grows,
+    answers P after the k-th ``add`` with the sorted union of its first k
+    members' reference crossings, and raises exactly when one of those
+    references raises, with the message of the first that does."""
+    grown, expected, fault = PolylineSet(), [], None
+    for k, Q in enumerate(lines):
+        grown.add(Q, k)
+        if fault is None:
+            try:
+                found = _reference_crossings(P, Q, (Q[0], Q[-1]))
+                expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
+            except NonGenericGeometry as err:
+                fault = str(err)
+        if fault is None:
+            assert _read(grown.crossings(P)) == sorted(expected)
+        else:
+            with pytest.raises(NonGenericGeometry) as raised:
+                grown.crossings(P)
+            assert str(raised.value) == fault

@@ -158,10 +158,8 @@ def test_augmentation_values_are_laurent_in_s_only():
 
 # ----- reference: every test lift paired separately, then a fresh solve -----
 
-def _reference_tests(engine):
-    """The engine's test curves as separate (path, sheet, orientation)
-    lifts, in pairing-matrix row order."""
-    n = engine.weave.strand_count
+def _test_lines(engine):
+    """The engine's test curves as point lists, in pairing-matrix order."""
     lines = []
     x = Fraction(1, 3)
     while x < engine.x_max + 1:
@@ -171,6 +169,13 @@ def _reference_tests(engine):
     while y > engine.y_deep:
         lines.append([(Fraction(-3), y), (engine.x_max + 3, y)])
         y -= 1
+    return lines
+
+
+def _reference_tests(engine):
+    """The engine's test curves as separate (path, sheet, orientation)
+    lifts, in pairing-matrix row order."""
+    n, lines = engine.weave.strand_count, _test_lines(engine)
     # weave-line events line by line, each segment a set of its own; a
     # LiftedPath takes its events sorted, so the merged lists are sorted
     segments = [PolylineSet([(seg.points, seg.letter)]) for seg in engine.obstacles]
@@ -206,6 +211,45 @@ def _reference_vector(chain, tests):
                     total -= orientation * side
         vector.append(total)
     return vector
+
+
+def _answers_like_members(whole, members, P, joins=()):
+    """Whether ``whole.crossings(P)`` found crossings without raising,
+    after checking that it equals the sorted union of the answers of the
+    one-member sets of ``members`` (tags kept) and that it raises exactly
+    when one of those does, with the message of the first that does."""
+    expected, fault = [], None
+    for Q, tag in members:
+        try:
+            expected += PolylineSet([(Q, tag)], joins).crossings(P)
+        except NonGenericGeometry as err:
+            fault = fault or str(err)
+    if fault is not None:
+        with pytest.raises(NonGenericGeometry) as raised:
+            whole.crossings(P)
+        assert str(raised.value) == fault
+        return False
+    assert whole.crossings(P) == sorted(expected)
+    return bool(expected)
+
+
+def test_whole_sets_answer_like_their_members(catalogs):
+    """On the five fixtures, the weave lines and the walls, queried with
+    every strand path and every test line, answer like their one-member
+    sets: the weave lines as ``ForestBuilder`` tags them, with every slot a
+    join, and the walls in the order the forest added them."""
+    answered = 0
+    for catalog in catalogs.values():
+        builder = catalog.builder
+        weave_lines = [(path, (seg.letter, seg.id))
+                       for path, seg in zip(builder.obstacle_paths, builder.obstacles)]
+        joins = [seg.points[-1] for seg in builder.obstacles if seg.lower[0] == "slot"]
+        walls = [(builder.strands[sid].path, sid) for sid in builder.walls.tags]
+        assert sorted(builder.walls.tags) == [s.id for s in builder.strands]
+        for P in [s.path for s in builder.strands] + _test_lines(catalog.engine):
+            answered += _answers_like_members(builder.weave_lines, weave_lines, P, joins)
+            answered += _answers_like_members(builder.walls, walls, P)
+    assert answered > 100
 
 
 def test_pairing_reads_a_float_tied_line_event_exactly():
