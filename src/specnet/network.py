@@ -81,28 +81,18 @@ def classify_vertex(stubs: Sequence[Tuple[Tuple[int, int], str]]) -> str:
             if composed is not None:
                 return "inconsistent"
             return "non_interaction"
-    if len(ins) == 3 and outs == ins and _hexavalent_triple(ins):
+    if len(ins) == 3 and outs == ins and composed in ins:
         return "interaction_hexavalent"
     raise ValueError("no local model matches stubs %r" % (stubs,))
 
 
 def compose_labels(labels) -> Optional[Tuple[int, int]]:
     """The (i,k) produced by a pair (i,j),(j,k) among ``labels``, if any."""
-    if len(labels) < 2:
-        return None
     for a in labels:
         for b in labels:
             if a is not b and a[1] == b[0] and a[0] != b[1]:
                 return (a[0], b[1])
     return None
-
-
-def _hexavalent_triple(ins) -> bool:
-    for a in ins:
-        for b in ins:
-            if a is not b and a[1] == b[0] and (a[0], b[1]) in ins:
-                return True
-    return False
 
 
 class SpectralNetwork:

@@ -361,23 +361,22 @@ def _rational_sqrt_floor(d2: Fraction) -> Fraction:
 # ----- homotopic path pairs -----
 
 def _winding(loop: Sequence[Point], pt: Point) -> int:
-    """Winding number of a closed polyline around a point, exact."""
+    """Winding number of a closed polyline around a point, exact: edges
+    crossing the rightward ray, with a vertex at the ray's height counted
+    as below it.  A point on the loop raises."""
     px, py = pt
     total = 0
     for (ax, ay), (bx, by) in zip(loop, loop[1:]):
-        if ay == py or by == py:
-            if (ay == py and ax == px) or (by == py and bx == px):
-                raise NonGenericGeometry("winding query through a vertex")
-            # nudge the ray by treating boundary heights as just below
-            ay = ay if ay != py else ay - Fraction(1, 10 ** 9)
-            by = by if by != py else by - Fraction(1, 10 ** 9)
-        if (ay < py) == (by < py):
+        if (ay <= py) == (by <= py):
+            # a vertex at the point, or the point inside a horizontal edge
+            if ay == py and (ax == px or by == py and (ax < px) != (bx < px)):
+                raise NonGenericGeometry("winding query on the loop")
             continue
-        t = (py - ay) / (by - ay)
-        x = ax + t * (bx - ax)
-        if x == px:
+        # (x - px) (by - ay), with x where the edge meets the ray's line
+        side = (ax - px) * (by - ay) + (py - ay) * (bx - ax)
+        if side == 0:
             raise NonGenericGeometry("winding query on the loop")
-        if x > px:
+        if (side > 0) == (by > ay):
             total += 1 if by > ay else -1
     return total
 

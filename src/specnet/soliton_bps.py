@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -141,8 +142,8 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> Tuple[List[tuple],
 
     def collect(sid: int, end_param):
         pieces.append((sid, end_param))
-        if builder.strands[sid].origin[0] == "joint":
-            joint = builder.born_at[sid]
+        joint = builder.born_at.get(sid)
+        if joint is not None:
             joints.append(joint)
             for pid in joint["parents"]:
                 collect(pid, joint["params"][pid])
@@ -168,8 +169,7 @@ class HomologyEngine:
         # bounding depths
         lows = [min(p[1] for p in seg.points) for seg in self.obstacles]
         self.y_deep = min(lows) - 1
-        highs_x = [max(p[0] for p in seg.points) for seg in self.obstacles]
-        self.x_max = max(highs_x + [self.bent.marked_x])
+        self.x_max = self.bent.marked_x  # every weave line lies left of it
         # generator s_k: the class of the b-strand that leaves a branch point
         # along its top-right edge and ends at chord z_k; ordered by k
         b_strands = sorted((int(s.chord[2:]), s.id) for s in builder.strands
@@ -271,27 +271,18 @@ class HomologyEngine:
         return [(self._arc, marked_index, 1)]
 
     def _check_boundary(self, chain: Sequence[tuple]):
-        residue: Dict[tuple, int] = {}  # by (scaled point in lowest terms, sheet)
-
-        def add(key, mult):
-            value = residue.pop(key, 0) + mult
-            if value:
-                residue[key] = value
-
+        residue = defaultdict(int)  # by (scaled point in lowest terms, sheet)
         for path, sheet, orientation in chain:
             start, end = path.polyline.ends
-            add((start, sheet), -orientation)
-            add((end, walk_sheets((sheet,), path.events)[0][0]), orientation)
+            residue[start, sheet] -= orientation
+            residue[end, walk_sheets((sheet,), path.events)[0][0]] += orientation
         # identify branch-point sheets: at a trivalent vertex with letter k,
         # sheets k and k+1 name the same surface point
         for key, k in self._branches:
-            lo, hi = (key, k), (key, k + 1)
-            if lo in residue and hi in residue:
-                s = residue.pop(lo) + residue.pop(hi)
-                if s:
-                    residue[lo] = s
-        leftovers = sorted((exact_point(key), sheet)
-                           for key, sheet in residue if key != self._marked_key)
+            if residue.get((key, k)) and residue.get((key, k + 1)):
+                residue[key, k] += residue.pop((key, k + 1))
+        leftovers = sorted((exact_point(key), sheet) for (key, sheet), value in residue.items()
+                           if value and key != self._marked_key)
         if leftovers:
             raise NonGenericGeometry("chain boundary off the marked points: %r" % leftovers[:4])
 
@@ -343,7 +334,6 @@ class SolitonCatalog:
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
         self.engine = HomologyEngine(builder)
-        self._sign_parity: Dict[int, Tuple[int, int]] = {}
         self._full_class: Dict[int, tuple] = {}
 
     # ----- per-strand data -----
@@ -355,17 +345,13 @@ class SolitonCatalog:
 
     def sign_parity(self, sid: int) -> Tuple[int, int]:
         """The seed-sign product of the strand's tree and the parity of the
-        twists at its joints."""
-        if sid not in self._sign_parity:
-            joint = self.builder.born_at.get(sid)
-            if joint is None:
-                cyc, _arc = self.full_class(sid)
-                value = (-1 if quadratic_refinement(cyc) % 2 else 1, 0)
-            else:
-                (s1, h1), (s2, h2) = map(self.sign_parity, joint["parents"])
-                value = (s1 * s2, (h1 + h2 + joint["twist"]) % 2)
-            self._sign_parity[sid] = value
-        return self._sign_parity[sid]
+        twists at its joints.  No memo: ``full_class`` keeps the seeds'."""
+        joint = self.builder.born_at.get(sid)
+        if joint is None:
+            cyc, _arc = self.full_class(sid)
+            return -1 if quadratic_refinement(cyc) % 2 else 1, 0
+        (s1, h1), (s2, h2) = map(self.sign_parity, joint["parents"])
+        return s1 * s2, (h1 + h2 + joint["twist"]) % 2
 
     def soliton(self, sid: int, param: Optional[Param] = None) -> SolitonClass:
         """The wall's soliton class, based at ``param`` (default: its chord

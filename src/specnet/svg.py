@@ -91,11 +91,8 @@ def export_svg(net: SpectralNetwork, underlay: Optional[List[List[Tuple]]] = Non
                 _fmt(x + 0.866 * r), _fmt(y + 0.5 * r))
             out.append('<polygon points="%s" fill="white" stroke="black" '
                        'stroke-width="1.2"/>' % pts)
-        elif vertex.kind == "interaction_creation":
+        else:  # builders store only initial and creation vertices
             out.append('<circle cx="%s" cy="%s" r="3.5" fill="black"/>'
                        % (_fmt(x), _fmt(y)))
-        else:
-            out.append('<circle cx="%s" cy="%s" r="3" fill="white" '
-                       'stroke="black"/>' % (_fmt(x), _fmt(y)))
     out.append("</svg>")
     return "\n".join(out) + "\n"

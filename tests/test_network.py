@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -43,6 +44,33 @@ def test_classify_hexavalent():
     labels = [(1, 2), (2, 3), (1, 3)]
     stubs = [(l, "in") for l in labels] + [(l, "out") for l in labels]
     assert classify_vertex(stubs) == "interaction_hexavalent"
+
+
+def _hexavalent_triple(ins) -> bool:
+    """The hexavalent rule as a search of its own: some pair (i,j),(j,k)
+    among the labels whose (i,k) is a label too."""
+    for a in ins:
+        for b in ins:
+            if a is not b and a[1] == b[0] and (a[0], b[1]) in ins:
+                return True
+    return False
+
+
+def test_hexavalent_rule_is_the_composition_rule():
+    """On every 3-label multiset over at most 5 sheets, a vertex with those
+    labels in and out is hexavalent exactly when the reference search finds
+    a composing pair whose (i,k) is among the labels."""
+    labels = list(itertools.permutations(range(1, 6), 2))
+    hexavalent = 0
+    for triple in itertools.combinations_with_replacement(labels, 3):
+        stubs = [(l, "in") for l in triple] + [(l, "out") for l in triple]
+        if _hexavalent_triple(triple):
+            hexavalent += 1
+            assert classify_vertex(stubs) == "interaction_hexavalent", triple
+        else:
+            with pytest.raises(ValueError, match="no local model matches"):
+                classify_vertex(stubs)
+    assert hexavalent == 60  # one per ordered triple of distinct sheets
 
 
 def test_classify_rejects_garbage():

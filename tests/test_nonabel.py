@@ -6,6 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from specnet import nonabel
 from specnet.forest import build_forest_strands
@@ -54,6 +55,76 @@ def test_winding():
     assert _winding(square, (Fraction(0), Fraction(0))) == 1
     assert _winding(square, (Fraction(2), Fraction(0))) == 0
     assert _winding(list(reversed(square)), (Fraction(0), Fraction(0))) == -1
+
+
+def _quadrant_winding(loop, pt):
+    """Reference winding number by quadrant counting, or None for a point on
+    the loop.  Each vertex gets the quadrant of its direction from the point
+    (half-open, counter-clockwise from the positive x axis); an edge moves one
+    quadrant either way, or two, whose sense is the sign of the cross product
+    (zero exactly when the edge runs through the point)."""
+    px, py = pt
+
+    def quadrant(x, y):
+        x, y = x - px, y - py
+        return 0 if x > 0 <= y else 1 if y > 0 >= x else 2 if x < 0 >= y else 3
+
+    if any((x, y) == (px, py) for x, y in loop):
+        return None
+    quarters = 0
+    for (ax, ay), (bx, by) in zip(loop, loop[1:]):
+        step = (quadrant(bx, by) - quadrant(ax, ay)) % 4
+        if step == 2:
+            cross = (ax - px) * (by - py) - (ay - py) * (bx - px)
+            if cross == 0:
+                return None
+            step = 2 if cross > 0 else -2
+        quarters += -1 if step == 3 else step
+    assert quarters % 4 == 0
+    return quarters // 4
+
+
+_GRID = st.integers(-3, 3).map(Fraction)
+_LOOPS = st.lists(st.tuples(_GRID, _GRID), min_size=2, max_size=7).map(lambda pts: pts + pts[:1])
+
+
+@seed(20261019)
+@settings(max_examples=500, deadline=None)
+@given(loop=_LOOPS, x=st.integers(-7, 7), y=st.integers(-7, 7))
+def test_winding_matches_quadrant_counting(loop, x, y):
+    """On small-grid loops, with the point on a half grid so that vertices
+    often sit at its height, the exact winding number equals the quadrant
+    count; a point on the loop raises."""
+    pt = (Fraction(x, 2), Fraction(y, 2))
+    expected = _quadrant_winding(loop, pt)
+    if expected is None:
+        with pytest.raises(NonGenericGeometry, match="winding query on the loop"):
+            _winding(loop, pt)
+    else:
+        assert _winding(loop, pt) == expected
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(loop=_LOOPS, edge=st.integers(0, 6), t=st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]))
+def test_winding_raises_for_every_point_on_the_loop(loop, edge, t):
+    """Vertices, and points inside horizontal, vertical and slanted edges."""
+    (ax, ay), (bx, by) = loop[edge % (len(loop) - 1): edge % (len(loop) - 1) + 2]
+    with pytest.raises(NonGenericGeometry, match="winding query on the loop"):
+        _winding(loop, (ax + t * (bx - ax), ay + t * (by - ay)))
+
+
+def test_winding_raises_on_a_horizontal_edge():
+    """The square with corners (+-1, 0) and (+-1, 1): its bottom edge runs
+    along the ray's line through (0, 0), the other edges meet it at
+    vertices."""
+    square = [(Fraction(x), Fraction(y)) for x, y in ((-1, 0), (1, 0), (1, 1), (-1, 1), (-1, 0))]
+    for pt in [(0, 0), (-1, 0), (1, 0), (Fraction(1, 2), 1), (1, Fraction(1, 2))]:
+        with pytest.raises(NonGenericGeometry, match="winding query on the loop"):
+            _winding(square, tuple(map(Fraction, pt)))
+    assert _winding(square, (Fraction(0), Fraction(1, 2))) == 1
+    assert _winding(square, (Fraction(2), Fraction(0))) == 0
+    assert _winding(square, (Fraction(-2), Fraction(1))) == 0
 
 
 def test_branch_monodromy_identity_quick(transports):
@@ -674,3 +745,34 @@ def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):
                                              if letter == 2]
     with pytest.raises(NonGenericGeometry, match="path crosses wall 0 where it crosses a weave line"):
         transport.transport_path(path)
+
+
+@pytest.mark.parametrize("text, strands", [
+    ("n=4\ntop: 1 2 1 3 1 2\nmoves: x3 t4 x3 x3", 3),
+    ("n=4\ntop: 1 3 1 3 2 3\nmoves: x3 t2 x1 t2 x1", 6),
+], ids=["one-branch-point", "two-branch-points"])
+def test_strand_climbing_through_a_tetravalent_vertex(text, strands):
+    """A strand walking up to its chord passes straight through a
+    tetravalent (x move) vertex.  Monodromy stays the identity, the BPS
+    recursion equals brute force and homotopic paths transport alike."""
+    bent = bend_weave(parse_weave(text))
+    weave, climbed = bent.weave, []
+    step = weave.continue_up
+
+    def continue_up(segment):
+        if segment.upper[0] not in ("slot", "top"):
+            climbed.append(weave.vertices[segment.upper[1]].kind)
+        return step(segment)
+
+    weave.continue_up = continue_up
+    builder = build_forest_strands(bent)
+    assert len(builder.strands) == strands and "tetravalent" in climbed
+    transport = Transport(builder)
+    loops = [transport.branch_monodromy(v.id) for v in weave.trivalent_vertices()]
+    loops += [transport.joint_monodromy(joint) for joint in builder.joints]
+    assert all(transport.is_identity(m) for m in loops)
+    assert transport.catalog.bps_table() == transport.catalog.bps_table_bruteforce()
+    rng = random.Random(1)
+    for _ in range(3):
+        p, q = homotopic_pair(transport, rng)
+        assert transport.transport_path(p) == transport.transport_path(q)

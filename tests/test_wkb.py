@@ -384,6 +384,57 @@ def cubic_net():
     return net
 
 
+@pytest.fixture(scope="module")
+def rejecting_net():
+    """w^3 - 3w + z^2 at theta 0.4: two of its crossings compose no sheet
+    pair.  The network carries the (wall id, other id, point) of each
+    crossing the joint classifier rejects."""
+    rejected = []
+    classify = wkb._classify_crossing
+
+    def record(curve, wall, other, ia, ta, ib, tb, z):
+        seed = classify(curve, wall, other, ia, ta, ib, tb, z)
+        if seed is None:
+            rejected.append((wall.id, other.id, z))
+        return seed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wkb, "_classify_crossing", record)
+        net = build_wkb_network(SpectralCurve("w^3 - 3*w + z^2"), 0.4, 10.0, 6.0)
+    net.rejected = rejected
+    return net
+
+
+def test_crossing_that_composes_no_pair_leaves_no_joint(rejecting_net):
+    """The crossings of walls 13 x 9 and 17 x 0 are rejected and leave no
+    vertex; the 6 joints found add charges, and every wall's mass grows."""
+    net = rejecting_net
+    assert [(a, b) for a, b, _ in net.rejected] == [(13, 9), (17, 0)]
+    assert len(net.traced) == 18 and len(net.joints_info) == 6
+    net.validate_decorations()
+    for _, _, z in net.rejected:
+        assert all(abs(complex(*v.position) - z) > 1e-3 for v in net.vertices.values())
+    for wall in net.traced:
+        masses = [abs(Z) for Z in wall.charges]
+        assert all(a < b for a, b in zip(masses, masses[1:])), wall.id
+    for joint in net.joints_info:
+        total = sum(net.traced[wid].charge_at(*joint.parent_cuts[wid]) for wid in joint.parents)
+        assert abs(total - joint.charge) <= 1e-6 * abs(joint.charge)
+        assert abs(net.traced[joint.child].charges[0] - joint.charge) <= 1e-6 * abs(joint.charge)
+
+
+def test_builders_store_only_initial_and_creation_vertices(builders, cubic_net, rejecting_net):
+    """Both pipelines store branch points as initial vertices and joints as
+    creation vertices, nothing else: the kinds the SVG export draws, and
+    why no stored vertex is inconsistent."""
+    nets = [builder.to_network() for builder in builders.values()]
+    nets += [build_wkb_network(SpectralCurve("w^2 - z"), 0.0, 10.0, 5.0), cubic_net, rejecting_net]
+    for net in nets:
+        assert net.vertices
+        assert {v.kind for v in net.vertices.values()} <= {"initial", "interaction_creation"}
+        assert net.inconsistent_vertices() == []
+
+
 # ----- sheets_at against the np.roots reference -----
 
 def _reference_sheets(curve, z, seed):
