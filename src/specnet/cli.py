@@ -11,6 +11,7 @@ outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -41,11 +42,14 @@ def _read_input(spec: str, suffix: str) -> str:
     if spec == "-":
         return sys.stdin.read()
     name = spec if spec.endswith(suffix) else spec + suffix
-    for path in (spec, os.path.join(fixture_root(), name)):
-        if os.path.exists(path):
-            with open(path) as handle:
-                return handle.read()
-    raise FileNotFoundError("no %s file or fixture named %r" % (suffix[1:], spec))
+    found = [path for path in (spec, os.path.join(fixture_root(), name))
+             if os.path.exists(path)]
+    if not found:
+        raise FileNotFoundError("no %s file or fixture named %r" % (suffix[1:], spec))
+    # a file wins over a directory of the same name; what is not a file is
+    # opened only when nothing else is found, so its own error names it
+    with open(next((path for path in found if os.path.isfile(path)), found[0])) as handle:
+        return handle.read()
 
 
 def _load_weave(spec: str):
@@ -225,7 +229,11 @@ def _join_number_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole parser tree, with each subcommand's ``cmd_`` function,
+    built on the first call only: parsing leaves it as it was, so every
+    later ``main`` call in the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="specnet",
         description="Spectral networks from weaves and spectral curves.")
@@ -266,7 +274,11 @@ def main(argv=None) -> int:
     p.add_argument("computed", help="table JSON or weave input")
     p.add_argument("fixture", help="reference table JSON")
     p.set_defaults(func=cmd_compare)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     argv = _join_number_values(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:

@@ -95,6 +95,10 @@ class SpectralCurve:
         for (i, j), c in terms.items():
             rows[self.n - i][-1 - j] = c / lead
         self._rows = [[complex(c) for c in row] for row in rows]
+        # a one-entry row does not vary with z: at a finite z Horner gives
+        # 0j * z + c, which is c itself, so only the other rows are evaluated
+        self._heads = [row[0] for row in self._rows]
+        self._varying = [(k, row) for k, row in enumerate(self._rows) if len(row) > 1]
         # the w-discriminant's z-coefficients, descending, exact
         self.disc = discriminant(rows)
         if not any(self.disc):
@@ -105,13 +109,14 @@ class SpectralCurve:
         return poly_roots(self.coeffs_at(z))
 
     def coeffs_at(self, z: complex) -> List[complex]:
-        """The w-coefficients of P(z, .) over z, descending, by Horner."""
-        out = []
-        for poly in self._rows:
+        """The w-coefficients of P(z, .) over z, descending, by Horner.  At
+        an infinite or nan z every row is evaluated, and gives nan."""
+        out = self._heads[:]
+        for k, poly in self._varying if cmath.isfinite(z) else enumerate(self._rows):
             acc = 0j
             for c in poly:
                 acc = acc * z + c
-            out.append(acc)
+            out[k] = acc
         return out
 
 

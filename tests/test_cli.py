@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from specnet import cli
 from specnet.cli import main
 from specnet.forest import ForestBuilder
 from specnet.network import network_to_json
@@ -48,6 +50,24 @@ def test_packaged_fixture_names_resolve(capsys):
     assert main(["compare", "mutation_a", "no_such_table.json"]) == 2
     assert capsys.readouterr().err == \
         "error [compare]: no json file or fixture named 'no_such_table.json'\n"
+
+
+def test_directory_does_not_shadow_a_fixture(tmp_path, monkeypatch, capsys):
+    """A directory in the working directory named like a fixture is passed
+    over for the fixture file, for a weave input and for either side of
+    compare; a directory alone is still opened, and its error names it."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("mutation_a", "mutation_a.json", "five_crossing"):
+        (tmp_path / name).mkdir()
+    assert main(["bps", "five_crossing"]) == 0
+    assert capsys.readouterr().out == FIVE_CROSSING_BPS_TABLE
+    assert main(["compare", "mutation_a", "mutation_a.json"]) == 0
+    assert capsys.readouterr().out == "tables agree on 6 chords\n"
+    assert main(["compare", "mutation_a.json", "mutation_a"]) == 0
+    assert capsys.readouterr().out == "tables agree on 6 chords\n"
+    (tmp_path / "lone").mkdir()
+    assert main(["augmentation", "lone"]) == 2
+    assert capsys.readouterr().err == "error [augmentation]: [Errno 21] Is a directory: 'lone'\n"
 
 
 def test_fixture_root_env_var(tmp_path, monkeypatch, capsys):
@@ -274,6 +294,60 @@ def _config_error(argv, text, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(text)
     return _usage_error(argv + ["--config", str(config)], capsys)
+
+
+def test_parser_tree_is_built_once(monkeypatch, capsys):
+    """``main`` builds its parser, specnet's and one per subcommand, on
+    the first call of the process and reuses it on every later call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    for argv in (["augmentation", "mutation_a"], ["compare", "mutation_a", "mutation_a.json"],
+                 ["wkb-trace", "--curve", "w^2 - 1"], ["augmentation", "mutation_b"]):
+        assert main(argv) == 0
+    assert built[0] == "specnet" and len(built) == 7
+
+
+def test_config_call_leaves_the_next_call_alone(tmp_path, capsys):
+    argv = ["wkb-trace", "--curve", "w^2 - z", "--theta", "0", "--mass", "10", "--radius", "5"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    config = tmp_path / "run.cfg"
+    config.write_text("theta = 0.25\nradius = 4\n")
+    assert main(argv + ["--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["theta"] == 0.25
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_usage_error_leaves_the_next_call_alone(capsys):
+    assert main(["augmentation", "mutation_a"]) == 0
+    valid = capsys.readouterr()
+    assert "error: argument --format: invalid choice: 'svg'" in _usage_error(
+        ["augmentation", "mutation_a", "--format", "svg"], capsys)
+    assert "error: the following arguments are required: --curve" in _usage_error(
+        ["wkb-trace"], capsys)
+    assert main(["augmentation", "mutation_a"]) == 0
+    assert capsys.readouterr() == valid
+
+
+def test_help_is_the_same_on_the_first_and_a_later_call(capsys):
+    cli._parser.cache_clear()
+    for argv in (["-h"], ["wkb-trace", "-h"]):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert texts[0].out.startswith("usage: specnet") and texts[0].err == ""
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -648,3 +722,16 @@ def test_svg_draws_one_filled_dot_per_joint(builders, capsys):
     assert main(["weave-network", "five_crossing", "--format", "svg"]) == 0
     dots = re.findall(r'<circle [^>]*fill="black"/>', capsys.readouterr().out)
     assert len(dots) == len(builders["five_crossing"].joints) == 2
+
+
+def test_wkb_trace_of_a_curve_without_branch_points_draws_axes_only(capsys):
+    """P(z, w) = w^2 - 1 has no branch point, so the network is empty and
+    the SVG falls back to the bounds [-1, 1] x [-1, 1]: both axes cross the
+    canvas at its center."""
+    assert main(["wkb-trace", "--curve", "w^2 - 1", "--format", "svg"]) == 0
+    assert capsys.readouterr().out == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">\n'
+        '<rect width="640" height="480" fill="white"/>\n'
+        '<line x1="0" y1="240.0000" x2="640" y2="240.0000" stroke="#cccccc" stroke-width="1"/>\n'
+        '<line x1="320.0000" y1="0" x2="320.0000" y2="480" stroke="#cccccc" stroke-width="1"/>\n'
+        '</svg>\n')

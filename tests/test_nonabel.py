@@ -642,6 +642,25 @@ def test_free_memo_bound_evicts_oldest_and_keeps_matrices(builders, monkeypatch)
         monkeypatch.undo()
 
 
+def test_path_reaching_y_0_has_no_free_key(builders):
+    """A path that touches the boundary y = 0, or leaves y < 0, has no
+    homotopy key: its free transport is computed afresh and kept out of the
+    memo, and equals the direct value and that of the homotopic path below
+    it.  The paths run left of every weave line."""
+    low = [(Fraction(1, 4), -3), (Fraction(1, 2), -1), (Fraction(3, 4), -3)]
+    for name, builder in builders.items():
+        transport = Transport(builder)
+        for top in (Fraction(0), Fraction(1, 2)):
+            poly = [low[0], (Fraction(1, 2), top), low[2]]
+            path = prepare(poly)
+            events = builder.events_along(path)
+            assert transport._free_key(path, events, transport.cap_sheets(path.ends[0])) is None
+            assert transport.transport_free(poly) == _direct_free(transport, poly), (name, top)
+            assert not transport._free
+        assert transport.transport_free(low) == transport.transport_free(poly)
+        assert len(transport._free) == 1, name
+
+
 def test_branch_cuts_disjoint_and_left_of_marked_point(builders):
     for builder in builders.values():
         transport = Transport(builder)

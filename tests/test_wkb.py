@@ -15,6 +15,8 @@ from specnet.wkb import (
     NonGenericPhase,
     RootCollision,
     SpectralCurve,
+    TracedWall,
+    _shared_origin_artifact,
     branch_points,
     build_wkb_network,
     initial_rays,
@@ -262,6 +264,40 @@ def test_sheet_kernels_match_the_loop(case):
     curve, z, seed_vals = case
     assert _sheets_outcome(sheets_at, curve, z, seed_vals) == \
         _sheets_outcome(wkb._sheets_newton, curve, complex(z), seed_vals)
+
+
+def _horner_loop(curve, z):
+    """``coeffs_at`` as it was: Horner over every row, the constant ones too."""
+    out = []
+    for poly in curve._rows:
+        acc = 0j
+        for c in poly:
+            acc = acc * z + c
+        out.append(acc)
+    return out
+
+
+_SIGNED = (0.0, -0.0, 1.5, -2.0, 1e308, -5e-324, math.inf, -math.inf, math.nan)
+
+
+@seed(20261019)
+@settings(max_examples=600, deadline=None)
+@given(curve=st.sampled_from(ROADMAP_CURVES + ["w^2 - 1", "w^3 - 3*w + z^2", "w^2 - z^3 + z"]),
+       z=st.one_of(st.complex_numbers(allow_nan=True, allow_infinity=True),
+                   st.builds(complex, st.sampled_from(_SIGNED), st.sampled_from(_SIGNED)),
+                   st.integers(-10 ** 6, 10 ** 6),
+                   st.floats(allow_nan=True, allow_infinity=True)))
+@example(curve="w^3 - 3*w + x", z=complex(-0.0, -0.0))
+@example(curve="w^3 - 3*w + x", z=complex(math.inf, 0.0))
+@example(curve="w^3 - 3*w + x", z=math.nan)
+@example(curve="w^2 - 1", z=complex(-math.inf, math.nan))
+def test_coeffs_at_matches_horner_over_every_row(curve, z):
+    """``coeffs_at``, which skips the rows that do not vary with z at a
+    finite z, gives the same bits as Horner over every row: at finite,
+    integer, signed-zero, infinite and nan z."""
+    curve = SpectralCurve(curve)
+    assert [(v.real.hex(), v.imag.hex()) for v in curve.coeffs_at(z)] == \
+        [(v.real.hex(), v.imag.hex()) for v in _horner_loop(curve, z)]
 
 
 def test_initial_rays_do_not_depend_on_the_sign_of_c(monkeypatch):
@@ -650,3 +686,22 @@ def test_segment_intersections_match_all_pairs_reference(n_a, n_b, kind, walk_se
         b[rng.integers(n_b)] = complex(0.5, math.nan)
     got = list(_segment_intersections(_wall_boxes(a.tolist()), _wall_boxes(b.tolist())))
     assert got == list(_reference_intersections(a, b))
+
+
+def test_crossing_near_a_common_origin_is_an_artifact():
+    """Two walls from one branch point: a crossing within three steps and
+    1e-3 of either one's start is a seeding artifact, and one farther along
+    is not; walls from two branch points are never artifacts of each other.
+    No traced network has shown two walls of one origin crossing, so the
+    rule is pinned on walls laid out by hand, 1e-7 from a branch point at 0
+    like ``initial_rays``' seeds."""
+    def wall(k, angle, origin=("bp", 0j)):
+        points = [r * cmath.exp(1j * angle) for r in (1e-7, 1e-5, 1e-4, 1e-2, 1.0)]
+        return TracedWall(k, None, points, [], [], "radius", origin)
+
+    a, b = wall(0, 0.0), wall(1, 2 * math.pi / 3)
+    assert _shared_origin_artifact(a, b, 0, 0, 5e-4)
+    assert _shared_origin_artifact(a, b, 3, 2, 5e-4)
+    assert not _shared_origin_artifact(a, b, 3, 3, 5e-4)  # past three steps of both
+    assert not _shared_origin_artifact(a, b, 0, 0, 2e-3)  # 1e-3 away from both starts
+    assert not _shared_origin_artifact(a, wall(2, 2.0, ("bp", 1e-9 + 0j)), 0, 0, 5e-4)
