@@ -277,18 +277,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# --config alone: main reads the config path with it before the one full
+# parse, so a config file can give a required flag such as --curve.  A
+# missing value (nargs="?") is left to the full parse to report.
+_CONFIG_OPTION = argparse.ArgumentParser(add_help=False)
+_CONFIG_OPTION.add_argument("--config", nargs="?")
+
+
 def main(argv=None) -> int:
     parser = _parser()
     argv = _join_number_values(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
+    args = None
     try:
-        path = getattr(args, "config", None)
-        if path:
-            args = parser.parse_args(argv + _config_flags(path))
-            if args.config != path:
-                raise ValueError("config file %s names another config file" % path)
+        path = _CONFIG_OPTION.parse_known_args(argv)[0].config
+        args = parser.parse_args(argv + (_config_flags(path) if path else []))
+        if getattr(args, "config", None) != path:
+            raise ValueError("config file %s names another config file" % path)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as err:
+        # a config file that cannot be read: the command line alone names
+        # the subcommand, and a usage error in it is reported first
+        if args is None:
+            args = parser.parse_args(argv)
         sys.stderr.write("error [%s]: %s\n" % (args.command, err))
         return 2
 

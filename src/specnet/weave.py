@@ -244,12 +244,10 @@ class BentWeave:
 
     def __init__(self, weave: Weave):
         self.weave = weave
-        n = weave.strand_count
         top_len = len(weave.top)
         bottom = weave.bottom
         m = len(bottom)
         depth = len(weave.moves)
-        self.boundary_word = BraidWord(n, weave.top + bottom)
         # One chord per boundary crossing, named right to left within each
         # word: the top reads z_top_len ... z_1.  Bending traverses the bottom
         # edge in reverse boundary order, so the bottom letter p surfaces at

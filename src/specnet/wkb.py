@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .laurent import discriminant, parse_laurent
 from .network import SpectralNetwork
@@ -426,33 +426,27 @@ def _nearest_roots(curve: SpectralCurve, z: complex, seed: List[complex]) -> Lis
     return [roots[assign[i]] for i in range(n)]
 
 
-# ----- seeds and walls -----
-
-@dataclass
-class WallSeed:
-    z0: complex
-    vals: List[complex]  # all sheet values at z0
-    pair: Tuple[int, int]  # indices (i, j) into vals; wall charge uses i - j
-    Z0: complex
-    origin: tuple  # ("bp", branch point z) | ("joint", (ij wall id, jk wall id))
-
+# ----- walls -----
 
 @dataclass
 class TracedWall:
-    id: int
-    seed: WallSeed
+    """A wall from its first sample on: ``initial_rays`` and
+    ``_classify_crossing`` give the one-sample wall, ``build_wkb_network``
+    numbers it and ``trace_wall`` extends it."""
+    pair: Tuple[int, int]  # indices (i, j) into each row of vals; the charge uses i - j
     points: List[complex]
     charges: List[complex]
-    vals: List[List[complex]]  # row k: the sheet values at sample k, in the seed's order
-    asymptote: str  # "radius" | "cutoff"
-    origin: tuple
+    vals: List[List[complex]]  # row k: the sheet values at sample k
+    origin: tuple  # ("bp", branch point z) | ("joint", (ij wall id, jk wall id))
+    id: int = -1
+    asymptote: str = ""  # "radius" | "cutoff" once traced
 
     def pair_values_at(self, index: int, frac: float,
                        curve: SpectralCurve) -> Tuple[complex, complex, List[complex]]:
         """Sheet-pair values at a point interpolated inside segment ``index``."""
         z = self.points[index] * (1 - frac) + self.points[index + 1] * frac
         vals = sheets_at(curve, z, self.vals[index])
-        i, j = self.seed.pair
+        i, j = self.pair
         return vals[i], vals[j], vals
 
     def charge_at(self, index: int, frac: float) -> complex:
@@ -482,13 +476,13 @@ def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
 C_TURN = 0.1  # the angle of the edge of initial_rays' half-plane for c
 
 
-def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[WallSeed]:
-    """Three outward wall seeds at a simple branch point.
+def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[TracedWall]:
+    """Three outward one-sample walls at a simple branch point.
 
     Near b the two colliding sheets differ by 2c (z-b)^{1/2}, so
     Z = (4c/3)(z-b)^{3/2}; walls leave along the three directions where
     e^{-i theta} Z is real, phi_k = (2/3)(theta - arg(4c/3)) + 2 pi k / 3.
-    Each seed sits 1e-7 from b along its direction.  c and -c describe
+    Each starts 1e-7 from b along its direction.  c and -c describe
     the same two sheets but number the rays differently, so the sign is
     fixed by a rule: Re(c e^{-i C_TURN}) < 0.  Real curves put c on an
     axis, so the rule's edge is turned off both.  Where c lies on the
@@ -503,7 +497,7 @@ def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[WallSee
         c = -c
     big_c = 4 * c / 3
     phi0 = (2.0 / 3.0) * (theta - cmath.phase(big_c))
-    seeds = []
+    walls = []
     for k in range(3):
         phi = phi0 + TWO_PI * k / 3
         z0 = b + offset * cmath.exp(1j * phi)
@@ -515,14 +509,15 @@ def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[WallSee
         if (direction.real * math.cos(phi) + direction.imag * math.sin(phi)) < 0:
             i0, j0 = j0, i0
         mass0 = abs(big_c) * offset ** 1.5
-        seeds.append(WallSeed(z0, vals, (i0, j0),
-                              mass0 * cmath.exp(1j * theta), ("bp", b)))
-    return seeds
+        walls.append(TracedWall((i0, j0), [z0], [mass0 * cmath.exp(1j * theta)], [vals],
+                                ("bp", b)))
+    return walls
 
 
-def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
-               mass_cutoff: float, radius: float, wall_id: int) -> TracedWall:
-    """Integrate one wall until it reaches the domain radius or mass cutoff.
+def trace_wall(curve: SpectralCurve, wall: TracedWall, theta: float,
+               mass_cutoff: float, radius: float) -> TracedWall:
+    """Extend the wall in place until it reaches the domain radius or the
+    mass cutoff, and return it.
 
     Steps advance Z by ds along e^{i theta}; z follows via a midpoint
     corrector on 1/(lambda_i - lambda_j), with the step halved whenever root
@@ -533,26 +528,20 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
     ds_min = ds_max * 1e-10
     dz_max = radius / 50.0
     phase = cmath.exp(1j * theta)
-    z = seed.z0
-    vals = seed.vals
-    i, j = seed.pair
-    Z = seed.Z0
-    points = [z]
-    charges = [Z]
-    samples = [vals]
+    z, Z, vals = wall.points[-1], wall.charges[-1], wall.vals[-1]
+    i, j = wall.pair
     ds = min(ds_max, max(abs(Z) * 0.5, ds_max * 1e-6))
-    asymptote = "cutoff"
     while True:
         if abs(Z) >= mass_cutoff:
-            asymptote = "cutoff"
-            break
+            wall.asymptote = "cutoff"
+            return wall
         if abs(z) >= radius:
-            asymptote = "radius"
-            break
+            wall.asymptote = "radius"
+            return wall
         d0 = vals[i] - vals[j]
         if d0 == 0:
             raise NonGenericPhase("wall %d hit a branch point at z=%s; "
-                                  "try theta + 1e-3" % (wall_id, z))
+                                  "try theta + 1e-3" % (wall.id, z))
         dZ = phase * ds
         try:
             dz0 = _divide(dZ, d0)
@@ -563,7 +552,7 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
             dm = vals_mid[i] - vals_mid[j]
             if dm == 0:
                 raise NonGenericPhase("wall %d hit a branch point near z=%s; "
-                                      "try theta + 1e-3" % (wall_id, z_mid))
+                                      "try theta + 1e-3" % (wall.id, z_mid))
             dz = _divide(dZ, dm)
             if abs(dz) > dz_max:
                 raise RootCollision("step cap")
@@ -574,16 +563,14 @@ def trace_wall(curve: SpectralCurve, seed: WallSeed, theta: float,
             if ds < ds_min:
                 raise NonGenericPhase(
                     "step underflow near z=%s (wall %d close to a branch "
-                    "point); try theta + 1e-3" % (z, wall_id))
+                    "point); try theta + 1e-3" % (z, wall.id))
             continue
         z, vals = z_new, vals_new
         Z = Z + phase * ds
-        points.append(z)
-        charges.append(Z)
-        samples.append(vals)
+        wall.points.append(z)
+        wall.charges.append(Z)
+        wall.vals.append(vals)
         ds = min(ds * 1.5, ds_max)
-    return TracedWall(wall_id, seed, points, charges, samples, asymptote,
-                      seed.origin)
 
 
 def _divide(a: complex, b: complex) -> complex:
@@ -672,7 +659,7 @@ class Joint:
     z: complex
     parents: Tuple[int, int]  # wall ids (ij, jk)
     parent_cuts: Dict[int, Tuple[int, float]]  # wall id -> (segment, frac)
-    child: Optional[int]  # wall id of the seeded (ik) wall
+    child: int  # wall id of the seeded (ik) wall
     charge: complex  # Z_ij + Z_jk at the joint
 
 
@@ -698,13 +685,11 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
     walls: List[TracedWall] = []
     boxes: List[tuple] = []  # _wall_boxes of each wall, by wall id
     joints: List[Joint] = []
-    frontier: List[TracedWall] = []
     for b in branch_points(curve):
-        for seed in initial_rays(curve, b, theta):
-            wall = trace_wall(curve, seed, theta, mass_cutoff, radius,
-                              wall_id=len(walls))
-            walls.append(wall)
-            frontier.append(wall)
+        for wall in initial_rays(curve, b, theta):
+            wall.id = len(walls)
+            walls.append(trace_wall(curve, wall, theta, mass_cutoff, radius))
+    frontier = walls[:]
     last_min_birth = 0.0
     rounds = 0
     while frontier:
@@ -712,7 +697,6 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
         if rounds > MAX_ROUNDS:
             raise GappedGuardError("extension exceeded %d rounds" % MAX_ROUNDS)
         new_frontier: List[TracedWall] = []
-        births: List[float] = []
         # each frontier wall against the older walls and the frontier walls
         # after it (the frontier is the tail of ``walls``)
         first = frontier[0].id
@@ -724,21 +708,17 @@ def build_wkb_network(curve: SpectralCurve, theta: float, mass_cutoff: float,
                                                             boxes[other.id]):
                 if _shared_origin_artifact(wall, other, ia, ib, z):
                     continue
-                seed = _classify_crossing(curve, wall, other, ia, ta, ib, tb, z)
-                if seed is None or abs(seed.Z0) >= mass_cutoff:
+                child = _classify_crossing(curve, wall, other, ia, ta, ib, tb, z)
+                if child is None or abs(child.charges[0]) >= mass_cutoff:
                     continue
-                joint = Joint(len(joints), z, seed.origin[1],
-                              {wall.id: (ia, ta), other.id: (ib, tb)},
-                              None, seed.Z0)
-                new_wall = trace_wall(curve, seed, theta, mass_cutoff, radius,
-                                      wall_id=len(walls))
-                joint.child = new_wall.id
-                joints.append(joint)
-                walls.append(new_wall)
-                new_frontier.append(new_wall)
-                births.append(abs(seed.Z0))
-        if births:
-            min_birth = min(births)
+                child.id = len(walls)
+                joints.append(Joint(len(joints), z, child.origin[1],
+                                    {wall.id: (ia, ta), other.id: (ib, tb)},
+                                    child.id, child.charges[0]))
+                walls.append(trace_wall(curve, child, theta, mass_cutoff, radius))
+                new_frontier.append(child)
+        if new_frontier:
+            min_birth = min(abs(w.charges[0]) for w in new_frontier)
             if min_birth <= last_min_birth:
                 raise GappedGuardError(
                     "newborn mass %.6g did not grow past %.6g"
@@ -767,28 +747,25 @@ def _is_parent(parent: TracedWall, child: TracedWall) -> bool:
 
 
 def _classify_crossing(curve, wall, other, ia, ta, ib, tb, z):
-    """The child seed of a composable crossing (its origin holds the
-    parent ids in (ij, jk) order), or None."""
-    a1, a2, vals_a = wall.pair_values_at(ia, ta, curve)
-    b1, b2, vals_b = other.pair_values_at(ib, tb, curve)
-    scale = max(abs(v) for v in vals_a)
-    za = wall.charge_at(ia, ta)
-    zb = other.charge_at(ib, tb)
+    """The one-sample (ik) wall of a composable crossing, whose origin
+    holds the parent ids in (ij, jk) order, or None."""
+    # each side at the crossing: (wall, lambda_i, lambda_j, sheet values, Z)
+    a = (wall, *wall.pair_values_at(ia, ta, curve), wall.charge_at(ia, ta))
+    b = (other, *other.pair_values_at(ib, tb, curve), other.charge_at(ib, tb))
+    scale = max(abs(v) for v in a[3])
     # ordered pairs (i, j): charge along the wall integrates lambda_i - lambda_j
-    if _match_value(a2, b1, scale) and not _match_value(a1, b2, scale):
-        first, second = (wall, (a1, a2), za), (other, (b1, b2), zb)
-    elif _match_value(b2, a1, scale) and not _match_value(b1, a2, scale):
-        first, second = (other, (b1, b2), zb), (wall, (a1, a2), za)
+    for (w_ij, vi, vj, vals, Zij), (w_jk, vj_, vk, _, Zjk) in ((a, b), (b, a)):
+        if _match_value(vj, vj_, scale) and not _match_value(vi, vk, scale):
+            break
     else:
         return None
-    (w_ij, (vi, vj), Zij), (w_jk, (_vj, vk), Zjk) = first, second
-    vals = sheets_at(curve, z, vals_a if w_ij is wall else vals_b)
+    vals = sheets_at(curve, z, vals)
     idx_i = min(range(len(vals)), key=lambda k: abs(vals[k] - vi))
     idx_k = min(range(len(vals)), key=lambda k: abs(vals[k] - vk))
     if idx_i == idx_k:
         raise NonGenericPhase("degenerate (ik) pair at joint z=%s; "
                               "try theta + 1e-3" % z)
-    return WallSeed(z, vals, (idx_i, idx_k), Zij + Zjk, ("joint", (w_ij.id, w_jk.id)))
+    return TracedWall((idx_i, idx_k), [z], [Zij + Zjk], [vals], ("joint", (w_ij.id, w_jk.id)))
 
 
 # ----- export -----
@@ -812,7 +789,7 @@ def _export(walls: List[TracedWall], joints: List[Joint],
 
     def describe(wid, start, stop):
         wall = walls[wid]
-        label = _sorted_label(wall.vals[start[0] if start else 0], wall.seed.pair)
+        label = _sorted_label(wall.vals[start[0] if start else 0], wall.pair)
         mass = abs(wall.charges[stop[0] + 1 if stop else -1])
         return label, mass, 0 if wall.origin[0] == "bp" else 1
 

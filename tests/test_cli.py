@@ -489,6 +489,22 @@ def test_config_file_sets_the_curve(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["walls"]) == 3
 
 
+def test_config_file_alone_gives_the_curve(tmp_path, capsys):
+    """A config file can give the required --curve with no flag on the
+    command line, and prints what the flags print; a curve that neither
+    gives is still a usage error."""
+    flags = ["--curve", "w^2 - z", "--theta", "0", "--mass", "10", "--radius", "5"]
+    assert main(["wkb-trace"] + flags) == 0
+    by_flags = capsys.readouterr()
+    config = tmp_path / "run.cfg"
+    config.write_text("curve = w^2 - z\ntheta = 0\nmass = 10\nradius = 5\n")
+    assert main(["wkb-trace", "--config", str(config)]) == 0
+    assert capsys.readouterr() == by_flags
+    config.write_text("theta = 0\n")
+    assert "error: the following arguments are required: --curve" in _usage_error(
+        ["wkb-trace", "--config", str(config)], capsys)
+
+
 def test_invalid_curve_exits_nonzero(capsys):
     assert main(["wkb-trace", "--curve", "w - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 2

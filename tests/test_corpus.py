@@ -4,8 +4,8 @@ name, and the invariants every built weave must meet."""
 import random
 
 from specnet.forest import build_forest_strands
-from specnet.nonabel import Transport, homotopic_pair
-from specnet.weave import bend_weave, parse_weave
+from specnet.nonabel import Transport, augmentation, homotopic_pair
+from specnet.weave import Move, Weave, bend_weave, parse_weave
 
 from conftest import random_weave_texts
 
@@ -80,3 +80,50 @@ def test_random_corpus_rejections_and_invariants():
     assert all(message.startswith(prefix)
                for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED)), rejected
     assert checked == 128
+
+
+# (index, error class, message prefix) of every built corpus weave that the
+# forest rejects once h_p h_p is inserted
+REJECTED_DOUBLED = [(index, "NonGenericGeometry", "polyline corner hit")
+                    for index in (14, 18, 41, 54, 63, 70, 85, 106, 107, 112, 113, 132,
+                                  135, 152, 176, 179, 184, 188)]
+
+
+def _doubled_hexavalent(weave):
+    """The moves of the weave with h_p h_p inserted at its first slice that
+    has an (a, b, a) window with |a - b| = 1, at the first such window; None
+    where no slice has one."""
+    for row, word in enumerate(weave.slices):
+        for p in range(len(word) - 2):
+            a, b, c = word[p:p + 3]
+            if a == c and abs(a - b) == 1:
+                return weave.moves[:row] + [Move("h", p + 1)] * 2 + weave.moves[row:]
+    return None
+
+
+def test_doubled_hexavalent_move_keeps_the_corpus_tables():
+    """Criterion 4 on the corpus: on each seed-7 weave that builds, h_p h_p
+    inserted at the first (a, b, a) window leaves the augmentation table
+    as it was.  109 tables are equal, 35 weaves have no window, and the
+    18 weaves of REJECTED_DOUBLED no longer build."""
+    rejected_before = {index for index, _, _ in REJECTED}
+    equal, windowless, rejected = 0, 0, []
+    for index, text in enumerate(random_weave_texts(7, 400)):
+        if index in rejected_before:
+            continue
+        weave = parse_weave(text)
+        moves = _doubled_hexavalent(weave)
+        if moves is None:
+            windowless += 1
+            continue
+        try:
+            table = augmentation(bend_weave(Weave(weave.strand_count, weave.top, moves)))
+        except RuntimeError as err:
+            rejected.append((index, type(err).__name__, str(err)))
+            continue
+        assert table == augmentation(bend_weave(weave)), text
+        equal += 1
+    assert [entry[:2] for entry in rejected] == [entry[:2] for entry in REJECTED_DOUBLED]
+    assert all(message.startswith(prefix)
+               for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED_DOUBLED)), rejected
+    assert (equal, windowless) == (109, 35)

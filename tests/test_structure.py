@@ -206,3 +206,26 @@ def test_every_definition_has_a_caller():
                 if counts.get(node.name, 0) <= inside:
                     offenders.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert not offenders, offenders
+
+
+def test_every_stored_attribute_is_read():
+    """Every attribute that src/specnet stores, by assignment or as a
+    dataclass field, is read in src/ or perfbench/; a test alone reading it
+    does not count."""
+    readers = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    read = {node.attr for path in readers
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored = [(node.attr, node)]
+            elif isinstance(node, ast.ClassDef):
+                stored = [(item.target.id, item) for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            else:
+                continue
+            offenders += ["%s:%d %s" % (path.name, where.lineno, name)
+                          for name, where in stored if name not in read]
+    assert not offenders, offenders

@@ -172,14 +172,16 @@ def test_cycle_generators_rank_three(builders):
 
 def test_bend_weave_boundary():
     bent = bend_weave(parse_weave(SIGMA1_6))
-    assert bent.boundary_word == BraidWord(2, (1,) * 7)
+    assert BraidWord(bent.strand_count, bent.weave.top + bent.weave.bottom) == \
+        BraidWord(2, (1,) * 7)
     assert bent.chord_names == ["z_6", "z_5", "z_4", "z_3", "z_2", "z_1", "w_1"]
     xs = [bent.top_positions[name] for name in bent.chord_names]
     assert xs == sorted(xs)
     assert bent.marked_x > xs[-1]
 
     bent = bend_weave(parse_weave(THREE_STRAND))
-    assert bent.boundary_word == BraidWord(3, (2, 1, 2, 1, 2, 1, 2, 1, 2, 1))
+    assert BraidWord(bent.strand_count, bent.weave.top + bent.weave.bottom) == \
+        BraidWord(3, (2, 1, 2, 1, 2, 1, 2, 1, 2, 1))
     assert bent.chord_names == (
         ["z_%d" % k for k in range(7, 0, -1)] + ["w_3", "w_2", "w_1"])
     assert len(bent.bent_segments) == 3
@@ -237,7 +239,7 @@ def test_random_weave_invariants(n, seeds, rng):
         assert len(before) - len(after) == (1 if move.kind == "t" else 0)
     # bending preserves letters and reaches the top
     bent = bend_weave(weave)
-    assert bent.boundary_word.letters == weave.top + weave.bottom
+    assert tuple(seg.letter for seg in bent.bent_segments) == weave.bottom
     # where the forest grows, every trivalent vertex's b-strand reaches its
     # own beta chord, so each generator s_k has a distinct name
     try:

@@ -315,21 +315,21 @@ def test_initial_rays_do_not_depend_on_the_sign_of_c(monkeypatch):
 def test_initial_rays_point_outward():
     curve = SpectralCurve("w^2 - z")
     bp = branch_points(curve)[0]
-    seeds = initial_rays(curve, bp, theta=0.0)
-    assert len(seeds) == 3
-    for seed in seeds:
-        i, j = seed.pair
-        v = cmath.exp(0j) / (seed.vals[i] - seed.vals[j])
+    walls = initial_rays(curve, bp, theta=0.0)
+    assert len(walls) == 3
+    for wall in walls:
+        i, j = wall.pair
+        v = cmath.exp(0j) / (wall.vals[0][i] - wall.vals[0][j])
         # the flow direction leads away from the branch point
-        assert (v * (seed.z0 - bp).conjugate()).real > 0
+        assert (v * (wall.points[0] - bp).conjugate()).real > 0
 
 
 def test_traced_wall_mass_monotone_and_phase_constant():
     curve = SpectralCurve("w^2 - z")
     theta = 0.4
     bp = branch_points(curve)[0]
-    for k, seed in enumerate(initial_rays(curve, bp, theta)):
-        wall = trace_wall(curve, seed, theta, 8.0, 4.0, wall_id=k)
+    for wall in initial_rays(curve, bp, theta):
+        assert trace_wall(curve, wall, theta, 8.0, 4.0) is wall
         masses = [abs(Z) for Z in wall.charges]
         assert all(a < b for a, b in zip(masses, masses[1:]))
         rot = cmath.exp(-1j * theta)
@@ -377,8 +377,8 @@ def test_wkb_charge_additivity(cubic_net):
         assert abs(total - joint.charge) <= 1e-6 * (1 + abs(joint.charge))
         # the composed sheet pair really is (i,k): lambda differences add
         child = cubic_net.traced[joint.child]
-        i, k = child.seed.pair
-        d_child = child.seed.vals[i] - child.seed.vals[k]
+        i, k = child.pair
+        d_child = child.vals[0][i] - child.vals[0][k]
         d_parents = 0
         for wid in joint.parents:
             wall = cubic_net.traced[wid]
@@ -697,7 +697,7 @@ def test_crossing_near_a_common_origin_is_an_artifact():
     like ``initial_rays``' seeds."""
     def wall(k, angle, origin=("bp", 0j)):
         points = [r * cmath.exp(1j * angle) for r in (1e-7, 1e-5, 1e-4, 1e-2, 1.0)]
-        return TracedWall(k, None, points, [], [], "radius", origin)
+        return TracedWall((0, 1), points, [], [], origin, k, "radius")
 
     a, b = wall(0, 0.0), wall(1, 2 * math.pi / 3)
     assert _shared_origin_artifact(a, b, 0, 0, 5e-4)
