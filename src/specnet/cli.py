@@ -230,14 +230,20 @@ def _join_number_values(argv):
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The whole parser tree, with each subcommand's ``cmd_`` function,
-    built on the first call only: parsing leaves it as it was, so every
-    later ``main`` call in the process reuses it."""
+def _parser():
+    """The whole parser tree, with each subcommand's ``cmd_`` function, and
+    the names of the subcommands that take --config, built on the first
+    call only: parsing leaves it as it was, so every later ``main`` call in
+    the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="specnet",
         description="Spectral networks from weaves and spectral curves.")
     sub = parser.add_subparsers(dest="command", required=True)
+    takes_config = set()
+
+    def config_option(p, name, **kwargs):
+        p.add_argument("--config", default=None, **kwargs)
+        takes_config.add(name)
 
     def weave_command(name, summary, func, formats=("table", "json")):
         p = sub.add_parser(name, help=summary)
@@ -245,8 +251,7 @@ def _parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None,
-                       help="key=value file overriding flags")
+        config_option(p, name, help="key=value file overriding flags")
         p.set_defaults(func=func)
         return p
 
@@ -268,13 +273,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "svg"), default=None,
                    help="default: svg if --out ends in .svg, else json")
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
+    config_option(p, "wkb-trace")
     p.set_defaults(func=cmd_wkb_trace)
     p = sub.add_parser("compare", help="diff two augmentation tables exactly")
     p.add_argument("computed", help="table JSON or weave input")
     p.add_argument("fixture", help="reference table JSON")
     p.set_defaults(func=cmd_compare)
-    return parser
+    return parser, frozenset(takes_config)
 
 
 # --config alone: main reads the config path with it before the one full
@@ -285,11 +290,14 @@ _CONFIG_OPTION.add_argument("--config", nargs="?")
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser, takes_config = _parser()
     argv = _join_number_values(sys.argv[1:] if argv is None else argv)
     args = None
     try:
-        path = _CONFIG_OPTION.parse_known_args(argv)[0].config
+        # specnet itself takes no option but -h, so argv[0] names the
+        # subcommand; one without --config leaves its usage error to argparse
+        path = (_CONFIG_OPTION.parse_known_args(argv)[0].config
+                if argv and argv[0] in takes_config else None)
         args = parser.parse_args(argv + (_config_flags(path) if path else []))
         if getattr(args, "config", None) != path:
             raise ValueError("config file %s names another config file" % path)

@@ -74,11 +74,13 @@ class ForestBuilder:
         self.weave = bent.weave
         self.obstacles: List[Segment] = list(self.weave.segments) + list(bent.bent_segments)
         # tagged (letter, segment id), so a crossing names the line and its
-        # letter; every slot below the top is a join of two segments
+        # letter; every slot below the top, a lower end not at a vertex, is
+        # a join of two segments
         self.obstacle_paths = [prepare(seg.points) for seg in self.obstacles]
+        vertex_points = {v.point for v in self.weave.vertices}
         self.weave_lines = PolylineSet(
             zip(self.obstacle_paths, [(seg.letter, seg.id) for seg in self.obstacles]),
-            joins=[seg.points[-1] for seg in self.obstacles if seg.lower[0] == "slot"])
+            joins=[seg.points[-1] for seg in self.obstacles if seg.points[-1] not in vertex_points])
         # the weave-line corners at each height, in obstacle order
         self._corners: Dict[Fraction, List[Point]] = {}
         for seg in self.obstacles:
@@ -166,11 +168,10 @@ class ForestBuilder:
         segments above it up to a chord, offset left by delta."""
         while True:
             strand.polyline += [(x - strand.delta, y) for x, y in seg.points[index::-1]]
-            above = self.weave.continue_up(seg)
-            if above is None:
+            if seg.above is None:
                 strand.chord = self._top_name_by_x[seg.points[0][0]]
                 return
-            seg, index = above, len(above.points) - 2
+            seg, index = seg.above, len(seg.above.points) - 2
 
     def events_along(self, poly) -> List[tuple]:
         """The weave-line crossings of ``poly`` as sorted (param, letter, side)."""
@@ -191,9 +192,8 @@ class ForestBuilder:
     # ----- rounds -----
     def build(self):
         for rnd, vertex in enumerate(self.scan_vertices(), start=1):
-            ups = self.weave.vertex_upper_segments(vertex.id)
             new = [self.propagate_seed(vertex, branch, edge, rnd)
-                   for branch, edge in (("a", ups[0]), ("b", ups[1]), ("c", None))]
+                   for branch, edge in zip("abc", vertex.upper + [None])]
             self._extend_round(new, rnd)
         return self
 

@@ -25,7 +25,7 @@ bottom-right of the diagram up to the top, to the right of the top slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -50,23 +50,24 @@ class WeaveVertex:
     position: int  # 1-based leftmost involved letter in the upper slice
     letter: int  # for trivalent: the merged letter; otherwise upper-left letter
     point: Point = (Fraction(0), Fraction(0))
+    # the pieces ending at this vertex, left to right
+    upper: List[Segment] = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass
 class Segment:
     """A weave-line piece, drawn as a polyline from its upper to lower end.
 
-    Ends are descriptors: ("slot", slice_index, position), ("vertex", vertex_id,
-    role) or ("top", chord_position) for bent lines that return to the top
-    boundary.  ``role`` is the 0-based index among the vertex's upper (for
-    lower ends) or lower (for upper ends) attachment points, left to right.
+    ``above`` is the piece a line walking toward the top goes on to: straight
+    through hexavalent and tetravalent vertices, up the *left* upper edge at
+    a trivalent vertex; None at the top boundary.
     """
 
     id: int
     letter: int
     points: List[Point]
-    upper: Tuple
-    lower: Tuple
+    # not in repr or ==, which would otherwise walk the chain to the top
+    above: Optional[Segment] = field(default=None, repr=False, compare=False)
 
 
 _KINDS = {"t": "trivalent", "h": "hexavalent", "x": "tetravalent"}
@@ -110,12 +111,13 @@ class Weave:
             self.slices.append(_apply_move(self.slices[-1], move))
         self.vertices: List[WeaveVertex] = []
         self.segments: List[Segment] = []
-        self._seg_above: Dict[Tuple[int, int], Segment] = {}
-        self._vertex_upper: Dict[Tuple[int, int], List[Segment]] = {}
         self._build()
 
     # ----- structure -----
     def _build(self):
+        # the piece ending at each slot of the current slice, by position;
+        # none above the top slice
+        ending: Dict[int, Segment] = {}
         for row, move in enumerate(self.moves):
             upper, lower = self.slices[row], self.slices[row + 1]
             p = move.position - 1
@@ -127,33 +129,30 @@ class Weave:
                                  upper[p], (x_vertex, y_vertex))
             self.vertices.append(vertex)
             out_width = width - 1 if move.kind == "t" else width
+            below: Dict[int, Segment] = {}
 
             for q in range(1, len(upper) + 1):
                 if p + 1 <= q <= p + width:
                     seg = Segment(len(self.segments), upper[q - 1],
-                                  [(Fraction(q), Fraction(-row)), vertex.point],
-                                  ("slot", row, q), ("vertex", vertex.id, q - p - 1))
-                    self.segments.append(seg)
+                                  [(Fraction(q), Fraction(-row)), vertex.point], ending.get(q))
+                    vertex.upper.append(seg)
                 else:
                     q_next = q if q <= p else q - (width - out_width)
                     seg = Segment(len(self.segments), upper[q - 1],
                                   [(Fraction(q), Fraction(-row)), (Fraction(q_next), Fraction(-row - 1))],
-                                  ("slot", row, q), ("slot", row + 1, q_next))
-                    self.segments.append(seg)
-                    self._seg_above[(row + 1, q_next)] = seg
+                                  ending.get(q))
+                    below[q_next] = seg
+                self.segments.append(seg)
             for j in range(out_width):
                 q_out = move.position + j
+                # up the left upper piece at a trivalent vertex; straight
+                # through any other, to the upper piece width - 1 - j
+                above = vertex.upper[0 if move.kind == "t" else width - 1 - j]
                 seg = Segment(len(self.segments), lower[q_out - 1],
-                              [vertex.point, (Fraction(q_out), Fraction(-row - 1))],
-                              ("vertex", vertex.id, j), ("slot", row + 1, q_out))
+                              [vertex.point, (Fraction(q_out), Fraction(-row - 1))], above)
                 self.segments.append(seg)
-                self._seg_above[(row + 1, q_out)] = seg
-        # collect the upper attachments of each vertex, left to right
-        for seg in self.segments:
-            if seg.lower[0] == "vertex":
-                self._vertex_upper.setdefault(seg.lower[1], []).append(seg)
-        for attachments in self._vertex_upper.values():
-            attachments.sort(key=lambda s: s.lower[2])
+                below[q_out] = seg
+            ending = below
 
     # ----- queries -----
     @property
@@ -166,32 +165,6 @@ class Weave:
 
     def trivalent_vertices(self) -> List[WeaveVertex]:
         return [v for v in self.vertices if v.kind == "trivalent"]
-
-    def vertex_upper_segments(self, vertex_id: int) -> List[Segment]:
-        return self._vertex_upper.get(vertex_id, [])
-
-    def continue_up(self, segment: Segment) -> Optional[Segment]:
-        """The segment above ``segment`` for a line walking toward the top.
-
-        Straight through tetravalent and hexavalent vertices; up the *left*
-        upper edge at a trivalent vertex; None at the top boundary.
-        """
-        upper = segment.upper
-        if upper[0] == "slot":
-            r, q = upper[1], upper[2]
-            if r == 0:
-                return None
-            return self._seg_above[(r, q)]
-        if upper[0] == "top":
-            return None
-        vertex = self.vertices[upper[1]]
-        role = upper[2]
-        ups = self.vertex_upper_segments(vertex.id)
-        if vertex.kind == "trivalent":
-            return ups[0]
-        if vertex.kind == "hexavalent":
-            return ups[2 - role]
-        return ups[1 - role]
 
 
 def _integer(token: str, what: str) -> int:
@@ -266,8 +239,7 @@ class BentWeave:
             seg = Segment(
                 next_id, bottom[p],
                 [(x_up, Fraction(0)), (x_up, -drop), (Fraction(p + 1), -drop),
-                 (Fraction(p + 1), Fraction(-depth))],
-                ("top", x_up), ("slot", depth, p + 1))
+                 (Fraction(p + 1), Fraction(-depth))])
             self.bent_segments.append(seg)
             self.top_positions["w_%d" % (p + 1)] = x_up
             next_id += 1

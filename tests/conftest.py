@@ -14,6 +14,10 @@ EXAMPLES = {
     "three_strand": "n=3\ntop: 2 1 2 1 2 1 2\nmoves: h1 t3 h2 t1 t3 h2 t1",
 }
 
+# two n = 4 weaves in which a strand climbs through a tetravalent vertex
+X_MOVE_WEAVES = ["n=4\ntop: 1 2 1 3 1 2\nmoves: x3 t4 x3 x3",
+                 "n=4\ntop: 1 3 1 3 2 3\nmoves: x3 t2 x1 t2 x1"]
+
 
 @pytest.fixture(scope="session")
 def builders():
@@ -22,25 +26,28 @@ def builders():
             for name, text in EXAMPLES.items()}
 
 
-def random_weave_texts(seed, draws):
-    """Weave texts of ``draws`` seeded random n = 3 draws, skipping those
-    whose bottom is not reduced: tops of 5-9 letters and 4-10 random t and
-    h moves, drawn from ``random.Random(seed)``."""
+def random_weave_texts(seed, draws, n=3):
+    """Weave texts of ``draws`` seeded random n-strand draws, skipping those
+    whose bottom is not reduced: tops of 5-9 letters from 1..n-1 and 4-10
+    random t, h and x moves, drawn from ``random.Random(seed)``.  For n = 3
+    no x move is possible, so the draws are those of the t and h moves alone."""
     rng = random.Random(seed)
     for _ in range(draws):
-        top = tuple(rng.choice((1, 2)) for _ in range(rng.randint(5, 9)))
+        top = tuple(rng.choice(range(1, n)) for _ in range(rng.randint(5, 9)))
         word, moves = top, []
         for _ in range(rng.randint(4, 10)):
             spots = ([("t", p + 1) for p in range(len(word) - 1) if word[p] == word[p + 1]]
                      + [("h", p + 1) for p in range(len(word) - 2)
-                        if word[p] == word[p + 2] != word[p + 1]])
+                        if word[p] == word[p + 2] and abs(word[p] - word[p + 1]) == 1]
+                     + [("x", p + 1) for p in range(len(word) - 1)
+                        if abs(word[p] - word[p + 1]) > 1])
             if not spots:
                 break
             move = Move(*rng.choice(spots))
             moves.append("%s%d" % (move.kind, move.position))
             word = _apply_move(word, move)
-        if length(demazure_product(BraidWord(3, word))) == len(word):
-            yield "n=3\ntop: %s\nmoves: %s" % (" ".join(map(str, top)), " ".join(moves))
+        if length(demazure_product(BraidWord(n, word))) == len(word):
+            yield "n=%d\ntop: %s\nmoves: %s" % (n, " ".join(map(str, top)), " ".join(moves))
 
 
 def random_weave_builders():

@@ -296,6 +296,22 @@ def _config_error(argv, text, tmp_path, capsys):
     return _usage_error(argv + ["--config", str(config)], capsys)
 
 
+def test_compare_never_reads_a_config_file(tmp_path, monkeypatch, capsys):
+    """compare takes no config file, so it never opens one: its usage
+    error names --config and its path alone, not the file's keys too.
+    wkb-trace reads the same file."""
+    config = tmp_path / "good.cfg"
+    config.write_text("theta = 0.25\nradius = 4\n")
+    read, config_flags = [], cli._config_flags
+    monkeypatch.setattr(cli, "_config_flags", lambda path: read.append(path) or config_flags(path))
+    err = _usage_error(["compare", "five_crossing", "mutation_a.json", "--config", str(config)],
+                       capsys)
+    assert err.endswith("error: unrecognized arguments: --config %s\n" % config)
+    assert read == []
+    assert main(["wkb-trace", "--curve", "w^2 - z", "--config", str(config)]) == 0
+    assert read == [str(config)]
+
+
 def test_parser_tree_is_built_once(monkeypatch, capsys):
     """``main`` builds its parser, specnet's and one per subcommand, on
     the first call of the process and reuses it on every later call."""

@@ -82,6 +82,61 @@ def test_random_corpus_rejections_and_invariants():
     assert checked == 128
 
 
+# (index among the n = 4 corpus texts, error class, message prefix) of every
+# draw the forest rejects
+REJECTED_N4 = [
+    (1, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (3, 4)"),
+    (4, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (2, 3)"),
+    (14, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (2, 3)"),
+    (25, "PropagationError", "rightward flowline from ('branch', 3, 'c') with label (2, 3)"),
+    (30, "NonGenericGeometry", "polyline corner hit"),
+    (36, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (2, 3)"),
+    (57, "PropagationError", "rightward flowline from ('branch', 2, 'c') with label (3, 4)"),
+    (69, "PropagationError", "rightward flowline from ('branch', 0, 'c') with label (3, 4)"),
+    (74, "NonGenericGeometry", "polyline corner hit"),
+    (75, "PropagationError", "rightward flowline from ('branch', 1, 'c') with label (2, 3)"),
+    (94, "NonGenericGeometry", "polyline corner hit"),
+    (114, "PropagationError", "rightward flowline from ('branch', 4, 'c') with label (3, 4)"),
+    (124, "PropagationError", "rightward flowline from ('branch', 1, 'c') with label (3, 4)"),
+]
+
+
+def test_four_strand_corpus_with_x_moves():
+    """300 n = 4 draws at seed 4, with t, h and x moves, give 126 reduced
+    bottoms; the forest builds 113 of them and rejects exactly the 13 in
+    REJECTED_N4.  82 built weaves have an x move, and in 36 a strand
+    climbs through a tetravalent vertex (passing delta left of its point).
+    On every built weave each branch and joint monodromy is the identity,
+    the BPS recursion equals brute force and two seeded homotopic path
+    pairs transport alike."""
+    texts = list(random_weave_texts(4, 300, 4))
+    assert len(texts) == 126
+    rejected, with_x, climbing = [], 0, 0
+    for index, text in enumerate(texts):
+        try:
+            builder = build_forest_strands(bend_weave(parse_weave(text)))
+        except RuntimeError as err:
+            rejected.append((index, type(err).__name__, str(err)))
+            continue
+        x_points = [v.point for v in builder.weave.vertices if v.kind == "tetravalent"]
+        with_x += bool(x_points)
+        climbing += any((x - s.delta, y) in s.polyline
+                        for x, y in x_points for s in builder.strands)
+        transport = Transport(builder)
+        loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
+        loops += [transport.joint_monodromy(joint) for joint in builder.joints]
+        assert all(transport.is_identity(m) for m in loops), text
+        assert transport.catalog.bps_table() == transport.catalog.bps_table_bruteforce(), text
+        rng = random.Random("corpus-n4:%d" % index)
+        for _ in range(2):
+            p, q = homotopic_pair(transport, rng)
+            assert transport.transport_path(p) == transport.transport_path(q), text
+    assert [entry[:2] for entry in rejected] == [entry[:2] for entry in REJECTED_N4]
+    assert all(message.startswith(prefix)
+               for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED_N4)), rejected
+    assert (len(texts) - len(rejected), with_x, climbing) == (113, 82, 36)
+
+
 # (index, error class, message prefix) of every built corpus weave that the
 # forest rejects once h_p h_p is inserted
 REJECTED_DOUBLED = [(index, "NonGenericGeometry", "polyline corner hit")

@@ -28,7 +28,7 @@ from specnet.nonabel import (
 from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, HomologyEngine, LiftedPath
 from specnet.weave import bend_weave, parse_weave
 
-from conftest import EXAMPLES, random_weave_builders, random_weave_texts
+from conftest import EXAMPLES, X_MOVE_WEAVES, random_weave_builders, random_weave_texts
 
 
 @pytest.fixture(scope="module")
@@ -766,25 +766,18 @@ def test_path_through_a_wall_weave_line_crossing_names_the_wall(builders):
         transport.transport_path(path)
 
 
-@pytest.mark.parametrize("text, strands", [
-    ("n=4\ntop: 1 2 1 3 1 2\nmoves: x3 t4 x3 x3", 3),
-    ("n=4\ntop: 1 3 1 3 2 3\nmoves: x3 t2 x1 t2 x1", 6),
-], ids=["one-branch-point", "two-branch-points"])
+@pytest.mark.parametrize("text, strands", [(X_MOVE_WEAVES[0], 3), (X_MOVE_WEAVES[1], 6)],
+                         ids=["one-branch-point", "two-branch-points"])
 def test_strand_climbing_through_a_tetravalent_vertex(text, strands):
     """A strand walking up to its chord passes straight through a
     tetravalent (x move) vertex.  Monodromy stays the identity, the BPS
     recursion equals brute force and homotopic paths transport alike."""
     bent = bend_weave(parse_weave(text))
-    weave, climbed = bent.weave, []
-    step = weave.continue_up
-
-    def continue_up(segment):
-        if segment.upper[0] not in ("slot", "top"):
-            climbed.append(weave.vertices[segment.upper[1]].kind)
-        return step(segment)
-
-    weave.continue_up = continue_up
+    weave = bent.weave
     builder = build_forest_strands(bent)
+    # a strand climbing through a vertex passes delta left of its point
+    climbed = [v.kind for v in weave.vertices for s in builder.strands
+               if (v.point[0] - s.delta, v.point[1]) in s.polyline]
     assert len(builder.strands) == strands and "tetravalent" in climbed
     transport = Transport(builder)
     loops = [transport.branch_monodromy(v.id) for v in weave.trivalent_vertices()]

@@ -243,7 +243,9 @@ def test_whole_sets_answer_like_their_members(catalogs):
         builder = catalog.builder
         weave_lines = [(path, (seg.letter, seg.id))
                        for path, seg in zip(builder.obstacle_paths, builder.obstacles)]
-        joins = [seg.points[-1] for seg in builder.obstacles if seg.lower[0] == "slot"]
+        vertex_points = {v.point for v in builder.weave.vertices}
+        joins = [seg.points[-1] for seg in builder.obstacles
+                 if seg.points[-1] not in vertex_points]
         walls = [(builder.strands[sid].path, sid) for sid in builder.walls.tags]
         assert sorted(builder.walls.tags) == [s.id for s in builder.strands]
         for P in [s.path for s in builder.strands] + _test_lines(catalog.engine):

@@ -12,7 +12,7 @@ from specnet.weave import (
     parse_weave,
 )
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, X_MOVE_WEAVES, random_weave_texts
 
 SIGMA1_6 = """
 n=2
@@ -118,14 +118,65 @@ def test_vertex_structure():
         "trivalent", "hexavalent", "trivalent",
     ]
     for vertex in weave.vertices:
-        ups = weave.vertex_upper_segments(vertex.id)
-        downs = [s for s in weave.segments if s.upper[:2] == ("vertex", vertex.id)]
+        ups = vertex.upper
+        downs = [s for s in weave.segments if s.points[0] == vertex.point]
         if vertex.kind == "trivalent":
             assert len(ups) == 2 and len(downs) == 1
         elif vertex.kind == "hexavalent":
             assert len(ups) == 3 and len(downs) == 3
         else:
             assert len(ups) == 2 and len(downs) == 2
+
+
+def _reference_climb(bent):
+    """{piece id: id of the piece above it, or None} and {vertex id: ids of
+    its upper pieces}, from the pieces' end points alone.  At a slot the
+    piece above is the one piece ending there; at a vertex it is the left
+    upper piece for a trivalent vertex and otherwise the upper piece that
+    mirrors this piece's place among the lower ones; at the top boundary
+    there is none."""
+    weave = bent.weave
+    pieces = weave.segments + bent.bent_segments
+    starting, ending = {}, {}
+    for seg in pieces:
+        starting.setdefault(seg.points[0], []).append(seg)
+        ending.setdefault(seg.points[-1], []).append(seg)
+    vertex_at = {v.point: v for v in weave.vertices}
+    uppers = {v.id: sorted(ending[v.point], key=lambda s: s.points[0][0])
+              for v in weave.vertices}
+    above = {}
+    for seg in pieces:
+        start = seg.points[0]
+        vertex = vertex_at.get(start)
+        if vertex is None:
+            below_start = ending.get(start, [])
+            assert len(below_start) == (0 if start[1] == 0 else 1)
+            above[seg.id] = below_start[0].id if below_start else None
+            continue
+        lower = sorted(starting[start], key=lambda s: s.points[-1][0])
+        j = lower.index(seg)
+        ups = uppers[vertex.id]
+        above[seg.id] = (ups[0] if vertex.kind == "trivalent" else ups[len(ups) - 1 - j]).id
+    return above, {vid: [s.id for s in ups] for vid, ups in uppers.items()}
+
+
+def test_links_follow_the_reference_climb():
+    """On the fixtures, the seed-7 corpus, the two n = 4 x-move weaves and
+    the n = 4 corpus, each piece's ``above`` and each vertex's ``upper``
+    equal the climb derived from the pieces' end points alone."""
+    texts = (list(EXAMPLES.values()) + list(random_weave_texts(7, 400)) + X_MOVE_WEAVES
+             + list(random_weave_texts(4, 300, 4)))
+    assert len(texts) == 5 + 193 + 2 + 126
+    kinds = set()
+    for text in texts:
+        bent = bend_weave(parse_weave(text))
+        above, upper = _reference_climb(bent)
+        for seg in bent.weave.segments + bent.bent_segments:
+            assert (seg.above.id if seg.above else None) == above[seg.id], text
+        for vertex in bent.weave.vertices:
+            assert [s.id for s in vertex.upper] == upper[vertex.id], text
+            kinds.add(vertex.kind)
+    assert kinds == {"trivalent", "hexavalent", "tetravalent"}
 
 
 def _generators(builder):
