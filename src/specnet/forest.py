@@ -76,10 +76,9 @@ class ForestBuilder:
         # tagged (letter, segment id), so a crossing names the line and its
         # letter; every slot below the top, a lower end not at a vertex, is
         # a join of two segments
-        self.obstacle_paths = [prepare(seg.points) for seg in self.obstacles]
         vertex_points = {v.point for v in self.weave.vertices}
         self.weave_lines = PolylineSet(
-            zip(self.obstacle_paths, [(seg.letter, seg.id) for seg in self.obstacles]),
+            ((seg.points, (seg.letter, seg.id)) for seg in self.obstacles),
             joins=[seg.points[-1] for seg in self.obstacles if seg.points[-1] not in vertex_points])
         # the weave-line corners at each height, in obstacle order
         self._corners: Dict[Fraction, List[Point]] = {}

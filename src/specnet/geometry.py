@@ -159,23 +159,6 @@ def truncated(path: Polyline, param: Param) -> Polyline:
     return Polyline([(x, y, s) for x, y in path.ints[: param[0] + 1]] + [interp(path, param)])
 
 
-def _raise_first_fault(hits, owners, faults):
-    """Raise what a member-by-member pass meets first: at the lowest member
-    with a fault, its first non-generic segment pair (P's segment major;
-    ``faults`` holds (member, P segment, Q segment, message)), else a
-    crossing point it meets twice, where P or Q crosses itself on the
-    other.  ``owners`` holds each hit's member."""
-    if len(set(owners)) < len(owners):  # some member is crossed twice
-        seen = set()
-        for m, (_, _, _, pt, _) in zip(owners, hits):
-            key = (m,) + _reduced(*pt)
-            if key in seen:
-                faults.append((m, math.inf, 0, "duplicate crossing point"))
-            seen.add(key)
-    if faults:
-        raise NonGenericGeometry(min(faults)[3])
-
-
 class PolylineSet:
     """A family of tagged polylines (weave lines tagged by letter, walls
     tagged by id, or test lines tagged by index), kept as one table of
@@ -216,16 +199,16 @@ class PolylineSet:
         integers, row by row.  Touches at P's global ends and at the
         member's anchors (walls are born on other walls and end on the
         boundary) are ignored; any other touch is a non-generic corner hit,
-        a positive-length collinear overlap is non-generic, and so is a
-        point where one member is crossed twice (a rule per member).  Such
-        a fault raises as a member-by-member pass would meet it first.  The
-        params are built only where the segments meet, and the point stays
-        on P's scale times t's denominator."""
+        a positive-length collinear overlap is non-generic, and either
+        raises where the scan meets it.  A point where one member is
+        crossed twice is non-generic too, checked once the scan is done.
+        The params are built only where the segments meet, and the point
+        stays on P's scale times t's denominator."""
         p = prepare(P)
         (pi, sp, pf), (lo_x, hi_x, lo_y, hi_y) = (p.ints, p.scale, p.floats), p.box
         near = [r for r in self.segments
                 if not (lo_x > r[1] or hi_x < r[0] or lo_y > r[3] or hi_y < r[2])]
-        tags, hits, owners, faults = self.tags, [], [], []
+        tags, hits, owners = self.tags, [], []
         for i in range(len(pi) - 1):
             ax0, ay0 = pf[i]
             ax1, ay1 = pf[i + 1]
@@ -245,7 +228,7 @@ class PolylineSet:
                         n0 = ex * dax + ey * day
                         n1 = n0 + sp * (dbx * dax + dby * day)
                         if max(n0, n1) > 0 and min(n0, n1) < sq * (dax * dax + day * day):
-                            faults.append((m, i, j, "collinear overlap"))
+                            raise NonGenericGeometry("collinear overlap")
                     continue
                 # t = tn / td on P's segment and u = un / ud on Q's
                 tn, un = ex * dby - ey * dbx, ex * day - ey * dax
@@ -262,7 +245,10 @@ class PolylineSet:
                     owners.append(m)
                 elif not any(x * ad == ax * d and y * ad == ay * d
                              for ax, ay, ad in p.ends + self.anchors[m]):
-                    faults.append((m, i, j, "polyline corner hit at %r" % (exact_point(pt),)))
-        _raise_first_fault(hits, owners, faults)
+                    raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(pt),))
+        # a member crossed twice at one point: P or Q crosses itself on the other
+        if len(set(owners)) < len(owners) and len(
+                {(m,) + _reduced(*hit[3]) for m, hit in zip(owners, hits)}) < len(hits):
+            raise NonGenericGeometry("duplicate crossing point")
         hits.sort()
         return hits

@@ -70,12 +70,11 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio, ScaledPoint,
-                       exact_point, interp, point_key, prepare, walk_sheets)
+                       exact_point, interp, param_of, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import CAP_EPS, LiftedPath, SolitonCatalog, tree_of_strand
 
@@ -240,7 +239,7 @@ class Transport:
             for i, (ax, bx) in enumerate(zip(xs, xs[1:])):
                 # an edge's param (en / ed - ax / s) / ((bx - ax) / s), both terms times bx - ax
                 ts = [((en * s - ax * ed) * (bx - ax), (bx - ax) ** 2 * ed) for en, ed in edges]
-                cuts += [(i, n / d, Ratio(n, d)) for n, d in ts if d and 0 <= n <= d]
+                cuts += [param_of(i, Ratio(n, d)) for n, d in ts if d and 0 <= n <= d]
             self._wall_cuts[sid] = sorted(cuts)
         cuts = self._wall_cuts[sid]
         k = bisect_left(cuts, param)
@@ -296,22 +295,15 @@ class Transport:
         return out, sheets
 
     # ----- monodromy loops -----
-    @cached_property
-    def _segments(self) -> List[tuple]:
-        """Every segment of the obstacles and the strands, which are fixed
-        once the forest is built, as (a, b, scale) with a and b in integer
-        form."""
-        paths = self.builder.obstacle_paths + [s.path for s in self.builder.strands]
-        return [(a, b, p.scale) for p in paths for a, b in zip(p.ints, p.ints[1:])]
-
     def clearance(self, center: Point) -> Fraction:
-        """Min distance from ``center`` to all segments not through it: the
-        least nonzero exact squared distance, in integers on the center's
-        scale times each segment's, floored to a rational root."""
+        """Min distance from ``center`` to all weave-line and wall segments
+        not through it, read from the forest's tables: the least nonzero
+        exact squared distance, in integers on the center's scale times each
+        segment's, floored to a rational root."""
         px, py, pd = point_key(center)
-        best = None
-        for a, b, s in self._segments:
-            n, m = _seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd), (b[0] * pd, b[1] * pd))
+        best, builder = None, self.builder
+        for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
+            n, m = _seg_distance2((px * s, py * s), (x * pd, y * pd), ((x + dx) * pd, (y + dy) * pd))
             m *= (pd * s) ** 2
             if n and (best is None or n * best[1] < best[0] * m):
                 best = n, m

@@ -172,6 +172,25 @@ def test_wkb_trace_rejects_infinite_mass_and_radius(key, tmp_path, monkeypatch, 
         build_wkb_network(SpectralCurve("w^2 - z"), 0.3, float("inf"), 8.0)
 
 
+def test_wkb_trace_calls_the_module_builder_at_call_time(monkeypatch, capsys):
+    """``wkb-trace`` looks up ``specnet.wkb.build_wkb_network`` when it
+    runs, so a wrapper patched onto the module, as the benchmark's
+    ``wkb_trace`` check patches one to keep the network it built, sees
+    every call."""
+    import specnet.wkb
+
+    calls, build = [], specnet.wkb.build_wkb_network
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(specnet.wkb, "build_wkb_network", recording)
+    assert main(["wkb-trace", "--curve", "w^2 - z", "--theta", "0", "--mass", "10",
+                 "--radius", "5"]) == 0
+    assert [args[1:] for args in calls] == [(0.0, 10.0, 5.0)]
+
+
 def test_wkb_trace_json(capsys):
     assert main(["wkb-trace", "--curve", "w^2 - z", "--theta", "0",
                  "--mass", "10", "--radius", "5"]) == 0
@@ -415,8 +434,8 @@ def test_config_keys_take_unique_prefixes_like_flags(tmp_path, capsys):
     assert main(["wkb-trace", "--curve", "w^2 - z", "--mass", "10",
                  "--config", str(config)]) == 0
     assert json.loads(capsys.readouterr().out)["theta"] == 0.25
-    err = _config_error(["nonabelianize", "mutation_a"], "s = 1\n", tmp_path, capsys)
-    assert "error: ambiguous option: --s=1 could match --systems, --seed\n" in err
+    err = _config_error(["wkb-trace"], "c = 1\n", tmp_path, capsys)
+    assert "error: ambiguous option: --c=1 could match --curve, --config\n" in err
 
 
 def test_config_file_naming_another_fails(tmp_path, capsys):
@@ -468,10 +487,11 @@ def test_readme_flag_table_matches_parser(capsys):
     ["bps", "mutation_a", "--seed", "1"],
     ["weave-network", "mutation_a", "--seed", "1"],
     ["wkb-trace", "--curve", "w^2 - z", "--seed", "1"],
+    ["nonabelianize", "mutation_a", "--seed", "1"],
     ["nonabelianize", "mutation_a", "--format", "json"],
     ["compare", "a.json", "b.json", "--config", "run.cfg"],
 ], ids=["augmentation-svg", "bps-svg", "bps-seed", "weave-network-seed",
-        "wkb-trace-seed", "nonabelianize-format", "compare-config"])
+        "wkb-trace-seed", "nonabelianize-seed", "nonabelianize-format", "compare-config"])
 def test_flags_a_subcommand_never_reads_are_rejected(argv, capsys):
     with pytest.raises(SystemExit):
         main(argv)
@@ -676,7 +696,7 @@ MONODROMY_LOOPS = {
 @pytest.mark.parametrize("fixture", sorted(MONODROMY_LOOPS))
 def test_nonabelianize_draws_no_local_system(fixture, monkeypatch, capsys):
     """The report is decided by the exact check alone: no local system is
-    drawn, and the ignored --systems and --seed still parse."""
+    drawn, and the ignored --systems still parses."""
     def drawn(*args):
         raise AssertionError("a local system was drawn")
 
@@ -684,7 +704,7 @@ def test_nonabelianize_draws_no_local_system(fixture, monkeypatch, capsys):
     branches, joints = MONODROMY_LOOPS[fixture]
     expected = ["branch %-3s monodromy: identity" % v for v in branches]
     expected += ["joint %-3s monodromy: identity" % j for j in joints]
-    assert main(["nonabelianize", fixture, "--systems", "20", "--seed", "3"]) == 0
+    assert main(["nonabelianize", fixture, "--systems", "20"]) == 0
     assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -407,16 +408,29 @@ def _sub_cross(a0, a1, b0, b1):
     return (t, u)
 
 
+class _Fault(NonGenericGeometry):
+    """A reference fault and where the reference met it: (P segment, Q
+    segment) for a corner hit or an overlap, None for a point found twice."""
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
+
+
 def _reference_crossings(P, Q, q_anchors):
     """Proper transversal crossings of P and Q as sorted (paramP, paramQ,
     pt, side), side the sign of (Q's tangent) x (P's tangent).  Touches at
-    P's ends and at ``q_anchors`` are ignored, any other touch raises, and
-    so does a crossing point found twice."""
+    P's ends and at ``q_anchors`` are ignored, any other touch raises at
+    the first segment pair with one (P's segment major), and so does a
+    crossing point found twice, once every pair is done."""
     out = []
     anchors = (P[0], P[-1]) + q_anchors
     for i in range(len(P) - 1):
         for j in range(len(Q) - 1):
-            r = _sub_cross(P[i], P[i + 1], Q[j], Q[j + 1])
+            try:
+                r = _sub_cross(P[i], P[i + 1], Q[j], Q[j + 1])
+            except NonGenericGeometry as err:
+                raise _Fault(str(err), (i, j)) from None
             if r is None:
                 continue
             t, u = r
@@ -430,10 +444,10 @@ def _reference_crossings(P, Q, q_anchors):
             elif pt in anchors:
                 continue
             else:
-                raise NonGenericGeometry("polyline corner hit at %r" % (pt,))
+                raise _Fault("polyline corner hit at %r" % (pt,), (i, j))
     points = [pt for _, _, pt, _ in out]
     if len(set(points)) != len(points):
-        raise NonGenericGeometry("duplicate crossing point")
+        raise _Fault("duplicate crossing point")
     return sorted(out)
 
 
@@ -541,27 +555,30 @@ def test_polyline_set_matches_poly_crossings(P, lines, joined):
 @settings(max_examples=150, deadline=None)
 @given(polylines, st.lists(polylines, min_size=1, max_size=5))
 @example(_poly((0, 0), (2, 2)), [_poly((3, 0), (3, 2)), LINE])  # a member off P's box first
-# faults in two members, the second member's pair met first along P:
-# an overlap, then a corner hit; a point met twice, then a corner hit
+# faults in two members, the second member's pair met first along P, so
+# its message is raised: an overlap, then a corner hit; a point met twice,
+# then a corner hit
 @example(_poly((0, 0), (2, 0), (2, 2)), [_poly((2, 1), (2, 3)), _poly((0, 1), (1, 0), (1, 1))])
 @example(_poly((0, 0), (2, 2), (2, 0), (0, 2)), [LINE, _poly((2, 1), (2, 3))])
 def test_polyline_set_grown_by_add_answers_like_its_members(P, lines):
     """A set grown one ``add`` at a time, as ``ForestBuilder.walls`` grows,
     answers P after the k-th ``add`` with the sorted union of its first k
     members' reference crossings, and raises exactly when one of those
-    references raises, with the message of the first that does."""
-    grown, expected, fault = PolylineSet(), [], None
+    references raises, with the message of the first fault in scan order:
+    the corner hit or overlap with the least (P segment, member, Q
+    segment), else a crossing point found twice."""
+    grown, expected, faults = PolylineSet(), [], []
     for k, Q in enumerate(lines):
         grown.add(Q, k)
-        if fault is None:
-            try:
-                found = _reference_crossings(P, Q, (Q[0], Q[-1]))
-                expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
-            except NonGenericGeometry as err:
-                fault = str(err)
-        if fault is None:
+        try:
+            found = _reference_crossings(P, Q, (Q[0], Q[-1]))
+            expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
+        except _Fault as err:
+            at = (err.where[0], k, err.where[1]) if err.where else (math.inf,)
+            faults.append((at, str(err)))
+        if not faults:
             assert _read(grown.crossings(P)) == sorted(expected)
         else:
             with pytest.raises(NonGenericGeometry) as raised:
                 grown.crossings(P)
-            assert str(raised.value) == fault
+            assert str(raised.value) == min(faults)[1]

@@ -239,9 +239,10 @@ def _fraction_wall_cuts(transport, strand):
 def test_integer_distances_and_cuts_match_fraction_reference(builders):
     """The integer ``_seg_distance2``, the clearance it serves and the
     integer cut params of ``_interval_key`` equal the ``Fraction``
-    reference on the fixtures and the seed-20261018 random weaves: each
-    segment's exact distance and the clearance at every branch point and
-    joint and at seeded points, and every wall's cut params."""
+    reference on the fixtures and the seed-20261018 random weaves: the
+    exact distance to each segment of the forest's weave-line and wall
+    tables and the clearance at every branch point and joint and at seeded
+    points, and every wall's cut params."""
     rng = random.Random(20261019)
     for builder in list(builders.values()) + list(random_weave_builders()):
         transport = Transport(builder)
@@ -251,7 +252,8 @@ def test_integer_distances_and_cuts_match_fraction_reference(builders):
                     for _ in range(3)]
         for center in centers:
             px, py, pd = point_key(center)
-            for a, b, s in transport._segments:
+            for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
+                a, b = (x, y), (x + dx, y + dy)
                 n, m = nonabel._seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd),
                                               (b[0] * pd, b[1] * pd))
                 assert Fraction(n, m * (pd * s) ** 2) == _fraction_seg_distance2(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, transpose
+from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, prepare, transpose
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import augmentation
 from specnet.soliton_bps import (
@@ -241,8 +241,7 @@ def test_whole_sets_answer_like_their_members(catalogs):
     answered = 0
     for catalog in catalogs.values():
         builder = catalog.builder
-        weave_lines = [(path, (seg.letter, seg.id))
-                       for path, seg in zip(builder.obstacle_paths, builder.obstacles)]
+        weave_lines = [(prepare(seg.points), (seg.letter, seg.id)) for seg in builder.obstacles]
         vertex_points = {v.point for v in builder.weave.vertices}
         joins = [seg.points[-1] for seg in builder.obstacles
                  if seg.points[-1] not in vertex_points]
