@@ -79,7 +79,7 @@ def cmd_weave_network(args) -> int:
         _emit(network_to_json(net) + "\n", args.out)
     else:
         lines = ["vertices: %d  walls: %d" % (len(net.vertices), len(net.walls))]
-        for wall in sorted(net.walls.values(), key=lambda w: w.id):
+        for wall in net.walls:
             lines.append("wall %d label %s source %s target %s"
                          % (wall.id, wall.label, wall.source, wall.target))
         _emit("\n".join(lines) + "\n", args.out)
@@ -117,17 +117,11 @@ def cmd_bps(args) -> int:
     bent = _load_weave(args.input)
     builder = build_forest_strands(bent)
     catalog = SolitonCatalog(builder)
-    table = catalog.bps_table()
     gens = catalog.engine.gen_names
-    rows = []
-    for sid in sorted(table):
-        strand = builder.strands[sid]
-        for rho, mu in sorted(table[sid].items(),
-                              key=lambda item: item[0].monomial):
-            mono = LaurentPoly.monomial(gens, rho.monomial, 1)
-            rows.append({"wall": sid, "chord": strand.chord,
-                         "class": str(mono),
-                         "index": mu * rho.effective_sign})
+    rows = [{"wall": strand.id, "chord": strand.chord,
+             "class": str(LaurentPoly.monomial(gens, rho.monomial)),
+             "index": rho.effective_sign}
+            for strand, rho in zip(builder.strands, catalog.bps_table())]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:

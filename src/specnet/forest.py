@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .braid import BraidWord, demazure_product, length
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, exact_point,
                        prepare, transpose, walk_sheets)
 from .network import SpectralNetwork, compose_labels
-from .weave import BentWeave, Segment, WeaveVertex
+from .weave import BentWeave, Segment, WeaveVertex, demazure_product, length
 
 
 # creation steps one round may take before the build gives up
@@ -257,7 +256,8 @@ class ForestBuilder:
 def build_forest_strands(bent: BentWeave) -> ForestBuilder:
     """Grow the forest once.  The weave's bottom must be a reduced word; a
     non-generic coincidence raises NonGenericGeometry."""
-    bottom = BraidWord(bent.strand_count, bent.weave.bottom)
-    if length(demazure_product(bottom)) != len(bottom):
-        raise ValueError("weave bottom %s is not a reduced word" % bottom)
+    n, bottom = bent.strand_count, bent.weave.bottom
+    if length(demazure_product(n, bottom)) != len(bottom):
+        raise ValueError("weave bottom n=%d; %s is not a reduced word"
+                         % (n, " ".join(map(str, bottom))))
     return ForestBuilder(bent).build()

@@ -168,6 +168,20 @@ class LaurentPoly:
 # the reader expands no product or power that may have more terms than this;
 # a curve wkb.SpectralCurve accepts has at most 387, (2 + 1) * (128 + 1)
 MAX_TERMS = 512
+# nor builds a decimal or a power whose coefficients may need more bits than
+# this: a short text can ask for billions (1e10000000, 3^(10^8)), and the
+# time grows with them.  A curve's coefficients must be floats (under 2^1024
+# and over 2^-1075 in size) and a table's are small counts; the margin
+# leaves a coefficient just out of float range to the curve's own check.
+MAX_BITS = 4096
+
+
+def _check_bits(node, bits, text=None):
+    """Refuse to read ``node``, written ``text`` (default: unparsed), whose
+    coefficients may need ``bits`` bits, when that is more than MAX_BITS."""
+    if bits > MAX_BITS:
+        raise ValueError("reading %s may give a coefficient of more than %d bits"
+                         % (text or ast.unparse(node), MAX_BITS))
 
 
 def _check_size(node, count, spans):
@@ -225,14 +239,25 @@ def parse_laurent(text: str, gens: Iterable[str] | None = None, ring=int) -> Lau
             if k > 0:  # a negative power is of one term, or rejected
                 _check_size(node, math.comb(k + len(base.terms) - 1, k),
                             lambda: [k * span for span in _spans(base)])
+            # each coefficient of the power is a sum of at most t^|k|
+            # products of |k| of the base's t coefficients.  The log is 0
+            # or at least 1, so capping |k| keeps the test and the float finite
+            size = max((max(abs(c.numerator), c.denominator) for c in base.terms.values()),
+                       default=1)
+            _check_bits(node, min(abs(k), MAX_BITS + 1) * math.log2(size * max(len(base.terms), 1)))
             return base ** k
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
             return _UNARY[type(node.op)](value(node.operand))
         if isinstance(node, ast.Name) and node.id in gens:
             return LaurentPoly.generator(gens, node.id)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            # a decimal is read from its text, not from its rounded float
+            # a decimal is read from its text, not from its rounded float; as
+            # a fraction, its terms have at most as many decimal digits as
+            # its text's digits and exponent together
             number = node.value if type(node.value) is int else ast.get_source_segment(source, node)
+            if type(number) is str:
+                digits, _, exponent = number.lower().partition("e")
+                _check_bits(node, (len(digits) + abs(int(exponent or 0))) * math.log2(10), number)
             return LaurentPoly.constant(gens, ring(number))
         raise ValueError("%r is not a Laurent polynomial in %s: %s"
                          % (text, ", ".join(gens), ast.unparse(node)))

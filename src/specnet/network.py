@@ -97,20 +97,21 @@ def compose_labels(labels) -> Optional[Tuple[int, int]]:
 
 class SpectralNetwork:
     def __init__(self, cutoff: Optional[float] = None):
-        self.vertices: Dict[int, NetworkVertex] = {}
-        self.walls: Dict[int, Wall] = {}
+        # each indexed by id
+        self.vertices: List[NetworkVertex] = []
+        self.walls: List[Wall] = []
         self.cutoff = cutoff
 
     # ----- construction -----
     def add_vertex(self, kind: str, position) -> NetworkVertex:
         vertex = NetworkVertex(len(self.vertices), kind, tuple(position))
-        self.vertices[vertex.id] = vertex
+        self.vertices.append(vertex)
         return vertex
 
     def add_wall(self, label, source: int, target, route, mass, stage) -> Wall:
         wall = Wall(len(self.walls), tuple(label), source, target, list(route),
                     mass, stage)
-        self.walls[wall.id] = wall
+        self.walls.append(wall)
         self.vertices[source].outgoing.append(wall.id)
         if isinstance(target, int):
             self.vertices[target].incoming.append(wall.id)
@@ -144,7 +145,7 @@ class SpectralNetwork:
                 source, start, first = target, stop, point
 
     def inconsistent_vertices(self) -> List[int]:
-        return [v.id for v in self.vertices.values() if v.kind == "inconsistent"]
+        return [v.id for v in self.vertices if v.kind == "inconsistent"]
 
     def stubs(self, vertex_id: int):
         vertex = self.vertices[vertex_id]
@@ -153,7 +154,7 @@ class SpectralNetwork:
 
     def validate_decorations(self):
         """Assert every vertex matches its local model."""
-        for vertex in self.vertices.values():
+        for vertex in self.vertices:
             kind = classify_vertex(self.stubs(vertex.id))
             if kind != vertex.kind:
                 raise ValueError("vertex %d stored as %s but classifies as %s"
@@ -167,12 +168,11 @@ def is_flow_acyclic(net: SpectralNetwork) -> bool:
     labels agree (continuation through a joint) or w's label composes from
     u's at a creation joint ((i,j) into (i,k) or (k,j)).
     """
-    feeds: Dict[int, List[int]] = {w: [] for w in net.walls}
-    for u in net.walls.values():
+    feeds: Dict[int, List[int]] = {u.id: [] for u in net.walls}
+    for u in net.walls:
         if not isinstance(u.target, int):
             continue
-        vertex = net.vertices[u.target]
-        for wid in vertex.outgoing:
+        for wid in net.vertices[u.target].outgoing:
             w = net.walls[wid]
             if w.label == u.label or w.label[0] == u.label[0] or w.label[1] == u.label[1]:
                 feeds[u.id].append(wid)
@@ -197,13 +197,13 @@ def network_doc(net: SpectralNetwork) -> dict:
         "vertices": [
             {"id": v.id, "kind": v.kind, "position": _point_to_json(v.position),
              "incoming": list(v.incoming), "outgoing": list(v.outgoing)}
-            for v in sorted(net.vertices.values(), key=lambda v: v.id)
+            for v in net.vertices
         ],
         "walls": [
             {"id": w.id, "label": list(w.label), "source": w.source,
              "target": w.target, "route": [_point_to_json(p) for p in w.route],
              "mass": w.mass, "stage": w.stage}
-            for w in sorted(net.walls.values(), key=lambda w: w.id)
+            for w in net.walls
         ],
     }
 

@@ -370,17 +370,17 @@ class SolitonCatalog:
         return SolitonClass(cyc, -1 if q % 2 else 1, 0)
 
     # ----- BPS indices -----
-    def bps_table(self) -> Dict[int, Dict[SolitonClass, int]]:
-        """Recursive vanilla BPS indices per wall via the Hori-Vafa rule.
+    def bps_table(self) -> List[SolitonClass]:
+        """Each wall's BPS class, in id order, via the Hori-Vafa rule.
 
-        The forest is creative, so each wall has one flowtree and one entry
-        of index 1.  An initial wall carries its soliton class; at each
+        The forest is creative, so each wall has one flowtree and one class,
+        of vanilla index 1.  An initial wall carries its soliton class; at each
         creation joint the child carries the concatenation of its parents'
         classes based at the joint, with the joint's twist bit.  Classes are
         based at each wall's birth point so the composition is literal
         concatenation.
         """
-        table: Dict[int, Dict[SolitonClass, int]] = {}
+        table: List[SolitonClass] = []
         for strand in self.builder.strands:
             sid = strand.id
             if strand.origin[0] == "branch":
@@ -390,11 +390,11 @@ class SolitonCatalog:
                 pij, pjk = joint["parents"]
                 rho = self.soliton(pij, joint["params"][pij]).concat(
                     self.soliton(pjk, joint["params"][pjk]), joint["twist"])
-            table[sid] = {rho: 1}
+            table.append(rho)
         return table
 
-    def bps_table_bruteforce(self) -> Dict[int, Dict[SolitonClass, int]]:
-        """Oracle: enumerate every flowtree per wall and sum signed classes.
+    def bps_table_bruteforce(self) -> List[SolitonClass]:
+        """Oracle: each wall's class from its flowtree, in id order.
 
         Backward extension from a wall point stops at branch points and
         splits at creation joints into the two parents; forest networks are
@@ -404,7 +404,7 @@ class SolitonCatalog:
         agreement with ``bps_table`` checks both the homological additivity
         at joints and the twist bookkeeping.
         """
-        return {strand.id: {self._tree_soliton(strand.id): 1} for strand in self.builder.strands}
+        return [self._tree_soliton(strand.id) for strand in self.builder.strands]
 
     def _tree_soliton(self, sid: int) -> SolitonClass:
         pieces, joints = tree_of_strand(self.builder, sid)

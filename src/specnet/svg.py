@@ -3,7 +3,8 @@
 Walls are polyline paths colored by their (unordered) sheet pair; initial
 vertices draw as open triangles and creation joints as filled dots, with an
 optional weave-line underlay.  Output is byte-deterministic for a fixed
-network: iteration is sorted and floats use a fixed format.
+network: walls and vertices are drawn in id order and floats use a fixed
+format.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def export_svg(net: SpectralNetwork, underlay: Optional[List[List[Tuple]]] = Non
     """
     width, height = 640, 480
     points: List[Tuple[float, float]] = []
-    for wall in net.walls.values():
+    for wall in net.walls:
         points.extend((float(p[0]), float(p[1])) for p in wall.route)
-    for vertex in net.vertices.values():
+    for vertex in net.vertices:
         points.append((float(vertex.position[0]), float(vertex.position[1])))
     for poly in underlay or []:
         points.extend((float(p[0]), float(p[1])) for p in poly)
@@ -75,14 +76,12 @@ def export_svg(net: SpectralNetwork, underlay: Optional[List[List[Tuple]]] = Non
         path = " ".join("%s,%s" % tuple(map(_fmt, tx(p))) for p in poly)
         out.append('<polyline points="%s" fill="none" stroke="#dddddd" '
                    'stroke-width="2"/>' % path)
-    for wall_id in sorted(net.walls):
-        wall = net.walls[wall_id]
+    for wall in net.walls:
         path = " ".join("%s,%s" % tuple(map(_fmt, tx(p))) for p in wall.route)
         out.append('<polyline points="%s" fill="none" stroke="%s" '
                    'stroke-width="1.5"><title>wall %d %s</title></polyline>'
                    % (path, _pair_color(wall.label), wall.id, wall.label))
-    for vertex_id in sorted(net.vertices):
-        vertex = net.vertices[vertex_id]
+    for vertex in net.vertices:
         x, y = tx(vertex.position)
         if vertex.kind == "initial":
             r = 5.0

@@ -1,4 +1,5 @@
-"""Demazure weaves: slice/move representation, validation, bending, layout.
+"""Demazure weaves: slice/move representation, validation, bending, layout,
+and the Demazure product of a braid word.
 
 A weave is stored as a list of horizontal braid-word slices (top to bottom)
 with one elementary move between consecutive slices:
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .braid import BraidWord
 from .geometry import Point
 
 
@@ -167,6 +167,21 @@ class Weave:
         return [v for v in self.vertices if v.kind == "trivalent"]
 
 
+def demazure_product(n: int, word: Tuple[int, ...]) -> Tuple[int, ...]:
+    """0-Hecke product of a word in the letters 1..n-1, as the tuple of a
+    permutation's images: s*s_i = s when that would shorten s."""
+    images = list(range(1, n + 1))
+    for i in word:
+        if images[i - 1] < images[i]:
+            images[i - 1], images[i] = images[i], images[i - 1]
+    return tuple(images)
+
+
+def length(images: Tuple[int, ...]) -> int:
+    """The number of inversions of a permutation."""
+    return sum(a > b for k, a in enumerate(images) for b in images[k + 1:])
+
+
 def _integer(token: str, what: str) -> int:
     try:
         return int(token)
@@ -202,7 +217,11 @@ def parse_weave(text: str) -> Weave:
             raise ValueError("unrecognized line %r" % raw)
     if n is None or top is None:
         raise ValueError("weave text must declare n= and top:")
-    BraidWord(n, top)  # range-checks the letters
+    if n < 2:
+        raise ValueError("strand count must be >= 2")
+    for letter in top:
+        if not 1 <= letter <= n - 1:
+            raise ValueError("letter %d out of range [1, %d]" % (letter, n - 1))
     return Weave(n, top, moves)
 
 

@@ -94,7 +94,7 @@ class SpectralCurve:
                 for k in range(self.n, -1, -1)]
         for (i, j), c in terms.items():
             rows[self.n - i][-1 - j] = c / lead
-        self._rows = [[complex(c) for c in row] for row in rows]
+        self._rows = [_floats(row, text, "P") for row in rows]
         # a one-entry row does not vary with z: at a finite z Horner gives
         # 0j * z + c, which is c itself, so only the other rows are evaluated
         self._heads = [row[0] for row in self._rows]
@@ -103,6 +103,7 @@ class SpectralCurve:
         self.disc = discriminant(rows)
         if not any(self.disc):
             raise CurveError("discriminant vanishes identically")
+        _floats(self.disc, text, "its discriminant")  # as branch_points reads it
 
     def roots_at(self, z: complex) -> List[complex]:
         """All n sheet values over z, in the root finder's order."""
@@ -118,6 +119,23 @@ class SpectralCurve:
                 acc = acc * z + c
             out[k] = acc
         return out
+
+
+def _floats(coeffs, text: str, what: str) -> List[complex]:
+    """Exact coefficients as complex numbers.  The tracer computes in
+    floats, so a nonzero coefficient that overflows a float or rounds to
+    zero raises CurveError."""
+    out = []
+    for c in coeffs:
+        try:
+            f = complex(c)
+        except OverflowError:
+            f = 0j  # no float holds it, as none holds one that rounds to zero
+        if c and not f:
+            raise CurveError("curve %r: a coefficient of %s is out of float range"
+                             % (text, what))
+        out.append(f)
+    return out
 
 
 # ----- polynomial roots -----

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from specnet.braid import BraidWord, demazure_product, length
 from specnet.forest import build_forest_strands
-from specnet.weave import Move, _apply_move, bend_weave, parse_weave
+from specnet.weave import Move, _apply_move, bend_weave, demazure_product, length, parse_weave
 
 EXAMPLES = {
     "mutation_a": "n=2\ntop: 1 1 1\nmoves: t2 t1",
@@ -46,7 +45,7 @@ def random_weave_texts(seed, draws, n=3):
             move = Move(*rng.choice(spots))
             moves.append("%s%d" % (move.kind, move.position))
             word = _apply_move(word, move)
-        if length(demazure_product(BraidWord(n, word))) == len(word):
+        if length(demazure_product(n, word)) == len(word):
             yield "n=%d\ntop: %s\nmoves: %s" % (n, " ".join(map(str, top)), " ".join(moves))
 
 

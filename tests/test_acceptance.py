@@ -193,10 +193,10 @@ def test_criterion_08_airy_tracer():
 
 def _graph_signature(net):
     """Directed multigraph data for kind-preserving isomorphism search."""
-    vertices = {v.id: v.kind for v in net.vertices.values()}
+    vertices = {v.id: v.kind for v in net.vertices}
     edges = []
     leaves = {v: 0 for v in vertices}
-    for wall in net.walls.values():
+    for wall in net.walls:
         if isinstance(wall.target, int):
             edges.append((wall.source, wall.target))
         else:
@@ -248,7 +248,7 @@ def test_criterion_10_structural_properties(builders):
         net = builder.to_network()
         assert is_flow_acyclic(net), name
         assert net.inconsistent_vertices() == [], name
-        for vertex in net.vertices.values():
+        for vertex in net.vertices:
             assert vertex.kind in ("initial", "interaction_creation"), name
     for text, theta in (("w^2 - z", 0.0), ("w^3 - 3*w + x", 0.3)):
         curve = SpectralCurve(text)

@@ -4,13 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from specnet.braid import BraidWord, demazure_product, length
-from specnet.weave import bend_weave, parse_weave
+from specnet.weave import bend_weave, demazure_product, length, parse_weave
 
 
 def reduced_word(perm):
-    """One reduced word for the permutation with images ``perm``
-    (leftmost-descent greedy)."""
+    """One reduced word, as a tuple of letters, for the permutation with
+    images ``perm`` (leftmost-descent greedy)."""
     n = len(perm)
     images = list(perm)
     letters = []
@@ -22,13 +21,12 @@ def reduced_word(perm):
                 letters.append(i + 1)
                 break
     letters.reverse()
-    return BraidWord(n, tuple(letters))
+    return tuple(letters)
 
 
 # ----- independent oracle: exhaustive 0-Hecke multiplication in S_n -----
 
-def hecke_oracle(word: BraidWord):
-    n = word.strand_count
+def hecke_oracle(n, letters):
     perm = tuple(range(1, n + 1))
 
     def apply(perm, i):
@@ -39,25 +37,24 @@ def hecke_oracle(word: BraidWord):
             return sum(1 for a, b in itertools.combinations(p, 2) if a > b)
         return tuple(lifted) if inv(lifted) > inv(list(perm)) else perm
 
-    for letter in word.letters:
+    for letter in letters:
         perm = apply(perm, letter)
     return perm
 
 
 def test_letters_must_be_in_range():
-    assert len(BraidWord(3, ())) == 0
-    with pytest.raises(ValueError):
-        BraidWord(2, (2,))
-    with pytest.raises(ValueError):
-        BraidWord(3, (0,))
-    with pytest.raises(ValueError):
-        BraidWord(1, ())
+    with pytest.raises(ValueError, match=r"^letter 2 out of range \[1, 1\]$"):
+        parse_weave("n=2\ntop: 2")
+    with pytest.raises(ValueError, match=r"^letter 0 out of range \[1, 2\]$"):
+        parse_weave("n=3\ntop: 0")
+    with pytest.raises(ValueError, match="^strand count must be >= 2$"):
+        parse_weave("n=1\ntop:")
 
 
 def test_demazure_examples():
-    assert demazure_product(BraidWord(2, (1, 1))) == (2, 1)
-    assert demazure_product(BraidWord(3, ())) == (1, 2, 3)
-    w0 = demazure_product(BraidWord(3, (2, 1, 2, 1, 2, 1, 2)))
+    assert demazure_product(2, (1, 1)) == (2, 1)
+    assert demazure_product(3, ()) == (1, 2, 3)
+    w0 = demazure_product(3, (2, 1, 2, 1, 2, 1, 2))
     assert w0 == (3, 2, 1)
 
 
@@ -71,15 +68,14 @@ words = st.integers(3, 5).flatmap(
 @given(words)
 def test_demazure_matches_oracle(data):
     n, letters = data
-    word = BraidWord(n, letters)
-    assert demazure_product(word) == hecke_oracle(word)
+    assert demazure_product(n, letters) == hecke_oracle(n, letters)
 
 
 @given(words, st.randoms())
 def test_demazure_invariant_under_legal_rewrites(data, rng):
     n, letters = data
     word = list(letters)
-    reference = demazure_product(BraidWord(n, tuple(word)))
+    reference = demazure_product(n, letters)
     for _ in range(10):
         spots = []
         for p in range(len(word) - 1):
@@ -96,24 +92,22 @@ def test_demazure_invariant_under_legal_rewrites(data, rng):
             word[p], word[p + 1] = word[p + 1], word[p]
         else:
             word[p : p + 3] = [word[p + 1], word[p], word[p + 1]]
-        assert demazure_product(BraidWord(n, tuple(word))) == reference
+        assert demazure_product(n, tuple(word)) == reference
 
 
 @given(words)
 def test_demazure_idempotence(data):
     n, letters = data
-    word = BraidWord(n, letters)
-    result = demazure_product(word)
-    doubled = BraidWord(n, letters + letters)
-    stabilized = BraidWord(n, letters + reduced_word(result).letters)
-    assert demazure_product(doubled) == demazure_product(stabilized)
+    result = demazure_product(n, letters)
+    stabilized = letters + reduced_word(result)
+    assert demazure_product(n, letters + letters) == demazure_product(n, stabilized)
 
 
 def test_reduced_word_round_trip():
     for images in itertools.permutations(range(1, 5)):
         word = reduced_word(images)
         assert len(word) == length(images)
-        assert demazure_product(word) == images
+        assert demazure_product(4, word) == images
 
 
 def test_chord_names_examples():

@@ -12,6 +12,7 @@ import pytest
 from specnet import cli
 from specnet.cli import main
 from specnet.forest import ForestBuilder
+from specnet.laurent import MAX_BITS
 from specnet.network import network_to_json
 from specnet.nonabel import LocalSystemRank1
 from specnet.weave import MAX_STRANDS
@@ -582,6 +583,35 @@ def test_curve_expansion_bound_exits_2(curve, capsys):
                  "--mass", "3", "--radius", "3"]) == 2
     assert time.process_time() - start < 0.5
     assert "more than 512 terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve, what", [("w^2 - 10^400*z", "P"),
+                                         ("w^3 - 3*w + 10^300*z", "its discriminant"),
+                                         ("w^2 - 1e-400*z", "P")])
+def test_curve_a_float_cannot_hold_exits_2(curve, what, capsys):
+    """A nonzero coefficient of P or of its discriminant that overflows a
+    float or rounds to zero is a curve error, not a traceback."""
+    assert main(["wkb-trace", "--curve", curve]) == 2
+    assert capsys.readouterr().err == ("error [wkb-trace]: curve %r: a coefficient of %s "
+                                       "is out of float range\n" % (curve, what))
+
+
+@pytest.mark.parametrize("number, shown", [("3^(10^7)", "3 ** 10 ** 7"),
+                                           ("3^(10^8)", "3 ** 10 ** 8"),
+                                           ("1e10000000", "1e10000000")])
+def test_huge_coefficient_exits_2_at_once(number, shown, tmp_path, capsys):
+    """A decimal or power past the reader's bit bound exits 2 before it is
+    built, in a curve and in a compare table alike."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"z_1": number}))
+    refusal = "reading %s may give a coefficient of more than %d bits\n" % (shown, MAX_BITS)
+    curve = "w^2 - %s*z" % number
+    start = time.process_time()
+    assert main(["wkb-trace", "--curve", curve]) == 2
+    assert main(["compare", str(table), str(table)]) == 2
+    assert time.process_time() - start < 0.1
+    assert capsys.readouterr().err == ("error [wkb-trace]: cannot read curve %r: %s"
+                                       "error [compare]: %s" % (curve, refusal, refusal))
 
 
 def test_wkb_trace_curve_text_is_not_executed(tmp_path, capsys):

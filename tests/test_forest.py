@@ -64,10 +64,10 @@ def test_network_shape(builders):
     for name, builder in builders.items():
         net = builder.to_network()
         assert net.inconsistent_vertices() == []
-        kinds = [v.kind for v in net.vertices.values()]
+        kinds = [v.kind for v in net.vertices]
         assert kinds.count("initial") == len(builder.weave.trivalent_vertices())
         assert kinds.count("interaction_creation") == len(builder.joints)
-        open_ends = [w for w in net.walls.values()
+        open_ends = [w for w in net.walls
                      if isinstance(w.target, str)
                      and w.target.startswith(OPEN_END_PREFIX)]
         # every strand contributes exactly one open end (its chord)
@@ -99,7 +99,7 @@ def test_export_stub_labels_at_joints(builders):
     for name, builder in builders.items():
         net = builder.to_network()
         failing = []
-        for vertex in sorted(net.vertices.values(), key=lambda v: v.id):
+        for vertex in net.vertices:
             try:
                 kind = classify_vertex(net.stubs(vertex.id))
             except ValueError as err:

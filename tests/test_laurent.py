@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, strategies as st
 
 from specnet.laurent import (
+    MAX_BITS,
     MAX_TERMS,
     FactoredMatrix,
     LaurentPoly,
@@ -75,6 +77,24 @@ def test_parse_bounds_expansion():
         with pytest.raises(ValueError, match="more than %d terms" % MAX_TERMS):
             parse_laurent(text, ring=Fraction)
     assert parse_laurent("w^(10**9) - z").terms == {(10 ** 9, 0): 1, (0, 1): -1}
+
+
+def test_parse_bounds_coefficient_bits():
+    """A decimal or power whose coefficients may need more than MAX_BITS
+    bits is refused before it is built; coefficients just out of float
+    range still read, for the curve's own check to name."""
+    assert parse_laurent("10^400 + 1e-400*z", ring=Fraction).terms == {
+        (0,): Fraction(10 ** 400), (1,): Fraction(1, 10 ** 400)}
+    assert parse_laurent("z^(10**9)*2^%d" % MAX_BITS).terms == {(10 ** 9,): 2 ** MAX_BITS}
+    for text, shown in (("3^(10^7)", "3 ** 10 ** 7"), ("3^(10^8)", "3 ** 10 ** 8"),
+                        ("2^-%d" % (MAX_BITS + 1), "2 ** (-%d)" % (MAX_BITS + 1)),
+                        ("(1000000000+z)^400", "(1000000000 + z) ** 400"),
+                        ("2^(2^4096)", "2 ** 2 ** 4096"),
+                        ("1e10000000", "1e10000000"), ("1e-10000000", "1e-10000000")):
+        for ring in (int, Fraction):
+            with pytest.raises(ValueError, match="^reading %s may give a coefficient of "
+                               "more than %d bits$" % (re.escape(shown), MAX_BITS)):
+                parse_laurent(text, ring=ring)
 
 
 def test_parse_reads_exact_rationals():

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specnet.braid import BraidWord, demazure_product
 from specnet.forest import PropagationError, build_forest_strands
 from specnet.soliton_bps import HomologyEngine
 from specnet.weave import (
@@ -9,6 +8,7 @@ from specnet.weave import (
     Move,
     Weave,
     bend_weave,
+    demazure_product,
     parse_weave,
 )
 
@@ -223,16 +223,15 @@ def test_cycle_generators_rank_three(builders):
 
 def test_bend_weave_boundary():
     bent = bend_weave(parse_weave(SIGMA1_6))
-    assert BraidWord(bent.strand_count, bent.weave.top + bent.weave.bottom) == \
-        BraidWord(2, (1,) * 7)
+    assert (bent.strand_count, bent.weave.top + bent.weave.bottom) == (2, (1,) * 7)
     assert bent.chord_names == ["z_6", "z_5", "z_4", "z_3", "z_2", "z_1", "w_1"]
     xs = [bent.top_positions[name] for name in bent.chord_names]
     assert xs == sorted(xs)
     assert bent.marked_x > xs[-1]
 
     bent = bend_weave(parse_weave(THREE_STRAND))
-    assert BraidWord(bent.strand_count, bent.weave.top + bent.weave.bottom) == \
-        BraidWord(3, (2, 1, 2, 1, 2, 1, 2, 1, 2, 1))
+    assert (bent.strand_count, bent.weave.top + bent.weave.bottom) == \
+        (3, (2, 1, 2, 1, 2, 1, 2, 1, 2, 1))
     assert bent.chord_names == (
         ["z_%d" % k for k in range(7, 0, -1)] + ["w_3", "w_2", "w_1"])
     assert len(bent.bent_segments) == 3
@@ -283,7 +282,7 @@ def test_random_weave_invariants(n, seeds, rng):
     weave = Weave(n, top, moves)
     assert weave.bottom == word
     # every move preserves the Demazure product of the slice
-    products = {demazure_product(BraidWord(n, s)) for s in weave.slices}
+    products = {demazure_product(n, s) for s in weave.slices}
     assert len(products) == 1
     # slice lengths drop by one exactly at trivalent moves
     for move, before, after in zip(weave.moves, weave.slices, weave.slices[1:]):

@@ -355,7 +355,7 @@ def test_round_guard_stops_extension(monkeypatch):
 
 def test_constant_curve_gives_empty_network():
     net = build_wkb_network(SpectralCurve("w^2 - 1"), 0.0, 10.0, 5.0)
-    assert net.walls == {} and net.vertices == {}
+    assert net.walls == [] and net.vertices == []
 
 
 def test_wkb_network_vertices_classify(cubic_net):
@@ -449,7 +449,7 @@ def test_crossing_that_composes_no_pair_leaves_no_joint(rejecting_net):
     assert len(net.traced) == 18 and len(net.joints_info) == 6
     net.validate_decorations()
     for _, _, z in net.rejected:
-        assert all(abs(complex(*v.position) - z) > 1e-3 for v in net.vertices.values())
+        assert all(abs(complex(*v.position) - z) > 1e-3 for v in net.vertices)
     for wall in net.traced:
         masses = [abs(Z) for Z in wall.charges]
         assert all(a < b for a, b in zip(masses, masses[1:])), wall.id
@@ -457,6 +457,16 @@ def test_crossing_that_composes_no_pair_leaves_no_joint(rejecting_net):
         total = sum(net.traced[wid].charge_at(*joint.parent_cuts[wid]) for wid in joint.parents)
         assert abs(total - joint.charge) <= 1e-6 * abs(joint.charge)
         assert abs(net.traced[joint.child].charges[0] - joint.charge) <= 1e-6 * abs(joint.charge)
+
+
+def test_networks_list_walls_and_vertices_by_id(builders, cubic_net):
+    """A network's walls and vertices are lists, each item at its id."""
+    nets = [builder.to_network() for builder in builders.values()]
+    nets += [build_wkb_network(SpectralCurve("w^2 - z"), 0.0, 12.0, 8.0), cubic_net]
+    for net in nets:
+        assert net.walls and net.vertices
+        assert [w.id for w in net.walls] == list(range(len(net.walls)))
+        assert [v.id for v in net.vertices] == list(range(len(net.vertices)))
 
 
 def test_builders_store_only_initial_and_creation_vertices(builders, cubic_net, rejecting_net):
@@ -467,7 +477,7 @@ def test_builders_store_only_initial_and_creation_vertices(builders, cubic_net, 
     nets += [build_wkb_network(SpectralCurve("w^2 - z"), 0.0, 10.0, 5.0), cubic_net, rejecting_net]
     for net in nets:
         assert net.vertices
-        assert {v.kind for v in net.vertices.values()} <= {"initial", "interaction_creation"}
+        assert {v.kind for v in net.vertices} <= {"initial", "interaction_creation"}
         assert net.inconsistent_vertices() == []
 
 
@@ -582,8 +592,8 @@ def test_sheets_at_matches_nearest_roots_reference(text, x, y, log_step,
 
 
 def _network_record(net):
-    kinds = sorted((v.id, v.kind) for v in net.vertices.values())
-    walls = sorted((w.id, w.label, w.source, w.target) for w in net.walls.values())
+    kinds = sorted((v.id, v.kind) for v in net.vertices)
+    walls = sorted((w.id, w.label, w.source, w.target) for w in net.walls)
     samples = [len(w.points) for w in net.traced]
     masses = [abs(w.charges[-1]) for w in net.traced]
     return kinds, walls, samples, masses
