@@ -69,6 +69,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,6 +109,23 @@ class Transport:
         self._wall_cuts: Dict[int, List[Param]] = {}
         self._coefficients: Dict[tuple, LaurentPoly] = {}  # (wall, interval) -> value
         self._free: Dict[tuple, tuple] = {}  # homotopy key -> free factor, end sheets
+
+    @cached_property
+    def draw_region(self) -> tuple:
+        """What ``homotopic_pair`` draws against: the network's punctures as
+        (float x, float y, ``point_key``), and its grid as (x0, dx, y0, dy, d),
+        grid point (i, j) being ((x0 + i dx) / d, (y0 + j dy) / d).  The grid
+        spans, in 997ths, the box where the homology engine's test curves
+        separate classes: left of the marked point and below the weave top."""
+        punctures = network_punctures(self.builder)
+        lo_x = max(min(Fraction(x, d) for x, _, d in punctures) - 1, Fraction(1, 2))
+        lo_y = self.engine.y_deep + Fraction(1, 2)
+        # each axis's low corner and side, over one denominator s
+        sides = (lo_x, self.engine.x_max - lo_x, lo_y, Fraction(-1, 64) - lo_y)
+        s = math.lcm(*(c.denominator for c in sides))
+        x0, dx, y0, dy = (c.numerator * (s // c.denominator) for c in sides)
+        return [(x / e, y / e, (x, y, e)) for x, y, e in punctures], \
+            (997 * x0, dx, 997 * y0, dy, 997 * s)
 
     # ----- ring helpers -----
     def identity(self) -> List[List[LaurentPoly]]:
@@ -352,46 +370,56 @@ def _rational_sqrt_floor(d2: Fraction) -> Fraction:
 
 # ----- homotopic path pairs -----
 
-def _winding(loop: Sequence[Point], pt: Point) -> int:
-    """Winding number of a closed polyline around a point, exact: edges
-    crossing the rightward ray, with a vertex at the ray's height counted
-    as below it.  A point on the loop raises."""
-    px, py = pt
+def _winding(loop: Sequence[ScaledPoint], pt: ScaledPoint) -> int:
+    """Winding number of a closed polyline around a point, both scaled
+    points, exact: edges crossing the rightward ray, with a vertex at the
+    ray's height counted as below it.  A point on the loop raises.  Each
+    vertex minus the point is scaled by the positive product of their
+    denominators, which keeps every sign and every cross product's sign."""
+    px, py, pd = pt
+    rel = [(x * pd - px * d, y * pd - py * d) for x, y, d in loop]
     total = 0
-    for (ax, ay), (bx, by) in zip(loop, loop[1:]):
-        if (ay <= py) == (by <= py):
+    for (ax, ay), (bx, by) in zip(rel, rel[1:]):
+        if (ay <= 0) == (by <= 0):
             # a vertex at the point, or the point inside a horizontal edge
-            if ay == py and (ax == px or by == py and (ax < px) != (bx < px)):
+            if ay == 0 and (ax == 0 or by == 0 and (ax < 0) != (bx < 0)):
                 raise NonGenericGeometry("winding query on the loop")
             continue
-        # (x - px) (by - ay), with x where the edge meets the ray's line
-        side = (ax - px) * (by - ay) + (py - ay) * (bx - ax)
+        # (x - px) (by - ay), with x where the edge meets the ray's line, is
+        # the cross product of a - p and b - p
+        side = ax * by - ay * bx
         if side == 0:
             raise NonGenericGeometry("winding query on the loop")
-        if (side > 0) == (by > ay):
-            total += 1 if by > ay else -1
+        if (side > 0) == (by > 0):
+            total += 1 if by > 0 else -1
     return total
 
 
-def _folds(points: Sequence[Point]) -> bool:
-    """Whether the path through ``points`` turns back at a vertex b: b is on
-    the line through its neighbours a and c but not between them."""
-    return any((ax - bx) * (cy - by) == (ay - by) * (cx - bx)
-               and (ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0
-               for (ax, ay), (bx, by), (cx, cy) in zip(points, points[1:], points[2:]))
+def _folds(points: Sequence[ScaledPoint]) -> bool:
+    """Whether the path through scaled ``points`` turns back at a vertex b:
+    b is on the line through its neighbours a and c but not between them.
+    a - b and c - b are scaled by positive products of denominators, which
+    keeps the cross product's and the dot product's signs."""
+    for (ax, ay, ad), (bx, by, bd), (cx, cy, cd) in zip(points, points[1:], points[2:]):
+        ux, uy, vx, vy = ax * bd - bx * ad, ay * bd - by * ad, cx * bd - bx * cd, cy * bd - by * cd
+        if ux * vy == uy * vx and ux * vx + uy * vy > 0:
+            return True
+    return False
 
 
-def network_punctures(builder: ForestBuilder) -> List[Point]:
-    """Points a path homotopy must not sweep across: all weave vertices and
-    joints, every free end of a weave line or wall, and the marked point."""
+def network_punctures(builder: ForestBuilder) -> List[ScaledPoint]:
+    """Points a path homotopy must not sweep across, as ``point_key``s: all
+    weave vertices and joints, every free end of a weave line or wall, and
+    the marked point."""
     pts = [v.point for v in builder.weave.vertices]
-    pts += [tuple(j["point"]) for j in builder.joints]
+    pts += [j["point"] for j in builder.joints]
     for seg in builder.obstacles:
-        pts += [tuple(seg.points[0]), tuple(seg.points[-1])]
-    for strand in builder.strands:
-        pts += [tuple(strand.polyline[0]), tuple(strand.polyline[-1])]
+        pts += [seg.points[0], seg.points[-1]]
     pts.append((builder.bent.marked_x, Fraction(0)))
-    return list(dict.fromkeys(pts))
+    keys = list(map(point_key, pts))
+    for strand in builder.strands:
+        keys += strand.path.ends
+    return list(dict.fromkeys(keys))
 
 
 def homotopic_pair(transport: Transport, rng: random.Random):
@@ -405,23 +433,21 @@ def homotopic_pair(transport: Transport, rng: random.Random):
     either path back on itself is drawn again: a fold can meet one
     weave-line point from two segments.  An insertion lands strictly inside
     a segment and cannot fold.
+
+    Points are drawn and decided as scaled points.  A puncture goes to the
+    winding test only when its float lies in the quad's float box.  Floats
+    round monotonically, so every puncture in the exact closed box passes;
+    any other lies outside the quad's closed box, where the winding number
+    is 0 and no test raises, so the moves kept are the exact box's.
     """
     interior, moves = 3, 6
-    builder = transport.builder
-    punctures = network_punctures(builder)
-    # keep the paths inside the band where the homology engine's test curves
-    # separate classes: left of the marked point and below the weave top
-    engine = transport.engine
-    xs = [p[0] for p in punctures]
-    lo = (max(min(xs) - 1, Fraction(1, 2)), engine.y_deep + Fraction(1, 2))
-    hi = (engine.x_max, Fraction(-1, 64))
+    punctures, (x0, dx, y0, dy, d) = transport.draw_region
 
     def rand_point():
-        den = 997
-        return (lo[0] + (hi[0] - lo[0]) * Fraction(rng.randint(1, den - 1), den),
-                lo[1] + (hi[1] - lo[1]) * Fraction(rng.randint(1, den - 1), den))
+        x = x0 + dx * rng.randint(1, 996)
+        return x, y0 + dy * rng.randint(1, 996), d
 
-    path: List[Point] = []
+    path: List[ScaledPoint] = []
     while len(path) < interior + 2:
         q = rand_point()
         if not _folds(path[-2:] + [q]):
@@ -435,20 +461,22 @@ def homotopic_pair(transport: Transport, rng: random.Random):
             raise NonGenericGeometry("homotopy moves kept sweeping punctures")
         if rng.random() < 0.3:
             k = rng.randrange(len(other) - 1)
-            t = Fraction(rng.randint(1, 996), 997)
-            a, b = other[k], other[k + 1]
-            other.insert(k + 1, (a[0] + t * (b[0] - a[0]),
-                                 a[1] + t * (b[1] - a[1])))
+            t = rng.randint(1, 996)
+            (ax, ay, ad), (bx, by, bd) = other[k], other[k + 1]
+            # a + t / 997 (b - a)
+            other.insert(k + 1, (997 * ax * bd + t * (bx * ad - ax * bd),
+                                 997 * ay * bd + t * (by * ad - ay * bd), 997 * ad * bd))
             done += 1
             continue
         k = rng.randrange(1, len(other) - 1)
         q = rand_point()
         quad = [other[k - 1], other[k], other[k + 1], q, other[k - 1]]
-        (lo_x, lo_y), (hi_x, hi_y) = map(min, zip(*quad)), map(max, zip(*quad))
+        xs, ys = [x / d for x, _, d in quad[:4]], [y / d for _, y, d in quad[:4]]
+        lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
         # the winding number is 0 outside the quad's closed bounding box
-        near = [p for p in punctures if lo_x <= p[0] <= hi_x and lo_y <= p[1] <= hi_y]
         try:
-            if any(_winding(quad, p) for p in near):
+            if any(_winding(quad, p) for fx, fy, p in punctures
+                   if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y):
                 continue
         except NonGenericGeometry:
             continue
@@ -456,7 +484,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
             continue
         other[k] = q
         done += 1
-    return path, other
+    return tuple([(Fraction(x, d), Fraction(y, d)) for x, y, d in pts] for pts in (path, other))
 
 
 # ----- rank-1 local systems and numeric evaluation -----

@@ -16,7 +16,8 @@ Text format::
     moves: h1 t3 h2 t1 t3 h2 t1
 
 ``n=`` and ``top:`` appear once each; ``moves:`` lines may repeat, and their
-moves run in order.  A weave has at most MAX_STRANDS strands.
+moves run in order.  A weave has at most MAX_STRANDS strands and a top word
+of at most MAX_LETTERS letters.
 
 Layout is exact-rational: slice letters sit at integer columns, slices at
 integer depths (top slice at y = 0, y decreasing downward), vertices at
@@ -75,6 +76,12 @@ _KINDS = {"t": "trivalent", "h": "hexavalent", "x": "tetravalent"}
 # wkb.MAX_SHEETS bounds a curve's; the work grows with n even for a
 # one-move weave
 MAX_STRANDS = 16
+# letters a weave's top word may have: the forest grows about three walls a
+# letter, and its work about as the cube of the letter count.  The two-strand
+# staircase n=2 / top: 1^64 / moves: t1^63 takes about 1.7 s in augmentation
+# and 3.5 s in nonabelianize; the fixtures have at most 7 letters and the
+# test corpora at most 10
+MAX_LETTERS = 64
 
 
 def _apply_move(word: Tuple[int, ...], move: Move) -> Tuple[int, ...]:
@@ -207,6 +214,8 @@ def parse_weave(text: str) -> Weave:
             if top is not None:
                 raise ValueError("repeated header line %r" % raw)
             top = tuple(_integer(tok, "top letter") for tok in line[4:].replace(",", " ").split())
+            if len(top) > MAX_LETTERS:
+                raise ValueError("weave top has %d letters (limit: %d)" % (len(top), MAX_LETTERS))
         elif line.startswith("moves:"):
             for token in line[6:].split():
                 kind, pos = token[0], token[1:]

@@ -15,7 +15,7 @@ from specnet.forest import ForestBuilder
 from specnet.laurent import MAX_BITS
 from specnet.network import network_to_json
 from specnet.nonabel import LocalSystemRank1
-from specnet.weave import MAX_STRANDS
+from specnet.weave import MAX_LETTERS, MAX_STRANDS
 from specnet.wkb import SpectralCurve, build_wkb_network
 
 from conftest import EXAMPLES
@@ -747,6 +747,16 @@ def test_weave_with_too_many_strands_exits_2_at_once(tmp_path, capsys):
         assert capsys.readouterr().err == \
             "error [%s]: weave has 100000 strands (limit: %d)\n" % (sub, MAX_STRANDS)
     assert time.process_time() - start < 0.5
+    # the staircase one letter past MAX_LETTERS, whose forest would take seconds
+    letters = MAX_LETTERS + 1
+    path.write_text("n=2\ntop: %s\nmoves: %s\n" % (" ".join(["1"] * letters),
+                                                   " ".join(["t1"] * (letters - 1))))
+    start = time.process_time()
+    for sub in ("augmentation", "nonabelianize"):
+        assert main([sub, str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error [%s]: weave top has %d letters (limit: %d)\n" % (sub, letters, MAX_LETTERS)
+    assert time.process_time() - start < 0.1
 
 
 def test_bps_json(weave_file, capsys):

@@ -48,13 +48,17 @@ def test_perm_sign_swapped_sheets_depend_on_side():
     assert _perm_sign(1, 2, -1) == -1
 
 
+def _keys(points):
+    return [point_key(p) for p in points]
+
+
 def test_winding():
-    square = [(Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(-1)),
-              (Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1)),
-              (Fraction(-1), Fraction(-1))]
-    assert _winding(square, (Fraction(0), Fraction(0))) == 1
-    assert _winding(square, (Fraction(2), Fraction(0))) == 0
-    assert _winding(list(reversed(square)), (Fraction(0), Fraction(0))) == -1
+    square = _keys([(Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(-1)),
+                    (Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1)),
+                    (Fraction(-1), Fraction(-1))])
+    assert _winding(square, point_key((Fraction(0), Fraction(0)))) == 1
+    assert _winding(square, point_key((Fraction(2), Fraction(0)))) == 0
+    assert _winding(list(reversed(square)), point_key((Fraction(0), Fraction(0)))) == -1
 
 
 def _quadrant_winding(loop, pt):
@@ -99,9 +103,9 @@ def test_winding_matches_quadrant_counting(loop, x, y):
     expected = _quadrant_winding(loop, pt)
     if expected is None:
         with pytest.raises(NonGenericGeometry, match="winding query on the loop"):
-            _winding(loop, pt)
+            _winding(_keys(loop), point_key(pt))
     else:
-        assert _winding(loop, pt) == expected
+        assert _winding(_keys(loop), point_key(pt)) == expected
 
 
 @seed(20261019)
@@ -111,20 +115,114 @@ def test_winding_raises_for_every_point_on_the_loop(loop, edge, t):
     """Vertices, and points inside horizontal, vertical and slanted edges."""
     (ax, ay), (bx, by) = loop[edge % (len(loop) - 1): edge % (len(loop) - 1) + 2]
     with pytest.raises(NonGenericGeometry, match="winding query on the loop"):
-        _winding(loop, (ax + t * (bx - ax), ay + t * (by - ay)))
+        _winding(_keys(loop), point_key((ax + t * (bx - ax),
+                                         ay + t * (by - ay))))
 
 
 def test_winding_raises_on_a_horizontal_edge():
     """The square with corners (+-1, 0) and (+-1, 1): its bottom edge runs
     along the ray's line through (0, 0), the other edges meet it at
     vertices."""
-    square = [(Fraction(x), Fraction(y)) for x, y in ((-1, 0), (1, 0), (1, 1), (-1, 1), (-1, 0))]
+    square = _keys([(Fraction(x), Fraction(y))
+                    for x, y in ((-1, 0), (1, 0), (1, 1), (-1, 1), (-1, 0))])
     for pt in [(0, 0), (-1, 0), (1, 0), (Fraction(1, 2), 1), (1, Fraction(1, 2))]:
         with pytest.raises(NonGenericGeometry, match="winding query on the loop"):
-            _winding(square, tuple(map(Fraction, pt)))
-    assert _winding(square, (Fraction(0), Fraction(1, 2))) == 1
-    assert _winding(square, (Fraction(2), Fraction(0))) == 0
-    assert _winding(square, (Fraction(-2), Fraction(1))) == 0
+            _winding(square, point_key(tuple(map(Fraction, pt))))
+    assert _winding(square, point_key((Fraction(0), Fraction(1, 2)))) == 1
+    assert _winding(square, point_key((Fraction(2), Fraction(0)))) == 0
+    assert _winding(square, point_key((Fraction(-2), Fraction(1)))) == 0
+
+
+def _fraction_winding(loop, pt):
+    """The reference: ``_winding`` as it was on ``Fraction`` points."""
+    px, py = pt
+    total = 0
+    for (ax, ay), (bx, by) in zip(loop, loop[1:]):
+        if (ay <= py) == (by <= py):
+            # a vertex at the point, or the point inside a horizontal edge
+            if ay == py and (ax == px or by == py and (ax < px) != (bx < px)):
+                raise NonGenericGeometry("winding query on the loop")
+            continue
+        # (x - px) (by - ay), with x where the edge meets the ray's line
+        side = (ax - px) * (by - ay) + (py - ay) * (bx - ax)
+        if side == 0:
+            raise NonGenericGeometry("winding query on the loop")
+        if (side > 0) == (by > ay):
+            total += 1 if by > ay else -1
+    return total
+
+
+def _fraction_folds(points):
+    """The reference: ``_folds`` as it was on ``Fraction`` points."""
+    return any((ax - bx) * (cy - by) == (ay - by) * (cx - bx)
+               and (ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0
+               for (ax, ay), (bx, by), (cx, cy) in zip(points, points[1:], points[2:]))
+
+
+def _outcome(call, *args):
+    """The value of ``call``, or the message it raises."""
+    try:
+        return call(*args)
+    except NonGenericGeometry as exc:
+        return str(exc)
+
+
+# a coarse grid over three denominators: the scaled points of a loop carry
+# different d, and horizontal edges and collinear triples are common; query
+# points come from the grid's middle, so many lie inside a loop
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+_NEAR = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(loop=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=3, max_size=7)
+       .map(lambda pts: pts + pts[:1]),
+       where=st.sampled_from(["free", "edge", "height"]), edge=st.integers(0, 6),
+       t=st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]), x=_NEAR, y=_NEAR)
+def test_integer_winding_matches_fraction_reference(loop, where, edge, t, x, y):
+    """The same winding number or the same raise as the reference, for a
+    free point, a point on an edge (a vertex when t is 0 or 1) and a point
+    at a vertex's height."""
+    (ax, ay), (bx, by) = loop[edge % (len(loop) - 1): edge % (len(loop) - 1) + 2]
+    pt = {"free": (x, y), "edge": (ax + t * (bx - ax), ay + t * (by - ay)),
+          "height": (x, ay)}[where]
+    assert _outcome(_winding, _keys(loop), point_key(pt)) == _outcome(_fraction_winding, loop, pt)
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(points=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=2, max_size=7),
+       at=st.integers(0, 6), t=st.sampled_from([-1, 0, Fraction(1, 2), 1, 2]))
+def test_integer_folds_matches_fraction_reference(points, at, t):
+    """The same answer as the reference, with a point put on the line
+    through the two before it, before, between, on or past them."""
+    if len(points) > 2:
+        k = at % (len(points) - 2) + 2
+        (ax, ay), (bx, by) = points[k - 2: k]
+        points[k] = (ax + t * (bx - ax), ay + t * (by - ay))
+    assert _folds(_keys(points)) == _fraction_folds(points)
+
+
+def test_float_box_filter_keeps_the_exact_box(transports):
+    """Every puncture in a quad's exact closed box passes the float box test
+    ``homotopic_pair`` makes.  Corners are punctures, or punctures moved by
+    less than a float can tell, so the box's sides run through punctures and
+    round onto them."""
+    rng = random.Random(20261020)
+    for transport in transports.values():
+        punctures, _ = transport.draw_region
+        for _ in range(300):
+            quad = [exact_point(rng.choice(punctures)[2]) for _ in range(4)]
+            quad = [(x + Fraction(rng.choice([-1, 0, 1]), 10 ** 30), y) for x, y in quad]
+            (lo_x, lo_y), (hi_x, hi_y) = map(min, zip(*quad)), map(max, zip(*quad))
+            exact = [p for _, _, p in punctures
+                     if lo_x <= Fraction(p[0], p[2]) <= hi_x
+                     and lo_y <= Fraction(p[1], p[2]) <= hi_y]
+            fxs, fys = [float(x) for x, _ in quad], [float(y) for _, y in quad]
+            kept = [p for fx, fy, p in punctures
+                    if min(fxs) <= fx <= max(fxs) and min(fys) <= fy <= max(fys)]
+            assert exact and set(exact) <= set(kept)
 
 
 def test_branch_monodromy_identity_quick(transports):
@@ -345,16 +443,17 @@ def test_homotopic_pairs_do_not_fold(transports):
     rng = random.Random("transport_paths:2501:three_strand")
     for _ in range(147):
         p, q = homotopic_pair(transport, rng)
-        assert not _folds(p) and not _folds(q)
+        assert not _folds(_keys(p)) and not _folds(_keys(q))
         assert transport.transport_path(p) == transport.transport_path(q)
 
 
 def test_folds_needs_collinear_points_with_the_middle_outside():
-    assert _folds([(0, 0), (2, 0), (1, 0)]) and _folds([(5, 5), (0, 0), (1, 1), (0, 0)])
-    assert not _folds([(0, 0), (1, 0), (2, 0)])  # straight on
-    assert not _folds([(0, 0), (1, 0), (1, 1)])  # a turn
-    assert not _folds([(0, 0), (0, 0), (1, 0)])  # a repeated point is not a fold
-    assert not _folds([(0, 0), (1, 0)])
+    assert _folds(_keys([(0, 0), (2, 0), (1, 0)]))
+    assert _folds(_keys([(5, 5), (0, 0), (1, 1), (0, 0)]))
+    assert not _folds(_keys([(0, 0), (1, 0), (2, 0)]))  # straight on
+    assert not _folds(_keys([(0, 0), (1, 0), (1, 1)]))  # a turn
+    assert not _folds(_keys([(0, 0), (0, 0), (1, 0)]))  # a repeated point is not a fold
+    assert not _folds(_keys([(0, 0), (1, 0)]))
 
 
 # sha256 of the exact text of every branch and joint monodromy matrix and of
@@ -378,10 +477,27 @@ def test_transport_matrices_equal_recorded_digest(builders):
     assert digest.hexdigest() == TRANSPORT_DIGEST
 
 
+# sha256 of the repr of 20 homotopic pairs per fixture, each fixture's drawn
+# from random.Random("draws:<fixture>"), and of each stream's next random()
+DRAWS_DIGEST = "a74f5f027fe6159ccd2bbc57a1c18747deb86b53e9b5369c262809e1eb094375"
+
+
+def test_homotopic_pair_draws_are_pinned(transports):
+    """The drawn points themselves, not only their transports, and the rng
+    calls that drew them, stay what they were when the digest was recorded."""
+    digest = hashlib.sha256()
+    for name, transport in transports.items():
+        rng = random.Random("draws:" + name)
+        for _ in range(20):
+            digest.update(("%s %r\n" % (name, homotopic_pair(transport, rng))).encode())
+        digest.update(("%s %r\n" % (name, rng.random())).encode())
+    assert digest.hexdigest() == DRAWS_DIGEST
+
+
 def test_punctures_include_marked_point(builders):
     builder = builders["mutation_a"]
     pts = network_punctures(builder)
-    assert (builder.bent.marked_x, Fraction(0)) in pts
+    assert point_key((builder.bent.marked_x, Fraction(0))) in pts
 
 
 def test_local_system_respects_class_relations(transports):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from specnet.forest import PropagationError, build_forest_strands
 from specnet.soliton_bps import HomologyEngine
 from specnet.weave import (
+    MAX_LETTERS,
     MAX_STRANDS,
     Move,
     Weave,
@@ -93,6 +94,12 @@ def test_parse_weave_bounds_the_strand_count():
     assert parse_weave("n=%d\ntop: 1 1" % MAX_STRANDS).strand_count == MAX_STRANDS
     with pytest.raises(ValueError, match=r"weave has 17 strands \(limit: 16\)"):
         parse_weave("n=%d\ntop: 1 1" % (MAX_STRANDS + 1))
+
+
+def test_parse_weave_bounds_the_top_word():
+    assert len(parse_weave("n=2\ntop: %s" % " ".join(["1"] * MAX_LETTERS)).top) == MAX_LETTERS
+    with pytest.raises(ValueError, match=r"weave top has 65 letters \(limit: 64\)"):
+        parse_weave("n=2\ntop: %s" % " ".join(["1"] * (MAX_LETTERS + 1)))
 
 
 def test_parse_weave_rejects_local_model_violations():
