@@ -18,7 +18,8 @@ the left, off a parent leg that is vertical at the joint; and a rightward leg
 whose gap before its turn is at most delta halves that gap for its offset, so
 that strand may hug closer than later ones.  The forest is built once; any
 other coincidence raises NonGenericGeometry, and a rightward flowline with no
-edge to climb raises PropagationError.
+edge to climb, or growth past MAX_FOREST_STRANDS strands, raises
+PropagationError.
 """
 
 from __future__ import annotations
@@ -35,13 +36,20 @@ from .weave import BentWeave, Segment, WeaveVertex, demazure_product, length
 
 # creation steps one round may take before the build gives up
 MAX_CREATION_STEPS = 100
+# strands a forest may grow: three a trivalent vertex and one a joint.  The
+# staircase n=2 / top: 1^L / moves: t1^(L-1) grows 3L - 3: 189 at the L = 64
+# that weave.MAX_LETTERS admits.  At L = 86, 255 strands, its forest takes
+# about 3.6 s and nonabelianize 6.6 s.  The fixtures grow at most 20 strands
+# and the test corpora 65
+MAX_FOREST_STRANDS = 256
 # strand k hugs the weave lines at OFFSET_SCALE / (k + 2), unless a gap is narrower
 OFFSET_SCALE = Fraction(1, 64)
 
 
 class PropagationError(RuntimeError):
-    """A rightward flowline ran off the weave without finding its edge, or
-    a round ran past MAX_CREATION_STEPS creations."""
+    """A rightward flowline ran off the weave without finding its edge, a
+    round ran past MAX_CREATION_STEPS creations, or the forest grew past
+    MAX_FOREST_STRANDS strands."""
 
 
 @dataclass
@@ -98,6 +106,8 @@ class ForestBuilder:
 
     # ----- propagation -----
     def _new_strand(self, origin, label, rnd) -> Strand:
+        if len(self.strands) == MAX_FOREST_STRANDS:
+            raise PropagationError("forest grew past %d strands" % MAX_FOREST_STRANDS)
         strand = Strand(len(self.strands), origin, label, rnd,
                         OFFSET_SCALE / (len(self.strands) + 2))
         self.strands.append(strand)

@@ -48,8 +48,16 @@ Transport is locally constant, so both exact answers are kept per class:
   connected.  The reduced word is then the loop's class in pi_1 of the
   half-plane less the branch points, based at the marked point; with the
   start sheet it fixes the lift's class in H_1(L, T), and the event word
-  fixes the permutation and the signs.  A path that leaves y < 0 is
-  computed afresh.
+  fixes the permutation and the signs.
+* The keys are read off one walk of the path: a sub-path's crossings are
+  those of one weave-line and one cut query on the whole path strictly
+  between its two wall-crossing params (a query that raises is made again
+  per sub-path), and each junction's cap is queried once for both
+  sub-paths that meet there.  A sub-path has no key, and is computed
+  afresh, where a corner is not below y = 0, an end lies inside a cut or a
+  cap meets a cut other than transversally.  Two caps crossing one cut at
+  one point (ends of one x) still give a key: the word is an invariant of
+  any loop crossing the slits transversally.
 * Next to each free transport the memo keeps the sheet permutation of the
   cap at the path's end, and the key fixes it.  Going round the loop (start
   cap reversed, path, end cap) permutes the sheets at the marked point by
@@ -59,18 +67,20 @@ Transport is locally constant, so both exact answers are kept per class:
   event word fixes the path's permutation and the start cap's is in the
   key, so end = loop o start o path^-1.  Each sub-path of a path starts
   where the one before it ended, so the end sheets are carried on as the
-  next start sheets, and a path walks one start cap.  A miss, keyed or
-  not, builds the sub-path's start and end caps once each, for all n
-  chains, and reads the end sheets off the end cap's events.
+  next start sheets, and a path walks one start cap.  Only a miss, keyed
+  or not, builds the sub-path's integer form, its weave-line events and
+  its start and end caps, once each for all n chains, and reads the end
+  sheets off the end cap's events.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from functools import cached_property
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
@@ -176,11 +186,17 @@ class Transport:
         its (end sheet, entry) per start sheet, and the sheet permutation of
         the cap at its end; ``sheets`` is the permutation of the cap at its
         start."""
-        path = prepare(poly)
-        events = self.builder.events_along(path)
-        key = self._free_key(path, events, sheets)
-        found = self._free.get(key)
+        (points, part, _), = self._sub_paths(prepare(poly))
+        return self._free_factor(points, part, sheets)
+
+    def _free_factor(self, points, part, sheets):
+        """``free_factor`` of the sub-path through scaled ``points``, from the
+        memo under ``sheets`` and its key part where ``_sub_paths`` gave one."""
+        key = None if part is None else (sheets,) + part
+        found = None if key is None else self._free.get(key)
         if found is None:
+            path = Polyline(points)
+            events = self.builder.events_along(path)
             lifted = LiftedPath(path, events)
             start_cap, end_cap = map(self.engine.cap, path.ends)
             factor = []
@@ -196,25 +212,59 @@ class Transport:
                 self._free[key] = found
         return found
 
-    def _free_key(self, path: Polyline, events, sheets) -> Optional[tuple]:
-        """The free transport's homotopy key (see the module docstring), or
-        None where it is not known to be complete."""
-        if any(y >= 0 for _, y in path.ints):
-            return None
-        caps, s = self.engine.cap_points, path.scale
-        loop = Polyline(caps(path.ends[0])[::-1] + [(x, y, s) for x, y in path.ints[1:]]
-                        + caps(path.ends[1])[1:])
-        try:
-            crossings = self._cut_set.crossings(loop)
-        except NonGenericGeometry:
-            return None
-        word: List[tuple] = []
-        for _, cut, _, _, side in crossings:
-            if word and word[-1] == (cut, -side):
-                word.pop()
+    def _sub_paths(self, path: Polyline, crossings=()):
+        """Each sub-path of ``path`` between two of its wall ``crossings``,
+        in order, as (its scaled points, its key part, the crossing that
+        ends it or None).  The key part is the (letter, side) event word and
+        the reduced slit word (see the module docstring), or None where the
+        sub-path has no key.  A wall crossed where it crosses a weave line
+        raises before the sub-path it ends is walked."""
+        s = path.scale
+        corners = [(x, y, s) for x, y in path.ints]
+        events, slits = (_unless_raising(query, path)
+                         for query in (self.builder.events_along, self._cut_set.crossings))
+        prev, prev_idx, prev_param = corners[0], 0, None
+        prev_word = self._cap_word(prev)
+        for crossing in [*crossings, None]:
+            if crossing is None:
+                points, param = [prev] + corners[prev_idx + 1:], None
             else:
-                word.append((cut, side))
-        return sheets, tuple((letter, side) for _, letter, side in events), tuple(word)
+                param, sid, pb, pt, _ = crossing
+                if any(p == pb for p, _, _ in self.builder.strands[sid].crossings):
+                    raise NonGenericGeometry("path crosses wall %d where it crosses a weave "
+                                             "line, at %r" % (sid, exact_point(pt)))
+                points = [prev] + corners[prev_idx + 1: param[0] + 1] + [pt]
+            word = self._cap_word(points[-1])
+            # a whole-path query that raised is made on the sub-path, which
+            # raises where the sub-path's own query does
+            sub_events = (self.builder.events_along(Polyline(points)) if events is None
+                          else _between(events, prev_param, param))
+            part = sub_slits = None
+            if prev_word is not None and word is not None and all(y < 0 for _, y, _ in points):
+                sub_slits = (_unless_raising(self._cut_set.crossings, Polyline(points))
+                             if slits is None else _between(slits, prev_param, param))
+            if sub_slits is not None:
+                loop = [(cut, -side) for cut, side in reversed(prev_word)]
+                loop += [(cut, side) for _, cut, _, _, side in sub_slits] + word
+                part = (tuple((letter, side) for _, letter, side in sub_events),
+                        _freely_reduced(loop))
+            yield points, part, crossing
+            if crossing is not None:
+                prev, prev_idx, prev_param, prev_word = pt, param[0], param, word
+
+    def _cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
+        """The (cut, side) crossings of the cap at ``point``, in order, or
+        None where no loop through ``point`` has a key: ``point`` lies
+        inside a cut, or the cap meets a cut other than transversally."""
+        x, y, d = point
+        for *_, x0, y0, dx, dy, s in self._cut_set.segments:
+            # point minus the cut's base, scaled by d * s, is t d (dx, dy)
+            wx, wy = x * s - x0 * d, y * s - y0 * d
+            if wx * dy == wy * dx and 0 < wx * dx + wy * dy < d * (dx * dx + dy * dy):
+                return None
+        cap = Polyline(self.engine.cap_points(point))
+        crossings = _unless_raising(self._cut_set.crossings, cap)
+        return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
 
     def stokes_sign(self, sid: int, param: Param) -> int:
         """Sign of the wall's Stokes coefficient at ``param``, folded over
@@ -280,37 +330,25 @@ class Transport:
     # ----- paths -----
     def transport_path(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
         """Transport along a polyline path avoiding all network vertices,
-        by row operations on sub-paths cut from its integer form, with the
-        cap sheets carried from one sub-path to the next (see the module
+        by row operations on the sub-paths between its wall crossings, with
+        the cap sheets carried from one sub-path to the next (see the module
         docstring)."""
         path = prepare(poly)
-        corners = [(x, y, path.scale) for x, y in path.ints]
         rows = self.identity()
         sheets = self.cap_sheets(path.ends[0])
-        prev, prev_idx = corners[0], 0
-        for pa, sid, pb, pt, side in self.builder.walls.crossings(path):
-            strand = self.builder.strands[sid]
-            if any(param == pb for param, _, _ in strand.crossings):
-                raise NonGenericGeometry("path crosses wall %d where it crosses a weave "
-                                         "line, at %r" % (sid, exact_point(pt)))
-            sub = Polyline([prev] + corners[prev_idx + 1: pa[0] + 1] + [pt])
-            rows, sheets = self._apply_free(sub, sheets, rows)
-            i, j = strand.label_at(pb)
-            c = self.soliton_coefficient(sid, pb) * side
-            rows[i - 1] = [a if b.is_zero() else a + c * b
-                           for a, b in zip(rows[i - 1], rows[j - 1])]
-            prev, prev_idx = pt, pa[0]
-        rows, _ = self._apply_free(Polyline([prev] + corners[prev_idx + 1:]), sheets, rows)
+        for points, part, crossing in self._sub_paths(path, self.builder.walls.crossings(path)):
+            factor, sheets = self._free_factor(points, part, sheets)
+            out = [None] * self.n
+            for row, (sheet, entry) in zip(rows, factor):
+                out[sheet - 1] = [e if e.is_zero() else entry * e for e in row]
+            rows = out
+            if crossing is not None:
+                _, sid, pb, _, side = crossing
+                i, j = self.builder.strands[sid].label_at(pb)
+                c = self.soliton_coefficient(sid, pb) * side
+                rows[i - 1] = [a if b.is_zero() else a + c * b
+                               for a, b in zip(rows[i - 1], rows[j - 1])]
         return rows
-
-    def _apply_free(self, sub, sheets, rows):
-        """Rows of the free transport along ``sub`` times ``rows``, and the
-        cap sheets at the end of ``sub``."""
-        factor, sheets = self.free_factor(sub, sheets)
-        out = [None] * self.n
-        for row, (sheet, entry) in zip(rows, factor):
-            out[sheet - 1] = [e if e.is_zero() else entry * e for e in row]
-        return out, sheets
 
     # ----- monodromy loops -----
     def clearance(self, center: Point) -> Fraction:
@@ -345,6 +383,33 @@ class Transport:
         e = r / 313
         return self.transport_path([(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
                                     (cx - 2 * e, cy - r), (cx + r, cy + e)])
+
+
+def _unless_raising(query, path: Polyline):
+    """``query(path)``, or None where it raises NonGenericGeometry."""
+    try:
+        return query(path)
+    except NonGenericGeometry:
+        return None
+
+
+def _between(crossings: list, lo: Optional[Param], hi: Optional[Param]) -> list:
+    """The crossings, sorted by their param, strictly between ``lo`` and
+    ``hi`` (None: the path's start or end)."""
+    first = 0 if lo is None else bisect_right(crossings, lo, key=itemgetter(0))
+    return crossings[first: len(crossings) if hi is None else
+                     bisect_left(crossings, hi, key=itemgetter(0))]
+
+
+def _freely_reduced(word: List[tuple]) -> tuple:
+    """The free reduction of a word of (cut, side) letters."""
+    out: List[tuple] = []
+    for cut, side in word:
+        if out and out[-1] == (cut, -side):
+            out.pop()
+        else:
+            out.append((cut, side))
+    return tuple(out)
 
 
 def _seg_distance2(p, a, b) -> Tuple:

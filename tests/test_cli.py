@@ -697,6 +697,19 @@ def test_creation_step_guard_exits_2(monkeypatch, capsys):
         "error [augmentation]: round 1 exceeded 0 creation steps (gapped guard)\n"
 
 
+def test_forest_strand_bound_exits_2(builders, monkeypatch, capsys):
+    """A forest that grows past MAX_FOREST_STRANDS is a named error with
+    exit 2, raised as the next strand would be grown."""
+    strands = len(builders["three_strand"].strands)
+    monkeypatch.setattr("specnet.forest.MAX_FOREST_STRANDS", strands - 1)
+    for sub in ("augmentation", "nonabelianize"):
+        assert main([sub, "three_strand"]) == 2
+        assert capsys.readouterr().err == \
+            "error [%s]: forest grew past %d strands\n" % (sub, strands - 1)
+    monkeypatch.setattr("specnet.forest.MAX_FOREST_STRANDS", strands)
+    assert main(["augmentation", "three_strand"]) == 0
+
+
 def test_missing_input_exits_nonzero(capsys):
     assert main(["augmentation", "no_such_weave_anywhere"]) == 2
 

