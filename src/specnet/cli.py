@@ -64,17 +64,12 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _weave_underlay(builder):
-    return [[(float(p[0]), float(p[1])) for p in seg.points]
-            for seg in builder.obstacles]
-
-
 def cmd_weave_network(args) -> int:
     bent = _load_weave(args.input)
     builder = build_forest_strands(bent)
     net = builder.to_network()
     if args.format == "svg":
-        _emit(export_svg(net, underlay=_weave_underlay(builder)), args.out)
+        _emit(export_svg(net, underlay=[seg.points for seg in builder.obstacles]), args.out)
     elif args.format == "json":
         _emit(network_to_json(net) + "\n", args.out)
     else:

@@ -51,13 +51,13 @@ Transport is locally constant, so both exact answers are kept per class:
   fixes the permutation and the signs.
 * The keys are read off one walk of the path: a sub-path's crossings are
   those of one weave-line and one cut query on the whole path strictly
-  between its two wall-crossing params (a query that raises is made again
-  per sub-path), and each junction's cap is queried once for both
-  sub-paths that meet there.  A sub-path has no key, and is computed
-  afresh, where a corner is not below y = 0, an end lies inside a cut or a
-  cap meets a cut other than transversally.  Two caps crossing one cut at
-  one point (ends of one x) still give a key: the word is an invariant of
-  any loop crossing the slits transversally.
+  between its two wall-crossing params, and each junction's cap is queried
+  once for both sub-paths that meet there.  A sub-path has no key, and is
+  computed afresh, where a whole-path query raised (its miss queries it
+  alone, and raises where that query does), a corner is not below y = 0,
+  an end lies inside a cut or a cap meets a cut other than transversally.
+  Two caps crossing one cut at one point (ends of one x) still give a key:
+  the word is an invariant of any loop crossing the slits transversally.
 * Next to each free transport the memo keeps the sheet permutation of the
   cap at the path's end, and the key fixes it.  Going round the loop (start
   cap reversed, path, end cap) permutes the sheets at the marked point by
@@ -92,10 +92,6 @@ from .soliton_bps import CAP_EPS, LiftedPath, SolitonCatalog, tree_of_strand
 # free transports a Transport keeps; past it the oldest goes.  About four
 # times the 65 a fixture keeps in a 30 s transport_paths benchmark run.
 MAX_FREE_KEYS = 256
-
-
-def _monomial(gens, cyc, arc, coeff=1) -> LaurentPoly:
-    return LaurentPoly.monomial(gens, tuple(cyc) + tuple(arc), coeff)
 
 
 class Transport:
@@ -169,7 +165,8 @@ class Transport:
         the capped-lift holonomy times the twisting signs.
         """
         path = prepare(poly)
-        factor, _ = self.free_factor(path, self.cap_sheets(path.ends[0]))
+        (points, part, _), = self._sub_paths(path)
+        factor, _ = self._free_factor(points, part, self.cap_sheets(path.ends[0]))
         zero = LaurentPoly.zero(self.gens)
         out = [[zero] * self.n for _ in range(self.n)]
         for start, (sheet, entry) in enumerate(factor):
@@ -181,17 +178,12 @@ class Transport:
         sheet s there reaches sheet ``[s - 1]`` at the marked point."""
         return walk_sheets(tuple(range(1, self.n + 1)), self.engine.cap(start).events)[0]
 
-    def free_factor(self, poly, sheets: Tuple[int, ...]):
-        """The free transport along ``poly`` (points or a ``Polyline``) as
-        its (end sheet, entry) per start sheet, and the sheet permutation of
-        the cap at its end; ``sheets`` is the permutation of the cap at its
-        start."""
-        (points, part, _), = self._sub_paths(prepare(poly))
-        return self._free_factor(points, part, sheets)
-
     def _free_factor(self, points, part, sheets):
-        """``free_factor`` of the sub-path through scaled ``points``, from the
-        memo under ``sheets`` and its key part where ``_sub_paths`` gave one."""
+        """The free transport along the sub-path through scaled ``points``
+        as its (end sheet, entry) per start sheet, and the sheet permutation
+        of the cap at its end; ``sheets`` is the permutation of the cap at
+        its start.  From the memo under ``sheets`` and the key part where
+        ``_sub_paths`` gave one."""
         key = None if part is None else (sheets,) + part
         found = None if key is None else self._free.get(key)
         if found is None:
@@ -204,8 +196,8 @@ class Transport:
                 (sheet,), sign = walk_sheets((start,), events)
                 chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
                 cyc, arc = self.engine.class_of_chain(chain)
-                factor.append((sheet, _monomial(self.gens, cyc, arc, sign)))
-            found = tuple(factor), walk_sheets(tuple(range(1, self.n + 1)), end_cap.events)[0]
+                factor.append((sheet, LaurentPoly.monomial(self.gens, cyc + arc, sign)))
+            found = tuple(factor), self.cap_sheets(path.ends[1])
             if key is not None:
                 if len(self._free) >= MAX_FREE_KEYS:
                     del self._free[next(iter(self._free))]
@@ -235,15 +227,10 @@ class Transport:
                                              "line, at %r" % (sid, exact_point(pt)))
                 points = [prev] + corners[prev_idx + 1: param[0] + 1] + [pt]
             word = self._cap_word(points[-1])
-            # a whole-path query that raised is made on the sub-path, which
-            # raises where the sub-path's own query does
-            sub_events = (self.builder.events_along(Polyline(points)) if events is None
-                          else _between(events, prev_param, param))
-            part = sub_slits = None
-            if prev_word is not None and word is not None and all(y < 0 for _, y, _ in points):
-                sub_slits = (_unless_raising(self._cut_set.crossings, Polyline(points))
-                             if slits is None else _between(slits, prev_param, param))
-            if sub_slits is not None:
+            part = None
+            if None not in (events, slits, prev_word, word) and all(y < 0 for _, y, _ in points):
+                sub_events = _between(events, prev_param, param)
+                sub_slits = _between(slits, prev_param, param)
                 loop = [(cut, -side) for cut, side in reversed(prev_word)]
                 loop += [(cut, side) for _, cut, _, _, side in sub_slits] + word
                 part = (tuple((letter, side) for _, letter, side in sub_events),
@@ -289,7 +276,7 @@ class Transport:
         value = self._coefficients.get(key)
         if value is None:
             cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
-            value = _monomial(self.gens, cyc, arc, self.stokes_sign(sid, param))
+            value = LaurentPoly.monomial(self.gens, cyc + arc, self.stokes_sign(sid, param))
             x = exact_point(interp(self.builder.strands[sid].path, param))[0]
             if key is not None and not any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
                 self._coefficients[key] = value

@@ -327,7 +327,7 @@ def _sheets_newton(curve: SpectralCurve, z: complex, seed: List[complex]) -> Lis
         d = abs(w - s)
         if d > worst:
             worst = d
-    if worst < 0.5 * _separation(roots):
+    if worst < 0.5 * _closest_pair(roots)[0]:
         return roots
     return _nearest_roots(curve, z, seed)
 
@@ -408,16 +408,16 @@ def _sheets_3(curve: SpectralCurve, z: complex, seed: List[complex]) -> List[com
 _SHEET_KERNELS = {2: _sheets_2, 3: _sheets_3}
 
 
-def _separation(roots) -> float:
-    """The smallest distance between two of the roots."""
-    n = len(roots)
-    best = math.inf
-    for i in range(n):
-        w = roots[i]
-        for j in range(i + 1, n):
-            d = abs(w - roots[j])
-            if d < best:
-                best = d
+def _closest_pair(vals) -> Tuple[float, int, int]:
+    """(distance, i, j) of the two nearest values, i < j: the least (i, j)
+    at the least distance, by strict ``<`` from (inf, 0, 1), so a NaN
+    distance is never taken and (inf, 0, 1) stands where none is finite."""
+    best = math.inf, 0, 1
+    for i, w in enumerate(vals):
+        for j in range(i + 1, len(vals)):
+            d = abs(w - vals[j])
+            if d < best[0]:
+                best = d, i, j
     return best
 
 
@@ -437,7 +437,7 @@ def _nearest_roots(curve: SpectralCurve, z: complex, seed: List[complex]) -> Lis
         assign[i] = j
         used.add(j)
         worst = max(worst, d)
-    sep = _separation(roots)
+    sep = _closest_pair(roots)[0]
     if worst > 0.5 * sep:
         raise RootCollision("root move %.3g vs separation %.3g at z=%s"
                             % (worst, sep, z))
@@ -471,20 +471,12 @@ class TracedWall:
         return self.charges[index] * (1 - frac) + self.charges[index + 1] * frac
 
 
-def _closest_pair(vals) -> Tuple[int, int]:
-    """Indices i < j of the two nearest values; a tie goes to the least
-    (i, j)."""
-    n = len(vals)
-    _, i, j = min((abs(vals[i] - vals[j]), i, j) for i in range(n) for j in range(i + 1, n))
-    return i, j
-
-
 def _local_coefficient(curve: SpectralCurve, b: complex) -> complex:
     """Leading Puiseux coefficient c with lambda_+/- ~ lambda_0 +/- c sqrt(z-b),
     read off at the probe point b + 1e-5, up to its sign."""
     probe = 1e-5
     sheets = curve.roots_at(b)
-    i0, j0 = _closest_pair(sheets)
+    _, i0, j0 = _closest_pair(sheets)
     center = (sheets[i0] + sheets[j0]) / 2
     z = b + probe
     roots = sorted(curve.roots_at(z), key=lambda r: abs(r - center))
@@ -521,7 +513,7 @@ def initial_rays(curve: SpectralCurve, b: complex, theta: float) -> List[TracedW
         z0 = b + offset * cmath.exp(1j * phi)
         vals = curve.roots_at(z0)
         # colliding pair: the two roots nearest each other
-        i0, j0 = _closest_pair(vals)
+        _, i0, j0 = _closest_pair(vals)
         # order the pair so the step direction points outward
         direction = cmath.exp(1j * theta) / (vals[i0] - vals[j0])
         if (direction.real * math.cos(phi) + direction.imag * math.sin(phi)) < 0:

@@ -482,6 +482,14 @@ def test_readme_flag_table_matches_parser(capsys):
         assert flags == parsed - {"--help"}, name
 
 
+def test_readme_library_block_runs():
+    """The python block under README's ``## Library`` runs, so the entry
+    points it documents cannot drift from the code."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", text, re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("argv", [
     ["augmentation", "mutation_a", "--format", "svg"],
     ["bps", "mutation_a", "--format", "svg"],

@@ -692,9 +692,10 @@ def _check_memos(transport, rng, walls, per_segment, paths):
         assert memo == direct, poly
         memo[0][0] = None  # a caller may change what it gets back
         assert transport.transport_free(poly) == direct
-        # the end cap's sheets free_factor hands back, from the memo where
+        # the end cap's sheets _free_factor hands back, from the memo where
         # the path has a key, with the start cap's sheets carried in
-        _, sheets = transport.free_factor(poly, _fresh_cap_sheets(transport, poly[0]))
+        (points, part, _), = transport._sub_paths(prepare(poly))
+        _, sheets = transport._free_factor(points, part, _fresh_cap_sheets(transport, poly[0]))
         assert sheets == _fresh_cap_sheets(transport, poly[-1]), poly
         queries += 1
     return queries
@@ -910,10 +911,9 @@ def _twice_through(x, y):
 @pytest.mark.parametrize("lines", ["weave lines", "cuts"])
 def test_path_meeting_a_line_twice_at_one_point_falls_back(builders, lines):
     """A path whose two sub-paths cross one weave line, or one cut, at one
-    point, with a wall crossed in between: that whole-path query raises, each
-    sub-path is queried on its own, the keys still formed check out against
-    the reference, and the path transports as the matrix product of
-    transport_free pieces does."""
+    point, with a wall crossed in between: that whole-path query raises, no
+    sub-path has a key, so transport keeps nothing in the free memo, and the
+    path transports as the matrix product of transport_free pieces does."""
     builder = builders["five_crossing"]
     transport = Transport(builder)
     (bx, by), (tx, _) = transport.cuts[0]
@@ -926,8 +926,10 @@ def test_path_meeting_a_line_twice_at_one_point_falls_back(builders, lines):
     with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
         query(poly)
     assert any(pa[0] in (1, 2) for pa, *_ in builder.walls.crossings(poly))
-    assert _check_walk_keys(transport, poly)[0] > 0
-    assert transport.transport_path(poly) == _matrix_product_transport(transport, poly)
+    assert all(part is None for _, part in _walk(transport, poly))
+    matrix = transport.transport_path(poly)
+    assert not transport._free
+    assert matrix == _matrix_product_transport(transport, poly)
 
 
 def test_branch_cuts_disjoint_and_left_of_marked_point(builders):

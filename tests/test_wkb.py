@@ -16,6 +16,7 @@ from specnet.wkb import (
     RootCollision,
     SpectralCurve,
     TracedWall,
+    _closest_pair,
     _shared_origin_artifact,
     branch_points,
     build_wkb_network,
@@ -298,6 +299,49 @@ def test_coeffs_at_matches_horner_over_every_row(curve, z):
     curve = SpectralCurve(curve)
     assert [(v.real.hex(), v.imag.hex()) for v in curve.coeffs_at(z)] == \
         [(v.real.hex(), v.imag.hex()) for v in _horner_loop(curve, z)]
+
+
+def _separation_reference(roots):
+    """The reference: ``_separation`` as it was, the least distance that
+    ``sheets_at``'s collision tests read, now from ``_closest_pair``."""
+    n = len(roots)
+    best = math.inf
+    for i in range(n):
+        w = roots[i]
+        for j in range(i + 1, n):
+            d = abs(w - roots[j])
+            if d < best:
+                best = d
+    return best
+
+
+def _min_pair_reference(vals):
+    """The reference: ``_closest_pair`` as it was, the pair of the least
+    (distance, i, j)."""
+    n = len(vals)
+    _, i, j = min((abs(vals[i] - vals[j]), i, j) for i in range(n) for j in range(i + 1, n))
+    return i, j
+
+
+# few parts, so values repeat and distances tie; inf - inf gives NaN distances
+_PART = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan]),
+                  st.floats(-4, 4))
+
+
+@seed(20261024)
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.builds(complex, _PART, _PART), min_size=2, max_size=16))
+@example(vals=[complex(math.inf, 2), complex(math.inf, 2), 2 + 2j, 2 + 0.5j])
+def test_closest_pair_matches_the_references(vals):
+    """``_closest_pair`` gives the distance of ``_separation`` on every list,
+    NaN and +-inf included, and the pair of the old min wherever no distance
+    is NaN.  (With a NaN distance the old min could return a NaN pair, as at
+    the example: (0, 1), where ``_closest_pair`` gives (2, 3).)"""
+    d, i, j = _closest_pair(vals)
+    reference = _separation_reference(vals)
+    assert d == reference or math.isnan(d) and math.isnan(reference)
+    if not any(math.isnan(abs(a - b)) for k, a in enumerate(vals) for b in vals[k + 1:]):
+        assert (i, j) == _min_pair_reference(vals)
 
 
 def test_initial_rays_do_not_depend_on_the_sign_of_c(monkeypatch):
