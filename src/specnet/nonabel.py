@@ -29,35 +29,36 @@ coefficient of a seed wall is the plain monomial of its detour class based
 at the crossing point, and a child wall inherits the product of its
 parents' signs times the handedness of the parent tangents at the joint.
 
-Transport is locally constant, so both exact answers are kept per class:
+Transport is locally constant, so both exact answers are kept under one
+rule, per class of a capped loop.  Each cut is a slit from a branch point b
+up to (bx - by/1000, 0); the slits are parallel and disjoint, so the lower
+half-plane cut along them is simply connected, and the freely reduced word
+of a loop's (cut, side) crossings with them is its class in pi_1 of the
+half-plane less the branch points, based at the marked point.  A touch at
+a point that ends a line is no crossing, so a cap through b reads as the
+cap just left of it, to the word and to the homology engine alike.  A key
+is that word and what fixes the lift's sheets and signs:
 
-* A Stokes coefficient is kept per (wall, interval between the wall's cut
-  params).  The cuts are its weave-line events and the params where its x
-  is bx or bx - CAP_EPS for a branch point b.  x is constant on vertical
-  segments, so each interval lies wholly inside or outside b's band, the
-  params with bx in [x, x + CAP_EPS] where the cap's first leg meets b's
-  vertical line.  Outside every band, moving the base point sweeps no
-  branch point, and the label and twist stay fixed.  A computed value is
-  kept only for a param off the cuts and outside every band.
-* A free transport is kept per (sheet permutation of the start cap's
-  events, the path's (letter, side) event word, the freely reduced word of
-  the capped loop's crossings with the branch cuts), at most
-  MAX_FREE_KEYS of them, the oldest dropped first.  Each cut is a slit
-  from a branch point b up to (bx - by/1000, 0); the slits are parallel
-  and disjoint, so the lower half-plane cut along them is simply
-  connected.  The reduced word is then the loop's class in pi_1 of the
-  half-plane less the branch points, based at the marked point; with the
-  start sheet it fixes the lift's class in H_1(L, T), and the event word
-  fixes the permutation and the signs.
+* a free transport's: the start cap's sheet permutation, the path's
+  (letter, side) event word and the word of the loop start cap reversed,
+  path, end cap.  At most MAX_FREE_KEYS are kept, the oldest dropped first.
+* a Stokes coefficient's: the wall, the number of its weave-line events
+  before the param, and the word of its cut crossings before the param
+  then the cap's.  Two params with one key differ by the loop cap(p1)^-1
+  wall[p1, p2] cap(p2), whose word reduces to nothing, and no event lies
+  between them, so the detour classes, labels and twisting signs agree.
 * The keys are read off one walk of the path: a sub-path's crossings are
   those of one weave-line and one cut query on the whole path strictly
-  between its two wall-crossing params, and each junction's cap is queried
-  once for both sub-paths that meet there.  A sub-path has no key, and is
-  computed afresh, where a whole-path query raised (its miss queries it
-  alone, and raises where that query does), a corner is not below y = 0,
-  an end lies inside a cut or a cap meets a cut other than transversally.
-  Two caps crossing one cut at one point (ends of one x) still give a key:
-  the word is an invariant of any loop crossing the slits transversally.
+  between its two wall-crossing params, each junction's cap is queried
+  once for both sub-paths and the wall that meet there, and each wall's
+  cut crossings once.  There is no key, and the value is computed afresh
+  and not kept, where a whole-path or whole-wall query raised (a free miss
+  queries its sub-path alone, and raises where that query does), a cap
+  starts on a cut or meets one other than transversally, a free
+  sub-path's corner is not below y = 0, or a wall is based at one of its
+  events.  Two caps crossing one cut at one point (ends of one x) still
+  give a key: the word is an invariant of any loop crossing the slits
+  transversally.
 * Next to each free transport the memo keeps the sheet permutation of the
   cap at the path's end, and the key fixes it.  Going round the loop (start
   cap reversed, path, end cap) permutes the sheets at the marked point by
@@ -84,10 +85,10 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio, ScaledPoint,
-                       exact_point, interp, param_of, point_key, prepare, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, ScaledPoint,
+                       exact_point, interp, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
-from .soliton_bps import CAP_EPS, LiftedPath, SolitonCatalog, tree_of_strand
+from .soliton_bps import LiftedPath, SolitonCatalog, tree_of_strand
 
 # free transports a Transport keeps; past it the oldest goes.  About four
 # times the 65 a fixture keeps in a 30 s transport_paths benchmark run.
@@ -106,14 +107,15 @@ class Transport:
         self.gens = tuple(self.engine.gen_names) + tuple(
             "t_%d" % i for i in range(1, n + 1))
         branch = [v.point for v in builder.weave.trivalent_vertices()]
-        self.branch_xs = sorted({x for x, _ in branch})
         # one slit per branch point, all parallel, up to the top boundary
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in branch]
         if len({1000 * x - y for x, y in branch}) != len(branch):
             raise NonGenericGeometry("two branch cuts are collinear")
         self._cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
-        self._wall_cuts: Dict[int, List[Param]] = {}
-        self._coefficients: Dict[tuple, LaurentPoly] = {}  # (wall, interval) -> value
+        # each wall's cut crossings, or None where that query raised
+        self._wall_slits = [_unless_raising(self._cut_set.crossings, strand.path)
+                            for strand in builder.strands]
+        self._coefficients: Dict[tuple, LaurentPoly] = {}  # Stokes key -> value
         self._free: Dict[tuple, tuple] = {}  # homotopy key -> free factor, end sheets
 
     @cached_property
@@ -165,7 +167,7 @@ class Transport:
         the capped-lift holonomy times the twisting signs.
         """
         path = prepare(poly)
-        (points, part, _), = self._sub_paths(path)
+        (points, part, _, _), = self._sub_paths(path)
         factor, _ = self._free_factor(points, part, self.cap_sheets(path.ends[0]))
         zero = LaurentPoly.zero(self.gens)
         out = [[zero] * self.n for _ in range(self.n)]
@@ -207,10 +209,11 @@ class Transport:
     def _sub_paths(self, path: Polyline, crossings=()):
         """Each sub-path of ``path`` between two of its wall ``crossings``,
         in order, as (its scaled points, its key part, the crossing that
-        ends it or None).  The key part is the (letter, side) event word and
-        the reduced slit word (see the module docstring), or None where the
-        sub-path has no key.  A wall crossed where it crosses a weave line
-        raises before the sub-path it ends is walked."""
+        ends it or None, the ``_cap_word`` at its end).  The key part is the
+        (letter, side) event word and the reduced slit word (see the module
+        docstring), or None where the sub-path has no key.  A wall crossed
+        where it crosses a weave line raises before the sub-path it ends is
+        walked."""
         s = path.scale
         corners = [(x, y, s) for x, y in path.ints]
         events, slits = (_unless_raising(query, path)
@@ -235,20 +238,16 @@ class Transport:
                 loop += [(cut, side) for _, cut, _, _, side in sub_slits] + word
                 part = (tuple((letter, side) for _, letter, side in sub_events),
                         _freely_reduced(loop))
-            yield points, part, crossing
+            yield points, part, crossing, word
             if crossing is not None:
                 prev, prev_idx, prev_param, prev_word = pt, param[0], param, word
 
     def _cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
         """The (cut, side) crossings of the cap at ``point``, in order, or
-        None where no loop through ``point`` has a key: ``point`` lies
-        inside a cut, or the cap meets a cut other than transversally."""
-        x, y, d = point
-        for *_, x0, y0, dx, dy, s in self._cut_set.segments:
-            # point minus the cut's base, scaled by d * s, is t d (dx, dy)
-            wx, wy = x * s - x0 * d, y * s - y0 * d
-            if wx * dy == wy * dx and 0 < wx * dx + wy * dy < d * (dx * dx + dy * dy):
-                return None
+        None where no loop through ``point`` has a key: ``point`` lies on a
+        cut, or the cap meets a cut other than transversally."""
+        if _on_a_segment(self._cut_set.segments, point):
+            return None
         cap = Polyline(self.engine.cap_points(point))
         crossings = _unless_raising(self._cut_set.crossings, cap)
         return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
@@ -268,39 +267,29 @@ class Transport:
             sign *= walk_sheets(strand.start_label, strand.crossings, end or param)[1]
         return sign
 
-    def soliton_coefficient(self, sid: int, param: Param) -> LaurentPoly:
-        """Signed soliton value of wall ``sid`` based at ``param``, kept per
-        interval between the wall's cut params that lies outside every band
-        (see the module docstring)."""
-        key = self._interval_key(sid, param)
+    def soliton_coefficient(self, sid: int, param: Param, word: Optional[list]) -> LaurentPoly:
+        """Signed soliton value of wall ``sid`` based at ``param``, where
+        ``word`` is the ``_cap_word`` there, kept per ``_stokes_key``."""
+        key = self._stokes_key(sid, param, word)
         value = self._coefficients.get(key)
         if value is None:
             cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
             value = LaurentPoly.monomial(self.gens, cyc + arc, self.stokes_sign(sid, param))
-            x = exact_point(interp(self.builder.strands[sid].path, param))[0]
-            if key is not None and not any(x <= bx <= x + CAP_EPS for bx in self.branch_xs):
+            if key is not None:
                 self._coefficients[key] = value
         return value
 
-    def _interval_key(self, sid: int, param: Param) -> Optional[tuple]:
-        """(wall, index of ``param`` among the wall's sorted cut params), or
-        None at a cut param."""
-        strand = self.builder.strands[sid]
-        if sid not in self._wall_cuts:
-            edges = self.branch_xs + [bx - CAP_EPS for bx in self.branch_xs]
-            edges = [edge.as_integer_ratio() for edge in edges]
-            s, xs = strand.path.scale, [x for x, _ in strand.path.ints]
-            cuts = [p for p, _, _ in strand.crossings]
-            for i, (ax, bx) in enumerate(zip(xs, xs[1:])):
-                # an edge's param (en / ed - ax / s) / ((bx - ax) / s), both terms times bx - ax
-                ts = [((en * s - ax * ed) * (bx - ax), (bx - ax) ** 2 * ed) for en, ed in edges]
-                cuts += [param_of(i, Ratio(n, d)) for n, d in ts if d and 0 <= n <= d]
-            self._wall_cuts[sid] = sorted(cuts)
-        cuts = self._wall_cuts[sid]
-        k = bisect_left(cuts, param)
-        if k < len(cuts) and cuts[k] == param:
+    def _stokes_key(self, sid: int, param: Param, word: Optional[list]) -> Optional[tuple]:
+        """(wall, the number of its weave-line events before ``param``, the
+        reduced word of its cut crossings before ``param`` then ``word``;
+        see the module docstring), or None where ``word`` is None, the
+        wall's cut query raised or ``param`` is one of its event params."""
+        slits, events = self._wall_slits[sid], self.builder.strands[sid].crossings
+        k = bisect_left(events, param, key=itemgetter(0))
+        if word is None or slits is None or k < len(events) and events[k][0] == param:
             return None
-        return sid, k
+        loop = [(cut, side) for _, cut, _, _, side in _between(slits, None, param)] + word
+        return sid, k, _freely_reduced(loop)
 
     def transport_short(self, sid: int, param: Param, side: int):
         """Unipotent Stokes matrix for crossing wall ``sid`` at ``param``.
@@ -308,10 +297,10 @@ class Transport:
         ``side`` is the sign of (wall tangent) x (path tangent); crossing
         from the other side gives the inverse matrix.
         """
-        i, j = self.builder.strands[sid].label_at(param)
+        strand = self.builder.strands[sid]
+        (i, j), word = strand.label_at(param), self._cap_word(interp(strand.path, param))
         out = self.identity()
-        out[i - 1][j - 1] = out[i - 1][j - 1] + \
-            self.soliton_coefficient(sid, param) * side
+        out[i - 1][j - 1] += self.soliton_coefficient(sid, param, word) * side
         return out
 
     # ----- paths -----
@@ -323,7 +312,7 @@ class Transport:
         path = prepare(poly)
         rows = self.identity()
         sheets = self.cap_sheets(path.ends[0])
-        for points, part, crossing in self._sub_paths(path, self.builder.walls.crossings(path)):
+        for points, part, crossing, word in self._sub_paths(path, self.builder.walls.crossings(path)):
             factor, sheets = self._free_factor(points, part, sheets)
             out = [None] * self.n
             for row, (sheet, entry) in zip(rows, factor):
@@ -332,7 +321,7 @@ class Transport:
             if crossing is not None:
                 _, sid, pb, _, side = crossing
                 i, j = self.builder.strands[sid].label_at(pb)
-                c = self.soliton_coefficient(sid, pb) * side
+                c = self.soliton_coefficient(sid, pb, word) * side
                 rows[i - 1] = [a if b.is_zero() else a + c * b
                                for a, b in zip(rows[i - 1], rows[j - 1])]
         return rows
@@ -386,6 +375,22 @@ def _between(crossings: list, lo: Optional[Param], hi: Optional[Param]) -> list:
     first = 0 if lo is None else bisect_right(crossings, lo, key=itemgetter(0))
     return crossings[first: len(crossings) if hi is None else
                      bisect_left(crossings, hi, key=itemgetter(0))]
+
+
+def _on_a_segment(rows, point: ScaledPoint) -> bool:
+    """Whether the scaled ``point`` lies on a closed segment of the rows of
+    a ``PolylineSet`` table.  A row is decided in integers only where its
+    float box holds the point's float: floats round monotonically, so every
+    row through the point is decided."""
+    x, y, d = point
+    fx, fy = x / d, y / d
+    for lo_x, hi_x, lo_y, hi_y, _, _, x0, y0, dx, dy, s in rows:
+        if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:
+            # point minus the segment's start, scaled by d * s, is t d (dx, dy)
+            wx, wy = x * s - x0 * d, y * s - y0 * d
+            if wx * dy == wy * dx and 0 <= wx * dx + wy * dy <= d * (dx * dx + dy * dy):
+                return True
+    return False
 
 
 def _freely_reduced(word: List[tuple]) -> tuple:
@@ -484,7 +489,9 @@ def homotopic_pair(transport: Transport, rng: random.Random):
     two transport matrices is forced.  A point or move that would fold
     either path back on itself is drawn again: a fold can meet one
     weave-line point from two segments.  An insertion lands strictly inside
-    a segment and cannot fold.
+    a segment and cannot fold.  A point, drawn or inserted, that lies on a
+    weave line or wall is drawn again too: transport raises at a path
+    corner on a line.
 
     Points are drawn and decided as scaled points.  A puncture goes to the
     winding test only when its float lies in the quad's float box.  Floats
@@ -494,6 +501,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
     """
     interior, moves = 3, 6
     punctures, (x0, dx, y0, dy, d) = transport.draw_region
+    lines = transport.builder.weave_lines.segments + transport.builder.walls.segments
 
     def rand_point():
         x = x0 + dx * rng.randint(1, 996)
@@ -502,7 +510,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
     path: List[ScaledPoint] = []
     while len(path) < interior + 2:
         q = rand_point()
-        if not _folds(path[-2:] + [q]):
+        if not _folds(path[-2:] + [q]) and not _on_a_segment(lines, q):
             path.append(q)
     other = list(path)
     done = 0
@@ -516,9 +524,11 @@ def homotopic_pair(transport: Transport, rng: random.Random):
             t = rng.randint(1, 996)
             (ax, ay, ad), (bx, by, bd) = other[k], other[k + 1]
             # a + t / 997 (b - a)
-            other.insert(k + 1, (997 * ax * bd + t * (bx * ad - ax * bd),
-                                 997 * ay * bd + t * (by * ad - ay * bd), 997 * ad * bd))
-            done += 1
+            q = (997 * ax * bd + t * (bx * ad - ax * bd),
+                 997 * ay * bd + t * (by * ad - ay * bd), 997 * ad * bd)
+            if not _on_a_segment(lines, q):
+                other.insert(k + 1, q)
+                done += 1
             continue
         k = rng.randrange(1, len(other) - 1)
         q = rand_point()
@@ -532,7 +542,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
                 continue
         except NonGenericGeometry:
             continue
-        if _folds(other[max(k - 2, 0): k] + [q] + other[k + 1: k + 3]):
+        if _folds(other[max(k - 2, 0): k] + [q] + other[k + 1: k + 3]) or _on_a_segment(lines, q):
             continue
         other[k] = q
         done += 1
