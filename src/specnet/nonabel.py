@@ -39,9 +39,13 @@ a point that ends a line is no crossing, so a cap through b reads as the
 cap just left of it, to the word and to the homology engine alike.  A key
 is that word and what fixes the lift's sheets and signs:
 
-* a free transport's: the start cap's sheet permutation, the path's
-  (letter, side) event word and the word of the loop start cap reversed,
-  path, end cap.  At most MAX_FREE_KEYS are kept, the oldest dropped first.
+* a free transport's, per start sheet s: the sheet t that the start cap
+  takes s to at the marked point, and the word w of the loop start cap
+  reversed, path, end cap.  The lift of that loop from t starts and ends
+  at the marked point, so its class and the sheet it ends on there are
+  functions of (t, w).  An empty word is a contractible loop, class 0 back
+  at t, and is neither solved nor kept.  At most MAX_FREE_KEYS others are
+  kept, the oldest dropped first.
 * a Stokes coefficient's: the wall, the number of its weave-line events
   before the param, and the word of its cut crossings before the param
   then the cap's.  Two params with one key differ by the loop cap(p1)^-1
@@ -59,19 +63,16 @@ is that word and what fixes the lift's sheets and signs:
   events.  Two caps crossing one cut at one point (ends of one x) still
   give a key: the word is an invariant of any loop crossing the slits
   transversally.
-* Next to each free transport the memo keeps the sheet permutation of the
-  cap at the path's end, and the key fixes it.  Going round the loop (start
-  cap reversed, path, end cap) permutes the sheets at the marked point by
-  end o path o start^-1.  Sheet labels change only across weave lines, and
-  round any vertex other than a branch point they come back, so the loop's
-  permutation is a function of its class, the reduced slit word.  The
-  event word fixes the path's permutation and the start cap's is in the
-  key, so end = loop o start o path^-1.  Each sub-path of a path starts
-  where the one before it ended, so the end sheets are carried on as the
-  next start sheets, and a path walks one start cap.  Only a miss, keyed
-  or not, builds the sub-path's integer form, its weave-line events and
-  its start and end caps, once each for all n chains, and reads the end
-  sheets off the end cap's events.
+* Walking the sub-path's (letter, side) event word takes s to its end
+  sheet s' and gives the sign of the entry at s', the class's monomial.  The
+  end cap takes s' to the loop's end sheet at the marked point, so the end
+  cap's permutation is read off the entries, and a path all of whose
+  sub-paths hit builds no cap, no integer form and no query past its walk.
+  Each sub-path starts where the one before it ended, so the end sheets are
+  carried on as the next start sheets, and a path walks one start cap.
+  Only a miss, keyed or not, builds the sub-path's integer form, its
+  weave-line events and its start and end caps, once each for the sheets
+  it solves, and reads the end sheets off the end cap's events.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, 
 from .laurent import LaurentPoly
 from .soliton_bps import LiftedPath, SolitonCatalog, tree_of_strand
 
-# free transports a Transport keeps; past it the oldest goes.  About four
-# times the 65 a fixture keeps in a 30 s transport_paths benchmark run.
+# free-memo entries, one per (marked sheet, slit word), a Transport keeps;
+# past it the oldest goes.  A fixture keeps at most 30 in a 50-op
+# transport_paths run and 44 after 2,000 ops.
 MAX_FREE_KEYS = 256
 
 
@@ -116,7 +118,7 @@ class Transport:
         self._wall_slits = [_unless_raising(self._cut_set.crossings, strand.path)
                             for strand in builder.strands]
         self._coefficients: Dict[tuple, LaurentPoly] = {}  # Stokes key -> value
-        self._free: Dict[tuple, tuple] = {}  # homotopy key -> free factor, end sheets
+        self._free: Dict[tuple, tuple] = {}  # (marked sheet, word) -> class, end marked sheet
 
     @cached_property
     def draw_region(self) -> tuple:
@@ -184,34 +186,48 @@ class Transport:
         """The free transport along the sub-path through scaled ``points``
         as its (end sheet, entry) per start sheet, and the sheet permutation
         of the cap at its end; ``sheets`` is the permutation of the cap at
-        its start.  From the memo under ``sheets`` and the key part where
-        ``_sub_paths`` gave one."""
-        key = None if part is None else (sheets,) + part
-        found = None if key is None else self._free.get(key)
-        if found is None:
+        its start.  Where ``_sub_paths`` gave a key part, start sheet s reads
+        its class and end marked sheet under (``sheets[s - 1]``, the reduced
+        slit word): an empty word is class 0 and the same sheet, any other
+        from the memo.  The rest are solved on one set-up of the sub-path.
+        The end sheets and twisting signs come from walking its events."""
+        word = None if part is None else part[1]
+        if word is None:
+            found = [None] * self.n
+        elif word:
+            found = [self._free.get((t, word)) for t in sheets]
+        else:
+            found = [((0,) * len(self.gens), t) for t in sheets]
+        if None in found:
             path = Polyline(points)
             events = self.builder.events_along(path)
             lifted = LiftedPath(path, events)
             start_cap, end_cap = map(self.engine.cap, path.ends)
-            factor = []
-            for start in range(1, self.n + 1):
-                (sheet,), sign = walk_sheets((start,), events)
+            end_sheets = self.cap_sheets(path.ends[1])
+        else:
+            events = [(None, letter, side) for letter, side in part[0]]
+        factor, ends = [], [0] * self.n
+        for start, t in enumerate(sheets, 1):
+            (sheet,), sign = walk_sheets((start,), events)
+            if found[start - 1] is None:
                 chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
                 cyc, arc = self.engine.class_of_chain(chain)
-                factor.append((sheet, LaurentPoly.monomial(self.gens, cyc + arc, sign)))
-            found = tuple(factor), self.cap_sheets(path.ends[1])
-            if key is not None:
-                if len(self._free) >= MAX_FREE_KEYS:
-                    del self._free[next(iter(self._free))]
-                self._free[key] = found
-        return found
+                found[start - 1] = cyc + arc, end_sheets[sheet - 1]
+                if word is not None:
+                    if len(self._free) >= MAX_FREE_KEYS:
+                        del self._free[next(iter(self._free))]
+                    self._free[t, word] = found[start - 1]
+            cls, ends[sheet - 1] = found[start - 1]
+            factor.append((sheet, LaurentPoly.monomial(self.gens, cls, sign)))
+        return factor, tuple(ends)
 
     def _sub_paths(self, path: Polyline, crossings=()):
         """Each sub-path of ``path`` between two of its wall ``crossings``,
         in order, as (its scaled points, its key part, the crossing that
         ends it or None, the ``_cap_word`` at its end).  The key part is the
-        (letter, side) event word and the reduced slit word (see the module
-        docstring), or None where the sub-path has no key.  A wall crossed
+        (letter, side) event word, walked for sheets and signs, and the
+        reduced slit word that keys the memo (see the module docstring), or
+        None where the sub-path has no key.  A wall crossed
         where it crosses a weave line raises before the sub-path it ends is
         walked."""
         s = path.scale

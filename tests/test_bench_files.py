@@ -3,7 +3,8 @@
 A BENCH file records alternating parent/change pairs of
 ``perfbench/run.py`` runs, each result object verbatim, and per workload and
 side the median and quartiles of every end-to-end metric, with the number of
-pairs the change won.  These checks recompute the summary from the runs.
+pairs the change won.  These checks recompute the summary from the runs and
+hold the file's claim to its stated rule.
 """
 
 import json
@@ -75,3 +76,27 @@ def test_summary_is_recomputed_from_the_runs(bench):
             sign = 1 if better == "higher" else -1
             row["change_won"] = sum(sign * (c - p) > 0 for p, c in zip(*values.values()))
     assert bench["summary"] == summary
+
+
+RULE = ("change wins >= 9 of >= 10 alternating pairs and the median gap exceeds "
+        "the parent's interquartile range")
+
+
+def test_claim_holds_under_its_rule(bench):
+    """The file states the one claim rule, and its runs meet it: on the
+    claimed workload the change beats the parent on the claimed metric, in
+    the metric's better direction, in at least 9 of at least 10 pairs, and
+    the gap between the two medians exceeds the parent's interquartile
+    range."""
+    claim = bench["claim"]
+    assert claim["rule"] == RULE
+    sign = 1 if BETTER[claim["metric"]] == "higher" else -1
+    pairs = [sorted(pair, key=lambda run: run["side"] == "change")
+             for pair in _pairs(bench["runs"])[claim["workload"]]]
+    parent, change = ([run["result"]["metrics"][claim["metric"]]["value"] for run in side]
+                      for side in zip(*pairs))
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    assert len(pairs) >= 10 and won >= 9, (won, len(pairs))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    assert gap > q3 - q1, (gap, q3 - q1)

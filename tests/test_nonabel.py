@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -695,8 +696,10 @@ def test_transport_memos_equal_direct_values(builders):
     """Every Stokes coefficient and free transport the memos hand back
     equals a fresh computation, and the Stokes sign fold equals the
     recursion at every param compared: on the fixtures and on 30 seeded
-    random weaves, at seeded params, params at cut params and in the bands,
-    and along paths whose caps run past a branch point's vertical line."""
+    random weaves, at seeded params, at the walls' weave-line events and
+    where the cap's first leg runs at, inside or just outside CAP_EPS of a
+    branch point's vertical line, and along paths whose caps run past such
+    a line."""
     rng = random.Random(20261019)
     forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 30))
     assert len(forests) == 35
@@ -827,7 +830,8 @@ def test_path_reaching_y_0_has_no_free_key(builders):
     """A path that touches the boundary y = 0, or leaves y < 0, has no
     homotopy key: its free transport is computed afresh and kept out of the
     memo, and equals the direct value and that of the homotopic path below
-    it.  The paths run left of every weave line."""
+    it.  The paths run left of every weave line, so the path below has a
+    key with an empty slit word."""
     low = [(Fraction(1, 4), -3), (Fraction(1, 2), -1), (Fraction(3, 4), -3)]
     for name, builder in builders.items():
         transport = Transport(builder)
@@ -837,7 +841,72 @@ def test_path_reaching_y_0_has_no_free_key(builders):
             assert transport.transport_free(poly) == _direct_free(transport, poly), (name, top)
             assert not transport._free
         assert transport.transport_free(low) == transport.transport_free(poly)
-        assert len(transport._free) == 1, name
+        (_, part, _, _), = transport._sub_paths(prepare(low))
+        assert part is not None and part[1] == (), name
+
+
+def _direct_free_classes(transport, poly):
+    """Per start sheet s of the free path ``poly``, computed afresh as
+    ``_direct_free`` does: s's sheet at the marked point through the start
+    cap, the class of the capped lift from s, the end sheet and twisting
+    sign of the path's lift, and the end sheet at the marked point."""
+    engine = transport.engine
+    path = LiftedPath(poly, transport.builder.events_along(poly))
+    start_cap, end_cap = (engine.cap(point_key(p)) for p in (poly[0], poly[-1]))
+    starts, ends = (_fresh_cap_sheets(transport, p) for p in (poly[0], poly[-1]))
+    out = []
+    for start in range(1, transport.n + 1):
+        (sheet,), sign = walk_sheets((start,), path.events)
+        cyc, arc = _solve(engine, [(path, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)])
+        out.append((starts[start - 1], cyc + arc, sheet, sign, ends[sheet - 1]))
+    return out
+
+
+def test_free_classes_depend_on_marked_sheet_and_word_alone(builders):
+    """The capped lift of a keyed sub-path from start sheet s runs from
+    sheet t at the marked point, the start cap's sheet there, back to the
+    marked point, along a loop whose class in the half-plane less the
+    branch points is the reduced slit word w.  So its class and end marked
+    sheet are functions of (t, w): direct per-sheet values, grouped by
+    (t, w), agree within each group, and an empty word gives class 0 and
+    end sheet t.  Along seeded homotopic pairs
+    on the fixtures and 30 seeded random weaves, walked as transport walks
+    them, ``_free_factor`` also hands back the direct entries and end cap
+    sheets, solves no class for an empty word and keeps no entry for one."""
+    rng = random.Random(20261026)
+    forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 30))
+    groups = collections.defaultdict(list)
+    empty = 0
+    for index, builder in enumerate(forests):
+        transport = Transport(builder)
+        calls = []
+        transport.engine.class_of_chain = lambda pieces: calls.append(1) or _solve(
+            transport.engine, pieces)
+        for _ in range(3 if index < len(builders) else 1):
+            for poly in homotopic_pair(transport, rng):
+                path = prepare(poly)
+                sheets = transport.cap_sheets(path.ends[0])
+                for points, part, _, _ in transport._sub_paths(path, builder.walls.crossings(path)):
+                    solved = len(calls)
+                    factor, sheets = transport._free_factor(points, part, sheets)
+                    if part is None:
+                        continue
+                    direct = _direct_free_classes(transport, [exact_point(p) for p in points])
+                    word = part[1]
+                    assert factor == [(sheet, LaurentPoly.monomial(transport.gens, cls, sign))
+                                      for _, cls, sheet, sign, _ in direct], points
+                    assert sheets == _fresh_cap_sheets(transport, exact_point(points[-1]))
+                    for t, cls, _, _, marked in direct:
+                        groups[index, t, word].append((cls, marked))
+                        if not word:
+                            assert (cls, marked) == ((0,) * len(transport.gens), t), points
+                    if not word:
+                        assert len(calls) == solved, points
+                        empty += 1
+        assert all(word for _, word in transport._free)
+    assert all(len(set(values)) == 1 for values in groups.values())
+    shared = sum(len(values) > 1 for (_, _, word), values in groups.items() if word)
+    assert empty > 500 and shared > 100, (empty, shared)
 
 
 def _capped_loop(transport, path):
