@@ -15,13 +15,17 @@ rel the marked lifts, computed exactly by the homology engine.  Caps at
 interior composition points cancel in class, making composition exact.
 
 A path's product is never multiplied out: it is built by row operations on
-the running total.  A free transport (permutation-diagonal) moves row s to
-the row of its end sheet, scaled by the entry; a Stokes factor adds c times
-row j to row i.  The path is put in integer form once, and each sub-path
-between two wall crossings is cut from it: the previous crossing's scaled
-point (or the start), the corners up to the next crossing and that
-crossing's scaled point.  A repeated corner leaves a zero-length segment,
-which crosses nothing.
+the running total, each row held as a monomial scale (exponents and a sign)
+times one {exponents: coefficient} dict per column.  A free transport
+(permutation-diagonal) moves row s to the row of its end sheet and adds the
+entry's class and sign to its scale, with no product of polynomials; a
+Stokes factor adds c times row j to row i in place, as c * scale_j /
+scale_i times row j's terms, and deletes a term whose sum cancels.  Each
+entry becomes a LaurentPoly once, at the end.  The path is put in integer
+form once, and each sub-path between two wall crossings is cut from it: the
+previous crossing's scaled point (or the start), the corners up to the next
+crossing and that crossing's scaled point.  A repeated corner leaves a
+zero-length segment, which crosses nothing.
 
 The local sign conventions are pinned by requiring transport around every
 branch point and every creation joint to be the identity: the Stokes
@@ -55,14 +59,15 @@ is that word and what fixes the lift's sheets and signs:
   those of one weave-line and one cut query on the whole path strictly
   between its two wall-crossing params, each junction's cap is queried
   once for both sub-paths and the wall that meet there, and each wall's
-  cut crossings once.  There is no key, and the value is computed afresh
-  and not kept, where a whole-path or whole-wall query raised (a free miss
-  queries its sub-path alone, and raises where that query does), a cap
-  starts on a cut or meets one other than transversally, a free
-  sub-path's corner is not below y = 0, or a wall is based at one of its
-  events.  Two caps crossing one cut at one point (ends of one x) still
-  give a key: the word is an invariant of any loop crossing the slits
-  transversally.
+  cut crossings once.  A cap that starts right of every slit's float box
+  runs right of every slit and has the word [] with no query.  There is no
+  key, and the value is computed afresh and not kept, where a whole-path
+  or whole-wall query raised (a free miss queries its sub-path alone, and
+  raises where that query does), a cap starts on a cut or meets one other
+  than transversally, a free sub-path's corner is not below y = 0, or a
+  wall is based at one of its events.  Two caps crossing one cut at one
+  point (ends of one x) still give a key: the word is an invariant of any
+  loop crossing the slits transversally.
 * Walking the sub-path's (letter, side) event word takes s to its end
   sheet s' and gives the sign of the entry at s', the class's monomial.  The
   end cap takes s' to the loop's end sheet at the marked point, so the end
@@ -82,7 +87,7 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
@@ -114,6 +119,11 @@ class Transport:
         if len({1000 * x - y for x, y in branch}) != len(branch):
             raise NonGenericGeometry("two branch cuts are collinear")
         self._cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
+        # a point of float x past every slit's float box has the cap word []
+        # (see _cap_word), when the marked point lies right of every slit
+        right = max((row[1] for row in self._cut_set.segments), default=-math.inf)
+        self._cuts_right = right if all(top[0] < builder.bent.marked_x for _, top in self.cuts) \
+            else math.inf
         # each wall's cut crossings, or None where that query raised
         self._wall_slits = [_unless_raising(self._cut_set.crossings, strand.path)
                             for strand in builder.strands]
@@ -173,8 +183,8 @@ class Transport:
         factor, _ = self._free_factor(points, part, self.cap_sheets(path.ends[0]))
         zero = LaurentPoly.zero(self.gens)
         out = [[zero] * self.n for _ in range(self.n)]
-        for start, (sheet, entry) in enumerate(factor):
-            out[sheet - 1][start] = entry
+        for start, (sheet, cls, sign) in enumerate(factor):
+            out[sheet - 1][start] = LaurentPoly.monomial(self.gens, cls, sign)
         return out
 
     def cap_sheets(self, start: ScaledPoint) -> Tuple[int, ...]:
@@ -184,7 +194,8 @@ class Transport:
 
     def _free_factor(self, points, part, sheets):
         """The free transport along the sub-path through scaled ``points``
-        as its (end sheet, entry) per start sheet, and the sheet permutation
+        as its (end sheet, class exponents, sign) per start sheet, the
+        entry being that signed monomial, and the sheet permutation
         of the cap at its end; ``sheets`` is the permutation of the cap at
         its start.  Where ``_sub_paths`` gave a key part, start sheet s reads
         its class and end marked sheet under (``sheets[s - 1]``, the reduced
@@ -218,7 +229,7 @@ class Transport:
                         del self._free[next(iter(self._free))]
                     self._free[t, word] = found[start - 1]
             cls, ends[sheet - 1] = found[start - 1]
-            factor.append((sheet, LaurentPoly.monomial(self.gens, cls, sign)))
+            factor.append((sheet, cls, sign))
         return factor, tuple(ends)
 
     def _sub_paths(self, path: Polyline, crossings=()):
@@ -261,7 +272,13 @@ class Transport:
     def _cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
         """The (cut, side) crossings of the cap at ``point``, in order, or
         None where no loop through ``point`` has a key: ``point`` lies on a
-        cut, or the cap meets a cut other than transversally."""
+        cut, or the cap meets a cut other than transversally.  A point whose
+        float x is past every slit's float box is right of every slit, as
+        floats round monotonically, and so is its cap, which runs right to
+        (x + CAP_EPS, -CAP_EPS / 2) and on to the marked point: its word is
+        [], with no query."""
+        if point[0] / point[2] > self._cuts_right:
+            return []
         if _on_a_segment(self._cut_set.segments, point):
             return None
         cap = Polyline(self.engine.cap_points(point))
@@ -326,21 +343,36 @@ class Transport:
         the cap sheets carried from one sub-path to the next (see the module
         docstring)."""
         path = prepare(poly)
-        rows = self.identity()
+        zero = (0,) * len(self.gens)
+        # row r is (scale, sign, terms): sign * x^scale times one {exponents:
+        # coefficient} dict per column
+        rows = [(zero, 1, [{zero: 1} if c == r else {} for c in range(self.n)])
+                for r in range(self.n)]
         sheets = self.cap_sheets(path.ends[0])
         for points, part, crossing, word in self._sub_paths(path, self.builder.walls.crossings(path)):
             factor, sheets = self._free_factor(points, part, sheets)
             out = [None] * self.n
-            for row, (sheet, entry) in zip(rows, factor):
-                out[sheet - 1] = [e if e.is_zero() else entry * e for e in row]
+            for (scale, sign, terms), (sheet, cls, s) in zip(rows, factor):
+                out[sheet - 1] = tuple(map(add, scale, cls)), sign * s, terms
             rows = out
             if crossing is not None:
                 _, sid, pb, _, side = crossing
                 i, j = self.builder.strands[sid].label_at(pb)
-                c = self.soliton_coefficient(sid, pb, word) * side
-                rows[i - 1] = [a if b.is_zero() else a + c * b
-                               for a, b in zip(rows[i - 1], rows[j - 1])]
-        return rows
+                ((mono, c),) = self.soliton_coefficient(sid, pb, word).terms.items()
+                (scale_i, sign_i, terms_i), (scale_j, sign_j, terms_j) = rows[i - 1], rows[j - 1]
+                # c x^mono times row j, read on row i's scale
+                shift = tuple(map(sub, map(add, mono, scale_j), scale_i))
+                c *= side * sign_i * sign_j
+                for into, source in zip(terms_i, terms_j):
+                    for m, v in source.items():
+                        m = tuple(map(add, m, shift))
+                        total = into.get(m, 0) + c * v
+                        if total:
+                            into[m] = total
+                        else:
+                            del into[m]
+        return [[LaurentPoly(self.gens, {tuple(map(add, m, scale)): sign * v for m, v in t.items()})
+                 for t in terms] for scale, sign, terms in rows]
 
     # ----- monodromy loops -----
     def clearance(self, center: Point) -> Fraction:

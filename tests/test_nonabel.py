@@ -795,6 +795,55 @@ def test_cap_through_a_branch_point_reads_as_the_cap_left_of_it(builders):
     assert agreed > 300 and raised < agreed / 4, (agreed, raised)
 
 
+def _queried_cap_word(transport, point):
+    """The cap word at the scaled ``point`` read by the cut-set query alone:
+    None where the point lies on a cut or the query raises."""
+    if nonabel._on_a_segment(transport._cut_set.segments, point):
+        return None
+    try:
+        crossings = transport._cut_set.crossings(Polyline(transport.engine.cap_points(point)))
+    except NonGenericGeometry:
+        return None
+    return [(cut, side) for _, cut, _, _, side in crossings]
+
+
+def test_cap_word_box_shortcut_equals_the_query(builders):
+    """``_cap_word`` answers [] with no query for a point whose float x is
+    past every slit's float box; every answer, shortcut or queried, equals
+    the cut-set query's word, or None where that query raises or the point
+    lies on a cut.  Seeded points at each slit's top x and at the rightmost
+    one, at a float tie (2^-70) away, at 1/10007 and at a seeded distance
+    left and right of them, at y = 0, at the slit's height and deeper, and
+    on each slit, on the fixtures, the two n = 4 x-move weaves and 20 seeded
+    random weaves."""
+    rng = random.Random(20261027)
+    forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 20))
+    forests += [build_forest_strands(bend_weave(parse_weave(text))) for text in X_MOVE_WEAVES]
+    counts = collections.Counter()
+    for builder in forests:
+        transport = Transport(builder)
+        right = max(top[0] for _, top in transport.cuts)
+        assert transport._cuts_right == float(right)
+        points = []
+        for (bx, by), (tx, _) in transport.cuts:
+            t = Fraction(rng.randint(1, 999), 1000)
+            points.append((bx + (tx - bx) * t, by * (1 - t)))
+            for x in (tx, right):
+                for dx in (0, Fraction(1, 2 ** 70), Fraction(1, 10007),
+                           Fraction(rng.randint(1, 997), 997)):
+                    for y in (Fraction(0), by * Fraction(rng.randint(1, 999), 1000),
+                              transport.engine.y_deep * Fraction(rng.randint(5, 995), 1000)):
+                        points += [(x + dx, y), (x - dx, y)]
+        for p in points:
+            point = point_key(p)
+            word = transport._cap_word(point)
+            assert word == _queried_cap_word(transport, point), p
+            shortcut = point[0] / point[2] > transport._cuts_right
+            counts["shortcut" if shortcut else "none" if word is None else
+                   "crossed" if word else "queried"] += 1
+    assert min(counts.values()) > 50, counts
+
+
 class _InsertLog(dict):
     """A dict that logs each key stored and its size after the store."""
 
@@ -893,8 +942,7 @@ def test_free_classes_depend_on_marked_sheet_and_word_alone(builders):
                         continue
                     direct = _direct_free_classes(transport, [exact_point(p) for p in points])
                     word = part[1]
-                    assert factor == [(sheet, LaurentPoly.monomial(transport.gens, cls, sign))
-                                      for _, cls, sheet, sign, _ in direct], points
+                    assert factor == [(sheet, cls, sign) for _, cls, sheet, sign, _ in direct], points
                     assert sheets == _fresh_cap_sheets(transport, exact_point(points[-1]))
                     for t, cls, _, _, marked in direct:
                         groups[index, t, word].append((cls, marked))
@@ -1118,9 +1166,13 @@ def _matrix_product_transport(transport, poly):
 def test_transport_path_equals_matrix_product(builders):
     """The row operations of transport_path give the matmul product of the
     elementary matrices: along seeded homotopic pairs and the memo tests'
-    paths, on the fixtures and on 10 seeded random weaves."""
+    paths, on the fixtures, on 10 seeded random weaves and on the two n = 4
+    x-move weaves.  Every entry is a polynomial in the transport's
+    generators with no zero coefficient: ``LaurentPoly`` equality compares
+    the raw term dicts, so a kept zero would break it."""
     rng = random.Random(20261020)
     forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 10))
+    forests += [build_forest_strands(bend_weave(parse_weave(text))) for text in X_MOVE_WEAVES]
     compared = 0
     for builder in forests:
         transport = Transport(builder)
@@ -1131,9 +1183,33 @@ def test_transport_path_equals_matrix_product(builders):
                 expected = _matrix_product_transport(transport, poly)
             except NonGenericGeometry:
                 continue
-            assert transport.transport_path(poly) == expected, poly
+            matrix = transport.transport_path(poly)
+            assert matrix == expected, poly
+            assert all(entry.gens == transport.gens and all(entry.terms.values())
+                       for row in matrix for entry in row), poly
             compared += 1
     assert compared >= 10 * len(forests)
+
+
+def test_weave_with_no_branch_point_transports_without_a_solve():
+    """A weave with no trivalent vertex has no cut, no wall and no cycle
+    generator: every cap word is [] with no query, so every capped loop in
+    y < 0 is contractible and transport solves no class.  Homotopic pairs
+    transport alike, and as the directly solved free transport does."""
+    for text in ("n=3\ntop: 1 2 1\nmoves: h1", "n=4\ntop: 1 3 2\nmoves: x1"):
+        builder = build_forest_strands(bend_weave(parse_weave(text)))
+        transport = Transport(builder)
+        assert not transport.cuts and not builder.strands and transport._cuts_right == -math.inf
+        assert transport.gens == tuple("t_%d" % i for i in range(1, transport.n + 1))
+        rng = random.Random(text)
+        pairs = [homotopic_pair(transport, rng) for _ in range(3)]
+        direct = [_direct_free(transport, p) for p, _ in pairs]
+        calls = []
+        transport.engine.class_of_chain = lambda pieces: calls.append(1) or _solve(
+            transport.engine, pieces)
+        for (p, q), expected in zip(pairs, direct):
+            assert transport.transport_path(p) == transport.transport_path(q) == expected, text
+        assert not calls and not transport._free, text
 
 
 def test_repeated_corner_leaves_transport_unchanged(builders):
