@@ -6,8 +6,8 @@ matrices, one per crossing with a weave line (sheet permutation with a
 twisting sign) and one per crossing with a wall (unipotent Stokes factor
 whose off-diagonal entry is the wall's signed soliton value at the crossing
 point).  Entries live in the exact Laurent ring over the cycle generators
-s_1..s_l and the boundary-arc generators t_1..t_n; numeric local systems are
-evaluated by substituting units for the generators.
+s_1..s_l; numeric local systems are evaluated by substituting units for
+the generators.
 
 Open-path transport needs a trivialization: every lifted endpoint is capped
 to the marked boundary point, so each matrix entry is the class of a chain
@@ -109,10 +109,8 @@ class Transport:
         self.builder = builder
         self.catalog = SolitonCatalog(builder)
         self.engine = self.catalog.engine
-        n = builder.weave.strand_count
-        self.n = n
-        self.gens = tuple(self.engine.gen_names) + tuple(
-            "t_%d" % i for i in range(1, n + 1))
+        self.n = builder.weave.strand_count
+        self.gens = self.engine.gen_names
         branch = [v.point for v in builder.weave.trivalent_vertices()]
         # one slit per branch point, all parallel, up to the top boundary
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in branch]
@@ -222,8 +220,7 @@ class Transport:
             (sheet,), sign = walk_sheets((start,), events)
             if found[start - 1] is None:
                 chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
-                cyc, arc = self.engine.class_of_chain(chain)
-                found[start - 1] = cyc + arc, end_sheets[sheet - 1]
+                found[start - 1] = self.engine.class_of_chain(chain), end_sheets[sheet - 1]
                 if word is not None:
                     if len(self._free) >= MAX_FREE_KEYS:
                         del self._free[next(iter(self._free))]
@@ -306,8 +303,8 @@ class Transport:
         key = self._stokes_key(sid, param, word)
         value = self._coefficients.get(key)
         if value is None:
-            cyc, arc = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
-            value = LaurentPoly.monomial(self.gens, cyc + arc, self.stokes_sign(sid, param))
+            cls = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
+            value = LaurentPoly.monomial(self.gens, cls, self.stokes_sign(sid, param))
             if key is not None:
                 self._coefficients[key] = value
         return value
@@ -600,12 +597,11 @@ def homotopic_pair(transport: Transport, rng: random.Random):
 # ----- rank-1 local systems and numeric evaluation -----
 
 class LocalSystemRank1:
-    """Unit values for the generators, respecting all class relations.
+    """Unit values for the generators s_1..s_l.
 
-    The generator classes may satisfy integer relations (for example the
-    total boundary of the surface is null-homologous); a consistent local
-    system is a homomorphism from the class lattice to the units, so it must
-    send every vanishing combination of generators to 1.
+    A local system is a homomorphism from the class lattice to the units.
+    The homology engine checks that the generator classes are independent,
+    so any unit values define one.
     """
 
     def __init__(self, values: Dict[str, Fraction]):
@@ -616,22 +612,9 @@ class LocalSystemRank1:
 
     @classmethod
     def random(cls, transport: Transport, rng: random.Random) -> "LocalSystemRank1":
-        """Random consistent system: pick a unit per pairing test curve and
-        evaluate each generator through its class vector, so relations among
-        the classes hold for the values automatically."""
-        units = []
-        for _row in transport.engine.matrix:
-            num = rng.randint(1, 5) * rng.choice([1, -1])
-            units.append((num, rng.randint(1, 5)))
-        values = {}
-        for name, column in zip(transport.gens, zip(*transport.engine.matrix)):
-            num = den = 1
-            for row, exponent in enumerate(column):
-                top, bottom = units[row] if exponent > 0 else units[row][::-1]
-                num *= top ** abs(exponent)
-                den *= bottom ** abs(exponent)
-            values[name] = Fraction(num, den)
-        return cls(values)
+        """A random unit, a signed ratio of integers 1..5, per generator."""
+        return cls({name: Fraction(rng.randint(1, 5) * rng.choice([1, -1]), rng.randint(1, 5))
+                    for name in transport.gens})
 
     def evaluate(self, poly: LaurentPoly) -> Fraction:
         total = Fraction(0)

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder
@@ -178,25 +179,15 @@ class HomologyEngine:
         self.basis_strands = [sid for _, sid in b_strands]
         self._tests = self._make_tests(n)
         self._recent_caps: Dict[ScaledPoint, LiftedPath] = {}
-        # the boundary arc, one path for every marked lift
-        arc = prepare([self.marked, (self.x_max + 2, -CAP_EPS), (self.x_max + 2, self.y_deep - 1),
-                       (Fraction(-2), self.y_deep - 1), (Fraction(-2), -CAP_EPS),
-                       (self.marked[0] - CAP_EPS, -CAP_EPS), self.marked])
-        self._arc = LiftedPath(arc, builder.events_along(arc))
-        # basis: cycle classes s_1..s_l, then boundary-arc classes through
-        # the marked points t_1..t_n (these may satisfy relations; Gaussian
-        # elimination prefers the s-columns, so arc usage is minimized)
-        self._basis_chains = ([self.tree_chain(sid) for sid in self.basis_strands]
-                              + [self.arc_chain(i) for i in range(1, n + 1)])
-        self.n_cycles = len(self.basis_strands)
+        # basis: the cycle classes s_1..s_l, which must be independent
+        self._basis_chains = [self.tree_chain(sid) for sid in self.basis_strands]
         columns = [self._pairing_vector(chain) for chain in self._basis_chains]
         self.matrix = [list(row) for row in zip(*columns)]
         self._factored = FactoredMatrix(self.matrix)
-        # the cycle columns must be independent (arc columns may overlap)
-        rank = sum(c < self.n_cycles for c in self._factored.pivots)
-        if rank != self.n_cycles:
+        rank = len(self._factored.pivots)
+        if rank != len(columns):
             raise NonGenericGeometry(
-                "test curves span rank %d < %d generators" % (rank, self.n_cycles))
+                "test curves span rank %d < %d generators" % (rank, len(columns)))
 
     # ----- test curve pool -----
     def _make_tests(self, n: int) -> PairingLines:
@@ -266,6 +257,14 @@ class HomologyEngine:
         self._check_boundary(chain)
         return chain
 
+    @cached_property
+    def _arc(self) -> LiftedPath:
+        """The boundary arc, one path for every marked lift."""
+        arc = prepare([self.marked, (self.x_max + 2, -CAP_EPS), (self.x_max + 2, self.y_deep - 1),
+                       (Fraction(-2), self.y_deep - 1), (Fraction(-2), -CAP_EPS),
+                       (self.marked[0] - CAP_EPS, -CAP_EPS), self.marked])
+        return LiftedPath(arc, self.builder.events_along(arc))
+
     def arc_chain(self, marked_index: int) -> List[tuple]:
         """Boundary arc from marked lift t_i rightward around the surface."""
         return [(self._arc, marked_index, 1)]
@@ -295,9 +294,9 @@ class HomologyEngine:
                 target[row] += orientation * value
         return target
 
-    def class_of_chain(self, chain: Sequence[tuple]):
-        """(cycle exponents s_1..s_l, boundary-arc exponents t_1..t_n) of a
-        chain of (LiftedPath, start sheet, orientation) triples."""
+    def class_of_chain(self, chain: Sequence[tuple]) -> Tuple[int, ...]:
+        """The exponents of s_1..s_l in the class of a chain of (LiftedPath,
+        start sheet, orientation) triples."""
         solution = self._factored.solve(self._pairing_vector(chain))
         if solution is None:
             raise NonGenericGeometry("pairing vector outside basis span")
@@ -305,8 +304,7 @@ class HomologyEngine:
         if any(value % scale for value in solution):
             raise NonGenericGeometry("non-integral class coefficients %s"
                                      % [Fraction(v, scale) for v in solution])
-        exps = [value // scale for value in solution]
-        return tuple(exps[: self.n_cycles]), tuple(exps[self.n_cycles:])
+        return tuple(value // scale for value in solution)
 
 
 class SolitonCatalog:
@@ -334,7 +332,7 @@ class SolitonCatalog:
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
         self.engine = HomologyEngine(builder)
-        self._full_class: Dict[int, tuple] = {}
+        self._full_class: Dict[int, Tuple[int, ...]] = {}
 
     # ----- per-strand data -----
     def full_class(self, sid: int):
@@ -348,8 +346,7 @@ class SolitonCatalog:
         twists at its joints.  No memo: ``full_class`` keeps the seeds'."""
         joint = self.builder.born_at.get(sid)
         if joint is None:
-            cyc, _arc = self.full_class(sid)
-            return -1 if quadratic_refinement(cyc) % 2 else 1, 0
+            return -1 if quadratic_refinement(self.full_class(sid)) % 2 else 1, 0
         (s1, h1), (s2, h2) = map(self.sign_parity, joint["parents"])
         return s1 * s2, (h1 + h2 + joint["twist"]) % 2
 
@@ -357,17 +354,16 @@ class SolitonCatalog:
         """The wall's soliton class, based at ``param`` (default: its chord
         end)."""
         if param is None:
-            cyc, _arc = self.full_class(sid)
+            cls = self.full_class(sid)
         else:
-            cyc, _arc = self.engine.class_of_chain(self.engine.tree_chain(sid, param))
-        return SolitonClass(cyc, *self.sign_parity(sid))
+            cls = self.engine.class_of_chain(self.engine.tree_chain(sid, param))
+        return SolitonClass(cls, *self.sign_parity(sid))
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
         """Signed class of the boundary arc through marked point i."""
-        cyc, _arc = self.engine.class_of_chain(self.engine.arc_chain(marked_index))
-        ell = len(self.engine.gen_names)
-        q = quadratic_refinement(cyc) + ell + 1
-        return SolitonClass(cyc, -1 if q % 2 else 1, 0)
+        cls = self.engine.class_of_chain(self.engine.arc_chain(marked_index))
+        q = quadratic_refinement(cls) + len(self.engine.gen_names) + 1
+        return SolitonClass(cls, -1 if q % 2 else 1, 0)
 
     # ----- BPS indices -----
     def bps_table(self) -> List[SolitonClass]:
@@ -408,7 +404,7 @@ class SolitonCatalog:
 
     def _tree_soliton(self, sid: int) -> SolitonClass:
         pieces, joints = tree_of_strand(self.builder, sid)
-        cyc, _ = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
-        sign = math.prod(-1 if quadratic_refinement(self.full_class(pid)[0]) % 2 else 1
+        cls = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
+        sign = math.prod(-1 if quadratic_refinement(self.full_class(pid)) % 2 else 1
                          for pid, _ in pieces if self.builder.strands[pid].origin[0] == "branch")
-        return SolitonClass(cyc, sign, sum(joint["twist"] for joint in joints) % 2)
+        return SolitonClass(cls, sign, sum(joint["twist"] for joint in joints) % 2)

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from specnet.forest import build_forest_strands
+from specnet.laurent import LaurentPoly
 from specnet.weave import Move, _apply_move, bend_weave, demazure_product, length, parse_weave
 
 EXAMPLES = {
@@ -57,3 +59,53 @@ def random_weave_builders():
             yield build_forest_strands(bend_weave(parse_weave(text)))
         except RuntimeError:
             continue
+
+
+# how far below the top boundary top_boundary_fault's paths run
+TOP_Y = Fraction(-1, 10007)
+# the one kind of coefficient difference seen between the two sides
+PLUS_MINUS_TWO = "augmentation ±2 where c_q is 0"
+
+
+def top_boundary_fault(transport, table):
+    """The top-boundary identity between transport and the weave's
+    augmentation ``table``, the path-matrix identity of the braid variety
+    (Kalman 2005; Casals, Gorsky, Gorsky and Simental 2020).
+
+    Chord q has letter i_q and lies between two stops on y = TOP_Y: the
+    midpoints to its neighbours, x = 1/3 before the first chord and 1/3
+    left of the marked point after the last.  Transport between the two
+    stops must be B(i_q, c_q), the identity but for rows and columns i_q
+    and i_q + 1, which hold [[0, 1], [-1, c_q]].  The product over the
+    chords, in path order, must be diagonal with entry i plus or minus the
+    inverse of t_i.  Both are asserted.  Returns None where each c_q has
+    the monomials of the chord's augmentation value; otherwise
+    PLUS_MINUS_TWO where c_q lacks only monomials whose augmentation
+    coefficient is 2 or -2, and else each chord's two values."""
+    bent, n = transport.builder.bent, transport.n
+    letters = list(bent.weave.top) + list(reversed(bent.weave.bottom))
+    xs = [bent.top_positions[name] for name in bent.chord_names]
+    stops = ([Fraction(1, 3)] + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+             + [bent.marked_x - Fraction(1, 3)])
+    zero = LaurentPoly.zero(transport.gens)
+    total, differ = transport.identity(), []
+    for name, i, x0, x1 in zip(bent.chord_names, letters, stops, stops[1:]):
+        piece = transport.transport_path([(x0, TOP_Y), (x1, TOP_Y)])
+        c = piece[i][i]
+        braid = transport.identity()
+        one = braid[i][i]
+        braid[i - 1][i - 1], braid[i - 1][i], braid[i][i - 1], braid[i][i] = zero, one, -one, c
+        assert piece == braid, (name, piece)
+        total = transport.matmul(piece, total)
+        if set(c.terms) != set(table[name].terms):
+            differ.append((name, c, table[name]))
+    for r in range(n):
+        t = table["t_%d" % (r + 1)].inverse()
+        assert total[r][r] in (t, -t) and all(total[r][k].is_zero() for k in range(n) if k != r), total
+    if not differ:
+        return None
+    if all(set(c.terms) < set(value.terms) and all(abs(value.terms[m]) == 2 for m in
+                                                   set(value.terms) - set(c.terms))
+           for _, c, value in differ):
+        return PLUS_MINUS_TWO
+    return "; ".join("%s: c_q %s, augmentation %s" % entry for entry in differ)

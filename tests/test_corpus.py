@@ -7,7 +7,7 @@ from specnet.forest import build_forest_strands
 from specnet.nonabel import Transport, augmentation, homotopic_pair
 from specnet.weave import Move, Weave, bend_weave, parse_weave
 
-from conftest import random_weave_texts
+from conftest import PLUS_MINUS_TWO, random_weave_texts, top_boundary_fault
 
 # invariants are checked on built weaves with at most this many strands
 STRAND_CAP = 16
@@ -48,25 +48,37 @@ REJECTED = [
     (186, "PropagationError", "rightward flowline from ('joint', 14, 0) with label (1, 3)"),
 ]
 
+# (index among the corpus texts, reason) of every built weave on which
+# top_boundary_fault finds a chord whose top transport coefficient c_q and
+# augmentation value have different monomials; which side is wrong is open
+TOP_BOUNDARY_DIFFER = [(index, PLUS_MINUS_TWO)
+                       for index in (2, 14, 95, 101, 106, 126, 135, 166, 176)]
+
 
 def test_random_corpus_rejections_and_invariants():
     """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
-    of them and rejects exactly the 31 in REJECTED.  On each built weave of
-    at most STRAND_CAP strands (128 weaves), every branch and joint
-    monodromy is the identity, the BPS recursion equals brute force and
-    two seeded homotopic path pairs transport alike."""
+    of them and rejects exactly the 31 in REJECTED.  On each built weave
+    the top-boundary identity with the augmentation holds, with c_q and
+    the augmentation's monomials different on exactly the weaves of
+    TOP_BOUNDARY_DIFFER.  On each built weave of at most STRAND_CAP strands
+    (128 weaves), every branch and joint monodromy is the identity, the
+    BPS recursion equals brute force and two seeded homotopic path pairs
+    transport alike."""
     texts = list(random_weave_texts(7, 400))
     assert len(texts) == 193
-    rejected, checked = [], 0
+    rejected, differ, checked = [], [], 0
     for index, text in enumerate(texts):
         try:
             builder = build_forest_strands(bend_weave(parse_weave(text)))
         except RuntimeError as err:
             rejected.append((index, type(err).__name__, str(err)))
             continue
+        transport = Transport(builder)
+        fault = top_boundary_fault(transport, augmentation(builder.bent))
+        if fault is not None:
+            differ.append((index, fault))
         if len(builder.strands) > STRAND_CAP:
             continue
-        transport = Transport(builder)
         loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
         loops += [transport.joint_monodromy(joint) for joint in builder.joints]
         assert all(transport.is_identity(m) for m in loops), text
@@ -79,6 +91,7 @@ def test_random_corpus_rejections_and_invariants():
     assert [entry[:2] for entry in rejected] == [entry[:2] for entry in REJECTED]
     assert all(message.startswith(prefix)
                for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED)), rejected
+    assert differ == TOP_BOUNDARY_DIFFER
     assert checked == 128
 
 
@@ -100,6 +113,11 @@ REJECTED_N4 = [
     (124, "PropagationError", "rightward flowline from ('branch', 1, 'c') with label (3, 4)"),
 ]
 
+# (index among the n = 4 corpus texts, reason) as in TOP_BOUNDARY_DIFFER;
+# #13 is n=4 / top: 3 3 2 2 2 3 / moves: t3 t1 t2 h1 h1 h1 h1 h1, where at
+# z_1 c_q is 0 and the augmentation 2*s_3^-1*s_5^-1
+TOP_BOUNDARY_DIFFER_N4 = [(13, PLUS_MINUS_TWO)]
+
 
 def test_four_strand_corpus_with_x_moves():
     """300 n = 4 draws at seed 4, with t, h and x moves, give 126 reduced
@@ -107,11 +125,13 @@ def test_four_strand_corpus_with_x_moves():
     REJECTED_N4.  82 built weaves have an x move, and in 36 a strand
     climbs through a tetravalent vertex (passing delta left of its point).
     On every built weave each branch and joint monodromy is the identity,
-    the BPS recursion equals brute force and two seeded homotopic path
-    pairs transport alike."""
+    the BPS recursion equals brute force, two seeded homotopic path pairs
+    transport alike and the top-boundary identity with the augmentation
+    holds, with c_q and the augmentation's monomials different on exactly
+    the weaves of TOP_BOUNDARY_DIFFER_N4."""
     texts = list(random_weave_texts(4, 300, 4))
     assert len(texts) == 126
-    rejected, with_x, climbing = [], 0, 0
+    rejected, differ, with_x, climbing = [], [], 0, 0
     for index, text in enumerate(texts):
         try:
             builder = build_forest_strands(bend_weave(parse_weave(text)))
@@ -131,9 +151,13 @@ def test_four_strand_corpus_with_x_moves():
         for _ in range(2):
             p, q = homotopic_pair(transport, rng)
             assert transport.transport_path(p) == transport.transport_path(q), text
+        fault = top_boundary_fault(transport, augmentation(builder.bent))
+        if fault is not None:
+            differ.append((index, fault))
     assert [entry[:2] for entry in rejected] == [entry[:2] for entry in REJECTED_N4]
     assert all(message.startswith(prefix)
                for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED_N4)), rejected
+    assert differ == TOP_BOUNDARY_DIFFER_N4
     assert (len(texts) - len(rejected), with_x, climbing) == (113, 82, 36)
 
 

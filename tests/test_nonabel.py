@@ -28,7 +28,8 @@ from specnet.nonabel import (
 from specnet.soliton_bps import CAP_EPS, HomologyEngine, LiftedPath
 from specnet.weave import bend_weave, parse_weave
 
-from conftest import EXAMPLES, X_MOVE_WEAVES, random_weave_builders, random_weave_texts
+from conftest import (EXAMPLES, X_MOVE_WEAVES, random_weave_builders, random_weave_texts,
+                      top_boundary_fault)
 
 
 @pytest.fixture(scope="module")
@@ -482,8 +483,9 @@ def test_punctures_include_marked_point(builders):
 
 
 def test_local_system_respects_class_relations(transports):
-    """Generator values come from test-curve pairings, so any integer
-    relation among basis classes evaluates consistently."""
+    """The generator classes are independent, so a random unit per
+    generator is a local system: the exact identity evaluates to the
+    identity, and evaluation is multiplicative on two generators."""
     transport = transports["mutation_a"]
     rng = random.Random(3)
     engine = transport.engine
@@ -496,7 +498,7 @@ def test_local_system_respects_class_relations(transports):
                         for i in range(transport.n)]
         # evaluation is multiplicative on monomial products
         a = LaurentPoly.generator(transport.gens, engine.gen_names[0])
-        b = LaurentPoly.generator(transport.gens, "t_1")
+        b = LaurentPoly.generator(transport.gens, engine.gen_names[1])
         assert ls.evaluate(a * b) == ls.evaluate(a) * ls.evaluate(b)
 
 
@@ -577,10 +579,10 @@ def _direct_coefficient(transport, sid, param):
     """The wall's Stokes coefficient at ``param``, computed afresh with the
     recursive sign, which the flowtree fold must equal."""
     builder, engine = transport.builder, transport.engine
-    cyc, arc = _solve(engine, engine.tree_chain(sid, root_param=param))
+    cls = _solve(engine, engine.tree_chain(sid, root_param=param))
     sign = _wall_sign(builder, sid) * _twist_at(builder, sid, param)
     assert transport.stokes_sign(sid, param) == sign, (sid, param)
-    return LaurentPoly.monomial(transport.gens, cyc + arc, sign)
+    return LaurentPoly.monomial(transport.gens, cls, sign)
 
 
 def _direct_free(transport, poly):
@@ -590,9 +592,9 @@ def _direct_free(transport, poly):
     out = [[LaurentPoly.zero(transport.gens)] * n for _ in range(n)]
     for start in range(1, n + 1):
         (sheet,), sign = walk_sheets((start,), path.events)
-        cyc, arc = _solve(engine, [(path, start, 1), (engine.cap(point_key(poly[0])), start, -1),
-                                   (engine.cap(point_key(poly[-1])), sheet, 1)])
-        out[sheet - 1][start - 1] = LaurentPoly.monomial(transport.gens, cyc + arc, sign)
+        cls = _solve(engine, [(path, start, 1), (engine.cap(point_key(poly[0])), start, -1),
+                              (engine.cap(point_key(poly[-1])), sheet, 1)])
+        out[sheet - 1][start - 1] = LaurentPoly.monomial(transport.gens, cls, sign)
     return out
 
 
@@ -906,8 +908,8 @@ def _direct_free_classes(transport, poly):
     out = []
     for start in range(1, transport.n + 1):
         (sheet,), sign = walk_sheets((start,), path.events)
-        cyc, arc = _solve(engine, [(path, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)])
-        out.append((starts[start - 1], cyc + arc, sheet, sign, ends[sheet - 1]))
+        cls = _solve(engine, [(path, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)])
+        out.append((starts[start - 1], cls, sheet, sign, ends[sheet - 1]))
     return out
 
 
@@ -1195,12 +1197,14 @@ def test_weave_with_no_branch_point_transports_without_a_solve():
     """A weave with no trivalent vertex has no cut, no wall and no cycle
     generator: every cap word is [] with no query, so every capped loop in
     y < 0 is contractible and transport solves no class.  Homotopic pairs
-    transport alike, and as the directly solved free transport does."""
+    transport alike, and as the directly solved free transport does.  The
+    empty basis also solves the augmentation: every chord is 0 and every
+    t_i is -1, and the top-boundary identity holds."""
     for text in ("n=3\ntop: 1 2 1\nmoves: h1", "n=4\ntop: 1 3 2\nmoves: x1"):
         builder = build_forest_strands(bend_weave(parse_weave(text)))
         transport = Transport(builder)
         assert not transport.cuts and not builder.strands and transport._cuts_right == -math.inf
-        assert transport.gens == tuple("t_%d" % i for i in range(1, transport.n + 1))
+        assert transport.gens == ()
         rng = random.Random(text)
         pairs = [homotopic_pair(transport, rng) for _ in range(3)]
         direct = [_direct_free(transport, p) for p, _ in pairs]
@@ -1210,6 +1214,20 @@ def test_weave_with_no_branch_point_transports_without_a_solve():
         for (p, q), expected in zip(pairs, direct):
             assert transport.transport_path(p) == transport.transport_path(q) == expected, text
         assert not calls and not transport._free, text
+        table = augmentation(builder.bent)
+        assert table == {**{name: LaurentPoly.zero(()) for name in builder.bent.chord_names},
+                         **{"t_%d" % i: LaurentPoly.constant((), -1)
+                            for i in range(1, transport.n + 1)}}, text
+        assert top_boundary_fault(transport, table) is None, text
+
+
+def test_top_boundary_transport_is_the_augmentation(transports):
+    """On each fixture, transport just below the top boundary is the
+    product of one braid matrix B(i_q, c_q) per chord, diagonal with
+    entries plus or minus the inverse t_i, and each c_q has the monomials
+    of the chord's augmentation value (``top_boundary_fault``)."""
+    for name, transport in transports.items():
+        assert top_boundary_fault(transport, augmentation(transport.builder.bent)) is None, name
 
 
 def test_repeated_corner_leaves_transport_unchanged(builders):

@@ -67,8 +67,9 @@ def test_engine_matrix_full_rank(catalogs):
     # construction runs the rank check; re-assert the shape here
     for catalog in catalogs.values():
         engine = catalog.engine
-        cols = len(engine.gen_names) + engine.weave.strand_count
+        cols = len(engine.gen_names)
         assert all(len(row) == cols for row in engine.matrix)
+        assert engine._factored.pivots == list(range(cols))
 
 
 def test_class_additivity_at_joints(catalogs):
@@ -78,17 +79,13 @@ def test_class_additivity_at_joints(catalogs):
         builder = catalog.builder
         for joint in builder.joints:
             child = joint["child"]
-            cyc_c, arc_c = engine.class_of_chain(
-                engine.tree_chain(child, root_param=BIRTH_PARAM))
-            total_cyc = [0] * len(cyc_c)
-            total_arc = [0] * len(arc_c)
+            cls_c = engine.class_of_chain(engine.tree_chain(child, root_param=BIRTH_PARAM))
+            total = [0] * len(cls_c)
             for pid in joint["parents"]:
-                cyc, arc = engine.class_of_chain(
+                cls = engine.class_of_chain(
                     engine.tree_chain(pid, root_param=joint["params"][pid]))
-                total_cyc = [a + b for a, b in zip(total_cyc, cyc)]
-                total_arc = [a + b for a, b in zip(total_arc, arc)]
-            assert tuple(total_cyc) == cyc_c
-            assert tuple(total_arc) == arc_c
+                total = [a + b for a, b in zip(total, cls)]
+            assert tuple(total) == cls_c
 
 
 def _check_joint_records(builder):
@@ -292,8 +289,7 @@ def test_engine_matches_per_test_reference(catalogs):
             solution = solve_rational(matrix, _reference_vector(chain, tests))
             assert all(v.denominator == 1 for v in solution)
             exps = tuple(int(v) for v in solution)
-            assert engine.class_of_chain(chain) == (exps[: engine.n_cycles],
-                                                    exps[engine.n_cycles:]), name
+            assert engine.class_of_chain(chain) == exps, name
 
 
 def test_boundary_arc_is_built_once_per_engine(catalogs):
