@@ -252,7 +252,7 @@ def _parser():
     p = weave_command("nonabelianize", "monodromy identity report",
                       cmd_nonabelianize, formats=())
     # the report is decided exactly; this one is still accepted for old
-    # command lines, until ROADMAP item 1c deletes it
+    # command lines, until ROADMAP item 2 deletes it
     p.add_argument("--systems", type=int, default=20, help="no effect")
     weave_command("bps", "BPS index table", cmd_bps)
     p = sub.add_parser("wkb-trace", help="trace a polynomial spectral curve")

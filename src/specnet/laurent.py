@@ -85,15 +85,6 @@ class LaurentPoly:
         if isinstance(other, int):
             return LaurentPoly(self.gens, {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            # times a monomial: the exponent sums are distinct, no coefficient
-            # is zero and the terms keep the other factor's order
-            many, one = (self, other) if len(other.terms) == 1 else (other, self)
-            ((mono, coeff),) = one.terms.items()
-            out = object.__new__(LaurentPoly)
-            out.gens, out.terms = self.gens, {tuple(map(operator.add, m, mono)): c * coeff
-                                              for m, c in many.terms.items()}
-            return out
         terms: Dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

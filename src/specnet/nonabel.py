@@ -33,51 +33,41 @@ coefficient of a seed wall is the plain monomial of its detour class based
 at the crossing point, and a child wall inherits the product of its
 parents' signs times the handedness of the parent tangents at the joint.
 
-Transport is locally constant, so both exact answers are kept under one
-rule, per class of a capped loop.  Each cut is a slit from a branch point b
-up to (bx - by/1000, 0); the slits are parallel and disjoint, so the lower
-half-plane cut along them is simply connected, and the freely reduced word
-of a loop's (cut, side) crossings with them is its class in pi_1 of the
-half-plane less the branch points, based at the marked point.  A touch at
-a point that ends a line is no crossing, so a cap through b reads as the
-cap just left of it, to the word and to the homology engine alike.  A key
-is that word and what fixes the lift's sheets and signs:
+Transport is locally constant, and its classes are read off slit words.
+Each cut is a slit from a branch point b up to (bx - by/1000, 0); the slits
+are parallel and disjoint, so the lower half-plane cut along them is simply
+connected, and the freely reduced word of a loop's (cut, side) crossings
+with them is its class in pi_1 of the half-plane less the branch points,
+based at the marked point.  A touch at a point that ends a line is no
+crossing, so a cap through b reads as the cap just left of it, to the word
+and to the homology engine alike.  A capped lift's class and end marked
+sheet depend on its marked start sheet t and word alone, and add along the
+word (Fox's covering cocycle): a letter table holds them per (t, cut).
+Each letter is a transposition, class c from one sheet to the other, -c
+back and 0 on every other sheet, so a walk ignores the side crossed.
 
-* a free transport's, per start sheet s: the sheet t that the start cap
-  takes s to at the marked point, and the word w of the loop start cap
-  reversed, path, end cap.  The lift of that loop from t starts and ends
-  at the marked point, so its class and the sheet it ends on there are
-  functions of (t, w).  An empty word is a contractible loop, class 0 back
-  at t, and is neither solved nor kept.  At most MAX_FREE_KEYS others are
-  kept, the oldest dropped first.
-* a Stokes coefficient's: the wall, the number of its weave-line events
-  before the param, and the word of its cut crossings before the param
-  then the cap's.  Two params with one key differ by the loop cap(p1)^-1
-  wall[p1, p2] cap(p2), whose word reduces to nothing, and no event lies
-  between them, so the detour classes, labels and twisting signs agree.
-* The keys are read off one walk of the path: a sub-path's crossings are
-  those of one weave-line and one cut query on the whole path strictly
-  between its two wall-crossing params, each junction's cap is queried
-  once for both sub-paths and the wall that meet there, and each wall's
-  cut crossings once.  A cap that starts right of every slit's float box
-  runs right of every slit and has the word [] with no query.  There is no
-  key, and the value is computed afresh and not kept, where a whole-path
-  or whole-wall query raised (a free miss queries its sub-path alone, and
-  raises where that query does), a cap starts on a cut or meets one other
-  than transversally, a free sub-path's corner is not below y = 0, or a
-  wall is based at one of its events.  Two caps crossing one cut at one
-  point (ends of one x) still give a key: the word is an invariant of any
-  loop crossing the slits transversally.
-* Walking the sub-path's (letter, side) event word takes s to its end
-  sheet s' and gives the sign of the entry at s', the class's monomial.  The
-  end cap takes s' to the loop's end sheet at the marked point, so the end
-  cap's permutation is read off the entries, and a path all of whose
-  sub-paths hit builds no cap, no integer form and no query past its walk.
-  Each sub-path starts where the one before it ended, so the end sheets are
-  carried on as the next start sheets, and a path walks one start cap.
-  Only a miss, keyed or not, builds the sub-path's integer form, its
-  weave-line events and its start and end caps, once each for the sheets
-  it solves, and reads the end sheets off the end cap's events.
+* ``Transport`` builds the table once, from the cut with the rightmost top
+  leftward, solving the loop round each branch point as a free sub-path.
+* A free sub-path's word is that of the loop start cap reversed, path, end
+  cap, walked per start sheet s from the sheet the start cap takes s to at
+  the marked point.  Walking its (letter, side) event word takes s to its
+  end sheet and gives the entry's sign; the end cap's permutation is read
+  off the walk's end sheets and carried on to the next sub-path, so a path
+  whose sub-paths all have words builds one cap and no integer form.
+* A wall's Stokes class is solved once, at its base p0, the first param
+  asked for with a wall word W (its cut crossings before the param, then
+  the cap's).  At p it is the base's plus the difference, over p0's two
+  label sheets, of the walks of reduced(W(p0)^-1 W(p)), the word of the
+  loop cap(p0)^-1 wall[p0, p] cap(p).
+* The words are read off one walk of the path: one weave-line and one cut
+  query on the whole path, sliced between the wall-crossing params, one cut
+  query per junction's cap, shared by the two sub-paths and the wall that
+  meet there, and one per wall.  A cap that starts right of every slit's
+  float box has the word [] with no query.  There is no word, and the class
+  is solved afresh, where a whole-path or whole-wall query raised, a cap
+  starts on a cut or meets one other than transversally, or a free
+  sub-path's corner is not below y = 0.  Two caps crossing one cut at one
+  point still give a word, an invariant of a loop crossing transversally.
 """
 
 from __future__ import annotations
@@ -95,11 +85,6 @@ from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, 
                        exact_point, interp, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import LiftedPath, SolitonCatalog, tree_of_strand
-
-# free-memo entries, one per (marked sheet, slit word), a Transport keeps;
-# past it the oldest goes.  A fixture keeps at most 30 in a 50-op
-# transport_paths run and 44 after 2,000 ops.
-MAX_FREE_KEYS = 256
 
 
 class Transport:
@@ -125,8 +110,10 @@ class Transport:
         # each wall's cut crossings, or None where that query raised
         self._wall_slits = [_unless_raising(self._cut_set.crossings, strand.path)
                             for strand in builder.strands]
-        self._coefficients: Dict[tuple, LaurentPoly] = {}  # Stokes key -> value
-        self._free: Dict[tuple, tuple] = {}  # (marked sheet, word) -> class, end marked sheet
+        self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
+        for k in sorted(range(len(self.cuts)), key=lambda k: -self.cuts[k][1][0]):
+            self._add_letter(k)
+        self._bases: Dict[int, tuple] = {}  # wall -> its Stokes base (see soliton_coefficient)
 
     @cached_property
     def draw_region(self) -> tuple:
@@ -192,52 +179,64 @@ class Transport:
 
     def _free_factor(self, points, part, sheets):
         """The free transport along the sub-path through scaled ``points``
-        as its (end sheet, class exponents, sign) per start sheet, the
-        entry being that signed monomial, and the sheet permutation
-        of the cap at its end; ``sheets`` is the permutation of the cap at
-        its start.  Where ``_sub_paths`` gave a key part, start sheet s reads
-        its class and end marked sheet under (``sheets[s - 1]``, the reduced
-        slit word): an empty word is class 0 and the same sheet, any other
-        from the memo.  The rest are solved on one set-up of the sub-path.
-        The end sheets and twisting signs come from walking its events."""
-        word = None if part is None else part[1]
-        if word is None:
-            found = [None] * self.n
-        elif word:
-            found = [self._free.get((t, word)) for t in sheets]
-        else:
-            found = [((0,) * len(self.gens), t) for t in sheets]
-        if None in found:
+        as its (end sheet, class exponents, sign) per start sheet, the entry
+        being that signed monomial, and the sheet permutation of the cap at
+        its end; ``sheets`` is that of the cap at its start.  With a key
+        ``part`` from ``_sub_paths``, start sheet s walks its slit word from
+        ``sheets[s - 1]``; without, each is solved.  The end sheets and
+        twisting signs come from walking its events."""
+        if part is None:
             path = Polyline(points)
-            events = self.builder.events_along(path)
-            lifted = LiftedPath(path, events)
+            lifted = LiftedPath(path, self.builder.events_along(path))
             start_cap, end_cap = map(self.engine.cap, path.ends)
             end_sheets = self.cap_sheets(path.ends[1])
-        else:
-            events = [(None, letter, side) for letter, side in part[0]]
+        events = lifted.events if part is None else [(None, *event) for event in part[0]]
         factor, ends = [], [0] * self.n
         for start, t in enumerate(sheets, 1):
             (sheet,), sign = walk_sheets((start,), events)
-            if found[start - 1] is None:
+            if part is None:
                 chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
-                found[start - 1] = self.engine.class_of_chain(chain), end_sheets[sheet - 1]
-                if word is not None:
-                    if len(self._free) >= MAX_FREE_KEYS:
-                        del self._free[next(iter(self._free))]
-                    self._free[t, word] = found[start - 1]
-            cls, ends[sheet - 1] = found[start - 1]
+                cls, ends[sheet - 1] = self.engine.class_of_chain(chain), end_sheets[sheet - 1]
+            else:
+                cls, ends[sheet - 1] = self._walk(t, part[1])
             factor.append((sheet, cls, sign))
         return factor, tuple(ends)
+
+    def _walk(self, sheet: int, word) -> tuple:
+        """The class and end marked sheet of the capped loop with slit
+        ``word`` lifted from marked ``sheet``."""
+        cls = (0,) * len(self.gens)
+        for cut, _ in word:
+            step, sheet = self._letters[sheet, cut]
+            cls = tuple(map(add, cls, step))
+        return cls, sheet
+
+    def _add_letter(self, k: int):
+        """Cut ``k``'s letters.  The loop round its branch point has the
+        reduced word u (k, +-1) v, every cut of u and v already in the
+        table.  Its lift from marked sheet t, with class D and end marked
+        sheet E, gives the letter from walk(t, u)'s end: class D - walk(t, u)
+        + walk(E, v reversed), ending where that second walk does."""
+        (points, part, _, _), = self._sub_paths(prepare(self._loop(self.cuts[k][0])))
+        word = part[1] if part else ()
+        if [cut for cut, _ in word if (1, cut) not in self._letters] != [k]:
+            raise NonGenericGeometry("the loop round branch point (%s, %s) reads no lone "
+                                     "letter of its cut" % self.cuts[k][0])
+        at = [cut for cut, _ in word].index(k)
+        # the loop is closed, so its start cap's sheets are those of its end cap
+        factor, sheets = self._free_factor(points, None, range(self.n))
+        for t, (s, cls, _) in zip(sheets, factor):
+            (du, t1), (dv, end) = self._walk(t, word[:at]), self._walk(sheets[s - 1], word[:at:-1])
+            self._letters[t1, k] = tuple(map(add, map(sub, cls, du), dv)), end
 
     def _sub_paths(self, path: Polyline, crossings=()):
         """Each sub-path of ``path`` between two of its wall ``crossings``,
         in order, as (its scaled points, its key part, the crossing that
         ends it or None, the ``_cap_word`` at its end).  The key part is the
         (letter, side) event word, walked for sheets and signs, and the
-        reduced slit word that keys the memo (see the module docstring), or
-        None where the sub-path has no key.  A wall crossed
-        where it crosses a weave line raises before the sub-path it ends is
-        walked."""
+        reduced slit word walked for classes (see the module docstring), or
+        None where the sub-path has no word.  A wall crossed where it
+        crosses a weave line raises before the sub-path it ends is walked."""
         s = path.scale
         corners = [(x, y, s) for x, y in path.ints]
         events, slits = (_unless_raising(query, path)
@@ -268,7 +267,7 @@ class Transport:
 
     def _cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
         """The (cut, side) crossings of the cap at ``point``, in order, or
-        None where no loop through ``point`` has a key: ``point`` lies on a
+        None where no loop through ``point`` has a word: ``point`` lies on a
         cut, or the cap meets a cut other than transversally.  A point whose
         float x is past every slit's float box is right of every slit, as
         floats round monotonically, and so is its cap, which runs right to
@@ -299,27 +298,28 @@ class Transport:
 
     def soliton_coefficient(self, sid: int, param: Param, word: Optional[list]) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` based at ``param``, where
-        ``word`` is the ``_cap_word`` there, kept per ``_stokes_key``."""
-        key = self._stokes_key(sid, param, word)
-        value = self._coefficients.get(key)
-        if value is None:
-            cls = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=param))
-            value = LaurentPoly.monomial(self.gens, cls, self.stokes_sign(sid, param))
-            if key is not None:
-                self._coefficients[key] = value
-        return value
+        ``word`` is the ``_cap_word`` there: solved at the wall's base and
+        where there is no wall word, else walked from the base (see the
+        module docstring), unreduced, as a letter and its inverse cancel."""
+        wall_word = self._wall_word(sid, param, word)
+        if wall_word is not None and sid in self._bases:
+            cls, base_word, sheets = self._bases[sid]
+            (ca, _), (cb, _) = (self._walk(t, base_word[::-1] + wall_word) for t in sheets)
+            cls = tuple(map(sub, map(add, cls, ca), cb))
+        else:
+            chain = self.engine.tree_chain(sid, root_param=param)
+            cls = self.engine.class_of_chain(chain)
+            if wall_word is not None:
+                (cap, i, _), (_, j, _) = chain[-2:]  # its cap at param, from the label's sheets
+                self._bases[sid] = cls, wall_word, walk_sheets((i, j), cap.events)[0]
+        return LaurentPoly.monomial(self.gens, cls, self.stokes_sign(sid, param))
 
-    def _stokes_key(self, sid: int, param: Param, word: Optional[list]) -> Optional[tuple]:
-        """(wall, the number of its weave-line events before ``param``, the
-        reduced word of its cut crossings before ``param`` then ``word``;
-        see the module docstring), or None where ``word`` is None, the
-        wall's cut query raised or ``param`` is one of its event params."""
-        slits, events = self._wall_slits[sid], self.builder.strands[sid].crossings
-        k = bisect_left(events, param, key=itemgetter(0))
-        if word is None or slits is None or k < len(events) and events[k][0] == param:
-            return None
-        loop = [(cut, side) for _, cut, _, _, side in _between(slits, None, param)] + word
-        return sid, k, _freely_reduced(loop)
+    def _wall_word(self, sid: int, param: Param, word: Optional[list]) -> Optional[list]:
+        """Wall ``sid``'s cut crossings before ``param``, then ``word``; None
+        where ``word`` is None or the wall's cut query raised."""
+        slits = self._wall_slits[sid]
+        if word is not None and slits is not None:
+            return [(cut, side) for _, cut, _, _, side in _between(slits, None, param)] + word
 
     def transport_short(self, sid: int, param: Param, side: int):
         """Unipotent Stokes matrix for crossing wall ``sid`` at ``param``.
@@ -389,21 +389,20 @@ class Transport:
         return _rational_sqrt_floor(Fraction(*best))
 
     def branch_monodromy(self, vertex_id: int) -> List[List[LaurentPoly]]:
-        vertex = self.builder.weave.vertices[vertex_id]
-        return self._loop_transport(vertex.point)
+        return self.transport_path(self._loop(self.builder.weave.vertices[vertex_id].point))
 
     def joint_monodromy(self, joint: dict) -> List[List[LaurentPoly]]:
-        return self._loop_transport(tuple(joint["point"]))
+        return self.transport_path(self._loop(tuple(joint["point"])))
 
-    def _loop_transport(self, center: Point) -> List[List[LaurentPoly]]:
-        """Transport around a small closed quadrilateral about ``center``,
-        at half its clearance, corners jittered off the axes so they avoid
-        walls and weave lines.  A degenerate loop raises NonGenericGeometry."""
+    def _loop(self, center: Point) -> List[Point]:
+        """A small closed quadrilateral about ``center``, at half its
+        clearance, corners jittered off the axes so they avoid walls and
+        weave lines.  Transport round a degenerate one raises."""
         cx, cy = center
         r = self.clearance(center) / 2
         e = r / 313
-        return self.transport_path([(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
-                                    (cx - 2 * e, cy - r), (cx + r, cy + e)])
+        return [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e), (cx - 2 * e, cy - r),
+                (cx + r, cy + e)]
 
 
 def _unless_raising(query, path: Polyline):

@@ -204,12 +204,13 @@ class HomologyEngine:
     def cap(self, start: ScaledPoint) -> LiftedPath:
         """The path from ``start``, a ``point_key``, to the marked point,
         kept for the few most recent starts with its weave-line events and
-        test-curve pairings.  A path transport caps its start once; a
-        free-transport miss caps its sub-path's two ends once each, and a
-        Stokes miss caps its wall crossing point once, between the misses
-        of the two sub-paths that meet there.  A memo hit caps nothing, so
-        the caps kept also serve the next path from the same start or to
-        the same end, as the other path of a homotopic pair."""
+        test-curve pairings.  A path transport caps its start once; a free
+        sub-path solved afresh caps its two ends once each, and a Stokes
+        class solved afresh caps its wall crossing point once, between the
+        solves of the two sub-paths that meet there.  A class read off a
+        walk caps nothing, so the caps kept also serve the next path from
+        the same start or to the same end, as the other path of a
+        homotopic pair."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             path = Polyline(self.cap_points(start))

@@ -728,36 +728,36 @@ def _capped_wall_loop(transport, strand, p1, p2):
 
 
 def test_stokes_keys_equal_the_reference(builders):
-    """Two params on one wall with as many of the wall's weave-line events
-    before them have one Stokes key exactly when the reduced slit word of
-    the loop cap(p1)^-1 wall[p1, p2] cap(p2), built directly, is empty: at
-    ``_wall_params``'s params, band edges included, on the fixtures and 10
-    seeded random weaves.  Pairs whose loop query raises are skipped."""
+    """For two params p1 < p2 on one wall, each with a wall word W,
+    reduced(W(p1)^-1 W(p2)) equals the reduced slit word of the loop
+    cap(p1)^-1 wall[p1, p2] cap(p2), built directly: at ``_wall_params``'s
+    params, band edges included, on the fixtures and 10 seeded random
+    weaves.  Pairs whose loop query raises are skipped."""
     rng = random.Random(20261024)
     forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 10))
-    compared = equal = 0
+    compared = empty = 0
     for builder in forests:
         transport = Transport(builder)
         for strand in builder.strands:
             keyed = {}
             for param in _wall_params(transport, strand, rng, 1):
                 word = transport._cap_word(interp(strand.path, param))
-                key = transport._stokes_key(strand.id, param, word)
-                if key is not None:
-                    keyed[param[0], Fraction(param[2].numerator, param[2].denominator)] = param, key
-            for (p1, k1), (p2, k2) in itertools.combinations(
+                wall_word = transport._wall_word(strand.id, param, word)
+                if wall_word is not None:
+                    keyed[param[0], Fraction(param[2].numerator, param[2].denominator)] = \
+                        param, wall_word
+            for (p1, w1), (p2, w2) in itertools.combinations(
                     [keyed[t] for t in sorted(keyed)], 2):
-                if k1[1] != k2[1]:
-                    continue
                 try:
                     crossings = transport._cut_set.crossings(
                         _capped_wall_loop(transport, strand, p1, p2))
                 except NonGenericGeometry:
                     continue
                 loop = nonabel._freely_reduced([(cut, side) for _, cut, _, _, side in crossings])
-                assert (k1 == k2) == (loop == ()), (strand.id, p1, p2)
-                compared, equal = compared + 1, equal + (k1 == k2)
-    assert 0 < equal < compared and compared > 5000, (equal, compared)
+                walked = nonabel._freely_reduced([(cut, -side) for cut, side in w1[::-1]] + w2)
+                assert walked == loop, (strand.id, p1, p2)
+                compared, empty = compared + 1, empty + (loop == ())
+    assert 0 < empty < compared and compared > 5000, (empty, compared)
 
 
 def test_cap_through_a_branch_point_reads_as_the_cap_left_of_it(builders):
@@ -846,52 +846,28 @@ def test_cap_word_box_shortcut_equals_the_query(builders):
     assert min(counts.values()) > 50, counts
 
 
-class _InsertLog(dict):
-    """A dict that logs each key stored and its size after the store."""
-
-    def __init__(self):
-        super().__init__()
-        self.log = []
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.log.append((key, len(self)))
-
-
-def test_free_memo_bound_evicts_oldest_and_keeps_matrices(builders, monkeypatch):
-    """With MAX_FREE_KEYS at 2, transport matrices equal those of a
-    transport whose memo never evicts, the memo never holds more than 2
-    entries, and the 2 it keeps are the newest."""
-    rng = random.Random(20261019)
-    for name in ("five_crossing", "three_strand"):
-        unbounded = Transport(builders[name])
-        paths = [path for _ in range(4) for path in homotopic_pair(unbounded, rng)]
-        expected = [unbounded.transport_path(path) for path in paths]
-        assert 2 < len(unbounded._free) < nonabel.MAX_FREE_KEYS
-        monkeypatch.setattr(nonabel, "MAX_FREE_KEYS", 2)
-        bounded = Transport(builders[name])
-        bounded._free = memo = _InsertLog()
-        assert [bounded.transport_path(path) for path in paths] == expected
-        assert max(size for _, size in memo.log) == 2 < len(memo.log)
-        assert list(memo) == [key for key, _ in memo.log[-2:]]
-        monkeypatch.undo()
-
-
 def test_path_reaching_y_0_has_no_free_key(builders):
     """A path that touches the boundary y = 0, or leaves y < 0, has no
-    homotopy key: its free transport is computed afresh and kept out of the
-    memo, and equals the direct value and that of the homotopic path below
-    it.  The paths run left of every weave line, so the path below has a
-    key with an empty slit word."""
+    homotopy key: its free transport solves one class per sheet afresh,
+    and equals the direct value and that of the homotopic path below it.
+    The paths run left of every weave line, so the path below has a key
+    with an empty slit word and solves no class."""
     low = [(Fraction(1, 4), -3), (Fraction(1, 2), -1), (Fraction(3, 4), -3)]
     for name, builder in builders.items():
         transport = Transport(builder)
+        calls = []
+        transport.engine.class_of_chain = lambda pieces: calls.append(1) or _solve(
+            transport.engine, pieces)
         for top in (Fraction(0), Fraction(1, 2)):
             poly = [low[0], (Fraction(1, 2), top), low[2]]
             assert [part for _, part, _, _ in transport._sub_paths(prepare(poly))] == [None]
-            assert transport.transport_free(poly) == _direct_free(transport, poly), (name, top)
-            assert not transport._free
-        assert transport.transport_free(low) == transport.transport_free(poly)
+            solved = len(calls)
+            matrix = transport.transport_free(poly)
+            assert len(calls) == solved + transport.n, (name, top)
+            assert matrix == _direct_free(transport, poly), (name, top)
+        solved = len(calls)
+        assert transport.transport_free(low) == matrix
+        assert len(calls) == solved, name
         (_, part, _, _), = transport._sub_paths(prepare(low))
         assert part is not None and part[1] == (), name
 
@@ -923,7 +899,7 @@ def test_free_classes_depend_on_marked_sheet_and_word_alone(builders):
     end sheet t.  Along seeded homotopic pairs
     on the fixtures and 30 seeded random weaves, walked as transport walks
     them, ``_free_factor`` also hands back the direct entries and end cap
-    sheets, solves no class for an empty word and keeps no entry for one."""
+    sheets, and solves no class."""
     rng = random.Random(20261026)
     forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 30))
     groups = collections.defaultdict(list)
@@ -950,13 +926,55 @@ def test_free_classes_depend_on_marked_sheet_and_word_alone(builders):
                         groups[index, t, word].append((cls, marked))
                         if not word:
                             assert (cls, marked) == ((0,) * len(transport.gens), t), points
-                    if not word:
-                        assert len(calls) == solved, points
-                        empty += 1
-        assert all(word for _, word in transport._free)
+                    assert len(calls) == solved, points
+                    empty += not word
     assert all(len(set(values)) == 1 for values in groups.values())
     shared = sum(len(values) > 1 for (_, _, word), values in groups.items() if word)
     assert empty > 500 and shared > 100, (empty, shared)
+
+
+def test_each_letter_is_a_signed_transposition(builders):
+    """Each cut's letter, read from every marked sheet, swaps exactly two
+    marked sheets, with classes c and -c, and leaves every other sheet in
+    place with class 0: which is why a walk may ignore the side a loop
+    crosses a cut.  On the fixtures and 20 seeded random weaves."""
+    forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 20))
+    letters = 0
+    for builder in forests:
+        transport = Transport(builder)
+        zero = (0,) * len(transport.gens)
+        for k in range(len(transport.cuts)):
+            row = {t: transport._letters[t, k] for t in range(1, transport.n + 1)}
+            (a, (c, b)), (b2, (c2, a2)) = [(t, v) for t, v in row.items() if v[1] != t]
+            assert (a2, b2) == (a, b) and c2 == tuple(-x for x in c), (k, row)
+            assert all(v == (zero, t) for t, v in row.items() if t not in (a, b)), (k, row)
+            letters += 1
+    assert letters > 80, letters
+
+
+def test_built_transport_solves_only_unkeyed_free_paths_and_stokes_bases(builders):
+    """Once a ``Transport`` exists, seeded homotopic pairs solve no class on
+    a sub-path with a key, one per sheet on each without, and at most one
+    Stokes class per wall, on the fixtures and 10 seeded random weaves."""
+    rng = random.Random(20261028)
+    forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 10))
+    keyed = 0
+    for builder in forests:
+        transport = Transport(builder)
+        engine, calls, walls = transport.engine, [], []
+        engine.class_of_chain = lambda pieces: calls.append(1) or _solve(engine, pieces)
+        engine.tree_chain = lambda sid, root_param=None: walls.append(sid) or \
+            HomologyEngine.tree_chain(engine, sid, root_param)
+        for _ in range(4):
+            for poly in homotopic_pair(transport, rng):
+                parts = [part for _, part in _walk(transport, poly)]
+                solved, stokes = len(calls), len(walls)
+                transport.transport_path(poly)
+                unkeyed = parts.count(None)
+                assert len(calls) - solved == transport.n * unkeyed + len(walls) - stokes, poly
+                keyed += len(parts) - unkeyed
+        assert max(collections.Counter(walls).values(), default=0) <= 1, walls
+    assert keyed > 1000, keyed
 
 
 def _capped_loop(transport, path):
@@ -1093,8 +1111,9 @@ def _twice_through(x, y):
 def test_path_meeting_a_line_twice_at_one_point_falls_back(builders, lines):
     """A path whose two sub-paths cross one weave line, or one cut, at one
     point, with a wall crossed in between: that whole-path query raises, no
-    sub-path has a key, so transport keeps nothing in the free memo, and the
-    path transports as the matrix product of transport_free pieces does."""
+    sub-path has a key, so transport solves one class per sheet on each,
+    and the path transports as the matrix product of transport_free pieces
+    does."""
     builder = builders["five_crossing"]
     transport = Transport(builder)
     (bx, by), (tx, _) = transport.cuts[0]
@@ -1107,9 +1126,15 @@ def test_path_meeting_a_line_twice_at_one_point_falls_back(builders, lines):
     with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
         query(poly)
     assert any(pa[0] in (1, 2) for pa, *_ in builder.walls.crossings(poly))
-    assert all(part is None for _, part in _walk(transport, poly))
+    subs = _walk(transport, poly)
+    assert all(part is None for _, part in subs)
+    calls = []
+    transport.engine.class_of_chain = lambda pieces: calls.append(1) or _solve(
+        transport.engine, pieces)
     matrix = transport.transport_path(poly)
-    assert not transport._free
+    # and at most one Stokes class per wall crossing
+    crossed = len(builder.walls.crossings(poly))
+    assert transport.n * len(subs) <= len(calls) <= transport.n * len(subs) + crossed
     assert matrix == _matrix_product_transport(transport, poly)
 
 
@@ -1213,7 +1238,7 @@ def test_weave_with_no_branch_point_transports_without_a_solve():
             transport.engine, pieces)
         for (p, q), expected in zip(pairs, direct):
             assert transport.transport_path(p) == transport.transport_path(q) == expected, text
-        assert not calls and not transport._free, text
+        assert not calls, text
         table = augmentation(builder.bent)
         assert table == {**{name: LaurentPoly.zero(()) for name in builder.bent.chord_names},
                          **{"t_%d" % i: LaurentPoly.constant((), -1)

@@ -229,3 +229,27 @@ def test_every_stored_attribute_is_read():
             offenders += ["%s:%d %s" % (path.name, where.lineno, name)
                           for name, where in stored if name not in read]
     assert not offenders, offenders
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` or ``Class.attr`` in README whose
+    head is ``specnet``, one of its modules or a class one of them defines
+    resolves in specnet."""
+    heads = {"specnet": importlib.import_module("specnet")}
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = heads[path.stem] = importlib.import_module("specnet." + path.stem)
+        heads.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__)
+    readme = (SRC.parents[1] / "README.md").read_text()
+    checked, offenders = set(), []
+    for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme):
+        head, *path = ref.split(".")
+        if head not in heads:
+            continue
+        obj = heads[head]
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        checked.add(ref)
+        if obj is None:
+            offenders.append(ref)
+    assert len(checked) >= 10 and not offenders, (sorted(checked), offenders)
