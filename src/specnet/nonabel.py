@@ -33,58 +33,39 @@ coefficient of a seed wall is the plain monomial of its detour class based
 at the crossing point, and a child wall inherits the product of its
 parents' signs times the handedness of the parent tangents at the joint.
 
-Transport is locally constant, and its classes are read off slit words.
-Each cut is a slit from a branch point b up to (bx - by/1000, 0); the slits
-are parallel and disjoint, so the lower half-plane cut along them is simply
-connected, and the freely reduced word of a loop's (cut, side) crossings
-with them is its class in pi_1 of the half-plane less the branch points,
-based at the marked point.  A touch at a point that ends a line is no
-crossing, so a cap through b reads as the cap just left of it, to the word
-and to the homology engine alike.  A capped lift's class and end marked
-sheet depend on its marked start sheet t and word alone, and add along the
-word (Fox's covering cocycle): a letter table holds them per (t, cut).
-Each letter is a transposition, class c from one sheet to the other, -c
-back and 0 on every other sheet, so a walk ignores the side crossed.
-
-* ``Transport`` builds the table once, from the cut with the rightmost top
-  leftward, solving the loop round each branch point as a free sub-path.
-* A free sub-path's word is that of the loop start cap reversed, path, end
-  cap, walked per start sheet s from the sheet the start cap takes s to at
-  the marked point.  Walking its (letter, side) event word takes s to its
-  end sheet and gives the entry's sign; the end cap's permutation is read
-  off the walk's end sheets and carried on to the next sub-path, so a path
-  whose sub-paths all have words builds one cap and no integer form.
-* A wall's Stokes class is solved once, at its base p0, the first param
-  asked for with a wall word W (its cut crossings before the param, then
-  the cap's).  At p it is the base's plus the difference, over p0's two
-  label sheets, of the walks of reduced(W(p0)^-1 W(p)), the word of the
-  loop cap(p0)^-1 wall[p0, p] cap(p).
-* The words are read off one walk of the path: one weave-line and one cut
-  query on the whole path, sliced between the wall-crossing params, one cut
-  query per junction's cap, shared by the two sub-paths and the wall that
-  meet there, and one per wall.  A cap that starts right of every slit's
-  float box has the word [] with no query.  There is no word, and the class
-  is solved afresh, where a whole-path or whole-wall query raised, a cap
-  starts on a cut or meets one other than transversally, or a free
-  sub-path's corner is not below y = 0.  Two caps crossing one cut at one
-  point still give a word, an invariant of a loop crossing transversally.
+Transport is locally constant, and its classes are read off the homology
+engine's slit words (see ``soliton_bps``).  A free sub-path's word is that
+of the loop start cap reversed, path, end cap, walked per start sheet s
+from the sheet the start cap takes s to at the marked point; walking its
+(letter, side) event word takes s to its end sheet and gives the entry's
+sign.  The end cap's permutation is read off the walk's end sheets and
+carried on to the next sub-path, so a path whose sub-paths all have words
+builds one cap and no integer form.  A Stokes coefficient is the monomial
+of the wall's ``wall_class`` times its Stokes sign.  The words are read
+off one weave-line and one cut query on the whole path, sliced between the
+wall-crossing params, and one cut query per junction's cap, shared by the
+two sub-paths and the wall that meet there.  There is no word, and the
+class is solved afresh, where a whole-path query raised, a cap starts on a
+cut or meets one other than transversally, or a free sub-path's corner is
+not below y = 0.  Two caps crossing one cut at one point still give a
+word, an invariant of a loop crossing transversally.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder, build_forest_strands
-from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, ScaledPoint,
-                       exact_point, interp, point_key, prepare, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, ScaledPoint, exact_point,
+                       interp, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
-from .soliton_bps import LiftedPath, SolitonCatalog, tree_of_strand
+from .soliton_bps import (SolitonCatalog, between, freely_reduced, on_a_segment, tree_of_strand,
+                          unless_raising)
 
 
 class Transport:
@@ -96,24 +77,6 @@ class Transport:
         self.engine = self.catalog.engine
         self.n = builder.weave.strand_count
         self.gens = self.engine.gen_names
-        branch = [v.point for v in builder.weave.trivalent_vertices()]
-        # one slit per branch point, all parallel, up to the top boundary
-        self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in branch]
-        if len({1000 * x - y for x, y in branch}) != len(branch):
-            raise NonGenericGeometry("two branch cuts are collinear")
-        self._cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
-        # a point of float x past every slit's float box has the cap word []
-        # (see _cap_word), when the marked point lies right of every slit
-        right = max((row[1] for row in self._cut_set.segments), default=-math.inf)
-        self._cuts_right = right if all(top[0] < builder.bent.marked_x for _, top in self.cuts) \
-            else math.inf
-        # each wall's cut crossings, or None where that query raised
-        self._wall_slits = [_unless_raising(self._cut_set.crossings, strand.path)
-                            for strand in builder.strands]
-        self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
-        for k in sorted(range(len(self.cuts)), key=lambda k: -self.cuts[k][1][0]):
-            self._add_letter(k)
-        self._bases: Dict[int, tuple] = {}  # wall -> its Stokes base (see soliton_coefficient)
 
     @cached_property
     def draw_region(self) -> tuple:
@@ -179,70 +142,38 @@ class Transport:
 
     def _free_factor(self, points, part, sheets):
         """The free transport along the sub-path through scaled ``points``
-        as its (end sheet, class exponents, sign) per start sheet, the entry
-        being that signed monomial, and the sheet permutation of the cap at
-        its end; ``sheets`` is that of the cap at its start.  With a key
-        ``part`` from ``_sub_paths``, start sheet s walks its slit word from
-        ``sheets[s - 1]``; without, each is solved.  The end sheets and
-        twisting signs come from walking its events."""
+        as (end sheet, class exponents, sign) per start sheet, and the sheet
+        permutation of the cap at its end; ``sheets`` is that of the cap at
+        its start.  With a key ``part`` from ``_sub_paths``, start sheet s
+        walks its slit word from ``sheets[s - 1]`` and its events; without,
+        the engine solves it."""
         if part is None:
             path = Polyline(points)
-            lifted = LiftedPath(path, self.builder.events_along(path))
-            start_cap, end_cap = map(self.engine.cap, path.ends)
-            end_sheets = self.cap_sheets(path.ends[1])
-        events = lifted.events if part is None else [(None, *event) for event in part[0]]
+            return self.engine.solve_free(path, self.builder.events_along(path))
+        events = [(None, *event) for event in part[0]]
         factor, ends = [], [0] * self.n
         for start, t in enumerate(sheets, 1):
             (sheet,), sign = walk_sheets((start,), events)
-            if part is None:
-                chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
-                cls, ends[sheet - 1] = self.engine.class_of_chain(chain), end_sheets[sheet - 1]
-            else:
-                cls, ends[sheet - 1] = self._walk(t, part[1])
+            cls, ends[sheet - 1] = self.engine.walk(t, part[1])
             factor.append((sheet, cls, sign))
         return factor, tuple(ends)
-
-    def _walk(self, sheet: int, word) -> tuple:
-        """The class and end marked sheet of the capped loop with slit
-        ``word`` lifted from marked ``sheet``."""
-        cls = (0,) * len(self.gens)
-        for cut, _ in word:
-            step, sheet = self._letters[sheet, cut]
-            cls = tuple(map(add, cls, step))
-        return cls, sheet
-
-    def _add_letter(self, k: int):
-        """Cut ``k``'s letters.  The loop round its branch point has the
-        reduced word u (k, +-1) v, every cut of u and v already in the
-        table.  Its lift from marked sheet t, with class D and end marked
-        sheet E, gives the letter from walk(t, u)'s end: class D - walk(t, u)
-        + walk(E, v reversed), ending where that second walk does."""
-        (points, part, _, _), = self._sub_paths(prepare(self._loop(self.cuts[k][0])))
-        word = part[1] if part else ()
-        if [cut for cut, _ in word if (1, cut) not in self._letters] != [k]:
-            raise NonGenericGeometry("the loop round branch point (%s, %s) reads no lone "
-                                     "letter of its cut" % self.cuts[k][0])
-        at = [cut for cut, _ in word].index(k)
-        # the loop is closed, so its start cap's sheets are those of its end cap
-        factor, sheets = self._free_factor(points, None, range(self.n))
-        for t, (s, cls, _) in zip(sheets, factor):
-            (du, t1), (dv, end) = self._walk(t, word[:at]), self._walk(sheets[s - 1], word[:at:-1])
-            self._letters[t1, k] = tuple(map(add, map(sub, cls, du), dv)), end
 
     def _sub_paths(self, path: Polyline, crossings=()):
         """Each sub-path of ``path`` between two of its wall ``crossings``,
         in order, as (its scaled points, its key part, the crossing that
-        ends it or None, the ``_cap_word`` at its end).  The key part is the
-        (letter, side) event word, walked for sheets and signs, and the
-        reduced slit word walked for classes (see the module docstring), or
-        None where the sub-path has no word.  A wall crossed where it
-        crosses a weave line raises before the sub-path it ends is walked."""
+        ends it or None, the engine's ``cap_word`` at its end).  The key
+        part is the (letter, side) event word, walked for sheets and signs,
+        and the reduced slit word walked for classes (see the module
+        docstring), or None where the sub-path has no word.  A wall crossed
+        where it crosses a weave line raises before the sub-path it ends is
+        walked."""
         s = path.scale
         corners = [(x, y, s) for x, y in path.ints]
-        events, slits = (_unless_raising(query, path)
-                         for query in (self.builder.events_along, self._cut_set.crossings))
+        engine = self.engine
+        events, slits = (unless_raising(query, path)
+                         for query in (self.builder.events_along, engine.cut_set.crossings))
         prev, prev_idx, prev_param = corners[0], 0, None
-        prev_word = self._cap_word(prev)
+        prev_word = engine.cap_word(prev)
         for crossing in [*crossings, None]:
             if crossing is None:
                 points, param = [prev] + corners[prev_idx + 1:], None
@@ -252,34 +183,18 @@ class Transport:
                     raise NonGenericGeometry("path crosses wall %d where it crosses a weave "
                                              "line, at %r" % (sid, exact_point(pt)))
                 points = [prev] + corners[prev_idx + 1: param[0] + 1] + [pt]
-            word = self._cap_word(points[-1])
+            word = engine.cap_word(points[-1])
             part = None
             if None not in (events, slits, prev_word, word) and all(y < 0 for _, y, _ in points):
-                sub_events = _between(events, prev_param, param)
-                sub_slits = _between(slits, prev_param, param)
+                sub_events = between(events, prev_param, param)
+                sub_slits = between(slits, prev_param, param)
                 loop = [(cut, -side) for cut, side in reversed(prev_word)]
                 loop += [(cut, side) for _, cut, _, _, side in sub_slits] + word
                 part = (tuple((letter, side) for _, letter, side in sub_events),
-                        _freely_reduced(loop))
+                        freely_reduced(loop))
             yield points, part, crossing, word
             if crossing is not None:
                 prev, prev_idx, prev_param, prev_word = pt, param[0], param, word
-
-    def _cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
-        """The (cut, side) crossings of the cap at ``point``, in order, or
-        None where no loop through ``point`` has a word: ``point`` lies on a
-        cut, or the cap meets a cut other than transversally.  A point whose
-        float x is past every slit's float box is right of every slit, as
-        floats round monotonically, and so is its cap, which runs right to
-        (x + CAP_EPS, -CAP_EPS / 2) and on to the marked point: its word is
-        [], with no query."""
-        if point[0] / point[2] > self._cuts_right:
-            return []
-        if _on_a_segment(self._cut_set.segments, point):
-            return None
-        cap = Polyline(self.engine.cap_points(point))
-        crossings = _unless_raising(self._cut_set.crossings, cap)
-        return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
 
     def stokes_sign(self, sid: int, param: Param) -> int:
         """Sign of the wall's Stokes coefficient at ``param``, folded over
@@ -297,29 +212,9 @@ class Transport:
         return sign
 
     def soliton_coefficient(self, sid: int, param: Param, word: Optional[list]) -> LaurentPoly:
-        """Signed soliton value of wall ``sid`` based at ``param``, where
-        ``word`` is the ``_cap_word`` there: solved at the wall's base and
-        where there is no wall word, else walked from the base (see the
-        module docstring), unreduced, as a letter and its inverse cancel."""
-        wall_word = self._wall_word(sid, param, word)
-        if wall_word is not None and sid in self._bases:
-            cls, base_word, sheets = self._bases[sid]
-            (ca, _), (cb, _) = (self._walk(t, base_word[::-1] + wall_word) for t in sheets)
-            cls = tuple(map(sub, map(add, cls, ca), cb))
-        else:
-            chain = self.engine.tree_chain(sid, root_param=param)
-            cls = self.engine.class_of_chain(chain)
-            if wall_word is not None:
-                (cap, i, _), (_, j, _) = chain[-2:]  # its cap at param, from the label's sheets
-                self._bases[sid] = cls, wall_word, walk_sheets((i, j), cap.events)[0]
-        return LaurentPoly.monomial(self.gens, cls, self.stokes_sign(sid, param))
-
-    def _wall_word(self, sid: int, param: Param, word: Optional[list]) -> Optional[list]:
-        """Wall ``sid``'s cut crossings before ``param``, then ``word``; None
-        where ``word`` is None or the wall's cut query raised."""
-        slits = self._wall_slits[sid]
-        if word is not None and slits is not None:
-            return [(cut, side) for _, cut, _, _, side in _between(slits, None, param)] + word
+        """Signed soliton value of wall ``sid`` at ``param``, ``word`` the ``cap_word`` there."""
+        return LaurentPoly.monomial(self.gens, self.engine.wall_class(sid, param, word),
+                                    self.stokes_sign(sid, param))
 
     def transport_short(self, sid: int, param: Param, side: int):
         """Unipotent Stokes matrix for crossing wall ``sid`` at ``param``.
@@ -328,7 +223,7 @@ class Transport:
         from the other side gives the inverse matrix.
         """
         strand = self.builder.strands[sid]
-        (i, j), word = strand.label_at(param), self._cap_word(interp(strand.path, param))
+        (i, j), word = strand.label_at(param), self.engine.cap_word(interp(strand.path, param))
         out = self.identity()
         out[i - 1][j - 1] += self.soliton_coefficient(sid, param, word) * side
         return out
@@ -372,101 +267,11 @@ class Transport:
                  for t in terms] for scale, sign, terms in rows]
 
     # ----- monodromy loops -----
-    def clearance(self, center: Point) -> Fraction:
-        """Min distance from ``center`` to all weave-line and wall segments
-        not through it, read from the forest's tables: the least nonzero
-        exact squared distance, in integers on the center's scale times each
-        segment's, floored to a rational root."""
-        px, py, pd = point_key(center)
-        best, builder = None, self.builder
-        for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
-            n, m = _seg_distance2((px * s, py * s), (x * pd, y * pd), ((x + dx) * pd, (y + dy) * pd))
-            m *= (pd * s) ** 2
-            if n and (best is None or n * best[1] < best[0] * m):
-                best = n, m
-        if best is None:
-            raise NonGenericGeometry("no features near %r" % (center,))
-        return _rational_sqrt_floor(Fraction(*best))
-
     def branch_monodromy(self, vertex_id: int) -> List[List[LaurentPoly]]:
-        return self.transport_path(self._loop(self.builder.weave.vertices[vertex_id].point))
+        return self.transport_path(self.engine.loop(self.builder.weave.vertices[vertex_id].point))
 
     def joint_monodromy(self, joint: dict) -> List[List[LaurentPoly]]:
-        return self.transport_path(self._loop(tuple(joint["point"])))
-
-    def _loop(self, center: Point) -> List[Point]:
-        """A small closed quadrilateral about ``center``, at half its
-        clearance, corners jittered off the axes so they avoid walls and
-        weave lines.  Transport round a degenerate one raises."""
-        cx, cy = center
-        r = self.clearance(center) / 2
-        e = r / 313
-        return [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e), (cx - 2 * e, cy - r),
-                (cx + r, cy + e)]
-
-
-def _unless_raising(query, path: Polyline):
-    """``query(path)``, or None where it raises NonGenericGeometry."""
-    try:
-        return query(path)
-    except NonGenericGeometry:
-        return None
-
-
-def _between(crossings: list, lo: Optional[Param], hi: Optional[Param]) -> list:
-    """The crossings, sorted by their param, strictly between ``lo`` and
-    ``hi`` (None: the path's start or end)."""
-    first = 0 if lo is None else bisect_right(crossings, lo, key=itemgetter(0))
-    return crossings[first: len(crossings) if hi is None else
-                     bisect_left(crossings, hi, key=itemgetter(0))]
-
-
-def _on_a_segment(rows, point: ScaledPoint) -> bool:
-    """Whether the scaled ``point`` lies on a closed segment of the rows of
-    a ``PolylineSet`` table.  A row is decided in integers only where its
-    float box holds the point's float: floats round monotonically, so every
-    row through the point is decided."""
-    x, y, d = point
-    fx, fy = x / d, y / d
-    for lo_x, hi_x, lo_y, hi_y, _, _, x0, y0, dx, dy, s in rows:
-        if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:
-            # point minus the segment's start, scaled by d * s, is t d (dx, dy)
-            wx, wy = x * s - x0 * d, y * s - y0 * d
-            if wx * dy == wy * dx and 0 <= wx * dx + wy * dy <= d * (dx * dx + dy * dy):
-                return True
-    return False
-
-
-def _freely_reduced(word: List[tuple]) -> tuple:
-    """The free reduction of a word of (cut, side) letters."""
-    out: List[tuple] = []
-    for cut, side in word:
-        if out and out[-1] == (cut, -side):
-            out.pop()
-        else:
-            out.append((cut, side))
-    return tuple(out)
-
-
-def _seg_distance2(p, a, b) -> Tuple:
-    """Squared distance from point to segment as (numerator, denominator),
-    exact for integer points on one scale: past an end, to that end, and in
-    between ((p - a) x (b - a))^2 / |b - a|^2."""
-    (px, py), (ax, ay), (bx, by) = p, a, b
-    dx, dy, wx, wy = bx - ax, by - ay, px - ax, py - ay
-    dot, L2 = wx * dx + wy * dy, dx * dx + dy * dy
-    if dot <= 0:
-        return wx * wx + wy * wy, 1
-    if dot >= L2:
-        return (px - bx) ** 2 + (py - by) ** 2, 1
-    cross = wx * dy - wy * dx
-    return cross * cross, L2
-
-
-def _rational_sqrt_floor(d2: Fraction) -> Fraction:
-    """A positive rational lower bound for sqrt(d2), for d2 > 0: then
-    numerator * denominator >= 1, so its isqrt is at least 1."""
-    return Fraction(math.isqrt(d2.numerator * d2.denominator), d2.denominator)
+        return self.transport_path(self.engine.loop(tuple(joint["point"])))
 
 
 # ----- homotopic path pairs -----
@@ -554,7 +359,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
     path: List[ScaledPoint] = []
     while len(path) < interior + 2:
         q = rand_point()
-        if not _folds(path[-2:] + [q]) and not _on_a_segment(lines, q):
+        if not _folds(path[-2:] + [q]) and not on_a_segment(lines, q):
             path.append(q)
     other = list(path)
     done = 0
@@ -570,7 +375,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
             # a + t / 997 (b - a)
             q = (997 * ax * bd + t * (bx * ad - ax * bd),
                  997 * ay * bd + t * (by * ad - ay * bd), 997 * ad * bd)
-            if not _on_a_segment(lines, q):
+            if not on_a_segment(lines, q):
                 other.insert(k + 1, q)
                 done += 1
             continue
@@ -586,7 +391,7 @@ def homotopic_pair(transport: Transport, rng: random.Random):
                 continue
         except NonGenericGeometry:
             continue
-        if _folds(other[max(k - 2, 0): k] + [q] + other[k + 1: k + 3]) or _on_a_segment(lines, q):
+        if _folds(other[max(k - 2, 0): k] + [q] + other[k + 1: k + 3]) or on_a_segment(lines, q):
             continue
         other[k] = q
         done += 1

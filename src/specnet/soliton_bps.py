@@ -9,6 +9,28 @@ class is computed exactly by intersection pairing against a pool of lifted
 test curves running from boundary to boundary, expressed in the basis of
 the right-edge (b-branch) tree classes s_1, ..., s_l.
 
+Classes are read off slit words.  Each cut is a slit from a branch point b
+up to (bx - by/1000, 0); the slits are parallel and disjoint, so the freely
+reduced word of a loop's (cut, side) crossings with them is its class in
+pi_1 of the lower half-plane less the branch points, based at the marked
+point.  A touch at a point that ends a line is no crossing, so a cap
+through b reads as the cap just left of it.  A capped lift's class and end
+marked sheet depend on its marked start sheet t and word alone, and add
+along the word (Fox's covering cocycle): the engine builds a letter table
+per (t, cut) once, from the cut with the rightmost top leftward, solving
+the loop round each branch point.  Each letter is a transposition, class c
+from one sheet to the other, -c back and 0 elsewhere, so a walk ignores
+the side crossed, and a letter and its inverse cancel.
+
+A wall's class at p is C + walk(m1, w) - walk(m2, w), with W(p) its cut
+crossings before p then the cap's, w = W(p0)^-1 W(p), (m1, m2) its label's
+sheets at its base p0 through the cap there, and C the class at p0: for a
+seed, p0 is its birth param and C the walk from m2 of W(p0)^-1 (k) W(p0),
+k its branch point's cut; for a child, p0 is its start J and C the sum of
+its parents' classes at J.  Where the wall, the cap at p or that at p0 has
+no word (a point on a cut, or a cut met other than transversally), the
+class is solved from the wall's tree chain.
+
 All geometry is exact rational.  A degeneracy raises NonGenericGeometry,
 which propagates to the caller; nothing here or in transport retries.
 """
@@ -16,29 +38,18 @@ which propagates to the caller; nothing here or in transport retries.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder
-from .geometry import (
-    NonGenericGeometry,
-    Param,
-    Point,
-    Polyline,
-    PolylineSet,
-    ScaledPoint,
-    exact_point,
-    param_of,
-    point_key,
-    prepare,
-    sheet_prefixes,
-    truncated,
-    walk_sheets,
-)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, ScaledPoint,
+                       exact_point, interp, param_of, point_key, prepare, sheet_prefixes,
+                       truncated, walk_sheets)
 from .laurent import FactoredMatrix
 
 # where a wall's BPS entries are based: a parameter just past its birth point
@@ -123,12 +134,6 @@ class SolitonClass:
     def effective_sign(self) -> int:
         return -self.sign if self.h_parity else self.sign
 
-    def concat(self, other: "SolitonClass", twist: int) -> "SolitonClass":
-        """Concatenation at a creation joint with the joint's twist bit."""
-        mono = tuple(a + b for a, b in zip(self.monomial, other.monomial))
-        return SolitonClass(mono, self.sign * other.sign,
-                            (self.h_parity + other.h_parity + twist) % 2)
-
 
 def quadratic_refinement(exponents) -> int:
     """Q(x) = sum x_i (x_i - 1) / 2, a quadratic refinement of the pairing."""
@@ -154,7 +159,8 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> Tuple[List[tuple],
 
 
 class HomologyEngine:
-    """Exact H_1(L, T) classes for flowtrees and boundary arcs."""
+    """Exact H_1(L, T) classes for flowtrees and boundary arcs, and the
+    slit words and letter table every wall class is read off."""
 
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
@@ -188,6 +194,26 @@ class HomologyEngine:
         if rank != len(columns):
             raise NonGenericGeometry(
                 "test curves span rank %d < %d generators" % (rank, len(columns)))
+        branch = self.weave.trivalent_vertices()
+        self._cut_of = {v.id: k for k, v in enumerate(branch)}
+        # one slit per branch point, all parallel, up to the top boundary
+        self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
+        if len({1000 * x - y for (x, y), _ in self.cuts}) != len(self.cuts):
+            raise NonGenericGeometry("two branch cuts are collinear")
+        self.cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
+        # past every slit's float box, the cap word is [] (see cap_word)
+        right = max((row[1] for row in self.cut_set.segments), default=-math.inf)
+        self._cuts_right = right if all(top[0] < self.x_max for _, top in self.cuts) else math.inf
+        # each wall's cut crossings, or None where that query raised
+        self._wall_slits = [unless_raising(self.cut_set.crossings, strand.path)
+                            for strand in builder.strands]
+        self._loops: Dict[Point, List[Point]] = {}  # center -> its loop (see loop)
+        self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
+        for k in sorted(range(len(self.cuts)), key=lambda k: -self.cuts[k][1][0]):
+            self._add_letter(k)
+        self._origins: List[Optional[tuple]] = []  # per wall, in id order: parents first
+        for sid in range(len(builder.strands)):
+            self._origins.append(self._origin(sid))
 
     # ----- test curve pool -----
     def _make_tests(self, n: int) -> PairingLines:
@@ -204,13 +230,9 @@ class HomologyEngine:
     def cap(self, start: ScaledPoint) -> LiftedPath:
         """The path from ``start``, a ``point_key``, to the marked point,
         kept for the few most recent starts with its weave-line events and
-        test-curve pairings.  A path transport caps its start once; a free
-        sub-path solved afresh caps its two ends once each, and a Stokes
-        class solved afresh caps its wall crossing point once, between the
-        solves of the two sub-paths that meet there.  A class read off a
-        walk caps nothing, so the caps kept also serve the next path from
-        the same start or to the same end, as the other path of a
-        homotopic pair."""
+        test-curve pairings: a path transport caps its start, and a free
+        sub-path solved afresh its two ends, which the other path of a
+        homotopic pair shares.  A class read off a walk caps nothing."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             path = Polyline(self.cap_points(start))
@@ -307,6 +329,194 @@ class HomologyEngine:
                                      % [Fraction(v, scale) for v in solution])
         return tuple(value // scale for value in solution)
 
+    # ----- slit words -----
+    def cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
+        """The (cut, side) crossings of the cap at ``point``, in order, or
+        None where no loop through ``point`` has a word: ``point`` lies on a
+        cut, or the cap meets a cut other than transversally.  A point whose
+        float x is past every slit's float box is right of every slit, as
+        floats round monotonically, and so is its cap, which runs right to
+        (x + CAP_EPS, -CAP_EPS / 2) and on to the marked point: its word is
+        [], with no query."""
+        if point[0] / point[2] > self._cuts_right:
+            return []
+        if on_a_segment(self.cut_set.segments, point):
+            return None
+        crossings = unless_raising(self.cut_set.crossings, Polyline(self.cap_points(point)))
+        return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
+
+    def walk(self, sheet: int, word) -> tuple:
+        """The class and end marked sheet of slit ``word``'s loop lifted from marked ``sheet``."""
+        cls = (0,) * len(self.gen_names)
+        for cut, _ in word:
+            step, sheet = self._letters[sheet, cut]
+            cls = tuple(map(add, cls, step))
+        return cls, sheet
+
+    def _add_letter(self, k: int):
+        """Cut ``k``'s letters.  The loop round its branch point has the
+        reduced word u (k, +-1) v, every cut of u and v already in the
+        table.  Its lift from marked sheet t, with class D and end marked
+        sheet E, gives the letter from walk(t, u)'s end: class D - walk(t, u)
+        + walk(E, v reversed), ending where that second walk does."""
+        loop = prepare(self.loop(self.cuts[k][0]))
+        events, slits = (unless_raising(query, loop)
+                         for query in (self.builder.events_along, self.cut_set.crossings))
+        cap_word, word = self.cap_word(loop.ends[0]), ()
+        if None not in (events, slits, cap_word) and all(y < 0 for _, y in loop.ints):
+            word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
+                                  + [(cut, side) for _, cut, _, _, side in slits] + cap_word)
+        if [cut for cut, _ in word if (1, cut) not in self._letters] != [k]:
+            raise NonGenericGeometry("the loop round branch point (%s, %s) reads no lone "
+                                     "letter of its cut" % self.cuts[k][0])
+        at = [cut for cut, _ in word].index(k)
+        # the loop is closed, so its start cap's sheets are those of its end cap
+        factor, sheets = self.solve_free(loop, events)
+        for t, (s, cls, _) in zip(sheets, factor):
+            (du, t1), (dv, end) = self.walk(t, word[:at]), self.walk(sheets[s - 1], word[:at:-1])
+            self._letters[t1, k] = tuple(map(add, map(sub, cls, du), dv)), end
+
+    def solve_free(self, path: Polyline, events) -> tuple:
+        """Per start sheet of ``path``, its lift's (end sheet, class, twisting
+        sign), the class solved with both ends capped, and the marked sheets
+        of the cap at its end: free transport where there is no word."""
+        lifted, (start_cap, end_cap) = LiftedPath(path, events), map(self.cap, path.ends)
+        factor = []
+        for start in range(1, self.weave.strand_count + 1):
+            (sheet,), sign = walk_sheets((start,), events)
+            chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
+            factor.append((sheet, self.class_of_chain(chain), sign))
+        return factor, walk_sheets(tuple(range(1, len(factor) + 1)), end_cap.events)[0]
+
+    def _wall_word(self, sid: int, param: Optional[Param], word: Optional[list]) -> Optional[list]:
+        """Wall ``sid``'s cut crossings before ``param``, then ``word``; None
+        where ``word`` is None or the wall's cut query raised."""
+        slits = self._wall_slits[sid]
+        if word is not None and slits is not None:
+            return [(cut, side) for _, cut, _, _, side in between(slits, None, param)] + word
+
+    def wall_class(self, sid: int, param: Optional[Param], word: Optional[list]) -> Tuple[int, ...]:
+        """Wall ``sid``'s soliton class based at ``param`` (None: its chord
+        end), where ``word`` is the ``cap_word`` there (see the module
+        docstring)."""
+        wall_word, origin = self._wall_word(sid, param, word), self._origins[sid]
+        if wall_word is None or origin is None:
+            return self.class_of_chain(self.tree_chain(sid, param))
+        cls, prefix, (m1, m2) = origin
+        (c1, _), (c2, _) = (self.walk(m, prefix + wall_word) for m in (m1, m2))
+        return tuple(map(sub, map(add, cls, c1), c2))
+
+    def _origin(self, sid: int) -> Optional[tuple]:
+        """Wall ``sid``'s origin (C, W(p0)^-1, (m1, m2)), or None if p0 has no wall word."""
+        strand, joint = self.builder.strands[sid], self.builder.born_at.get(sid)
+        p0 = param_of(0, 0) if joint else BIRTH_PARAM
+        point = interp(strand.path, p0)
+        base = self._wall_word(sid, p0, self.cap_word(point))
+        if base is None:
+            return None
+        prefix = [(cut, -side) for cut, side in reversed(base)]
+        m1, m2 = walk_sheets(strand.label_at(p0), self.cap(point).events)[0]
+        if joint is None:
+            cls = self.walk(m2, prefix + [(self._cut_of[strand.origin[1]], 1)] + base)[0]
+        else:  # base is J's cap word: the child crosses no cut before p0
+            cls = tuple(map(add, *(self.wall_class(pid, joint["params"][pid], base)
+                                   for pid in joint["parents"])))
+        return cls, prefix, (m1, m2)
+
+    # ----- monodromy loops -----
+    def clearance(self, center: Point) -> Fraction:
+        """Min distance from ``center`` to all weave-line and wall segments
+        not through it, read from the forest's tables: the least nonzero
+        exact squared distance, in integers on the center's scale times each
+        segment's, floored to a rational root."""
+        px, py, pd = point_key(center)
+        best, builder = None, self.builder
+        for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
+            n, m = _seg_distance2((px * s, py * s), (x * pd, y * pd), ((x + dx) * pd, (y + dy) * pd))
+            m *= (pd * s) ** 2
+            if n and (best is None or n * best[1] < best[0] * m):
+                best = n, m
+        if best is None:
+            raise NonGenericGeometry("no features near %r" % (center,))
+        return _rational_sqrt_floor(Fraction(*best))
+
+    def loop(self, center: Point) -> List[Point]:
+        """A small closed quadrilateral about ``center``, at half its
+        clearance, corners jittered off the axes so they avoid walls and
+        weave lines, built once per center for the letter table and
+        monodromy alike.  Transport round a degenerate one raises."""
+        if center not in self._loops:
+            cx, cy = center
+            r = self.clearance(center) / 2
+            e = r / 313
+            self._loops[center] = [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
+                                   (cx - 2 * e, cy - r), (cx + r, cy + e)]
+        return self._loops[center]
+
+
+def unless_raising(query, path: Polyline):
+    """``query(path)``, or None where it raises NonGenericGeometry."""
+    try:
+        return query(path)
+    except NonGenericGeometry:
+        return None
+
+
+def between(crossings: list, lo: Optional[Param], hi: Optional[Param]) -> list:
+    """The crossings, sorted by their param, strictly between ``lo`` and
+    ``hi`` (None: the path's start or end)."""
+    first = 0 if lo is None else bisect_right(crossings, lo, key=itemgetter(0))
+    return crossings[first: len(crossings) if hi is None else
+                     bisect_left(crossings, hi, key=itemgetter(0))]
+
+
+def on_a_segment(rows, point: ScaledPoint) -> bool:
+    """Whether the scaled ``point`` lies on a closed segment of the rows of
+    a ``PolylineSet`` table.  A row is decided in integers only where its
+    float box holds the point's float: floats round monotonically, so every
+    row through the point is decided."""
+    x, y, d = point
+    fx, fy = x / d, y / d
+    for lo_x, hi_x, lo_y, hi_y, _, _, x0, y0, dx, dy, s in rows:
+        if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:
+            # point minus the segment's start, scaled by d * s, is t d (dx, dy)
+            wx, wy = x * s - x0 * d, y * s - y0 * d
+            if wx * dy == wy * dx and 0 <= wx * dx + wy * dy <= d * (dx * dx + dy * dy):
+                return True
+    return False
+
+
+def freely_reduced(word: List[tuple]) -> tuple:
+    """The free reduction of a word of (cut, side) letters."""
+    out: List[tuple] = []
+    for cut, side in word:
+        if out and out[-1] == (cut, -side):
+            out.pop()
+        else:
+            out.append((cut, side))
+    return tuple(out)
+
+
+def _seg_distance2(p, a, b) -> Tuple:
+    """Squared distance from point to segment as (numerator, denominator),
+    exact for integer points on one scale: past an end, to that end, and in
+    between ((p - a) x (b - a))^2 / |b - a|^2."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy, wx, wy = bx - ax, by - ay, px - ax, py - ay
+    dot, L2 = wx * dx + wy * dy, dx * dx + dy * dy
+    if dot <= 0:
+        return wx * wx + wy * wy, 1
+    if dot >= L2:
+        return (px - bx) ** 2 + (py - by) ** 2, 1
+    cross = wx * dy - wy * dx
+    return cross * cross, L2
+
+
+def _rational_sqrt_floor(d2: Fraction) -> Fraction:
+    """A positive rational lower bound for sqrt(d2), for d2 > 0: then
+    numerator * denominator >= 1, so its isqrt is at least 1."""
+    return Fraction(math.isqrt(d2.numerator * d2.denominator), d2.denominator)
+
 
 class SolitonCatalog:
     """Soliton classes with signs for every wall of a forest network.
@@ -333,32 +543,28 @@ class SolitonCatalog:
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
         self.engine = HomologyEngine(builder)
-        self._full_class: Dict[int, Tuple[int, ...]] = {}
 
     # ----- per-strand data -----
-    def full_class(self, sid: int):
-        if sid not in self._full_class:
-            self._full_class[sid] = self.engine.class_of_chain(
-                self.engine.tree_chain(sid))
-        return self._full_class[sid]
-
     def sign_parity(self, sid: int) -> Tuple[int, int]:
         """The seed-sign product of the strand's tree and the parity of the
-        twists at its joints.  No memo: ``full_class`` keeps the seeds'."""
+        twists at its joints."""
         joint = self.builder.born_at.get(sid)
         if joint is None:
-            return -1 if quadratic_refinement(self.full_class(sid)) % 2 else 1, 0
+            return -1 if quadratic_refinement(self._class(sid, None)) % 2 else 1, 0
         (s1, h1), (s2, h2) = map(self.sign_parity, joint["parents"])
         return s1 * s2, (h1 + h2 + joint["twist"]) % 2
 
     def soliton(self, sid: int, param: Optional[Param] = None) -> SolitonClass:
         """The wall's soliton class, based at ``param`` (default: its chord
         end)."""
-        if param is None:
-            cls = self.full_class(sid)
-        else:
-            cls = self.engine.class_of_chain(self.engine.tree_chain(sid, param))
-        return SolitonClass(cls, *self.sign_parity(sid))
+        return SolitonClass(self._class(sid, param), *self.sign_parity(sid))
+
+    def _class(self, sid: int, param: Optional[Param]) -> Tuple[int, ...]:
+        """The engine's ``wall_class`` at ``param`` (None: the chord end),
+        read with the cap word there."""
+        path = self.builder.strands[sid].path
+        point = path.ends[1] if param is None else interp(path, param)
+        return self.engine.wall_class(sid, param, self.engine.cap_word(point))
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
         """Signed class of the boundary arc through marked point i."""
@@ -371,24 +577,11 @@ class SolitonCatalog:
         """Each wall's BPS class, in id order, via the Hori-Vafa rule.
 
         The forest is creative, so each wall has one flowtree and one class,
-        of vanilla index 1.  An initial wall carries its soliton class; at each
-        creation joint the child carries the concatenation of its parents'
-        classes based at the joint, with the joint's twist bit.  Classes are
-        based at each wall's birth point so the composition is literal
-        concatenation.
+        of vanilla index 1, based at its birth point.  A child's class is
+        walked from its parents' sum at the joint (``wall_class``), its sign
+        and parity are theirs with the joint's twist (``sign_parity``).
         """
-        table: List[SolitonClass] = []
-        for strand in self.builder.strands:
-            sid = strand.id
-            if strand.origin[0] == "branch":
-                rho = self.soliton(sid, BIRTH_PARAM)
-            else:
-                joint = self.builder.born_at[sid]
-                pij, pjk = joint["parents"]
-                rho = self.soliton(pij, joint["params"][pij]).concat(
-                    self.soliton(pjk, joint["params"][pjk]), joint["twist"])
-            table.append(rho)
-        return table
+        return [self.soliton(strand.id, BIRTH_PARAM) for strand in self.builder.strands]
 
     def bps_table_bruteforce(self) -> List[SolitonClass]:
         """Oracle: each wall's class from its flowtree, in id order.
@@ -404,8 +597,10 @@ class SolitonCatalog:
         return [self._tree_soliton(strand.id) for strand in self.builder.strands]
 
     def _tree_soliton(self, sid: int) -> SolitonClass:
+        engine = self.engine
         pieces, joints = tree_of_strand(self.builder, sid)
-        cls = self.engine.class_of_chain(self.engine.tree_chain(sid, root_param=BIRTH_PARAM))
-        sign = math.prod(-1 if quadratic_refinement(self.full_class(pid)) % 2 else 1
-                         for pid, _ in pieces if self.builder.strands[pid].origin[0] == "branch")
+        cls = engine.class_of_chain(engine.tree_chain(sid, root_param=BIRTH_PARAM))
+        seeds = [engine.class_of_chain(engine.tree_chain(pid)) for pid, _ in pieces
+                 if self.builder.strands[pid].origin[0] == "branch"]
+        sign = math.prod(-1 if quadratic_refinement(c) % 2 else 1 for c in seeds)
         return SolitonClass(cls, sign, sum(joint["twist"] for joint in joints) % 2)

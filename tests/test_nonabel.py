@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from specnet import nonabel
+from specnet import soliton_bps
 from specnet.forest import build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry, Polyline, Ratio, exact_point, interp, param_of, point_key, prepare,
@@ -18,14 +18,14 @@ from specnet.nonabel import (
     LocalSystemRank1,
     Transport,
     _folds,
-    _rational_sqrt_floor,
     _winding,
     augmentation,
     chord_map,
     homotopic_pair,
     network_punctures,
 )
-from specnet.soliton_bps import CAP_EPS, HomologyEngine, LiftedPath
+from specnet.soliton_bps import (BIRTH_PARAM, CAP_EPS, HomologyEngine, LiftedPath,
+                                 _rational_sqrt_floor)
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, random_weave_builders, random_weave_texts,
@@ -285,7 +285,7 @@ def test_clearance_equals_exact_minimum(builders):
         transport = Transport(builder)
         centers = [v.point for v in builder.weave.trivalent_vertices()]
         centers += [tuple(joint["point"]) for joint in builder.joints]
-        assert [transport.clearance(c) for c in centers] == _exact_clearances(builder, centers)
+        assert [transport.engine.clearance(c) for c in centers] == _exact_clearances(builder, centers)
 
 
 # ----- reference: clearance in Fraction arithmetic -----
@@ -341,11 +341,11 @@ def test_integer_distances_match_fraction_reference(builders):
             px, py, pd = point_key(center)
             for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
                 a, b = (x, y), (x + dx, y + dy)
-                n, m = nonabel._seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd),
+                n, m = soliton_bps._seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd),
                                               (b[0] * pd, b[1] * pd))
                 assert Fraction(n, m * (pd * s) ** 2) == _fraction_seg_distance2(
                     center, exact_point((*a, s)), exact_point((*b, s)))
-            assert transport.clearance(center) == _fraction_clearance(builder, center)
+            assert transport.engine.clearance(center) == _fraction_clearance(builder, center)
 
 
 def test_weave_line_check_reads_a_float_tied_param_exactly():
@@ -425,7 +425,7 @@ def test_homotopic_pairs_have_no_corner_on_a_line(transports):
     lines = transport.builder.weave_lines.segments + transport.builder.walls.segments
     for _ in range(34):
         p, q = homotopic_pair(transport, rng)
-        assert not any(nonabel._on_a_segment(lines, point) for point in _keys(p + q))
+        assert not any(soliton_bps.on_a_segment(lines, point) for point in _keys(p + q))
         assert transport.transport_path(p) == transport.transport_path(q)
 
 
@@ -666,7 +666,7 @@ def _check_memos(transport, rng, walls, per_segment, paths):
                 direct = _direct_coefficient(transport, strand.id, param)
             except NonGenericGeometry:
                 continue
-            word = transport._cap_word(interp(strand.path, param))
+            word = transport.engine.cap_word(interp(strand.path, param))
             assert transport.soliton_coefficient(strand.id, param, word) == direct, \
                 (strand.id, param)
             queries += 1
@@ -741,20 +741,20 @@ def test_stokes_keys_equal_the_reference(builders):
         for strand in builder.strands:
             keyed = {}
             for param in _wall_params(transport, strand, rng, 1):
-                word = transport._cap_word(interp(strand.path, param))
-                wall_word = transport._wall_word(strand.id, param, word)
+                word = transport.engine.cap_word(interp(strand.path, param))
+                wall_word = transport.engine._wall_word(strand.id, param, word)
                 if wall_word is not None:
                     keyed[param[0], Fraction(param[2].numerator, param[2].denominator)] = \
                         param, wall_word
             for (p1, w1), (p2, w2) in itertools.combinations(
                     [keyed[t] for t in sorted(keyed)], 2):
                 try:
-                    crossings = transport._cut_set.crossings(
+                    crossings = transport.engine.cut_set.crossings(
                         _capped_wall_loop(transport, strand, p1, p2))
                 except NonGenericGeometry:
                     continue
-                loop = nonabel._freely_reduced([(cut, side) for _, cut, _, _, side in crossings])
-                walked = nonabel._freely_reduced([(cut, -side) for cut, side in w1[::-1]] + w2)
+                loop = soliton_bps.freely_reduced([(cut, side) for _, cut, _, _, side in crossings])
+                walked = soliton_bps.freely_reduced([(cut, -side) for cut, side in w1[::-1]] + w2)
                 assert walked == loop, (strand.id, p1, p2)
                 compared, empty = compared + 1, empty + (loop == ())
     assert 0 < empty < compared and compared > 5000, (empty, compared)
@@ -800,10 +800,10 @@ def test_cap_through_a_branch_point_reads_as_the_cap_left_of_it(builders):
 def _queried_cap_word(transport, point):
     """The cap word at the scaled ``point`` read by the cut-set query alone:
     None where the point lies on a cut or the query raises."""
-    if nonabel._on_a_segment(transport._cut_set.segments, point):
+    if soliton_bps.on_a_segment(transport.engine.cut_set.segments, point):
         return None
     try:
-        crossings = transport._cut_set.crossings(Polyline(transport.engine.cap_points(point)))
+        crossings = transport.engine.cut_set.crossings(Polyline(transport.engine.cap_points(point)))
     except NonGenericGeometry:
         return None
     return [(cut, side) for _, cut, _, _, side in crossings]
@@ -824,10 +824,10 @@ def test_cap_word_box_shortcut_equals_the_query(builders):
     counts = collections.Counter()
     for builder in forests:
         transport = Transport(builder)
-        right = max(top[0] for _, top in transport.cuts)
-        assert transport._cuts_right == float(right)
+        right = max(top[0] for _, top in transport.engine.cuts)
+        assert transport.engine._cuts_right == float(right)
         points = []
-        for (bx, by), (tx, _) in transport.cuts:
+        for (bx, by), (tx, _) in transport.engine.cuts:
             t = Fraction(rng.randint(1, 999), 1000)
             points.append((bx + (tx - bx) * t, by * (1 - t)))
             for x in (tx, right):
@@ -838,9 +838,9 @@ def test_cap_word_box_shortcut_equals_the_query(builders):
                         points += [(x + dx, y), (x - dx, y)]
         for p in points:
             point = point_key(p)
-            word = transport._cap_word(point)
+            word = transport.engine.cap_word(point)
             assert word == _queried_cap_word(transport, point), p
-            shortcut = point[0] / point[2] > transport._cuts_right
+            shortcut = point[0] / point[2] > transport.engine._cuts_right
             counts["shortcut" if shortcut else "none" if word is None else
                    "crossed" if word else "queried"] += 1
     assert min(counts.values()) > 50, counts
@@ -943,8 +943,8 @@ def test_each_letter_is_a_signed_transposition(builders):
     for builder in forests:
         transport = Transport(builder)
         zero = (0,) * len(transport.gens)
-        for k in range(len(transport.cuts)):
-            row = {t: transport._letters[t, k] for t in range(1, transport.n + 1)}
+        for k in range(len(transport.engine.cuts)):
+            row = {t: transport.engine._letters[t, k] for t in range(1, transport.n + 1)}
             (a, (c, b)), (b2, (c2, a2)) = [(t, v) for t, v in row.items() if v[1] != t]
             assert (a2, b2) == (a, b) and c2 == tuple(-x for x in c), (k, row)
             assert all(v == (zero, t) for t, v in row.items() if t not in (a, b)), (k, row)
@@ -952,10 +952,13 @@ def test_each_letter_is_a_signed_transposition(builders):
     assert letters > 80, letters
 
 
-def test_built_transport_solves_only_unkeyed_free_paths_and_stokes_bases(builders):
-    """Once a ``Transport`` exists, seeded homotopic pairs solve no class on
-    a sub-path with a key, one per sheet on each without, and at most one
-    Stokes class per wall, on the fixtures and 10 seeded random weaves."""
+def test_after_construction_no_class_calls_tree_chain(builders, monkeypatch):
+    """Once an engine is built, every wall class is read off slit words:
+    ``bps_table``, ``augmentation`` and seeded homotopic pairs call
+    ``tree_chain`` for no wall, and the pairs solve one class per sheet on
+    each sub-path without a key and none on one with, on the fixtures and
+    10 seeded random weaves.  ``augmentation`` builds its own engine, whose
+    construction calls ``tree_chain`` once per basis strand, in order."""
     rng = random.Random(20261028)
     forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 10))
     keyed = 0
@@ -965,16 +968,60 @@ def test_built_transport_solves_only_unkeyed_free_paths_and_stokes_bases(builder
         engine.class_of_chain = lambda pieces: calls.append(1) or _solve(engine, pieces)
         engine.tree_chain = lambda sid, root_param=None: walls.append(sid) or \
             HomologyEngine.tree_chain(engine, sid, root_param)
+        transport.catalog.bps_table()
         for _ in range(4):
             for poly in homotopic_pair(transport, rng):
                 parts = [part for _, part in _walk(transport, poly)]
-                solved, stokes = len(calls), len(walls)
+                solved = len(calls)
                 transport.transport_path(poly)
                 unkeyed = parts.count(None)
-                assert len(calls) - solved == transport.n * unkeyed + len(walls) - stokes, poly
+                assert len(calls) - solved == transport.n * unkeyed, poly
                 keyed += len(parts) - unkeyed
-        assert max(collections.Counter(walls).values(), default=0) <= 1, walls
+        assert not walls, walls
+        tree_chain = HomologyEngine.tree_chain
+        with monkeypatch.context() as patch:
+            patch.setattr(HomologyEngine, "tree_chain", lambda self, sid, root_param=None:
+                          walls.append(sid) or tree_chain(self, sid, root_param))
+            augmentation(builder.bent)  # on a forest grown again, alike
+        assert walls == engine.basis_strands, walls
     assert keyed > 1000, keyed
+
+
+def test_wall_classes_by_pieces_equal_direct_solves(builders):
+    """``wall_class``, walked from the wall's origin, equals the class of
+    the wall's tree chain solved directly: at each wall's birth param, its
+    chord end, each joint param where it is a parent and ``_wall_params``'
+    seeded params, on the fixtures and 20 seeded random weaves.  The first
+    three always have a word, so no class there calls ``tree_chain``;
+    seeded params whose direct solve raises are skipped."""
+    rng = random.Random(20261029)
+    forests = list(builders.values()) + list(itertools.islice(random_weave_builders(), 20))
+    counts = collections.Counter()
+    for builder in forests:
+        transport = Transport(builder)
+        engine, walls = transport.engine, []
+        engine.tree_chain = lambda sid, root_param=None: walls.append(sid) or \
+            HomologyEngine.tree_chain(engine, sid, root_param)
+        at_joints = collections.defaultdict(list)
+        for joint in builder.joints:
+            for pid, param in joint["params"].items():
+                at_joints[pid].append(param)
+        for strand in builder.strands:
+            fixed = [BIRTH_PARAM, None] + at_joints[strand.id]
+            for k, param in enumerate(fixed + _wall_params(transport, strand, rng, 1)):
+                try:
+                    direct = _solve(engine, HomologyEngine.tree_chain(engine, strand.id, param))
+                except NonGenericGeometry:
+                    assert k >= len(fixed), (strand.id, param)
+                    continue
+                point = strand.path.ends[1] if param is None else interp(strand.path, param)
+                solved = len(walls)
+                assert engine.wall_class(strand.id, param, engine.cap_word(point)) == direct, \
+                    (strand.id, param)
+                walked = len(walls) == solved
+                assert walked or k >= len(fixed), (strand.id, param)
+                counts["fixed" if k < len(fixed) else "walked" if walked else "solved"] += 1
+    assert counts["fixed"] > 500 and counts["walked"] > 2000, counts
 
 
 def _capped_loop(transport, path):
@@ -992,7 +1039,7 @@ def _reference_free_key(transport, path, events, sheets):
     if any(y >= 0 for _, y in path.ints):
         return None
     try:
-        crossings = transport._cut_set.crossings(_capped_loop(transport, path))
+        crossings = transport.engine.cut_set.crossings(_capped_loop(transport, path))
     except NonGenericGeometry:
         return None
     word = []
@@ -1028,7 +1075,7 @@ def _check_walk_keys(transport, poly):
             equal += 1
             continue
         try:
-            fault = transport._cut_set.crossings(_capped_loop(transport, sub)) and None
+            fault = transport.engine.cut_set.crossings(_capped_loop(transport, sub)) and None
         except NonGenericGeometry as err:
             fault = str(err)
         if fault != "duplicate crossing point":
@@ -1071,13 +1118,13 @@ def test_sub_paths_touching_a_cut_have_no_key(builders):
     for builder in builders.values():
         transport = Transport(builder)
         engine = transport.engine
-        for b, top in transport.cuts:
+        for b, top in transport.engine.cuts:
             inside = (b[0] + (top[0] - b[0]) * 3 / 7, b[1] * 4 / 7)
             # the cap from here turns at (x + CAP_EPS, -CAP_EPS / 2), inside the cut
             t = 1 - CAP_EPS / 2 / -b[1]
             turning = (b[0] + (top[0] - b[0]) * t - CAP_EPS, b[1] * 4 / 7)
             with pytest.raises(NonGenericGeometry, match="corner hit"):
-                transport._cut_set.crossings(Polyline(engine.cap_points(point_key(turning))))
+                transport.engine.cut_set.crossings(Polyline(engine.cap_points(point_key(turning))))
             other = (Fraction(rng.randint(1, 999), 1000) * engine.x_max,
                      engine.y_deep * Fraction(rng.randint(5, 995), 1000))
             for poly, end in (([inside, other], 0), ([other, inside], -1), ([turning, other], 0)):
@@ -1116,12 +1163,12 @@ def test_path_meeting_a_line_twice_at_one_point_falls_back(builders, lines):
     does."""
     builder = builders["five_crossing"]
     transport = Transport(builder)
-    (bx, by), (tx, _) = transport.cuts[0]
+    (bx, by), (tx, _) = transport.engine.cuts[0]
     if lines == "weave lines":
         query = builder.events_along
         poly = _twice_through(Fraction(3, 2), Fraction(-1, 4))
     else:
-        query = transport._cut_set.crossings
+        query = transport.engine.cut_set.crossings
         poly = _twice_through(bx + (tx - bx) * 3 / 7, by * 4 / 7)
     with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
         query(poly)
@@ -1142,10 +1189,10 @@ def test_branch_cuts_disjoint_and_left_of_marked_point(builders):
     for builder in builders.values():
         transport = Transport(builder)
         branch = [v.point for v in builder.weave.trivalent_vertices()]
-        assert [cut[0] for cut in transport.cuts] == branch
-        for (b, top), (c, top2) in itertools.combinations(transport.cuts, 2):
+        assert [cut[0] for cut in transport.engine.cuts] == branch
+        for (b, top), (c, top2) in itertools.combinations(transport.engine.cuts, 2):
             assert not _segments_meet(b, top, c, top2)
-        for _b, (x, y) in transport.cuts:
+        for _b, (x, y) in transport.engine.cuts:
             assert y == 0 and x < builder.bent.marked_x
 
 
@@ -1228,7 +1275,7 @@ def test_weave_with_no_branch_point_transports_without_a_solve():
     for text in ("n=3\ntop: 1 2 1\nmoves: h1", "n=4\ntop: 1 3 2\nmoves: x1"):
         builder = build_forest_strands(bend_weave(parse_weave(text)))
         transport = Transport(builder)
-        assert not transport.cuts and not builder.strands and transport._cuts_right == -math.inf
+        assert not transport.engine.cuts and not builder.strands and transport.engine._cuts_right == -math.inf
         assert transport.gens == ()
         rng = random.Random(text)
         pairs = [homotopic_pair(transport, rng) for _ in range(3)]

@@ -3,7 +3,6 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
 
 from specnet.forest import build_forest_strands
 from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, prepare, transpose
@@ -43,24 +42,6 @@ def test_effective_sign_and_twist():
     assert SolitonClass((1, 0), 1, 0).effective_sign == 1
     assert SolitonClass((1, 0), 1, 1).effective_sign == -1
     assert SolitonClass((1, 0), -1, 1).effective_sign == 1
-
-
-exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-classes = st.builds(SolitonClass, exps, st.sampled_from((1, -1)),
-                    st.integers(0, 1))
-
-
-@given(classes, classes, st.integers(0, 1))
-def test_concat_algebra(a, b, twist):
-    c = a.concat(b, twist)
-    assert c.monomial == tuple(x + y for x, y in zip(a.monomial, b.monomial))
-    assert c.sign == a.sign * b.sign
-    assert c.h_parity == (a.h_parity + b.h_parity + twist) % 2
-
-
-@given(classes, classes, classes)
-def test_concat_associative_without_twist(a, b, c):
-    assert a.concat(b, 0).concat(c, 0) == a.concat(b.concat(c, 0), 0)
 
 
 def test_engine_matrix_full_rank(catalogs):

@@ -103,6 +103,20 @@ def test_every_raise_names_a_value_runtime_or_os_error():
     assert not offenders, offenders
 
 
+def test_only_soliton_bps_calls_tree_chain():
+    """Wall classes are decided in the homology engine: no src/ module but
+    soliton_bps calls ``tree_chain``, whether as a method or by name."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "tree_chain":
+                    callers.append("%s:%d" % (path.name, node.lineno))
+    assert callers and all(c.startswith("soliton_bps.py:") for c in callers), callers
+
+
 def _span_targets():
     spans = SRC.parents[1] / "perfbench" / "spans.py"
     return next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
