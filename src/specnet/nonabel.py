@@ -58,7 +58,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .forest import ForestBuilder, build_forest_strands
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, ScaledPoint, exact_point,
@@ -128,17 +128,12 @@ class Transport:
         """
         path = prepare(poly)
         (points, part, _, _), = self._sub_paths(path)
-        factor, _ = self._free_factor(points, part, self.cap_sheets(path.ends[0]))
+        factor, _ = self._free_factor(points, part, self.engine.cap_sheets(path.ends[0]))
         zero = LaurentPoly.zero(self.gens)
         out = [[zero] * self.n for _ in range(self.n)]
         for start, (sheet, cls, sign) in enumerate(factor):
             out[sheet - 1][start] = LaurentPoly.monomial(self.gens, cls, sign)
         return out
-
-    def cap_sheets(self, start: ScaledPoint) -> Tuple[int, ...]:
-        """The sheet permutation of the cap at ``start``, a ``point_key``:
-        sheet s there reaches sheet ``[s - 1]`` at the marked point."""
-        return walk_sheets(tuple(range(1, self.n + 1)), self.engine.cap(start).events)[0]
 
     def _free_factor(self, points, part, sheets):
         """The free transport along the sub-path through scaled ``points``
@@ -231,16 +226,16 @@ class Transport:
     # ----- paths -----
     def transport_path(self, poly: Sequence[Point]) -> List[List[LaurentPoly]]:
         """Transport along a polyline path avoiding all network vertices,
-        by row operations on the sub-paths between its wall crossings, with
-        the cap sheets carried from one sub-path to the next (see the module
-        docstring)."""
+        by row operations on the sub-paths between its wall crossings, the
+        cap sheets read at its start (``cap_sheets``) and carried from one
+        sub-path to the next (see the module docstring)."""
         path = prepare(poly)
         zero = (0,) * len(self.gens)
         # row r is (scale, sign, terms): sign * x^scale times one {exponents:
         # coefficient} dict per column
         rows = [(zero, 1, [{zero: 1} if c == r else {} for c in range(self.n)])
                 for r in range(self.n)]
-        sheets = self.cap_sheets(path.ends[0])
+        sheets = self.engine.cap_sheets(path.ends[0])
         for points, part, crossing, word in self._sub_paths(path, self.builder.walls.crossings(path)):
             factor, sheets = self._free_factor(points, part, sheets)
             out = [None] * self.n
@@ -441,7 +436,7 @@ def augmentation(bent) -> Dict[str, LaurentPoly]:
 
     Each chord value is the signed sum over the flowtrees ending at it of
     their soliton monomials; marked-point values are the signed boundary-arc
-    holonomies.
+    classes, walked off the engine's letter table (``arc_soliton``).
     """
     builder = build_forest_strands(bent)
     catalog = SolitonCatalog(builder)

@@ -31,6 +31,12 @@ its parents' classes at J.  Where the wall, the cap at p or that at p0 has
 no word (a point on a cut, or a cut met other than transversally), the
 class is solved from the wall's tree chain.
 
+A marked-point value t_i is the class of the boundary arc: from the marked
+point right, down below every line, left, up and back right along y =
+-CAP_EPS.  Every slit top lies left of the marked point (the engine raises
+otherwise), so the arc crosses each slit once, by increasing top x, and t_i
+is the walk of that word from marked sheet i, with no solve.
+
 All geometry is exact rational.  A degeneracy raises NonGenericGeometry,
 which propagates to the caller; nothing here or in transport retries.
 """
@@ -42,7 +48,6 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,8 +59,8 @@ from .laurent import FactoredMatrix
 
 # where a wall's BPS entries are based: a parameter just past its birth point
 BIRTH_PARAM: Param = param_of(0, Fraction(1, 997))
-# how close caps and boundary arcs run to the top boundary: a cap's first
-# leg runs CAP_EPS right of its start, up to height -CAP_EPS/2
+# how close caps run to the top boundary: a cap's first leg runs CAP_EPS
+# right of its start, up to height -CAP_EPS/2
 CAP_EPS = Fraction(1, 2 ** 24)
 
 
@@ -159,8 +164,8 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> Tuple[List[tuple],
 
 
 class HomologyEngine:
-    """Exact H_1(L, T) classes for flowtrees and boundary arcs, and the
-    slit words and letter table every wall class is read off."""
+    """Exact H_1(L, T) classes for flowtrees and free paths, and the slit
+    words and letter table that wall classes and each t_i are read off."""
 
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
@@ -168,8 +173,6 @@ class HomologyEngine:
         self.weave = builder.weave
         self.obstacles = builder.obstacles
         n = self.weave.strand_count
-        self.marked = (self.bent.marked_x, Fraction(0))
-        self._marked_key = point_key(self.marked)
         self._branches = [(point_key(v.point), v.letter) for v in self.weave.trivalent_vertices()]
         if not self.obstacles:
             raise ValueError("weave has no weave lines: its top word is empty")
@@ -177,6 +180,7 @@ class HomologyEngine:
         lows = [min(p[1] for p in seg.points) for seg in self.obstacles]
         self.y_deep = min(lows) - 1
         self.x_max = self.bent.marked_x  # every weave line lies left of it
+        self._marked_key = point_key((self.x_max, Fraction(0)))
         # generator s_k: the class of the b-strand that leaves a branch point
         # along its top-right edge and ends at chord z_k; ordered by k
         b_strands = sorted((int(s.chord[2:]), s.id) for s in builder.strands
@@ -200,16 +204,19 @@ class HomologyEngine:
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
         if len({1000 * x - y for (x, y), _ in self.cuts}) != len(self.cuts):
             raise NonGenericGeometry("two branch cuts are collinear")
+        if any(x >= self.x_max for _, (x, _) in self.cuts):
+            raise NonGenericGeometry("a slit top lies at or right of the marked point")
         self.cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
         # past every slit's float box, the cap word is [] (see cap_word)
-        right = max((row[1] for row in self.cut_set.segments), default=-math.inf)
-        self._cuts_right = right if all(top[0] < self.x_max for _, top in self.cuts) else math.inf
+        self._cuts_right = max((row[1] for row in self.cut_set.segments), default=-math.inf)
         # each wall's cut crossings, or None where that query raised
         self._wall_slits = [unless_raising(self.cut_set.crossings, strand.path)
                             for strand in builder.strands]
         self._loops: Dict[Point, List[Point]] = {}  # center -> its loop (see loop)
         self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
-        for k in sorted(range(len(self.cuts)), key=lambda k: -self.cuts[k][1][0]):
+        # the boundary arc crosses the slits rightward, by increasing top x
+        self.arc_word = [(k, -1) for _, k in sorted((x, k) for k, (_, (x, _)) in enumerate(self.cuts))]
+        for k, _ in reversed(self.arc_word):  # the letters build from the right
             self._add_letter(k)
         self._origins: List[Optional[tuple]] = []  # per wall, in id order: parents first
         for sid in range(len(builder.strands)):
@@ -217,9 +224,9 @@ class HomologyEngine:
 
     # ----- test curve pool -----
     def _make_tests(self, n: int) -> PairingLines:
-        # vertical lines run past the boundary arcs' deep leg so those
-        # crossings count; horizontal lines distinguish branch points
-        # stacked in one column
+        # vertical lines run from the top boundary to below every weave
+        # line, so no chain passes under one; horizontal lines distinguish
+        # branch points stacked in one column
         xs = [Fraction(1, 3) + k for k in range(math.ceil(self.x_max + Fraction(2, 3)))]
         ys = [Fraction(-1, 3) - k for k in range(math.ceil(-self.y_deep - Fraction(1, 3)))]
         return PairingLines([[(x, Fraction(0)), (x, self.y_deep - 2)] for x in xs]
@@ -230,9 +237,10 @@ class HomologyEngine:
     def cap(self, start: ScaledPoint) -> LiftedPath:
         """The path from ``start``, a ``point_key``, to the marked point,
         kept for the few most recent starts with its weave-line events and
-        test-curve pairings: a path transport caps its start, and a free
-        sub-path solved afresh its two ends, which the other path of a
-        homotopic pair shares.  A class read off a walk caps nothing."""
+        test-curve pairings: transport caps a path's start (``cap_sheets``),
+        a fresh free solve a sub-path's two ends, which the other path of a
+        homotopic pair shares, and an origin its base.  A class read off a
+        walk caps nothing."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             path = Polyline(self.cap_points(start))
@@ -241,6 +249,11 @@ class HomologyEngine:
         if len(self._recent_caps) > 4:
             del self._recent_caps[next(iter(self._recent_caps))]
         return cap
+
+    def cap_sheets(self, start: ScaledPoint) -> Tuple[int, ...]:
+        """The sheet permutation of the cap at ``start``, a ``point_key``:
+        sheet s there reaches sheet ``[s - 1]`` at the marked point."""
+        return walk_sheets(tuple(range(1, self.weave.strand_count + 1)), self.cap(start).events)[0]
 
     def cap_points(self, start: ScaledPoint) -> List[ScaledPoint]:
         """A cap's scaled points: ``start``, (x + CAP_EPS, -CAP_EPS / 2), the marked point."""
@@ -279,18 +292,6 @@ class HomologyEngine:
         chain += [(cap, final[0], 1), (cap, final[1], -1)]
         self._check_boundary(chain)
         return chain
-
-    @cached_property
-    def _arc(self) -> LiftedPath:
-        """The boundary arc, one path for every marked lift."""
-        arc = prepare([self.marked, (self.x_max + 2, -CAP_EPS), (self.x_max + 2, self.y_deep - 1),
-                       (Fraction(-2), self.y_deep - 1), (Fraction(-2), -CAP_EPS),
-                       (self.marked[0] - CAP_EPS, -CAP_EPS), self.marked])
-        return LiftedPath(arc, self.builder.events_along(arc))
-
-    def arc_chain(self, marked_index: int) -> List[tuple]:
-        """Boundary arc from marked lift t_i rightward around the surface."""
-        return [(self._arc, marked_index, 1)]
 
     def _check_boundary(self, chain: Sequence[tuple]):
         residue = defaultdict(int)  # by (scaled point in lowest terms, sheet)
@@ -386,7 +387,7 @@ class HomologyEngine:
             (sheet,), sign = walk_sheets((start,), events)
             chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
             factor.append((sheet, self.class_of_chain(chain), sign))
-        return factor, walk_sheets(tuple(range(1, len(factor) + 1)), end_cap.events)[0]
+        return factor, self.cap_sheets(path.ends[1])
 
     def _wall_word(self, sid: int, param: Optional[Param], word: Optional[list]) -> Optional[list]:
         """Wall ``sid``'s cut crossings before ``param``, then ``word``; None
@@ -415,7 +416,8 @@ class HomologyEngine:
         if base is None:
             return None
         prefix = [(cut, -side) for cut, side in reversed(base)]
-        m1, m2 = walk_sheets(strand.label_at(p0), self.cap(point).events)[0]
+        sheets = self.cap_sheets(point)
+        m1, m2 = (sheets[s - 1] for s in strand.label_at(p0))
         if joint is None:
             cls = self.walk(m2, prefix + [(self._cut_of[strand.origin[1]], 1)] + base)[0]
         else:  # base is J's cap word: the child crosses no cut before p0
@@ -530,8 +532,8 @@ class SolitonCatalog:
       1 exactly when the parent tangents there satisfy d_ij x d_jk > 0
       (the ij-parent being the one whose label at the joint shares the
       child's starting lower sheet);
-    * a boundary arc through the marked point on sheet i carries sign
-      (-1)^(Q + l + 1) with l the number of branch points.
+    * t_i, the boundary arc walked from marked sheet i (``arc_word``),
+      carries sign (-1)^(Q + l + 1) with l the number of branch points.
 
     The convention is pinned by requiring seed walls ending at their own
     dual chords to contribute +s_i, the known cancelling pairs to sum to
@@ -567,8 +569,8 @@ class SolitonCatalog:
         return self.engine.wall_class(sid, param, self.engine.cap_word(point))
 
     def arc_soliton(self, marked_index: int) -> SolitonClass:
-        """Signed class of the boundary arc through marked point i."""
-        cls = self.engine.class_of_chain(self.engine.arc_chain(marked_index))
+        """Signed t_i: the walk of the engine's ``arc_word`` from marked sheet i."""
+        cls = self.engine.walk(marked_index, self.engine.arc_word)[0]
         q = quadratic_refinement(cls) + len(self.engine.gen_names) + 1
         return SolitonClass(cls, -1 if q % 2 else 1, 0)
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from specnet.forest import build_forest_strands
+from specnet.geometry import prepare, walk_sheets
 from specnet.laurent import LaurentPoly
+from specnet.soliton_bps import CAP_EPS, LiftedPath
 from specnet.weave import Move, _apply_move, bend_weave, demazure_product, length, parse_weave
 
 EXAMPLES = {
@@ -59,6 +61,33 @@ def random_weave_builders():
             yield build_forest_strands(bend_weave(parse_weave(text)))
         except RuntimeError:
             continue
+
+
+def arc_chains(engine):
+    """Per marked sheet i, the boundary arc's chain lifted from sheet i: one
+    loop at the marked point that runs right to x_max + 2, down below every
+    line, left to x = -2, up, and back right along y = -CAP_EPS, with its
+    weave-line events.  The reference the walked marked-point values are
+    checked against."""
+    marked = (engine.x_max, Fraction(0))
+    arc = prepare([marked, (engine.x_max + 2, -CAP_EPS), (engine.x_max + 2, engine.y_deep - 1),
+                   (Fraction(-2), engine.y_deep - 1), (Fraction(-2), -CAP_EPS),
+                   (engine.x_max - CAP_EPS, -CAP_EPS), marked])
+    path = LiftedPath(arc, engine.builder.events_along(arc))
+    return [[(path, i, 1)] for i in range(1, engine.weave.strand_count + 1)]
+
+
+def assert_arc_walks_equal_solves(engine):
+    """The engine's ``arc_word`` is the arc's cut-crossing word, and its walk
+    from each marked sheet gives the class that pairing solves for the arc
+    chain and the sheet the arc's events carry that sheet to."""
+    chains = arc_chains(engine)
+    arc = chains[0][0][0]
+    assert [(cut, side) for _, cut, _, _, side in engine.cut_set.crossings(arc.polyline)] \
+        == engine.arc_word
+    solved = [(engine.class_of_chain(chain), walk_sheets((i,), arc.events)[0][0])
+              for i, chain in enumerate(chains, 1)]
+    assert [engine.walk(i, engine.arc_word) for i in range(1, len(chains) + 1)] == solved
 
 
 # how far below the top boundary top_boundary_fault's paths run

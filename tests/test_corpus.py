@@ -7,7 +7,8 @@ from specnet.forest import build_forest_strands
 from specnet.nonabel import Transport, augmentation, homotopic_pair
 from specnet.weave import Move, Weave, bend_weave, parse_weave
 
-from conftest import PLUS_MINUS_TWO, random_weave_texts, top_boundary_fault
+from conftest import (PLUS_MINUS_TWO, assert_arc_walks_equal_solves, random_weave_texts,
+                      top_boundary_fault)
 
 # invariants are checked on built weaves with at most this many strands
 STRAND_CAP = 16
@@ -58,12 +59,13 @@ TOP_BOUNDARY_DIFFER = [(index, PLUS_MINUS_TWO)
 def test_random_corpus_rejections_and_invariants():
     """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
     of them and rejects exactly the 31 in REJECTED.  On each built weave
-    the top-boundary identity with the augmentation holds, with c_q and
-    the augmentation's monomials different on exactly the weaves of
-    TOP_BOUNDARY_DIFFER.  On each built weave of at most STRAND_CAP strands
-    (128 weaves), every branch and joint monodromy is the identity, the
-    BPS recursion equals brute force and two seeded homotopic path pairs
-    transport alike."""
+    each t_i's walk equals the boundary arc's solve
+    (``assert_arc_walks_equal_solves``), and the top-boundary identity with
+    the augmentation holds, with c_q and the augmentation's monomials
+    different on exactly the weaves of TOP_BOUNDARY_DIFFER.  On each built
+    weave of at most STRAND_CAP strands (128 weaves), every branch and
+    joint monodromy is the identity, the BPS recursion equals brute force
+    and two seeded homotopic path pairs transport alike."""
     texts = list(random_weave_texts(7, 400))
     assert len(texts) == 193
     rejected, differ, checked = [], [], 0
@@ -74,6 +76,7 @@ def test_random_corpus_rejections_and_invariants():
             rejected.append((index, type(err).__name__, str(err)))
             continue
         transport = Transport(builder)
+        assert_arc_walks_equal_solves(transport.engine)
         fault = top_boundary_fault(transport, augmentation(builder.bent))
         if fault is not None:
             differ.append((index, fault))
@@ -124,11 +127,12 @@ def test_four_strand_corpus_with_x_moves():
     bottoms; the forest builds 113 of them and rejects exactly the 13 in
     REJECTED_N4.  82 built weaves have an x move, and in 36 a strand
     climbs through a tetravalent vertex (passing delta left of its point).
-    On every built weave each branch and joint monodromy is the identity,
-    the BPS recursion equals brute force, two seeded homotopic path pairs
-    transport alike and the top-boundary identity with the augmentation
-    holds, with c_q and the augmentation's monomials different on exactly
-    the weaves of TOP_BOUNDARY_DIFFER_N4."""
+    On every built weave each t_i's walk equals the boundary arc's solve,
+    each branch and joint monodromy is the identity, the BPS recursion
+    equals brute force, two seeded homotopic path pairs transport alike and
+    the top-boundary identity with the augmentation holds, with c_q and the
+    augmentation's monomials different on exactly the weaves of
+    TOP_BOUNDARY_DIFFER_N4."""
     texts = list(random_weave_texts(4, 300, 4))
     assert len(texts) == 126
     rejected, differ, with_x, climbing = [], [], 0, 0
@@ -143,6 +147,7 @@ def test_four_strand_corpus_with_x_moves():
         climbing += any((x - s.delta, y) in s.polyline
                         for x, y in x_points for s in builder.strands)
         transport = Transport(builder)
+        assert_arc_walks_equal_solves(transport.engine)
         loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
         loops += [transport.joint_monodromy(joint) for joint in builder.joints]
         assert all(transport.is_identity(m) for m in loops), text

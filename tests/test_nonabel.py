@@ -912,7 +912,7 @@ def test_free_classes_depend_on_marked_sheet_and_word_alone(builders):
         for _ in range(3 if index < len(builders) else 1):
             for poly in homotopic_pair(transport, rng):
                 path = prepare(poly)
-                sheets = transport.cap_sheets(path.ends[0])
+                sheets = transport.engine.cap_sheets(path.ends[0])
                 for points, part, _, _ in transport._sub_paths(path, builder.walls.crossings(path)):
                     solved = len(calls)
                     factor, sheets = transport._free_factor(points, part, sheets)
@@ -1068,7 +1068,7 @@ def _check_walk_keys(transport, poly):
     elsewhere it forms none.  Returns the keys compared and the duplicates."""
     equal = duplicates = 0
     for sub, part in _walk(transport, poly):
-        sheets = transport.cap_sheets(sub.ends[0])
+        sheets = transport.engine.cap_sheets(sub.ends[0])
         key = _reference_free_key(transport, sub, transport.builder.events_along(sub), sheets)
         if key is not None:
             assert (sheets,) + part == key, poly

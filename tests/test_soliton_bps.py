@@ -19,7 +19,8 @@ from specnet.soliton_bps import (
 )
 from specnet.weave import bend_weave, parse_weave
 
-from conftest import EXAMPLES, random_weave_builders
+from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
+                      random_weave_builders)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -264,8 +265,7 @@ def test_engine_matches_per_test_reference(catalogs):
         chains = [engine.tree_chain(s.id) for s in builder.strands]
         chains += [engine.tree_chain(pid, root_param=joint["params"][pid])
                    for joint in builder.joints for pid in joint["parents"]]
-        chains += [engine.arc_chain(i)
-                   for i in range(1, engine.weave.strand_count + 1)]
+        chains += arc_chains(engine)
         for chain in chains:
             solution = solve_rational(matrix, _reference_vector(chain, tests))
             assert all(v.denominator == 1 for v in solution)
@@ -273,14 +273,31 @@ def test_engine_matches_per_test_reference(catalogs):
             assert engine.class_of_chain(chain) == exps, name
 
 
-def test_boundary_arc_is_built_once_per_engine(catalogs):
-    """Every marked lift's arc chain carries the one arc path the engine
-    built, so its events and pairings are computed once."""
-    for catalog in catalogs.values():
-        engine = catalog.engine
-        arcs = [engine.arc_chain(i) for i in range(1, engine.weave.strand_count + 1)]
-        assert all(chain[0][0] is engine.arc_chain(1)[0][0] for chain in arcs)
-        assert [chain[0][1:] for chain in arcs] == [(i, 1) for i in range(1, len(arcs) + 1)]
+def test_marked_point_walks_equal_the_arc_solve(catalogs):
+    """Each t_i is the walk of the engine's ``arc_word`` from marked sheet
+    i: the word is the boundary arc's cut crossings, and the walk's class
+    and end sheet are those of the arc chain solved by pairing, on the
+    fixtures, the two n = 4 x-move weaves and two weaves with no branch
+    point (whose arc word is empty and every t_i is the empty class)."""
+    engines = [catalog.engine for catalog in catalogs.values()]
+    engines += [HomologyEngine(build_forest_strands(bend_weave(parse_weave(text))))
+                for text in X_MOVE_WEAVES + ["n=3\ntop: 1 2 1\nmoves: h1",
+                                            "n=4\ntop: 1 3 2\nmoves: x1"]]
+    for engine in engines:
+        assert_arc_walks_equal_solves(engine)
+    assert [len(engine.arc_word) for engine in engines] == [2, 2, 5, 2, 4, 1, 2, 0, 0]
+
+
+def test_slit_top_at_or_right_of_the_marked_point_is_rejected():
+    """The arc word holds only while every slit top lies left of the marked
+    point, so an engine whose marked point is moved left of a slit top
+    raises where the cuts are built."""
+    builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["three_strand"])))
+    tops = sorted(top[0] for _, top in HomologyEngine(builder).cuts)
+    for x in (tops[-1], (tops[-2] + tops[-1]) / 2):
+        builder.bent.marked_x = x
+        with pytest.raises(NonGenericGeometry, match="a slit top lies at or right of the marked point"):
+            HomologyEngine(builder)
 
 
 def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):

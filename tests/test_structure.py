@@ -103,18 +103,44 @@ def test_every_raise_names_a_value_runtime_or_os_error():
     assert not offenders, offenders
 
 
+def _call_sites(name):
+    """Each call in src/ of ``name``, whether as a method or by name, as
+    "module:function", the function being the innermost one that encloses
+    the call ("<module>" at the top level)."""
+    sites = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                sites.append("%s:%s" % (module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, "<module>")
+    return sites
+
+
 def test_only_soliton_bps_calls_tree_chain():
     """Wall classes are decided in the homology engine: no src/ module but
     soliton_bps calls ``tree_chain``, whether as a method or by name."""
-    callers = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "tree_chain":
-                    callers.append("%s:%d" % (path.name, node.lineno))
-    assert callers and all(c.startswith("soliton_bps.py:") for c in callers), callers
+    callers = _call_sites("tree_chain")
+    assert callers and all(c.startswith("soliton_bps:") for c in callers), callers
+
+
+def test_class_of_chain_callers_are_the_no_word_solves_and_the_oracle():
+    """Every class is read off a walk but where no word exists or an oracle
+    asks for the solve: ``class_of_chain`` is called only by ``solve_free``
+    (a free path with no word, and each letter's loop as the table is
+    built), ``wall_class`` (a wall with no word) and ``_tree_soliton`` (the
+    brute-force BPS oracle).  No marked-point, BPS or augmentation value is
+    solved anywhere else."""
+    assert set(_call_sites("class_of_chain")) == {
+        "soliton_bps:solve_free", "soliton_bps:wall_class", "soliton_bps:_tree_soliton"}
 
 
 def _span_targets():
