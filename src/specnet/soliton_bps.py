@@ -4,23 +4,32 @@ Each wall of a forest network determines a rooted flow tree: the wall itself
 plus, recursively, the parent segments feeding each creation joint, with
 leaves at branch points.  The tree's lift to the weave surface L (up one
 sheet, back down the other, closed at branch points and capped along the
-boundary to the marked points) is a relative 1-cycle in H_1(L, T).  Its
-class is computed exactly by intersection pairing against a pool of lifted
-test curves running from boundary to boundary, expressed in the basis of
-the right-edge (b-branch) tree classes s_1, ..., s_l.
+boundary to the marked points) is a relative 1-cycle in H_1(L, T), written
+in the basis of the right-edge (b-branch) tree classes s_1, ..., s_l.
+Classes are walks in the letter basis.  Join the marked point to every
+branch point by a tree in the disk: the disk retracts onto it, and L rel T
+onto its preimage, where each branch point's edge joins the two sheets of
+its transposition and the other lifts retract away.  So H_1(L, T) is free
+on one letter per cut (below; Fox's free calculus), and s_j is a word in the
+letters: walking each b-strand's words gives an l x l integer matrix M,
+unimodular exactly when s is a basis, and the letters' s-classes are M^-1.
+Pairing against a pool of lifted test curves, boundary to boundary, is
+built on the first ``class_of_chain`` only: for a path or wall with no word,
+and for the ``bps_table_bruteforce`` oracle.
 
-Classes are read off slit words.  Each cut is a slit from a branch point b
-up to (bx - by/1000, 0); the slits are parallel and disjoint, so the freely
-reduced word of a loop's (cut, side) crossings with them is its class in
-pi_1 of the lower half-plane less the branch points, based at the marked
-point.  A touch at a point that ends a line is no crossing, so a cap
-through b reads as the cap just left of it.  A capped lift's class and end
-marked sheet depend on its marked start sheet t and word alone, and add
-along the word (Fox's covering cocycle): the engine builds a letter table
-per (t, cut) once, from the cut with the rightmost top leftward, solving
-the loop round each branch point.  Each letter is a transposition, class c
-from one sheet to the other, -c back and 0 elsewhere, so a walk ignores
-the side crossed, and a letter and its inverse cancel.
+Each cut is a slit from a branch point b up to (bx - by/1000, 0); the
+slits are parallel and disjoint, so the freely reduced word of a loop's
+(cut, side) crossings with them is its class in pi_1 of the lower
+half-plane less the branch points, based at the marked point.  A touch at
+a point that ends a line is no crossing, so a cap through b reads as the
+cap just left of it.  A capped lift's class and end marked sheet depend on
+its marked start sheet t and word alone, and add along the word (Fox's
+covering cocycle): the engine builds a letter table per (t, cut) once,
+from the cut with the rightmost top leftward, reading each letter's end
+sheet off the loop round its branch point.  Each letter is a
+transposition, class c from one sheet to the other, -c back and 0
+elsewhere, so a walk ignores the side crossed, and a letter and its
+inverse cancel.
 
 A wall's class at p is C + walk(m1, w) - walk(m2, w), with W(p) its cut
 crossings before p then the cap's, w = W(p0)^-1 W(p), (m1, m2) its label's
@@ -48,6 +57,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,15 +175,17 @@ def tree_of_strand(builder: ForestBuilder, strand_id: int) -> Tuple[List[tuple],
 
 class HomologyEngine:
     """Exact H_1(L, T) classes for flowtrees and free paths, and the slit
-    words and letter table that wall classes and each t_i are read off."""
+    words and letter table that wall classes and each t_i are read off.
+    The test-curve pairing (``_tests``, ``matrix``, ``_factored``) is built
+    on the first ``class_of_chain``."""
 
     def __init__(self, builder: ForestBuilder):
         self.builder = builder
         self.bent = builder.bent
         self.weave = builder.weave
         self.obstacles = builder.obstacles
-        n = self.weave.strand_count
-        self._branches = [(point_key(v.point), v.letter) for v in self.weave.trivalent_vertices()]
+        branch = self.weave.trivalent_vertices()
+        self._branches = [(point_key(v.point), v.letter) for v in branch]
         if not self.obstacles:
             raise ValueError("weave has no weave lines: its top word is empty")
         # bounding depths
@@ -187,18 +199,7 @@ class HomologyEngine:
                            if s.origin[0] == "branch" and s.origin[2] == "b")
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
-        self._tests = self._make_tests(n)
         self._recent_caps: Dict[ScaledPoint, LiftedPath] = {}
-        # basis: the cycle classes s_1..s_l, which must be independent
-        self._basis_chains = [self.tree_chain(sid) for sid in self.basis_strands]
-        columns = [self._pairing_vector(chain) for chain in self._basis_chains]
-        self.matrix = [list(row) for row in zip(*columns)]
-        self._factored = FactoredMatrix(self.matrix)
-        rank = len(self._factored.pivots)
-        if rank != len(columns):
-            raise NonGenericGeometry(
-                "test curves span rank %d < %d generators" % (rank, len(columns)))
-        branch = self.weave.trivalent_vertices()
         self._cut_of = {v.id: k for k, v in enumerate(branch)}
         # one slit per branch point, all parallel, up to the top boundary
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
@@ -218,12 +219,23 @@ class HomologyEngine:
         self.arc_word = [(k, -1) for _, k in sorted((x, k) for k, (_, (x, _)) in enumerate(self.cuts))]
         for k, _ in reversed(self.arc_word):  # the letters build from the right
             self._add_letter(k)
+        # the letters' classes in the s-basis: the columns of M^-1, M's
+        # column j being s_j in the letter basis
+        factored = FactoredMatrix([list(row) for row in zip(*self._basis_columns())])
+        if not len(factored.pivots) == len(self.cuts) == len(self.basis_strands) \
+                or factored.scale != 1:
+            raise NonGenericGeometry("the b-strands' letter matrix is not unimodular")
+        inverse = [tuple(factored.solve([int(j == k) for j in range(len(self.cuts))]))
+                   for k in range(len(self.cuts))]
+        for (t, k), (unit, end) in self._letters.items():
+            self._letters[t, k] = tuple(unit[k] * v for v in inverse[k]), end
         self._origins: List[Optional[tuple]] = []  # per wall, in id order: parents first
         for sid in range(len(builder.strands)):
             self._origins.append(self._origin(sid))
 
     # ----- test curve pool -----
-    def _make_tests(self, n: int) -> PairingLines:
+    @cached_property
+    def _tests(self) -> PairingLines:
         # vertical lines run from the top boundary to below every weave
         # line, so no chain passes under one; horizontal lines distinguish
         # branch points stacked in one column
@@ -231,7 +243,25 @@ class HomologyEngine:
         ys = [Fraction(-1, 3) - k for k in range(math.ceil(-self.y_deep - Fraction(1, 3)))]
         return PairingLines([[(x, Fraction(0)), (x, self.y_deep - 2)] for x in xs]
                             + [[(Fraction(-3), y), (self.x_max + 3, y)] for y in ys],
-                            self.builder, n)
+                            self.builder, self.weave.strand_count)
+
+    @cached_property
+    def _basis_chains(self) -> List[List[tuple]]:
+        return [self.tree_chain(sid) for sid in self.basis_strands]
+
+    @cached_property
+    def matrix(self) -> List[List[int]]:
+        """The test curves' pairings with s_1..s_l, one column each."""
+        return [list(row) for row in zip(*map(self._pairing_vector, self._basis_chains))]
+
+    @cached_property
+    def _factored(self) -> FactoredMatrix:
+        """``matrix`` factored; the test curves must tell s_1..s_l apart."""
+        factored = FactoredMatrix(self.matrix)
+        if len(factored.pivots) != len(self.basis_strands):
+            raise NonGenericGeometry("test curves span rank %d < %d generators"
+                                     % (len(factored.pivots), len(self.basis_strands)))
+        return factored
 
     # ----- chains -----
     def cap(self, start: ScaledPoint) -> LiftedPath:
@@ -355,11 +385,12 @@ class HomologyEngine:
         return cls, sheet
 
     def _add_letter(self, k: int):
-        """Cut ``k``'s letters.  The loop round its branch point has the
-        reduced word u (k, +-1) v, every cut of u and v already in the
-        table.  Its lift from marked sheet t, with class D and end marked
-        sheet E, gives the letter from walk(t, u)'s end: class D - walk(t, u)
-        + walk(E, v reversed), ending where that second walk does."""
+        """Cut ``k``'s letters, with formal classes: +e_k from the lower
+        marked sheet of its transposition, -e_k from the upper, 0 elsewhere.
+        The loop round its branch point has the reduced word u (k, +-1) v,
+        every cut of u and v already in the table; its lift from marked
+        sheet t, ending at marked sheet E, gives the letter from walk(t,
+        u)'s end to walk(E, v reversed)'s."""
         loop = prepare(self.loop(self.cuts[k][0]))
         events, slits = (unless_raising(query, loop)
                          for query in (self.builder.events_along, self.cut_set.crossings))
@@ -372,10 +403,24 @@ class HomologyEngine:
                                      "letter of its cut" % self.cuts[k][0])
         at = [cut for cut, _ in word].index(k)
         # the loop is closed, so its start cap's sheets are those of its end cap
-        factor, sheets = self.solve_free(loop, events)
-        for t, (s, cls, _) in zip(sheets, factor):
-            (du, t1), (dv, end) = self.walk(t, word[:at]), self.walk(sheets[s - 1], word[:at:-1])
-            self._letters[t1, k] = tuple(map(add, map(sub, cls, du), dv)), end
+        sheets = self.cap_sheets(loop.ends[0])
+        ends, _ = walk_sheets(tuple(range(1, self.weave.strand_count + 1)), events)
+        for t, s in zip(sheets, ends):
+            t1, end = self.walk(t, word[:at])[1], self.walk(sheets[s - 1], word[:at:-1])[1]
+            unit = (end > t1) - (end < t1)
+            self._letters[t1, k] = tuple(unit if j == k else 0 for j in range(len(self.cuts))), end
+
+    def _basis_columns(self) -> List[Tuple[int, ...]]:
+        """Each s_j in the letter basis: b-strand j's chord-end class,
+        walked as ``wall_class`` walks it while the letters are formal."""
+        columns = []
+        for sid in self.basis_strands:
+            origin = self._origin(sid)
+            word = self._wall_word(sid, None, self.cap_word(self.builder.strands[sid].path.ends[1]))
+            if origin is None or word is None:
+                raise NonGenericGeometry("b-strand %d has no slit word" % sid)
+            columns.append(self._walk_from(origin, word))
+        return columns
 
     def solve_free(self, path: Polyline, events) -> tuple:
         """Per start sheet of ``path``, its lift's (end sheet, class, twisting
@@ -403,6 +448,10 @@ class HomologyEngine:
         wall_word, origin = self._wall_word(sid, param, word), self._origins[sid]
         if wall_word is None or origin is None:
             return self.class_of_chain(self.tree_chain(sid, param))
+        return self._walk_from(origin, wall_word)
+
+    def _walk_from(self, origin: tuple, wall_word: list) -> Tuple[int, ...]:
+        """C + walk(m1, w) - walk(m2, w), w = W(p0)^-1 ``wall_word``."""
         cls, prefix, (m1, m2) = origin
         (c1, _), (c2, _) = (self.walk(m, prefix + wall_word) for m in (m1, m2))
         return tuple(map(sub, map(add, cls, c1), c2))

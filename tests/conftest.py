@@ -90,6 +90,24 @@ def assert_arc_walks_equal_solves(engine):
     assert [engine.walk(i, engine.arc_word) for i in range(1, len(chains) + 1)] == solved
 
 
+def assert_basis_walks_are_units(engine):
+    """Each b-strand's ``wall_class`` at its chord end is its own unit
+    vector e_j, read off walks with no pairing built: the engine's letter
+    classes invert the matrix of the b-strands' letter words."""
+    gens = len(engine.gen_names)
+    for j, sid in enumerate(engine.basis_strands):
+        chord_end = engine.builder.strands[sid].path.ends[1]
+        assert engine.wall_class(sid, None, engine.cap_word(chord_end)) == \
+            tuple(int(i == j) for i in range(gens)), sid
+    assert not pairing_built(engine)
+
+
+def pairing_built(engine):
+    """Which of the engine's lazily built pairing parts exist: its test
+    curves, its pairing matrix and that matrix's factors."""
+    return vars(engine).keys() & {"_tests", "matrix", "_factored"}
+
+
 # how far below the top boundary top_boundary_fault's paths run
 TOP_Y = Fraction(-1, 10007)
 # the one kind of coefficient difference seen between the two sides

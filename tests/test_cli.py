@@ -15,10 +15,11 @@ from specnet.forest import ForestBuilder
 from specnet.laurent import MAX_BITS
 from specnet.network import network_to_json
 from specnet.nonabel import LocalSystemRank1
+from specnet.soliton_bps import HomologyEngine
 from specnet.weave import MAX_LETTERS, MAX_STRANDS
 from specnet.wkb import SpectralCurve, build_wkb_network
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, pairing_built
 
 
 @pytest.fixture()
@@ -39,6 +40,21 @@ def test_augmentation_json(weave_file, capsys):
     assert main(["augmentation", weave_file, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["t_1"] == "-s_1^-1*s_2^-1"
+
+
+@pytest.mark.parametrize("command", ["augmentation", "bps", "nonabelianize"])
+def test_weave_commands_build_no_pairing(command, monkeypatch, capsys):
+    """On every packaged fixture, each homology engine a weave command
+    builds reads every class off walks: none builds its test curves, its
+    pairing matrix or that matrix's factors."""
+    engines, init = [], HomologyEngine.__init__
+    monkeypatch.setattr(HomologyEngine, "__init__",
+                        lambda self, builder: engines.append(self) or init(self, builder))
+    for name in EXAMPLES:
+        assert main([command, name]) == 0
+    capsys.readouterr()
+    assert len(engines) == len(EXAMPLES)
+    assert not any(map(pairing_built, engines))
 
 
 def test_packaged_fixture_names_resolve(capsys):

@@ -7,8 +7,8 @@ from specnet.forest import build_forest_strands
 from specnet.nonabel import Transport, augmentation, homotopic_pair
 from specnet.weave import Move, Weave, bend_weave, parse_weave
 
-from conftest import (PLUS_MINUS_TWO, assert_arc_walks_equal_solves, random_weave_texts,
-                      top_boundary_fault)
+from conftest import (PLUS_MINUS_TWO, assert_arc_walks_equal_solves, assert_basis_walks_are_units,
+                      random_weave_texts, top_boundary_fault)
 
 # invariants are checked on built weaves with at most this many strands
 STRAND_CAP = 16
@@ -59,6 +59,7 @@ TOP_BOUNDARY_DIFFER = [(index, PLUS_MINUS_TWO)
 def test_random_corpus_rejections_and_invariants():
     """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
     of them and rejects exactly the 31 in REJECTED.  On each built weave
+    each b-strand walks to its unit class (``assert_basis_walks_are_units``),
     each t_i's walk equals the boundary arc's solve
     (``assert_arc_walks_equal_solves``), and the top-boundary identity with
     the augmentation holds, with c_q and the augmentation's monomials
@@ -76,6 +77,7 @@ def test_random_corpus_rejections_and_invariants():
             rejected.append((index, type(err).__name__, str(err)))
             continue
         transport = Transport(builder)
+        assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
         fault = top_boundary_fault(transport, augmentation(builder.bent))
         if fault is not None:
@@ -127,7 +129,8 @@ def test_four_strand_corpus_with_x_moves():
     bottoms; the forest builds 113 of them and rejects exactly the 13 in
     REJECTED_N4.  82 built weaves have an x move, and in 36 a strand
     climbs through a tetravalent vertex (passing delta left of its point).
-    On every built weave each t_i's walk equals the boundary arc's solve,
+    On every built weave each b-strand walks to its unit class, each t_i's
+    walk equals the boundary arc's solve,
     each branch and joint monodromy is the identity, the BPS recursion
     equals brute force, two seeded homotopic path pairs transport alike and
     the top-boundary identity with the augmentation holds, with c_q and the
@@ -147,6 +150,7 @@ def test_four_strand_corpus_with_x_moves():
         climbing += any((x - s.delta, y) in s.polyline
                         for x, y in x_points for s in builder.strands)
         transport = Transport(builder)
+        assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
         loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
         loops += [transport.joint_monodromy(joint) for joint in builder.joints]

@@ -20,7 +20,7 @@ from specnet.soliton_bps import (
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
-                      random_weave_builders)
+                      assert_basis_walks_are_units, random_weave_builders)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -300,15 +300,34 @@ def test_slit_top_at_or_right_of_the_marked_point_is_rejected():
             HomologyEngine(builder)
 
 
-def test_rank_check_rejects_dependent_cycle_columns(builders, monkeypatch):
-    """Test curves that miss every cycle leave the cycle columns dependent."""
-    def far_lines(engine, n):
-        far = [(engine.x_max + 10, Fraction(0)), (engine.x_max + 10, engine.y_deep - 2)]
-        return PairingLines([far], engine.builder, n)
-
-    monkeypatch.setattr(HomologyEngine, "_make_tests", far_lines)
+def test_rank_check_rejects_dependent_cycle_columns(builders):
+    """Test curves that miss every cycle leave the cycle columns dependent.
+    The engine builds without them, and the first pairing solve raises."""
+    engine = HomologyEngine(builders["mutation_a"])
+    far = [(engine.x_max + 10, Fraction(0)), (engine.x_max + 10, engine.y_deep - 2)]
+    engine._tests = PairingLines([far], engine.builder, engine.weave.strand_count)
     with pytest.raises(NonGenericGeometry, match="rank 0"):
-        HomologyEngine(builders["mutation_a"])
+        engine.class_of_chain(engine.tree_chain(engine.basis_strands[0]))
+
+
+def test_basis_strands_walk_to_unit_classes(builders, monkeypatch):
+    """M C = I seen from outside: each b-strand's walked class at its chord
+    end is its own generator e_j, on the fixtures and the two n = 4 x-move
+    weaves (the two corpus tests check the same on every built weave), and
+    no pairing is built for it.  A letter matrix M that is singular, or
+    invertible only over the rationals, is rejected by name."""
+    forests = list(builders.values())
+    forests += [build_forest_strands(bend_weave(parse_weave(text))) for text in X_MOVE_WEAVES]
+    for builder in forests:
+        assert_basis_walks_are_units(HomologyEngine(builder))
+    builder = builders["five_crossing"]
+    columns = HomologyEngine._basis_columns
+    for bad in (lambda cols: [tuple(2 * v for v in cols[0])] + cols[1:],
+                lambda cols: [cols[0]] + cols[:-1]):
+        monkeypatch.setattr(HomologyEngine, "_basis_columns",
+                            lambda self, bad=bad: bad(columns(self)))
+        with pytest.raises(NonGenericGeometry, match="letter matrix is not unimodular"):
+            HomologyEngine(builder)
 
 
 def test_open_chain_is_rejected(catalogs):

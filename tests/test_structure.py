@@ -135,12 +135,14 @@ def test_only_soliton_bps_calls_tree_chain():
 def test_class_of_chain_callers_are_the_no_word_solves_and_the_oracle():
     """Every class is read off a walk but where no word exists or an oracle
     asks for the solve: ``class_of_chain`` is called only by ``solve_free``
-    (a free path with no word, and each letter's loop as the table is
-    built), ``wall_class`` (a wall with no word) and ``_tree_soliton`` (the
-    brute-force BPS oracle).  No marked-point, BPS or augmentation value is
-    solved anywhere else."""
+    (a free path with no word), ``wall_class`` (a wall with no word) and
+    ``_tree_soliton`` (the brute-force BPS oracle), and ``solve_free`` only
+    by ``nonabel._free_factor``.  The letters' classes invert the
+    b-strands' letter words with no solve, and no marked-point, BPS or
+    augmentation value is solved anywhere else."""
     assert set(_call_sites("class_of_chain")) == {
         "soliton_bps:solve_free", "soliton_bps:wall_class", "soliton_bps:_tree_soliton"}
+    assert _call_sites("solve_free") == ["nonabel:_free_factor"]
 
 
 def _span_targets():
