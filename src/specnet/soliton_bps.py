@@ -40,6 +40,22 @@ its parents' classes at J.  Where the wall, the cap at p or that at p0 has
 no word (a point on a cut, or a cut met other than transversally), the
 class is solved from the wall's tree chain.
 
+A cap runs from its start right and up to its corner (x + CAP_EPS,
+-CAP_EPS/2), then to the marked point.  The engine crosses the top line
+y = -CAP_EPS/2, from left of every line to below the marked point, once
+with the weave lines and once with the slits, and keeps each crossing's x,
+the sheet permutation from each weave line to the end and the slit word.
+No weave-line or slit vertex lies in -CAP_EPS/2 <= y < 0 (the engine
+raises otherwise) and every line lies left of the marked point, so a line
+that enters the thin triangle of the second leg and the top line right of
+the corner leaves it through the other of the two, once, and the lines of
+one table do not meet there: the second leg crosses the top line's lines
+right of the corner, in the same order and on the same sides.  So a cap's
+events and word are its first leg's, queried, then the top line's past
+the corner, found by bisection, and every class, word and permutation is
+the whole cap's; a corner on a top-line crossing is the whole cap's
+corner hit.
+
 A marked-point value t_i is the class of the boundary arc: from the marked
 point right, down below every line, left, up and back right along y =
 -CAP_EPS.  Every slit top lies left of the marked point (the engine raises
@@ -64,13 +80,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forest import ForestBuilder
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, ScaledPoint,
                        exact_point, interp, param_of, point_key, prepare, sheet_prefixes,
-                       truncated, walk_sheets)
+                       transpose, truncated, walk_sheets)
 from .laurent import FactoredMatrix
 
 # where a wall's BPS entries are based: a parameter just past its birth point
 BIRTH_PARAM: Param = param_of(0, Fraction(1, 997))
 # how close caps run to the top boundary: a cap's first leg runs CAP_EPS
-# right of its start, up to height -CAP_EPS/2
+# right of its start, up to height -CAP_EPS/2, and its second leg crosses
+# what that line crosses right of there
 CAP_EPS = Fraction(1, 2 ** 24)
 
 
@@ -210,6 +227,22 @@ class HomologyEngine:
         self.cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
         # past every slit's float box, the cap word is [] (see cap_word)
         self._cuts_right = max((row[1] for row in self.cut_set.segments), default=-math.inf)
+        # the top line y = -CAP_EPS/2, crossed once per table: a cap's second
+        # leg crosses what it crosses right of the cap's corner (see cap_sheets)
+        e, d = CAP_EPS.as_integer_ratio()
+        rows = builder.weave_lines.segments + self.cut_set.segments
+        if any(-e * s <= 2 * d * y < 0 for *_, y0, _, dy, s in rows for y in (y0, y0 + dy)):
+            raise NonGenericGeometry("a weave-line or slit vertex lies in -CAP_EPS/2 <= y < 0")
+        top = prepare([(Fraction(math.floor(min(row[0] for row in rows)) - 1), -CAP_EPS / 2),
+                       (self.x_max, -CAP_EPS / 2)])
+        lines, slits = builder.weave_lines.crossings(top), self.cut_set.crossings(top)
+        self._top_lines, self._top_cuts = top_table(lines), top_table(slits)
+        # per crossing of the top line, the sheet permutation from there to its end
+        n = self.weave.strand_count
+        perms = [tuple(range(n + 1))]
+        for _, (letter, _), *_ in reversed(lines):
+            perms.append(tuple(perms[-1][transpose(s, letter)] for s in range(n + 1)))
+        self._top_perms, self._top_word = perms[::-1], [(cut, side) for _, cut, _, _, side in slits]
         # each wall's cut crossings, or None where that query raised
         self._wall_slits = [unless_raising(self.cut_set.crossings, strand.path)
                             for strand in builder.strands]
@@ -219,9 +252,11 @@ class HomologyEngine:
         self.arc_word = [(k, -1) for _, k in sorted((x, k) for k, (_, (x, _)) in enumerate(self.cuts))]
         for k, _ in reversed(self.arc_word):  # the letters build from the right
             self._add_letter(k)
+        # each wall's letter-free origin part, the b-strands' first
+        bases = {sid: self._origin(sid) for sid in self.basis_strands}
         # the letters' classes in the s-basis: the columns of M^-1, M's
         # column j being s_j in the letter basis
-        factored = FactoredMatrix([list(row) for row in zip(*self._basis_columns())])
+        factored = FactoredMatrix([list(row) for row in zip(*self._basis_columns(bases))])
         if not len(factored.pivots) == len(self.cuts) == len(self.basis_strands) \
                 or factored.scale != 1:
             raise NonGenericGeometry("the b-strands' letter matrix is not unimodular")
@@ -231,7 +266,7 @@ class HomologyEngine:
             self._letters[t, k] = tuple(unit[k] * v for v in inverse[k]), end
         self._origins: List[Optional[tuple]] = []  # per wall, in id order: parents first
         for sid in range(len(builder.strands)):
-            self._origins.append(self._origin(sid))
+            self._origins.append(self._walked(sid, bases[sid] if sid in bases else self._origin(sid)))
 
     # ----- test curve pool -----
     @cached_property
@@ -267,10 +302,9 @@ class HomologyEngine:
     def cap(self, start: ScaledPoint) -> LiftedPath:
         """The path from ``start``, a ``point_key``, to the marked point,
         kept for the few most recent starts with its weave-line events and
-        test-curve pairings: transport caps a path's start (``cap_sheets``),
-        a fresh free solve a sub-path's two ends, which the other path of a
-        homotopic pair shares, and an origin its base.  A class read off a
-        walk caps nothing."""
+        test-curve pairings: a fresh free solve caps a sub-path's two ends,
+        which the other path of a homotopic pair shares, and a tree chain
+        its root's end.  A class read off a walk caps nothing."""
         cap = self._recent_caps.pop(start, None)
         if cap is None:
             path = Polyline(self.cap_points(start))
@@ -282,8 +316,17 @@ class HomologyEngine:
 
     def cap_sheets(self, start: ScaledPoint) -> Tuple[int, ...]:
         """The sheet permutation of the cap at ``start``, a ``point_key``:
-        sheet s there reaches sheet ``[s - 1]`` at the marked point."""
-        return walk_sheets(tuple(range(1, self.weave.strand_count + 1)), self.cap(start).events)[0]
+        sheet s there reaches sheet ``[s - 1]`` at the marked point.  The
+        first leg is queried; the second crosses the top line's weave lines
+        right of the corner, whose permutation is kept.  A corner on one of
+        them raises the corner hit the whole cap's query raises."""
+        leg = self.cap_points(start)[:2]
+        after = self._past(self._top_lines, leg[1])
+        sheets = walk_sheets(tuple(range(1, self.weave.strand_count + 1)),
+                             self.builder.events_along(Polyline(leg)))[0]
+        if after is None:
+            raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(leg[1]),))
+        return tuple(map(self._top_perms[after].__getitem__, sheets))
 
     def cap_points(self, start: ScaledPoint) -> List[ScaledPoint]:
         """A cap's scaled points: ``start``, (x + CAP_EPS, -CAP_EPS / 2), the marked point."""
@@ -364,7 +407,9 @@ class HomologyEngine:
     def cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
         """The (cut, side) crossings of the cap at ``point``, in order, or
         None where no loop through ``point`` has a word: ``point`` lies on a
-        cut, or the cap meets a cut other than transversally.  A point whose
+        cut, or the cap meets a cut other than transversally.  They are the
+        first leg's, then the top line's right of the corner (see
+        ``cap_sheets``); a corner on a slit has no word.  A point whose
         float x is past every slit's float box is right of every slit, as
         floats round monotonically, and so is its cap, which runs right to
         (x + CAP_EPS, -CAP_EPS / 2) and on to the marked point: its word is
@@ -373,8 +418,26 @@ class HomologyEngine:
             return []
         if on_a_segment(self.cut_set.segments, point):
             return None
-        crossings = unless_raising(self.cut_set.crossings, Polyline(self.cap_points(point)))
-        return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
+        leg = self.cap_points(point)[:2]
+        after = self._past(self._top_cuts, leg[1])
+        crossings = unless_raising(self.cut_set.crossings, Polyline(leg))
+        if crossings is None or after is None:
+            return None
+        return [(cut, side) for _, cut, _, _, side in crossings] + self._top_word[after:]
+
+    @staticmethod
+    def _past(table: tuple, corner: ScaledPoint) -> Optional[int]:
+        """How many of a ``top_table``'s crossings lie left of ``corner``,
+        or None where one lies at its x.  Floats round monotonically, so
+        the bisection is exact but on a float tie, which integers decide."""
+        floats, exact = table
+        x, _, d = corner
+        at = bisect_left(floats, x / d)
+        for tx, td in exact[at: bisect_right(floats, x / d)]:
+            if tx * d >= x * td:
+                return None if tx * d == x * td else at
+            at += 1
+        return at
 
     def walk(self, sheet: int, word) -> tuple:
         """The class and end marked sheet of slit ``word``'s loop lifted from marked ``sheet``."""
@@ -410,12 +473,13 @@ class HomologyEngine:
             unit = (end > t1) - (end < t1)
             self._letters[t1, k] = tuple(unit if j == k else 0 for j in range(len(self.cuts))), end
 
-    def _basis_columns(self) -> List[Tuple[int, ...]]:
-        """Each s_j in the letter basis: b-strand j's chord-end class,
-        walked as ``wall_class`` walks it while the letters are formal."""
+    def _basis_columns(self, bases: Dict[int, Optional[tuple]]) -> List[Tuple[int, ...]]:
+        """Each s_j in the letter basis: b-strand j's chord-end class, walked
+        as ``wall_class`` walks it, from its ``_origin`` part in ``bases``,
+        while the letters are formal."""
         columns = []
         for sid in self.basis_strands:
-            origin = self._origin(sid)
+            origin = self._walked(sid, bases[sid])
             word = self._wall_word(sid, None, self.cap_word(self.builder.strands[sid].path.ends[1]))
             if origin is None or word is None:
                 raise NonGenericGeometry("b-strand %d has no slit word" % sid)
@@ -457,18 +521,27 @@ class HomologyEngine:
         return tuple(map(sub, map(add, cls, c1), c2))
 
     def _origin(self, sid: int) -> Optional[tuple]:
-        """Wall ``sid``'s origin (C, W(p0)^-1, (m1, m2)), or None if p0 has no wall word."""
+        """Wall ``sid``'s origin part that no letter changes, (W(p0), (m1,
+        m2)), or None if p0 has no wall word."""
         strand, joint = self.builder.strands[sid], self.builder.born_at.get(sid)
         p0 = param_of(0, 0) if joint else BIRTH_PARAM
         point = interp(strand.path, p0)
         base = self._wall_word(sid, p0, self.cap_word(point))
         if base is None:
             return None
-        prefix = [(cut, -side) for cut, side in reversed(base)]
         sheets = self.cap_sheets(point)
-        m1, m2 = (sheets[s - 1] for s in strand.label_at(p0))
+        return base, tuple(sheets[s - 1] for s in strand.label_at(p0))
+
+    def _walked(self, sid: int, part: Optional[tuple]) -> Optional[tuple]:
+        """Wall ``sid``'s origin (C, W(p0)^-1, (m1, m2)) from its ``_origin``
+        ``part``, C walked with the letters as they stand."""
+        if part is None:
+            return None
+        base, (m1, m2) = part
+        prefix, joint = [(cut, -side) for cut, side in reversed(base)], self.builder.born_at.get(sid)
         if joint is None:
-            cls = self.walk(m2, prefix + [(self._cut_of[strand.origin[1]], 1)] + base)[0]
+            cut = self._cut_of[self.builder.strands[sid].origin[1]]
+            cls = self.walk(m2, prefix + [(cut, 1)] + base)[0]
         else:  # base is J's cap word: the child crosses no cut before p0
             cls = tuple(map(add, *(self.wall_class(pid, joint["params"][pid], base)
                                    for pid in joint["parents"])))
@@ -503,6 +576,12 @@ class HomologyEngine:
             self._loops[center] = [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
                                    (cx - 2 * e, cy - r), (cx + r, cy + e)]
         return self._loops[center]
+
+
+def top_table(crossings: list) -> tuple:
+    """The x of each crossing of the top line, in order: as floats and as
+    (x, d), the scaled point's x over its scale."""
+    return [x / d for *_, (x, _, d), _ in crossings], [(x, d) for *_, (x, _, d), _ in crossings]
 
 
 def unless_raising(query, path: Polyline):

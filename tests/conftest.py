@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import prepare, walk_sheets
+from specnet.geometry import NonGenericGeometry, Polyline, interp, point_key, prepare, walk_sheets
 from specnet.laurent import LaurentPoly
-from specnet.soliton_bps import CAP_EPS, LiftedPath
+from specnet.nonabel import homotopic_pair
+from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, LiftedPath, on_a_segment, unless_raising
 from specnet.weave import Move, _apply_move, bend_weave, demazure_product, length, parse_weave
 
 EXAMPLES = {
@@ -100,6 +101,58 @@ def assert_basis_walks_are_units(engine):
         assert engine.wall_class(sid, None, engine.cap_word(chord_end)) == \
             tuple(int(i == j) for i in range(gens)), sid
     assert not pairing_built(engine)
+
+
+def whole_cap_word(engine, point):
+    """The cut crossings of the whole cap at the scaled ``point``, from one
+    query on its two legs: None where the point lies on a cut or the query
+    raises.  The reference the top-line cap words are checked against."""
+    if on_a_segment(engine.cut_set.segments, point):
+        return None
+    crossings = unless_raising(engine.cut_set.crossings, Polyline(engine.cap_points(point)))
+    return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
+
+
+def whole_cap_sheets(engine, point):
+    """The sheet permutation of the whole cap at the scaled ``point``, from
+    one weave-line query on its two legs, or the message of the
+    NonGenericGeometry that query raises.  The reference the top-line cap
+    sheets are checked against."""
+    try:
+        events = engine.builder.events_along(Polyline(engine.cap_points(point)))
+    except NonGenericGeometry as err:
+        return str(err)
+    return walk_sheets(tuple(range(1, engine.weave.strand_count + 1)), events)[0]
+
+
+def cap_sheets_or_message(engine, point):
+    """``engine.cap_sheets(point)``, or the message of the NonGenericGeometry it raises."""
+    try:
+        return engine.cap_sheets(point)
+    except NonGenericGeometry as err:
+        return str(err)
+
+
+def assert_caps_read_off_the_top_line(transport):
+    """The transport engine's ``cap_word``, raw, and ``cap_sheets`` equal
+    the whole cap's queries at every wall's birth point and chord end, at
+    every letter loop's start and at the junctions of two seeded homotopic
+    pairs: the ends of each path and its wall crossings.  Returns the
+    number of points compared."""
+    engine, builder = transport.engine, transport.builder
+    points = [point for strand in builder.strands
+              for point in (interp(strand.path, BIRTH_PARAM), strand.path.ends[1])]
+    points += [point_key(engine.loop(bottom)[0]) for bottom, _ in engine.cuts]
+    rng = random.Random(20261020)
+    for _ in range(2):
+        for poly in homotopic_pair(transport, rng):
+            path = prepare(poly)
+            points += [path.ends[0], path.ends[1]]
+            points += [pt for _, _, _, pt, _ in builder.walls.crossings(path)]
+    for point in points:
+        assert engine.cap_word(point) == whole_cap_word(engine, point), point
+        assert cap_sheets_or_message(engine, point) == whole_cap_sheets(engine, point), point
+    return len(points)
 
 
 def pairing_built(engine):

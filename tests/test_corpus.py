@@ -8,7 +8,7 @@ from specnet.nonabel import Transport, augmentation, homotopic_pair
 from specnet.weave import Move, Weave, bend_weave, parse_weave
 
 from conftest import (PLUS_MINUS_TWO, assert_arc_walks_equal_solves, assert_basis_walks_are_units,
-                      random_weave_texts, top_boundary_fault)
+                      assert_caps_read_off_the_top_line, random_weave_texts, top_boundary_fault)
 
 # invariants are checked on built weaves with at most this many strands
 STRAND_CAP = 16
@@ -61,9 +61,11 @@ def test_random_corpus_rejections_and_invariants():
     of them and rejects exactly the 31 in REJECTED.  On each built weave
     each b-strand walks to its unit class (``assert_basis_walks_are_units``),
     each t_i's walk equals the boundary arc's solve
-    (``assert_arc_walks_equal_solves``), and the top-boundary identity with
-    the augmentation holds, with c_q and the augmentation's monomials
-    different on exactly the weaves of TOP_BOUNDARY_DIFFER.  On each built
+    (``assert_arc_walks_equal_solves``), every cap read off the top line
+    equals the whole cap (``assert_caps_read_off_the_top_line``), and the
+    top-boundary identity with the augmentation holds, with c_q and the
+    augmentation's monomials different on exactly the weaves of
+    TOP_BOUNDARY_DIFFER.  On each built
     weave of at most STRAND_CAP strands (128 weaves), every branch and
     joint monodromy is the identity, the BPS recursion equals brute force
     and two seeded homotopic path pairs transport alike."""
@@ -79,6 +81,7 @@ def test_random_corpus_rejections_and_invariants():
         transport = Transport(builder)
         assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
+        assert_caps_read_off_the_top_line(transport)
         fault = top_boundary_fault(transport, augmentation(builder.bent))
         if fault is not None:
             differ.append((index, fault))
@@ -130,12 +133,12 @@ def test_four_strand_corpus_with_x_moves():
     REJECTED_N4.  82 built weaves have an x move, and in 36 a strand
     climbs through a tetravalent vertex (passing delta left of its point).
     On every built weave each b-strand walks to its unit class, each t_i's
-    walk equals the boundary arc's solve,
-    each branch and joint monodromy is the identity, the BPS recursion
-    equals brute force, two seeded homotopic path pairs transport alike and
-    the top-boundary identity with the augmentation holds, with c_q and the
-    augmentation's monomials different on exactly the weaves of
-    TOP_BOUNDARY_DIFFER_N4."""
+    walk equals the boundary arc's solve, every cap read off the top line
+    equals the whole cap, each branch and joint monodromy is the identity,
+    the BPS recursion equals brute force, two seeded homotopic path pairs
+    transport alike and the top-boundary identity with the augmentation
+    holds, with c_q and the augmentation's monomials different on exactly
+    the weaves of TOP_BOUNDARY_DIFFER_N4."""
     texts = list(random_weave_texts(4, 300, 4))
     assert len(texts) == 126
     rejected, differ, with_x, climbing = [], [], 0, 0
@@ -152,6 +155,7 @@ def test_four_strand_corpus_with_x_moves():
         transport = Transport(builder)
         assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
+        assert_caps_read_off_the_top_line(transport)
         loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
         loops += [transport.joint_monodromy(joint) for joint in builder.joints]
         assert all(transport.is_identity(m) for m in loops), text

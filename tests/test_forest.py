@@ -236,6 +236,18 @@ def test_poly_crossings_rejects_collinear_overlap():
         PolylineSet([(Q, 0)]).crossings(P)
 
 
+def test_poly_crossings_rejects_slanted_collinear_overlap():
+    """Off the axes, collinearity is a cross product of two nonzero terms:
+    P and Q on the line y = x overlap and raise, while Q moved on along the
+    line, touching P only at their shared end, crosses nothing."""
+    P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
+    Q = [(Fraction(1), Fraction(1)), (Fraction(3), Fraction(3))]
+    with pytest.raises(NonGenericGeometry, match="collinear overlap"):
+        PolylineSet([(Q, 0)]).crossings(P)
+    Q = [(Fraction(2), Fraction(2)), (Fraction(3), Fraction(3))]
+    assert PolylineSet([(Q, 0)]).crossings(P) == []
+
+
 def test_poly_crossings_parallel_disjoint():
     P = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
     Q = [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(1))]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -5,11 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, prepare, transpose
+from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, point_key, prepare, transpose
 from specnet.laurent import LaurentPoly, solve_rational
-from specnet.nonabel import augmentation
+from specnet.nonabel import Transport, augmentation
 from specnet.soliton_bps import (
     BIRTH_PARAM,
+    CAP_EPS,
     HomologyEngine,
     LiftedPath,
     PairingLines,
@@ -20,7 +22,9 @@ from specnet.soliton_bps import (
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
-                      assert_basis_walks_are_units, random_weave_builders)
+                      assert_basis_walks_are_units, assert_caps_read_off_the_top_line,
+                      cap_sheets_or_message, random_weave_builders, whole_cap_sheets,
+                      whole_cap_word)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -300,6 +304,72 @@ def test_slit_top_at_or_right_of_the_marked_point_is_rejected():
             HomologyEngine(builder)
 
 
+def test_caps_read_off_the_top_line_equal_the_whole_caps(builders):
+    """Every cap word and cap permutation read off the engine's top-line
+    tables equals the whole cap's query, on the fixtures, the two n = 4
+    x-move weaves and two weaves with no branch point (the two corpus
+    tests check the same on every built weave)."""
+    forests = list(builders.values())
+    forests += [build_forest_strands(bend_weave(parse_weave(text)))
+                for text in X_MOVE_WEAVES + ["n=3\ntop: 1 2 1\nmoves: h1", "n=4\ntop: 1 3 2\nmoves: x1"]]
+    assert [assert_caps_read_off_the_top_line(Transport(builder)) for builder in forests] == \
+        [34, 34, 81, 52, 104, 15, 34, 8, 8]
+
+
+def test_cap_corner_on_a_top_line_crossing_gives_the_whole_caps_outcome(builders):
+    """A cap whose corner (x + CAP_EPS, -CAP_EPS/2) lands exactly on a
+    crossing of the top line meets that line at the corner: on a weave
+    line ``cap_sheets`` raises the whole cap's corner hit, on a slit
+    ``cap_word`` is None, as the whole cap's queries give.  A corner
+    2^-70 either side of the crossing ties it as a float and is decided
+    exactly, and reads the whole cap's word and permutation."""
+    engine = HomologyEngine(builders["three_strand"])
+    for table, hit in ((engine._top_lines, "sheets"), (engine._top_cuts, "word")):
+        assert table[0]
+        for x, d in table[1]:
+            for dx in (0, Fraction(1, 2 ** 70), -Fraction(1, 2 ** 70)):
+                start = point_key((Fraction(x, d) + dx - CAP_EPS, -CAP_EPS / 2))
+                corner = engine.cap_points(start)[1]
+                assert corner[0] / corner[2] == x / d
+                word, sheets = engine.cap_word(start), cap_sheets_or_message(engine, start)
+                assert word == whole_cap_word(engine, start)
+                assert sheets == whole_cap_sheets(engine, start)
+                if dx:
+                    assert word is not None and isinstance(sheets, tuple)
+                elif hit == "sheets":
+                    assert sheets.startswith("polyline corner hit")
+                else:
+                    assert word is None
+
+
+def test_vertex_in_the_top_strip_is_rejected():
+    """Caps read their second leg off the line y = -CAP_EPS/2 only while no
+    weave-line or slit vertex lies in -CAP_EPS/2 <= y < 0, so an engine
+    whose highest weave-line vertex below the top is moved there raises at
+    set-up."""
+    builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["three_strand"])))
+    lines = [(seg.points, (seg.letter, seg.id)) for seg in builder.obstacles]
+    y, x = max((y, x) for points, _ in lines for x, y in points if y < 0)
+    for moved in (-CAP_EPS / 2, -CAP_EPS / 4, -CAP_EPS / 2 ** 30):
+        builder.weave_lines = PolylineSet(
+            ([(px, moved) if (px, py) == (x, y) else (px, py) for px, py in points], tag)
+            for points, tag in lines)
+        with pytest.raises(NonGenericGeometry, match="slit vertex lies in -CAP_EPS/2 <= y < 0"):
+            HomologyEngine(builder)
+
+
+def test_collinear_cuts_are_rejected(builders, monkeypatch):
+    """Two branch points whose slits lie on one line, one moved up the
+    other's slit line, raise where the cuts are built."""
+    weave = builders["three_strand"].weave
+    low, high, *rest = sorted(weave.trivalent_vertices(), key=lambda v: v.point[1])
+    (x, y), by = low.point, high.point[1]
+    high = dataclasses.replace(high, point=(x + (by - y) / 1000, by))
+    monkeypatch.setattr(weave, "trivalent_vertices", lambda: [low, high] + rest)
+    with pytest.raises(NonGenericGeometry, match="two branch cuts are collinear"):
+        HomologyEngine(builders["three_strand"])
+
+
 def test_rank_check_rejects_dependent_cycle_columns(builders):
     """Test curves that miss every cycle leave the cycle columns dependent.
     The engine builds without them, and the first pairing solve raises."""
@@ -325,7 +395,7 @@ def test_basis_strands_walk_to_unit_classes(builders, monkeypatch):
     for bad in (lambda cols: [tuple(2 * v for v in cols[0])] + cols[1:],
                 lambda cols: [cols[0]] + cols[:-1]):
         monkeypatch.setattr(HomologyEngine, "_basis_columns",
-                            lambda self, bad=bad: bad(columns(self)))
+                            lambda self, bases, bad=bad: bad(columns(self, bases)))
         with pytest.raises(NonGenericGeometry, match="letter matrix is not unimodular"):
             HomologyEngine(builder)
 
