@@ -39,16 +39,18 @@ of the loop start cap reversed, path, end cap, walked per start sheet s
 from the sheet the start cap takes s to at the marked point; walking its
 (letter, side) event word takes s to its end sheet and gives the entry's
 sign.  The end cap's permutation is read off the walk's end sheets and
-carried on to the next sub-path, so a path whose sub-paths all have words
-builds one cap and no integer form.  A Stokes coefficient is the monomial
-of the wall's ``wall_class`` times its Stokes sign.  The words are read
-off one weave-line and one cut query on the whole path, sliced between the
+carried on to the next sub-path, so a path reads the sheets of one cap,
+at its start.  A Stokes coefficient is the monomial of the wall's
+``wall_class`` times its Stokes sign.  The words are read off one
+weave-line and one cut query on the whole path, sliced between the
 wall-crossing params, and one cut query per junction's cap, shared by the
-two sub-paths and the wall that meet there.  There is no word, and the
-class is solved afresh, where a whole-path query raised, a cap starts on a
-cut or meets one other than transversally, or a free sub-path's corner is
-not below y = 0.  Two caps crossing one cut at one point still give a
-word, an invariant of a loop crossing transversally.
+two sub-paths and the wall that meet there.  Every sub-path has a word: a
+point on a cut, where a path starts, ends or crosses a wall, or where a cap
+starts or turns, reads as left of it (see ``soliton_bps``).  A path with a
+point at or above y = 0 or an end at a branch point, or whose whole-path
+query raises, is rejected with a ``NonGenericGeometry``.  Two caps crossing
+one cut at one point still give a word, an invariant of a loop crossing
+transversally.
 """
 
 from __future__ import annotations
@@ -58,14 +60,13 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .forest import ForestBuilder, build_forest_strands
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, ScaledPoint, exact_point,
                        interp, point_key, prepare, walk_sheets)
 from .laurent import LaurentPoly
-from .soliton_bps import (SolitonCatalog, between, freely_reduced, on_a_segment, tree_of_strand,
-                          unless_raising)
+from .soliton_bps import SolitonCatalog, between, freely_reduced, on_a_segment, tree_of_strand
 
 
 class Transport:
@@ -127,24 +128,20 @@ class Transport:
         the capped-lift holonomy times the twisting signs.
         """
         path = prepare(poly)
-        (points, part, _, _), = self._sub_paths(path)
-        factor, _ = self._free_factor(points, part, self.engine.cap_sheets(path.ends[0]))
+        (_, part, _, _), = self._sub_paths(path)
+        factor, _ = self._free_factor(part, self.engine.cap_sheets(path.ends[0]))
         zero = LaurentPoly.zero(self.gens)
         out = [[zero] * self.n for _ in range(self.n)]
         for start, (sheet, cls, sign) in enumerate(factor):
             out[sheet - 1][start] = LaurentPoly.monomial(self.gens, cls, sign)
         return out
 
-    def _free_factor(self, points, part, sheets):
-        """The free transport along the sub-path through scaled ``points``
-        as (end sheet, class exponents, sign) per start sheet, and the sheet
-        permutation of the cap at its end; ``sheets`` is that of the cap at
-        its start.  With a key ``part`` from ``_sub_paths``, start sheet s
-        walks its slit word from ``sheets[s - 1]`` and its events; without,
-        the engine solves it."""
-        if part is None:
-            path = Polyline(points)
-            return self.engine.solve_free(path, self.builder.events_along(path))
+    def _free_factor(self, part, sheets):
+        """The free transport along a sub-path as (end sheet, class
+        exponents, sign) per start sheet, and the sheet permutation of the
+        cap at its end; ``sheets`` is that of the cap at its start.  With
+        its key ``part`` from ``_sub_paths``, start sheet s walks its slit
+        word from ``sheets[s - 1]`` and its events."""
         events = [(None, *event) for event in part[0]]
         factor, ends = [], [0] * self.n
         for start, t in enumerate(sheets, 1):
@@ -159,14 +156,16 @@ class Transport:
         ends it or None, the engine's ``cap_word`` at its end).  The key
         part is the (letter, side) event word, walked for sheets and signs,
         and the reduced slit word walked for classes (see the module
-        docstring), or None where the sub-path has no word.  A wall crossed
-        where it crosses a weave line raises before the sub-path it ends is
-        walked."""
+        docstring): a point of the path on a cut, an end or a wall
+        crossing, reads as left of it (``slits_along`` and ``between``).
+        A path that is not ``walkable``, or whose weave-line or cut query
+        raises, raises; so does a wall crossed where it crosses a weave
+        line, before the sub-path it ends is walked."""
         s = path.scale
         corners = [(x, y, s) for x, y in path.ints]
         engine = self.engine
-        events, slits = (unless_raising(query, path)
-                         for query in (self.builder.events_along, engine.cut_set.crossings))
+        slits = engine.slits_along(engine.walkable(path))
+        events = self.builder.events_along(path)
         prev, prev_idx, prev_param = corners[0], 0, None
         prev_word = engine.cap_word(prev)
         for crossing in [*crossings, None]:
@@ -179,14 +178,10 @@ class Transport:
                                              "line, at %r" % (sid, exact_point(pt)))
                 points = [prev] + corners[prev_idx + 1: param[0] + 1] + [pt]
             word = engine.cap_word(points[-1])
-            part = None
-            if None not in (events, slits, prev_word, word) and all(y < 0 for _, y, _ in points):
-                sub_events = between(events, prev_param, param)
-                sub_slits = between(slits, prev_param, param)
-                loop = [(cut, -side) for cut, side in reversed(prev_word)]
-                loop += [(cut, side) for _, cut, _, _, side in sub_slits] + word
-                part = (tuple((letter, side) for _, letter, side in sub_events),
-                        freely_reduced(loop))
+            loop = [(cut, -side) for cut, side in reversed(prev_word)]
+            loop += [(cut, side) for _, cut, _, _, side in between(slits, prev_param, param)] + word
+            part = (tuple((letter, side) for _, letter, side in between(events, prev_param, param)),
+                    freely_reduced(loop))
             yield points, part, crossing, word
             if crossing is not None:
                 prev, prev_idx, prev_param, prev_word = pt, param[0], param, word
@@ -206,7 +201,7 @@ class Transport:
             sign *= walk_sheets(strand.start_label, strand.crossings, end or param)[1]
         return sign
 
-    def soliton_coefficient(self, sid: int, param: Param, word: Optional[list]) -> LaurentPoly:
+    def soliton_coefficient(self, sid: int, param: Param, word: list) -> LaurentPoly:
         """Signed soliton value of wall ``sid`` at ``param``, ``word`` the ``cap_word`` there."""
         return LaurentPoly.monomial(self.gens, self.engine.wall_class(sid, param, word),
                                     self.stokes_sign(sid, param))
@@ -236,8 +231,8 @@ class Transport:
         rows = [(zero, 1, [{zero: 1} if c == r else {} for c in range(self.n)])
                 for r in range(self.n)]
         sheets = self.engine.cap_sheets(path.ends[0])
-        for points, part, crossing, word in self._sub_paths(path, self.builder.walls.crossings(path)):
-            factor, sheets = self._free_factor(points, part, sheets)
+        for _, part, crossing, word in self._sub_paths(path, self.builder.walls.crossings(path)):
+            factor, sheets = self._free_factor(part, sheets)
             out = [None] * self.n
             for (scale, sign, terms), (sheet, cls, s) in zip(rows, factor):
                 out[sheet - 1] = tuple(map(add, scale, cls)), sign * s, terms

@@ -14,17 +14,21 @@ on one letter per cut (below; Fox's free calculus), and s_j is a word in the
 letters: walking each b-strand's words gives an l x l integer matrix M,
 unimodular exactly when s is a basis, and the letters' s-classes are M^-1.
 Pairing against a pool of lifted test curves, boundary to boundary, is
-built on the first ``class_of_chain`` only: for a path or wall with no word,
-and for the ``bps_table_bruteforce`` oracle.
+built on the first ``class_of_chain`` only, for the ``bps_table_bruteforce``
+oracle.
 
 Each cut is a slit from a branch point b up to (bx - by/1000, 0); the
 slits are parallel and disjoint, so the freely reduced word of a loop's
 (cut, side) crossings with them is its class in pi_1 of the lower
 half-plane less the branch points, based at the marked point.  A touch at
 a point that ends a line is no crossing, so a cap through b reads as the
-cap just left of it.  A capped lift's class and end marked sheet depend on
-its marked start sheet t and word alone, and add along the word (Fox's
-covering cocycle): the engine builds a letter table per (t, cut) once,
+cap just left of it.  A point inside a cut, or at its top, lies on its
+left side, half open: a path leaving it to the right, or arriving at it
+from the right, crosses the cut there (``touch``).  So every cap, wall
+and path below the top boundary has a word: that of the curve moved just
+left where it meets a cut.  A capped lift's class and end marked sheet
+depend on its marked start sheet t and word alone, and add along the word
+(Fox's covering cocycle): the engine builds a letter table per (t, cut) once,
 from the cut with the rightmost top leftward, reading each letter's end
 sheet off the loop round its branch point.  Each letter is a
 transposition, class c from one sheet to the other, -c back and 0
@@ -36,9 +40,8 @@ crossings before p then the cap's, w = W(p0)^-1 W(p), (m1, m2) its label's
 sheets at its base p0 through the cap there, and C the class at p0: for a
 seed, p0 is its birth param and C the walk from m2 of W(p0)^-1 (k) W(p0),
 k its branch point's cut; for a child, p0 is its start J and C the sum of
-its parents' classes at J.  Where the wall, the cap at p or that at p0 has
-no word (a point on a cut, or a cut met other than transversally), the
-class is solved from the wall's tree chain.
+its parents' classes at J.  A wall whose cut query raises is rejected
+where the engine is built.
 
 A cap runs from its start right and up to its corner (x + CAP_EPS,
 -CAP_EPS/2), then to the marked point.  The engine crosses the top line
@@ -53,8 +56,8 @@ one table do not meet there: the second leg crosses the top line's lines
 right of the corner, in the same order and on the same sides.  So a cap's
 events and word are its first leg's, queried, then the top line's past
 the corner, found by bisection, and every class, word and permutation is
-the whole cap's; a corner on a top-line crossing is the whole cap's
-corner hit.
+the whole cap's.  A corner on a weave line's top-line crossing is the whole
+cap's corner hit; one on a slit's lies left of it, half open.
 
 A marked-point value t_i is the class of the boundary arc: from the marked
 point right, down below every line, left, up and back right along y =
@@ -216,11 +219,14 @@ class HomologyEngine:
                            if s.origin[0] == "branch" and s.origin[2] == "b")
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
-        self._recent_caps: Dict[ScaledPoint, LiftedPath] = {}
         self._cut_of = {v.id: k for k, v in enumerate(branch)}
-        # one slit per branch point, all parallel, up to the top boundary
+        # one slit per branch point, all parallel, up to the top boundary,
+        # each on its own line 1000 x - y = c: c in lowest terms -> the
+        # cut and its branch point's y as (n, m), y = n / m
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
-        if len({1000 * x - y for (x, y), _ in self.cuts}) != len(self.cuts):
+        self._cut_lines = {(1000 * x - y).as_integer_ratio(): (k, *y.as_integer_ratio())
+                           for k, ((x, y), _) in enumerate(self.cuts)}
+        if len(self._cut_lines) != len(self.cuts):
             raise NonGenericGeometry("two branch cuts are collinear")
         if any(x >= self.x_max for _, (x, _) in self.cuts):
             raise NonGenericGeometry("a slit top lies at or right of the marked point")
@@ -243,9 +249,8 @@ class HomologyEngine:
         for _, (letter, _), *_ in reversed(lines):
             perms.append(tuple(perms[-1][transpose(s, letter)] for s in range(n + 1)))
         self._top_perms, self._top_word = perms[::-1], [(cut, side) for _, cut, _, _, side in slits]
-        # each wall's cut crossings, or None where that query raised
-        self._wall_slits = [unless_raising(self.cut_set.crossings, strand.path)
-                            for strand in builder.strands]
+        # each wall's cut crossings; a wall whose query raises is rejected
+        self._wall_slits = [self.slits_along(strand.path) for strand in builder.strands]
         self._loops: Dict[Point, List[Point]] = {}  # center -> its loop (see loop)
         self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
         # the boundary arc crosses the slits rightward, by increasing top x
@@ -264,7 +269,7 @@ class HomologyEngine:
                    for k in range(len(self.cuts))]
         for (t, k), (unit, end) in self._letters.items():
             self._letters[t, k] = tuple(unit[k] * v for v in inverse[k]), end
-        self._origins: List[Optional[tuple]] = []  # per wall, in id order: parents first
+        self._origins: List[tuple] = []  # per wall, in id order: parents first
         for sid in range(len(builder.strands)):
             self._origins.append(self._walked(sid, bases[sid] if sid in bases else self._origin(sid)))
 
@@ -301,18 +306,9 @@ class HomologyEngine:
     # ----- chains -----
     def cap(self, start: ScaledPoint) -> LiftedPath:
         """The path from ``start``, a ``point_key``, to the marked point,
-        kept for the few most recent starts with its weave-line events and
-        test-curve pairings: a fresh free solve caps a sub-path's two ends,
-        which the other path of a homotopic pair shares, and a tree chain
-        its root's end.  A class read off a walk caps nothing."""
-        cap = self._recent_caps.pop(start, None)
-        if cap is None:
-            path = Polyline(self.cap_points(start))
-            cap = LiftedPath(path, self.builder.events_along(path))
-        self._recent_caps[start] = cap
-        if len(self._recent_caps) > 4:
-            del self._recent_caps[next(iter(self._recent_caps))]
-        return cap
+        with its weave-line events: the root cap of a tree chain."""
+        path = Polyline(self.cap_points(start))
+        return LiftedPath(path, self.builder.events_along(path))
 
     def cap_sheets(self, start: ScaledPoint) -> Tuple[int, ...]:
         """The sheet permutation of the cap at ``start``, a ``point_key``:
@@ -321,10 +317,10 @@ class HomologyEngine:
         right of the corner, whose permutation is kept.  A corner on one of
         them raises the corner hit the whole cap's query raises."""
         leg = self.cap_points(start)[:2]
-        after = self._past(self._top_lines, leg[1])
+        after, hit = self._past(self._top_lines, leg[1])
         sheets = walk_sheets(tuple(range(1, self.weave.strand_count + 1)),
                              self.builder.events_along(Polyline(leg)))[0]
-        if after is None:
+        if hit:
             raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(leg[1]),))
         return tuple(map(self._top_perms[after].__getitem__, sheets))
 
@@ -404,40 +400,87 @@ class HomologyEngine:
         return tuple(value // scale for value in solution)
 
     # ----- slit words -----
-    def cap_word(self, point: ScaledPoint) -> Optional[List[tuple]]:
-        """The (cut, side) crossings of the cap at ``point``, in order, or
-        None where no loop through ``point`` has a word: ``point`` lies on a
-        cut, or the cap meets a cut other than transversally.  They are the
-        first leg's, then the top line's right of the corner (see
-        ``cap_sheets``); a corner on a slit has no word.  A point whose
-        float x is past every slit's float box is right of every slit, as
-        floats round monotonically, and so is its cap, which runs right to
-        (x + CAP_EPS, -CAP_EPS / 2) and on to the marked point: its word is
-        [], with no query."""
+    def cap_word(self, point: ScaledPoint) -> List[tuple]:
+        """The (cut, side) crossings of the cap at ``point``, in order, a
+        point on a cut read as left of it: the first leg's, with a touch at
+        either of its ends (``touch``), then the top line's from the corner
+        on (see ``cap_sheets``), one at the corner included.  The corner
+        lies on a slit exactly where it lies at that slit's top-line
+        crossing.  The cuts are queried only where the leg is not parallel
+        to them: such a leg crosses none.  A point whose float x is past
+        every slit's float box is right of every slit, as floats round
+        monotonically, and so is its cap, which runs right to (x + CAP_EPS,
+        -CAP_EPS / 2) and on to the marked point: its word is [], with no
+        query."""
         if point[0] / point[2] > self._cuts_right:
             return []
-        if on_a_segment(self.cut_set.segments, point):
-            return None
         leg = self.cap_points(point)[:2]
-        after = self._past(self._top_cuts, leg[1])
-        crossings = unless_raising(self.cut_set.crossings, Polyline(leg))
-        if crossings is None or after is None:
-            return None
-        return [(cut, side) for _, cut, _, _, side in crossings] + self._top_word[after:]
+        (x, y, d), (cx, cy, cd) = leg
+        dx, dy = cx * d - x * cd, cy * d - y * cd
+        after, hit = self._past(self._top_cuts, leg[1])
+        word = self.touch(point, dx, dy, 0)
+        if dy != 1000 * dx:
+            word += [(cut, side) for _, cut, _, _, side in self.cut_set.crossings(Polyline(leg))]
+        if hit and dy > 1000 * dx:  # arriving at the corner's slit from the right
+            word.append((self._top_word[after][0], 1))
+        return word + self._top_word[after:]
+
+    def touch(self, point: ScaledPoint, dx: int, dy: int, end: int) -> List[tuple]:
+        """A path's crossing at its own start (``end`` 0) or end (1), the
+        scaled ``point``, where it moves along (dx, dy): a point inside a cut
+        lies left of it, so the path crosses it there where it leaves to the
+        right, side -1, or arrives from the right, side +1 (``side`` is
+        (cut tangent) x (path tangent), the cut tangent being (1, 1000)).
+        A branch point is no crossing; a slit's top, where a wall or its
+        cap may end or start, is read as inside the slit."""
+        side = (dy > 1000 * dx) - (dy < 1000 * dx)
+        if side != 2 * end - 1:
+            return []
+        x, y, d = point
+        g = math.gcd(1000 * x - y, d)
+        k, n, m = self._cut_lines.get(((1000 * x - y) // g, d // g), (None, 0, 1))
+        return [] if k is None or not n * d < y * m <= 0 else [(k, side)]
+
+    def slits_along(self, path: Polyline) -> list:
+        """The sorted cut crossings of ``path``, as ``PolylineSet.crossings``
+        gives them, with a touch at either end (``touch``) at param 0 or 1
+        of its segment, moving as the path's first or last step of positive
+        length does."""
+        ints = path.ints
+        (sx, sy), (ex, ey) = lead(ints), lead(reversed(ints))
+        return ([(param_of(0, 0), k, None, path.ends[0], side)
+                 for k, side in self.touch(path.ends[0], sx, sy, 0)]
+                + self.cut_set.crossings(path)
+                + [(param_of(len(ints) - 2, 1), k, None, path.ends[1], side)
+                   for k, side in self.touch(path.ends[1], -ex, -ey, 1)])
+
+    def walkable(self, path: Polyline) -> Polyline:
+        """``path``, whose slit word is a class only below the top boundary
+        and off the branch points, the punctures: a point at y >= 0, or an
+        end at a branch point, raises."""
+        for x, y in path.ints:
+            if y >= 0:
+                raise NonGenericGeometry("path point at or above y = 0: %r"
+                                         % (exact_point((x, y, path.scale)),))
+        for end in path.ends:
+            if any(end == key for key, _ in self._branches):
+                raise NonGenericGeometry("path end at a branch point: %r" % (exact_point(end),))
+        return path
 
     @staticmethod
-    def _past(table: tuple, corner: ScaledPoint) -> Optional[int]:
-        """How many of a ``top_table``'s crossings lie left of ``corner``,
-        or None where one lies at its x.  Floats round monotonically, so
-        the bisection is exact but on a float tie, which integers decide."""
+    def _past(table: tuple, corner: ScaledPoint) -> Tuple[int, bool]:
+        """How many of a ``top_table``'s crossings lie strictly left of
+        ``corner``, and whether the next lies at its x.  Floats round
+        monotonically, so the bisection is exact but on a float tie, which
+        integers decide."""
         floats, exact = table
         x, _, d = corner
         at = bisect_left(floats, x / d)
         for tx, td in exact[at: bisect_right(floats, x / d)]:
             if tx * d >= x * td:
-                return None if tx * d == x * td else at
+                return at, tx * d == x * td
             at += 1
-        return at
+        return at, False
 
     def walk(self, sheet: int, word) -> tuple:
         """The class and end marked sheet of slit ``word``'s loop lifted from marked ``sheet``."""
@@ -454,13 +497,11 @@ class HomologyEngine:
         every cut of u and v already in the table; its lift from marked
         sheet t, ending at marked sheet E, gives the letter from walk(t,
         u)'s end to walk(E, v reversed)'s."""
-        loop = prepare(self.loop(self.cuts[k][0]))
-        events, slits = (unless_raising(query, loop)
-                         for query in (self.builder.events_along, self.cut_set.crossings))
-        cap_word, word = self.cap_word(loop.ends[0]), ()
-        if None not in (events, slits, cap_word) and all(y < 0 for _, y in loop.ints):
-            word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
-                                  + [(cut, side) for _, cut, _, _, side in slits] + cap_word)
+        loop = self.walkable(prepare(self.loop(self.cuts[k][0])))
+        events, cap_word = self.builder.events_along(loop), self.cap_word(loop.ends[0])
+        word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
+                              + [(cut, side) for _, cut, _, _, side in self.slits_along(loop)]
+                              + cap_word)
         if [cut for cut, _ in word if (1, cut) not in self._letters] != [k]:
             raise NonGenericGeometry("the loop round branch point (%s, %s) reads no lone "
                                      "letter of its cut" % self.cuts[k][0])
@@ -473,46 +514,25 @@ class HomologyEngine:
             unit = (end > t1) - (end < t1)
             self._letters[t1, k] = tuple(unit if j == k else 0 for j in range(len(self.cuts))), end
 
-    def _basis_columns(self, bases: Dict[int, Optional[tuple]]) -> List[Tuple[int, ...]]:
+    def _basis_columns(self, bases: Dict[int, tuple]) -> List[Tuple[int, ...]]:
         """Each s_j in the letter basis: b-strand j's chord-end class, walked
         as ``wall_class`` walks it, from its ``_origin`` part in ``bases``,
         while the letters are formal."""
-        columns = []
-        for sid in self.basis_strands:
-            origin = self._walked(sid, bases[sid])
-            word = self._wall_word(sid, None, self.cap_word(self.builder.strands[sid].path.ends[1]))
-            if origin is None or word is None:
-                raise NonGenericGeometry("b-strand %d has no slit word" % sid)
-            columns.append(self._walk_from(origin, word))
-        return columns
+        return [self._walk_from(self._walked(sid, bases[sid]), self._wall_word(
+            sid, None, self.cap_word(self.builder.strands[sid].path.ends[1])))
+            for sid in self.basis_strands]
 
-    def solve_free(self, path: Polyline, events) -> tuple:
-        """Per start sheet of ``path``, its lift's (end sheet, class, twisting
-        sign), the class solved with both ends capped, and the marked sheets
-        of the cap at its end: free transport where there is no word."""
-        lifted, (start_cap, end_cap) = LiftedPath(path, events), map(self.cap, path.ends)
-        factor = []
-        for start in range(1, self.weave.strand_count + 1):
-            (sheet,), sign = walk_sheets((start,), events)
-            chain = [(lifted, start, 1), (start_cap, start, -1), (end_cap, sheet, 1)]
-            factor.append((sheet, self.class_of_chain(chain), sign))
-        return factor, self.cap_sheets(path.ends[1])
+    def _wall_word(self, sid: int, param: Optional[Param], word: list) -> list:
+        """Wall ``sid``'s cut crossings before ``param``, then ``word``: a
+        wall point on a cut reads as left of it (``between``)."""
+        return [(cut, side) for _, cut, _, _, side in between(self._wall_slits[sid], None, param)] \
+            + word
 
-    def _wall_word(self, sid: int, param: Optional[Param], word: Optional[list]) -> Optional[list]:
-        """Wall ``sid``'s cut crossings before ``param``, then ``word``; None
-        where ``word`` is None or the wall's cut query raised."""
-        slits = self._wall_slits[sid]
-        if word is not None and slits is not None:
-            return [(cut, side) for _, cut, _, _, side in between(slits, None, param)] + word
-
-    def wall_class(self, sid: int, param: Optional[Param], word: Optional[list]) -> Tuple[int, ...]:
+    def wall_class(self, sid: int, param: Optional[Param], word: list) -> Tuple[int, ...]:
         """Wall ``sid``'s soliton class based at ``param`` (None: its chord
         end), where ``word`` is the ``cap_word`` there (see the module
         docstring)."""
-        wall_word, origin = self._wall_word(sid, param, word), self._origins[sid]
-        if wall_word is None or origin is None:
-            return self.class_of_chain(self.tree_chain(sid, param))
-        return self._walk_from(origin, wall_word)
+        return self._walk_from(self._origins[sid], self._wall_word(sid, param, word))
 
     def _walk_from(self, origin: tuple, wall_word: list) -> Tuple[int, ...]:
         """C + walk(m1, w) - walk(m2, w), w = W(p0)^-1 ``wall_word``."""
@@ -520,23 +540,18 @@ class HomologyEngine:
         (c1, _), (c2, _) = (self.walk(m, prefix + wall_word) for m in (m1, m2))
         return tuple(map(sub, map(add, cls, c1), c2))
 
-    def _origin(self, sid: int) -> Optional[tuple]:
-        """Wall ``sid``'s origin part that no letter changes, (W(p0), (m1,
-        m2)), or None if p0 has no wall word."""
+    def _origin(self, sid: int) -> tuple:
+        """Wall ``sid``'s origin part that no letter changes, (W(p0), (m1, m2))."""
         strand, joint = self.builder.strands[sid], self.builder.born_at.get(sid)
         p0 = param_of(0, 0) if joint else BIRTH_PARAM
         point = interp(strand.path, p0)
-        base = self._wall_word(sid, p0, self.cap_word(point))
-        if base is None:
-            return None
         sheets = self.cap_sheets(point)
-        return base, tuple(sheets[s - 1] for s in strand.label_at(p0))
+        return (self._wall_word(sid, p0, self.cap_word(point)),
+                tuple(sheets[s - 1] for s in strand.label_at(p0)))
 
-    def _walked(self, sid: int, part: Optional[tuple]) -> Optional[tuple]:
+    def _walked(self, sid: int, part: tuple) -> tuple:
         """Wall ``sid``'s origin (C, W(p0)^-1, (m1, m2)) from its ``_origin``
         ``part``, C walked with the letters as they stand."""
-        if part is None:
-            return None
         base, (m1, m2) = part
         prefix, joint = [(cut, -side) for cut, side in reversed(base)], self.builder.born_at.get(sid)
         if joint is None:
@@ -584,20 +599,24 @@ def top_table(crossings: list) -> tuple:
     return [x / d for *_, (x, _, d), _ in crossings], [(x, d) for *_, (x, _, d), _ in crossings]
 
 
-def unless_raising(query, path: Polyline):
-    """``query(path)``, or None where it raises NonGenericGeometry."""
-    try:
-        return query(path)
-    except NonGenericGeometry:
-        return None
+def lead(ints) -> Tuple[int, int]:
+    """The step from the first of the integer points ``ints``, an iterable,
+    to the first that differs from it, or (0, 0)."""
+    ints = iter(ints)
+    x0, y0 = next(ints)
+    return next(((x - x0, y - y0) for x, y in ints if x != x0 or y != y0), (0, 0))
 
 
 def between(crossings: list, lo: Optional[Param], hi: Optional[Param]) -> list:
-    """The crossings, sorted by their param, strictly between ``lo`` and
-    ``hi`` (None: the path's start or end)."""
-    first = 0 if lo is None else bisect_right(crossings, lo, key=itemgetter(0))
-    return crossings[first: len(crossings) if hi is None else
-                     bisect_left(crossings, hi, key=itemgetter(0))]
+    """The crossings, sorted by their param (side last), between ``lo``
+    and ``hi`` (None: the path's start or end).  A point on a cut lies left
+    of it, so one at ``lo`` is kept where it leaves to the right (side -1)
+    and one at ``hi`` where it arrives from the right (side +1)."""
+    first = 0 if lo is None else bisect_left(crossings, lo, key=itemgetter(0))
+    last = len(crossings) if hi is None else bisect_right(crossings, hi, key=itemgetter(0))
+    first += first < last and crossings[first][0] == lo and crossings[first][-1] > 0
+    last -= first < last and crossings[last - 1][0] == hi and crossings[last - 1][-1] < 0
+    return crossings[first:last]
 
 
 def on_a_segment(rows, point: ScaledPoint) -> bool:

@@ -23,8 +23,8 @@ from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
                       assert_basis_walks_are_units, assert_caps_read_off_the_top_line,
-                      cap_sheets_or_message, random_weave_builders, whole_cap_sheets,
-                      whole_cap_word)
+                      cap_sheets_or_message, left_cap_word, random_weave_builders,
+                      whole_cap_sheets, whole_cap_word)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -318,11 +318,14 @@ def test_caps_read_off_the_top_line_equal_the_whole_caps(builders):
 
 def test_cap_corner_on_a_top_line_crossing_gives_the_whole_caps_outcome(builders):
     """A cap whose corner (x + CAP_EPS, -CAP_EPS/2) lands exactly on a
-    crossing of the top line meets that line at the corner: on a weave
-    line ``cap_sheets`` raises the whole cap's corner hit, on a slit
-    ``cap_word`` is None, as the whole cap's queries give.  A corner
-    2^-70 either side of the crossing ties it as a float and is decided
-    exactly, and reads the whole cap's word and permutation."""
+    crossing of the top line meets that line at the corner.  On a weave
+    line ``cap_sheets`` raises the whole cap's corner hit.  On a slit the
+    whole cap's query raises too, and ``cap_word`` reads the corner as left
+    of the slit: it is the word of the cap 2^-80 left (``left_cap_word``),
+    whether the start lies off the slit or on it, its first leg then
+    parallel to the slit.  A corner 2^-70 either side of the crossing ties
+    it as a float and is decided exactly, and reads the whole cap's word
+    and permutation."""
     engine = HomologyEngine(builders["three_strand"])
     for table, hit in ((engine._top_lines, "sheets"), (engine._top_cuts, "word")):
         assert table[0]
@@ -332,14 +335,39 @@ def test_cap_corner_on_a_top_line_crossing_gives_the_whole_caps_outcome(builders
                 corner = engine.cap_points(start)[1]
                 assert corner[0] / corner[2] == x / d
                 word, sheets = engine.cap_word(start), cap_sheets_or_message(engine, start)
-                assert word == whole_cap_word(engine, start)
+                assert word == left_cap_word(engine, start)
                 assert sheets == whole_cap_sheets(engine, start)
                 if dx:
-                    assert word is not None and isinstance(sheets, tuple)
+                    assert word == whole_cap_word(engine, start) and isinstance(sheets, tuple)
                 elif hit == "sheets":
                     assert sheets.startswith("polyline corner hit")
                 else:
-                    assert word is None
+                    assert whole_cap_word(engine, start) is None
+                    # a start 1000 CAP_EPS below the corner, on the slit: a leg parallel to it
+                    on_slit = point_key((Fraction(x, d) - CAP_EPS, -CAP_EPS * 2001 / 2))
+                    assert engine.cap_points(on_slit)[1] == corner
+                    assert engine.cap_word(on_slit) == left_cap_word(engine, on_slit) \
+                        and whole_cap_word(engine, on_slit) is None
+
+
+def test_letter_loop_that_misses_its_branch_point_is_rejected(builders, monkeypatch):
+    """Each letter is read off the loop round its branch point, which must
+    read one new letter, its cut's.  A loop round another branch point
+    reads another cut's letter, or none new, and a loop reaching the top
+    boundary has no word: each raises by name where the engine is built."""
+    builder = builders["three_strand"]
+    centers = [v.point for v in builder.weave.trivalent_vertices()]
+    loop = HomologyEngine.loop
+    with monkeypatch.context() as patch:
+        patch.setattr(HomologyEngine, "loop", lambda self, center: loop(
+            self, centers[(centers.index(center) + 1) % len(centers)]))
+        with pytest.raises(NonGenericGeometry, match="reads no lone letter of its cut"):
+            HomologyEngine(builder)
+    with monkeypatch.context() as patch:
+        patch.setattr(HomologyEngine, "loop", lambda self, center: [
+            (x, Fraction(0)) if k == 1 else (x, y) for k, (x, y) in enumerate(loop(self, center))])
+        with pytest.raises(NonGenericGeometry, match="path point at or above y = 0"):
+            HomologyEngine(builder)
 
 
 def test_vertex_in_the_top_strip_is_rejected():

@@ -103,26 +103,34 @@ def test_every_raise_names_a_value_runtime_or_os_error():
     assert not offenders, offenders
 
 
-def _call_sites(name):
-    """Each call in src/ of ``name``, whether as a method or by name, as
-    "module:function", the function being the innermost one that encloses
-    the call ("<module>" at the top level)."""
+def _sites(matches):
+    """Each node in src/ that ``matches``, as "module:function", the
+    function being the innermost one that encloses it ("<module>" at the
+    top level)."""
     sites = []
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        elif isinstance(node, ast.Call):
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if called == name:
-                sites.append("%s:%s" % (module, where))
+        elif matches(node):
+            sites.append("%s:%s" % (module, where))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem, "<module>")
     return sites
+
+
+def _call_sites(name):
+    """Each call in src/ of ``name``, whether as a method or by name, as
+    "module:function" (``_sites``)."""
+    def matches(node):
+        func = getattr(node, "func", None)
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return isinstance(node, ast.Call) and called == name
+
+    return _sites(matches)
 
 
 def test_only_soliton_bps_calls_tree_chain():
@@ -132,17 +140,31 @@ def test_only_soliton_bps_calls_tree_chain():
     assert callers and all(c.startswith("soliton_bps:") for c in callers), callers
 
 
-def test_class_of_chain_callers_are_the_no_word_solves_and_the_oracle():
-    """Every class is read off a walk but where no word exists or an oracle
-    asks for the solve: ``class_of_chain`` is called only by ``solve_free``
-    (a free path with no word), ``wall_class`` (a wall with no word) and
-    ``_tree_soliton`` (the brute-force BPS oracle), and ``solve_free`` only
-    by ``nonabel._free_factor``.  The letters' classes invert the
-    b-strands' letter words with no solve, and no marked-point, BPS or
-    augmentation value is solved anywhere else."""
-    assert set(_call_sites("class_of_chain")) == {
-        "soliton_bps:solve_free", "soliton_bps:wall_class", "soliton_bps:_tree_soliton"}
-    assert _call_sites("solve_free") == ["nonabel:_free_factor"]
+def test_class_of_chain_caller_is_the_oracle():
+    """Every class is read off a walk but where the oracle asks for the
+    solve: ``class_of_chain`` is called only by ``_tree_soliton`` (the
+    brute-force BPS oracle).  Every cap, wall and path has a slit word, so
+    no free path or wall falls back to a solve, the letters' classes invert
+    the b-strands' letter words, and no marked-point, BPS or augmentation
+    value is solved anywhere else."""
+    assert set(_call_sites("class_of_chain")) == {"soliton_bps:_tree_soliton"}
+
+
+def test_no_function_retries_non_generic_geometry():
+    """A degeneracy propagates to the caller, as the ``soliton_bps``
+    docstring says: the only handlers in src/ that can catch
+    NonGenericGeometry are ``homotopic_pair``'s, which draws a move again
+    when its winding test meets the loop, and ``cli.main``'s, which reports
+    the error and exits 2."""
+    def catches(node):
+        if not isinstance(node, ast.ExceptHandler):
+            return False
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(t is None or getattr(t, "id", None) in
+                   ("NonGenericGeometry", "RuntimeError", "Exception", "BaseException")
+                   for t in types)
+
+    assert sorted(_sites(catches)) == ["cli:main", "nonabel:homotopic_pair"]
 
 
 def _span_targets():
