@@ -47,10 +47,10 @@ wall-crossing params, and one cut query per junction's cap, shared by the
 two sub-paths and the wall that meet there.  Every sub-path has a word: a
 point on a cut, where a path starts, ends or crosses a wall, or where a cap
 starts or turns, reads as left of it (see ``soliton_bps``).  A path with a
-point at or above y = 0 or an end at a branch point, or whose whole-path
-query raises, is rejected with a ``NonGenericGeometry``.  Two caps crossing
-one cut at one point still give a word, an invariant of a loop crossing
-transversally.
+point at or above y = 0 or a branch point on it, at an end, a corner or
+inside a segment, or whose whole-path query raises, is rejected with a
+``NonGenericGeometry``.  Two caps crossing one cut at one point still give
+a word, an invariant of a loop crossing transversally.
 """
 
 from __future__ import annotations

@@ -29,11 +29,17 @@ and path below the top boundary has a word: that of the curve moved just
 left where it meets a cut.  A capped lift's class and end marked sheet
 depend on its marked start sheet t and word alone, and add along the word
 (Fox's covering cocycle): the engine builds a letter table per (t, cut) once,
-from the cut with the rightmost top leftward, reading each letter's end
-sheet off the loop round its branch point.  Each letter is a
-transposition, class c from one sheet to the other, -c back and 0
-elsewhere, so a walk ignores the side crossed, and a letter and its
-inverse cancel.
+from the cut with the rightmost top leftward, reading each letter off its
+cut, with no loop built.  The loop from the marked point left along the
+top line, down the right side of cut k, round its branch point b, up its
+left side and back across it reads v^-1 (k, -1) v, v the top word right
+of k, and transposes b's two sheets carried up the cut and along the top
+line to the marked point: so k's letter transposes their walks through
+v^-1.  A hexavalent or tetravalent weave vertex on a cut, which the walk
+up it would pass over, or a weave line crossing a cut on the top line
+raises.  Each letter is a transposition, class c from one sheet to the
+other, -c back and 0 elsewhere, so a walk ignores the side crossed, and a
+letter and its inverse cancel.
 
 A wall's class at p is C + walk(m1, w) - walk(m2, w), with W(p) its cut
 crossings before p then the cap's, w = W(p0)^-1 W(p), (m1, m2) its label's
@@ -60,10 +66,11 @@ the whole cap's.  A corner on a weave line's top-line crossing is the whole
 cap's corner hit; one on a slit's lies left of it, half open.
 
 A marked-point value t_i is the class of the boundary arc: from the marked
-point right, down below every line, left, up and back right along y =
--CAP_EPS.  Every slit top lies left of the marked point (the engine raises
-otherwise), so the arc crosses each slit once, by increasing top x, and t_i
-is the walk of that word from marked sheet i, with no solve.
+point right, down below every line, left, up and back right along the top
+line.  Every slit top lies left of the marked point (the engine raises
+otherwise), so the arc crosses each slit once, rightward, by increasing top
+x: its word ``arc_word`` is the top word, and t_i is the walk of that word
+from marked sheet i, with no solve.
 
 All geometry is exact rational.  A degeneracy raises NonGenericGeometry,
 which propagates to the caller; nothing here or in transport retries.
@@ -231,6 +238,11 @@ class HomologyEngine:
         if any(x >= self.x_max for _, (x, _) in self.cuts):
             raise NonGenericGeometry("a slit top lies at or right of the marked point")
         self.cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
+        # the letters walk up the cuts, and a query passes over a touch at a
+        # weave line's end, such as a hexavalent or tetravalent vertex
+        for v in self.weave.vertices:
+            if v.kind != "trivalent" and on_a_segment(self.cut_set.segments, point_key(v.point)):
+                raise NonGenericGeometry("%s weave vertex %d lies on a cut" % (v.kind, v.id))
         # past every slit's float box, the cap word is [] (see cap_word)
         self._cuts_right = max((row[1] for row in self.cut_set.segments), default=-math.inf)
         # the top line y = -CAP_EPS/2, crossed once per table: a cap's second
@@ -248,15 +260,13 @@ class HomologyEngine:
         perms = [tuple(range(n + 1))]
         for _, (letter, _), *_ in reversed(lines):
             perms.append(tuple(perms[-1][transpose(s, letter)] for s in range(n + 1)))
-        self._top_perms, self._top_word = perms[::-1], [(cut, side) for _, cut, _, _, side in slits]
+        # the top word: each slit crossed once, rightward, by increasing top x
+        self._top_perms, self.arc_word = perms[::-1], [(cut, side) for _, cut, _, _, side in slits]
         # each wall's cut crossings; a wall whose query raises is rejected
         self._wall_slits = [self.slits_along(strand.path) for strand in builder.strands]
-        self._loops: Dict[Point, List[Point]] = {}  # center -> its loop (see loop)
         self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
-        # the boundary arc crosses the slits rightward, by increasing top x
-        self.arc_word = [(k, -1) for _, k in sorted((x, k) for k, (_, (x, _)) in enumerate(self.cuts))]
-        for k, _ in reversed(self.arc_word):  # the letters build from the right
-            self._add_letter(k)
+        for at in reversed(range(len(self.arc_word))):  # the letters build from the right
+            self._add_letter(at)
         # each wall's letter-free origin part, the b-strands' first
         bases = {sid: self._origin(sid) for sid in self.basis_strands}
         # the letters' classes in the s-basis: the columns of M^-1, M's
@@ -422,8 +432,8 @@ class HomologyEngine:
         if dy != 1000 * dx:
             word += [(cut, side) for _, cut, _, _, side in self.cut_set.crossings(Polyline(leg))]
         if hit and dy > 1000 * dx:  # arriving at the corner's slit from the right
-            word.append((self._top_word[after][0], 1))
-        return word + self._top_word[after:]
+            word.append((self.arc_word[after][0], 1))
+        return word + self.arc_word[after:]
 
     def touch(self, point: ScaledPoint, dx: int, dy: int, end: int) -> List[tuple]:
         """A path's crossing at its own start (``end`` 0) or end (1), the
@@ -456,15 +466,18 @@ class HomologyEngine:
 
     def walkable(self, path: Polyline) -> Polyline:
         """``path``, whose slit word is a class only below the top boundary
-        and off the branch points, the punctures: a point at y >= 0, or an
-        end at a branch point, raises."""
+        and off the branch points, the punctures: a point at y >= 0, or a
+        branch point on the path, at an end, a corner or inside a segment,
+        raises."""
         for x, y in path.ints:
             if y >= 0:
                 raise NonGenericGeometry("path point at or above y = 0: %r"
                                          % (exact_point((x, y, path.scale)),))
-        for end in path.ends:
-            if any(end == key for key, _ in self._branches):
-                raise NonGenericGeometry("path end at a branch point: %r" % (exact_point(end),))
+        rows = PolylineSet([(path, None)]).segments
+        for key, _ in self._branches:
+            if on_a_segment(rows, key):
+                raise NonGenericGeometry("path %s a branch point: %r" % (
+                    "end at" if key in path.ends else "through", exact_point(key)))
         return path
 
     @staticmethod
@@ -490,29 +503,28 @@ class HomologyEngine:
             cls = tuple(map(add, cls, step))
         return cls, sheet
 
-    def _add_letter(self, k: int):
-        """Cut ``k``'s letters, with formal classes: +e_k from the lower
-        marked sheet of its transposition, -e_k from the upper, 0 elsewhere.
-        The loop round its branch point has the reduced word u (k, +-1) v,
-        every cut of u and v already in the table; its lift from marked
-        sheet t, ending at marked sheet E, gives the letter from walk(t,
-        u)'s end to walk(E, v reversed)'s."""
-        loop = self.walkable(prepare(self.loop(self.cuts[k][0])))
-        events, cap_word = self.builder.events_along(loop), self.cap_word(loop.ends[0])
-        word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
-                              + [(cut, side) for _, cut, _, _, side in self.slits_along(loop)]
-                              + cap_word)
-        if [cut for cut, _ in word if (1, cut) not in self._letters] != [k]:
-            raise NonGenericGeometry("the loop round branch point (%s, %s) reads no lone "
-                                     "letter of its cut" % self.cuts[k][0])
-        at = [cut for cut, _ in word].index(k)
-        # the loop is closed, so its start cap's sheets are those of its end cap
-        sheets = self.cap_sheets(loop.ends[0])
-        ends, _ = walk_sheets(tuple(range(1, self.weave.strand_count + 1)), events)
-        for t, s in zip(sheets, ends):
-            t1, end = self.walk(t, word[:at])[1], self.walk(sheets[s - 1], word[:at:-1])[1]
-            unit = (end > t1) - (end < t1)
-            self._letters[t1, k] = tuple(unit if j == k else 0 for j in range(len(self.cuts))), end
+    def _add_letter(self, at: int):
+        """The letters of cut k = ``arc_word[at][0]``, with formal classes:
+        +e_k from the lower marked sheet of its transposition, -e_k from the
+        upper, 0 elsewhere.  It transposes its branch point's two sheets,
+        carried up the cut to the top line, along it to the marked point
+        and back through v^-1, v the top word right of k, already in the
+        table (see the module docstring).  A weave line crossing the cut on
+        the top line raises: the walk would not say which side of it the
+        pair turns on."""
+        k = self.arc_word[at][0]
+        (x, y), _ = self.cuts[k]
+        cut = prepare([(x, y), (x - (y + CAP_EPS / 2) / 1000, -CAP_EPS / 2)])
+        after, hit = self._past(self._top_lines, cut.ends[1])
+        if hit:
+            raise NonGenericGeometry("a weave line crosses cut %d on the top line" % k)
+        letter = self._branches[k][1]
+        pair = walk_sheets((letter, letter + 1), self.builder.events_along(cut))[0]
+        t1, t2 = (self.walk(self._top_perms[after][s], self.arc_word[:at:-1])[1] for s in pair)
+        for t in range(1, self.weave.strand_count + 1):
+            end = {t1: t2, t2: t1}.get(t, t)
+            unit = (end > t) - (end < t)
+            self._letters[t, k] = tuple(unit if j == k else 0 for j in range(len(self.cuts))), end
 
     def _basis_columns(self, bases: Dict[int, tuple]) -> List[Tuple[int, ...]]:
         """Each s_j in the letter basis: b-strand j's chord-end class, walked
@@ -580,17 +592,15 @@ class HomologyEngine:
         return _rational_sqrt_floor(Fraction(*best))
 
     def loop(self, center: Point) -> List[Point]:
-        """A small closed quadrilateral about ``center``, at half its
-        clearance, corners jittered off the axes so they avoid walls and
-        weave lines, built once per center for the letter table and
-        monodromy alike.  Transport round a degenerate one raises."""
-        if center not in self._loops:
-            cx, cy = center
-            r = self.clearance(center) / 2
-            e = r / 313
-            self._loops[center] = [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
-                                   (cx - 2 * e, cy - r), (cx + r, cy + e)]
-        return self._loops[center]
+        """A small closed quadrilateral about ``center``, a branch point or
+        a joint, at half its clearance, corners jittered off the axes so
+        they avoid walls and weave lines: the path of its monodromy.
+        Transport round a degenerate one raises."""
+        cx, cy = center
+        r = self.clearance(center) / 2
+        e = r / 313
+        return [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
+                (cx - 2 * e, cy - r), (cx + r, cy + e)]
 
 
 def top_table(crossings: list) -> tuple:

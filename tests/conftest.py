@@ -7,7 +7,7 @@ from specnet.forest import build_forest_strands
 from specnet.geometry import NonGenericGeometry, Polyline, interp, point_key, prepare, walk_sheets
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import homotopic_pair
-from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, LiftedPath, on_a_segment
+from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, LiftedPath, freely_reduced, on_a_segment
 from specnet.weave import Move, _apply_move, bend_weave, demazure_product, length, parse_weave
 
 EXAMPLES = {
@@ -101,6 +101,56 @@ def assert_basis_walks_are_units(engine):
         assert engine.wall_class(sid, None, engine.cap_word(chord_end)) == \
             tuple(int(i == j) for i in range(gens)), sid
     assert not pairing_built(engine)
+
+
+def loop_letters(engine):
+    """The engine's letter table as the loop round each branch point reads
+    it, with formal classes: per (marked sheet, cut), +e_k from the lower
+    marked sheet of the cut's transposition, -e_k from the upper and 0
+    elsewhere, and the end marked sheet.  The cuts are read from the
+    rightmost top leftward.  The loop round cut k's branch point has the
+    reduced word u (k, +-1) v, every cut of u and v read already; its lift
+    from marked sheet t, ending at marked sheet E, gives the letter from
+    walk(t, u)'s end to walk(E, v reversed)'s.  The reference the letters
+    read off the cuts are checked against."""
+    letters, cuts = {}, len(engine.cuts)
+
+    def walk(sheet, word):
+        for cut, _ in word:
+            sheet = letters[sheet, cut][1]
+        return sheet
+
+    for k, _ in reversed(engine.arc_word):
+        loop = engine.walkable(prepare(engine.loop(engine.cuts[k][0])))
+        cap_word = engine.cap_word(loop.ends[0])
+        word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
+                              + [(cut, side) for _, cut, _, _, side in engine.slits_along(loop)]
+                              + cap_word)
+        assert [cut for cut, _ in word if (1, cut) not in letters] == [k], word
+        at = [cut for cut, _ in word].index(k)
+        # the loop is closed, so its start cap's sheets are those of its end cap
+        sheets = engine.cap_sheets(loop.ends[0])
+        ends, _ = walk_sheets(tuple(range(1, engine.weave.strand_count + 1)),
+                              engine.builder.events_along(loop))
+        for t, s in zip(sheets, ends):
+            t1, end = walk(t, word[:at]), walk(sheets[s - 1], word[:at:-1])
+            unit = (end > t1) - (end < t1)
+            letters[t1, k] = tuple(unit if j == k else 0 for j in range(cuts)), end
+    return letters
+
+
+def assert_letters_read_off_the_cuts(engine):
+    """The engine's letters, read off the cuts and the top line, are the
+    loop-built ones (``loop_letters``): each ends where the reference's
+    does, and its class is its cut's column of M^-1 times the reference's
+    formal unit, the column being the class of the letter from the lower
+    sheet of the cut's transposition."""
+    reference = loop_letters(engine)
+    assert engine._letters.keys() == reference.keys()
+    columns = {k: engine._letters[t, k][0] for (t, k), (unit, _) in reference.items() if unit[k] == 1}
+    assert len(columns) == len(engine.cuts)
+    for (t, k), (unit, end) in reference.items():
+        assert engine._letters[t, k] == (tuple(unit[k] * v for v in columns[k]), end), (t, k)
 
 
 def unless_raising(query, path):

@@ -57,6 +57,23 @@ def test_weave_commands_build_no_pairing(command, monkeypatch, capsys):
     assert not any(map(pairing_built, engines))
 
 
+def test_table_commands_build_no_loop(tmp_path, monkeypatch, capsys):
+    """On every packaged fixture, ``augmentation``, ``bps`` and ``compare``
+    (against the fixture's own augmentation table) build no monodromy
+    loop: the homology engine reads its letters off the cuts, so none of
+    them calls ``HomologyEngine.clearance``."""
+    centers = []
+    monkeypatch.setattr(HomologyEngine, "clearance", lambda self, center: centers.append(center))
+    for name in EXAMPLES:
+        table = tmp_path / (name + ".json")
+        assert main(["augmentation", name, "--format", "json"]) == 0
+        table.write_text(capsys.readouterr().out)
+        assert main(["bps", name]) == 0
+        assert main(["compare", name, str(table)]) == 0
+        assert capsys.readouterr().out.endswith(" chords\n")
+    assert centers == []
+
+
 def test_packaged_fixture_names_resolve(capsys):
     """A fixture name resolves with or without its suffix, for a weave
     input and for either side of compare."""

@@ -8,7 +8,8 @@ from specnet.nonabel import Transport, augmentation, homotopic_pair
 from specnet.weave import Move, Weave, bend_weave, parse_weave
 
 from conftest import (PLUS_MINUS_TWO, assert_arc_walks_equal_solves, assert_basis_walks_are_units,
-                      assert_caps_read_off_the_top_line, random_weave_texts, top_boundary_fault)
+                      assert_caps_read_off_the_top_line, assert_letters_read_off_the_cuts,
+                      random_weave_texts, top_boundary_fault)
 
 # invariants are checked on built weaves with at most this many strands
 STRAND_CAP = 16
@@ -59,7 +60,9 @@ TOP_BOUNDARY_DIFFER = [(index, PLUS_MINUS_TWO)
 def test_random_corpus_rejections_and_invariants():
     """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
     of them and rejects exactly the 31 in REJECTED.  On each built weave
-    each b-strand walks to its unit class (``assert_basis_walks_are_units``),
+    the letters read off the cuts are the loop-built ones
+    (``assert_letters_read_off_the_cuts``), each b-strand walks to its unit
+    class (``assert_basis_walks_are_units``),
     each t_i's walk equals the boundary arc's solve
     (``assert_arc_walks_equal_solves``), every cap read off the top line
     equals the whole cap (``assert_caps_read_off_the_top_line``), and the
@@ -79,6 +82,7 @@ def test_random_corpus_rejections_and_invariants():
             rejected.append((index, type(err).__name__, str(err)))
             continue
         transport = Transport(builder)
+        assert_letters_read_off_the_cuts(transport.engine)
         assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
         assert_caps_read_off_the_top_line(transport)
@@ -132,7 +136,8 @@ def test_four_strand_corpus_with_x_moves():
     bottoms; the forest builds 113 of them and rejects exactly the 13 in
     REJECTED_N4.  82 built weaves have an x move, and in 36 a strand
     climbs through a tetravalent vertex (passing delta left of its point).
-    On every built weave each b-strand walks to its unit class, each t_i's
+    On every built weave the letters read off the cuts are the loop-built
+    ones, each b-strand walks to its unit class, each t_i's
     walk equals the boundary arc's solve, every cap read off the top line
     equals the whole cap, each branch and joint monodromy is the identity,
     the BPS recursion equals brute force, two seeded homotopic path pairs
@@ -153,6 +158,7 @@ def test_four_strand_corpus_with_x_moves():
         climbing += any((x - s.delta, y) in s.polyline
                         for x, y in x_points for s in builder.strands)
         transport = Transport(builder)
+        assert_letters_read_off_the_cuts(transport.engine)
         assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
         assert_caps_read_off_the_top_line(transport)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1135,6 +1136,28 @@ def test_path_ends_at_or_just_below_a_branch_point(builders):
             for poly in ([below, right], [right, below]):
                 assert _check_walk_keys(transport, poly)[1] == 0, poly
                 assert transport.transport_path(poly) == _direct_transport(transport, poly)
+
+
+def test_path_through_a_branch_point_is_rejected(transports):
+    """A path that meets a branch point, a puncture, at a corner or inside
+    a segment is rejected by name, as one ending there is: the weave lines
+    and the cut end there, so no query would see the touch.  On the five
+    fixtures, for each of the 15 cut branch points b, the path (bx - 1/3,
+    by - 1/5) -> b -> (bx + 1/4, by - 1/7) and a straight segment through
+    b each raise."""
+    paths = 0
+    for transport in transports.values():
+        for (bx, by), _ in transport.engine.cuts:
+            corner = [(bx - Fraction(1, 3), by - Fraction(1, 5)), (bx, by),
+                      (bx + Fraction(1, 4), by - Fraction(1, 7))]
+            straight = [(bx - Fraction(1, 3), by - Fraction(1, 5)),
+                        (bx + Fraction(1, 3), by + Fraction(1, 5))]
+            for poly in (corner, straight):
+                with pytest.raises(NonGenericGeometry, match=re.escape(
+                        "path through a branch point: %r" % ((bx, by),))):
+                    transport.transport_path(poly)
+                paths += 1
+    assert paths == 30
 
 
 def _twice_through(x, y):

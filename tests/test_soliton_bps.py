@@ -23,8 +23,8 @@ from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
                       assert_basis_walks_are_units, assert_caps_read_off_the_top_line,
-                      cap_sheets_or_message, left_cap_word, random_weave_builders,
-                      whole_cap_sheets, whole_cap_word)
+                      assert_letters_read_off_the_cuts, cap_sheets_or_message, left_cap_word,
+                      random_weave_builders, whole_cap_sheets, whole_cap_word)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -292,6 +292,23 @@ def test_marked_point_walks_equal_the_arc_solve(catalogs):
     assert [len(engine.arc_word) for engine in engines] == [2, 2, 5, 2, 4, 1, 2, 0, 0]
 
 
+def test_letters_read_off_the_cuts_equal_the_loop_built_ones(builders, monkeypatch):
+    """Each letter read off its cut and the top line is the one the loop
+    round its branch point reads (``assert_letters_read_off_the_cuts``),
+    one per marked sheet and cut, on the fixtures, the two n = 4 x-move
+    weaves and two weaves with no branch point (the two corpus tests check
+    the same on every built weave).  Engine set-up builds no loop."""
+    forests = list(builders.values())
+    forests += [build_forest_strands(bend_weave(parse_weave(text)))
+                for text in X_MOVE_WEAVES + ["n=3\ntop: 1 2 1\nmoves: h1", "n=4\ntop: 1 3 2\nmoves: x1"]]
+    with monkeypatch.context() as patch:
+        patch.setattr(HomologyEngine, "loop", None)
+        engines = [HomologyEngine(builder) for builder in forests]
+    for engine in engines:
+        assert_letters_read_off_the_cuts(engine)
+    assert [len(engine._letters) for engine in engines] == [4, 4, 10, 6, 12, 4, 8, 0, 0]
+
+
 def test_slit_top_at_or_right_of_the_marked_point_is_rejected():
     """The arc word holds only while every slit top lies left of the marked
     point, so an engine whose marked point is moved left of a slit top
@@ -350,24 +367,45 @@ def test_cap_corner_on_a_top_line_crossing_gives_the_whole_caps_outcome(builders
                         and whole_cap_word(engine, on_slit) is None
 
 
-def test_letter_loop_that_misses_its_branch_point_is_rejected(builders, monkeypatch):
-    """Each letter is read off the loop round its branch point, which must
-    read one new letter, its cut's.  A loop round another branch point
-    reads another cut's letter, or none new, and a loop reaching the top
-    boundary has no word: each raises by name where the engine is built."""
-    builder = builders["three_strand"]
-    centers = [v.point for v in builder.weave.trivalent_vertices()]
-    loop = HomologyEngine.loop
-    with monkeypatch.context() as patch:
-        patch.setattr(HomologyEngine, "loop", lambda self, center: loop(
-            self, centers[(centers.index(center) + 1) % len(centers)]))
-        with pytest.raises(NonGenericGeometry, match="reads no lone letter of its cut"):
-            HomologyEngine(builder)
-    with monkeypatch.context() as patch:
-        patch.setattr(HomologyEngine, "loop", lambda self, center: [
-            (x, Fraction(0)) if k == 1 else (x, y) for k, (x, y) in enumerate(loop(self, center))])
-        with pytest.raises(NonGenericGeometry, match="path point at or above y = 0"):
-            HomologyEngine(builder)
+@pytest.mark.parametrize("text", [EXAMPLES["three_strand"], X_MOVE_WEAVES[0]],
+                         ids=["hexavalent", "tetravalent"])
+def test_weave_vertex_on_a_cut_is_rejected(text, monkeypatch):
+    """The letters walk up the cuts, whose weave-line queries pass over a
+    touch at a line's end: the lowest branch point, moved so that its cut
+    runs through the weave's first hexavalent or tetravalent vertex,
+    raises by name where the cuts are built."""
+    weave = parse_weave(text)
+    builder = build_forest_strands(bend_weave(weave))
+    vertex = next(v for v in weave.vertices if v.kind != "trivalent")
+    low, *rest = sorted(weave.trivalent_vertices(), key=lambda v: v.point[1])
+    (x, y), by = vertex.point, low.point[1]
+    low = dataclasses.replace(low, point=(x - (y - by) / 1000, by))
+    monkeypatch.setattr(weave, "trivalent_vertices", lambda: [low] + rest)
+    with pytest.raises(NonGenericGeometry, match="%s weave vertex %d lies on a cut"
+                       % (vertex.kind, vertex.id)):
+        HomologyEngine(builder)
+
+
+def test_weave_line_crossing_a_cut_on_the_top_line_is_rejected():
+    """The letters carry each branch point's sheets up its cut to the top
+    line, so a weave line moved to cross the cut of the rightmost top just
+    where the cut crosses the top line raises by name where the letters
+    are built: its top end is moved along y = 0 to put the line's top
+    segment through that point."""
+    builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["three_strand"])))
+    engine = HomologyEngine(builder)
+    k = engine.arc_word[-1][0]
+    (bx, by), _ = engine.cuts[k]
+    tx, ty = bx - (by + CAP_EPS / 2) / 1000, -CAP_EPS / 2
+    lines = [(seg.points, (seg.letter, seg.id)) for seg in builder.obstacles]
+    m = min((abs(points[0][0] - tx), m) for m, (points, _) in enumerate(lines)
+            if points[0][1] == 0)[1]
+    lx, ly = lines[m][0][1]
+    moved = [(lx + (tx - lx) * ly / (ly - ty), Fraction(0))] + lines[m][0][1:]
+    builder.weave_lines = PolylineSet((moved, tag) if j == m else (points, tag)
+                                      for j, (points, tag) in enumerate(lines))
+    with pytest.raises(NonGenericGeometry, match="a weave line crosses cut %d on the top line" % k):
+        HomologyEngine(builder)
 
 
 def test_vertex_in_the_top_strip_is_rejected():

@@ -150,6 +150,15 @@ def test_class_of_chain_caller_is_the_oracle():
     assert set(_call_sites("class_of_chain")) == {"soliton_bps:_tree_soliton"}
 
 
+def test_loops_serve_only_monodromy():
+    """The letters are read off the cuts, so a loop round a center, and
+    the clearance that sizes it, serve only the monodromy reports:
+    ``loop`` is called by ``branch_monodromy`` and ``joint_monodromy``
+    alone, and ``clearance`` by ``loop`` alone."""
+    assert set(_call_sites("loop")) == {"nonabel:branch_monodromy", "nonabel:joint_monodromy"}
+    assert set(_call_sites("clearance")) == {"soliton_bps:loop"}
+
+
 def test_no_function_retries_non_generic_geometry():
     """A degeneracy propagates to the caller, as the ``soliton_bps``
     docstring says: the only handlers in src/ that can catch
