@@ -34,23 +34,24 @@ at the crossing point, and a child wall inherits the product of its
 parents' signs times the handedness of the parent tangents at the joint.
 
 Transport is locally constant, and its classes are read off the homology
-engine's slit words (see ``soliton_bps``).  A free sub-path's word is that
-of the loop start cap reversed, path, end cap, walked per start sheet s
-from the sheet the start cap takes s to at the marked point; walking its
-(letter, side) event word takes s to its end sheet and gives the entry's
-sign.  The end cap's permutation is read off the walk's end sheets and
-carried on to the next sub-path, so a path reads the sheets of one cap,
-at its start.  A Stokes coefficient is the monomial of the wall's
-``wall_class`` times its Stokes sign.  The words are read off one
+engine's slit words (see ``soliton_bps``).  A free sub-path's word is
+that of the loop start cap reversed, path, end cap, walked per start
+sheet s from the sheet the start cap takes s to at the marked point;
+walking its (letter, side) event word takes s to its end sheet and gives
+the entry's sign.  The end cap's permutation is read off the walk's end
+sheets and carried on to the next sub-path, so a path reads the sheets
+of one cap, at its start.  A Stokes coefficient is the monomial of the
+wall's ``wall_class`` times its Stokes sign.  The words are read off one
 weave-line and one cut query on the whole path, sliced between the
-wall-crossing params, and one cut query per junction's cap, shared by the
-two sub-paths and the wall that meet there.  Every sub-path has a word: a
-point on a cut, where a path starts, ends or crosses a wall, or where a cap
-starts or turns, reads as left of it (see ``soliton_bps``).  A path with a
-point at or above y = 0 or a branch point on it, at an end, a corner or
-inside a segment, or whose whole-path query raises, is rejected with a
-``NonGenericGeometry``.  Two caps crossing one cut at one point still give
-a word, an invariant of a loop crossing transversally.
+wall-crossing params, and each junction's cap word, read off the cut
+lines with no query and shared by the two sub-paths and the wall that
+meet there.  Every sub-path has a word: a point on a cut, where a path
+starts, ends or crosses a wall, or where a cap starts or turns, reads as
+left of it (see ``soliton_bps``).  A path with a point at or above y = 0
+or a branch point on it, at an end, a corner or inside a segment, or
+whose whole-path query raises, is rejected with a
+``NonGenericGeometry``.  Two caps crossing one cut at one point still
+give a word, an invariant of a loop crossing transversally.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class Transport:
             if crossing is not None:
                 _, sid, pb, _, side = crossing
                 i, j = self.builder.strands[sid].label_at(pb)
-                ((mono, c),) = self.soliton_coefficient(sid, pb, word).terms.items()
+                mono, c = self.engine.wall_class(sid, pb, word), self.stokes_sign(sid, pb)
                 (scale_i, sign_i, terms_i), (scale_j, sign_j, terms_j) = rows[i - 1], rows[j - 1]
                 # c x^mono times row j, read on row i's scale
                 shift = tuple(map(sub, map(add, mono, scale_j), scale_i))

@@ -47,7 +47,12 @@ sheets at its base p0 through the cap there, and C the class at p0: for a
 seed, p0 is its birth param and C the walk from m2 of W(p0)^-1 (k) W(p0),
 k its branch point's cut; for a child, p0 is its start J and C the sum of
 its parents' classes at J.  A wall whose cut query raises is rejected
-where the engine is built.
+where the engine is built.  Walks add along a word, so the engine keeps
+per wall, once the letters hold their classes and parents first, the walk
+state (C plus the class walked from m1 less that from m2, and the two end
+sheets) after W(p0)^-1 and after each of the wall's cut crossings: the
+class at p is the state after the crossings before p, a prefix found by
+bisection, walked on along p's cap word alone.
 
 A cap runs from its start right and up to its corner (x + CAP_EPS,
 -CAP_EPS/2), then to the marked point.  The engine crosses the top line
@@ -60,10 +65,22 @@ that enters the thin triangle of the second leg and the top line right of
 the corner leaves it through the other of the two, once, and the lines of
 one table do not meet there: the second leg crosses the top line's lines
 right of the corner, in the same order and on the same sides.  So a cap's
-events and word are its first leg's, queried, then the top line's past
-the corner, found by bisection, and every class, word and permutation is
-the whole cap's.  A corner on a weave line's top-line crossing is the whole
-cap's corner hit; one on a slit's lies left of it, half open.
+events and word are its first leg's, then the top line's past the corner,
+found by bisection, and every class, word and permutation is the whole
+cap's.  A corner on a weave line's top-line crossing is the whole cap's
+corner hit; one on a slit's lies left of it, half open.
+
+The first leg's events are queried; its slits are read off the cut lines.
+The leg runs from a start at y <= 0 to its corner and crosses cut k, on
+1000 X - Y = c_k, exactly where c_k lies strictly between the leg's two
+values of f = 1000 X - Y and the crossing lies strictly above b's height:
+there the crossing's height, the ends' heights each weighted by c_k's
+distance in f from the other end, is above b and below the cut's top.  At
+b the leg passes through the branch point, an end of the cut, as the
+leg's own ends are of the leg, and the query ignores such touches.  Every
+cut is crossed on the side sign(dy - 1000 dx), in the order of c_k along
+f.  Distinct parallel lines share no point and the leg has no inner
+corner, so this is the leg's cut query exactly, which never raises there.
 
 A marked-point value t_i is the class of the boundary arc: from the marked
 point right, down below every line, left, up and back right along the top
@@ -229,10 +246,11 @@ class HomologyEngine:
         self._cut_of = {v.id: k for k, v in enumerate(branch)}
         # one slit per branch point, all parallel, up to the top boundary,
         # each on its own line 1000 x - y = c: c in lowest terms -> the
-        # cut and its branch point's y as (n, m), y = n / m
+        # cut and its branch point's y as (n, m), y = n / m, by increasing c
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
-        self._cut_lines = {(1000 * x - y).as_integer_ratio(): (k, *y.as_integer_ratio())
-                           for k, ((x, y), _) in enumerate(self.cuts)}
+        self._cut_lines = {c.as_integer_ratio(): (k, *y.as_integer_ratio())
+                           for c, k, y in sorted((1000 * x - y, k, y)
+                                                 for k, ((x, y), _) in enumerate(self.cuts))}
         if len(self._cut_lines) != len(self.cuts):
             raise NonGenericGeometry("two branch cuts are collinear")
         if any(x >= self.x_max for _, (x, _) in self.cuts):
@@ -279,7 +297,7 @@ class HomologyEngine:
                    for k in range(len(self.cuts))]
         for (t, k), (unit, end) in self._letters.items():
             self._letters[t, k] = tuple(unit[k] * v for v in inverse[k]), end
-        self._origins: List[tuple] = []  # per wall, in id order: parents first
+        self._origins: List[list] = []  # per wall, in id order: parents first
         for sid in range(len(builder.strands)):
             self._origins.append(self._walked(sid, bases[sid] if sid in bases else self._origin(sid)))
 
@@ -411,27 +429,36 @@ class HomologyEngine:
 
     # ----- slit words -----
     def cap_word(self, point: ScaledPoint) -> List[tuple]:
-        """The (cut, side) crossings of the cap at ``point``, in order, a
-        point on a cut read as left of it: the first leg's, with a touch at
-        either of its ends (``touch``), then the top line's from the corner
-        on (see ``cap_sheets``), one at the corner included.  The corner
-        lies on a slit exactly where it lies at that slit's top-line
-        crossing.  The cuts are queried only where the leg is not parallel
-        to them: such a leg crosses none.  A point whose float x is past
-        every slit's float box is right of every slit, as floats round
-        monotonically, and so is its cap, which runs right to (x + CAP_EPS,
-        -CAP_EPS / 2) and on to the marked point: its word is [], with no
-        query."""
+        """The (cut, side) crossings of the cap at ``point``, at y <= 0, in
+        order, a point on a cut read as left of it: the first leg's, with a
+        touch at either of its ends (``touch``), then the top line's from
+        the corner on (see ``cap_sheets``), one at the corner included.  The
+        corner lies on a slit exactly where it lies at that slit's top-line
+        crossing.  The first leg's crossings are read off the cut lines
+        with no query (see the module docstring): a leg parallel to the
+        cuts crosses none.  A point whose float x is past every slit's
+        float box is right of every slit, as floats round monotonically, and
+        so is its cap, which runs right to (x + CAP_EPS, -CAP_EPS / 2) and
+        on to the marked point: its word is []."""
         if point[0] / point[2] > self._cuts_right:
             return []
         leg = self.cap_points(point)[:2]
         (x, y, d), (cx, cy, cd) = leg
         dx, dy = cx * d - x * cd, cy * d - y * cd
+        side = (dy > 1000 * dx) - (dy < 1000 * dx)
         after, hit = self._past(self._top_cuts, leg[1])
         word = self.touch(point, dx, dy, 0)
-        if dy != 1000 * dx:
-            word += [(cut, side) for _, cut, _, _, side in self.cut_set.crossings(Polyline(leg))]
-        if hit and dy > 1000 * dx:  # arriving at the corner's slit from the right
+        if side:
+            # on the corner's scale cd: f = 1000 x - y at the start and the
+            # corner, and a and b, c_k - f at each times cm
+            r = cd // d
+            fp, fc = (1000 * x - y) * r, 1000 * cx - cy
+            lines = self._cut_lines.items()
+            for (cn, cm), (k, n, m) in reversed(lines) if side > 0 else lines:
+                a, b = cn * cd - fp * cm, cn * cd - fc * cm
+                if a * b < 0 and abs(a) * (cy * m - n * cd) + abs(b) * (y * r * m - n * cd) > 0:
+                    word.append((k, side))
+        if hit and side > 0:  # arriving at the corner's slit from the right
             word.append((self.arc_word[after][0], 1))
         return word + self.arc_word[after:]
 
@@ -468,14 +495,22 @@ class HomologyEngine:
         """``path``, whose slit word is a class only below the top boundary
         and off the branch points, the punctures: a point at y >= 0, or a
         branch point on the path, at an end, a corner or inside a segment,
-        raises."""
-        for x, y in path.ints:
+        raises.  A branch point is decided in integers only on the path's
+        segments whose float box holds its float, once the path's float box
+        does: floats round monotonically, so every segment through it is."""
+        s, ints, floats = path.scale, path.ints, path.floats
+        for x, y in ints:
             if y >= 0:
                 raise NonGenericGeometry("path point at or above y = 0: %r"
-                                         % (exact_point((x, y, path.scale)),))
-        rows = PolylineSet([(path, None)]).segments
+                                         % (exact_point((x, y, s)),))
+        lo_x, hi_x, lo_y, hi_y = path.box
         for key, _ in self._branches:
-            if on_a_segment(rows, key):
+            x, y, d = key
+            fx, fy = x / d, y / d
+            if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y and any(
+                    min(ax, bx) <= fx <= max(ax, bx) and min(ay, by) <= fy <= max(ay, by)
+                    and on_segment(key, p, q, s)
+                    for p, q, (ax, ay), (bx, by) in zip(ints, ints[1:], floats, floats[1:])):
                 raise NonGenericGeometry("path %s a branch point: %r" % (
                     "end at" if key in path.ends else "through", exact_point(key)))
         return path
@@ -530,9 +565,9 @@ class HomologyEngine:
         """Each s_j in the letter basis: b-strand j's chord-end class, walked
         as ``wall_class`` walks it, from its ``_origin`` part in ``bases``,
         while the letters are formal."""
-        return [self._walk_from(self._walked(sid, bases[sid]), self._wall_word(
-            sid, None, self.cap_word(self.builder.strands[sid].path.ends[1])))
-            for sid in self.basis_strands]
+        return [self._step(self._walked(sid, bases[sid])[-1],
+                           self.cap_word(self.builder.strands[sid].path.ends[1]))[0]
+                for sid in self.basis_strands]
 
     def _wall_word(self, sid: int, param: Optional[Param], word: list) -> list:
         """Wall ``sid``'s cut crossings before ``param``, then ``word``: a
@@ -543,14 +578,19 @@ class HomologyEngine:
     def wall_class(self, sid: int, param: Optional[Param], word: list) -> Tuple[int, ...]:
         """Wall ``sid``'s soliton class based at ``param`` (None: its chord
         end), where ``word`` is the ``cap_word`` there (see the module
-        docstring)."""
-        return self._walk_from(self._origins[sid], self._wall_word(sid, param, word))
+        docstring): its walk state after its cut crossings before ``param``,
+        a prefix of them found by bisection (``between``), walked on along
+        ``word``."""
+        states = self._origins[sid]
+        return self._step(states[len(between(self._wall_slits[sid], None, param))], word)[0]
 
-    def _walk_from(self, origin: tuple, wall_word: list) -> Tuple[int, ...]:
-        """C + walk(m1, w) - walk(m2, w), w = W(p0)^-1 ``wall_word``."""
-        cls, prefix, (m1, m2) = origin
-        (c1, _), (c2, _) = (self.walk(m, prefix + wall_word) for m in (m1, m2))
-        return tuple(map(sub, map(add, cls, c1), c2))
+    def _step(self, state: tuple, word: list) -> tuple:
+        """A walk state (class, sheet 1, sheet 2) walked on along ``word``:
+        the class plus walk(sheet 1, word) minus walk(sheet 2, word), and
+        the two walks' end sheets."""
+        cls, s1, s2 = state
+        (c1, s1), (c2, s2) = self.walk(s1, word), self.walk(s2, word)
+        return tuple(map(sub, map(add, cls, c1), c2)), s1, s2
 
     def _origin(self, sid: int) -> tuple:
         """Wall ``sid``'s origin part that no letter changes, (W(p0), (m1, m2))."""
@@ -561,9 +601,10 @@ class HomologyEngine:
         return (self._wall_word(sid, p0, self.cap_word(point)),
                 tuple(sheets[s - 1] for s in strand.label_at(p0)))
 
-    def _walked(self, sid: int, part: tuple) -> tuple:
-        """Wall ``sid``'s origin (C, W(p0)^-1, (m1, m2)) from its ``_origin``
-        ``part``, C walked with the letters as they stand."""
+    def _walked(self, sid: int, part: tuple) -> List[tuple]:
+        """Wall ``sid``'s walk states from its ``_origin`` ``part``, with the
+        letters as they stand: (C, m1, m2) walked along W(p0)^-1, then on
+        along each of the wall's cut crossings in turn."""
         base, (m1, m2) = part
         prefix, joint = [(cut, -side) for cut, side in reversed(base)], self.builder.born_at.get(sid)
         if joint is None:
@@ -572,7 +613,10 @@ class HomologyEngine:
         else:  # base is J's cap word: the child crosses no cut before p0
             cls = tuple(map(add, *(self.wall_class(pid, joint["params"][pid], base)
                                    for pid in joint["parents"])))
-        return cls, prefix, (m1, m2)
+        states = [self._step((cls, m1, m2), prefix)]
+        for _, cut, _, _, side in self._wall_slits[sid]:
+            states.append(self._step(states[-1], [(cut, side)]))
+        return states
 
     # ----- monodromy loops -----
     def clearance(self, center: Point) -> Fraction:
@@ -637,12 +681,19 @@ def on_a_segment(rows, point: ScaledPoint) -> bool:
     x, y, d = point
     fx, fy = x / d, y / d
     for lo_x, hi_x, lo_y, hi_y, _, _, x0, y0, dx, dy, s in rows:
-        if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:
-            # point minus the segment's start, scaled by d * s, is t d (dx, dy)
-            wx, wy = x * s - x0 * d, y * s - y0 * d
-            if wx * dy == wy * dx and 0 <= wx * dx + wy * dy <= d * (dx * dx + dy * dy):
-                return True
+        if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y \
+                and on_segment(point, (x0, y0), (x0 + dx, y0 + dy), s):
+            return True
     return False
+
+
+def on_segment(point: ScaledPoint, start, end, s: int) -> bool:
+    """Whether the scaled ``point`` lies on the closed segment from
+    ``start`` to ``end``, integer points on scale ``s``."""
+    (x, y, d), (x0, y0), (x1, y1) = point, start, end
+    # point minus the start, scaled by d * s, is t d (end - start)
+    dx, dy, wx, wy = x1 - x0, y1 - y0, x * s - x0 * d, y * s - y0 * d
+    return wx * dy == wy * dx and 0 <= wx * dx + wy * dy <= d * (dx * dx + dy * dy)
 
 
 def freely_reduced(word: List[tuple]) -> tuple:
