@@ -227,6 +227,59 @@ def assert_caps_read_off_the_top_line(transport):
     return len(points)
 
 
+def whole_walk_origins(engine):
+    """Per wall, in id order, its origin as the engine kept it before its
+    per-wall walk states: (C, W(p0)^-1, (m1, m2)), C a seed's walk from m2
+    of W(p0)^-1 (k) W(p0) or a child's parents' classes at its start,
+    each walked whole (``whole_walk_class``)."""
+    origins = []
+    for sid, strand in enumerate(engine.builder.strands):
+        base, (m1, m2) = engine._origin(sid)
+        prefix = [(cut, -side) for cut, side in reversed(base)]
+        joint = engine.builder.born_at.get(sid)
+        if joint is None:
+            cut = engine._cut_of[strand.origin[1]]
+            cls = engine.walk(m2, prefix + [(cut, 1)] + base)[0]
+        else:
+            parents = [whole_walk_class(engine, origins, pid, joint["params"][pid], base)
+                       for pid in joint["parents"]]
+            cls = tuple(map(sum, zip(*parents)))
+        origins.append((cls, prefix, (m1, m2)))
+    return origins
+
+
+def whole_walk_class(engine, origins, sid, param, word):
+    """Wall ``sid``'s class at ``param``, ``word`` the cap word there,
+    walked whole from its ``whole_walk_origins`` entry: C + walk(m1, w) -
+    walk(m2, w), w = W(p0)^-1 then the wall's cut crossings before
+    ``param`` then ``word``.  The reference the prefix walk states are
+    checked against."""
+    cls, prefix, (m1, m2) = origins[sid]
+    word = prefix + engine._wall_word(sid, param, word)
+    (c1, _), (c2, _) = (engine.walk(m, word) for m in (m1, m2))
+    return tuple(c + a - b for c, a, b in zip(cls, c1, c2))
+
+
+def assert_wall_classes_walk_as_the_whole_walk(transport, paths=()):
+    """The engine's ``wall_class``, walked on from its per-wall prefix
+    states, equals the whole walk from the wall's origin
+    (``whole_walk_class``) at every wall's birth param and chord end and
+    at every wall crossing of the polylines ``paths``.  Returns the number
+    of classes compared."""
+    engine, builder = transport.engine, transport.builder
+    origins = whole_walk_origins(engine)
+    sites = [(strand.id, param, point) for strand in builder.strands
+             for param, point in ((BIRTH_PARAM, interp(strand.path, BIRTH_PARAM)),
+                                  (None, strand.path.ends[1]))]
+    for poly in paths:
+        sites += [(sid, param, point) for _, sid, param, point, _ in builder.walls.crossings(poly)]
+    for sid, param, point in sites:
+        word = engine.cap_word(point)
+        assert engine.wall_class(sid, param, word) == \
+            whole_walk_class(engine, origins, sid, param, word), (sid, param)
+    return len(sites)
+
+
 def pairing_built(engine):
     """Which of the engine's lazily built pairing parts exist: its test
     curves, its pairing matrix and that matrix's factors."""

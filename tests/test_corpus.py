@@ -9,6 +9,7 @@ from specnet.weave import Move, Weave, bend_weave, parse_weave
 
 from conftest import (PLUS_MINUS_TWO, assert_arc_walks_equal_solves, assert_basis_walks_are_units,
                       assert_caps_read_off_the_top_line, assert_letters_read_off_the_cuts,
+                      assert_wall_classes_walk_as_the_whole_walk,
                       random_weave_texts, top_boundary_fault)
 
 # invariants are checked on built weaves with at most this many strands
@@ -65,7 +66,10 @@ def test_random_corpus_rejections_and_invariants():
     class (``assert_basis_walks_are_units``),
     each t_i's walk equals the boundary arc's solve
     (``assert_arc_walks_equal_solves``), every cap read off the top line
-    equals the whole cap (``assert_caps_read_off_the_top_line``), and the
+    equals the whole cap (``assert_caps_read_off_the_top_line``), every
+    wall class at a birth param or chord end walks on from its prefix
+    states as the whole walk does
+    (``assert_wall_classes_walk_as_the_whole_walk``), and the
     top-boundary identity with the augmentation holds, with c_q and the
     augmentation's monomials different on exactly the weaves of
     TOP_BOUNDARY_DIFFER.  On each built
@@ -86,6 +90,7 @@ def test_random_corpus_rejections_and_invariants():
         assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
         assert_caps_read_off_the_top_line(transport)
+        assert_wall_classes_walk_as_the_whole_walk(transport)
         fault = top_boundary_fault(transport, augmentation(builder.bent))
         if fault is not None:
             differ.append((index, fault))
@@ -139,11 +144,13 @@ def test_four_strand_corpus_with_x_moves():
     On every built weave the letters read off the cuts are the loop-built
     ones, each b-strand walks to its unit class, each t_i's
     walk equals the boundary arc's solve, every cap read off the top line
-    equals the whole cap, each branch and joint monodromy is the identity,
-    the BPS recursion equals brute force, two seeded homotopic path pairs
-    transport alike and the top-boundary identity with the augmentation
-    holds, with c_q and the augmentation's monomials different on exactly
-    the weaves of TOP_BOUNDARY_DIFFER_N4."""
+    equals the whole cap, every wall class at a birth param or chord end
+    walks on from its prefix states as the whole walk does, each branch
+    and joint monodromy is the identity, the BPS recursion equals brute
+    force, two seeded homotopic path pairs transport alike and the
+    top-boundary identity with the augmentation holds, with c_q and the
+    augmentation's monomials different on exactly the weaves of
+    TOP_BOUNDARY_DIFFER_N4."""
     texts = list(random_weave_texts(4, 300, 4))
     assert len(texts) == 126
     rejected, differ, with_x, climbing = [], [], 0, 0
@@ -162,6 +169,7 @@ def test_four_strand_corpus_with_x_moves():
         assert_basis_walks_are_units(transport.engine)
         assert_arc_walks_equal_solves(transport.engine)
         assert_caps_read_off_the_top_line(transport)
+        assert_wall_classes_walk_as_the_whole_walk(transport)
         loops = [transport.branch_monodromy(v.id) for v in builder.weave.trivalent_vertices()]
         loops += [transport.joint_monodromy(joint) for joint in builder.joints]
         assert all(transport.is_identity(m) for m in loops), text

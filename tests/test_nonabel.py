@@ -12,8 +12,8 @@ from hypothesis import given, seed, settings, strategies as st
 from specnet import soliton_bps
 from specnet.forest import build_forest_strands
 from specnet.geometry import (
-    NonGenericGeometry, Polyline, Ratio, exact_point, interp, param_of, point_key, prepare,
-    twist_sign as _perm_sign, walk_sheets)
+    NonGenericGeometry, Polyline, PolylineSet, Ratio, exact_point, interp, param_of, point_key,
+    prepare, twist_sign as _perm_sign, walk_sheets)
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import (
     LocalSystemRank1,
@@ -29,8 +29,9 @@ from specnet.soliton_bps import (BIRTH_PARAM, CAP_EPS, HomologyEngine, LiftedPat
                                  _rational_sqrt_floor)
 from specnet.weave import bend_weave, parse_weave
 
-from conftest import (EXAMPLES, X_MOVE_WEAVES, left_cap_word, random_weave_builders,
-                      random_weave_texts, top_boundary_fault, whole_cap_word)
+from conftest import (EXAMPLES, X_MOVE_WEAVES, assert_wall_classes_walk_as_the_whole_walk,
+                      left_cap_word, random_weave_builders, random_weave_texts,
+                      top_boundary_fault, whole_cap_word)
 
 
 @pytest.fixture(scope="module")
@@ -831,6 +832,51 @@ def test_cap_word_box_shortcut_equals_the_query(builders):
             counts["shortcut" if shortcut else "left" if whole_cap_word(engine, point) is None
                    else "crossed" if word else "queried"] += 1
     assert min(counts.values()) > 50, counts
+
+
+def test_junction_caps_make_no_crossing_query(builders, monkeypatch):
+    """At every junction of two seeded homotopic pairs per fixture, each
+    path's two ends and its wall crossings, ``cap_word`` makes no
+    ``PolylineSet.crossings`` call: a cap's first-leg slits are read off
+    the cut lines.  Each transported path makes four: the walls, the
+    weave lines and the cuts on the whole path, and the weave lines on its
+    start cap's first leg."""
+    calls = []
+    crossings = PolylineSet.crossings
+    monkeypatch.setattr(PolylineSet, "crossings",
+                        lambda self, poly: calls.append(1) or crossings(self, poly))
+    rng = random.Random(20261030)
+    junctions = 0
+    for builder in builders.values():
+        transport = Transport(builder)
+        for _ in range(2):
+            for poly in homotopic_pair(transport, rng):
+                path = prepare(poly)
+                points = [*path.ends] + [pt for _, _, _, pt, _ in builder.walls.crossings(path)]
+                calls.clear()
+                for point in points:
+                    transport.engine.cap_word(point)
+                assert not calls, points
+                transport.transport_path(poly)
+                assert len(calls) == 4, poly
+                junctions += len(points)
+    assert junctions > 250, junctions
+
+
+def test_wall_classes_walk_on_from_prefix_states(builders):
+    """``wall_class``, walked on from the wall's per-wall prefix states,
+    equals the whole walk from its origin
+    (``assert_wall_classes_walk_as_the_whole_walk``) at every wall's birth
+    param and chord end and at every wall crossing of the TRANSPORT_DIGEST
+    pairs, on the fixtures (the two corpus tests check the birth params
+    and chord ends on every built weave)."""
+    compared = 0
+    for builder in builders.values():
+        transport = Transport(builder)
+        rng = random.Random(23)
+        paths = [poly for _ in range(20) for poly in homotopic_pair(transport, rng)]
+        compared += assert_wall_classes_walk_as_the_whole_walk(transport, paths)
+    assert compared > 1800, compared
 
 
 def test_path_reaching_y_0_has_no_free_key(builders):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from specnet.forest import build_forest_strands
 from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, point_key, prepare, transpose
@@ -365,6 +366,57 @@ def test_cap_corner_on_a_top_line_crossing_gives_the_whole_caps_outcome(builders
                     assert engine.cap_points(on_slit)[1] == corner
                     assert engine.cap_word(on_slit) == left_cap_word(engine, on_slit) \
                         and whole_cap_word(engine, on_slit) is None
+
+
+@pytest.fixture(scope="module")
+def leg_engines(builders):
+    """The engines of the fixtures and the two n = 4 x-move weaves."""
+    forests = list(builders.values())
+    forests += [build_forest_strands(bend_weave(parse_weave(text))) for text in X_MOVE_WEAVES]
+    return [HomologyEngine(builder) for builder in forests]
+
+
+def _leg_start(engine, k, kind, u, t):
+    """A cap start near cut k, y <= 0: on the cut's line at height by u / 20
+    (above its branch point b for u < 20, at it for u = 20, below it past
+    that; at its top for u = 0), where the first leg runs through b, at the
+    cut's top-line x or a CAP_EPS left of it (so the corner lands on the
+    cut's top-line crossing), or inside the cut's x span at depth
+    y_deep u / 40, where a leg can cross cuts stacked in one column."""
+    (bx, by), (tx, _) = engine.cuts[k]
+    y = by * u / 20
+    if kind == "line":
+        return bx + (y - by) / 1000, y
+    if kind == "through":
+        h = -by * (u + 1) / 20
+        return bx - CAP_EPS * h / (h - by - CAP_EPS / 2), by - h
+    top_x = bx - (by + CAP_EPS / 2) / 1000
+    if kind == "top":
+        return top_x, y
+    if kind == "corner":
+        return top_x - CAP_EPS, y
+    return bx + (tx - bx) * t / 1000, engine.y_deep * u / 40
+
+
+@seed(20261030)
+@settings(max_examples=600, deadline=None)
+@given(which=st.integers(0, 6), cut=st.integers(0, 4),
+       kind=st.sampled_from(["line", "through", "top", "corner", "span"]),
+       u=st.integers(0, 40), t=st.integers(1, 999),
+       shift=st.sampled_from([0, Fraction(1, 2 ** 70), -Fraction(1, 2 ** 70), CAP_EPS / 7,
+                              -CAP_EPS / 7, Fraction(1, 997), -Fraction(1, 997)]))
+def test_cap_legs_read_off_the_cut_lines_equal_the_query(leg_engines, which, cut, kind, u, t,
+                                                         shift):
+    """A cap's first-leg cut crossings, read off the parallel cut lines,
+    are the query's: ``cap_word`` equals the whole cap's cut query, or
+    where that has none the query 2^-80 left (``left_cap_word``), at starts
+    drawn near each cut (``_leg_start``) and shifted by 0, a float tie,
+    CAP_EPS / 7 or 1/997 either way, on the fixtures and the two n = 4
+    x-move weaves."""
+    engine = leg_engines[which]
+    x, y = _leg_start(engine, cut % len(engine.cuts), kind, u, t)
+    point = point_key((x + shift, y))
+    assert engine.cap_word(point) == left_cap_word(engine, point), (x + shift, y)
 
 
 @pytest.mark.parametrize("text", [EXAMPLES["three_strand"], X_MOVE_WEAVES[0]],
