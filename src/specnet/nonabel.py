@@ -42,16 +42,17 @@ the entry's sign.  The end cap's permutation is read off the walk's end
 sheets and carried on to the next sub-path, so a path reads the sheets
 of one cap, at its start.  A Stokes coefficient is the monomial of the
 wall's ``wall_class`` times its Stokes sign.  The words are read off one
-weave-line and one cut query on the whole path, sliced between the
-wall-crossing params, and each junction's cap word, read off the cut
-lines with no query and shared by the two sub-paths and the wall that
-meet there.  Every sub-path has a word: a point on a cut, where a path
-starts, ends or crosses a wall, or where a cap starts or turns, reads as
-left of it (see ``soliton_bps``).  A path with a point at or above y = 0
-or a branch point on it, at an end, a corner or inside a segment, or
-whose whole-path query raises, is rejected with a
-``NonGenericGeometry``.  Two caps crossing one cut at one point still
-give a word, an invariant of a loop crossing transversally.
+weave-line query on the whole path and its cut crossings, sliced between
+the wall-crossing params, and each junction's cap word, shared by the two
+sub-paths and the wall that meet there; every cut crossing is read off
+the cut lines.  Every sub-path has a word: a point on a cut, where a path
+starts, ends, turns or crosses a wall, where a segment runs along the cut
+or where a cap starts or turns, reads as left of it (see
+``soliton_bps``).  A path with a point at or above y = 0 or a branch
+point on it, at an end, a corner or inside a segment, or whose whole-path
+weave-line query raises, is rejected with a ``NonGenericGeometry``.  Two
+caps crossing one cut at one point still give a word, an invariant of a
+loop crossing transversally.
 """
 
 from __future__ import annotations
@@ -157,15 +158,15 @@ class Transport:
         ends it or None, the engine's ``cap_word`` at its end).  The key
         part is the (letter, side) event word, walked for sheets and signs,
         and the reduced slit word walked for classes (see the module
-        docstring): a point of the path on a cut, an end or a wall
-        crossing, reads as left of it (``slits_along`` and ``between``).
-        A path that is not ``walkable``, or whose weave-line or cut query
-        raises, raises; so does a wall crossed where it crosses a weave
-        line, before the sub-path it ends is walked."""
+        docstring): a point of the path on a cut, an end, a corner or a
+        wall crossing, reads as left of it (``slits_along`` and
+        ``between``).  A path that is not ``walkable``, or whose
+        weave-line query raises, raises; so does a wall crossed where it
+        crosses a weave line, before the sub-path it ends is walked."""
         s = path.scale
         corners = [(x, y, s) for x, y in path.ints]
         engine = self.engine
-        slits = engine.slits_along(engine.walkable(path))
+        slits = engine.slits_along(engine.walkable(path).ints, s)
         events = self.builder.events_along(path)
         prev, prev_idx, prev_param = corners[0], 0, None
         prev_word = engine.cap_word(prev)
@@ -180,7 +181,7 @@ class Transport:
                 points = [prev] + corners[prev_idx + 1: param[0] + 1] + [pt]
             word = engine.cap_word(points[-1])
             loop = [(cut, -side) for cut, side in reversed(prev_word)]
-            loop += [(cut, side) for _, cut, _, _, side in between(slits, prev_param, param)] + word
+            loop += [(cut, side) for _, cut, side in between(slits, prev_param, param)] + word
             part = (tuple((letter, side) for _, letter, side in between(events, prev_param, param)),
                     freely_reduced(loop))
             yield points, part, crossing, word

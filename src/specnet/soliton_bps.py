@@ -20,15 +20,21 @@ oracle.
 Each cut is a slit from a branch point b up to (bx - by/1000, 0); the
 slits are parallel and disjoint, so the freely reduced word of a loop's
 (cut, side) crossings with them is its class in pi_1 of the lower
-half-plane less the branch points, based at the marked point.  A touch at
-a point that ends a line is no crossing, so a cap through b reads as the
-cap just left of it.  A point inside a cut, or at its top, lies on its
-left side, half open: a path leaving it to the right, or arriving at it
-from the right, crosses the cut there (``touch``).  So every cap, wall
-and path below the top boundary has a word: that of the curve moved just
-left where it meets a cut.  A capped lift's class and end marked sheet
-depend on its marked start sheet t and word alone, and add along the word
-(Fox's covering cocycle): the engine builds a letter table per (t, cut) once,
+half-plane less the branch points, based at the marked point.  Slit k lies
+on the line f = 1000 X - Y = c_k, and a point on it lies on its left side,
+half open, as in the crossing-number test for points in polygons (Hormann
+and Agathos 2001): a segment whose f runs from f0 to f1 crosses the slit
+exactly where min(f0, f1) <= c_k < max(f0, f1) and the crossing lies
+strictly above b, on the side sign(f0 - f1), in the order of c_k along f
+(``slits_along``).  So a path leaving a point on a cut to the right, or
+arriving at one from the right, crosses the cut there, at an end, a
+corner or a point it meets twice, and a segment along a cut crosses it
+nowhere: every cap, wall and path below the top boundary has a word, that
+of the curve moved just left where it meets a cut.  A path through b,
+which ends the cut, crosses nothing there, so a cap through b reads as the
+cap just left of it.  A capped lift's class and end marked sheet depend
+on its marked start sheet t and word alone, and add along the word (Fox's
+covering cocycle): the engine builds a letter table per (t, cut) once,
 from the cut with the rightmost top leftward, reading each letter off its
 cut, with no loop built.  The loop from the marked point left along the
 top line, down the right side of cut k, round its branch point b, up its
@@ -46,8 +52,7 @@ crossings before p then the cap's, w = W(p0)^-1 W(p), (m1, m2) its label's
 sheets at its base p0 through the cap there, and C the class at p0: for a
 seed, p0 is its birth param and C the walk from m2 of W(p0)^-1 (k) W(p0),
 k its branch point's cut; for a child, p0 is its start J and C the sum of
-its parents' classes at J.  A wall whose cut query raises is rejected
-where the engine is built.  Walks add along a word, so the engine keeps
+its parents' classes at J.  Walks add along a word, so the engine keeps
 per wall, once the letters hold their classes and parents first, the walk
 state (C plus the class walked from m1 less that from m2, and the two end
 sheets) after W(p0)^-1 and after each of the wall's cut crossings: the
@@ -65,22 +70,11 @@ that enters the thin triangle of the second leg and the top line right of
 the corner leaves it through the other of the two, once, and the lines of
 one table do not meet there: the second leg crosses the top line's lines
 right of the corner, in the same order and on the same sides.  So a cap's
-events and word are its first leg's, then the top line's past the corner,
-found by bisection, and every class, word and permutation is the whole
-cap's.  A corner on a weave line's top-line crossing is the whole cap's
-corner hit; one on a slit's lies left of it, half open.
-
-The first leg's events are queried; its slits are read off the cut lines.
-The leg runs from a start at y <= 0 to its corner and crosses cut k, on
-1000 X - Y = c_k, exactly where c_k lies strictly between the leg's two
-values of f = 1000 X - Y and the crossing lies strictly above b's height:
-there the crossing's height, the ends' heights each weighted by c_k's
-distance in f from the other end, is above b and below the cut's top.  At
-b the leg passes through the branch point, an end of the cut, as the
-leg's own ends are of the leg, and the query ignores such touches.  Every
-cut is crossed on the side sign(dy - 1000 dx), in the order of c_k along
-f.  Distinct parallel lines share no point and the leg has no inner
-corner, so this is the leg's cut query exactly, which never raises there.
+events and word are its first leg's, the events queried and the slits
+read off the cut lines, then the top line's past the corner, found by
+bisection, and every class, word and permutation is the whole cap's.  A
+corner on a weave line's top-line crossing is the whole cap's corner hit;
+one on a slit's lies left of it, half open.
 
 A marked-point value t_i is the class of the boundary arc: from the marked
 point right, down below every line, left, up and back right along the top
@@ -105,9 +99,9 @@ from operator import add, itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder
-from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, ScaledPoint,
-                       exact_point, interp, param_of, point_key, prepare, sheet_prefixes,
-                       transpose, truncated, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio,
+                       ScaledPoint, exact_point, interp, param_of, point_key, prepare,
+                       sheet_prefixes, transpose, truncated, walk_sheets)
 from .laurent import FactoredMatrix
 
 # where a wall's BPS entries are based: a parameter just past its birth point
@@ -245,43 +239,50 @@ class HomologyEngine:
         self.basis_strands = [sid for _, sid in b_strands]
         self._cut_of = {v.id: k for k, v in enumerate(branch)}
         # one slit per branch point, all parallel, up to the top boundary,
-        # each on its own line 1000 x - y = c: c in lowest terms -> the
-        # cut and its branch point's y as (n, m), y = n / m, by increasing c
+        # each on its own line 1000 x - y = c: by increasing c, c in lowest
+        # terms, the cut and its branch point's y as (n, m), y = n / m, and
+        # each c's float, which slits_along screens by
         self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
-        self._cut_lines = {c.as_integer_ratio(): (k, *y.as_integer_ratio())
-                           for c, k, y in sorted((1000 * x - y, k, y)
-                                                 for k, ((x, y), _) in enumerate(self.cuts))}
-        if len(self._cut_lines) != len(self.cuts):
+        by_c = sorted((1000 * x - y, k, y) for k, ((x, y), _) in enumerate(self.cuts))
+        if len({c for c, _, _ in by_c}) != len(by_c):
             raise NonGenericGeometry("two branch cuts are collinear")
         if any(x >= self.x_max for _, (x, _) in self.cuts):
             raise NonGenericGeometry("a slit top lies at or right of the marked point")
-        self.cut_set = PolylineSet((cut, k) for k, cut in enumerate(self.cuts))
-        # the letters walk up the cuts, and a query passes over a touch at a
-        # weave line's end, such as a hexavalent or tetravalent vertex
+        self._cut_lines = [(*c.as_integer_ratio(), k, *y.as_integer_ratio()) for c, k, y in by_c]
+        self._cut_floats = [float(c) for c, _, _ in by_c]
+        # the letters walk up the cuts, and a weave-line query passes over a
+        # line's end met there, such as a hexavalent or tetravalent vertex
         for v in self.weave.vertices:
-            if v.kind != "trivalent" and on_a_segment(self.cut_set.segments, point_key(v.point)):
+            x, y, d = point_key(v.point)
+            if v.kind != "trivalent" and any((1000 * x - y) * cm == cn * d and n * d <= y * m <= 0
+                                             for cn, cm, _, n, m in self._cut_lines):
                 raise NonGenericGeometry("%s weave vertex %d lies on a cut" % (v.kind, v.id))
-        # past every slit's float box, the cap word is [] (see cap_word)
-        self._cuts_right = max((row[1] for row in self.cut_set.segments), default=-math.inf)
+        # right of every slit's top x, c / 1000, the cap word is [] (see cap_word)
+        self._cuts_right = max((cn / (1000 * cm) for cn, cm, *_ in self._cut_lines),
+                               default=-math.inf)
         # the top line y = -CAP_EPS/2, crossed once per table: a cap's second
-        # leg crosses what it crosses right of the cap's corner (see cap_sheets)
+        # leg crosses what it crosses right of the cap's corner (see
+        # cap_sheets); every slit's vertices, a branch point and a top on
+        # y = 0, are weave-line vertices or out of the strip
         e, d = CAP_EPS.as_integer_ratio()
-        rows = builder.weave_lines.segments + self.cut_set.segments
+        rows = builder.weave_lines.segments
         if any(-e * s <= 2 * d * y < 0 for *_, y0, _, dy, s in rows for y in (y0, y0 + dy)):
             raise NonGenericGeometry("a weave-line or slit vertex lies in -CAP_EPS/2 <= y < 0")
         top = prepare([(Fraction(math.floor(min(row[0] for row in rows)) - 1), -CAP_EPS / 2),
                        (self.x_max, -CAP_EPS / 2)])
-        lines, slits = builder.weave_lines.crossings(top), self.cut_set.crossings(top)
-        self._top_lines, self._top_cuts = top_table(lines), top_table(slits)
+        lines, slits = builder.weave_lines.crossings(top), self.slits_along(top.ints, top.scale)
+        self._top_lines = top_table([pt for _, _, _, pt, _ in lines])
+        self._top_cuts = top_table([interp(top, param) for param, _, _ in slits])
         # per crossing of the top line, the sheet permutation from there to its end
         n = self.weave.strand_count
         perms = [tuple(range(n + 1))]
         for _, (letter, _), *_ in reversed(lines):
             perms.append(tuple(perms[-1][transpose(s, letter)] for s in range(n + 1)))
         # the top word: each slit crossed once, rightward, by increasing top x
-        self._top_perms, self.arc_word = perms[::-1], [(cut, side) for _, cut, _, _, side in slits]
-        # each wall's cut crossings; a wall whose query raises is rejected
-        self._wall_slits = [self.slits_along(strand.path) for strand in builder.strands]
+        self._top_perms, self.arc_word = perms[::-1], [(cut, side) for _, cut, side in slits]
+        # each wall's cut crossings
+        self._wall_slits = [self.slits_along(strand.path.ints, strand.path.scale)
+                            for strand in builder.strands]
         self._letters: Dict[Tuple[int, int], tuple] = {}  # (marked sheet, cut) -> class, end
         for at in reversed(range(len(self.arc_word))):  # the letters build from the right
             self._add_letter(at)
@@ -430,66 +431,48 @@ class HomologyEngine:
     # ----- slit words -----
     def cap_word(self, point: ScaledPoint) -> List[tuple]:
         """The (cut, side) crossings of the cap at ``point``, at y <= 0, in
-        order, a point on a cut read as left of it: the first leg's, with a
-        touch at either of its ends (``touch``), then the top line's from
-        the corner on (see ``cap_sheets``), one at the corner included.  The
-        corner lies on a slit exactly where it lies at that slit's top-line
-        crossing.  The first leg's crossings are read off the cut lines
-        with no query (see the module docstring): a leg parallel to the
-        cuts crosses none.  A point whose float x is past every slit's
-        float box is right of every slit, as floats round monotonically, and
-        so is its cap, which runs right to (x + CAP_EPS, -CAP_EPS / 2) and
-        on to the marked point: its word is []."""
+        order, a point on a cut read as left of it: the first leg's
+        (``slits_along``, on the corner's scale), then the top line's right
+        of the corner (see ``cap_sheets``).  The corner lies on a slit
+        exactly where it lies at that slit's top-line crossing, and then
+        left of it, so the top line's crossing there is the cap's.  A point
+        whose float x is past every slit top's is right of every slit, as
+        floats round monotonically, and so is its cap, which runs right to
+        (x + CAP_EPS, -CAP_EPS / 2) and on to the marked point: its word is
+        []."""
         if point[0] / point[2] > self._cuts_right:
             return []
-        leg = self.cap_points(point)[:2]
-        (x, y, d), (cx, cy, cd) = leg
-        dx, dy = cx * d - x * cd, cy * d - y * cd
-        side = (dy > 1000 * dx) - (dy < 1000 * dx)
-        after, hit = self._past(self._top_cuts, leg[1])
-        word = self.touch(point, dx, dy, 0)
-        if side:
-            # on the corner's scale cd: f = 1000 x - y at the start and the
-            # corner, and a and b, c_k - f at each times cm
-            r = cd // d
-            fp, fc = (1000 * x - y) * r, 1000 * cx - cy
-            lines = self._cut_lines.items()
-            for (cn, cm), (k, n, m) in reversed(lines) if side > 0 else lines:
-                a, b = cn * cd - fp * cm, cn * cd - fc * cm
-                if a * b < 0 and abs(a) * (cy * m - n * cd) + abs(b) * (y * r * m - n * cd) > 0:
-                    word.append((k, side))
-        if hit and side > 0:  # arriving at the corner's slit from the right
-            word.append((self.arc_word[after][0], 1))
-        return word + self.arc_word[after:]
+        (x, y, d), corner = self.cap_points(point)[:2]
+        r = corner[2] // d
+        leg = self.slits_along([(x * r, y * r), corner[:2]], corner[2])
+        return [(cut, side) for _, cut, side in leg] \
+            + self.arc_word[self._past(self._top_cuts, corner)[0]:]
 
-    def touch(self, point: ScaledPoint, dx: int, dy: int, end: int) -> List[tuple]:
-        """A path's crossing at its own start (``end`` 0) or end (1), the
-        scaled ``point``, where it moves along (dx, dy): a point inside a cut
-        lies left of it, so the path crosses it there where it leaves to the
-        right, side -1, or arrives from the right, side +1 (``side`` is
-        (cut tangent) x (path tangent), the cut tangent being (1, 1000)).
-        A branch point is no crossing; a slit's top, where a wall or its
-        cap may end or start, is read as inside the slit."""
-        side = (dy > 1000 * dx) - (dy < 1000 * dx)
-        if side != 2 * end - 1:
-            return []
-        x, y, d = point
-        g = math.gcd(1000 * x - y, d)
-        k, n, m = self._cut_lines.get(((1000 * x - y) // g, d // g), (None, 0, 1))
-        return [] if k is None or not n * d < y * m <= 0 else [(k, side)]
-
-    def slits_along(self, path: Polyline) -> list:
-        """The sorted cut crossings of ``path``, as ``PolylineSet.crossings``
-        gives them, with a touch at either end (``touch``) at param 0 or 1
-        of its segment, moving as the path's first or last step of positive
-        length does."""
-        ints = path.ints
-        (sx, sy), (ex, ey) = lead(ints), lead(reversed(ints))
-        return ([(param_of(0, 0), k, None, path.ends[0], side)
-                 for k, side in self.touch(path.ends[0], sx, sy, 0)]
-                + self.cut_set.crossings(path)
-                + [(param_of(len(ints) - 2, 1), k, None, path.ends[1], side)
-                   for k, side in self.touch(path.ends[1], -ex, -ey, 1)])
+    def slits_along(self, ints, s: int) -> List[tuple]:
+        """The cut crossings (param, cut, side) of the path through the
+        integer points ``ints`` on scale ``s``, sorted, a point on a cut read
+        as left of it (see the module docstring): a segment whose f =
+        1000 X - Y runs from f0 to f1 crosses cut k, on f = c_k, exactly where
+        min(f0, f1) <= c_k < max(f0, f1) and the crossing lies strictly above
+        k's branch point, on the side sign(f0 - f1), in the order of c_k
+        along f.  Only the cuts whose float c lies in the float range of f
+        are decided in integers: floats round monotonically.  Every caller's
+        path lies below y = 0 but at its ends, so it meets a slit's top at
+        an end or not at all."""
+        floats, rows, out = self._cut_floats, self._cut_lines, []
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(ints, ints[1:])):
+            f0, f1 = 1000 * x0 - y0, 1000 * x1 - y1
+            lo, hi, side = (f0, f1, -1) if f0 < f1 else (f1, f0, 1)
+            near = range(bisect_left(floats, lo / s), bisect_right(floats, hi / s))
+            for cn, cm, k, n, m in map(rows.__getitem__, near if side < 0 else reversed(near)):
+                c = cn * s
+                if lo * cm <= c < hi * cm:
+                    # |c_k - f0| and |c_k - f1|, times s cm: the crossing's
+                    # height is the ends' heights, each weighted by the other's
+                    a, b = abs(c - f0 * cm), abs(c - f1 * cm)
+                    if a * (y1 * m - n * s) + b * (y0 * m - n * s) > 0:
+                        out.append(((i, a / (a + b), Ratio(a, a + b)), k, side))
+        return out
 
     def walkable(self, path: Polyline) -> Polyline:
         """``path``, whose slit word is a class only below the top boundary
@@ -572,8 +555,7 @@ class HomologyEngine:
     def _wall_word(self, sid: int, param: Optional[Param], word: list) -> list:
         """Wall ``sid``'s cut crossings before ``param``, then ``word``: a
         wall point on a cut reads as left of it (``between``)."""
-        return [(cut, side) for _, cut, _, _, side in between(self._wall_slits[sid], None, param)] \
-            + word
+        return [(cut, side) for _, cut, side in between(self._wall_slits[sid], None, param)] + word
 
     def wall_class(self, sid: int, param: Optional[Param], word: list) -> Tuple[int, ...]:
         """Wall ``sid``'s soliton class based at ``param`` (None: its chord
@@ -614,7 +596,7 @@ class HomologyEngine:
             cls = tuple(map(add, *(self.wall_class(pid, joint["params"][pid], base)
                                    for pid in joint["parents"])))
         states = [self._step((cls, m1, m2), prefix)]
-        for _, cut, _, _, side in self._wall_slits[sid]:
+        for _, cut, side in self._wall_slits[sid]:
             states.append(self._step(states[-1], [(cut, side)]))
         return states
 
@@ -647,18 +629,10 @@ class HomologyEngine:
                 (cx - 2 * e, cy - r), (cx + r, cy + e)]
 
 
-def top_table(crossings: list) -> tuple:
-    """The x of each crossing of the top line, in order: as floats and as
-    (x, d), the scaled point's x over its scale."""
-    return [x / d for *_, (x, _, d), _ in crossings], [(x, d) for *_, (x, _, d), _ in crossings]
-
-
-def lead(ints) -> Tuple[int, int]:
-    """The step from the first of the integer points ``ints``, an iterable,
-    to the first that differs from it, or (0, 0)."""
-    ints = iter(ints)
-    x0, y0 = next(ints)
-    return next(((x - x0, y - y0) for x, y in ints if x != x0 or y != y0), (0, 0))
+def top_table(points: list) -> tuple:
+    """The x of each scaled point, crossings of the top line in order: as
+    floats and as (x, d), the point's x over its scale."""
+    return [x / d for x, _, d in points], [(x, d) for x, _, d in points]
 
 
 def between(crossings: list, lo: Optional[Param], hi: Optional[Param]) -> list:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import NonGenericGeometry, Polyline, interp, point_key, prepare, walk_sheets
+from specnet.geometry import (NonGenericGeometry, Polyline, PolylineSet, interp, point_key, prepare,
+                              walk_sheets)
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import homotopic_pair
 from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, LiftedPath, freely_reduced, on_a_segment
@@ -64,6 +65,13 @@ def random_weave_builders():
             continue
 
 
+def cut_set(engine):
+    """The engine's cuts as a ``PolylineSet`` tagged by cut: the query that
+    ``slits_along`` is checked against where it answers, a corner hit, a
+    collinear overlap or a duplicate crossing point raising."""
+    return PolylineSet((cut, k) for k, cut in enumerate(engine.cuts))
+
+
 def arc_chains(engine):
     """Per marked sheet i, the boundary arc's chain lifted from sheet i: one
     loop at the marked point that runs right to x_max + 2, down below every
@@ -84,7 +92,7 @@ def assert_arc_walks_equal_solves(engine):
     chain and the sheet the arc's events carry that sheet to."""
     chains = arc_chains(engine)
     arc = chains[0][0][0]
-    assert [(cut, side) for _, cut, _, _, side in engine.cut_set.crossings(arc.polyline)] \
+    assert [(cut, side) for _, cut, _, _, side in cut_set(engine).crossings(arc.polyline)] \
         == engine.arc_word
     solved = [(engine.class_of_chain(chain), walk_sheets((i,), arc.events)[0][0])
               for i, chain in enumerate(chains, 1)]
@@ -123,9 +131,9 @@ def loop_letters(engine):
     for k, _ in reversed(engine.arc_word):
         loop = engine.walkable(prepare(engine.loop(engine.cuts[k][0])))
         cap_word = engine.cap_word(loop.ends[0])
+        slits = engine.slits_along(loop.ints, loop.scale)
         word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
-                              + [(cut, side) for _, cut, _, _, side in engine.slits_along(loop)]
-                              + cap_word)
+                              + [(cut, side) for _, cut, side in slits] + cap_word)
         assert [cut for cut, _ in word if (1, cut) not in letters] == [k], word
         at = [cut for cut, _ in word].index(k)
         # the loop is closed, so its start cap's sheets are those of its end cap
@@ -165,9 +173,10 @@ def whole_cap_word(engine, point):
     """The cut crossings of the whole cap at the scaled ``point``, from one
     query on its two legs: None where the point lies on a cut or the query
     raises.  The reference the top-line cap words are checked against."""
-    if on_a_segment(engine.cut_set.segments, point):
+    cuts = cut_set(engine)
+    if on_a_segment(cuts.segments, point):
         return None
-    crossings = unless_raising(engine.cut_set.crossings, Polyline(engine.cap_points(point)))
+    crossings = unless_raising(cuts.crossings, Polyline(engine.cap_points(point)))
     return None if crossings is None else [(cut, side) for _, cut, _, _, side in crossings]
 
 

@@ -30,7 +30,7 @@ from specnet.soliton_bps import (BIRTH_PARAM, CAP_EPS, HomologyEngine, LiftedPat
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, assert_wall_classes_walk_as_the_whole_walk,
-                      left_cap_word, random_weave_builders, random_weave_texts,
+                      cut_set, just_left, left_cap_word, random_weave_builders, random_weave_texts,
                       top_boundary_fault, whole_cap_word)
 
 
@@ -749,7 +749,7 @@ def test_stokes_keys_equal_the_reference(builders):
             for (p1, w1), (p2, w2) in itertools.combinations(
                     [keyed[t] for t in sorted(keyed)], 2):
                 try:
-                    crossings = transport.engine.cut_set.crossings(
+                    crossings = cut_set(transport.engine).crossings(
                         _capped_wall_loop(transport, strand, p1, p2))
                 except NonGenericGeometry:
                     continue
@@ -838,9 +838,9 @@ def test_junction_caps_make_no_crossing_query(builders, monkeypatch):
     """At every junction of two seeded homotopic pairs per fixture, each
     path's two ends and its wall crossings, ``cap_word`` makes no
     ``PolylineSet.crossings`` call: a cap's first-leg slits are read off
-    the cut lines.  Each transported path makes four: the walls, the
-    weave lines and the cuts on the whole path, and the weave lines on its
-    start cap's first leg."""
+    the cut lines.  Each transported path makes three: the walls and the
+    weave lines on the whole path, and the weave lines on its start cap's
+    first leg; its cut crossings are read off the cut lines too."""
     calls = []
     crossings = PolylineSet.crossings
     monkeypatch.setattr(PolylineSet, "crossings",
@@ -858,7 +858,7 @@ def test_junction_caps_make_no_crossing_query(builders, monkeypatch):
                     transport.engine.cap_word(point)
                 assert not calls, points
                 transport.transport_path(poly)
-                assert len(calls) == 4, poly
+                assert len(calls) == 3, poly
                 junctions += len(points)
     assert junctions > 250, junctions
 
@@ -1063,7 +1063,7 @@ def _reference_free_key(transport, path, events, sheets):
     if any(y >= 0 for _, y in path.ints):
         return None
     try:
-        crossings = transport.engine.cut_set.crossings(_capped_loop(transport, path))
+        crossings = cut_set(transport.engine).crossings(_capped_loop(transport, path))
     except NonGenericGeometry:
         return None
     word = []
@@ -1145,7 +1145,7 @@ def test_sub_paths_touching_a_cut_read_it_as_left_of_it(builders):
             t = 1 - CAP_EPS / 2 / -b[1]
             turning = (b[0] + (top[0] - b[0]) * t - CAP_EPS, b[1] * 4 / 7)
             with pytest.raises(NonGenericGeometry, match="corner hit"):
-                transport.engine.cut_set.crossings(Polyline(engine.cap_points(point_key(turning))))
+                cut_set(engine).crossings(Polyline(engine.cap_points(point_key(turning))))
             other = (Fraction(rng.randint(1, 999), 1000) * engine.x_max,
                      engine.y_deep * Fraction(rng.randint(5, 995), 1000))
             for poly in ([inside, other], [other, inside], [turning, other]):
@@ -1162,6 +1162,34 @@ def test_sub_paths_touching_a_cut_read_it_as_left_of_it(builders):
                 assert transport.transport_path(poly) == _direct_transport(transport, poly)
                 touched += 1
     assert touched == 67
+
+
+def test_corner_in_a_cut_or_segment_along_one_reads_as_moved_left(builders):
+    """A path with a corner strictly inside a cut, and one with a segment
+    along a cut, on which the cut query raises a corner hit (and on the
+    segment alone a collinear overlap): a point on a cut lies left of it,
+    so each transports as the same path with those points moved 2^-80 left
+    does, through every cut of every fixture between two seeded points."""
+    rng = random.Random(20261031)
+    paths = 0
+    for builder in builders.values():
+        transport = Transport(builder)
+        engine = transport.engine
+        for b, top in engine.cuts:
+            on = [(b[0] + (top[0] - b[0]) * t, b[1] * (1 - t))
+                  for t in (Fraction(2, 7), Fraction(3, 7), Fraction(5, 7))]
+            start, end = [(Fraction(rng.randint(1, 999), 1000) * engine.x_max,
+                           engine.y_deep * Fraction(rng.randint(5, 995), 1000)) for _ in range(2)]
+            with pytest.raises(NonGenericGeometry, match="collinear overlap"):
+                cut_set(engine).crossings([on[0], on[2]])
+            for inside in ([on[1]], [on[0], on[2]]):
+                poly = [start, *inside, end]
+                with pytest.raises(NonGenericGeometry, match="corner hit"):
+                    cut_set(engine).crossings(poly)
+                moved = [start, *(exact_point(just_left(point_key(p))) for p in inside), end]
+                assert transport.transport_path(poly) == transport.transport_path(moved), poly
+                paths += 1
+    assert paths == 30
 
 
 def test_path_ends_at_or_just_below_a_branch_point(builders):
@@ -1214,25 +1242,34 @@ def _twice_through(x, y):
     return [(x + dx, y + dy) for dx, dy in steps]
 
 
-@pytest.mark.parametrize("lines", ["weave lines", "cuts"])
-def test_path_meeting_a_line_twice_at_one_point_is_rejected(builders, lines):
-    """A path whose two sub-paths cross one weave line, or one cut, at one
-    point, with a wall crossed in between: that whole-path query raises,
-    and so does ``transport_path``, with its error."""
+def test_path_meeting_a_weave_line_twice_at_one_point_is_rejected(builders):
+    """A path whose two sub-paths cross one weave line at one point, with a
+    wall crossed in between: the whole-path weave-line query raises, and so
+    does ``transport_path``, with its error."""
+    builder = builders["five_crossing"]
+    poly = _twice_through(Fraction(3, 2), Fraction(-1, 4))
+    with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
+        builder.events_along(poly)
+    assert any(pa[0] in (1, 2) for pa, *_ in builder.walls.crossings(poly))
+    with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
+        Transport(builder).transport_path(poly)
+
+
+def test_path_meeting_a_cut_twice_at_one_point_transports_as_its_halves(builders):
+    """A path whose two passes cross one cut at one point, with a wall
+    crossed in between, on which the cut query raises "duplicate crossing
+    point": the cut crossings are read per segment, so ``transport_path``
+    equals the ``matmul`` product of the path's two halves, split at a
+    corner between the two passes."""
     builder = builders["five_crossing"]
     transport = Transport(builder)
     (bx, by), (tx, _) = transport.engine.cuts[0]
-    if lines == "weave lines":
-        query = builder.events_along
-        poly = _twice_through(Fraction(3, 2), Fraction(-1, 4))
-    else:
-        query = transport.engine.cut_set.crossings
-        poly = _twice_through(bx + (tx - bx) * 3 / 7, by * 4 / 7)
+    poly = _twice_through(bx + (tx - bx) * 3 / 7, by * 4 / 7)
     with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
-        query(poly)
+        cut_set(transport.engine).crossings(poly)
     assert any(pa[0] in (1, 2) for pa, *_ in builder.walls.crossings(poly))
-    with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
-        transport.transport_path(poly)
+    halves = [transport.transport_path(half) for half in (poly[:3], poly[2:])]
+    assert transport.transport_path(poly) == transport.matmul(halves[1], halves[0])
 
 
 def test_branch_cuts_disjoint_and_left_of_marked_point(builders):

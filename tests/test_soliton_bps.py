@@ -4,10 +4,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import NonGenericGeometry, PolylineSet, param_of, point_key, prepare, transpose
+from specnet.geometry import (NonGenericGeometry, Polyline, PolylineSet, exact_point, param_of,
+                              point_key, prepare, transpose)
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import Transport, augmentation
 from specnet.soliton_bps import (
@@ -24,8 +25,9 @@ from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
                       assert_basis_walks_are_units, assert_caps_read_off_the_top_line,
-                      assert_letters_read_off_the_cuts, cap_sheets_or_message, left_cap_word,
-                      random_weave_builders, whole_cap_sheets, whole_cap_word)
+                      assert_letters_read_off_the_cuts, cap_sheets_or_message, cut_set,
+                      just_left, left_cap_word, random_weave_builders, random_weave_texts,
+                      whole_cap_sheets, whole_cap_word)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -417,6 +419,127 @@ def test_cap_legs_read_off_the_cut_lines_equal_the_query(leg_engines, which, cut
     x, y = _leg_start(engine, cut % len(engine.cuts), kind, u, t)
     point = point_key((x + shift, y))
     assert engine.cap_word(point) == left_cap_word(engine, point), (x + shift, y)
+
+
+def _on_cut(engine, point):
+    """The cut the scaled ``point`` lies on, strictly above its branch point
+    and at or below its top, or None."""
+    x, y = exact_point(point)
+    return next((k for k, ((bx, by), _) in enumerate(engine.cuts)
+                 if 1000 * x - y == 1000 * bx - by and by < y <= 0), None)
+
+
+def _touch(engine, point, dx, dy, end):
+    """The touch rule that completes the cut query at a path's start
+    (``end`` 0) or end (1), moving along (dx, dy) there: a point inside a
+    cut, or at its top, lies left of it, so the path crosses it there where
+    it leaves to the right (side -1) or arrives from the right (+1)."""
+    side = (dy > 1000 * dx) - (dy < 1000 * dx)
+    k = _on_cut(engine, point)
+    return [] if side != 2 * end - 1 or k is None else [(k, side)]
+
+
+def _lead(ints):
+    """The step from the first integer point to the first that differs, or (0, 0)."""
+    x0, y0 = ints[0]
+    return next(((x - x0, y - y0) for x, y in ints if (x, y) != (x0, y0)), (0, 0))
+
+
+def _queried_slits(engine, points):
+    """The cut crossings (param, cut, side) of the path through the scaled
+    ``points`` as the cut query (``cut_set``) reads them, with a touch at
+    either end (``_touch``) at param 0 or 1 of its segment."""
+    path = Polyline(points)
+    ints = path.ints
+    (sx, sy), (ex, ey) = _lead(ints), _lead(ints[::-1])
+    return ([(param_of(0, 0), k, side) for k, side in _touch(engine, path.ends[0], sx, sy, 0)]
+            + [(pa, k, side) for pa, k, _, _, side in cut_set(engine).crossings(path)]
+            + [(param_of(len(ints) - 2, 1), k, side)
+               for k, side in _touch(engine, path.ends[1], -ex, -ey, 1)])
+
+
+def _slit_corner(engine, kind, k, u, t, shift):
+    """A path corner near cut k, shifted right by ``shift``: on the cut's
+    line at height by u / 20 (above its branch point b for u < 20, at it for
+    u = 20, below it past that, at its top for u = 0), at b's height, or
+    anywhere below the top boundary (depth y_deep u / 40)."""
+    (bx, by), _ = engine.cuts[k]
+    if kind == "line":
+        x, y = bx + by * (u - 20) / 20000, by * u / 20
+    elif kind == "level":
+        x, y = bx + Fraction(t - 500, 997), by
+    else:
+        x, y = engine.x_max * t / 1000, engine.y_deep * u / 40
+    return point_key((x + shift, y))
+
+
+def _answers(engine, points):
+    """``_queried_slits``, or where the query raises a duplicate crossing
+    point, its answers on each segment alone, concatenated."""
+    try:
+        return _queried_slits(engine, points)
+    except NonGenericGeometry as err:
+        if str(err) != "duplicate crossing point":
+            raise
+    return [((i, *param[1:]), k, side) for i in range(len(points) - 1)
+            for param, k, side in _queried_slits(engine, points[i:i + 2])]
+
+
+@seed(20261031)
+@settings(max_examples=500, deadline=None)
+@given(which=st.integers(0, 6),
+       corners=st.lists(st.tuples(st.sampled_from(["line", "line", "level", "free"]),
+                                  st.integers(0, 4), st.integers(0, 40), st.integers(1, 999),
+                                  st.sampled_from([0, 0, 0, Fraction(1, 2 ** 70),
+                                                   -Fraction(1, 2 ** 70), Fraction(1, 997),
+                                                   -Fraction(1, 997)])),
+                        min_size=2, max_size=5))
+def test_slits_along_equals_the_cut_query(leg_engines, which, corners):
+    """``slits_along``'s half-open interval test is the cut query with the
+    touch rule at the ends (``_queried_slits``) wherever that answers, and
+    where it raises a duplicate crossing point, the query's answers on
+    each segment alone (``_answers``).  Where it raises a corner hit or a
+    collinear overlap, it is, segment by segment, the answer on the path
+    with every point on a cut moved 2^-80 left (``just_left``).  Paths run
+    through corners drawn on the cut lines above, at and below the branch
+    points and at their tops (``_slit_corner``), so segments run along
+    cuts and through branch points, at the branch points' heights and
+    anywhere, shifted by 0, a float tie (2^-70) or 1/997, on the fixtures
+    and the two n = 4 x-move weaves.  Inner points lie below y = 0, no
+    segment runs along it, and none is a path end, which the query would
+    pass over as one."""
+    engine = leg_engines[which]
+    points = [_slit_corner(engine, kind, k % len(engine.cuts), u, t, shift)
+              for kind, k, u, t, shift in corners]
+    inner = points[1:-1]
+    assume(all(y < 0 for _, y, _ in inner) and (inner or points[0][1] + points[1][1] < 0))
+    assume(points[0] not in inner and points[-1] not in inner)
+    assume(all(p != q for p, q in zip(points, points[1:])))
+    path = Polyline(points)
+    slits = engine.slits_along(path.ints, path.scale)
+    try:
+        expected = _answers(engine, points)
+    except NonGenericGeometry:  # a corner hit or a collinear overlap
+        moved = [point if _on_cut(engine, point) is None else just_left(point)
+                 for point in points]
+        slits, expected = ([(param[0], k, side) for param, k, side in crossings]
+                           for crossings in (slits, _answers(engine, moved)))
+    assert slits == expected
+
+
+def test_no_wall_runs_along_the_top_boundary(builders):
+    """``slits_along`` differs from the cut query only on a segment with both
+    ends at y = 0, whose crossing at a cut's top the query ignores: no wall
+    of the fixtures, the seed-7 corpus or the n = 4 corpus has one."""
+    forests = list(builders.values())
+    for text in [*random_weave_texts(7, 400), *random_weave_texts(4, 300, 4)]:
+        try:
+            forests.append(build_forest_strands(bend_weave(parse_weave(text))))
+        except RuntimeError:
+            continue
+    assert len(forests) == 5 + 162 + 113
+    assert not any(y0 == dy == 0 for builder in forests
+                   for *_, y0, _, dy, _ in builder.walls.segments)
 
 
 @pytest.mark.parametrize("text", [EXAMPLES["three_strand"], X_MOVE_WEAVES[0]],
