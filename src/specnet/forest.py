@@ -13,6 +13,10 @@ round runs creations to a fixed point before the next vertex is seeded.
 All geometry is exact: flowlines are rational polylines hugging the weave
 lines at small per-flowline offsets delta = OFFSET_SCALE / (id + 2), so later
 flowlines hug closer, and crossing detection and ordering are deterministic.
+The forest reads the weave's integer layout (``Segment.ints`` on
+LAYOUT_SCALE), grows each flowline as scaled integer points and builds its
+``Polyline`` once; a ``Fraction`` is built only for the joint order and
+for what ``to_network`` exports.
 Two degeneracies are fixed where they occur.  A joint child lifts up and to
 the left, off a parent leg that is vertical at the joint; and a rightward leg
 whose gap before its turn is at most delta halves that gap for its offset, so
@@ -24,14 +28,15 @@ PropagationError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, exact_point,
-                       prepare, transpose, walk_sheets)
+from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, ScaledPoint,
+                       exact_point, lowest_terms, transpose, walk_sheets)
 from .network import SpectralNetwork, compose_labels
-from .weave import BentWeave, Segment, WeaveVertex, demazure_product, length
+from .weave import LAYOUT_SCALE, BentWeave, Segment, WeaveVertex, demazure_product, length
 
 
 # creation steps one round may take before the build gives up
@@ -61,12 +66,17 @@ class Strand:
     start_label: Tuple[int, int]
     round: int
     delta: Fraction
-    polyline: List[Point] = field(default_factory=list)
-    path: Optional[Polyline] = None  # the polyline's integer form, once it is grown
+    path: Optional[Polyline] = None  # the flowline's integer form, once it is grown
     # weave-line crossings as (param, letter, side), side the sign of
     # (weave-line tangent) x (strand tangent)
     crossings: List[tuple] = field(default_factory=list)
     chord: Optional[str] = None
+
+    @property
+    def polyline(self) -> List[Point]:
+        """The path's ``Fraction`` points, for exports."""
+        s = self.path.scale
+        return [(Fraction(x, s), Fraction(y, s)) for x, y in self.path.ints]
 
     def label_at(self, param: Optional[Param] = None) -> Tuple[int, int]:
         """The ordered sheet pair just before ``param`` (default: the end)."""
@@ -83,19 +93,20 @@ class ForestBuilder:
         # tagged (letter, segment id), so a crossing names the line and its
         # letter; every slot below the top, a lower end not at a vertex, is
         # a join of two segments
-        vertex_points = {v.point for v in self.weave.vertices}
-        self.weave_lines = PolylineSet(
-            ((seg.points, (seg.letter, seg.id)) for seg in self.obstacles),
-            joins=[seg.points[-1] for seg in self.obstacles if seg.points[-1] not in vertex_points])
-        # the weave-line corners at each height, in obstacle order
-        self._corners: Dict[Fraction, List[Point]] = {}
+        vertex_points = {v.at for v in self.weave.vertices}
+        self.weave_lines = PolylineSet(joins=[
+            lowest_terms(x, y, LAYOUT_SCALE) for x, y in (seg.ints[-1] for seg in self.obstacles)
+            if (x, y, LAYOUT_SCALE) not in vertex_points])
+        # the x of each weave-line corner by height, in obstacle order, on LAYOUT_SCALE
+        self._corners: Dict[int, List[int]] = {}
         for seg in self.obstacles:
-            for corner in seg.points:
-                self._corners.setdefault(corner[1], []).append(corner)
-        self._top_name_by_x = {x: name for name, x in bent.top_positions.items()}
+            self.weave_lines.add(seg.ints, LAYOUT_SCALE, (seg.letter, seg.id))
+            for x, y in seg.ints:
+                self._corners.setdefault(y, []).append(x)
+        self._top_name_by_x = {x: name for name, x in bent.top_xs.items()}
         # chord name -> letter of the weave line that reaches the top boundary there
-        self.name_to_letter = {self._top_name_by_x[seg.points[0][0]]: seg.letter
-                               for seg in self.obstacles if seg.points[0][1] == 0}
+        self.name_to_letter = {self._top_name_by_x[seg.ints[0][0]]: seg.letter
+                               for seg in self.obstacles if seg.ints[0][1] == 0}
         self.strands: List[Strand] = []
         self.walls = PolylineSet()  # the strands met so far, tagged by id
         self.joints: List[dict] = []  # creation events in processing order
@@ -119,76 +130,90 @@ class ForestBuilder:
         # every branch of a letter-k vertex carries the ordered label (k, k+1)
         label = (vertex.letter, vertex.letter + 1)
         strand = self._new_strand(("branch", vertex.id, branch), label, rnd)
-        strand.polyline = [vertex.point]
+        points = [vertex.at]
         if edge is None:
-            self._march_right(strand, vertex.point, label)
+            self._march_right(strand, points, label)
         else:
-            self._hug(strand, edge, len(edge.points) - 2)
-        self._finalize(strand)
+            self._hug(strand, points, edge, len(edge.ints) - 2)
+        self._finalize(strand, points)
         return strand
 
     def propagate_joint(self, parent_a: Strand, parent_b: Strand, pa: Param, pb: Param,
-                        label, point, rnd) -> Strand:
+                        label, point: ScaledPoint, rnd) -> Strand:
         strand = self._new_strand(("joint", parent_a.id, parent_b.id), label, rnd)
         # emanate just above the joint so the rightward leg is parallel to,
         # not collinear with, a horizontal parent leg; and up-left off a
         # parent leg that is vertical there, so the lift does not run along it
-        delta = strand.delta
-        vertical = any(parent.polyline[index][0] == parent.polyline[index + 1][0]
+        n, m = strand.delta.numerator, strand.delta.denominator
+        vertical = any(parent.path.ints[index][0] == parent.path.ints[index + 1][0]
                        for parent, (index, _, _) in ((parent_a, pa), (parent_b, pb)))
-        lift = (point[0] - delta / 2 if vertical else point[0], point[1] + delta)
-        strand.polyline = [point, lift]
+        x, y, d = point
+        lift = lowest_terms(2 * m * x - n * d if vertical else 2 * m * x,
+                            2 * m * y + 2 * n * d, 2 * m * d)
+        points = [point, lift]
         # the lift itself may hop over weave lines squeezed near the joint;
         # fold those conjugations into the label the march starts with
-        label, _ = walk_sheets(label, self.events_along([point, lift]))
-        self._march_right(strand, lift, label)
-        self._finalize(strand)
+        label, _ = walk_sheets(label, self.events_along(Polyline(points)))
+        self._march_right(strand, points, label)
+        self._finalize(strand, points)
         return strand
 
-    def _march_right(self, strand: Strand, start: Point, label):
-        """Run right from ``start`` to the first weave line carrying the
-        label's sheet pair, conjugating the label by each line crossed on
-        the way, then climb that line.  Where the gap between the last line
-        crossed (or ``start``) and that line is at most delta, the strand's
-        delta shrinks to half the gap."""
-        x0, y0 = start
-        corner = next((c for c in self._corners.get(y0, ()) if c[0] > x0), None)
+    def _march_right(self, strand: Strand, points: List[ScaledPoint], label):
+        """Run right from the last of ``points`` to the first weave line
+        carrying the label's sheet pair, conjugating the label by each line
+        crossed on the way, then climb that line.  Where the gap between
+        the last line crossed (or the start) and that line is at most
+        delta, the strand's delta shrinks to half the gap."""
+        x0, y0, d0 = points[-1]
+        height, off = divmod(LAYOUT_SCALE * y0, d0)  # the start's height on LAYOUT_SCALE, if on it
+        corners = self._corners.get(height, ()) if off == 0 else ()
+        corner = next((x for x in corners if x * d0 > LAYOUT_SCALE * x0), None)
         if corner is not None:
-            raise NonGenericGeometry("weave-line corner on ray at %r" % (corner,))
-        prev_x = x0
-        ray = [start, (self.bent.marked_x, y0)]  # every weave line lies left of marked_x
-        for _, (k, seg_id), (index, _, _), pt, _ in self.weave_lines.crossings(ray):
-            x = Fraction(pt[0], pt[2])
+            raise NonGenericGeometry("weave-line corner on ray at %r"
+                                     % (exact_point((corner, height, LAYOUT_SCALE)),))
+        prev_x, prev_d = x0, d0
+        mx, _, md = self.bent.marked  # every weave line lies left of the marked point
+        ray = Polyline([points[-1], (mx * d0, y0 * md, md * d0)])
+        for _, (k, seg_id), (index, _, _), (x, _, d), _ in self.weave_lines.crossings(ray):
             if {label[0], label[1]} == {k, k + 1}:
-                if x - strand.delta <= prev_x:
-                    strand.delta = (x - prev_x) / 2
-                strand.polyline.append((x - strand.delta, y0))
-                self._hug(strand, self.obstacles[seg_id], index)
+                n, m = strand.delta.numerator, strand.delta.denominator
+                gap, gap_d = x * prev_d - prev_x * d, d * prev_d
+                if gap * m <= n * gap_d:
+                    strand.delta = Fraction(gap, 2 * gap_d)
+                    n, m = strand.delta.numerator, strand.delta.denominator
+                points.append(lowest_terms((x * m - n * d) * d0, y0 * d * m, d * m * d0))
+                self._hug(strand, points, self.obstacles[seg_id], index)
                 return
             label = tuple(transpose(s, k) for s in label)
-            prev_x = x
+            prev_x, prev_d = x, d
         raise PropagationError(
             "rightward flowline from %r with label %r found no matching edge"
             % (strand.origin, strand.start_label))
 
-    def _hug(self, strand: Strand, seg: Segment, index: int):
+    def _hug(self, strand: Strand, points: List[ScaledPoint], seg: Segment, index: int):
         """Climb ``seg`` from the top of its sub-segment ``index``, then the
-        segments above it up to a chord, offset left by delta."""
+        segments above it up to a chord, offset left by delta: each corner
+        (x, y) on LAYOUT_SCALE goes to (x - delta, y) on the scale s, the
+        least common multiple of LAYOUT_SCALE and delta's denominator."""
+        n, m = strand.delta.numerator, strand.delta.denominator
+        s = math.lcm(LAYOUT_SCALE, m)
+        up, shift = s // LAYOUT_SCALE, n * (s // m)
         while True:
-            strand.polyline += [(x - strand.delta, y) for x, y in seg.points[index::-1]]
+            points += [(x * up - shift, y * up, s) for x, y in seg.ints[index::-1]]
             if seg.above is None:
-                strand.chord = self._top_name_by_x[seg.points[0][0]]
+                strand.chord = self._top_name_by_x[seg.ints[0][0]]
                 return
-            seg, index = seg.above, len(seg.above.points) - 2
+            seg, index = seg.above, len(seg.above.ints) - 2
 
     def events_along(self, poly) -> List[tuple]:
         """The weave-line crossings of ``poly`` as sorted (param, letter, side)."""
         return [(param, letter, side) for param, (letter, _), _, _, side
                 in self.weave_lines.crossings(poly)]
 
-    def _finalize(self, strand: Strand):
-        """Record all weave-line crossings and verify label bookkeeping."""
-        strand.path = prepare(strand.polyline)
+    def _finalize(self, strand: Strand, points: List[ScaledPoint]):
+        """Build the path of ``points``, record all its weave-line crossings
+        and verify label bookkeeping."""
+        strand.path = Polyline(points)
         strand.crossings = self.events_along(strand.path)
         final = strand.label_at()
         m = self.name_to_letter[strand.chord]
@@ -222,16 +247,17 @@ class ForestBuilder:
                         first = label[0] == child_label[0]  # sn is the ij-parent
                         events.append((*exact_point(pt), sn.id, oid, pn, po, child_label,
                                        (sn.id, oid) if first else (oid, sn.id),
-                                       int((side > 0) != first)))
-                self.walls.add(sn.path, sn.id)
+                                       int((side > 0) != first), pt))
+                self.walls.add(sn.path.ints, sn.path.scale, sn.id)
                 done += 1
             if not events:
                 return
             event = min(events, key=lambda e: e[:4])
             events.remove(event)
-            x, y, a_id, b_id, pa, pb, child_label, parents, twist = event
+            x, y, a_id, b_id, pa, pb, child_label, parents, twist, pt = event
             parent_a, parent_b = self.strands[a_id], self.strands[b_id]
-            child = self.propagate_joint(parent_a, parent_b, pa, pb, child_label, (x, y), rnd)
+            child = self.propagate_joint(parent_a, parent_b, pa, pb, child_label,
+                                         lowest_terms(*pt), rnd)
             joint = {
                 "parents": parents,
                 "twist": twist,

@@ -11,9 +11,12 @@ integers, each segment pair whose float boxes meet, keeping each crossing
 point as integers.  A param leaves as the triple (segment, float,
 ``Ratio``): ``int / int`` rounds correctly and correct rounding is
 monotone, so triples order exactly as (segment, rational) pairs do and read
-their ``Ratio``s, in integers, only on a float tie.  A ``Fraction`` is
-built only where a point is exported, compared with ``Fraction``s or
-returned (``exact_point``).
+their ``Ratio``s, in integers, only on a float tie.  A member joins a set
+as integer points on a scale (``PolylineSet.add``), so the weave's integer
+layout and the forest's walls enter the table with no ``Fraction``; a
+``Fraction`` is built only where a point is exported, compared with
+``Fraction``s or returned (``exact_point``), and ``Fraction`` points are
+read (``prepare``, ``point_key``) only from callers that hold them.
 """
 
 from __future__ import annotations
@@ -112,15 +115,16 @@ def exact_point(scaled: ScaledPoint) -> Point:
     return Fraction(x, d), Fraction(y, d)
 
 
-def _reduced(x: int, y: int, d: int) -> ScaledPoint:
+def lowest_terms(x: int, y: int, d: int) -> ScaledPoint:
+    """The scaled point (x, y, d) in lowest terms, as ``Polyline.ends`` names ends."""
     g = math.gcd(x, y, d)
     return x // g, y // g, d // g
 
 
 def point_key(point: Point) -> ScaledPoint:
-    """The point as (x, y, d) in lowest terms, as ``Polyline.ends`` names ends."""
+    """A ``Fraction`` point as a scaled point in lowest terms."""
     (xn, xd), (yn, yd) = point[0].as_integer_ratio(), point[1].as_integer_ratio()
-    return _reduced(xn * yd, yn * xd, xd * yd)
+    return lowest_terms(xn * yd, yn * xd, xd * yd)
 
 
 class Polyline:
@@ -132,12 +136,12 @@ class Polyline:
     __slots__ = ("ints", "scale", "floats", "box", "ends")
 
     def __init__(self, points: Sequence[ScaledPoint]):
-        self.scale = s = math.lcm(*(d for _, _, d in points))
-        self.ints = [(x * (s // d), y * (s // d)) for x, y, d in points]
-        self.floats = [(x / s, y / s) for x, y in self.ints]
-        xs, ys = [x for x, _ in self.floats], [y for _, y in self.floats]
-        self.box = (min(xs), max(xs), min(ys), max(ys))
-        self.ends = (_reduced(*points[0]), _reduced(*points[-1]))
+        self.scale = s = math.lcm(*[d for _, _, d in points])
+        self.ints = ints = [(x * (s // d), y * (s // d)) for x, y, d in points]
+        self.floats = [(x / s, y / s) for x, y in ints]
+        xs, ys = [x for x, _ in ints], [y for _, y in ints]
+        self.box = (min(xs) / s, max(xs) / s, min(ys) / s, max(ys) / s)
+        self.ends = (lowest_terms(*points[0]), lowest_terms(*points[-1]))
 
 
 def prepare(points) -> Polyline:
@@ -167,26 +171,32 @@ class PolylineSet:
     as the next) is no anchor: a path through it is a corner hit, not a miss."""
 
     def __init__(self, tagged: Iterable[Tuple[Sequence[Point], object]] = (), joins=()):
-        self.joins = frozenset(map(point_key, joins))
+        self.joins = frozenset(joins)  # scaled points in lowest terms
         self.tags, self.anchors, self.segments = [], [], []
         for Q, tag in tagged:
-            self.add(Q, tag)
+            q = prepare(Q)
+            self.add(q.ints, q.scale, tag)
 
-    def add(self, Q, tag):
-        """Add Q as the next member: its tag, its anchors (its ends that are
-        no join) and, in the table, one record per segment: its float box,
-        the member's index, the segment's index, its start and step in
-        integers and the member's scale.  Every float coordinate is
-        ``int / int``, correctly rounded, and rounding is monotone, so
-        segments whose exact boxes meet have float boxes that meet: the
-        boxes need no margin, which would only admit extra pairs."""
-        q, m = prepare(Q), len(self.tags)
+    def add(self, ints: Sequence[Tuple[int, int]], scale: int, tag):
+        """Add the member with points ``ints`` on ``scale``: its tag, its
+        anchors (its ends that are no join) and, in one pass, one table
+        record per segment: its float box, the member's index, the
+        segment's index, its start and step in integers and the scale.
+        Every float coordinate is ``int / int``, correctly rounded, and
+        rounding is monotone, so segments whose exact boxes meet have float
+        boxes that meet: the boxes need no margin, which would only admit
+        extra pairs."""
+        m, rows = len(self.tags), self.segments
         self.tags.append(tag)
-        self.anchors.append(tuple(e for e in q.ends if e not in self.joins))
-        for j, ((x0, y0), (x1, y1), (fx0, fy0), (fx1, fy1)) in enumerate(
-                zip(q.ints, q.ints[1:], q.floats, q.floats[1:])):
-            self.segments.append((min(fx0, fx1), max(fx0, fx1), min(fy0, fy1), max(fy0, fy1),
-                                  m, j, x0, y0, x1 - x0, y1 - y0, q.scale))
+        ends = lowest_terms(*ints[0], scale), lowest_terms(*ints[-1], scale)
+        self.anchors.append(tuple(e for e in ends if e not in self.joins))
+        x0, y0 = ints[0]
+        for j, (x1, y1) in enumerate(ints[1:]):
+            lo_x, hi_x = (x0, x1) if x0 <= x1 else (x1, x0)
+            lo_y, hi_y = (y0, y1) if y0 <= y1 else (y1, y0)
+            rows.append((lo_x / scale, hi_x / scale, lo_y / scale, hi_y / scale,
+                         m, j, x0, y0, x1 - x0, y1 - y0, scale))
+            x0, y0 = x1, y1
 
     def crossings(self, P):
         """The proper transversal crossings of P (points or a ``Polyline``)
@@ -196,20 +206,22 @@ class PolylineSet:
 
         The segment table is filtered by P's box once; then each pair of a
         P segment and a remaining segment whose boxes meet is decided in
-        integers, row by row.  Touches at P's global ends and at the
-        member's anchors (walls are born on other walls and end on the
-        boundary) are ignored; any other touch is a non-generic corner hit,
-        a positive-length collinear overlap is non-generic, and either
-        raises where the scan meets it.  A point where one member is
-        crossed twice is non-generic too, checked once the scan is done.
-        The params are built only where the segments meet, and the point
-        stays on P's scale times t's denominator."""
+        integers, row by row.  Touches at P's own ends (param 0 of its
+        first segment and param 1 of its last) and at the member's anchors
+        (walls are born on other walls and end on the boundary) are
+        ignored; any other touch, an inner corner of P at one of P's end
+        points included, is a non-generic corner hit, a positive-length
+        collinear overlap is non-generic, and either raises where the scan
+        meets it.  A point where one member is crossed twice is non-generic
+        too, checked once the scan is done.  The params are built only where
+        the segments meet, and the point stays on P's scale times t's
+        denominator."""
         p = prepare(P)
         (pi, sp, pf), (lo_x, hi_x, lo_y, hi_y) = (p.ints, p.scale, p.floats), p.box
         near = [r for r in self.segments
                 if not (lo_x > r[1] or hi_x < r[0] or lo_y > r[3] or hi_y < r[2])]
-        tags, hits, owners = self.tags, [], []
-        for i in range(len(pi) - 1):
+        tags, hits, owners, last = self.tags, [], [], len(pi) - 2
+        for i in range(last + 1):
             ax0, ay0 = pf[i]
             ax1, ay1 = pf[i + 1]
             alo_x, ahi_x = (ax0, ax1) if ax0 <= ax1 else (ax1, ax0)
@@ -243,12 +255,12 @@ class PolylineSet:
                     hits.append(((i, tn / td, Ratio(tn, td)), tags[m],
                                  (j, un / ud, Ratio(un, ud)), pt, side))
                     owners.append(m)
-                elif not any(x * ad == ax * d and y * ad == ay * d
-                             for ax, ay, ad in p.ends + self.anchors[m]):
+                elif not (tn == 0 and i == 0 or tn == td and i == last or any(
+                        x * ad == ax * d and y * ad == ay * d for ax, ay, ad in self.anchors[m])):
                     raise NonGenericGeometry("polyline corner hit at %r" % (exact_point(pt),))
         # a member crossed twice at one point: P or Q crosses itself on the other
         if len(set(owners)) < len(owners) and len(
-                {(m,) + _reduced(*hit[3]) for m, hit in zip(owners, hits)}) < len(hits):
+                {(m,) + lowest_terms(*hit[3]) for m, hit in zip(owners, hits)}) < len(hits):
             raise NonGenericGeometry("duplicate crossing point")
         hits.sort()
         return hits

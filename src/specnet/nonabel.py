@@ -66,9 +66,10 @@ from typing import Dict, List, Sequence
 
 from .forest import ForestBuilder, build_forest_strands
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, ScaledPoint, exact_point,
-                       interp, point_key, prepare, walk_sheets)
+                       interp, lowest_terms, prepare, walk_sheets)
 from .laurent import LaurentPoly
 from .soliton_bps import SolitonCatalog, between, freely_reduced, on_a_segment, tree_of_strand
+from .weave import LAYOUT_SCALE
 
 
 class Transport:
@@ -84,8 +85,9 @@ class Transport:
     @cached_property
     def draw_region(self) -> tuple:
         """What ``homotopic_pair`` draws against: the network's punctures as
-        (float x, float y, ``point_key``), and its grid as (x0, dx, y0, dy, d),
-        grid point (i, j) being ((x0 + i dx) / d, (y0 + j dy) / d).  The grid
+        (float x, float y, scaled point in lowest terms), and its grid as
+        (x0, dx, y0, dy, d), grid point (i, j) being ((x0 + i dx) / d,
+        (y0 + j dy) / d).  The grid
         spans, in 997ths, the box where the homology engine's test curves
         separate classes: left of the marked point and below the weave top."""
         punctures = network_punctures(self.builder)
@@ -306,15 +308,15 @@ def _folds(points: Sequence[ScaledPoint]) -> bool:
 
 
 def network_punctures(builder: ForestBuilder) -> List[ScaledPoint]:
-    """Points a path homotopy must not sweep across, as ``point_key``s: all
-    weave vertices and joints, every free end of a weave line or wall, and
-    the marked point."""
-    pts = [v.point for v in builder.weave.vertices]
-    pts += [j["point"] for j in builder.joints]
+    """Points a path homotopy must not sweep across, as scaled points in
+    lowest terms: all weave vertices and joints, every free end of a weave
+    line or wall, and the marked point."""
+    keys = [lowest_terms(*v.at) for v in builder.weave.vertices]
+    # a joint is its child's start
+    keys += [builder.strands[j["child"]].path.ends[0] for j in builder.joints]
     for seg in builder.obstacles:
-        pts += [seg.points[0], seg.points[-1]]
-    pts.append((builder.bent.marked_x, Fraction(0)))
-    keys = list(map(point_key, pts))
+        keys += [lowest_terms(x, y, LAYOUT_SCALE) for x, y in (seg.ints[0], seg.ints[-1])]
+    keys.append(lowest_terms(*builder.bent.marked))
     for strand in builder.strands:
         keys += strand.path.ends
     return list(dict.fromkeys(keys))

@@ -100,9 +100,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio,
-                       ScaledPoint, exact_point, interp, param_of, point_key, prepare,
-                       sheet_prefixes, transpose, truncated, walk_sheets)
+                       ScaledPoint, exact_point, interp, lowest_terms, param_of, point_key,
+                       prepare, sheet_prefixes, transpose, truncated, walk_sheets)
 from .laurent import FactoredMatrix
+from .weave import LAYOUT_SCALE
 
 # where a wall's BPS entries are based: a parameter just past its birth point
 BIRTH_PARAM: Param = param_of(0, Fraction(1, 997))
@@ -223,14 +224,14 @@ class HomologyEngine:
         self.weave = builder.weave
         self.obstacles = builder.obstacles
         branch = self.weave.trivalent_vertices()
-        self._branches = [(point_key(v.point), v.letter) for v in branch]
+        self._branches = [(lowest_terms(*v.at), v.letter) for v in branch]
         if not self.obstacles:
             raise ValueError("weave has no weave lines: its top word is empty")
         # bounding depths
-        lows = [min(p[1] for p in seg.points) for seg in self.obstacles]
-        self.y_deep = min(lows) - 1
-        self.x_max = self.bent.marked_x  # every weave line lies left of it
-        self._marked_key = point_key((self.x_max, Fraction(0)))
+        self.y_deep = Fraction(min(y for seg in self.obstacles for _, y in seg.ints),
+                               LAYOUT_SCALE) - 1
+        self.x_max = exact_point(self.bent.marked)[0]  # every weave line lies left of it
+        self._marked_key = lowest_terms(*self.bent.marked)
         # generator s_k: the class of the b-strand that leaves a branch point
         # along its top-right edge and ends at chord z_k; ordered by k
         b_strands = sorted((int(s.chord[2:]), s.id) for s in builder.strands
@@ -242,7 +243,8 @@ class HomologyEngine:
         # each on its own line 1000 x - y = c: by increasing c, c in lowest
         # terms, the cut and its branch point's y as (n, m), y = n / m, and
         # each c's float, which slits_along screens by
-        self.cuts = [[(x, y), (x - y / 1000, Fraction(0))] for x, y in (v.point for v in branch)]
+        self.cuts = [[(x, y), (x - y / 1000, Fraction(0))]
+                     for x, y in (exact_point(key) for key, _ in self._branches)]
         by_c = sorted((1000 * x - y, k, y) for k, ((x, y), _) in enumerate(self.cuts))
         if len({c for c, _, _ in by_c}) != len(by_c):
             raise NonGenericGeometry("two branch cuts are collinear")
@@ -253,7 +255,7 @@ class HomologyEngine:
         # the letters walk up the cuts, and a weave-line query passes over a
         # line's end met there, such as a hexavalent or tetravalent vertex
         for v in self.weave.vertices:
-            x, y, d = point_key(v.point)
+            x, y, d = v.at
             if v.kind != "trivalent" and any((1000 * x - y) * cm == cn * d and n * d <= y * m <= 0
                                              for cn, cm, _, n, m in self._cut_lines):
                 raise NonGenericGeometry("%s weave vertex %d lies on a cut" % (v.kind, v.id))

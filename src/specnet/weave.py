@@ -19,9 +19,13 @@ Text format::
 moves run in order.  A weave has at most MAX_STRANDS strands and a top word
 of at most MAX_LETTERS letters.
 
-Layout is exact-rational: slice letters sit at integer columns, slices at
-integer depths (top slice at y = 0, y decreasing downward), vertices at
-half-integer depths.  Bending routes the bottom slice's lines around the
+Layout is exact and in integers: slice letters sit at integer columns,
+slices at integer depths (top slice at y = 0, y decreasing downward),
+vertices at half-integer depths, so every layout coordinate is an integer
+over the one scale LAYOUT_SCALE = 2.  Segments, vertices, bent lines, top
+positions and the marked point are stored on that scale; their
+``Fraction`` points (``Segment.points``, ``WeaveVertex.point``) are views
+for exports and tests.  Bending routes the bottom slice's lines around the
 bottom-right of the diagram up to the top, to the right of the top slice.
 """
 
@@ -31,7 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Point
+from .geometry import Point, ScaledPoint, exact_point
+
+# every layout coordinate is an integer over this scale
+LAYOUT_SCALE = 2
 
 
 @dataclass(frozen=True)
@@ -50,14 +57,19 @@ class WeaveVertex:
     row: int  # band index: sits between slices row and row+1 (0-based)
     position: int  # 1-based leftmost involved letter in the upper slice
     letter: int  # for trivalent: the merged letter; otherwise upper-left letter
-    point: Point = (Fraction(0), Fraction(0))
+    at: ScaledPoint  # the vertex, (x, y, LAYOUT_SCALE)
     # the pieces ending at this vertex, left to right
     upper: List[Segment] = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def point(self) -> Point:
+        return exact_point(self.at)
 
 
 @dataclass
 class Segment:
-    """A weave-line piece, drawn as a polyline from its upper to lower end.
+    """A weave-line piece, drawn as a polyline from its upper to lower end,
+    its points ``ints`` on LAYOUT_SCALE.
 
     ``above`` is the piece a line walking toward the top goes on to: straight
     through hexavalent and tetravalent vertices, up the *left* upper edge at
@@ -66,9 +78,13 @@ class Segment:
 
     id: int
     letter: int
-    points: List[Point]
+    ints: List[Tuple[int, int]]
     # not in repr or ==, which would otherwise walk the chain to the top
     above: Optional[Segment] = field(default=None, repr=False, compare=False)
+
+    @property
+    def points(self) -> List[Point]:
+        return [(Fraction(x, LAYOUT_SCALE), Fraction(y, LAYOUT_SCALE)) for x, y in self.ints]
 
 
 _KINDS = {"t": "trivalent", "h": "hexavalent", "x": "tetravalent"}
@@ -130,10 +146,10 @@ class Weave:
             p = move.position - 1
             width = move.width()
             kind = _KINDS[move.kind]
-            x_vertex = Fraction(2 * move.position + width - 1, 2)  # midpoint of involved columns
-            y_vertex = -(Fraction(2 * row + 1, 2))
+            # the midpoint of the involved columns, half a slice down
+            x_vertex, y_vertex = 2 * move.position + width - 1, -2 * row - 1
             vertex = WeaveVertex(len(self.vertices), kind, row, move.position,
-                                 upper[p], (x_vertex, y_vertex))
+                                 upper[p], (x_vertex, y_vertex, LAYOUT_SCALE))
             self.vertices.append(vertex)
             out_width = width - 1 if move.kind == "t" else width
             below: Dict[int, Segment] = {}
@@ -141,13 +157,12 @@ class Weave:
             for q in range(1, len(upper) + 1):
                 if p + 1 <= q <= p + width:
                     seg = Segment(len(self.segments), upper[q - 1],
-                                  [(Fraction(q), Fraction(-row)), vertex.point], ending.get(q))
+                                  [(2 * q, -2 * row), (x_vertex, y_vertex)], ending.get(q))
                     vertex.upper.append(seg)
                 else:
                     q_next = q if q <= p else q - (width - out_width)
                     seg = Segment(len(self.segments), upper[q - 1],
-                                  [(Fraction(q), Fraction(-row)), (Fraction(q_next), Fraction(-row - 1))],
-                                  ending.get(q))
+                                  [(2 * q, -2 * row), (2 * q_next, -2 * row - 2)], ending.get(q))
                     below[q_next] = seg
                 self.segments.append(seg)
             for j in range(out_width):
@@ -156,7 +171,7 @@ class Weave:
                 # through any other, to the upper piece width - 1 - j
                 above = vertex.upper[0 if move.kind == "t" else width - 1 - j]
                 seg = Segment(len(self.segments), lower[q_out - 1],
-                              [vertex.point, (Fraction(q_out), Fraction(-row - 1))], above)
+                              [(x_vertex, y_vertex), (2 * q_out, -2 * row - 2)], above)
                 self.segments.append(seg)
                 below[q_out] = seg
             ending = below
@@ -256,22 +271,22 @@ class BentWeave:
         # left-to-right the bent chords read w_m ... w_1.
         self.chord_names: List[str] = (["z_%d" % k for k in range(top_len, 0, -1)]
                                        + ["w_%d" % k for k in range(m, 0, -1)])
-        wall_margin = Fraction(max(top_len, max((len(s) for s in weave.slices), default=1)) + 2)
+        wall_margin = max(top_len, max((len(s) for s in weave.slices), default=1)) + 2
         self.bent_segments: List[Segment] = []
-        self.top_positions: Dict[str, Fraction] = {
-            "z_%d" % (top_len + 1 - q): Fraction(q) for q in range(1, top_len + 1)}
+        # the x of each chord's top end and the marked point, on LAYOUT_SCALE
+        self.top_xs: Dict[str, int] = {
+            "z_%d" % (top_len + 1 - q): 2 * q for q in range(1, top_len + 1)}
         next_id = len(weave.segments)
         for p in range(m):  # p: 0-based bottom-slice position
-            drop = Fraction(depth + 1 + (m - 1 - p))
-            x_up = wall_margin + (m - 1 - p)
-            seg = Segment(
-                next_id, bottom[p],
-                [(x_up, Fraction(0)), (x_up, -drop), (Fraction(p + 1), -drop),
-                 (Fraction(p + 1), Fraction(-depth))])
+            drop = 2 * (depth + 1 + (m - 1 - p))
+            x_up = 2 * (wall_margin + (m - 1 - p))
+            seg = Segment(next_id, bottom[p],
+                          [(x_up, 0), (x_up, -drop), (2 * p + 2, -drop), (2 * p + 2, -2 * depth)])
             self.bent_segments.append(seg)
-            self.top_positions["w_%d" % (p + 1)] = x_up
+            self.top_xs["w_%d" % (p + 1)] = x_up
             next_id += 1
-        self.marked_x = wall_margin + m  # marked points sit right of every chord
+        # marked points sit right of every chord
+        self.marked: ScaledPoint = (2 * (wall_margin + m), 0, LAYOUT_SCALE)
 
     @property
     def strand_count(self):

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import (NonGenericGeometry, Polyline, PolylineSet, interp, point_key, prepare,
-                              walk_sheets)
+from specnet.geometry import (NonGenericGeometry, Polyline, PolylineSet, exact_point, interp,
+                              point_key, prepare, walk_sheets)
 from specnet.laurent import LaurentPoly
 from specnet.nonabel import homotopic_pair
 from specnet.soliton_bps import BIRTH_PARAM, CAP_EPS, LiftedPath, freely_reduced, on_a_segment
-from specnet.weave import Move, _apply_move, bend_weave, demazure_product, length, parse_weave
+from specnet.weave import (LAYOUT_SCALE, Move, _apply_move, bend_weave, demazure_product, length,
+                           parse_weave)
 
 EXAMPLES = {
     "mutation_a": "n=2\ntop: 1 1 1\nmoves: t2 t1",
@@ -318,9 +319,9 @@ def top_boundary_fault(transport, table):
     coefficient is 2 or -2, and else each chord's two values."""
     bent, n = transport.builder.bent, transport.n
     letters = list(bent.weave.top) + list(reversed(bent.weave.bottom))
-    xs = [bent.top_positions[name] for name in bent.chord_names]
+    xs = [Fraction(bent.top_xs[name], LAYOUT_SCALE) for name in bent.chord_names]
     stops = ([Fraction(1, 3)] + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-             + [bent.marked_x - Fraction(1, 3)])
+             + [exact_point(bent.marked)[0] - Fraction(1, 3)])
     zero = LaurentPoly.zero(transport.gens)
     total, differ = transport.identity(), []
     for name, i, x0, x1 in zip(bent.chord_names, letters, stops, stops[1:]):

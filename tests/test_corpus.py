@@ -1,9 +1,11 @@
 """The forest on a seeded random weave corpus: which weaves it rejects, by
 name, and the invariants every built weave must meet."""
 
+import hashlib
 import random
 
 from specnet.forest import build_forest_strands
+from specnet.network import network_to_json
 from specnet.nonabel import Transport, augmentation, homotopic_pair
 from specnet.weave import Move, Weave, bend_weave, parse_weave
 
@@ -57,6 +59,12 @@ REJECTED = [
 TOP_BOUNDARY_DIFFER = [(index, PLUS_MINUS_TWO)
                        for index in (2, 14, 95, 101, 106, 126, 135, 166, 176)]
 
+# sha256 of network_to_json(builder.to_network()) over every built weave of
+# each corpus, in order: the forest's strand routes, joints and labels byte
+# for byte beyond the fixtures
+CORPUS_DIGEST = "394f1cdb9a9070bebe34b9cf8eeb5e66ef13078190f71bbdfcec82a40c218676"
+CORPUS_DIGEST_N4 = "b16e53d8a09f771bde93a7c8ca99c50e0ccb7c4cd82784339720b30596446732"
+
 
 def test_random_corpus_rejections_and_invariants():
     """400 draws at seed 7 give 193 reduced bottoms; the forest builds 162
@@ -75,16 +83,18 @@ def test_random_corpus_rejections_and_invariants():
     TOP_BOUNDARY_DIFFER.  On each built
     weave of at most STRAND_CAP strands (128 weaves), every branch and
     joint monodromy is the identity, the BPS recursion equals brute force
-    and two seeded homotopic path pairs transport alike."""
+    and two seeded homotopic path pairs transport alike.  The built
+    weaves' network exports hash to CORPUS_DIGEST."""
     texts = list(random_weave_texts(7, 400))
     assert len(texts) == 193
-    rejected, differ, checked = [], [], 0
+    rejected, differ, checked, digest = [], [], 0, hashlib.sha256()
     for index, text in enumerate(texts):
         try:
             builder = build_forest_strands(bend_weave(parse_weave(text)))
         except RuntimeError as err:
             rejected.append((index, type(err).__name__, str(err)))
             continue
+        digest.update(network_to_json(builder.to_network()).encode())
         transport = Transport(builder)
         assert_letters_read_off_the_cuts(transport.engine)
         assert_basis_walks_are_units(transport.engine)
@@ -110,6 +120,7 @@ def test_random_corpus_rejections_and_invariants():
                for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED)), rejected
     assert differ == TOP_BOUNDARY_DIFFER
     assert checked == 128
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 # (index among the n = 4 corpus texts, error class, message prefix) of every
@@ -150,20 +161,23 @@ def test_four_strand_corpus_with_x_moves():
     force, two seeded homotopic path pairs transport alike and the
     top-boundary identity with the augmentation holds, with c_q and the
     augmentation's monomials different on exactly the weaves of
-    TOP_BOUNDARY_DIFFER_N4."""
+    TOP_BOUNDARY_DIFFER_N4.  The built weaves' network exports hash to
+    CORPUS_DIGEST_N4."""
     texts = list(random_weave_texts(4, 300, 4))
     assert len(texts) == 126
-    rejected, differ, with_x, climbing = [], [], 0, 0
+    rejected, differ, with_x, climbing, digest = [], [], 0, 0, hashlib.sha256()
     for index, text in enumerate(texts):
         try:
             builder = build_forest_strands(bend_weave(parse_weave(text)))
         except RuntimeError as err:
             rejected.append((index, type(err).__name__, str(err)))
             continue
+        digest.update(network_to_json(builder.to_network()).encode())
         x_points = [v.point for v in builder.weave.vertices if v.kind == "tetravalent"]
         with_x += bool(x_points)
-        climbing += any((x - s.delta, y) in s.polyline
-                        for x, y in x_points for s in builder.strands)
+        climbing += any((x - s.delta, y) in polyline
+                        for s, polyline in ((s, s.polyline) for s in builder.strands)
+                        for x, y in x_points)
         transport = Transport(builder)
         assert_letters_read_off_the_cuts(transport.engine)
         assert_basis_walks_are_units(transport.engine)
@@ -186,6 +200,7 @@ def test_four_strand_corpus_with_x_moves():
                for (_, _, message), (_, _, prefix) in zip(rejected, REJECTED_N4)), rejected
     assert differ == TOP_BOUNDARY_DIFFER_N4
     assert (len(texts) - len(rejected), with_x, climbing) == (113, 82, 36)
+    assert digest.hexdigest() == CORPUS_DIGEST_N4
 
 
 # (index, error class, message prefix) of every built corpus weave that the

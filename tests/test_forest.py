@@ -8,6 +8,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from specnet.forest import MAX_FOREST_STRANDS, Strand, build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry,
+    Polyline,
     PolylineSet,
     Ratio,
     exact_point,
@@ -360,9 +361,9 @@ def test_march_right_reports_the_first_corner_on_its_ray(builders):
     though (2, -1) lies nearer the start."""
     builder = builders["three_strand"]
     strand = Strand(len(builder.strands), ("branch", 0, "c"), (1, 2), 1, Fraction(1, 64))
-    start = (Fraction(3, 2), Fraction(-1))
+    start = (3, -2, 2)  # (3/2, -1)
     with pytest.raises(NonGenericGeometry) as raised:
-        builder._march_right(strand, start, (1, 2))
+        builder._march_right(strand, [start], (1, 2))
     assert str(raised.value) == \
         "weave-line corner on ray at (Fraction(4, 1), Fraction(-1, 1))"
 
@@ -443,11 +444,11 @@ class _Fault(NonGenericGeometry):
 def _reference_crossings(P, Q, q_anchors):
     """Proper transversal crossings of P and Q as sorted (paramP, paramQ,
     pt, side), side the sign of (Q's tangent) x (P's tangent).  Touches at
-    P's ends and at ``q_anchors`` are ignored, any other touch raises at
-    the first segment pair with one (P's segment major), and so does a
-    crossing point found twice, once every pair is done."""
+    P's own ends (param 0 of its first segment and param 1 of its last)
+    and at ``q_anchors`` are ignored, any other touch raises at the first
+    segment pair with one (P's segment major), and so does a crossing
+    point found twice, once every pair is done."""
     out = []
-    anchors = (P[0], P[-1]) + q_anchors
     for i in range(len(P) - 1):
         for j in range(len(Q) - 1):
             try:
@@ -464,7 +465,7 @@ def _reference_crossings(P, Q, q_anchors):
             if 0 < t < 1 and 0 < u < 1:
                 out.append(((i, t), (j, u), pt,
                             _cross_sign(_direction(Q, j), _direction(P, i))))
-            elif pt in anchors:
+            elif t == 0 and i == 0 or t == 1 and i == len(P) - 2 or pt in q_anchors:
                 continue
             else:
                 raise _Fault("polyline corner hit at %r" % (pt,), (i, j))
@@ -554,7 +555,7 @@ def test_polyline_set_matches_poly_crossings(P, lines, joined):
     expected, raised = [], False
     for k, Q in enumerate(lines):
         anchors = tuple(end for end in (Q[0], Q[-1]) if end not in joins)
-        one = PolylineSet([(Q, k)], joins)
+        one = PolylineSet([(Q, k)], map(point_key, joins))
         try:
             found = _reference_crossings(P, Q, anchors)
         except NonGenericGeometry:
@@ -564,9 +565,10 @@ def test_polyline_set_matches_poly_crossings(P, lines, joined):
             continue
         assert _read(one.crossings(P)) == [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
         expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]
-    whole = PolylineSet(joins=joins)
+    whole = PolylineSet(joins=map(point_key, joins))
     for k, Q in enumerate(lines):
-        whole.add(Q, k)
+        q = Polyline(list(map(point_key, Q)))
+        whole.add(q.ints, q.scale, k)
     if raised:
         with pytest.raises(NonGenericGeometry):
             whole.crossings(P)
@@ -592,7 +594,8 @@ def test_polyline_set_grown_by_add_answers_like_its_members(P, lines):
     segment), else a crossing point found twice."""
     grown, expected, faults = PolylineSet(), [], []
     for k, Q in enumerate(lines):
-        grown.add(Q, k)
+        q = Polyline(list(map(point_key, Q)))
+        grown.add(q.ints, q.scale, k)
         try:
             found = _reference_crossings(P, Q, (Q[0], Q[-1]))
             expected += [(pa, k, pb, pt, side) for pa, pb, pt, side in found]

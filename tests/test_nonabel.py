@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from specnet import soliton_bps
+from specnet import geometry, soliton_bps
 from specnet.forest import build_forest_strands
 from specnet.geometry import (
     NonGenericGeometry, Polyline, PolylineSet, Ratio, exact_point, interp, param_of, point_key,
@@ -481,7 +482,7 @@ def test_homotopic_pair_draws_are_pinned(transports):
 def test_punctures_include_marked_point(builders):
     builder = builders["mutation_a"]
     pts = network_punctures(builder)
-    assert point_key((builder.bent.marked_x, Fraction(0))) in pts
+    assert point_key(exact_point(builder.bent.marked)) in pts
 
 
 def test_local_system_respects_class_relations(transports):
@@ -861,6 +862,27 @@ def test_junction_caps_make_no_crossing_query(builders, monkeypatch):
                 assert len(calls) == 3, poly
                 junctions += len(points)
     assert junctions > 250, junctions
+
+
+def test_forest_growth_makes_no_point_key_call(monkeypatch):
+    """The forest reads the weave's integer layout and grows its strands
+    as scaled integer points: on every fixture, ``build_forest_strands``
+    makes no ``point_key`` call, through ``geometry`` or any ``specnet``
+    module that imports it by name."""
+    calls = []
+    original = geometry.point_key
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "specnet"]:
+        if getattr(module, "point_key", None) is original:
+            monkeypatch.setattr(module, "point_key",
+                                lambda point: calls.append(point) or original(point))
+    for name, text in EXAMPLES.items():
+        bent = bend_weave(parse_weave(text))
+        builder = build_forest_strands(bent)
+        assert not calls, (name, calls[:3])
+        assert builder.strands
+    # the count sees a call: prepare reads Fraction points through point_key
+    geometry.prepare([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))])
+    assert len(calls) == 2
 
 
 def test_wall_classes_walk_on_from_prefix_states(builders):
@@ -1280,7 +1302,7 @@ def test_branch_cuts_disjoint_and_left_of_marked_point(builders):
         for (b, top), (c, top2) in itertools.combinations(transport.engine.cuts, 2):
             assert not _segments_meet(b, top, c, top2)
         for _b, (x, y) in transport.engine.cuts:
-            assert y == 0 and x < builder.bent.marked_x
+            assert y == 0 and x < exact_point(builder.bent.marked)[0]
 
 
 def _segments_meet(a, b, c, d):

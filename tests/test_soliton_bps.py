@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from specnet.forest import build_forest_strands
-from specnet.geometry import (NonGenericGeometry, Polyline, PolylineSet, exact_point, param_of,
-                              point_key, prepare, transpose)
+from specnet.geometry import (NonGenericGeometry, Polyline, PolylineSet, exact_point,
+                              lowest_terms, param_of, point_key, prepare, transpose)
 from specnet.laurent import LaurentPoly, solve_rational
 from specnet.nonabel import Transport, augmentation
 from specnet.soliton_bps import (
@@ -209,7 +209,7 @@ def _answers_like_members(whole, members, P, joins=()):
     expected, fault = [], None
     for Q, tag in members:
         try:
-            expected += PolylineSet([(Q, tag)], joins).crossings(P)
+            expected += PolylineSet([(Q, tag)], map(point_key, joins)).crossings(P)
         except NonGenericGeometry as err:
             fault = fault or str(err)
     if fault is not None:
@@ -217,7 +217,9 @@ def _answers_like_members(whole, members, P, joins=()):
             whole.crossings(P)
         assert str(raised.value) == fault
         return False
-    assert whole.crossings(P) == sorted(expected)
+    # each point in lowest terms: its scale is the member's times P's
+    assert [(pa, tag, pb, lowest_terms(*pt), side) for pa, tag, pb, pt, side in whole.crossings(P)] \
+        == [(pa, tag, pb, lowest_terms(*pt), side) for pa, tag, pb, pt, side in sorted(expected)]
     return bool(expected)
 
 
@@ -319,7 +321,7 @@ def test_slit_top_at_or_right_of_the_marked_point_is_rejected():
     builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["three_strand"])))
     tops = sorted(top[0] for _, top in HomologyEngine(builder).cuts)
     for x in (tops[-1], (tops[-2] + tops[-1]) / 2):
-        builder.bent.marked_x = x
+        builder.bent.marked = point_key((x, Fraction(0)))
         with pytest.raises(NonGenericGeometry, match="a slit top lies at or right of the marked point"):
             HomologyEngine(builder)
 
@@ -505,15 +507,14 @@ def test_slits_along_equals_the_cut_query(leg_engines, which, corners):
     points and at their tops (``_slit_corner``), so segments run along
     cuts and through branch points, at the branch points' heights and
     anywhere, shifted by 0, a float tie (2^-70) or 1/997, on the fixtures
-    and the two n = 4 x-move weaves.  Inner points lie below y = 0, no
-    segment runs along it, and none is a path end, which the query would
-    pass over as one."""
+    and the two n = 4 x-move weaves.  Inner points lie below y = 0 and no
+    segment runs along it; an inner point may be a path end, which the
+    query passes over only at the path's own ends."""
     engine = leg_engines[which]
     points = [_slit_corner(engine, kind, k % len(engine.cuts), u, t, shift)
               for kind, k, u, t, shift in corners]
     inner = points[1:-1]
     assume(all(y < 0 for _, y, _ in inner) and (inner or points[0][1] + points[1][1] < 0))
-    assume(points[0] not in inner and points[-1] not in inner)
     assume(all(p != q for p, q in zip(points, points[1:])))
     path = Polyline(points)
     slits = engine.slits_along(path.ints, path.scale)
@@ -525,6 +526,33 @@ def test_slits_along_equals_the_cut_query(leg_engines, which, corners):
         slits, expected = ([(param[0], k, side) for param, k, side in crossings]
                            for crossings in (slits, _answers(engine, moved)))
     assert slits == expected
+
+
+@pytest.mark.parametrize("lines", ["cuts", "weave lines"])
+def test_path_back_through_its_own_start_is_a_corner_hit(builders, lines):
+    """A query passes a touch over only at the path's own ends, param 0 of
+    its first segment and 1 of its last: a path that comes back through its
+    start at an inner corner on a line raises a corner hit there.  The cut
+    case is the path that showed the query passing it over, on cut 0 of
+    mutation_a: from its start 2^-70 right, 2^-70 left, back at the start,
+    then right.  The query found one crossing, where the path moved just
+    left of the cut crosses three times, as ``slits_along`` reads it.  The
+    weave-line case runs the same moves from inside weave line 0."""
+    builder = builders["mutation_a"]
+    if lines == "cuts":
+        engine = HomologyEngine(builder)
+        start, query = (Fraction(100019, 40000), Fraction(-1, 40)), cut_set(engine).crossings
+    else:
+        start, query = (Fraction(1), Fraction(-1, 3)), builder.events_along
+    (x, y), eps = start, Fraction(1, 2 ** 70)
+    path = [start, (x + eps, y), (x - eps, y), start, (x + Fraction(1, 100), y)]
+    with pytest.raises(NonGenericGeometry) as raised:
+        query(path)
+    assert str(raised.value) == "polyline corner hit at %r" % (start,)
+    if lines == "cuts":
+        scaled = Polyline(list(map(point_key, path)))
+        assert [(param[0], k, side) for param, k, side
+                in engine.slits_along(scaled.ints, scaled.scale)] == [(0, 0, -1), (1, 0, 1), (3, 0, -1)]
 
 
 def test_no_wall_runs_along_the_top_boundary(builders):
@@ -554,7 +582,7 @@ def test_weave_vertex_on_a_cut_is_rejected(text, monkeypatch):
     vertex = next(v for v in weave.vertices if v.kind != "trivalent")
     low, *rest = sorted(weave.trivalent_vertices(), key=lambda v: v.point[1])
     (x, y), by = vertex.point, low.point[1]
-    low = dataclasses.replace(low, point=(x - (y - by) / 1000, by))
+    low = dataclasses.replace(low, at=point_key((x - (y - by) / 1000, by)))
     monkeypatch.setattr(weave, "trivalent_vertices", lambda: [low] + rest)
     with pytest.raises(NonGenericGeometry, match="%s weave vertex %d lies on a cut"
                        % (vertex.kind, vertex.id)):
@@ -605,7 +633,7 @@ def test_collinear_cuts_are_rejected(builders, monkeypatch):
     weave = builders["three_strand"].weave
     low, high, *rest = sorted(weave.trivalent_vertices(), key=lambda v: v.point[1])
     (x, y), by = low.point, high.point[1]
-    high = dataclasses.replace(high, point=(x + (by - y) / 1000, by))
+    high = dataclasses.replace(high, at=point_key((x + (by - y) / 1000, by)))
     monkeypatch.setattr(weave, "trivalent_vertices", lambda: [low, high] + rest)
     with pytest.raises(NonGenericGeometry, match="two branch cuts are collinear"):
         HomologyEngine(builders["three_strand"])

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specnet.forest import PropagationError, build_forest_strands
+from specnet.geometry import exact_point
 from specnet.soliton_bps import HomologyEngine
 from specnet.weave import (
+    LAYOUT_SCALE,
     MAX_LETTERS,
     MAX_STRANDS,
     Move,
@@ -195,7 +199,7 @@ def _generators(builder):
     for sid, name in zip(engine.basis_strands, engine.gen_names):
         strand = builder.strands[sid]
         assert strand.origin[2] == "b" and strand.chord == "z_" + name[2:]
-        out[strand.origin[1]] = (name, builder.bent.top_positions[strand.chord])
+        out[strand.origin[1]] = (name, Fraction(builder.bent.top_xs[strand.chord], LAYOUT_SCALE))
     return [(v,) + out[v.id] for v in builder.scan_vertices()]
 
 
@@ -232,9 +236,9 @@ def test_bend_weave_boundary():
     bent = bend_weave(parse_weave(SIGMA1_6))
     assert (bent.strand_count, bent.weave.top + bent.weave.bottom) == (2, (1,) * 7)
     assert bent.chord_names == ["z_6", "z_5", "z_4", "z_3", "z_2", "z_1", "w_1"]
-    xs = [bent.top_positions[name] for name in bent.chord_names]
+    xs = [Fraction(bent.top_xs[name], LAYOUT_SCALE) for name in bent.chord_names]
     assert xs == sorted(xs)
-    assert bent.marked_x > xs[-1]
+    assert exact_point(bent.marked)[0] > xs[-1]
 
     bent = bend_weave(parse_weave(THREE_STRAND))
     assert (bent.strand_count, bent.weave.top + bent.weave.bottom) == \
