@@ -150,28 +150,27 @@ def cmd_wkb_trace(args) -> int:
     return 0
 
 
-def _load_table(spec: str) -> Dict[str, str]:
-    """A table JSON, or the augmentation table of a weave input."""
+def _load_table(spec: str) -> Dict[str, object]:
+    """A table JSON, of strings, or the augmentation table of a weave
+    input, of ``LaurentPoly``s."""
     if spec.endswith(".json"):
         table = json.loads(_read_input(spec, ".json"))
         if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
             raise ValueError("%r is not a JSON object of strings" % spec)
         return table
-    return {k: str(v) for k, v in augmentation(_load_weave(spec)).items()}
+    return augmentation(_load_weave(spec))
 
 
 def cmd_compare(args) -> int:
     computed = _load_table(args.computed)
     expected = _load_table(args.fixture)
     names = sorted(set(computed) | set(expected))
-    gens = tuple(sorted({g for text in list(computed.values())
-                         + list(expected.values())
-                         for g in _gen_names(text)}))
+    gens = tuple(sorted({g for table in (computed, expected)
+                         for value in table.values() for g in _gen_names(value)}))
     for name in names:
         a = computed.get(name)
         b = expected.get(name)
-        if a is None or b is None or \
-                parse_laurent(a, gens) != parse_laurent(b, gens):
+        if a is None or b is None or _in_gens(a, gens) != _in_gens(b, gens):
             sys.stdout.write("mismatch at %s: computed %s expected %s\n"
                              % (name, a, b))
             return 1
@@ -179,8 +178,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _gen_names(text: str):
-    return re.findall(r"[st]_\d+", text)
+def _gen_names(value):
+    """The generators a table value names: those in a string, or those of
+    a polynomial's that some term has a nonzero exponent of, as its text
+    names them."""
+    if isinstance(value, str):
+        return re.findall(r"[st]_\d+", value)
+    return [g for g, column in zip(value.gens, zip(*value.terms)) if any(column)]
+
+
+def _in_gens(value, gens) -> LaurentPoly:
+    """A table value as a polynomial in ``gens``: a string read by
+    ``parse_laurent``, a polynomial's terms re-keyed, every generator it
+    has a nonzero exponent of being in ``gens``."""
+    if isinstance(value, str):
+        return parse_laurent(value, gens)
+    at = [value.gens.index(g) if g in value.gens else None for g in gens]
+    return LaurentPoly(gens, {tuple(0 if i is None else m[i] for i in at): c
+                              for m, c in value.terms.items()})
 
 
 def _config_flags(path: str):

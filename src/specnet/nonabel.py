@@ -262,10 +262,11 @@ class Transport:
 
     # ----- monodromy loops -----
     def branch_monodromy(self, vertex_id: int) -> List[List[LaurentPoly]]:
-        return self.transport_path(self.engine.loop(self.builder.weave.vertices[vertex_id].point))
+        return self.transport_path(self.engine.loop(self.builder.weave.vertices[vertex_id].at))
 
     def joint_monodromy(self, joint: dict) -> List[List[LaurentPoly]]:
-        return self.transport_path(self.engine.loop(tuple(joint["point"])))
+        start = self.builder.strands[joint["child"]].path.ends[0]  # a joint is its child's start
+        return self.transport_path(self.engine.loop(start))
 
 
 # ----- homotopic path pairs -----

@@ -21,15 +21,17 @@ Each cut is a slit from a branch point b up to (bx - by/1000, 0); the
 slits are parallel and disjoint, so the freely reduced word of a loop's
 (cut, side) crossings with them is its class in pi_1 of the lower
 half-plane less the branch points, based at the marked point.  Slit k lies
-on the line f = 1000 X - Y = c_k, and a point on it lies on its left side,
-half open, as in the crossing-number test for points in polygons (Hormann
-and Agathos 2001): a segment whose f runs from f0 to f1 crosses the slit
-exactly where min(f0, f1) <= c_k < max(f0, f1) and the crossing lies
-strictly above b, on the side sign(f0 - f1), in the order of c_k along f
-(``slits_along``).  So a path leaving a point on a cut to the right, or
-arriving at one from the right, crosses the cut there, at an end, a
-corner or a point it meets twice, and a segment along a cut crosses it
-nowhere: every cap, wall and path below the top boundary has a word, that
+on the line f = 1000 X - Y = c_k, read in integers off its branch point's
+scaled key (set-up builds the cut lines, the top line and each letter's
+cut leg from keys, with no Fraction point), and a point on it lies on its
+left side, half open, as in the crossing-number test for points in
+polygons (Hormann and Agathos 2001): a segment whose f runs from f0 to f1
+crosses the slit exactly where min(f0, f1) <= c_k < max(f0, f1) and the
+crossing lies strictly above b, on the side sign(f0 - f1), in the order of
+c_k along f (``slits_along``).  So a path leaving a point on a cut to the
+right, or arriving at one from the right, crosses the cut there, at an
+end, a corner or a point it meets twice, and a segment along a cut crosses
+it nowhere: every cap, wall and path below the top boundary has a word, that
 of the curve moved just left where it meets a cut.  A path through b,
 which ends the cut, crosses nothing there, so a cap through b reads as the
 cap just left of it.  A capped lift's class and end marked sheet depend
@@ -100,7 +102,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import ForestBuilder
 from .geometry import (NonGenericGeometry, Param, Point, Polyline, PolylineSet, Ratio,
-                       ScaledPoint, exact_point, interp, lowest_terms, param_of, point_key,
+                       ScaledPoint, exact_point, interp, lowest_terms, param_of,
                        prepare, sheet_prefixes, transpose, truncated, walk_sheets)
 from .laurent import FactoredMatrix
 from .weave import LAYOUT_SCALE
@@ -239,19 +241,24 @@ class HomologyEngine:
         self.gen_names = tuple("s_%d" % k for k, _ in b_strands)
         self.basis_strands = [sid for _, sid in b_strands]
         self._cut_of = {v.id: k for k, v in enumerate(branch)}
-        # one slit per branch point, all parallel, up to the top boundary,
-        # each on its own line 1000 x - y = c: by increasing c, c in lowest
-        # terms, the cut and its branch point's y as (n, m), y = n / m, and
+        # one slit per branch point, all parallel, from the branch point
+        # (x, y) up to the top boundary at (x - y / 1000, 0), each on its own
+        # line 1000 X - Y = c, c = f / L on the branch points' common scale
+        # L: by increasing c, (c's numerator and denominator in lowest
+        # terms, the cut, its branch point's y as (n, m), y = n / m), and
         # each c's float, which slits_along screens by
-        self.cuts = [[(x, y), (x - y / 1000, Fraction(0))]
-                     for x, y in (exact_point(key) for key, _ in self._branches)]
-        by_c = sorted((1000 * x - y, k, y) for k, ((x, y), _) in enumerate(self.cuts))
-        if len({c for c, _, _ in by_c}) != len(by_c):
+        scale = math.lcm(*(d for (_, _, d), _ in self._branches))
+        by_c = sorted(((1000 * x - y) * (scale // d), k, y, d)
+                      for k, ((x, y, d), _) in enumerate(self._branches))
+        if len({f for f, *_ in by_c}) != len(by_c):
             raise NonGenericGeometry("two branch cuts are collinear")
-        if any(x >= self.x_max for _, (x, _) in self.cuts):
+        mx, _, md = self.bent.marked
+        # the slit tops' x, c / 1000, against the marked point's
+        if by_c and by_c[-1][0] * md >= 1000 * mx * scale:
             raise NonGenericGeometry("a slit top lies at or right of the marked point")
-        self._cut_lines = [(*c.as_integer_ratio(), k, *y.as_integer_ratio()) for c, k, y in by_c]
-        self._cut_floats = [float(c) for c, _, _ in by_c]
+        self._cut_lines = [(f // g, scale // g, k, n, m)
+                           for f, k, n, m in by_c for g in (math.gcd(f, scale),)]
+        self._cut_floats = [f / scale for f, *_ in by_c]
         # the letters walk up the cuts, and a weave-line query passes over a
         # line's end met there, such as a hexavalent or tetravalent vertex
         for v in self.weave.vertices:
@@ -270,8 +277,9 @@ class HomologyEngine:
         rows = builder.weave_lines.segments
         if any(-e * s <= 2 * d * y < 0 for *_, y0, _, dy, s in rows for y in (y0, y0 + dy)):
             raise NonGenericGeometry("a weave-line or slit vertex lies in -CAP_EPS/2 <= y < 0")
-        top = prepare([(Fraction(math.floor(min(row[0] for row in rows)) - 1), -CAP_EPS / 2),
-                       (self.x_max, -CAP_EPS / 2)])
+        x0 = math.floor(min(row[0] for row in rows)) - 1
+        top = Polyline([lowest_terms(2 * d * x0, -e, 2 * d),
+                        lowest_terms(2 * d * mx, -e * md, 2 * d * md)])
         lines, slits = builder.weave_lines.crossings(top), self.slits_along(top.ints, top.scale)
         self._top_lines = top_table([pt for _, _, _, pt, _ in lines])
         self._top_cuts = top_table([interp(top, param) for param, _, _ in slits])
@@ -293,11 +301,10 @@ class HomologyEngine:
         # the letters' classes in the s-basis: the columns of M^-1, M's
         # column j being s_j in the letter basis
         factored = FactoredMatrix([list(row) for row in zip(*self._basis_columns(bases))])
-        if not len(factored.pivots) == len(self.cuts) == len(self.basis_strands) \
-                or factored.scale != 1:
+        cuts = len(self._branches)
+        if not len(factored.pivots) == cuts == len(self.basis_strands) or factored.scale != 1:
             raise NonGenericGeometry("the b-strands' letter matrix is not unimodular")
-        inverse = [tuple(factored.solve([int(j == k) for j in range(len(self.cuts))]))
-                   for k in range(len(self.cuts))]
+        inverse = [tuple(factored.solve([int(j == k) for j in range(cuts)])) for k in range(cuts)]
         for (t, k), (unit, end) in self._letters.items():
             self._letters[t, k] = tuple(unit[k] * v for v in inverse[k]), end
         self._origins: List[list] = []  # per wall, in id order: parents first
@@ -533,18 +540,20 @@ class HomologyEngine:
         the top line raises: the walk would not say which side of it the
         pair turns on."""
         k = self.arc_word[at][0]
-        (x, y), _ = self.cuts[k]
-        cut = prepare([(x, y), (x - (y + CAP_EPS / 2) / 1000, -CAP_EPS / 2)])
+        key, letter = self._branches[k]
+        # the cut's point at y = -CAP_EPS/2, on 1000 X - Y = 1000 x - y
+        (x, y, d), (e, ed) = key, CAP_EPS.as_integer_ratio()
+        cut = Polyline([key, lowest_terms(2 * ed * (1000 * x - y) - e * d, -1000 * e * d,
+                                          2000 * ed * d)])
         after, hit = self._past(self._top_lines, cut.ends[1])
         if hit:
             raise NonGenericGeometry("a weave line crosses cut %d on the top line" % k)
-        letter = self._branches[k][1]
         pair = walk_sheets((letter, letter + 1), self.builder.events_along(cut))[0]
         t1, t2 = (self.walk(self._top_perms[after][s], self.arc_word[:at:-1])[1] for s in pair)
         for t in range(1, self.weave.strand_count + 1):
             end = {t1: t2, t2: t1}.get(t, t)
             unit = (end > t) - (end < t)
-            self._letters[t, k] = tuple(unit if j == k else 0 for j in range(len(self.cuts))), end
+            self._letters[t, k] = tuple(unit if j == k else 0 for j in range(len(self._branches))), end
 
     def _basis_columns(self, bases: Dict[int, tuple]) -> List[Tuple[int, ...]]:
         """Each s_j in the letter basis: b-strand j's chord-end class, walked
@@ -603,32 +612,49 @@ class HomologyEngine:
         return states
 
     # ----- monodromy loops -----
-    def clearance(self, center: Point) -> Fraction:
-        """Min distance from ``center`` to all weave-line and wall segments
-        not through it, read from the forest's tables: the least nonzero
-        exact squared distance, in integers on the center's scale times each
-        segment's, floored to a rational root."""
-        px, py, pd = point_key(center)
-        best, builder = None, self.builder
-        for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
+    def clearance(self, center: ScaledPoint) -> Fraction:
+        """Min distance from the scaled point ``center`` to all weave-line
+        and wall segments not through it, read from the forest's tables: the
+        least nonzero exact squared distance, in integers on the center's
+        scale times each segment's, floored to a rational root.  Rows are
+        decided by increasing float distance from the center to their float
+        boxes, and the rest passed over once the next box lies farther than
+        the best distance so far plus a float-error margin, relative and
+        absolute: a segment lies in its box, so none past there is nearer."""
+        px, py, pd = center
+        fx, fy, builder = px / pd, py / pd, self.builder
+        rows = []  # (squared float box distance, row)
+        for row in builder.weave_lines.segments + builder.walls.segments:
+            lo_x, hi_x, lo_y, hi_y = row[0], row[1], row[2], row[3]
+            ex = lo_x - fx if fx < lo_x else fx - hi_x if fx > hi_x else 0.0
+            ey = lo_y - fy if fy < lo_y else fy - hi_y if fy > hi_y else 0.0
+            rows.append((ex * ex + ey * ey, row))
+        rows.sort(key=itemgetter(0))
+        best, bound = None, math.inf
+        for box, (*_, x, y, dx, dy, s) in rows:
+            if box > bound:
+                break
             n, m = _seg_distance2((px * s, py * s), (x * pd, y * pd), ((x + dx) * pd, (y + dy) * pd))
             m *= (pd * s) ** 2
             if n and (best is None or n * best[1] < best[0] * m):
-                best = n, m
+                # the squared box distance past which no row can be nearer
+                best, bound = (n, m), (math.sqrt(n / m) * (1 + 1e-9) + 1e-9) ** 2
         if best is None:
-            raise NonGenericGeometry("no features near %r" % (center,))
+            raise NonGenericGeometry("no features near %r" % (exact_point(center),))
         return _rational_sqrt_floor(Fraction(*best))
 
-    def loop(self, center: Point) -> List[Point]:
-        """A small closed quadrilateral about ``center``, a branch point or
-        a joint, at half its clearance, corners jittered off the axes so
-        they avoid walls and weave lines: the path of its monodromy.
-        Transport round a degenerate one raises."""
-        cx, cy = center
-        r = self.clearance(center) / 2
-        e = r / 313
-        return [(cx + r, cy + e), (cx + e, cy + r), (cx - r, cy + 2 * e),
-                (cx - 2 * e, cy - r), (cx + r, cy + e)]
+    def loop(self, center: ScaledPoint) -> Polyline:
+        """A small closed quadrilateral about the scaled point ``center``, a
+        branch point or a joint, at half its clearance r, corners jittered
+        by e = r / 313 off the axes so they avoid walls and weave lines: the
+        path of its monodromy, its corners in lowest terms.  Transport round
+        a degenerate one raises."""
+        (cx, cy, cd), half = center, self.clearance(center) / 2
+        # the center, r and e over 313 times r's denominator times cd
+        d, e = 313 * half.denominator, half.numerator * cd
+        x, y, r = cx * d, cy * d, 313 * e
+        return Polyline([lowest_terms(x + a, y + b, d * cd) for a, b in
+                         ((r, e), (e, r), (-r, 2 * e), (-2 * e, -r), (r, e))])
 
 
 def top_table(points: list) -> tuple:

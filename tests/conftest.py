@@ -66,11 +66,19 @@ def random_weave_builders():
             continue
 
 
+def branch_cuts(engine):
+    """Each cut as its two ``Fraction`` points, in cut order, rebuilt from
+    the branch vertices' points: the branch point (x, y) and its slit's
+    top (x - y / 1000, 0)."""
+    return [[(x, y), (x - y / 1000, Fraction(0))]
+            for x, y in (v.point for v in engine.weave.trivalent_vertices())]
+
+
 def cut_set(engine):
     """The engine's cuts as a ``PolylineSet`` tagged by cut: the query that
     ``slits_along`` is checked against where it answers, a corner hit, a
     collinear overlap or a duplicate crossing point raising."""
-    return PolylineSet((cut, k) for k, cut in enumerate(engine.cuts))
+    return PolylineSet((cut, k) for k, cut in enumerate(branch_cuts(engine)))
 
 
 def arc_chains(engine):
@@ -122,7 +130,7 @@ def loop_letters(engine):
     from marked sheet t, ending at marked sheet E, gives the letter from
     walk(t, u)'s end to walk(E, v reversed)'s.  The reference the letters
     read off the cuts are checked against."""
-    letters, cuts = {}, len(engine.cuts)
+    letters, cuts = {}, len(branch_cuts(engine))
 
     def walk(sheet, word):
         for cut, _ in word:
@@ -130,7 +138,7 @@ def loop_letters(engine):
         return sheet
 
     for k, _ in reversed(engine.arc_word):
-        loop = engine.walkable(prepare(engine.loop(engine.cuts[k][0])))
+        loop = engine.walkable(engine.loop(engine.weave.trivalent_vertices()[k].at))
         cap_word = engine.cap_word(loop.ends[0])
         slits = engine.slits_along(loop.ints, loop.scale)
         word = freely_reduced([(cut, -side) for cut, side in reversed(cap_word)]
@@ -157,7 +165,7 @@ def assert_letters_read_off_the_cuts(engine):
     reference = loop_letters(engine)
     assert engine._letters.keys() == reference.keys()
     columns = {k: engine._letters[t, k][0] for (t, k), (unit, _) in reference.items() if unit[k] == 1}
-    assert len(columns) == len(engine.cuts)
+    assert len(columns) == len(branch_cuts(engine))
     for (t, k), (unit, end) in reference.items():
         assert engine._letters[t, k] == (tuple(unit[k] * v for v in columns[k]), end), (t, k)
 
@@ -224,7 +232,7 @@ def assert_caps_read_off_the_top_line(transport):
     engine, builder = transport.engine, transport.builder
     points = [point for strand in builder.strands
               for point in (interp(strand.path, BIRTH_PARAM), strand.path.ends[1])]
-    points += [point_key(engine.loop(bottom)[0]) for bottom, _ in engine.cuts]
+    points += [engine.loop(v.at).ends[0] for v in engine.weave.trivalent_vertices()]
     rng = random.Random(20261020)
     for _ in range(2):
         for poly in homotopic_pair(transport, rng):

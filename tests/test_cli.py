@@ -857,6 +857,51 @@ def test_default_table_output_five_crossing(sub, table, capsys):
     assert capsys.readouterr().out == table
 
 
+def test_compare_reads_only_the_json_side(monkeypatch, capsys):
+    """A weave side's augmentation values stay polynomials, re-keyed onto
+    the tables' generators: ``parse_laurent`` reads only the JSON side's
+    values, one call per compared value up to the first mismatch, and none
+    when both sides are weaves; the messages are the ones the tables'
+    text gives."""
+    calls = []
+    original = cli.parse_laurent
+    monkeypatch.setattr(cli, "parse_laurent",
+                        lambda text, gens: calls.append(text) or original(text, gens))
+    table = json.loads((Path(cli.fixture_root()) / "mutation_a.json").read_text())
+    assert main(["compare", "mutation_a", "mutation_a.json"]) == 0
+    assert calls == [table[name] for name in sorted(table)]
+    calls.clear()
+    assert main(["compare", "mutation_a.json", "mutation_a"]) == 0
+    assert calls == [table[name] for name in sorted(table)]
+    calls.clear()
+    assert main(["compare", "mutation_a", "mutation_b"]) == 1
+    assert main(["compare", "mutation_a", "mutation_a"]) == 0
+    assert calls == []
+    assert main(["compare", "mutation_a", "mutation_b.json"]) == 1
+    assert calls == ["-s_1^-1*s_2^-1", "-s_1*s_2", "-s_1^-1"]
+    mismatch = "mismatch at w_1: computed -s_1^-1 + s_1^-2*s_2^-1 expected -s_1^-1\n"
+    assert capsys.readouterr().out == ("tables agree on 6 chords\n" * 2 + mismatch
+                                       + "tables agree on 6 chords\n" + mismatch)
+
+
+def test_compare_rekeys_a_weave_onto_the_tables_generators(tmp_path, capsys):
+    """A weave side's values are re-keyed onto the generators both tables
+    name, sorted as text: a JSON table that also names s_10, with exponent
+    0, between s_1 and s_2, agrees with the weave either way round, and one
+    equal to the weave's with s_1 set to 1, which names no s_1, mismatches
+    at the first value with an s_1."""
+    table = json.loads((Path(cli.fixture_root()) / "mutation_a.json").read_text())
+    wide, flat = tmp_path / "wide.json", tmp_path / "flat.json"
+    wide.write_text(json.dumps(dict(table, z_2=table["z_2"] + " + 0*s_10")))
+    flat.write_text(json.dumps({"t_1": "-s_2^-1", "t_2": "-s_2", "w_1": "-1 + s_2^-1", "z_1": "1",
+                                "z_2": "s_2 - 1", "z_3": "-s_2^-1"}))
+    assert main(["compare", "mutation_a", str(wide)]) == 0
+    assert main(["compare", str(wide), "mutation_a"]) == 0
+    assert main(["compare", "mutation_a", str(flat)]) == 1
+    assert capsys.readouterr().out == "tables agree on 6 chords\n" * 2 \
+        + "mismatch at t_1: computed -s_1^-1*s_2^-1 expected -s_2^-1\n"
+
+
 def test_compare_weave_against_table(capsys):
     """The computed side may be a weave: its augmentation table is built."""
     table = Path(__file__).resolve().parents[1] / "perfbench" / "tables" / "five_crossing.json"

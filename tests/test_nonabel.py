@@ -31,8 +31,8 @@ from specnet.soliton_bps import (BIRTH_PARAM, CAP_EPS, HomologyEngine, LiftedPat
 from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, assert_wall_classes_walk_as_the_whole_walk,
-                      cut_set, just_left, left_cap_word, random_weave_builders, random_weave_texts,
-                      top_boundary_fault, whole_cap_word)
+                      branch_cuts, cut_set, just_left, left_cap_word, random_weave_builders,
+                      random_weave_texts, top_boundary_fault, whole_cap_word)
 
 
 @pytest.fixture(scope="module")
@@ -272,23 +272,73 @@ def _exact_clearances(builder, centers):
     return out
 
 
+def _box_distance(row, fx, fy):
+    """The float distance from (fx, fy) to a table row's float box."""
+    lo_x, hi_x, lo_y, hi_y = row[:4]
+    return math.hypot(max(lo_x - fx, 0.0, fx - hi_x), max(lo_y - fy, 0.0, fy - hi_y))
+
+
+def _margin_edge_centers(builder, rng, draws):
+    """Seeded centers just off the midline of two vertical weave-line
+    segments that share heights, at most a column apart, with no other
+    segment's box nearer than the farther of the two: 2^-34 toward the
+    left one, so the right one's float box distance exceeds the least
+    exact distance by 2^-33, inside ``clearance``'s stopping margin (1e-9
+    relative and absolute), and 2^-29 toward it, so the excess, 2^-28, is
+    past the margin.  Returns (scaled center, inside the margin) pairs."""
+    rows = builder.weave_lines.segments + builder.walls.segments
+    vertical = [r for r in builder.weave_lines.segments if r[8] == 0]
+    pairs = [(a, b) for a, b in itertools.combinations(vertical, 2)
+             if 0 < abs(a[0] - b[0]) <= 1 and max(a[2], b[2]) < min(a[3], b[3])]
+    out = []
+    for a, b in rng.sample(pairs, min(draws, len(pairs))):
+        if a[0] > b[0]:
+            a, b = b, a
+        lo, hi = max(a[2], b[2]), min(a[3], b[3])
+        mid = (Fraction(a[6], a[10]) + Fraction(b[6], b[10])) / 2
+        y = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(rng.randint(1, 999), 1000)
+        for shift, inside in ((Fraction(1, 2 ** 34), True), (Fraction(1, 2 ** 29), False)):
+            x = mid - shift
+            near, far = x - Fraction(a[6], a[10]), Fraction(b[6], b[10]) - x
+            fx, fy = float(x), float(y)
+            others = [_box_distance(r, fx, fy) for r in rows if r is not a and r is not b]
+            if others and min(others) < float(far):
+                continue
+            edge = float(near) * (1 + 1e-9) + 1e-9
+            assert _box_distance(a, fx, fy) == float(near)
+            assert (float(near) < _box_distance(b, fx, fy) <= edge) == inside
+            out.append((point_key((x, y)), inside))
+    return out
+
+
 def test_clearance_equals_exact_minimum(builders):
     """``clearance``, the least nonzero squared distance over the segments
-    each on its own scale, gives the brute-force minimum on one common
-    scale at every branch point and joint of the fixtures and of the
-    seed-7 corpus weaves that build."""
+    each on its own scale, decided by increasing box distance until the
+    next box lies past the best plus a margin, gives the brute-force
+    minimum over every segment on one common scale at every branch point
+    and joint of the fixtures, of the seed-7 corpus weaves and of the n = 4
+    corpus weaves that build, and at seeded centers where a second row's
+    box distance lies just inside or just past the margin of the best
+    (``_margin_edge_centers``)."""
     built = list(builders.values())
-    for text in random_weave_texts(7, 400):
+    for text in list(random_weave_texts(7, 400)) + list(random_weave_texts(4, 300, 4)):
         try:
             built.append(build_forest_strands(bend_weave(parse_weave(text))))
         except RuntimeError:
             continue
-    assert len(built) == 5 + 162
+    assert len(built) == 5 + 162 + 113
+    rng = random.Random(20261053)
+    edges = collections.Counter()
     for builder in built:
-        transport = Transport(builder)
-        centers = [v.point for v in builder.weave.trivalent_vertices()]
-        centers += [tuple(joint["point"]) for joint in builder.joints]
-        assert [transport.engine.clearance(c) for c in centers] == _exact_clearances(builder, centers)
+        engine = HomologyEngine(builder)
+        centers = [v.at for v in builder.weave.trivalent_vertices()]
+        centers += [builder.strands[joint["child"]].path.ends[0] for joint in builder.joints]
+        edge = _margin_edge_centers(builder, rng, 2)
+        edges.update(inside for _, inside in edge)
+        centers += [center for center, _ in edge]
+        assert [engine.clearance(c) for c in centers] == \
+            _exact_clearances(builder, [exact_point(c) for c in centers])
+    assert edges[True] == edges[False] == 284, edges
 
 
 # ----- reference: clearance in Fraction arithmetic -----
@@ -341,14 +391,14 @@ def test_integer_distances_match_fraction_reference(builders):
         centers += [(Fraction(rng.randint(0, 4000), 997), Fraction(-rng.randint(1, 4000), 997))
                     for _ in range(3)]
         for center in centers:
-            px, py, pd = point_key(center)
+            px, py, pd = key = point_key(center)
             for *_, x, y, dx, dy, s in builder.weave_lines.segments + builder.walls.segments:
                 a, b = (x, y), (x + dx, y + dy)
                 n, m = soliton_bps._seg_distance2((px * s, py * s), (a[0] * pd, a[1] * pd),
                                               (b[0] * pd, b[1] * pd))
                 assert Fraction(n, m * (pd * s) ** 2) == _fraction_seg_distance2(
                     center, exact_point((*a, s)), exact_point((*b, s)))
-            assert transport.engine.clearance(center) == _fraction_clearance(builder, center)
+            assert transport.engine.clearance(key) == _fraction_clearance(builder, center)
 
 
 def test_weave_line_check_reads_a_float_tied_param_exactly():
@@ -813,10 +863,10 @@ def test_cap_word_box_shortcut_equals_the_query(builders):
     counts = collections.Counter()
     for builder in forests:
         engine = Transport(builder).engine
-        right = max(top[0] for _, top in engine.cuts)
+        right = max(top[0] for _, top in branch_cuts(engine))
         assert engine._cuts_right == float(right)
         points = []
-        for (bx, by), (tx, _) in engine.cuts:
+        for (bx, by), (tx, _) in branch_cuts(engine):
             t = Fraction(rng.randint(1, 999), 1000)
             points.append((bx + (tx - bx) * t, by * (1 - t)))
             for x in (tx, right):
@@ -883,6 +933,61 @@ def test_forest_growth_makes_no_point_key_call(monkeypatch):
     # the count sees a call: prepare reads Fraction points through point_key
     geometry.prepare([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))])
     assert len(calls) == 2
+
+
+def test_engine_set_up_makes_no_point_key_or_prepare_call(builders, monkeypatch):
+    """Engine set-up builds its cut lines, the top line and each letter's
+    cut leg from the branch points' and the marked point's integer keys: on
+    every fixture, ``HomologyEngine(builder)`` makes no ``point_key`` call
+    and no ``prepare`` call on points (a ``Polyline``, which every
+    crossing query passes through ``prepare``, is not read), counted as
+    ``test_forest_growth_makes_no_point_key_call`` counts."""
+    calls = {"point_key": [], "prepare": []}
+    key, prepare = geometry.point_key, geometry.prepare
+
+    def counted_prepare(points):
+        if not isinstance(points, Polyline):
+            calls["prepare"].append(points)
+        return prepare(points)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "specnet"]:
+        if getattr(module, "point_key", None) is key:
+            monkeypatch.setattr(module, "point_key",
+                                lambda point: calls["point_key"].append(point) or key(point))
+        if getattr(module, "prepare", None) is prepare:
+            monkeypatch.setattr(module, "prepare", counted_prepare)
+    for name, builder in builders.items():
+        assert HomologyEngine(builder).arc_word
+        assert calls == {"point_key": [], "prepare": []}, name
+    # the counts see a call: prepare reads Fraction points through point_key
+    geometry.prepare([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))])
+    assert [len(calls["point_key"]), len(calls["prepare"])] == [2, 1]
+
+
+def test_monodromy_loops_decide_few_distances(transports, monkeypatch):
+    """``clearance`` decides the weave-line and wall rows by increasing
+    float box distance and stops once the next box lies past the best
+    distance plus its margin: the 25 monodromy loops of the fixtures, one
+    round each branch point and joint, decide these many exact distances
+    (``_seg_distance2`` calls), 180 in all, where deciding every row
+    takes 2,481."""
+    calls = []
+    original = soliton_bps._seg_distance2
+    monkeypatch.setattr(soliton_bps, "_seg_distance2",
+                        lambda *args: calls.append(args) or original(*args))
+    counts, loops = {}, 0
+    for name, transport in transports.items():
+        calls.clear()
+        for vertex in transport.builder.weave.trivalent_vertices():
+            assert transport.is_identity(transport.branch_monodromy(vertex.id))
+            loops += 1
+        for joint in transport.builder.joints:
+            assert transport.is_identity(transport.joint_monodromy(joint))
+            loops += 1
+        counts[name] = len(calls)
+    assert loops == 25
+    assert counts == {"mutation_a": 15, "mutation_b": 17, "sigma1_6": 41, "five_crossing": 28,
+                      "three_strand": 79}, counts
 
 
 def test_wall_classes_walk_on_from_prefix_states(builders):
@@ -993,7 +1098,7 @@ def test_each_letter_is_a_signed_transposition(builders):
     for builder in forests:
         transport = Transport(builder)
         zero = (0,) * len(transport.gens)
-        for k in range(len(transport.engine.cuts)):
+        for k in range(len(branch_cuts(transport.engine))):
             row = {t: transport.engine._letters[t, k] for t in range(1, transport.n + 1)}
             (a, (c, b)), (b2, (c2, a2)) = [(t, v) for t, v in row.items() if v[1] != t]
             assert (a2, b2) == (a, b) and c2 == tuple(-x for x in c), (k, row)
@@ -1161,7 +1266,7 @@ def test_sub_paths_touching_a_cut_read_it_as_left_of_it(builders):
     for builder in builders.values():
         transport = Transport(builder)
         engine = transport.engine
-        for b, top in transport.engine.cuts:
+        for b, top in branch_cuts(transport.engine):
             inside = (b[0] + (top[0] - b[0]) * 3 / 7, b[1] * 4 / 7)
             # the cap from here turns at (x + CAP_EPS, -CAP_EPS / 2), inside the cut
             t = 1 - CAP_EPS / 2 / -b[1]
@@ -1197,7 +1302,7 @@ def test_corner_in_a_cut_or_segment_along_one_reads_as_moved_left(builders):
     for builder in builders.values():
         transport = Transport(builder)
         engine = transport.engine
-        for b, top in engine.cuts:
+        for b, top in branch_cuts(engine):
             on = [(b[0] + (top[0] - b[0]) * t, b[1] * (1 - t))
                   for t in (Fraction(2, 7), Fraction(3, 7), Fraction(5, 7))]
             start, end = [(Fraction(rng.randint(1, 999), 1000) * engine.x_max,
@@ -1223,7 +1328,7 @@ def test_path_ends_at_or_just_below_a_branch_point(builders):
     of directly solved pieces does."""
     for builder in builders.values():
         transport = Transport(builder)
-        for b, top in transport.engine.cuts:
+        for b, top in branch_cuts(transport.engine):
             below = (b[0] - (top[0] - b[0]) / 97, b[1] * 98 / 97)
             right = (transport.engine.x_max * 999 / 1000, below[1])
             for poly in ([b, right], [right, b]):
@@ -1243,7 +1348,7 @@ def test_path_through_a_branch_point_is_rejected(transports):
     b each raise."""
     paths = 0
     for transport in transports.values():
-        for (bx, by), _ in transport.engine.cuts:
+        for (bx, by), _ in branch_cuts(transport.engine):
             corner = [(bx - Fraction(1, 3), by - Fraction(1, 5)), (bx, by),
                       (bx + Fraction(1, 4), by - Fraction(1, 7))]
             straight = [(bx - Fraction(1, 3), by - Fraction(1, 5)),
@@ -1285,7 +1390,7 @@ def test_path_meeting_a_cut_twice_at_one_point_transports_as_its_halves(builders
     corner between the two passes."""
     builder = builders["five_crossing"]
     transport = Transport(builder)
-    (bx, by), (tx, _) = transport.engine.cuts[0]
+    (bx, by), (tx, _) = branch_cuts(transport.engine)[0]
     poly = _twice_through(bx + (tx - bx) * 3 / 7, by * 4 / 7)
     with pytest.raises(NonGenericGeometry, match="duplicate crossing point"):
         cut_set(transport.engine).crossings(poly)
@@ -1298,10 +1403,13 @@ def test_branch_cuts_disjoint_and_left_of_marked_point(builders):
     for builder in builders.values():
         transport = Transport(builder)
         branch = [v.point for v in builder.weave.trivalent_vertices()]
-        assert [cut[0] for cut in transport.engine.cuts] == branch
-        for (b, top), (c, top2) in itertools.combinations(transport.engine.cuts, 2):
+        # each cut line 1000 X - Y = c, by increasing c, runs through its branch point
+        assert [(Fraction(cn, cm), k, Fraction(n, m))
+                for cn, cm, k, n, m in transport.engine._cut_lines] == \
+            sorted((1000 * x - y, k, y) for k, (x, y) in enumerate(branch))
+        for (b, top), (c, top2) in itertools.combinations(branch_cuts(transport.engine), 2):
             assert not _segments_meet(b, top, c, top2)
-        for _b, (x, y) in transport.engine.cuts:
+        for _b, (x, y) in branch_cuts(transport.engine):
             assert y == 0 and x < exact_point(builder.bent.marked)[0]
 
 
@@ -1402,7 +1510,8 @@ def test_weave_with_no_branch_point_transports_without_a_solve():
     for text in ("n=3\ntop: 1 2 1\nmoves: h1", "n=4\ntop: 1 3 2\nmoves: x1"):
         builder = build_forest_strands(bend_weave(parse_weave(text)))
         transport = Transport(builder)
-        assert not transport.engine.cuts and not builder.strands and transport.engine._cuts_right == -math.inf
+        assert not transport.engine._cut_lines and not builder.strands
+        assert transport.engine._cuts_right == -math.inf
         assert transport.gens == ()
         rng = random.Random(text)
         pairs = [homotopic_pair(transport, rng) for _ in range(3)]

@@ -25,9 +25,9 @@ from specnet.weave import bend_weave, parse_weave
 
 from conftest import (EXAMPLES, X_MOVE_WEAVES, arc_chains, assert_arc_walks_equal_solves,
                       assert_basis_walks_are_units, assert_caps_read_off_the_top_line,
-                      assert_letters_read_off_the_cuts, cap_sheets_or_message, cut_set,
-                      just_left, left_cap_word, random_weave_builders, random_weave_texts,
-                      whole_cap_sheets, whole_cap_word)
+                      assert_letters_read_off_the_cuts, branch_cuts, cap_sheets_or_message,
+                      cut_set, just_left, left_cap_word, random_weave_builders,
+                      random_weave_texts, whole_cap_sheets, whole_cap_word)
 from test_laurent import _gauss_jordan_solve, factors, fraction_factors
 
 
@@ -319,7 +319,7 @@ def test_slit_top_at_or_right_of_the_marked_point_is_rejected():
     point, so an engine whose marked point is moved left of a slit top
     raises where the cuts are built."""
     builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["three_strand"])))
-    tops = sorted(top[0] for _, top in HomologyEngine(builder).cuts)
+    tops = sorted(top[0] for _, top in branch_cuts(HomologyEngine(builder)))
     for x in (tops[-1], (tops[-2] + tops[-1]) / 2):
         builder.bent.marked = point_key((x, Fraction(0)))
         with pytest.raises(NonGenericGeometry, match="a slit top lies at or right of the marked point"):
@@ -387,7 +387,7 @@ def _leg_start(engine, k, kind, u, t):
     cut's top-line x or a CAP_EPS left of it (so the corner lands on the
     cut's top-line crossing), or inside the cut's x span at depth
     y_deep u / 40, where a leg can cross cuts stacked in one column."""
-    (bx, by), (tx, _) = engine.cuts[k]
+    (bx, by), (tx, _) = branch_cuts(engine)[k]
     y = by * u / 20
     if kind == "line":
         return bx + (y - by) / 1000, y
@@ -418,7 +418,7 @@ def test_cap_legs_read_off_the_cut_lines_equal_the_query(leg_engines, which, cut
     CAP_EPS / 7 or 1/997 either way, on the fixtures and the two n = 4
     x-move weaves."""
     engine = leg_engines[which]
-    x, y = _leg_start(engine, cut % len(engine.cuts), kind, u, t)
+    x, y = _leg_start(engine, cut % len(branch_cuts(engine)), kind, u, t)
     point = point_key((x + shift, y))
     assert engine.cap_word(point) == left_cap_word(engine, point), (x + shift, y)
 
@@ -427,7 +427,7 @@ def _on_cut(engine, point):
     """The cut the scaled ``point`` lies on, strictly above its branch point
     and at or below its top, or None."""
     x, y = exact_point(point)
-    return next((k for k, ((bx, by), _) in enumerate(engine.cuts)
+    return next((k for k, ((bx, by), _) in enumerate(branch_cuts(engine))
                  if 1000 * x - y == 1000 * bx - by and by < y <= 0), None)
 
 
@@ -465,7 +465,7 @@ def _slit_corner(engine, kind, k, u, t, shift):
     line at height by u / 20 (above its branch point b for u < 20, at it for
     u = 20, below it past that, at its top for u = 0), at b's height, or
     anywhere below the top boundary (depth y_deep u / 40)."""
-    (bx, by), _ = engine.cuts[k]
+    (bx, by), _ = branch_cuts(engine)[k]
     if kind == "line":
         x, y = bx + by * (u - 20) / 20000, by * u / 20
     elif kind == "level":
@@ -511,7 +511,7 @@ def test_slits_along_equals_the_cut_query(leg_engines, which, corners):
     segment runs along it; an inner point may be a path end, which the
     query passes over only at the path's own ends."""
     engine = leg_engines[which]
-    points = [_slit_corner(engine, kind, k % len(engine.cuts), u, t, shift)
+    points = [_slit_corner(engine, kind, k % len(branch_cuts(engine)), u, t, shift)
               for kind, k, u, t, shift in corners]
     inner = points[1:-1]
     assume(all(y < 0 for _, y, _ in inner) and (inner or points[0][1] + points[1][1] < 0))
@@ -598,7 +598,7 @@ def test_weave_line_crossing_a_cut_on_the_top_line_is_rejected():
     builder = build_forest_strands(bend_weave(parse_weave(EXAMPLES["three_strand"])))
     engine = HomologyEngine(builder)
     k = engine.arc_word[-1][0]
-    (bx, by), _ = engine.cuts[k]
+    (bx, by), _ = branch_cuts(engine)[k]
     tx, ty = bx - (by + CAP_EPS / 2) / 1000, -CAP_EPS / 2
     lines = [(seg.points, (seg.letter, seg.id)) for seg in builder.obstacles]
     m = min((abs(points[0][0] - tx), m) for m, (points, _) in enumerate(lines)
